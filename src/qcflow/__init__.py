@@ -49,6 +49,7 @@ from .lattice import (
     vertically_uniform_bump,
 )
 from .operators import (
+    DifferenceJet,
     c_operator,
     divergence,
     grad_h,

@@ -92,7 +92,11 @@ def derf_rhs(u: ScalarField, alpha: float, coeff_override=None,
     check_alpha(alpha)
     grid = u.grid
     n = grid.n
+    e = energy(u)
     q = FlowQuantities(u, alpha)
+    # f's jet lives only inside the P-pairing; evaluating it before F's jet
+    # exists keeps the two jets out of memory at the same time
+    p_pair = q.P_pair_half
     coeffs = derf_coefficients(n, alpha) if coeff_override is None else tuple(coeff_override)
     c_lap, c_quart, c_pfun, c_lich, c_pdef = coeffs
 
@@ -107,14 +111,14 @@ def derf_rhs(u: ScalarField, alpha: float, coeff_override=None,
 
     term_lap = c_lap * q.I_lap2
     term_quart = c_quart * q.I_quart
-    term_pfun = c_pfun * q.P_pair_half
+    term_pfun = c_pfun * p_pair
     term_lich = c_lich * i_lich
     term_pdef = c_pdef * q.I_deficit
     total = term_lap + term_quart + term_pfun + term_lich + term_pdef
 
     return EnergyReport(
         time=time,
-        energy=energy(u),
+        energy=e,
         dF_dt_numeric=float("nan"),
         dF_dt_analytic=total / (alpha * alpha),
         term_laplacian=term_lap,
@@ -122,7 +126,7 @@ def derf_rhs(u: ScalarField, alpha: float, coeff_override=None,
         term_pfunctional=term_pfun,
         term_L=term_lich,
         term_p=term_pdef,
-        p_functional_value=q.P_pair_half,
+        p_functional_value=p_pair,
         min_pF=float(q.hess.deficit.min()),
     )
 
@@ -148,15 +152,15 @@ def lemma_residual(states: list[FlowState], k: int, alpha: float,
 
 
 def energy_series(states: list[FlowState], alpha: float) -> list[EnergyReport]:
-    """Per-record production terms plus centered numeric dE/dt."""
-    reports = []
-    energies = [energy(st.u) for st in states]
-    for k, st in enumerate(states):
-        rep = derf_rhs(st.u, alpha, time=st.time)
-        if 1 <= k <= len(states) - 2:
-            rep.dF_dt_numeric = ((energies[k + 1] - energies[k - 1])
-                                 / (states[k + 1].time - states[k - 1].time))
-        reports.append(rep)
+    """Per-record production terms plus centered numeric dE/dt.
+
+    The numeric rate reads the energies of the neighbouring reports, so
+    energy(u) runs once per record.
+    """
+    reports = [derf_rhs(st.u, alpha, time=st.time) for st in states]
+    for k in range(1, len(states) - 1):
+        reports[k].dF_dt_numeric = ((reports[k + 1].energy - reports[k - 1].energy)
+                                    / (states[k + 1].time - states[k - 1].time))
     return reports
 
 

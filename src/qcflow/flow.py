@@ -13,34 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (
+    BLOCK_POINTS,
     LatticeGrid,
     ScalarField,
     make_grid,
     periodized_bump,
+    point_blocks,
     vertically_uniform_bump,
 )
-
-try:
-    from numba import njit, prange
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    HAVE_NUMBA = False
-
-
-if HAVE_NUMBA:
-    @njit(parallel=True, fastmath=False)
-    def _euler_kernel(flat, perm_up, perm_dn, w, out):
-        # one fused gather pass; the per-axis grouping (u+ - 2u) + u- keeps
-        # the floating-point maximum principle exact
-        npts = flat.shape[0]
-        naxes = perm_up.shape[0]
-        for i in prange(npts):
-            u = flat[i]
-            acc = 0.0
-            for k in range(naxes):
-                acc += (flat[perm_up[k, i]] - 2.0 * u) + flat[perm_dn[k, i]]
-            out[i] = u + w * acc
-
 
 @dataclass
 class FlowConfig:
@@ -88,57 +68,53 @@ def cfl_timestep(grid: LatticeGrid, safety: float) -> float:
 
 
 def _laplacian_sum(values: np.ndarray, grid: LatticeGrid) -> np.ndarray:
-    # per-axis (u+ - 2u) + u-: each per-axis sum is <= 0 at a grid maximum
+    # per-axis (u+ + u-) - 2u: each per-axis sum is <= 0 at a grid maximum
     # even in floating point (u+ + u- <= 2u and rounding is monotone), which
     # makes the max principle exact; the returned array is h^2 times the
-    # negative sub-Laplacian
+    # negative sub-Laplacian.  It runs over cache-sized blocks of points
+    # (lattice.point_blocks), with the arithmetic of a whole-field pass.
     flat = values.reshape(-1)
-    two_u = 2.0 * flat
-    acc = None
-    for a in range(grid.dim_h):
-        up = np.take(flat, grid.step_permutation(a, +1))
-        um = np.take(flat, grid.step_permutation(a, -1))
-        up += um
-        up -= two_u
-        if acc is None:
-            acc = up
-        else:
-            acc += up
+    perms = [(grid.step_permutation(a, +1), grid.step_permutation(a, -1))
+             for a in range(grid.dim_h)]
+    acc = np.empty_like(flat)
+    up, um, two_u = (np.empty(BLOCK_POINTS) for _ in range(3))
+    for blk in point_blocks(flat.size):
+        k = blk.stop - blk.start
+        acc_b, up_b, um_b, two_u_b = acc[blk], up[:k], um[:k], two_u[:k]
+        np.multiply(flat[blk], 2.0, out=two_u_b)
+        for a, (p_up, p_dn) in enumerate(perms):
+            # the first axis sums straight into acc
+            dst = acc_b if a == 0 else up_b
+            np.take(flat, p_up[blk], out=dst, mode="clip")
+            np.take(flat, p_dn[blk], out=um_b, mode="clip")
+            dst += um_b
+            dst -= two_u_b
+            if a > 0:
+                acc_b += up_b
     return acc.reshape(grid.shape)
 
 
-def _step_tables(grid: LatticeGrid):
-    key = "_euler_tables"
-    cached = getattr(grid, key, None)
-    if cached is None:
-        perm_up = np.stack([grid.step_permutation(a, +1) for a in range(grid.dim_h)])
-        perm_dn = np.stack([grid.step_permutation(a, -1) for a in range(grid.dim_h)])
-        cached = (np.ascontiguousarray(perm_up), np.ascontiguousarray(perm_dn))
-        setattr(grid, key, cached)
-    return cached
-
-
-def heat_step(u: ScalarField, dt: float) -> ScalarField:
-    """One explicit Euler step of du/dt = -Delta u."""
+def _check_step(u: ScalarField, dt: float) -> float:
+    """The guards of every stepper: dt within the CFL bound and strictly
+    positive data.  Returns the stencil weight dt / h_x^2."""
     grid = u.grid
     bound = cfl_timestep(grid, 1.0)
     if dt > bound * (1.0 + 1e-12):
         raise ValueError(f"dt={dt} violates the CFL bound {bound}")
     if float(u.values.min()) <= 0.0:
-        raise ValueError("heat_step needs strictly positive data")
-    w = dt / (grid.h_x * grid.h_x)
-    if HAVE_NUMBA:
-        perm_up, perm_dn = _step_tables(grid)
-        flat = np.ascontiguousarray(u.values.reshape(-1))
-        out = np.empty_like(flat)
-        _euler_kernel(flat, perm_up, perm_dn, w, out)
-        return ScalarField(grid, out.reshape(grid.shape))
-    return ScalarField(grid, u.values + w * _laplacian_sum(u.values, grid))
+        raise ValueError("the heat flow steppers need strictly positive data")
+    return dt / (grid.h_x * grid.h_x)
+
+
+def heat_step(u: ScalarField, dt: float) -> ScalarField:
+    """One explicit Euler step of du/dt = -Delta u."""
+    w = _check_step(u, dt)
+    return ScalarField(u.grid, u.values + w * _laplacian_sum(u.values, u.grid))
 
 
 def _heun_step(u: ScalarField, dt: float) -> ScalarField:
     grid = u.grid
-    w = dt / (grid.h_x * grid.h_x)
+    w = _check_step(u, dt)
     k1 = _laplacian_sum(u.values, grid)
     mid = u.values + w * k1
     k2 = _laplacian_sum(mid, grid)

@@ -15,15 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import XI_SCALE, ScalarField, frame_data
+from .lattice import LatticeGrid, ScalarField, frame_data
 from .operators import (
+    DifferenceJet,
     first_difference,
     grad_h,
     hessian_data,
     p_functional,
     reeb_derivative,
     sub_laplacian,
-    vertical_difference,
 )
 
 IDENTITY_NAMES = (
@@ -33,10 +33,6 @@ IDENTITY_NAMES = (
 )
 
 NORM_FLOOR = 1e-30
-
-
-def _vreeb(values, grid, s):
-    return XI_SCALE * vertical_difference(values, grid, s)
 
 
 @dataclass
@@ -93,7 +89,12 @@ def check_alpha(alpha: float):
 
 
 class FlowQuantities:
-    """Shared derived fields for the F = u^alpha identity chain (lazy)."""
+    """Shared derived fields for the F = u^alpha identity chain (lazy).
+
+    F has one difference jet that every quantity of F reads, so its gathers
+    are made once.  The P-pairing is the only quantity of f = u^(1/2);
+    p_functional builds f's jet and drops it with its Hessian contractions.
+    """
 
     def __init__(self, u: ScalarField, alpha: float):
         check_alpha(alpha)
@@ -117,13 +118,17 @@ class FlowQuantities:
     def f_half(self):
         return self._get("f_half", lambda: ScalarField(self.grid, np.sqrt(self.u.values)))
 
+    @property
+    def jetF(self):
+        return self._get("jetF", lambda: DifferenceJet(self.F))
+
     def weight(self, k: int):
         # u^(1 - k*alpha) = F^(1/alpha - k)
         return self._get(("w", k), lambda: np.power(self.u.values, 1.0 - k * self.alpha))
 
     @property
     def gradF(self):
-        return self._get("gradF", lambda: grad_h(self.F))
+        return self._get("gradF", lambda: grad_h(self.jetF))
 
     @property
     def grad_sq(self):
@@ -131,11 +136,11 @@ class FlowQuantities:
 
     @property
     def lapF(self):
-        return self._get("lapF", lambda: sub_laplacian(self.F))
+        return self._get("lapF", lambda: sub_laplacian(self.jetF))
 
     @property
     def hess(self):
-        return self._get("hess", lambda: hessian_data(self.F))
+        return self._get("hess", lambda: hessian_data(self.jetF))
 
     @property
     def xiF(self):
@@ -197,9 +202,9 @@ class FlowQuantities:
         # d/dt of the energy expressed in the phi = -ln u variables:
         # int u * (-2 (Delta phi)^2 - 3 Delta phi |grad phi|^2 - |grad phi|^4)
         def build():
-            phi = ScalarField(self.grid, -np.log(self.u.values))
-            lap_phi = sub_laplacian(phi).values
-            grad_phi = grad_h(phi).components
+            phi_jet = DifferenceJet(ScalarField(self.grid, -np.log(self.u.values)))
+            lap_phi = sub_laplacian(phi_jet).values
+            grad_phi = grad_h(phi_jet).components
             gp2 = np.sum(grad_phi ** 2, axis=0)
             integrand = self.u.values * (-2.0 * lap_phi ** 2
                                          - 3.0 * lap_phi * gp2 - gp2 ** 2)
@@ -245,7 +250,7 @@ def _ricci_mixed_report(f: ScalarField) -> IdentityReport:
         for a in range(grid.dim_h):
             d_a = first_difference(f.values, grid, a)
             mixed1 = first_difference(xi_f, grid, a)
-            mixed2 = _vreeb(d_a, grid, s)
+            mixed2 = reeb_derivative(ScalarField(grid, d_a), s).values
             res_sq += np.sum((mixed1 - mixed2) ** 2)
             scale_sq += np.sum(mixed1 ** 2)
     lhs = float(np.sqrt(grid.cell_volume * res_sq))
@@ -270,20 +275,15 @@ def bochner_residual(f: ScalarField) -> IdentityReport:
     reduction pins the orientation used here.
     """
     grid = f.grid
-    fd = frame_data(grid)
-    g = grad_h(f)
+    jet = DifferenceJet(f)
+    g = grad_h(jet)
     grad_sq = np.sum(g.components ** 2, axis=0)
     lhs_field = 0.5 * sub_laplacian(ScalarField(grid, grad_sq)).values
-    hd = hessian_data(f)
-    lap = sub_laplacian(f)
+    hd = hessian_data(jet)
+    lap = sub_laplacian(jet)
     grad_lap = grad_h(lap)
     dot = np.sum(grad_lap.components * g.components, axis=0)
-    mixed = np.zeros(grid.shape)
-    for s in range(3):
-        Is = fd.structure.I[s]
-        is_grad = np.einsum("ab,b...->a...", Is, g.components)
-        for a in range(grid.dim_h):
-            mixed += _vreeb(g.components[a], grid, s) * is_grad[a]
+    mixed = _reeb_mixed(grid, g.components)
     rhs_field = -hd.norm_sq + dot - 4.0 * mixed
     lhs = _l2(grid, lhs_field)
     rhs = _l2(grid, rhs_field)
@@ -293,18 +293,16 @@ def bochner_residual(f: ScalarField) -> IdentityReport:
     return report
 
 
-def _gr4_sides(f: ScalarField):
-    grid = f.grid
+def _reeb_mixed(grid: LatticeGrid, grad: np.ndarray) -> np.ndarray:
+    """Pointwise Reeb mixed term sum_s sum_a xi_s(D_a f) (I_s Df)_a of the
+    gradient components grad = Df."""
     fd = frame_data(grid)
-    g = grad_h(f)
     mixed = np.zeros(grid.shape)
     for s in range(3):
-        Is = fd.structure.I[s]
-        is_grad = np.einsum("ab,b...->a...", Is, g.components)
+        is_grad = np.einsum("ab,b...->a...", fd.structure.I[s], grad)
         for a in range(grid.dim_h):
-            mixed += _vreeb(g.components[a], grid, s) * is_grad[a]
-    lhs = float(grid.cell_volume * np.sum(mixed))
-    return lhs, g
+            mixed += reeb_derivative(ScalarField(grid, grad[a]), s).values * is_grad[a]
+    return mixed
 
 
 def identity_residual(name: str, u: ScalarField, alpha: float | None = None) -> IdentityReport:
@@ -328,11 +326,12 @@ def identity_residual(name: str, u: ScalarField, alpha: float | None = None) -> 
     if name in ("gr4", "intform"):
         require_positive(u)
         f = ScalarField(grid, np.sqrt(u.values))
-        lhs, _ = _gr4_sides(f)
+        jet = DifferenceJet(f)
+        lhs = float(grid.cell_volume * np.sum(_reeb_mixed(grid, grad_h(jet).components)))
         if name == "gr4":
-            lap = sub_laplacian(f)
+            lap = sub_laplacian(jet)
             i_lap = float(grid.cell_volume * np.sum(lap.values ** 2))
-            rhs = -(1.0 / (4 * n)) * (p_functional(f) + i_lap)
+            rhs = -(1.0 / (4 * n)) * (p_functional(jet) + i_lap)
             scale = max(abs(lhs), abs(rhs), (1.0 / (4 * n)) * i_lap, NORM_FLOOR)
         else:
             xi_sq = sum(reeb_derivative(f, s).values ** 2 for s in range(3))
@@ -379,13 +378,7 @@ def identity_residual(name: str, u: ScalarField, alpha: float | None = None) -> 
         return _report(name, lhs, rhs, grid, norm_scale=scale)
 
     if name == "secondt":
-        fd = frame_data(grid)
-        mixed = np.zeros(grid.shape)
-        for s in range(3):
-            Is = fd.structure.I[s]
-            is_grad = np.einsum("ab,b...->a...", Is, q.gradF.components)
-            for ax in range(grid.dim_h):
-                mixed += _vreeb(q.gradF.components[ax], grid, s) * is_grad[ax]
+        mixed = _reeb_mixed(grid, q.gradF.components)
         lhs = float(grid.cell_volume * np.sum(q.weight(2) * mixed))
         rhs = -4.0 * n * q.I_xi2
         return _report(name, lhs, rhs, grid)

@@ -214,6 +214,25 @@ def shift(values: np.ndarray, grid: LatticeGrid, a: int, direction: int) -> np.n
     return np.take(values.reshape(-1), perm).reshape(grid.shape)
 
 
+# a float64 block of BLOCK_POINTS values is 256 KB, so the few work arrays of
+# a blocked pass stay in a core's L2 cache instead of streaming whole fields
+BLOCK_POINTS = 32768
+
+
+def point_blocks(size: int) -> list[slice]:
+    """Consecutive slices of at most BLOCK_POINTS flat indices covering
+    range(size), for passes that gather and combine fields block by block.
+
+    Such a pass gathers a block with
+    np.take(flat, perm[blk], out=buf, mode="clip"): every index of a step
+    permutation is in range, so "clip" never clips, and unlike the default
+    mode it writes into buf without an intermediate copy.  Each point sees
+    the same operations in the same order as in a whole-field pass, so the
+    results are bit-identical to it.
+    """
+    return [slice(i, min(i + BLOCK_POINTS, size)) for i in range(0, size, BLOCK_POINTS)]
+
+
 def vertical_shift(values: np.ndarray, grid: LatticeGrid, s: int, direction: int) -> np.ndarray:
     """Sample the field after one vertical step (pure roll of a t-axis)."""
     if s not in (0, 1, 2):
@@ -237,12 +256,6 @@ def frame_data(grid: LatticeGrid) -> FrameData:
     omega = np.stack([Q.omega(s) for s in range(3)])
     return FrameData(omega=omega, structure=Q, xi_scale=XI_SCALE,
                      torsion=TorsionData.zero(grid.n))
-
-
-def reeb_pairing(grid: LatticeGrid) -> np.ndarray:
-    """eta_s(xi_k): the coframe dual to (X_a, xi_s) pairs to the identity."""
-    scale = XI_SCALE
-    return np.eye(3) * (scale * (1.0 / scale))
 
 
 # ---------------------------------------------------------------------------

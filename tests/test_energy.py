@@ -1,4 +1,6 @@
 """Tests for the energy monitor and its five-term production formula."""
+import importlib
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,25 @@ def test_monotonicity_verdict_inadmissible_alpha():
     assert not verdict.alpha_admissible
     lo, hi = alpha_interval(1)
     assert not (lo <= alpha < hi)
+
+
+def test_energy_series_evaluates_energy_once_per_record(monkeypatch):
+    # the package re-exports the function energy under the module's name
+    energy_mod = importlib.import_module("qcflow.energy")
+    states = evolve(flow_config(m=4, cfl_safety=0.5, record_every=2, t_end=0.004))
+    calls = []
+
+    def counting_energy(u):
+        calls.append(u)
+        return energy(u)
+
+    monkeypatch.setattr(energy_mod, "energy", counting_energy)
+    reports = energy_series(states, -0.05)
+    assert len(calls) == len(states)
+    for k in range(1, len(states) - 1):
+        rate = ((energy(states[k + 1].u) - energy(states[k - 1].u))
+                / (states[k + 1].time - states[k - 1].time))
+        assert reports[k].dF_dt_numeric == rate
 
 
 def test_energy_series_numeric_rates():

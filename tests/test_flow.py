@@ -1,4 +1,6 @@
 """Tests for the explicit heat integrator."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,45 @@ def test_evolve_decays_to_mean():
     dev = np.max(np.abs(u_end.values - mean)) / mean
     assert dev < 1e-3
     assert dev0 > 1e-2
+
+
+# sha256 of the little-endian field after 20 Euler steps at m_x = 4 from
+# vertically structured data; pins the rounding of the stepper
+EULER_20_STEPS_SHA256 = "b353588208f4bedc4498ab86d4e7171289a8cb767d83e24af67a76695aae03ad"
+
+
+def test_euler_rounding_is_pinned():
+    cfg = small_config(tau_profile=None)
+    grid = make_grid(1, 4)
+    u = initial_field(cfg, grid)
+    dt = cfl_timestep(grid, 0.9)
+    for _ in range(20):
+        u = heat_step(u, dt)
+    digest = hashlib.sha256(u.values.astype("<f8").tobytes()).hexdigest()
+    assert digest == EULER_20_STEPS_SHA256
+
+
+def test_blocked_step_matches_whole_field_pass():
+    # m_x = 5 spans several point blocks, the last one partial
+    grid = make_grid(1, 5)
+    u = initial_field(small_config(m_x=5, tau_profile=None), grid)
+    dt = cfl_timestep(grid, 0.9)
+    flat = u.values.reshape(-1)
+    acc = np.zeros_like(flat)
+    for a in range(grid.dim_h):
+        up = np.take(flat, grid.step_permutation(a, +1))
+        up += np.take(flat, grid.step_permutation(a, -1))
+        up -= 2.0 * flat
+        acc += up
+    w = dt / (grid.h_x * grid.h_x)
+    expected = u.values + w * acc.reshape(grid.shape)
+    assert heat_step(u, dt).values.tobytes() == expected.tobytes()
+
+
+def test_heun_guards():
+    with pytest.raises(ValueError):
+        evolve(small_config(method="heun",
+                            dt=cfl_timestep(make_grid(1, 4), 1.0) * 1.01))
 
 
 def test_heun_method_runs_and_contracts():

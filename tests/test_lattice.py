@@ -19,7 +19,6 @@ from qcflow.lattice import (
     load_field,
     make_grid,
     periodized_bump,
-    reeb_pairing,
     save_field,
     shift,
     vertical_shift,
@@ -144,7 +143,6 @@ def test_frame_structure():
         Is = fd.structure.I[s]
         assert np.max(np.abs(Is @ Is + np.eye(4))) == 0.0
         assert np.max(np.abs(fd.omega[s] + fd.omega[s].T)) == 0.0
-    assert np.array_equal(reeb_pairing(grid), np.eye(3))
     assert fd.torsion.S == 0.0
     assert np.max(np.abs(fd.torsion.T0)) == 0.0
 

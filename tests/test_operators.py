@@ -2,16 +2,22 @@
 import math
 
 import numpy as np
+import pytest
 
+from qcflow.algebra import TorsionData
 from qcflow.lattice import (
     ScalarField,
     default_center,
+    frame_data,
     grid_inner,
     integrate,
     make_grid,
     periodized_bump,
+    shift,
+    vertically_uniform_bump,
 )
 from qcflow.operators import (
+    DifferenceJet,
     c_operator,
     divergence,
     grad_h,
@@ -341,3 +347,84 @@ def test_omega_contraction_tracks_reeb():
         num = np.sqrt(np.sum((hd.omega[s] + 4.0 * xi) ** 2))
         den = np.sqrt(np.sum((4.0 * xi) ** 2)) + 1e-30
         assert num / den < 1.2  # bounded; exactness is unattainable at this scale
+
+
+# reference stencils: the per-operator loops the difference jet replaced ----
+
+def _ref_first_difference(values, grid, a):
+    return (shift(values, grid, a, +1) - shift(values, grid, a, -1)) / (2.0 * grid.h_x)
+
+
+def _ref_sub_laplacian(values, grid):
+    acc = np.zeros(grid.shape)
+    for a in range(grid.dim_h):
+        acc += (shift(values, grid, a, +1) - 2.0 * values
+                + shift(values, grid, a, -1))
+    return -acc / (grid.h_x * grid.h_x)
+
+
+def _ref_hessian(values, grid):
+    fd = frame_data(grid)
+    dim = grid.dim_h
+    first = [_ref_first_difference(values, grid, b) for b in range(dim)]
+    norm_sq = np.zeros(grid.shape)
+    trace = np.zeros(grid.shape)
+    om = np.zeros((3,) + grid.shape)
+    for a in range(dim):
+        for b in range(dim):
+            hab = _ref_first_difference(first[b], grid, a)
+            norm_sq += hab * hab
+            if a == b:
+                trace += hab
+            for s in range(3):
+                w = fd.omega[s][a, b]
+                if w != 0.0:
+                    om[s] += w * hab
+    quarter = 1.0 / dim
+    deficit = norm_sq - quarter * trace * trace
+    for s in range(3):
+        deficit = deficit - quarter * om[s] * om[s]
+    return norm_sq, trace, om, deficit
+
+
+def _jet_fields(m):
+    grid = make_grid(1, m)
+    return [periodized_bump(grid, width=0.22, amplitude=1.0, offset=1.0),
+            vertically_uniform_bump(grid, width=0.22, amplitude=0.3, offset=1.0)]
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_jet_readers_are_bit_identical_to_the_stencils(m):
+    for f in _jet_fields(m):
+        grid = f.grid
+        first = np.stack([_ref_first_difference(f.values, grid, a)
+                          for a in range(grid.dim_h)])
+        assert np.array_equal(grad_h(f).components, first)
+        assert np.array_equal(sub_laplacian(f).values,
+                              _ref_sub_laplacian(f.values, grid))
+        hd = hessian_data(f)
+        for got, ref in zip((hd.norm_sq, hd.trace, hd.omega, hd.deficit),
+                            _ref_hessian(f.values, grid)):
+            assert np.array_equal(got, ref)
+        # a shared jet gives the same bits as a jet per call
+        jet = DifferenceJet(f)
+        assert np.array_equal(grad_h(jet).components, first)
+        assert np.array_equal(sub_laplacian(jet).values, sub_laplacian(f).values)
+        assert np.array_equal(hessian_data(jet).deficit, hd.deficit)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+@pytest.mark.parametrize("with_torsion", [False, True])
+def test_p_functional_matches_the_third_order_pairing(m, with_torsion):
+    # summation by parts: vol * sum(Delta f tr H + sum_t G_t^2) equals the
+    # direct pairing of the third-order P-form against grad f to roundoff
+    td = None
+    if with_torsion:
+        td = TorsionData(n=1, T0=np.zeros((4, 4)), U=np.zeros((4, 4)), S=2.0)
+    for f in _jet_fields(m):
+        grid = f.grid
+        oracle = float(grid.cell_volume
+                       * np.sum(p_form(f, td).components * grad_h(f).components))
+        got = p_functional(f, td)
+        assert abs(got - oracle) <= 1e-13 * abs(oracle)
+        assert p_functional(DifferenceJet(f), td) == got
