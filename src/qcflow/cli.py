@@ -9,74 +9,62 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
+from typing import get_args, get_type_hints
 
 from .energy import CSV_COLUMNS, energy_series, monotonicity_verdict
 from .flow import FlowConfig, evolve
-from .lattice import make_grid, save_field
-from .suites import SUITE_NAMES, run_suite
+from .lattice import integrate, make_grid, save_field
+from .suites import SUITE_BUILDERS, SUITE_NAMES, run_suite
 
 FORMAT_VERSION = "qcflow-cli-1"
 
 
-@dataclass
-class RunConfig:
-    n: int = 1
-    m_x: int = 8
-    alpha: float = -0.05
-    cfl_safety: float = 0.5
-    t_end: float = 0.01
-    record_every: int = 8
-    width: float = 0.22
-    amplitude: float = 0.3
-    offset: float = 1.0
-    tau_width: float | None = None
-    tau_profile: str | None = "uniform"
-    profile: str = "smooth"
-    seed: int = 1
-    snapshots: bool = False
-    out: str = "out"
-
-    def echo(self) -> dict:
-        data = asdict(self)
-        # artifact locations do not affect the results; keep outputs
-        # byte-identical across output directories
-        data.pop("out", None)
-        data.pop("snapshots", None)
-        grid = make_grid(self.n, self.m_x)
-        data.update({"m_t": grid.m_t, "h_x": grid.h_x, "h_t": grid.h_t,
-                     "L_t": grid.L_t, "format_version": FORMAT_VERSION})
-        return data
+def config_echo(cfg: FlowConfig) -> dict:
+    """The configuration as written into verdict.json, with the grid it
+    implies."""
+    data = asdict(cfg)
+    # artifact locations do not affect the results; keep outputs
+    # byte-identical across output directories
+    del data["out"], data["snapshots"]
+    grid = make_grid(cfg.n, cfg.m_x)
+    data.update({"m_t": grid.m_t, "h_x": grid.h_x, "h_t": grid.h_t,
+                 "L_t": grid.L_t, "format_version": FORMAT_VERSION})
+    return data
 
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
+_FIELD_TYPES = get_type_hints(FlowConfig)
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
-def _coerce(name: str, raw: str, typ):
-    raw = raw.strip()
+def _coerce(name: str, raw: str):
+    """Parse one config value by the type hint of its FlowConfig field."""
+    typ = _FIELD_TYPES[name]
+    options = get_args(typ)
     if raw.lower() in ("none", "null", ""):
+        if type(None) not in options:
+            raise ValueError(f"{name} may not be {raw!r}")
         return None
-    if typ is bool or name == "snapshots":
-        if raw.lower() in _BOOL_TRUE:
-            return True
-        if raw.lower() in _BOOL_FALSE:
-            return False
-        raise ValueError(f"cannot parse boolean {name}={raw!r}")
-    if name in ("n", "m_x", "record_every", "seed"):
-        return int(raw)
-    if name in ("alpha", "cfl_safety", "t_end", "width", "amplitude",
-                "offset", "tau_width"):
-        return float(raw)
-    return raw
+    if options:  # X | None
+        typ = next(t for t in options if t is not type(None))
+    if typ is bool:
+        if raw.lower() not in _BOOL_WORDS:
+            raise ValueError(f"cannot parse boolean {name}={raw!r}")
+        return _BOOL_WORDS[raw.lower()]
+    try:
+        return typ(raw)
+    except ValueError:
+        raise ValueError(f"cannot parse {typ.__name__} {name}={raw!r}") from None
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key = value lines; '#' starts a comment."""
-    known = {f.name for f in fields(RunConfig)}
+    """Flat key = value lines, keys the FlowConfig fields; '#' starts a
+    comment."""
     values: dict = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -86,13 +74,16 @@ def parse_config_file(path: str) -> dict:
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key not in known:
+            if key not in _FIELD_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _coerce(key, raw, str)
+            try:
+                values[key] = _coerce(key, raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
-def build_run_config(args) -> RunConfig:
+def build_run_config(args) -> FlowConfig:
     values: dict = {}
     if args.config:
         values.update(parse_config_file(args.config))
@@ -102,27 +93,19 @@ def build_run_config(args) -> RunConfig:
             values["m_x" if name == "mx" else name] = val
     if args.snapshots:
         values["snapshots"] = True
-    cfg = RunConfig(**values)
-    if cfg.alpha in (0.0, 0.5):
-        raise ValueError("alpha must avoid 0 and 1/2")
-    return cfg
+    return FlowConfig(**values)
 
 
 def cmd_run(args) -> int:
     try:
         cfg = build_run_config(args)
+        os.makedirs(cfg.out, exist_ok=True)
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(cfg.out, exist_ok=True)
 
-    flow_cfg = FlowConfig(
-        n=cfg.n, m_x=cfg.m_x, alpha=cfg.alpha, cfl_safety=cfg.cfl_safety,
-        t_end=cfg.t_end, record_every=cfg.record_every, width=cfg.width,
-        amplitude=cfg.amplitude, offset=cfg.offset, tau_width=cfg.tau_width,
-        profile=cfg.profile, tau_profile=cfg.tau_profile)
     try:
-        states = evolve(flow_cfg)
+        states = evolve(cfg)
     except (ValueError, RuntimeError) as exc:
         print(f"error: flow aborted: {exc}", file=sys.stderr)
         return 1
@@ -131,7 +114,6 @@ def cmd_run(args) -> int:
     mass0 = None
     lo0 = float(states[0].u.values.min())
     hi0 = float(states[0].u.values.max())
-    from .lattice import integrate
     trajectory_rows = []
     for st in states:
         mass = integrate(st.u)
@@ -163,7 +145,7 @@ def cmd_run(args) -> int:
     verdict = monotonicity_verdict(states, cfg.alpha, reports=reports) \
         if len(states) >= 3 else None
     verdict_path = os.path.join(cfg.out, "verdict.json")
-    payload = {"config": cfg.echo(),
+    payload = {"config": config_echo(cfg),
                "verdict": verdict.to_dict() if verdict else None,
                "violations": violations}
     with open(verdict_path, "w") as fh:
@@ -188,11 +170,9 @@ def cmd_verify(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     all_ok = True
     for name in names:
-        kwargs = {}
-        if args.mx is not None and name in ("geometry", "flow", "lemma", "theorem"):
-            kwargs["m_x"] = args.mx
-        if args.alpha is not None and name in ("calculus", "lemma", "theorem"):
-            kwargs["alpha"] = args.alpha
+        params = inspect.signature(SUITE_BUILDERS[name]).parameters
+        kwargs = {key: val for key, val in (("m_x", args.mx), ("alpha", args.alpha))
+                  if val is not None and key in params}
         report = run_suite(name, seed=args.seed, **kwargs)
         path = os.path.join(out_dir, f"verify_{name}.json")
         with open(path, "w") as fh:

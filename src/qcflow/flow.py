@@ -24,21 +24,23 @@ from .lattice import (
 
 @dataclass
 class FlowConfig:
+    """Every setting of a heat-flow run; `qcflow run` reads the same fields
+    from its config file.  seed, snapshots and out only concern the CLI."""
     n: int = 1
     m_x: int = 8
     alpha: float = -0.05
-    dt: float | str = "auto"
-    cfl_safety: float = 0.9
+    cfl_safety: float = 0.5
     t_end: float = 0.01
-    record_every: int = 1
+    record_every: int = 8
     width: float = 0.22
     amplitude: float = 0.3
     offset: float = 1.0
     tau_width: float | None = None
-    center: object = None
-    method: str = "euler"
+    tau_profile: str | None = "uniform"  # None, "smooth", "cosine", or "uniform"
     profile: str = "smooth"
-    tau_profile: str | None = None  # None, "smooth", "cosine", or "uniform"
+    seed: int = 1
+    snapshots: bool = False
+    out: str = "out"
 
     def __post_init__(self):
         if self.alpha in (0.0, 0.5):
@@ -49,8 +51,6 @@ class FlowConfig:
             raise ValueError("record_every must be a positive integer")
         if self.offset <= self.amplitude or self.amplitude < 0.0:
             raise ValueError("need offset > amplitude >= 0 so u stays positive")
-        if self.method not in ("euler", "heun"):
-            raise ValueError("method must be 'euler' or 'heun'")
 
 
 @dataclass
@@ -94,31 +94,19 @@ def _laplacian_sum(values: np.ndarray, grid: LatticeGrid) -> np.ndarray:
     return acc.reshape(grid.shape)
 
 
-def _check_step(u: ScalarField, dt: float) -> float:
-    """The guards of every stepper: dt within the CFL bound and strictly
-    positive data.  Returns the stencil weight dt / h_x^2."""
+def heat_step(u: ScalarField, dt: float) -> ScalarField:
+    """One explicit Euler step of du/dt = -Delta u.
+
+    Refuses a dt above the CFL bound and data that is not strictly positive.
+    """
     grid = u.grid
     bound = cfl_timestep(grid, 1.0)
     if dt > bound * (1.0 + 1e-12):
         raise ValueError(f"dt={dt} violates the CFL bound {bound}")
     if float(u.values.min()) <= 0.0:
-        raise ValueError("the heat flow steppers need strictly positive data")
-    return dt / (grid.h_x * grid.h_x)
-
-
-def heat_step(u: ScalarField, dt: float) -> ScalarField:
-    """One explicit Euler step of du/dt = -Delta u."""
-    w = _check_step(u, dt)
-    return ScalarField(u.grid, u.values + w * _laplacian_sum(u.values, u.grid))
-
-
-def _heun_step(u: ScalarField, dt: float) -> ScalarField:
-    grid = u.grid
-    w = _check_step(u, dt)
-    k1 = _laplacian_sum(u.values, grid)
-    mid = u.values + w * k1
-    k2 = _laplacian_sum(mid, grid)
-    return ScalarField(grid, u.values + 0.5 * w * (k1 + k2))
+        raise ValueError("the heat flow needs strictly positive data")
+    w = dt / (grid.h_x * grid.h_x)
+    return ScalarField(grid, u.values + w * _laplacian_sum(u.values, grid))
 
 
 def initial_field(config: FlowConfig, grid: LatticeGrid | None = None) -> ScalarField:
@@ -130,11 +118,9 @@ def initial_field(config: FlowConfig, grid: LatticeGrid | None = None) -> Scalar
     if grid is None:
         grid = make_grid(config.n, config.m_x)
     if config.tau_profile == "uniform":
-        bump = vertically_uniform_bump(grid, center=config.center,
-                                       width=config.width)
+        bump = vertically_uniform_bump(grid, width=config.width)
     else:
-        bump = periodized_bump(grid, center=config.center, width=config.width,
-                               amplitude=1.0, offset=0.0,
+        bump = periodized_bump(grid, width=config.width, amplitude=1.0, offset=0.0,
                                tau_width=config.tau_width, profile=config.profile,
                                tau_profile=config.tau_profile)
     peak = float(np.max(np.abs(bump.values)))
@@ -155,13 +141,12 @@ def evolve(config: FlowConfig, u0: ScalarField | None = None) -> list[FlowState]
     else:
         u = u0.copy()
     grid = u.grid
-    dt = cfl_timestep(grid, config.cfl_safety) if config.dt == "auto" else float(config.dt)
-    stepper = heat_step if config.method == "euler" else _heun_step
+    dt = cfl_timestep(grid, config.cfl_safety)
 
     records = [FlowState(u=u.copy(), time=0.0, step=0)]
     n_steps = int(np.ceil(config.t_end / dt - 1e-12)) if config.t_end > 0 else 0
     for k in range(1, n_steps + 1):
-        u = stepper(u, dt)
+        u = heat_step(u, dt)
         if float(u.values.min()) <= 0.0:
             raise RuntimeError(
                 f"positivity lost at step {k}: check the CFL bound and that "

@@ -219,7 +219,7 @@ def _ricci2_report(f: ScalarField) -> IdentityReport:
     grid = f.grid
     fd = frame_data(grid)
     xi = [reeb_derivative(f, s).values for s in range(3)]
-    first = [first_difference(f.values, grid, a) for a in range(grid.dim_h)]
+    first = DifferenceJet(f).first
     anti_sq = np.zeros(grid.shape)
     twist_sq = np.zeros(grid.shape)
     res_sq = np.zeros(grid.shape)
@@ -243,14 +243,14 @@ def _ricci_mixed_report(f: ScalarField) -> IdentityReport:
     # mixed second derivatives commute exactly on the model: the torsion
     # endomorphism vanishes, and vertical shifts commute with group steps
     grid = f.grid
+    first = DifferenceJet(f).first
     res_sq = 0.0
     scale_sq = 0.0
     for s in range(3):
         xi_f = reeb_derivative(f, s).values
         for a in range(grid.dim_h):
-            d_a = first_difference(f.values, grid, a)
             mixed1 = first_difference(xi_f, grid, a)
-            mixed2 = reeb_derivative(ScalarField(grid, d_a), s).values
+            mixed2 = reeb_derivative(ScalarField(grid, first[a]), s).values
             res_sq += np.sum((mixed1 - mixed2) ** 2)
             scale_sq += np.sum(mixed1 ** 2)
     lhs = float(np.sqrt(grid.cell_volume * res_sq))

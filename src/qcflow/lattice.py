@@ -115,7 +115,12 @@ class LatticeGrid:
         return GroupPoint(x, t)
 
     def step_permutation(self, a: int, direction: int) -> np.ndarray:
-        """Flat index map P with (S f)(g) = f(g * (dir*h_x e_a, 0)) = f.flat[P]."""
+        """Flat index map P with (S f)(g) = f(g * (dir*h_x e_a, 0)) = f.flat[P].
+
+        Each table is int64 and kept for the life of the grid.  The 8n tables
+        of a full difference pass cost 64n B per point against 8 B for one
+        float64 field: at n = 1, m_x = 12 (12^7 points) that is 2.3 GB.
+        """
         key = (a, direction)
         if key not in self._perm_cache:
             if (a, -direction) in self._perm_cache:

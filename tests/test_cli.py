@@ -2,10 +2,16 @@
 import csv
 import json
 import os
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from qcflow.cli import main, parse_config_file
+from qcflow.flow import FlowConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(args):
@@ -79,6 +85,59 @@ def test_config_parser_errors(tmp_path):
     bad2.write_text("just a line without equals\n")
     with pytest.raises(ValueError):
         parse_config_file(str(bad2))
+
+
+@pytest.mark.parametrize("line", ["amplitude = 1.5", "record_every = 0",
+                                  "cfl_safety = 0", "m_x = none"])
+def test_run_rejects_invalid_config(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code = run_cli(["run", "--config", str(cfg), "--mx", "4",
+                    "--t-end", "0.001", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_values_follow_field_types(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("snapshots = yes\ntau_width = none\nprofile = cosine\n"
+                   "m_x = 4\nalpha = -1\n")
+    values = parse_config_file(str(cfg))
+    assert values == {"snapshots": True, "tau_width": None,
+                      "profile": "cosine", "m_x": 4, "alpha": -1.0}
+    assert type(values["m_x"]) is int and type(values["alpha"]) is float
+
+
+def test_verdict_config_echo(tmp_path):
+    out = tmp_path / "o"
+    assert run_cli(["run", "--mx", "4", "--t-end", "0.001",
+                    "--out", str(out)]) == 0
+    payload = json.loads((out / "verdict.json").read_text())
+    assert payload["config"] == {
+        "n": 1, "m_x": 4, "alpha": -0.05, "cfl_safety": 0.5, "t_end": 0.001,
+        "record_every": 8, "width": 0.22, "amplitude": 0.3, "offset": 1.0,
+        "tau_width": None, "tau_profile": "uniform", "profile": "smooth",
+        "seed": 1, "m_t": 4, "h_x": 0.25, "h_t": 0.125, "L_t": 0.5,
+        "format_version": "qcflow-cli-1"}
+
+
+def test_readme_config_matches_flow_config(tmp_path):
+    text = README.read_text()
+    example = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(example)
+    FlowConfig(**parse_config_file(str(cfg)))
+    # the key table lists every field with its default
+    table = dict(re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", text, re.M))
+    assert list(table) == [f.name for f in fields(FlowConfig)]
+    for f in fields(FlowConfig):
+        if f.default is None:
+            shown = "none"
+        elif f.default is False:
+            shown = "no"
+        else:
+            shown = str(f.default)
+        assert table[f.name] == shown
 
 
 def test_verify_algebra_deterministic(tmp_path, capsys):
