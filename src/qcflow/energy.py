@@ -19,7 +19,7 @@ from .algebra import alpha_interval, h_polynomial, lichnerowicz_matrix
 from .flow import FlowState
 from .identities import FlowQuantities, IdentityReport, NORM_FLOOR, check_alpha, require_positive
 from .lattice import ScalarField, frame_data
-from .operators import grad_h
+from .operators import grad_h_norm_sq
 
 CSV_COLUMNS = (
     "time", "energy", "dF_dt_numeric", "dF_dt_analytic", "term_laplacian",
@@ -29,11 +29,17 @@ CSV_COLUMNS = (
 
 
 def energy(u: ScalarField) -> float:
-    """E(u) = int |grad phi|^2 u, phi = -ln u."""
+    """E(u) = int |grad phi|^2 u, phi = -ln u.
+
+    |grad phi|^2 comes from grad_h_norm_sq, the first differences alone
+    (no jet of phi, no Laplacian), with the bits of
+    np.sum(grad_h(phi).components ** 2, axis=0).
+    """
     require_positive(u)
-    phi = ScalarField(u.grid, -np.log(u.values))
-    g = grad_h(phi)
-    val = np.sum(g.components ** 2, axis=0) * u.values
+    phi = np.log(u.values)
+    np.negative(phi, out=phi)
+    val = grad_h_norm_sq(ScalarField(u.grid, phi))
+    val *= u.values
     return float(u.grid.cell_volume * np.sum(val))
 
 

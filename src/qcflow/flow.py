@@ -16,6 +16,7 @@ from .lattice import (
     BLOCK_POINTS,
     LatticeGrid,
     ScalarField,
+    check_bump_params,
     make_grid,
     periodized_bump,
     point_blocks,
@@ -51,6 +52,9 @@ class FlowConfig:
             raise ValueError("record_every must be a positive integer")
         if self.offset <= self.amplitude or self.amplitude < 0.0:
             raise ValueError("need offset > amplitude >= 0 so u stays positive")
+        # "uniform" picks vertically_uniform_bump, whose vertical profile is fixed
+        check_bump_params(self.width, self.profile,
+                          None if self.tau_profile == "uniform" else self.tau_profile)
 
 
 @dataclass
@@ -67,20 +71,21 @@ def cfl_timestep(grid: LatticeGrid, safety: float) -> float:
     return safety * grid.h_x ** 2 / (4.0 * grid.dim_h)
 
 
-def _laplacian_sum(values: np.ndarray, grid: LatticeGrid) -> np.ndarray:
-    # per-axis (u+ + u-) - 2u: each per-axis sum is <= 0 at a grid maximum
-    # even in floating point (u+ + u- <= 2u and rounding is monotone), which
-    # makes the max principle exact; the returned array is h^2 times the
-    # negative sub-Laplacian.  It runs over cache-sized blocks of points
-    # (lattice.point_blocks), with the arithmetic of a whole-field pass.
+def _euler_update(values: np.ndarray, grid: LatticeGrid, w: float) -> np.ndarray:
+    # u + w * acc, where acc sums per axis (u+ + u-) - 2u: each per-axis sum
+    # is <= 0 at a grid maximum even in floating point (u+ + u- <= 2u and
+    # rounding is monotone), which makes the max principle exact; acc is h^2
+    # times the negative sub-Laplacian.  It runs over cache-sized blocks of
+    # points (lattice.point_blocks), with the arithmetic of a whole-field
+    # pass, and adds w * acc to u in the same block.
     flat = values.reshape(-1)
     perms = [(grid.step_permutation(a, +1), grid.step_permutation(a, -1))
              for a in range(grid.dim_h)]
-    acc = np.empty_like(flat)
-    up, um, two_u = (np.empty(BLOCK_POINTS) for _ in range(3))
+    out = np.empty_like(flat)
+    acc, up, um, two_u = (np.empty(BLOCK_POINTS) for _ in range(4))
     for blk in point_blocks(flat.size):
         k = blk.stop - blk.start
-        acc_b, up_b, um_b, two_u_b = acc[blk], up[:k], um[:k], two_u[:k]
+        acc_b, up_b, um_b, two_u_b = acc[:k], up[:k], um[:k], two_u[:k]
         np.multiply(flat[blk], 2.0, out=two_u_b)
         for a, (p_up, p_dn) in enumerate(perms):
             # the first axis sums straight into acc
@@ -91,7 +96,9 @@ def _laplacian_sum(values: np.ndarray, grid: LatticeGrid) -> np.ndarray:
             dst -= two_u_b
             if a > 0:
                 acc_b += up_b
-    return acc.reshape(grid.shape)
+        acc_b *= w
+        np.add(flat[blk], acc_b, out=out[blk])
+    return out.reshape(grid.shape)
 
 
 def heat_step(u: ScalarField, dt: float) -> ScalarField:
@@ -106,7 +113,7 @@ def heat_step(u: ScalarField, dt: float) -> ScalarField:
     if float(u.values.min()) <= 0.0:
         raise ValueError("the heat flow needs strictly positive data")
     w = dt / (grid.h_x * grid.h_x)
-    return ScalarField(grid, u.values + w * _laplacian_sum(u.values, grid))
+    return ScalarField(grid, _euler_update(u.values, grid, w))
 
 
 def initial_field(config: FlowConfig, grid: LatticeGrid | None = None) -> ScalarField:

@@ -132,7 +132,18 @@ class FlowQuantities:
 
     @property
     def grad_sq(self):
-        return self._get("grad_sq", lambda: np.sum(self.gradF.components ** 2, axis=0))
+        def build():
+            # sum_a (D_a F)^2 in axis order, the bits of
+            # np.sum(components ** 2, axis=0) without its (4n,) + grid.shape
+            # temporary
+            comps = self.gradF.components
+            acc = comps[0] * comps[0]
+            sq = np.empty_like(acc)
+            for c in comps[1:]:
+                np.multiply(c, c, out=sq)
+                acc += sq
+            return acc
+        return self._get("grad_sq", build)
 
     @property
     def lapF(self):

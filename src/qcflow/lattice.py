@@ -36,6 +36,8 @@ from .algebra import (
 
 XI_SCALE = 2.0  # xi_s = XI_SCALE * d/dt_s
 
+L_X = 1.0  # horizontal period of the lattice quotient
+
 FORMAT_VERSION = "qcflow-field-1"
 
 
@@ -98,7 +100,7 @@ class LatticeGrid:
         if self.n < 1 or self.m_x < 2:
             raise ValueError("need n >= 1 and m_x >= 2")
         self.m_t = self.m_x
-        self.L_x = 1.0
+        self.L_x = L_X
         self.h_x = self.L_x / self.m_x
         self.h_t = 2.0 * self.h_x * self.h_x
         self.L_t = 2.0 * self.h_x * self.L_x
@@ -117,41 +119,45 @@ class LatticeGrid:
     def step_permutation(self, a: int, direction: int) -> np.ndarray:
         """Flat index map P with (S f)(g) = f(g * (dir*h_x e_a, 0)) = f.flat[P].
 
-        Each table is int64 and kept for the life of the grid.  The 8n tables
-        of a full difference pass cost 64n B per point against 8 B for one
-        float64 field: at n = 1, m_x = 12 (12^7 points) that is 2.3 GB.
+        Each table is int64, built directly for either direction (no
+        inverse scatter, see _build_step_permutation) and kept for the life
+        of the grid.  The 8n tables of a full difference pass cost 64n B per
+        point against 8 B for one float64 field: at n = 1, m_x = 12 (12^7
+        points) that is 2.3 GB.
         """
         key = (a, direction)
         if key not in self._perm_cache:
-            if (a, -direction) in self._perm_cache:
-                # the backward step is the inverse permutation (group inverse)
-                fwd = self._perm_cache[(a, -direction)]
-                inv = np.empty_like(fwd)
-                inv[fwd] = np.arange(fwd.size, dtype=fwd.dtype)
-                self._perm_cache[key] = inv
-            else:
-                self._perm_cache[key] = self._build_step_permutation(a, direction)
+            self._perm_cache[key] = self._build_step_permutation(a, direction)
         return self._perm_cache[key]
 
     def _build_step_permutation(self, a: int, direction: int) -> np.ndarray:
+        """The step is the affine map i_a -> i_a + d, t_s -> t_s + d K_s(x)
+        (mod m) with K_s(x) = sum_b twist[s][b, a] i_b: crossing the top or
+        the bottom of axis a adds a wrap correction +-m K_s to t_s, a
+        multiple of m_t = m_x that drops out mod m.  So the flat index is a
+        sum of per-axis offsets, each a small array over the axes it reads,
+        broadcast to the grid with one full-size addition at the end."""
         if not 0 <= a < self.dim_h:
             raise ValueError(f"horizontal axis {a} out of range")
         if direction not in (-1, 1):
             raise ValueError("direction must be +1 or -1")
         m = self.m_x
         idx = np.indices(self.shape, sparse=True)
-        new_idx = list(idx)
-        new_ia = idx[a] + direction
-        # wrap corrections: crossing the top adds +m*K_s to tau_s, the bottom -m*K_s
-        coef = direction + m * (new_ia == m).astype(np.int64) - m * (new_ia == -1).astype(np.int64)
-        new_idx[a] = new_ia
+        strides = [m ** (len(self.shape) - 1 - k) for k in range(len(self.shape))]
+        offsets = [((i + direction) % m if k == a else i) * strides[k]
+                   for k, i in enumerate(idx[: self.dim_h])]
         for s in range(3):
             col = self.twist[s][:, a]
             K = sum(int(col[b]) * idx[b] for b in np.nonzero(col)[0])
-            new_idx[self.dim_h + s] = idx[self.dim_h + s] + coef * K
-        flat = np.ravel_multi_index(tuple(new_idx), self.shape, mode="wrap")
+            k = self.dim_h + s
+            offsets.append((idx[k] + direction * K) % m * strides[k])
+        # the horizontal offsets and the first two vertical ones stay at most
+        # m^(4n+2) points; only the last addition writes a full-size table
+        flat = sum(offsets[:-1])
+        total = np.empty(self.shape, dtype=np.int64)
+        np.add(flat, offsets[-1], out=total)
         # int64 indices: numpy gathers avoid a per-call index cast
-        return np.ascontiguousarray(flat.ravel(), dtype=np.int64)
+        return total.reshape(-1)
 
     def drop_caches(self):
         self._perm_cache.clear()
@@ -272,6 +278,22 @@ SUPPORT_FACTOR = 2.0  # support radius of a profile is SUPPORT_FACTOR * scale
 BUMP_PROFILES = ("smooth", "cosine")
 
 
+def check_bump_params(width: float, profile: str = "smooth",
+                      tau_profile: str | None = None):
+    """Raise ValueError unless periodized_bump accepts these parameters:
+    0 < width < L_x/4 keeps the support inside one lattice shell
+    horizontally, and both profiles come from BUMP_PROFILES (a None
+    tau_profile follows profile)."""
+    if not 0 < width < L_X / 4:
+        raise ValueError(f"bump width must lie in (0, {L_X / 4}) so one "
+                         "lattice shell covers the support")
+    if profile not in BUMP_PROFILES:
+        raise ValueError(f"bump profile must be one of {', '.join(BUMP_PROFILES)}")
+    if tau_profile is not None and tau_profile not in BUMP_PROFILES:
+        raise ValueError("vertical bump profile must be one of "
+                         + ", ".join(BUMP_PROFILES))
+
+
 def _radial_profile(q: np.ndarray, scale: float, profile: str = "smooth") -> np.ndarray:
     """Compactly supported radial profile of q = |y|^2.
 
@@ -362,9 +384,7 @@ def periodized_bump(grid: LatticeGrid, center: GroupPoint | None = None,
     """
     if center is None:
         center = default_center(grid)
-    if not 0 < width < grid.L_x / 4:
-        raise ValueError("bump width must lie in (0, L_x/4) so one lattice "
-                         "shell covers the support")
+    check_bump_params(width, profile, tau_profile)
     if tau_width is None:
         tau_width = default_tau_width(width)
     if tau_profile is None:

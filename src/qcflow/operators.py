@@ -9,9 +9,13 @@ is self-adjoint.
 
 One field's derivatives come from its difference jet (DifferenceJet): the
 8n whole-field step gathers S_a^{+-} f are made once, and give both the
-first differences D_a f and the compact sub-Laplacian; a streaming pass over
-the composed second differences H_ab = D_a D_b f accumulates the Hessian
-contractions while holding one H_ab at a time.  grad_h, sub_laplacian,
+first differences D_a f and the compact sub-Laplacian.  The composed second
+differences H_ab = D_a D_b f come from one Hessian stream: block by block,
+one stacked gather per step table gives the rows H_a. of every D_b f, and
+the stream accumulates tr H and omega_s(H), and |H|^2 when asked.  Two
+contractions read it: hessian() keeps the whole-field HessianData (with the
+p-deficit), and p_functional forms its integrand per block from tr H and
+omega_s(H) alone, never building the full Hessian.  grad_h, sub_laplacian,
 hessian_data and p_functional read a jet, so a caller that needs several of
 them passes the jet instead of the field and pays for the gathers once.
 
@@ -76,48 +80,63 @@ class HessianData:
     deficit: np.ndarray
 
 
+def _step_gathers(flat: np.ndarray, grid: LatticeGrid):
+    """Blocks of points outside, axes a inside: yield (blk, a, up, um) with
+    up = S_a^+ f and um = S_a^- f on the block blk, gathered through the step
+    tables.  up and um are buffers that the next yield overwrites, so a
+    consumer may work in them."""
+    perms = [(grid.step_permutation(a, +1), grid.step_permutation(a, -1))
+             for a in range(grid.dim_h)]
+    up, um = np.empty(BLOCK_POINTS), np.empty(BLOCK_POINTS)
+    for blk in point_blocks(flat.size):
+        k = blk.stop - blk.start
+        up_b, um_b = up[:k], um[:k]
+        for a, (p_up, p_dn) in enumerate(perms):
+            np.take(flat, p_up[blk], out=up_b, mode="clip")
+            np.take(flat, p_dn[blk], out=um_b, mode="clip")
+            yield blk, a, up_b, um_b
+
+
 class DifferenceJet:
     """The horizontal differences of one field, each gather made once.
 
     first      D_a f as a (4n,) + grid.shape array
     laplacian  the compact positive sub-Laplacian, -sum_a (S_a^+ f - 2f +
                S_a^- f) / h_x^2, from the same 8n step gathers as `first`
-    hessian()  contractions of H_ab = D_a D_b f (two gathers per entry),
+    hessian()  contractions of H_ab = D_a D_b f from the Hessian stream,
                computed on first use and kept
 
-    Both passes run over cache-sized blocks of points (lattice.point_blocks)
-    and give the bits of the whole-field stencils.
+    Every pass runs over cache-sized blocks of points (lattice.point_blocks)
+    and gives the bits of the whole-field stencils.
     """
 
     def __init__(self, f: ScalarField):
         grid = f.grid
         dim = grid.dim_h
         flat = f.values.reshape(-1)
-        perms = [(grid.step_permutation(a, +1), grid.step_permutation(a, -1))
-                 for a in range(dim)]
         first = np.empty((dim, grid.size))
         lap = np.empty(grid.size)
-        up, um, acc, two_f = (np.empty(BLOCK_POINTS) for _ in range(4))
+        acc, two_f = np.empty(BLOCK_POINTS), np.empty(BLOCK_POINTS)
         two_h = 2.0 * grid.h_x
         h_sq = grid.h_x * grid.h_x
-        for blk in point_blocks(grid.size):
+        for blk, a, up_b, um_b in _step_gathers(flat, grid):
             k = blk.stop - blk.start
-            up_b, um_b, acc_b, two_f_b = up[:k], um[:k], acc[:k], two_f[:k]
-            np.multiply(flat[blk], 2.0, out=two_f_b)
-            acc_b.fill(0.0)
-            for a, (p_up, p_dn) in enumerate(perms):
-                np.take(flat, p_up[blk], out=up_b, mode="clip")
-                np.take(flat, p_dn[blk], out=um_b, mode="clip")
-                d_a = first[a, blk]
-                np.subtract(up_b, um_b, out=d_a)
-                d_a /= two_h
-                # (S^+ f - 2f) + S^- f, the grouping of the compact stencil
-                up_b -= two_f_b
-                up_b += um_b
-                acc_b += up_b
-            lap_b = lap[blk]
-            np.negative(acc_b, out=lap_b)
-            lap_b /= h_sq
+            acc_b, two_f_b = acc[:k], two_f[:k]
+            # a block's first axis starts its Laplacian sum, its last ends it
+            if a == 0:
+                np.multiply(flat[blk], 2.0, out=two_f_b)
+                acc_b.fill(0.0)
+            d_a = first[a, blk]
+            np.subtract(up_b, um_b, out=d_a)
+            d_a /= two_h
+            # (S^+ f - 2f) + S^- f, the grouping of the compact stencil
+            up_b -= two_f_b
+            up_b += um_b
+            acc_b += up_b
+            if a == dim - 1:
+                lap_b = lap[blk]
+                np.negative(acc_b, out=lap_b)
+                lap_b /= h_sq
         self.grid = grid
         self.first = first.reshape((dim,) + grid.shape)
         self.laplacian = lap.reshape(grid.shape)
@@ -128,56 +147,81 @@ class DifferenceJet:
             self._hessian = self._contract_hessian()
         return self._hessian
 
-    def _contract_hessian(self) -> HessianData:
+    def _hessian_stream(self, with_norm: bool):
+        """The one pass over the composed Hessian H_ab = D_a D_b f.
+
+        Blocks of points outside, axes a inside: for each a, one stacked
+        gather per direction carries every D_b f through S_a^+- and gives
+        the block rows H_a. = D_a D_. f.  Yields (blk, trace, omega, norm_sq)
+        per block, accumulated in (a, b) order from zero, so each point sees
+        the operations of a whole-field pass; norm_sq = |H|^2 is formed only
+        when with_norm.  The yielded arrays are buffers that the next block
+        overwrites.
+        """
         grid = self.grid
         fd = frame_data(grid)
         dim = grid.dim_h
         first = self.first.reshape(dim, grid.size)
-        norm_sq = np.zeros(grid.size)
-        trace = np.zeros(grid.size)
-        om = np.zeros((3, grid.size))
-        hab = np.empty(BLOCK_POINTS)
-        work = np.empty(BLOCK_POINTS)
+        perms = [(grid.step_permutation(a, +1), grid.step_permutation(a, -1))
+                 for a in range(dim)]
+        # (b, s, omega_s[a, b]) for the nonzero entries of row a, in (b, s) order
+        weights = [[(b, s, fd.omega[s][a, b]) for b in range(dim) for s in range(3)
+                    if fd.omega[s][a, b] != 0.0] for a in range(dim)]
+        rows_buf, work_buf = np.empty(dim * BLOCK_POINTS), np.empty(dim * BLOCK_POINTS)
+        trace, norm_sq = np.empty(BLOCK_POINTS), np.empty(BLOCK_POINTS)
+        om = np.empty((3, BLOCK_POINTS))
         two_h = 2.0 * grid.h_x
-        blocks = point_blocks(grid.size)
-        for a in range(dim):
-            for b in range(dim):
-                p_up = grid.step_permutation(a, +1)
-                p_dn = grid.step_permutation(a, -1)
-                weights = [(s, fd.omega[s][a, b]) for s in range(3)
-                           if fd.omega[s][a, b] != 0.0]
-                for blk in blocks:
-                    # one block of H_ab = D_a D_b f
-                    k = blk.stop - blk.start
-                    h, w_b = hab[:k], work[:k]
-                    np.take(first[b], p_up[blk], out=h, mode="clip")
-                    np.take(first[b], p_dn[blk], out=w_b, mode="clip")
-                    h -= w_b
-                    h /= two_h
-                    if a == b:
-                        trace[blk] += h
-                    for s, w in weights:
-                        # the frame's entries are +-1, where adding or
-                        # subtracting h gives the bits of w * h without a
-                        # temporary
-                        if w == 1.0:
-                            om[s, blk] += h
-                        elif w == -1.0:
-                            om[s, blk] -= h
-                        else:
-                            om[s, blk] += w * h
-                    h *= h
-                    norm_sq[blk] += h
-        # norm_sq - (1/4n) tr^2 - (1/4n) sum_s om_s^2, grouped as written,
-        # with one temporary
-        quarter = 1.0 / dim
-        deficit = quarter * trace
-        deficit *= trace
-        np.subtract(norm_sq, deficit, out=deficit)
-        for s in range(3):
-            sq = quarter * om[s]
-            sq *= om[s]
-            deficit -= sq
+        for blk in point_blocks(grid.size):
+            k = blk.stop - blk.start
+            # contiguous (dim, k) views, so np.take writes straight into them
+            rows = rows_buf[:dim * k].reshape(dim, k)
+            work = work_buf[:dim * k].reshape(dim, k)
+            tr, om_b = trace[:k], om[:, :k]
+            nsq = norm_sq[:k] if with_norm else None
+            tr.fill(0.0)
+            om_b.fill(0.0)
+            if nsq is not None:
+                nsq.fill(0.0)
+            for a, (p_up, p_dn) in enumerate(perms):
+                np.take(first, p_up[blk], axis=1, out=rows, mode="clip")
+                np.take(first, p_dn[blk], axis=1, out=work, mode="clip")
+                rows -= work
+                rows /= two_h
+                tr += rows[a]
+                for b, s, w in weights[a]:
+                    # the frame's entries are +-1, where adding or subtracting
+                    # the row gives the bits of w * H_ab without a temporary
+                    if w == 1.0:
+                        om_b[s] += rows[b]
+                    elif w == -1.0:
+                        om_b[s] -= rows[b]
+                    else:
+                        om_b[s] += w * rows[b]
+                if nsq is not None:
+                    rows *= rows
+                    for row in rows:
+                        nsq += row
+            yield blk, tr, om_b, nsq
+
+    def _contract_hessian(self) -> HessianData:
+        grid = self.grid
+        norm_sq, trace, deficit = (np.empty(grid.size) for _ in range(3))
+        om = np.empty((3, grid.size))
+        sq = np.empty(BLOCK_POINTS)
+        quarter = 1.0 / grid.dim_h
+        for blk, tr, om_b, nsq in self._hessian_stream(with_norm=True):
+            norm_sq[blk] = nsq
+            trace[blk] = tr
+            om[:, blk] = om_b
+            # nsq - (1/4n) tr^2 - (1/4n) sum_s om_s^2, grouped as written
+            d, sq_b = deficit[blk], sq[:tr.size]
+            np.multiply(tr, quarter, out=d)
+            d *= tr
+            np.subtract(nsq, d, out=d)
+            for s in range(3):
+                np.multiply(om_b[s], quarter, out=sq_b)
+                sq_b *= om_b[s]
+                d -= sq_b
         shape = grid.shape
         return HessianData(norm_sq=norm_sq.reshape(shape), trace=trace.reshape(shape),
                            omega=om.reshape((3,) + shape), deficit=deficit.reshape(shape))
@@ -191,6 +235,25 @@ def grad_h(f: ScalarField | DifferenceJet) -> HorizontalField:
     """Horizontal gradient, centered group differences per frame direction."""
     jet = _jet(f)
     return HorizontalField(jet.grid, jet.first)
+
+
+def grad_h_norm_sq(f: ScalarField) -> np.ndarray:
+    """|grad_h f|^2 = sum_a (D_a f)^2 pointwise, formed block by block from
+    the step gathers alone: the bits of np.sum(grad_h(f).components ** 2,
+    axis=0), without the jet's (4n,) + grid.shape first differences or its
+    sub-Laplacian."""
+    grid = f.grid
+    out = np.empty(grid.size)
+    two_h = 2.0 * grid.h_x
+    for blk, a, up_b, um_b in _step_gathers(f.values.reshape(-1), grid):
+        # the first axis squares straight into out
+        d = out[blk] if a == 0 else up_b
+        np.subtract(up_b, um_b, out=d)
+        d /= two_h
+        d *= d
+        if a > 0:
+            out[blk] += d
+    return out.reshape(grid.shape)
 
 
 def reeb_derivative(f: ScalarField, s: int) -> ScalarField:
@@ -307,17 +370,26 @@ def p_functional(f: ScalarField | DifferenceJet, torsion: TorsionData | None = N
 
     Evaluated by summation by parts from the jet of f (module docstring):
     vol * sum(Delta f tr H + sum_t G_t^2), plus the first-order torsion
-    terms s_coef |Df|^2 + t_coef <T0 Df, Df> + u_coef <U Df, Df>.  It agrees
-    with the direct pairing of p_form against grad_h to roundoff.  The
+    terms s_coef |Df|^2 + t_coef <T0 Df, Df> + u_coef <U Df, Df>.  The
+    integrand is formed block by block from tr H and omega_s(H) of the
+    Hessian stream, so the full Hessian is not built, and summed over the
+    whole field with one np.sum.  It agrees with the direct pairing of
+    p_form against grad_h to roundoff.  The
     P-function of f counts as non-negative when this integral is
     non-positive.
     """
     jet = _jet(f)
     grid = jet.grid
-    hd = jet.hessian()
-    integrand = jet.laplacian * hd.trace
-    for t in range(3):
-        integrand += hd.omega[t] * hd.omega[t]
+    lap = jet.laplacian.reshape(-1)
+    integrand = np.empty(grid.size)
+    sq = np.empty(BLOCK_POINTS)
+    for blk, tr, om, _ in jet._hessian_stream(with_norm=False):
+        ib, sq_b = integrand[blk], sq[:tr.size]
+        np.multiply(lap[blk], tr, out=ib)
+        for t in range(3):
+            np.multiply(om[t], om[t], out=sq_b)
+            ib += sq_b
+    integrand = integrand.reshape(grid.shape)
     coefs = _torsion_coefficients(grid, torsion)
     if coefs is not None:
         td, s_coef, t_coef, u_coef = coefs

@@ -88,14 +88,18 @@ def test_config_parser_errors(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["amplitude = 1.5", "record_every = 0",
-                                  "cfl_safety = 0", "m_x = none"])
+                                  "cfl_safety = 0", "m_x = none",
+                                  "profile = gauss", "tau_profile = gauss",
+                                  "width = 0.4", "width = 0"])
 def test_run_rejects_invalid_config(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
+    out = tmp_path / "o"
     code = run_cli(["run", "--config", str(cfg), "--mx", "4",
-                    "--t-end", "0.001", "--out", str(tmp_path / "o")])
+                    "--t-end", "0.001", "--out", str(out)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_values_follow_field_types(tmp_path):

@@ -14,7 +14,8 @@ from qcflow.energy import (
     monotonicity_verdict,
 )
 from qcflow.flow import FlowConfig, cfl_timestep, evolve, initial_field
-from qcflow.lattice import ScalarField, make_grid
+from qcflow.lattice import ScalarField, make_grid, periodized_bump
+from qcflow.operators import grad_h
 
 
 def flow_config(m=4, alpha=-0.05, **kw):
@@ -23,6 +24,18 @@ def flow_config(m=4, alpha=-0.05, **kw):
                 tau_profile="uniform")
     base.update(kw)
     return FlowConfig(**base)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_energy_pass_is_bit_identical_to_the_gradient_route(m):
+    # m_x = 5 ends on a partial point block
+    grid = make_grid(1, m)
+    rough = ScalarField(grid, 1.0 + np.random.default_rng(m).random(grid.shape))
+    for u in (initial_field(flow_config(m=m), grid),
+              periodized_bump(grid, width=0.22, amplitude=0.3, offset=1.0), rough):
+        phi = ScalarField(grid, -np.log(u.values))
+        val = np.sum(grad_h(phi).components ** 2, axis=0) * u.values
+        assert energy(u) == float(grid.cell_volume * np.sum(val))
 
 
 def test_energy_constant_zero():

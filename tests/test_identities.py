@@ -4,7 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from qcflow.identities import IDENTITY_NAMES, bochner_residual, identity_residual
+from qcflow.identities import (
+    IDENTITY_NAMES,
+    FlowQuantities,
+    bochner_residual,
+    identity_residual,
+)
 from qcflow.lattice import (
     ScalarField,
     make_grid,
@@ -30,6 +35,14 @@ def rich_u(m, width=0.22, amplitude=0.3):
     b = periodized_bump(grid, width=width)
     peak = b.values.max()
     return ScalarField(grid, 1.0 + amplitude * b.values / peak)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_grad_sq_is_bit_identical_to_the_squared_sum(m):
+    for u in (uniform_u(m), rich_u(m)):
+        q = FlowQuantities(u, ALPHA)
+        expect = np.sum(q.gradF.components ** 2, axis=0)
+        assert q.grad_sq.tobytes() == expect.tobytes()
 
 
 def test_unknown_tag_rejected():

@@ -126,12 +126,19 @@ def test_step_permutation_bijective(m):
 
 
 def test_step_permutation_matches_index_arithmetic():
-    grid = make_grid(1, 3)
-    perm = grid.step_permutation(2, -1)
-    flat = perm.reshape(grid.shape)
-    for idx in [(0, 0, 0, 0, 0, 0, 0), (1, 2, 0, 1, 2, 0, 1), (2, 2, 2, 2, 2, 2, 2)]:
-        target = horizontal_step_index(grid, idx, 2, -1)
-        assert flat[idx] == np.ravel_multi_index(target, grid.shape)
+    # every table, both directions, at every point: the broadcast
+    # construction against the point-by-point group step
+    for n, m in ((1, 3), (1, 4), (2, 2)):
+        grid = make_grid(n, m)
+        points = list(np.ndindex(*grid.shape))
+        for a in range(grid.dim_h):
+            for d in (-1, 1):
+                perm = grid.step_permutation(a, d)
+                assert perm.dtype == np.int64 and perm.shape == (grid.size,)
+                expect = np.ravel_multi_index(
+                    np.array([horizontal_step_index(grid, idx, a, d)
+                              for idx in points]).T, grid.shape)
+                assert np.array_equal(perm, expect), (n, m, a, d)
 
 
 def test_frame_structure():

@@ -21,6 +21,7 @@ from qcflow.operators import (
     c_operator,
     divergence,
     grad_h,
+    grad_h_norm_sq,
     hessian_component,
     hessian_data,
     hessian_deficit,
@@ -428,3 +429,28 @@ def test_p_functional_matches_the_third_order_pairing(m, with_torsion):
         got = p_functional(f, td)
         assert abs(got - oracle) <= 1e-13 * abs(oracle)
         assert p_functional(DifferenceJet(f), td) == got
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_p_functional_stream_is_bit_identical_to_the_hessian_route(m):
+    # the Hessian stream without |H|^2 gives the bits of the integrand built
+    # from the full Hessian, without building it, and a jet that already
+    # keeps the Hessian gives the same value
+    for f in _jet_fields(m):
+        hd = hessian_data(f)
+        integrand = sub_laplacian(f).values * hd.trace
+        for t in range(3):
+            integrand += hd.omega[t] * hd.omega[t]
+        expect = float(f.grid.cell_volume * np.sum(integrand))
+        jet = DifferenceJet(f)
+        assert p_functional(jet) == expect
+        assert jet._hessian is None
+        jet.hessian()
+        assert p_functional(jet) == expect
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_grad_h_norm_sq_is_bit_identical_to_the_squared_gradient(m):
+    for f in _jet_fields(m):
+        expect = np.sum(grad_h(f).components ** 2, axis=0)
+        assert grad_h_norm_sq(f).tobytes() == expect.tobytes()
