@@ -53,7 +53,6 @@ from .operators import (
     c_operator,
     divergence,
     grad_h,
-    hessian_deficit,
     p_form,
     p_functional,
     reeb_derivative,

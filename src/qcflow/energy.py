@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import alpha_interval, h_polynomial, lichnerowicz_matrix
+from .algebra import alpha_interval, h_polynomial
 from .flow import FlowState
 from .identities import FlowQuantities, IdentityReport, NORM_FLOOR, check_alpha, require_positive
-from .lattice import ScalarField, frame_data
+from .lattice import ScalarField
 from .operators import grad_h_norm_sq
 
 CSV_COLUMNS = (
@@ -89,15 +89,14 @@ def derf_rhs(u: ScalarField, alpha: float, coeff_override=None,
              time: float = 0.0) -> EnergyReport:
     """Evaluate the five production terms at one snapshot.
 
-    The Lichnerowicz term is computed through the generic bilinear form of
-    the grid's torsion data (identically zero on the flat model) so that a
-    curved backend can reuse the same path.  coeff_override replaces the
-    five standard coefficients, which the mutation-sensitivity tests use.
+    The Lichnerowicz term pairs grad F with the Lichnerowicz form of the
+    model's torsion, which vanishes, so its integral is zero.
+    coeff_override replaces the five standard coefficients, which the
+    mutation-sensitivity tests use.
     """
     require_positive(u)
     check_alpha(alpha)
-    grid = u.grid
-    n = grid.n
+    n = u.grid.n
     e = energy(u)
     q = FlowQuantities(u, alpha)
     # f's jet lives only inside the P-pairing; evaluating it before F's jet
@@ -106,19 +105,12 @@ def derf_rhs(u: ScalarField, alpha: float, coeff_override=None,
     coeffs = derf_coefficients(n, alpha) if coeff_override is None else tuple(coeff_override)
     c_lap, c_quart, c_pfun, c_lich, c_pdef = coeffs
 
-    # Lichnerowicz pairing with the model torsion (zero), generic route
-    lmat = lichnerowicz_matrix(frame_data(grid).torsion)
-    if np.any(lmat):
-        gf = q.gradF.components
-        lich_field = np.einsum("a...,ab,b...->...", gf, lmat, gf)
-        i_lich = float(grid.cell_volume * np.sum(q.weight(2) * lich_field))
-    else:
-        i_lich = 0.0
-
     term_lap = c_lap * q.I_lap2
     term_quart = c_quart * q.I_quart
     term_pfun = c_pfun * p_pair
-    term_lich = c_lich * i_lich
+    # the model's torsion vanishes; the product keeps the signed zero that
+    # energy.csv has always written
+    term_lich = c_lich * 0.0
     term_pdef = c_pdef * q.I_deficit
     total = term_lap + term_quart + term_pfun + term_lich + term_pdef
 

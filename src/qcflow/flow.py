@@ -19,7 +19,7 @@ from .lattice import (
     check_bump_params,
     make_grid,
     periodized_bump,
-    point_blocks,
+    step_gathers,
     vertically_uniform_bump,
 )
 
@@ -75,29 +75,28 @@ def _euler_update(values: np.ndarray, grid: LatticeGrid, w: float) -> np.ndarray
     # u + w * acc, where acc sums per axis (u+ + u-) - 2u: each per-axis sum
     # is <= 0 at a grid maximum even in floating point (u+ + u- <= 2u and
     # rounding is monotone), which makes the max principle exact; acc is h^2
-    # times the negative sub-Laplacian.  It runs over cache-sized blocks of
-    # points (lattice.point_blocks), with the arithmetic of a whole-field
-    # pass, and adds w * acc to u in the same block.
+    # times the negative sub-Laplacian.  It reads the step gathers of
+    # lattice.step_gathers block by block, with the arithmetic of a
+    # whole-field pass, and adds w * acc to u in the same block.
     flat = values.reshape(-1)
-    perms = [(grid.step_permutation(a, +1), grid.step_permutation(a, -1))
-             for a in range(grid.dim_h)]
     out = np.empty_like(flat)
-    acc, up, um, two_u = (np.empty(BLOCK_POINTS) for _ in range(4))
-    for blk in point_blocks(flat.size):
+    acc, two_u = np.empty(BLOCK_POINTS), np.empty(BLOCK_POINTS)
+    last = grid.dim_h - 1
+    for blk, a, up, um in step_gathers(flat, grid):
         k = blk.stop - blk.start
-        acc_b, up_b, um_b, two_u_b = acc[:k], up[:k], um[:k], two_u[:k]
-        np.multiply(flat[blk], 2.0, out=two_u_b)
-        for a, (p_up, p_dn) in enumerate(perms):
+        acc_b, two_u_b = acc[:k], two_u[:k]
+        if a == 0:
             # the first axis sums straight into acc
-            dst = acc_b if a == 0 else up_b
-            np.take(flat, p_up[blk], out=dst, mode="clip")
-            np.take(flat, p_dn[blk], out=um_b, mode="clip")
-            dst += um_b
-            dst -= two_u_b
-            if a > 0:
-                acc_b += up_b
-        acc_b *= w
-        np.add(flat[blk], acc_b, out=out[blk])
+            np.multiply(flat[blk], 2.0, out=two_u_b)
+            np.add(up, um, out=acc_b)
+            acc_b -= two_u_b
+        else:
+            up += um
+            up -= two_u_b
+            acc_b += up
+        if a == last:
+            acc_b *= w
+            np.add(flat[blk], acc_b, out=out[blk])
     return out.reshape(grid.shape)
 
 
@@ -150,7 +149,9 @@ def evolve(config: FlowConfig, u0: ScalarField | None = None) -> list[FlowState]
     grid = u.grid
     dt = cfl_timestep(grid, config.cfl_safety)
 
-    records = [FlowState(u=u.copy(), time=0.0, step=0)]
+    # heat_step returns a fresh field and no record is mutated, so the
+    # records hold the states themselves
+    records = [FlowState(u=u, time=0.0, step=0)]
     n_steps = int(np.ceil(config.t_end / dt - 1e-12)) if config.t_end > 0 else 0
     for k in range(1, n_steps + 1):
         u = heat_step(u, dt)
@@ -159,7 +160,7 @@ def evolve(config: FlowConfig, u0: ScalarField | None = None) -> list[FlowState]
                 f"positivity lost at step {k}: check the CFL bound and that "
                 f"the initial data is strictly positive")
         if k % config.record_every == 0 or k == n_steps:
-            records.append(FlowState(u=u.copy(), time=k * dt, step=k))
+            records.append(FlowState(u=u, time=k * dt, step=k))
     return records
 
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .lattice import LatticeGrid, ScalarField, frame_data
 from .operators import (
     DifferenceJet,
-    first_difference,
     grad_h,
     hessian_data,
     p_functional,
@@ -91,9 +91,10 @@ def check_alpha(alpha: float):
 class FlowQuantities:
     """Shared derived fields for the F = u^alpha identity chain (lazy).
 
-    F has one difference jet that every quantity of F reads, so its gathers
-    are made once.  The P-pairing is the only quantity of f = u^(1/2);
-    p_functional builds f's jet and drops it with its Hessian contractions.
+    Each quantity is computed on first use and kept.  F has one difference
+    jet that every quantity of F reads, so its gathers are made once.  The
+    P-pairing is the only quantity of f = u^(1/2); p_functional builds f's
+    jet and drops it with its Hessian contractions.
     """
 
     def __init__(self, u: ScalarField, alpha: float):
@@ -102,125 +103,117 @@ class FlowQuantities:
         self.u = u
         self.alpha = alpha
         self.grid = u.grid
-        self._cache: dict = {}
-
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
 
     # base fields -----------------------------------------------------------
-    @property
+    @cached_property
     def F(self):
-        return self._get("F", lambda: ScalarField(self.grid, np.power(self.u.values, self.alpha)))
+        return ScalarField(self.grid, np.power(self.u.values, self.alpha))
 
-    @property
+    @cached_property
     def f_half(self):
-        return self._get("f_half", lambda: ScalarField(self.grid, np.sqrt(self.u.values)))
+        return ScalarField(self.grid, np.sqrt(self.u.values))
 
-    @property
+    @cached_property
     def jetF(self):
-        return self._get("jetF", lambda: DifferenceJet(self.F))
+        return DifferenceJet(self.F)
 
-    def weight(self, k: int):
-        # u^(1 - k*alpha) = F^(1/alpha - k)
-        return self._get(("w", k), lambda: np.power(self.u.values, 1.0 - k * self.alpha))
+    # the weights u^(1 - k alpha) = F^(1/alpha - k)
+    @cached_property
+    def w2(self):
+        return np.power(self.u.values, 1.0 - 2 * self.alpha)
 
-    @property
+    @cached_property
+    def w3(self):
+        return np.power(self.u.values, 1.0 - 3 * self.alpha)
+
+    @cached_property
+    def w4(self):
+        return np.power(self.u.values, 1.0 - 4 * self.alpha)
+
+    @cached_property
     def gradF(self):
-        return self._get("gradF", lambda: grad_h(self.jetF))
+        return grad_h(self.jetF)
 
-    @property
+    @cached_property
     def grad_sq(self):
-        def build():
-            # sum_a (D_a F)^2 in axis order, the bits of
-            # np.sum(components ** 2, axis=0) without its (4n,) + grid.shape
-            # temporary
-            comps = self.gradF.components
-            acc = comps[0] * comps[0]
-            sq = np.empty_like(acc)
-            for c in comps[1:]:
-                np.multiply(c, c, out=sq)
-                acc += sq
-            return acc
-        return self._get("grad_sq", build)
+        # sum_a (D_a F)^2 in axis order, the bits of
+        # np.sum(components ** 2, axis=0) without its (4n,) + grid.shape
+        # temporary
+        comps = self.gradF.components
+        acc = comps[0] * comps[0]
+        sq = np.empty_like(acc)
+        for c in comps[1:]:
+            np.multiply(c, c, out=sq)
+            acc += sq
+        return acc
 
-    @property
+    @cached_property
     def lapF(self):
-        return self._get("lapF", lambda: sub_laplacian(self.jetF))
+        return sub_laplacian(self.jetF)
 
-    @property
+    @cached_property
     def hess(self):
-        return self._get("hess", lambda: hessian_data(self.jetF))
+        return hessian_data(self.jetF)
 
-    @property
+    @cached_property
     def xiF(self):
-        return self._get("xiF", lambda: [reeb_derivative(self.F, s).values for s in range(3)])
+        return [reeb_derivative(self.F, s).values for s in range(3)]
 
     # integrals -------------------------------------------------------------
-    @property
+    @cached_property
     def I_lap2(self):
-        return self._get("I_lap2", lambda: self._integral(self.weight(2) * self.lapF.values ** 2))
+        return self._integral(self.w2 * self.lapF.values ** 2)
 
-    @property
+    @cached_property
     def I_mixed(self):
-        return self._get("I_mixed", lambda: self._integral(
-            self.weight(3) * self.lapF.values * self.grad_sq))
+        return self._integral(self.w3 * self.lapF.values * self.grad_sq)
 
-    @property
+    @cached_property
     def I_quart(self):
-        return self._get("I_quart", lambda: self._integral(self.weight(4) * self.grad_sq ** 2))
+        return self._integral(self.w4 * self.grad_sq ** 2)
 
-    @property
+    @cached_property
     def I_xi2(self):
-        return self._get("I_xi2", lambda: self._integral(
-            self.weight(2) * sum(x * x for x in self.xiF)))
+        return self._integral(self.w2 * sum(x * x for x in self.xiF))
 
-    @property
+    @cached_property
     def I_hess2(self):
-        return self._get("I_hess2", lambda: self._integral(self.weight(2) * self.hess.norm_sq))
+        return self._integral(self.w2 * self.hess.norm_sq)
 
-    @property
+    @cached_property
     def I_omega2(self):
-        return self._get("I_omega2", lambda: self._integral(
-            self.weight(2) * sum(self.hess.omega[s] ** 2 for s in range(3))))
+        return self._integral(self.w2 * sum(self.hess.omega[s] ** 2 for s in range(3)))
 
-    @property
+    @cached_property
     def I_deficit(self):
-        return self._get("I_deficit", lambda: self._integral(self.weight(2) * self.hess.deficit))
+        return self._integral(self.w2 * self.hess.deficit)
 
-    @property
+    @cached_property
     def P_pair_half(self):
-        return self._get("P_pair_half", lambda: p_functional(self.f_half))
+        return p_functional(self.f_half)
 
-    @property
+    @cached_property
     def I_gradlap(self):
-        def build():
-            comps = grad_h(self.lapF)
-            val = np.sum(comps.components * self.gradF.components, axis=0)
-            return self._integral(self.weight(2) * val)
-        return self._get("I_gradlap", build)
+        comps = grad_h(self.lapF)
+        val = np.sum(comps.components * self.gradF.components, axis=0)
+        return self._integral(self.w2 * val)
 
-    @property
+    @cached_property
     def I_lap_gradsq(self):
-        def build():
-            lap = sub_laplacian(ScalarField(self.grid, self.grad_sq))
-            return self._integral(self.weight(2) * lap.values)
-        return self._get("I_lap_gradsq", build)
+        lap = sub_laplacian(ScalarField(self.grid, self.grad_sq))
+        return self._integral(self.w2 * lap.values)
 
-    @property
+    @cached_property
     def deriv1_integral(self):
         # d/dt of the energy expressed in the phi = -ln u variables:
         # int u * (-2 (Delta phi)^2 - 3 Delta phi |grad phi|^2 - |grad phi|^4)
-        def build():
-            phi_jet = DifferenceJet(ScalarField(self.grid, -np.log(self.u.values)))
-            lap_phi = sub_laplacian(phi_jet).values
-            grad_phi = grad_h(phi_jet).components
-            gp2 = np.sum(grad_phi ** 2, axis=0)
-            integrand = self.u.values * (-2.0 * lap_phi ** 2
-                                         - 3.0 * lap_phi * gp2 - gp2 ** 2)
-            return self._integral(integrand)
-        return self._get("deriv1", build)
+        phi_jet = DifferenceJet(ScalarField(self.grid, -np.log(self.u.values)))
+        lap_phi = sub_laplacian(phi_jet).values
+        grad_phi = grad_h(phi_jet).components
+        gp2 = np.sum(grad_phi ** 2, axis=0)
+        integrand = self.u.values * (-2.0 * lap_phi ** 2
+                                     - 3.0 * lap_phi * gp2 - gp2 ** 2)
+        return self._integral(integrand)
 
     def _integral(self, values) -> float:
         return float(self.grid.cell_volume * np.sum(values))
@@ -230,14 +223,14 @@ def _ricci2_report(f: ScalarField) -> IdentityReport:
     grid = f.grid
     fd = frame_data(grid)
     xi = [reeb_derivative(f, s).values for s in range(3)]
-    first = DifferenceJet(f).first
+    # second[b][a] = D_a D_b f = H_ab
+    second = [DifferenceJet(ScalarField(grid, d_b)).first for d_b in DifferenceJet(f).first]
     anti_sq = np.zeros(grid.shape)
     twist_sq = np.zeros(grid.shape)
     res_sq = np.zeros(grid.shape)
     for a in range(grid.dim_h):
         for b in range(a + 1, grid.dim_h):
-            comm = (first_difference(first[b], grid, a)
-                    - first_difference(first[a], grid, b))
+            comm = second[b][a] - second[a][b]
             twist = sum(2.0 * fd.omega[s][a, b] * xi[s] for s in range(3))
             anti_sq += comm * comm
             twist_sq += twist * twist
@@ -258,9 +251,9 @@ def _ricci_mixed_report(f: ScalarField) -> IdentityReport:
     res_sq = 0.0
     scale_sq = 0.0
     for s in range(3):
-        xi_f = reeb_derivative(f, s).values
+        d_xi_f = DifferenceJet(reeb_derivative(f, s)).first
         for a in range(grid.dim_h):
-            mixed1 = first_difference(xi_f, grid, a)
+            mixed1 = d_xi_f[a]
             mixed2 = reeb_derivative(ScalarField(grid, first[a]), s).values
             res_sq += np.sum((mixed1 - mixed2) ** 2)
             scale_sq += np.sum(mixed1 ** 2)
@@ -390,7 +383,7 @@ def identity_residual(name: str, u: ScalarField, alpha: float | None = None) -> 
 
     if name == "secondt":
         mixed = _reeb_mixed(grid, q.gradF.components)
-        lhs = float(grid.cell_volume * np.sum(q.weight(2) * mixed))
+        lhs = float(grid.cell_volume * np.sum(q.w2 * mixed))
         rhs = -4.0 * n * q.I_xi2
         return _report(name, lhs, rhs, grid)
 

@@ -159,9 +159,6 @@ class LatticeGrid:
         # int64 indices: numpy gathers avoid a per-call index cast
         return total.reshape(-1)
 
-    def drop_caches(self):
-        self._perm_cache.clear()
-
 
 def make_grid(n: int, m_x: int) -> LatticeGrid:
     return LatticeGrid(n=n, m_x=m_x)
@@ -230,18 +227,35 @@ def shift(values: np.ndarray, grid: LatticeGrid, a: int, direction: int) -> np.n
 BLOCK_POINTS = 32768
 
 
-def point_blocks(size: int) -> list[slice]:
-    """Consecutive slices of at most BLOCK_POINTS flat indices covering
-    range(size), for passes that gather and combine fields block by block.
+def step_gathers(values: np.ndarray, grid: LatticeGrid):
+    """The one blocked gather pass through the step tables.
 
-    Such a pass gathers a block with
-    np.take(flat, perm[blk], out=buf, mode="clip"): every index of a step
-    permutation is in range, so "clip" never clips, and unlike the default
-    mode it writes into buf without an intermediate copy.  Each point sees
-    the same operations in the same order as in a whole-field pass, so the
-    results are bit-identical to it.
+    values has shape (..., grid.size): a flat field, or stacked fields such
+    as the (4n, N) first differences.  Blocks of at most BLOCK_POINTS points
+    outside, axes a = 0 .. 4n-1 inside: yields (blk, a, up, um), where up
+    and um are S_a^+ values and S_a^- values on the flat slice blk, in
+    contiguous (..., k) buffers that the next yield overwrites, so a
+    consumer may work in them.  A consumer that does per point what a
+    whole-field pass does, in the same order, gets its bits.
+
+    Every index of a step table is in range, so mode="clip" never clips;
+    unlike the default mode it lets np.take write into the buffer without
+    an intermediate copy.
     """
-    return [slice(i, min(i + BLOCK_POINTS, size)) for i in range(0, size, BLOCK_POINTS)]
+    perms = [(grid.step_permutation(a, +1), grid.step_permutation(a, -1))
+             for a in range(grid.dim_h)]
+    lead = values.shape[:-1]
+    width = math.prod(lead)
+    up_buf, um_buf = np.empty(width * BLOCK_POINTS), np.empty(width * BLOCK_POINTS)
+    for start in range(0, grid.size, BLOCK_POINTS):
+        stop = min(start + BLOCK_POINTS, grid.size)
+        blk, k = slice(start, stop), stop - start
+        up = up_buf[:width * k].reshape(lead + (k,))
+        um = um_buf[:width * k].reshape(lead + (k,))
+        for a, (p_up, p_dn) in enumerate(perms):
+            np.take(values, p_up[blk], axis=-1, out=up, mode="clip")
+            np.take(values, p_dn[blk], axis=-1, out=um, mode="clip")
+            yield blk, a, up, um
 
 
 def vertical_shift(values: np.ndarray, grid: LatticeGrid, s: int, direction: int) -> np.ndarray:

@@ -7,17 +7,21 @@ differences.  Summation by parts is exact: every first-difference operator
 is skew-adjoint for the grid inner product, and the compact sub-Laplacian
 is self-adjoint.
 
-One field's derivatives come from its difference jet (DifferenceJet): the
-8n whole-field step gathers S_a^{+-} f are made once, and give both the
-first differences D_a f and the compact sub-Laplacian.  The composed second
-differences H_ab = D_a D_b f come from one Hessian stream: block by block,
-one stacked gather per step table gives the rows H_a. of every D_b f, and
-the stream accumulates tr H and omega_s(H), and |H|^2 when asked.  Two
-contractions read it: hessian() keeps the whole-field HessianData (with the
-p-deficit), and p_functional forms its integrand per block from tr H and
-omega_s(H) alone, never building the full Hessian.  grad_h, sub_laplacian,
-hessian_data and p_functional read a jet, so a caller that needs several of
-them passes the jet instead of the field and pays for the gathers once.
+Every horizontal difference reads lattice.step_gathers, the one blocked
+gather pass through the step tables.  One field's derivatives come from
+its difference jet (DifferenceJet): the 8n step gathers S_a^{+-} f are made
+once, and give both the first differences D_a f and the compact
+sub-Laplacian.  The composed second differences H_ab = D_a D_b f come from
+one Hessian stream: block by block, one stacked gather per step table
+gives the rows H_a. of every D_b f, and the stream accumulates tr H and
+omega_s(H), and |H|^2 when asked.  Two contractions read it: hessian()
+keeps the whole-field HessianData (with the p-deficit), and p_functional
+forms its integrand per block from tr H and omega_s(H) alone, never
+building the full Hessian.  grad_h, sub_laplacian, hessian_data and
+p_functional read a jet, so a caller that needs several of them passes the
+jet instead of the field and pays for the gathers once.  A difference of a
+derived field (divergence, the third-order contractions, the identity
+catalog's commutators) reads that field's jet.
 
 Because D_a is exactly skew-adjoint, the P-pairing needs no third-order
 stencil: summing by parts,
@@ -46,14 +50,9 @@ from .lattice import (
     LatticeGrid,
     ScalarField,
     frame_data,
-    point_blocks,
-    shift,
+    step_gathers,
     vertical_shift,
 )
-
-
-def first_difference(values: np.ndarray, grid: LatticeGrid, a: int) -> np.ndarray:
-    return (shift(values, grid, a, +1) - shift(values, grid, a, -1)) / (2.0 * grid.h_x)
 
 
 def vertical_difference(values: np.ndarray, grid: LatticeGrid, s: int) -> np.ndarray:
@@ -66,35 +65,19 @@ class HessianData:
     """Streaming contractions of the composed horizontal Hessian.
 
     norm_sq      |nabla^2 f|^2 pointwise
-    trace        sum_a X_a X_a f (wide stencil; the compact sub-Laplacian is
-                 its negative up to an O(h^2) stencil gap)
     omega[s]     g(nabla^2 f, omega_s)
     deficit      p-deficit |H|^2 - (1/4n)(tr H)^2 - (1/4n) sum_s omega[s]^2,
                  pointwise non-negative by the Bessel inequality for the
                  orthogonal family {Id, omega_1, omega_2, omega_3}
+
+    tr H = sum_a X_a X_a f (the wide stencil; the compact sub-Laplacian is
+    its negative up to an O(h^2) stencil gap) enters the deficit per block
+    and is not kept.
     """
 
     norm_sq: np.ndarray
-    trace: np.ndarray
     omega: np.ndarray
     deficit: np.ndarray
-
-
-def _step_gathers(flat: np.ndarray, grid: LatticeGrid):
-    """Blocks of points outside, axes a inside: yield (blk, a, up, um) with
-    up = S_a^+ f and um = S_a^- f on the block blk, gathered through the step
-    tables.  up and um are buffers that the next yield overwrites, so a
-    consumer may work in them."""
-    perms = [(grid.step_permutation(a, +1), grid.step_permutation(a, -1))
-             for a in range(grid.dim_h)]
-    up, um = np.empty(BLOCK_POINTS), np.empty(BLOCK_POINTS)
-    for blk in point_blocks(flat.size):
-        k = blk.stop - blk.start
-        up_b, um_b = up[:k], um[:k]
-        for a, (p_up, p_dn) in enumerate(perms):
-            np.take(flat, p_up[blk], out=up_b, mode="clip")
-            np.take(flat, p_dn[blk], out=um_b, mode="clip")
-            yield blk, a, up_b, um_b
 
 
 class DifferenceJet:
@@ -106,8 +89,9 @@ class DifferenceJet:
     hessian()  contractions of H_ab = D_a D_b f from the Hessian stream,
                computed on first use and kept
 
-    Every pass runs over cache-sized blocks of points (lattice.point_blocks)
-    and gives the bits of the whole-field stencils.
+    Both passes read lattice.step_gathers, the one blocked gather pass, and
+    give the bits of the whole-field stencils.  A composed difference
+    D_a g of a derived field g reads the jet of g: DifferenceJet(g).first[a].
     """
 
     def __init__(self, f: ScalarField):
@@ -119,7 +103,7 @@ class DifferenceJet:
         acc, two_f = np.empty(BLOCK_POINTS), np.empty(BLOCK_POINTS)
         two_h = 2.0 * grid.h_x
         h_sq = grid.h_x * grid.h_x
-        for blk, a, up_b, um_b in _step_gathers(flat, grid):
+        for blk, a, up_b, um_b in step_gathers(flat, grid):
             k = blk.stop - blk.start
             acc_b, two_f_b = acc[:k], two_f[:k]
             # a block's first axis starts its Laplacian sum, its last ends it
@@ -150,68 +134,60 @@ class DifferenceJet:
     def _hessian_stream(self, with_norm: bool):
         """The one pass over the composed Hessian H_ab = D_a D_b f.
 
-        Blocks of points outside, axes a inside: for each a, one stacked
-        gather per direction carries every D_b f through S_a^+- and gives
-        the block rows H_a. = D_a D_. f.  Yields (blk, trace, omega, norm_sq)
-        per block, accumulated in (a, b) order from zero, so each point sees
-        the operations of a whole-field pass; norm_sq = |H|^2 is formed only
-        when with_norm.  The yielded arrays are buffers that the next block
-        overwrites.
+        lattice.step_gathers over the stacked first differences: for each
+        block and axis a, one gather per direction carries every D_b f
+        through S_a^+- and gives the block rows H_a. = D_a D_. f.  Yields
+        (blk, trace, omega, norm_sq) per block, accumulated in (a, b) order
+        from zero, so each point sees the operations of a whole-field pass;
+        norm_sq = |H|^2 is formed only when with_norm.  The yielded arrays
+        are buffers that the next block overwrites.
         """
         grid = self.grid
         fd = frame_data(grid)
         dim = grid.dim_h
-        first = self.first.reshape(dim, grid.size)
-        perms = [(grid.step_permutation(a, +1), grid.step_permutation(a, -1))
-                 for a in range(dim)]
         # (b, s, omega_s[a, b]) for the nonzero entries of row a, in (b, s) order
         weights = [[(b, s, fd.omega[s][a, b]) for b in range(dim) for s in range(3)
                     if fd.omega[s][a, b] != 0.0] for a in range(dim)]
-        rows_buf, work_buf = np.empty(dim * BLOCK_POINTS), np.empty(dim * BLOCK_POINTS)
         trace, norm_sq = np.empty(BLOCK_POINTS), np.empty(BLOCK_POINTS)
         om = np.empty((3, BLOCK_POINTS))
         two_h = 2.0 * grid.h_x
-        for blk in point_blocks(grid.size):
+        first = self.first.reshape(dim, grid.size)
+        for blk, a, rows, work in step_gathers(first, grid):
             k = blk.stop - blk.start
-            # contiguous (dim, k) views, so np.take writes straight into them
-            rows = rows_buf[:dim * k].reshape(dim, k)
-            work = work_buf[:dim * k].reshape(dim, k)
             tr, om_b = trace[:k], om[:, :k]
             nsq = norm_sq[:k] if with_norm else None
-            tr.fill(0.0)
-            om_b.fill(0.0)
-            if nsq is not None:
-                nsq.fill(0.0)
-            for a, (p_up, p_dn) in enumerate(perms):
-                np.take(first, p_up[blk], axis=1, out=rows, mode="clip")
-                np.take(first, p_dn[blk], axis=1, out=work, mode="clip")
-                rows -= work
-                rows /= two_h
-                tr += rows[a]
-                for b, s, w in weights[a]:
-                    # the frame's entries are +-1, where adding or subtracting
-                    # the row gives the bits of w * H_ab without a temporary
-                    if w == 1.0:
-                        om_b[s] += rows[b]
-                    elif w == -1.0:
-                        om_b[s] -= rows[b]
-                    else:
-                        om_b[s] += w * rows[b]
+            if a == 0:
+                tr.fill(0.0)
+                om_b.fill(0.0)
                 if nsq is not None:
-                    rows *= rows
-                    for row in rows:
-                        nsq += row
-            yield blk, tr, om_b, nsq
+                    nsq.fill(0.0)
+            rows -= work
+            rows /= two_h
+            tr += rows[a]
+            for b, s, w in weights[a]:
+                # the frame's entries are +-1, where adding or subtracting
+                # the row gives the bits of w * H_ab without a temporary
+                if w == 1.0:
+                    om_b[s] += rows[b]
+                elif w == -1.0:
+                    om_b[s] -= rows[b]
+                else:
+                    om_b[s] += w * rows[b]
+            if nsq is not None:
+                rows *= rows
+                for row in rows:
+                    nsq += row
+            if a == dim - 1:
+                yield blk, tr, om_b, nsq
 
     def _contract_hessian(self) -> HessianData:
         grid = self.grid
-        norm_sq, trace, deficit = (np.empty(grid.size) for _ in range(3))
+        norm_sq, deficit = np.empty(grid.size), np.empty(grid.size)
         om = np.empty((3, grid.size))
         sq = np.empty(BLOCK_POINTS)
         quarter = 1.0 / grid.dim_h
         for blk, tr, om_b, nsq in self._hessian_stream(with_norm=True):
             norm_sq[blk] = nsq
-            trace[blk] = tr
             om[:, blk] = om_b
             # nsq - (1/4n) tr^2 - (1/4n) sum_s om_s^2, grouped as written
             d, sq_b = deficit[blk], sq[:tr.size]
@@ -223,8 +199,8 @@ class DifferenceJet:
                 sq_b *= om_b[s]
                 d -= sq_b
         shape = grid.shape
-        return HessianData(norm_sq=norm_sq.reshape(shape), trace=trace.reshape(shape),
-                           omega=om.reshape((3,) + shape), deficit=deficit.reshape(shape))
+        return HessianData(norm_sq=norm_sq.reshape(shape), omega=om.reshape((3,) + shape),
+                           deficit=deficit.reshape(shape))
 
 
 def _jet(f: ScalarField | DifferenceJet) -> DifferenceJet:
@@ -245,7 +221,7 @@ def grad_h_norm_sq(f: ScalarField) -> np.ndarray:
     grid = f.grid
     out = np.empty(grid.size)
     two_h = 2.0 * grid.h_x
-    for blk, a, up_b, um_b in _step_gathers(f.values.reshape(-1), grid):
+    for blk, a, up_b, um_b in step_gathers(f.values.reshape(-1), grid):
         # the first axis squares straight into out
         d = out[blk] if a == 0 else up_b
         np.subtract(up_b, um_b, out=d)
@@ -267,12 +243,6 @@ def sub_laplacian(f: ScalarField | DifferenceJet) -> ScalarField:
     return ScalarField(jet.grid, jet.laplacian)
 
 
-def hessian_component(f: ScalarField, a: int, b: int) -> np.ndarray:
-    """Second covariant derivative entry (a, b) = X_a X_b f (flat frame)."""
-    grid = f.grid
-    return first_difference(first_difference(f.values, grid, b), grid, a)
-
-
 def divergence(sigma: HorizontalField) -> ScalarField:
     """Horizontal divergence nabla* sigma = -sum_a X_a sigma_a.
 
@@ -281,17 +251,12 @@ def divergence(sigma: HorizontalField) -> ScalarField:
     grid = sigma.grid
     acc = np.zeros(grid.shape)
     for a in range(grid.dim_h):
-        acc += first_difference(sigma.components[a], grid, a)
+        acc += DifferenceJet(ScalarField(grid, sigma.components[a])).first[a]
     return ScalarField(grid, -acc)
 
 
 def hessian_data(f: ScalarField | DifferenceJet) -> HessianData:
     return _jet(f).hessian()
-
-
-def hessian_deficit(f: ScalarField) -> ScalarField:
-    """Pointwise remainder of the Hessian-norm decomposition (non-negative)."""
-    return ScalarField(f.grid, hessian_data(f).deficit)
 
 
 def third_contractions(f: ScalarField):
@@ -305,9 +270,9 @@ def third_contractions(f: ScalarField):
     fd = frame_data(grid)
     dim = grid.dim_h
     jet = DifferenceJet(f)
-    c1 = np.empty((dim,) + grid.shape)
-    for a in range(dim):
-        c1[a] = -first_difference(jet.laplacian, grid, a)
+    c1 = -DifferenceJet(ScalarField(grid, jet.laplacian)).first
+    # second[b][a] = D_a D_b f = H_ab
+    second = [DifferenceJet(ScalarField(grid, jet.first[b])).first for b in range(dim)]
 
     c2 = np.zeros((dim,) + grid.shape)
     for t in range(3):
@@ -318,12 +283,13 @@ def third_contractions(f: ScalarField):
             for d in range(dim):
                 w = It[d, b]
                 if w != 0.0:
-                    gt += w * first_difference(jet.first[d], grid, b)
+                    gt += w * second[d][b]
+        dgt = DifferenceJet(ScalarField(grid, gt)).first
         for a in range(dim):
             for c in range(dim):
                 w = It[c, a]
                 if w != 0.0:
-                    c2[a] += w * first_difference(gt, grid, c)
+                    c2[a] += w * dgt[c]
     return HorizontalField(grid, c1), HorizontalField(grid, c2)
 
 

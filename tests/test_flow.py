@@ -1,5 +1,6 @@
 """Tests for the explicit heat integrator."""
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -140,6 +141,25 @@ def test_euler_rounding_is_pinned():
     for _ in range(20):
         u = heat_step(u, dt)
     digest = hashlib.sha256(u.values.astype("<f8").tobytes()).hexdigest()
+    assert digest == EULER_20_STEPS_SHA256
+
+
+def test_evolve_records_hold_distinct_states():
+    # records hold the stepped fields themselves, not copies: each is its
+    # own array, u0 is left untouched, and the record after 20 steps carries
+    # the pinned Euler bits
+    grid = make_grid(1, 4)
+    dt = cfl_timestep(grid, 0.9)
+    cfg = small_config(tau_profile=None, t_end=20 * dt, record_every=5)
+    u0 = initial_field(cfg, grid)
+    before = u0.values.copy()
+    states = evolve(cfg, u0=u0)
+    assert [st.step for st in states] == [0, 5, 10, 15, 20]
+    arrays = [u0.values] + [st.u.values for st in states]
+    for x, y in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(x, y)
+    assert np.array_equal(u0.values, before)
+    digest = hashlib.sha256(states[-1].u.values.astype("<f8").tobytes()).hexdigest()
     assert digest == EULER_20_STEPS_SHA256
 
 

@@ -1,10 +1,13 @@
 """Tests for the group model, grid exactness, and periodized test data."""
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qcflow.lattice import (
+    BLOCK_POINTS,
     XI_SCALE,
     GroupPoint,
     ScalarField,
@@ -21,8 +24,11 @@ from qcflow.lattice import (
     periodized_bump,
     save_field,
     shift,
+    step_gathers,
     vertical_shift,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qcflow"
 
 
 def rand_point(rng, n):
@@ -288,3 +294,42 @@ def test_vertical_shift_round_trip():
     for s in range(3):
         assert np.array_equal(
             vertical_shift(vertical_shift(vals, grid, s, +1), grid, s, -1), vals)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_step_gathers_match_shift(m):
+    # m_x = 4 is one point block, m_x = 5 three, the last one partial
+    grid = make_grid(1, m)
+    rng = np.random.default_rng(m)
+    flat = rng.normal(size=grid.size)
+    stacked = rng.normal(size=(grid.dim_h, grid.size))
+    order = [(start, a) for start in range(0, grid.size, BLOCK_POINTS)
+             for a in range(grid.dim_h)]
+    for values in (flat, stacked):
+        seen = []
+        for blk, a, up, um in step_gathers(values, grid):
+            seen.append((blk.start, a))
+            for got, direction in ((up, +1), (um, -1)):
+                assert got.shape == values.shape[:-1] + (blk.stop - blk.start,)
+                ref = [shift(row, grid, a, direction).reshape(-1)[blk]
+                       for row in values.reshape(-1, grid.size)]
+                assert np.array_equal(got.reshape(-1, got.shape[-1]), np.stack(ref))
+        assert seen == order
+
+
+def test_step_tables_are_gathered_only_in_lattice():
+    # every horizontal difference reads lattice.step_gathers (lattice.shift
+    # stays as the whole-field reference): no other module takes a gather
+    # or reaches the whole-field shift
+    banned = {"shift", "point_blocks"}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "lattice.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "take", f"{path.name}:{node.lineno}"
+                if isinstance(node.value, ast.Name) and node.value.id == "lattice":
+                    assert node.attr not in banned, f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("lattice"):
+                names = {alias.name for alias in node.names}
+                assert not names & banned, f"{path.name}:{node.lineno}"

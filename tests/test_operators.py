@@ -22,9 +22,7 @@ from qcflow.operators import (
     divergence,
     grad_h,
     grad_h_norm_sq,
-    hessian_component,
     hessian_data,
-    hessian_deficit,
     p_form,
     p_functional,
     reeb_derivative,
@@ -203,8 +201,8 @@ def test_hessian_antisymmetry_is_vertical():
     grid = make_grid(1, 4)
     f = periodized_bump(grid, width=0.2, amplitude=1.0, offset=0.0)
     for (a, b) in [(0, 1), (1, 3)]:
-        hab = hessian_component(f, a, b)
-        hba = hessian_component(f, b, a)
+        hab = _ref_first_difference(_ref_first_difference(f.values, grid, b), grid, a)
+        hba = _ref_first_difference(_ref_first_difference(f.values, grid, a), grid, b)
         v = grid.twist[:, a, b]
         s = int(np.nonzero(v)[0][0])
         # commutator is supported where the field has vertical variation
@@ -331,10 +329,9 @@ def test_hessian_deficit_nonnegative():
     # Bessel inequality for the orthogonal family {Id, omega_s} holds
     # pointwise for the composed Hessian, up to roundoff
     f = make_bump_field(4, amplitude=1.0, offset=1.0)
-    d = hessian_deficit(f)
     hd = hessian_data(f)
     floor = -1e-12 * float(np.max(hd.norm_sq))
-    assert float(d.values.min()) >= floor
+    assert float(hd.deficit.min()) >= floor
 
 
 def test_omega_contraction_tracks_reeb():
@@ -404,11 +401,17 @@ def test_jet_readers_are_bit_identical_to_the_stencils(m):
         assert np.array_equal(sub_laplacian(f).values,
                               _ref_sub_laplacian(f.values, grid))
         hd = hessian_data(f)
-        for got, ref in zip((hd.norm_sq, hd.trace, hd.omega, hd.deficit),
-                            _ref_hessian(f.values, grid)):
+        ref_norm_sq, ref_trace, ref_omega, ref_deficit = _ref_hessian(f.values, grid)
+        for got, ref in zip((hd.norm_sq, hd.omega, hd.deficit),
+                            (ref_norm_sq, ref_omega, ref_deficit)):
             assert np.array_equal(got, ref)
-        # a shared jet gives the same bits as a jet per call
+        # the trace enters the deficit per block and is not kept: compare
+        # the stream's per-block trace point by point
         jet = DifferenceJet(f)
+        ref_trace = ref_trace.reshape(-1)
+        for blk, tr, _, _ in jet._hessian_stream(with_norm=False):
+            assert np.array_equal(tr, ref_trace[blk])
+        # a shared jet gives the same bits as a jet per call
         assert np.array_equal(grad_h(jet).components, first)
         assert np.array_equal(sub_laplacian(jet).values, sub_laplacian(f).values)
         assert np.array_equal(hessian_data(jet).deficit, hd.deficit)
@@ -437,10 +440,10 @@ def test_p_functional_stream_is_bit_identical_to_the_hessian_route(m):
     # from the full Hessian, without building it, and a jet that already
     # keeps the Hessian gives the same value
     for f in _jet_fields(m):
-        hd = hessian_data(f)
-        integrand = sub_laplacian(f).values * hd.trace
+        _, trace, omega, _ = _ref_hessian(f.values, f.grid)
+        integrand = sub_laplacian(f).values * trace
         for t in range(3):
-            integrand += hd.omega[t] * hd.omega[t]
+            integrand += omega[t] * omega[t]
         expect = float(f.grid.cell_volume * np.sum(integrand))
         jet = DifferenceJet(f)
         assert p_functional(jet) == expect
