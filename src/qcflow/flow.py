@@ -13,13 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (
-    BLOCK_POINTS,
     LatticeGrid,
     ScalarField,
     check_bump_params,
     make_grid,
+    map_blocks,
     periodized_bump,
-    step_gathers,
     vertically_uniform_bump,
 )
 
@@ -75,28 +74,29 @@ def _euler_update(values: np.ndarray, grid: LatticeGrid, w: float) -> np.ndarray
     # u + w * acc, where acc sums per axis (u+ + u-) - 2u: each per-axis sum
     # is <= 0 at a grid maximum even in floating point (u+ + u- <= 2u and
     # rounding is monotone), which makes the max principle exact; acc is h^2
-    # times the negative sub-Laplacian.  It reads the step gathers of
-    # lattice.step_gathers block by block, with the arithmetic of a
-    # whole-field pass, and adds w * acc to u in the same block.
+    # times the negative sub-Laplacian.  A block kernel of lattice.map_blocks
+    # with the arithmetic of a whole-field pass, which adds w * acc to u in
+    # the same block.
     flat = values.reshape(-1)
     out = np.empty_like(flat)
-    acc, two_u = np.empty(BLOCK_POINTS), np.empty(BLOCK_POINTS)
     last = grid.dim_h - 1
-    for blk, a, up, um in step_gathers(flat, grid):
-        k = blk.stop - blk.start
-        acc_b, two_u_b = acc[:k], two_u[:k]
+
+    def kernel(blk, a, up, um, scratch):
+        acc, two_u = scratch
         if a == 0:
             # the first axis sums straight into acc
-            np.multiply(flat[blk], 2.0, out=two_u_b)
-            np.add(up, um, out=acc_b)
-            acc_b -= two_u_b
+            np.multiply(flat[blk], 2.0, out=two_u)
+            np.add(up, um, out=acc)
+            acc -= two_u
         else:
             up += um
-            up -= two_u_b
-            acc_b += up
+            up -= two_u
+            acc += up
         if a == last:
-            acc_b *= w
-            np.add(flat[blk], acc_b, out=out[blk])
+            acc *= w
+            np.add(flat[blk], acc, out=out[blk])
+
+    map_blocks(kernel, flat, grid, scratch=((), ()))
     return out.reshape(grid.shape)
 
 

@@ -156,6 +156,12 @@ class FlowQuantities:
         return hessian_data(self.jetF)
 
     @cached_property
+    def deficit(self):
+        # the p-deficit alone: the integrals that read nothing else of F's
+        # Hessian do not build its HessianData
+        return self.jetF.deficit()
+
+    @cached_property
     def xiF(self):
         return [reeb_derivative(self.F, s).values for s in range(3)]
 
@@ -186,7 +192,7 @@ class FlowQuantities:
 
     @cached_property
     def I_deficit(self):
-        return self._integral(self.w2 * self.hess.deficit)
+        return self._integral(self.w2 * self.deficit)
 
     @cached_property
     def P_pair_half(self):

@@ -21,6 +21,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,17 +228,52 @@ def shift(values: np.ndarray, grid: LatticeGrid, a: int, direction: int) -> np.n
 # a blocked pass stay in a core's L2 cache instead of streaming whole fields
 BLOCK_POINTS = 32768
 
+# threads that share the point blocks of a pass: every core this process may
+# run on (taskset -c 0 confines a run to one core, and the passes to one thread)
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 
-def step_gathers(values: np.ndarray, grid: LatticeGrid):
-    """The one blocked gather pass through the step tables.
+_pool_lock = threading.Lock()
+_pool = None  # the ThreadPoolExecutor, made on first use, never at import
+_in_worker = threading.local()
+
+
+def _executor():
+    global _pool
+    # imported here, not with the module: concurrent.futures also imports
+    # logging, which a one-core run never needs
+    from concurrent.futures import ThreadPoolExecutor
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=WORKERS,
+                                       thread_name_prefix="qcflow-blocks")
+        return _pool
+
+
+def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> None:
+    """Map a block kernel over the step gathers of values: the one blocked
+    gather pass through the step tables.
 
     values has shape (..., grid.size): a flat field, or stacked fields such
     as the (4n, N) first differences.  Blocks of at most BLOCK_POINTS points
-    outside, axes a = 0 .. 4n-1 inside: yields (blk, a, up, um), where up
-    and um are S_a^+ values and S_a^- values on the flat slice blk, in
-    contiguous (..., k) buffers that the next yield overwrites, so a
-    consumer may work in them.  A consumer that does per point what a
-    whole-field pass does, in the same order, gets its bits.
+    outside, axes a = 0 .. 4n-1 inside, the helper calls
+    kernel(blk, a, up, um, scratch), where up and um are S_a^+ values and
+    S_a^- values on the flat slice blk in contiguous (..., k) buffers that
+    the next call overwrites, so the kernel may work in them, and scratch
+    holds one array of shape lead + (k,) per entry lead of `scratch`, kept
+    across the axes of a block.  A kernel writes only into its outputs at
+    [blk] (or [..., blk]) and calls no public qcflow function; one that does
+    per point what a whole-field pass does, in the same order, gets its
+    bits whatever thread runs the block.
+
+    The blocks are split into one contiguous run per worker (WORKERS, at
+    most one per block); the runs go to a module thread pool of WORKERS
+    threads, made on first use, and the call returns when every run has
+    ended.  np.take and the ufunc loops release the interpreter lock, so
+    the runs share the cores.  The step tables, the gather buffers and the
+    scratch are made on the calling thread.  With one worker or one block,
+    or when entered from a worker (a kernel must not wait for the pool it
+    runs on), the same loop runs in the calling thread and no pool is used.
 
     Every index of a step table is in range, so mode="clip" never clips;
     unlike the default mode it lets np.take write into the buffer without
@@ -246,16 +283,46 @@ def step_gathers(values: np.ndarray, grid: LatticeGrid):
              for a in range(grid.dim_h)]
     lead = values.shape[:-1]
     width = math.prod(lead)
-    up_buf, um_buf = np.empty(width * BLOCK_POINTS), np.empty(width * BLOCK_POINTS)
-    for start in range(0, grid.size, BLOCK_POINTS):
-        stop = min(start + BLOCK_POINTS, grid.size)
-        blk, k = slice(start, stop), stop - start
-        up = up_buf[:width * k].reshape(lead + (k,))
-        um = um_buf[:width * k].reshape(lead + (k,))
-        for a, (p_up, p_dn) in enumerate(perms):
-            np.take(values, p_up[blk], axis=-1, out=up, mode="clip")
-            np.take(values, p_dn[blk], axis=-1, out=um, mode="clip")
-            yield blk, a, up, um
+    starts = range(0, grid.size, BLOCK_POINTS)
+    workers = 1 if getattr(_in_worker, "active", False) else min(WORKERS, len(starts))
+
+    def run(first: int, last: int, bufs):
+        up_buf, um_buf, *work = bufs
+        for start in starts[first:last]:
+            stop = min(start + BLOCK_POINTS, grid.size)
+            blk, k = slice(start, stop), stop - start
+            up = up_buf[:width * k].reshape(lead + (k,))
+            um = um_buf[:width * k].reshape(lead + (k,))
+            work_k = [w[..., :k] for w in work]
+            for a, (p_up, p_dn) in enumerate(perms):
+                np.take(values, p_up[blk], axis=-1, out=up, mode="clip")
+                np.take(values, p_dn[blk], axis=-1, out=um, mode="clip")
+                kernel(blk, a, up, um, work_k)
+
+    def buffers():
+        return ([np.empty(width * BLOCK_POINTS), np.empty(width * BLOCK_POINTS)]
+                + [np.empty(tuple(s) + (BLOCK_POINTS,)) for s in scratch])
+
+    if workers == 1:
+        run(0, len(starts), buffers())
+        return
+    cuts = [len(starts) * i // workers for i in range(workers + 1)]
+    bufs = [buffers() for _ in range(workers)]
+
+    def run_in_worker(i: int):
+        _in_worker.active = True
+        try:
+            run(cuts[i], cuts[i + 1], bufs[i])
+        finally:
+            _in_worker.active = False
+
+    futures = [_executor().submit(run_in_worker, i) for i in range(workers)]
+    # every run ends before a kernel's error propagates, so no worker is
+    # still writing when the caller sees it
+    for fut in futures:
+        fut.exception()
+    for fut in futures:
+        fut.result()
 
 
 def vertical_shift(values: np.ndarray, grid: LatticeGrid, s: int, direction: int) -> np.ndarray:

@@ -7,21 +7,22 @@ differences.  Summation by parts is exact: every first-difference operator
 is skew-adjoint for the grid inner product, and the compact sub-Laplacian
 is self-adjoint.
 
-Every horizontal difference reads lattice.step_gathers, the one blocked
-gather pass through the step tables.  One field's derivatives come from
-its difference jet (DifferenceJet): the 8n step gathers S_a^{+-} f are made
-once, and give both the first differences D_a f and the compact
-sub-Laplacian.  The composed second differences H_ab = D_a D_b f come from
-one Hessian stream: block by block, one stacked gather per step table
-gives the rows H_a. of every D_b f, and the stream accumulates tr H and
-omega_s(H), and |H|^2 when asked.  Two contractions read it: hessian()
-keeps the whole-field HessianData (with the p-deficit), and p_functional
-forms its integrand per block from tr H and omega_s(H) alone, never
-building the full Hessian.  grad_h, sub_laplacian, hessian_data and
-p_functional read a jet, so a caller that needs several of them passes the
-jet instead of the field and pays for the gathers once.  A difference of a
-derived field (divergence, the third-order contractions, the identity
-catalog's commutators) reads that field's jet.
+Every horizontal difference is a block kernel of lattice.map_blocks, the
+one blocked gather pass through the step tables, which shares the point
+blocks among the cores.  One field's derivatives come from its difference
+jet (DifferenceJet): the 8n step gathers S_a^{+-} f are made once, and
+give both the first differences D_a f and the compact sub-Laplacian.  The
+composed second differences H_ab = D_a D_b f come from one Hessian stream:
+block by block, one stacked gather per step table gives the rows H_a. of
+every D_b f, and the stream accumulates tr H and omega_s(H), and |H|^2
+when asked.  Three contractions read it: hessian() keeps the whole-field
+HessianData (with the p-deficit), deficit() keeps the p-deficit alone, and
+p_functional forms its integrand per block from tr H and omega_s(H) alone;
+the last two never build the full Hessian.  grad_h, sub_laplacian,
+hessian_data and p_functional read a jet, so a caller that needs several
+of them passes the jet instead of the field and pays for the gathers once.
+A difference of a derived field (divergence, the third-order contractions,
+the identity catalog's commutators) reads that field's jet.
 
 Because D_a is exactly skew-adjoint, the P-pairing needs no third-order
 stencil: summing by parts,
@@ -44,13 +45,12 @@ import numpy as np
 
 from .algebra import TorsionData
 from .lattice import (
-    BLOCK_POINTS,
     XI_SCALE,
     HorizontalField,
     LatticeGrid,
     ScalarField,
     frame_data,
-    step_gathers,
+    map_blocks,
     vertical_shift,
 )
 
@@ -88,10 +88,12 @@ class DifferenceJet:
                S_a^- f) / h_x^2, from the same 8n step gathers as `first`
     hessian()  contractions of H_ab = D_a D_b f from the Hessian stream,
                computed on first use and kept
+    deficit()  the p-deficit alone from the same stream
 
-    Both passes read lattice.step_gathers, the one blocked gather pass, and
-    give the bits of the whole-field stencils.  A composed difference
-    D_a g of a derived field g reads the jet of g: DifferenceJet(g).first[a].
+    Both passes are block kernels of lattice.map_blocks, the one blocked
+    gather pass, and give the bits of the whole-field stencils.  A composed
+    difference D_a g of a derived field g reads the jet of g:
+    DifferenceJet(g).first[a].
     """
 
     def __init__(self, f: ScalarField):
@@ -100,27 +102,29 @@ class DifferenceJet:
         flat = f.values.reshape(-1)
         first = np.empty((dim, grid.size))
         lap = np.empty(grid.size)
-        acc, two_f = np.empty(BLOCK_POINTS), np.empty(BLOCK_POINTS)
         two_h = 2.0 * grid.h_x
         h_sq = grid.h_x * grid.h_x
-        for blk, a, up_b, um_b in step_gathers(flat, grid):
-            k = blk.stop - blk.start
-            acc_b, two_f_b = acc[:k], two_f[:k]
+        last = dim - 1
+
+        def kernel(blk, a, up, um, scratch):
+            acc, two_f = scratch
             # a block's first axis starts its Laplacian sum, its last ends it
             if a == 0:
-                np.multiply(flat[blk], 2.0, out=two_f_b)
-                acc_b.fill(0.0)
+                np.multiply(flat[blk], 2.0, out=two_f)
+                acc.fill(0.0)
             d_a = first[a, blk]
-            np.subtract(up_b, um_b, out=d_a)
+            np.subtract(up, um, out=d_a)
             d_a /= two_h
             # (S^+ f - 2f) + S^- f, the grouping of the compact stencil
-            up_b -= two_f_b
-            up_b += um_b
-            acc_b += up_b
-            if a == dim - 1:
+            up -= two_f
+            up += um
+            acc += up
+            if a == last:
                 lap_b = lap[blk]
-                np.negative(acc_b, out=lap_b)
+                np.negative(acc, out=lap_b)
                 lap_b /= h_sq
+
+        map_blocks(kernel, flat, grid, scratch=((), ()))
         self.grid = grid
         self.first = first.reshape((dim,) + grid.shape)
         self.laplacian = lap.reshape(grid.shape)
@@ -131,16 +135,37 @@ class DifferenceJet:
             self._hessian = self._contract_hessian()
         return self._hessian
 
-    def _hessian_stream(self, with_norm: bool):
+    def deficit(self) -> np.ndarray:
+        """The p-deficit alone, with the bits of hessian().deficit: the
+        Hessian stream contracted to one whole-field array, without the
+        |H|^2 and omega_s arrays of HessianData (whose deficit it returns
+        when hessian() has run)."""
+        if self._hessian is not None:
+            return self._hessian.deficit
+        grid = self.grid
+        deficit = np.empty(grid.size)
+        quarter = 1.0 / grid.dim_h
+
+        def contract(blk, tr, om, nsq, work):
+            _deficit_block(deficit[blk], tr, om, nsq, work[0], quarter)
+
+        self._hessian_stream(contract, with_norm=True, scratch=((),))
+        return deficit.reshape(grid.shape)
+
+    def _hessian_stream(self, contract, with_norm: bool, scratch=()):
         """The one pass over the composed Hessian H_ab = D_a D_b f.
 
-        lattice.step_gathers over the stacked first differences: for each
-        block and axis a, one gather per direction carries every D_b f
-        through S_a^+- and gives the block rows H_a. = D_a D_. f.  Yields
-        (blk, trace, omega, norm_sq) per block, accumulated in (a, b) order
-        from zero, so each point sees the operations of a whole-field pass;
-        norm_sq = |H|^2 is formed only when with_norm.  The yielded arrays
-        are buffers that the next block overwrites.
+        A block kernel of lattice.map_blocks over the stacked first
+        differences: for each block and axis a, one gather per direction
+        carries every D_b f through S_a^+- and gives the block rows
+        H_a. = D_a D_. f.  The kernel accumulates tr H and omega_s(H) in
+        (a, b) order from zero, so each point sees the operations of a
+        whole-field pass, and |H|^2 only when with_norm.  After a block's
+        last axis it calls contract(blk, tr, om, nsq, work), which writes
+        the block's share of the caller's outputs; nsq is None without
+        with_norm, and work holds one block array per entry of scratch.
+        contract runs on the pool's threads: it may call no public qcflow
+        function.
         """
         grid = self.grid
         fd = frame_data(grid)
@@ -148,17 +173,16 @@ class DifferenceJet:
         # (b, s, omega_s[a, b]) for the nonzero entries of row a, in (b, s) order
         weights = [[(b, s, fd.omega[s][a, b]) for b in range(dim) for s in range(3)
                     if fd.omega[s][a, b] != 0.0] for a in range(dim)]
-        trace, norm_sq = np.empty(BLOCK_POINTS), np.empty(BLOCK_POINTS)
-        om = np.empty((3, BLOCK_POINTS))
         two_h = 2.0 * grid.h_x
-        first = self.first.reshape(dim, grid.size)
-        for blk, a, rows, work in step_gathers(first, grid):
-            k = blk.stop - blk.start
-            tr, om_b = trace[:k], om[:, :k]
-            nsq = norm_sq[:k] if with_norm else None
+        last = dim - 1
+        own = ((), (3,), ()) if with_norm else ((), (3,))
+
+        def kernel(blk, a, rows, work, blocks):
+            tr, om = blocks[0], blocks[1]
+            nsq = blocks[2] if with_norm else None
             if a == 0:
                 tr.fill(0.0)
-                om_b.fill(0.0)
+                om.fill(0.0)
                 if nsq is not None:
                     nsq.fill(0.0)
             rows -= work
@@ -168,39 +192,49 @@ class DifferenceJet:
                 # the frame's entries are +-1, where adding or subtracting
                 # the row gives the bits of w * H_ab without a temporary
                 if w == 1.0:
-                    om_b[s] += rows[b]
+                    om[s] += rows[b]
                 elif w == -1.0:
-                    om_b[s] -= rows[b]
+                    om[s] -= rows[b]
                 else:
-                    om_b[s] += w * rows[b]
+                    om[s] += w * rows[b]
             if nsq is not None:
                 rows *= rows
                 for row in rows:
                     nsq += row
-            if a == dim - 1:
-                yield blk, tr, om_b, nsq
+            if a == last:
+                contract(blk, tr, om, nsq, blocks[len(own):])
+
+        first = self.first.reshape(dim, grid.size)
+        map_blocks(kernel, first, grid, scratch=own + tuple(scratch))
 
     def _contract_hessian(self) -> HessianData:
         grid = self.grid
         norm_sq, deficit = np.empty(grid.size), np.empty(grid.size)
-        om = np.empty((3, grid.size))
-        sq = np.empty(BLOCK_POINTS)
+        omega = np.empty((3, grid.size))
         quarter = 1.0 / grid.dim_h
-        for blk, tr, om_b, nsq in self._hessian_stream(with_norm=True):
+
+        def contract(blk, tr, om, nsq, work):
             norm_sq[blk] = nsq
-            om[:, blk] = om_b
-            # nsq - (1/4n) tr^2 - (1/4n) sum_s om_s^2, grouped as written
-            d, sq_b = deficit[blk], sq[:tr.size]
-            np.multiply(tr, quarter, out=d)
-            d *= tr
-            np.subtract(nsq, d, out=d)
-            for s in range(3):
-                np.multiply(om_b[s], quarter, out=sq_b)
-                sq_b *= om_b[s]
-                d -= sq_b
+            omega[:, blk] = om
+            _deficit_block(deficit[blk], tr, om, nsq, work[0], quarter)
+
+        self._hessian_stream(contract, with_norm=True, scratch=((),))
         shape = grid.shape
-        return HessianData(norm_sq=norm_sq.reshape(shape), omega=om.reshape((3,) + shape),
+        return HessianData(norm_sq=norm_sq.reshape(shape),
+                           omega=omega.reshape((3,) + shape),
                            deficit=deficit.reshape(shape))
+
+
+def _deficit_block(d, tr, om, nsq, sq, quarter):
+    # nsq - (1/4n) tr^2 - (1/4n) sum_s om_s^2 into the block d, grouped as
+    # written; sq is a block of work space
+    np.multiply(tr, quarter, out=d)
+    d *= tr
+    np.subtract(nsq, d, out=d)
+    for s in range(3):
+        np.multiply(om[s], quarter, out=sq)
+        sq *= om[s]
+        d -= sq
 
 
 def _jet(f: ScalarField | DifferenceJet) -> DifferenceJet:
@@ -221,14 +255,17 @@ def grad_h_norm_sq(f: ScalarField) -> np.ndarray:
     grid = f.grid
     out = np.empty(grid.size)
     two_h = 2.0 * grid.h_x
-    for blk, a, up_b, um_b in step_gathers(f.values.reshape(-1), grid):
+
+    def kernel(blk, a, up, um, scratch):
         # the first axis squares straight into out
-        d = out[blk] if a == 0 else up_b
-        np.subtract(up_b, um_b, out=d)
+        d = out[blk] if a == 0 else up
+        np.subtract(up, um, out=d)
         d /= two_h
         d *= d
         if a > 0:
             out[blk] += d
+
+    map_blocks(kernel, f.values.reshape(-1), grid)
     return out.reshape(grid.shape)
 
 
@@ -348,13 +385,15 @@ def p_functional(f: ScalarField | DifferenceJet, torsion: TorsionData | None = N
     grid = jet.grid
     lap = jet.laplacian.reshape(-1)
     integrand = np.empty(grid.size)
-    sq = np.empty(BLOCK_POINTS)
-    for blk, tr, om, _ in jet._hessian_stream(with_norm=False):
-        ib, sq_b = integrand[blk], sq[:tr.size]
+
+    def contract(blk, tr, om, nsq, work):
+        ib, sq = integrand[blk], work[0]
         np.multiply(lap[blk], tr, out=ib)
         for t in range(3):
-            np.multiply(om[t], om[t], out=sq_b)
-            ib += sq_b
+            np.multiply(om[t], om[t], out=sq)
+            ib += sq
+
+    jet._hessian_stream(contract, with_norm=False, scratch=((),))
     integrand = integrand.reshape(grid.shape)
     coefs = _torsion_coefficients(grid, torsion)
     if coefs is not None:

@@ -3,6 +3,9 @@ import csv
 import json
 import os
 import re
+import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -60,6 +63,33 @@ def test_run_deterministic_artifacts(tmp_path):
     run_cli(args[:-1] + [str(out2)])
     assert (out1 / "energy.csv").read_bytes() == (out2 / "energy.csv").read_bytes()
     assert (out1 / "verdict.json").read_bytes() == (out2 / "verdict.json").read_bytes()
+
+
+@pytest.mark.skipif(shutil.which("taskset") is None, reason="needs taskset")
+def test_run_artifacts_do_not_depend_on_the_cores(tmp_path):
+    # m_x = 5 spans three point blocks, which the block passes share among
+    # every core of the affinity mask; taskset confines them to one core
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    cpu = str(min(os.sched_getaffinity(0)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m_x = 5\nt_end = 0.004\nrecord_every = 1\nsnapshots = yes\n")
+    outs = {}
+    for name, prefix in (("native", []), ("one-core", ["taskset", "-c", cpu])):
+        outs[name] = tmp_path / name
+        cmd = prefix + [sys.executable, "-m", "qcflow.cli", "run", "--config", str(cfg),
+                        "--out", str(outs[name])]
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+    files = sorted(p.relative_to(outs["native"]) for p in outs["native"].rglob("*")
+                   if p.is_file())
+    assert any(p.suffix == ".f64" for p in files)
+    assert files == sorted(p.relative_to(outs["one-core"])
+                           for p in outs["one-core"].rglob("*") if p.is_file())
+    for rel in files:
+        native, one_core = (outs[name] / rel for name in ("native", "one-core"))
+        assert native.read_bytes() == one_core.read_bytes(), rel
 
 
 def test_run_snapshots(tmp_path):

@@ -14,8 +14,9 @@ from qcflow.energy import (
     monotonicity_verdict,
 )
 from qcflow.flow import FlowConfig, cfl_timestep, evolve, initial_field
+from qcflow.identities import FlowQuantities
 from qcflow.lattice import ScalarField, make_grid, periodized_bump
-from qcflow.operators import grad_h
+from qcflow.operators import DifferenceJet, grad_h
 
 
 def flow_config(m=4, alpha=-0.05, **kw):
@@ -139,6 +140,31 @@ def test_derf_rhs_bookkeeping_identity():
     rep = derf_rhs(u, alpha)
     assert rep.dF_dt_analytic * alpha * alpha == pytest.approx(
         sum(rep.terms()), rel=1e-14)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_derf_rhs_reads_the_deficit_without_building_the_hessian(m, monkeypatch):
+    # derf_rhs needs only F's p-deficit: its jet streams the deficit alone
+    # and never contracts the full HessianData, with the bits of that route
+    u = initial_field(flow_config(m=m, tau_profile=None))
+    alpha = -0.05
+    built = []
+    contract = DifferenceJet._contract_hessian
+
+    def counting_contract(jet):
+        built.append(jet)
+        return contract(jet)
+
+    monkeypatch.setattr(DifferenceJet, "_contract_hessian", counting_contract)
+    rep = derf_rhs(u, alpha)
+    assert built == []
+    q = FlowQuantities(u, alpha)
+    deficit = q.hess.deficit
+    assert len(built) == 1
+    assert rep.min_pF == float(deficit.min())
+    c_pdef = derf_coefficients(1, alpha)[4]
+    assert rep.term_p == c_pdef * float(u.grid.cell_volume * np.sum(q.w2 * deficit))
+    assert np.array_equal(DifferenceJet(q.F).deficit(), deficit)
 
 
 def test_derf_rhs_term_L_zero_on_model():

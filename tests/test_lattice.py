@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qcflow import lattice
 from qcflow.lattice import (
     BLOCK_POINTS,
     XI_SCALE,
@@ -21,10 +22,10 @@ from qcflow.lattice import (
     integrate,
     load_field,
     make_grid,
+    map_blocks,
     periodized_bump,
     save_field,
     shift,
-    step_gathers,
     vertical_shift,
 )
 
@@ -297,8 +298,10 @@ def test_vertical_shift_round_trip():
 
 
 @pytest.mark.parametrize("m", [4, 5])
-def test_step_gathers_match_shift(m):
-    # m_x = 4 is one point block, m_x = 5 three, the last one partial
+def test_step_gathers_match_shift(m, monkeypatch):
+    # m_x = 4 is one point block, m_x = 5 three, the last one partial; one
+    # worker, so the kernel calls arrive in block order
+    monkeypatch.setattr(lattice, "WORKERS", 1)
     grid = make_grid(1, m)
     rng = np.random.default_rng(m)
     flat = rng.normal(size=grid.size)
@@ -307,21 +310,25 @@ def test_step_gathers_match_shift(m):
              for a in range(grid.dim_h)]
     for values in (flat, stacked):
         seen = []
-        for blk, a, up, um in step_gathers(values, grid):
+
+        def kernel(blk, a, up, um, scratch):
             seen.append((blk.start, a))
             for got, direction in ((up, +1), (um, -1)):
                 assert got.shape == values.shape[:-1] + (blk.stop - blk.start,)
                 ref = [shift(row, grid, a, direction).reshape(-1)[blk]
                        for row in values.reshape(-1, grid.size)]
                 assert np.array_equal(got.reshape(-1, got.shape[-1]), np.stack(ref))
+
+        map_blocks(kernel, values, grid)
         assert seen == order
 
 
 def test_step_tables_are_gathered_only_in_lattice():
-    # every horizontal difference reads lattice.step_gathers (lattice.shift
-    # stays as the whole-field reference): no other module takes a gather
-    # or reaches the whole-field shift
+    # every horizontal difference is a kernel of lattice.map_blocks
+    # (lattice.shift stays as the whole-field reference): no other module
+    # takes a gather, reaches the whole-field shift, or owns a thread
     banned = {"shift", "point_blocks"}
+    concurrency = {"threading", "concurrent"}
     for path in sorted(SRC.glob("*.py")):
         if path.name == "lattice.py":
             continue
@@ -333,3 +340,11 @@ def test_step_tables_are_gathered_only_in_lattice():
             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("lattice"):
                 names = {alias.name for alias in node.names}
                 assert not names & banned, f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            for mod in modules:
+                assert mod.split(".")[0] not in concurrency, f"{path.name}:{node.lineno}"

@@ -1,9 +1,12 @@
 """Tests for the discrete horizontal calculus."""
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from qcflow import flow, lattice, operators
 from qcflow.algebra import TorsionData
 from qcflow.lattice import (
     ScalarField,
@@ -408,9 +411,13 @@ def test_jet_readers_are_bit_identical_to_the_stencils(m):
         # the trace enters the deficit per block and is not kept: compare
         # the stream's per-block trace point by point
         jet = DifferenceJet(f)
-        ref_trace = ref_trace.reshape(-1)
-        for blk, tr, _, _ in jet._hessian_stream(with_norm=False):
-            assert np.array_equal(tr, ref_trace[blk])
+        trace = np.full(grid.size, np.nan)
+
+        def keep_trace(blk, tr, om, nsq, work):
+            trace[blk] = tr
+
+        jet._hessian_stream(keep_trace, with_norm=False)
+        assert np.array_equal(trace, ref_trace.reshape(-1))
         # a shared jet gives the same bits as a jet per call
         assert np.array_equal(grad_h(jet).components, first)
         assert np.array_equal(sub_laplacian(jet).values, sub_laplacian(f).values)
@@ -457,3 +464,153 @@ def test_grad_h_norm_sq_is_bit_identical_to_the_squared_gradient(m):
     for f in _jet_fields(m):
         expect = np.sum(grad_h(f).components ** 2, axis=0)
         assert grad_h_norm_sq(f).tobytes() == expect.tobytes()
+
+
+# the block passes on the worker pool ----------------------------------------
+
+def _run_passes(f):
+    """Every block kernel of the package on f: the Euler update, the jet,
+    |Df|^2 and the Hessian stream under its three contractions."""
+    return {
+        "euler": lambda: flow._euler_update(f.values, f.grid, 0.01),
+        "jet": lambda: DifferenceJet(f),
+        "grad_sq": lambda: grad_h_norm_sq(f),
+        "hessian": lambda: DifferenceJet(f).hessian(),
+        "deficit": lambda: DifferenceJet(f).deficit(),
+        "p_functional": lambda: p_functional(f),
+    }
+
+
+def _reference_passes(f):
+    """The same quantities from the whole-field lattice.shift stencils."""
+    grid = f.grid
+    values = f.values
+    acc = np.zeros(grid.shape)
+    for a in range(grid.dim_h):
+        up = shift(values, grid, a, +1)
+        up += shift(values, grid, a, -1)
+        up -= 2.0 * values
+        acc += up
+    first = np.stack([_ref_first_difference(values, grid, a) for a in range(grid.dim_h)])
+    lap = _ref_sub_laplacian(values, grid)
+    norm_sq, trace, omega, deficit = _ref_hessian(values, grid)
+    integrand = lap * trace
+    for t in range(3):
+        integrand += omega[t] * omega[t]
+    return {
+        "euler": values + 0.01 * acc,
+        "jet": (first, lap),
+        "grad_sq": np.sum(first ** 2, axis=0),
+        "hessian": (norm_sq, omega, deficit),
+        "deficit": deficit,
+        "p_functional": float(grid.cell_volume * np.sum(integrand)),
+    }
+
+
+def _as_arrays(name, result):
+    if name == "jet":
+        return result.first, result.laplacian
+    if name == "hessian":
+        return result.norm_sq, result.omega, result.deficit
+    return result
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_block_passes_are_bit_identical_for_every_worker_count(workers, monkeypatch):
+    # 78125 points in blocks of 5000: 16 blocks, the last one partial, in
+    # runs of 16, 8 + 8 and 5 + 5 + 6 blocks; a short switch interval
+    # interleaves the threads often
+    monkeypatch.setattr(lattice, "WORKERS", workers)
+    monkeypatch.setattr(lattice, "BLOCK_POINTS", 5000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for f in _jet_fields(5):
+            expect = _reference_passes(f)
+            for name, run in _run_passes(f).items():
+                got = _as_arrays(name, run())
+                if name == "p_functional":
+                    assert got == expect[name], name
+                elif isinstance(got, tuple):
+                    for g, e in zip(got, expect[name]):
+                        assert np.array_equal(g, e), name
+                else:
+                    assert np.array_equal(got, expect[name]), name
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_block_passes_call_public_functions_only_on_the_calling_thread(monkeypatch):
+    # the kernels run on the pool, while the step tables and the frame data
+    # are fetched on the calling thread, which keeps a tracer's span stack
+    # (one per process) valid
+    monkeypatch.setattr(lattice, "WORKERS", 2)
+    monkeypatch.setattr(lattice, "BLOCK_POINTS", 5000)
+    calls, kernel_threads = [], set()
+    perm = lattice.LatticeGrid.step_permutation
+    fd = lattice.frame_data
+    mapper = lattice.map_blocks
+
+    def step_permutation(grid, a, direction):
+        calls.append(("step_permutation", threading.get_ident()))
+        return perm(grid, a, direction)
+
+    def frame_data(grid):
+        calls.append(("frame_data", threading.get_ident()))
+        return fd(grid)
+
+    def map_blocks(kernel, values, grid, scratch=()):
+        # each run waits for the other at its first block, so the pass
+        # fails (a broken barrier) unless two threads run it at once
+        meet = threading.Barrier(2, timeout=60)
+
+        def watched(*args):
+            ident = threading.get_ident()
+            if ident not in kernel_threads:
+                kernel_threads.add(ident)
+                meet.wait()
+            kernel(*args)
+
+        mapper(watched, values, grid, scratch)
+
+    monkeypatch.setattr(lattice.LatticeGrid, "step_permutation", step_permutation)
+    for mod in (lattice, operators):
+        monkeypatch.setattr(mod, "frame_data", frame_data)
+    for mod in (flow, operators):
+        monkeypatch.setattr(mod, "map_blocks", map_blocks)
+    main = threading.get_ident()
+    f = _jet_fields(5)[0]
+    for name, run in _run_passes(f).items():
+        calls.clear()
+        kernel_threads.clear()
+        run()
+        names = {fn for fn, _ in calls}
+        assert "step_permutation" in names, name
+        if name in ("hessian", "deficit", "p_functional"):
+            assert "frame_data" in names, name
+        assert {ident for _, ident in calls} == {main}, name
+        assert len(kernel_threads) == 2 and main not in kernel_threads, name
+
+
+def test_map_blocks_runs_serially_inside_a_worker(monkeypatch):
+    # a kernel that calls the helper again, on a pool whose threads are all
+    # busy, must not wait for a free thread
+    monkeypatch.setattr(lattice, "WORKERS", 2)
+    monkeypatch.setattr(lattice, "BLOCK_POINTS", 5000)
+    grid = make_grid(1, 5)
+    values = np.arange(grid.size, dtype=float)
+    inner = []
+
+    def inner_kernel(blk, a, up, um, scratch):
+        inner.append(threading.get_ident())
+
+    def kernel(blk, a, up, um, scratch):
+        if blk.start == 0 and a == 0:
+            lattice.map_blocks(inner_kernel, values, grid)
+
+    done = threading.Thread(target=lattice.map_blocks, args=(kernel, values, grid),
+                            daemon=True)
+    done.start()
+    done.join(timeout=120)
+    assert not done.is_alive()
+    assert len(inner) == 16 * grid.dim_h and len(set(inner)) == 1
