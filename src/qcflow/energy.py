@@ -125,7 +125,7 @@ def derf_rhs(u: ScalarField, alpha: float, coeff_override=None,
         term_L=term_lich,
         term_p=term_pdef,
         p_functional_value=p_pair,
-        min_pF=float(q.deficit.min()),
+        min_pF=q.min_deficit,
     )
 
 

@@ -91,10 +91,16 @@ def check_alpha(alpha: float):
 class FlowQuantities:
     """Shared derived fields for the F = u^alpha identity chain (lazy).
 
-    Each quantity is computed on first use and kept.  F has one difference
-    jet that every quantity of F reads, so its gathers are made once.  The
-    P-pairing is the only quantity of f = u^(1/2); p_functional builds f's
-    jet and drops it with its Hessian contractions.
+    F has one difference jet that every quantity of F reads, so its
+    gathers are made once.  The integrals of the production formula
+    (I_lap2, I_quart, I_deficit) and the minimum of the p-deficit come
+    from one contraction of F's Hessian stream, which forms their
+    integrands, weights included, block by block; only the three sums and
+    the minimum are kept.  The other quantities are computed on first use
+    and kept, except the fields F and f = u^(1/2), which are formed where
+    they are differentiated and do not outlive their jets.  The P-pairing
+    is the only quantity of f; p_functional builds f's jet and drops it
+    with its Hessian contractions.
     """
 
     def __init__(self, u: ScalarField, alpha: float):
@@ -105,13 +111,10 @@ class FlowQuantities:
         self.grid = u.grid
 
     # base fields -----------------------------------------------------------
-    @cached_property
+    @property
     def F(self):
+        # not kept: F's jet holds every difference of F but its Reeb ones
         return ScalarField(self.grid, np.power(self.u.values, self.alpha))
-
-    @cached_property
-    def f_half(self):
-        return ScalarField(self.grid, np.sqrt(self.u.values))
 
     @cached_property
     def jetF(self):
@@ -125,10 +128,6 @@ class FlowQuantities:
     @cached_property
     def w3(self):
         return np.power(self.u.values, 1.0 - 3 * self.alpha)
-
-    @cached_property
-    def w4(self):
-        return np.power(self.u.values, 1.0 - 4 * self.alpha)
 
     @cached_property
     def gradF(self):
@@ -156,27 +155,63 @@ class FlowQuantities:
         return hessian_data(self.jetF)
 
     @cached_property
-    def deficit(self):
-        # the p-deficit alone: the integrals that read nothing else of F's
-        # Hessian do not build its HessianData
-        return self.jetF.deficit()
-
-    @cached_property
     def xiF(self):
         return [reeb_derivative(self.F, s).values for s in range(3)]
 
     # integrals -------------------------------------------------------------
     @cached_property
+    def _production(self):
+        """(I_lap2, I_quart, I_deficit, min of the p-deficit) from one
+        contraction of F's Hessian stream.
+
+        Per block it forms the p-deficit, the weights u^(1-2 alpha) and
+        u^(1-4 alpha), and |DF|^2 in axis order, and writes the integrands
+        w2 (Delta F)^2, w4 |DF|^4 and w2 deficit: per point the bits of the
+        whole-field formulas, without their weight and square fields.
+        Each block keeps its deficit minimum (a min is exact in any order),
+        and each integral is one whole-field np.sum on the calling thread.
+        """
+        grid = self.grid
+        jet = self.jetF
+        u = self.u.values.reshape(-1)
+        first = jet.first.reshape(grid.dim_h, grid.size)
+        lap = jet.laplacian.reshape(-1)
+        e2, e4 = 1.0 - 2 * self.alpha, 1.0 - 4 * self.alpha
+        lap2, quart, weighted = (np.empty(grid.size) for _ in range(3))
+        mins = []
+
+        def contract(blk, d, work):
+            w, g, sq = work
+            np.power(u[blk], e2, out=w)
+            np.multiply(w, d, out=weighted[blk])
+            np.multiply(lap[blk], lap[blk], out=sq)
+            np.multiply(w, sq, out=lap2[blk])
+            np.multiply(first[0, blk], first[0, blk], out=g)
+            for row in first[1:]:
+                np.multiply(row[blk], row[blk], out=sq)
+                g += sq
+            np.multiply(g, g, out=sq)
+            np.power(u[blk], e4, out=w)
+            np.multiply(w, sq, out=quart[blk])
+            mins.append(d.min())
+
+        jet.deficit_stream(contract, scratch=((), (), ()))
+        return (self._integral(lap2.reshape(grid.shape)),
+                self._integral(quart.reshape(grid.shape)),
+                self._integral(weighted.reshape(grid.shape)),
+                float(np.min(mins)))
+
+    @property
     def I_lap2(self):
-        return self._integral(self.w2 * self.lapF.values ** 2)
+        return self._production[0]
 
     @cached_property
     def I_mixed(self):
         return self._integral(self.w3 * self.lapF.values * self.grad_sq)
 
-    @cached_property
+    @property
     def I_quart(self):
-        return self._integral(self.w4 * self.grad_sq ** 2)
+        return self._production[1]
 
     @cached_property
     def I_xi2(self):
@@ -190,13 +225,17 @@ class FlowQuantities:
     def I_omega2(self):
         return self._integral(self.w2 * sum(self.hess.omega[s] ** 2 for s in range(3)))
 
-    @cached_property
+    @property
     def I_deficit(self):
-        return self._integral(self.w2 * self.deficit)
+        return self._production[2]
+
+    @property
+    def min_deficit(self):
+        return self._production[3]
 
     @cached_property
     def P_pair_half(self):
-        return p_functional(self.f_half)
+        return p_functional(ScalarField(self.grid, np.sqrt(self.u.values)))
 
     @cached_property
     def I_gradlap(self):

@@ -266,14 +266,16 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> Non
     per point what a whole-field pass does, in the same order, gets its
     bits whatever thread runs the block.
 
-    The blocks are split into one contiguous run per worker (WORKERS, at
-    most one per block); the runs go to a module thread pool of WORKERS
-    threads, made on first use, and the call returns when every run has
-    ended.  np.take and the ufunc loops release the interpreter lock, so
-    the runs share the cores.  The step tables, the gather buffers and the
-    scratch are made on the calling thread.  With one worker or one block,
-    or when entered from a worker (a kernel must not wait for the pool it
-    runs on), the same loop runs in the calling thread and no pool is used.
+    One worker takes blocks that start BLOCK_POINTS apart.  WORKERS > 1
+    workers take equal blocks, their count rounded up to a multiple of the
+    workers, in one contiguous run each, so every run gets the same number
+    of points.  The runs go to a module thread pool of WORKERS threads,
+    made on first use, and the call returns when every run has ended.
+    np.take and the ufunc loops release the interpreter lock, so the runs
+    share the cores.  The step tables, the gather buffers and the scratch
+    are made on the calling thread.  With one worker, or when entered from
+    a worker (a kernel must not wait for the pool it runs on), the same
+    loop runs in the calling thread and no pool is used.
 
     Every index of a step table is in range, so mode="clip" never clips;
     unlike the default mode it lets np.take write into the buffer without
@@ -283,13 +285,18 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> Non
              for a in range(grid.dim_h)]
     lead = values.shape[:-1]
     width = math.prod(lead)
-    starts = range(0, grid.size, BLOCK_POINTS)
-    workers = 1 if getattr(_in_worker, "active", False) else min(WORKERS, len(starts))
+    workers = 1 if getattr(_in_worker, "active", False) else WORKERS
+    count = -(-grid.size // BLOCK_POINTS)
+    if workers == 1:
+        bounds = [min(i * BLOCK_POINTS, grid.size) for i in range(count + 1)]
+    else:
+        count = min(-(-count // workers) * workers, grid.size)
+        bounds = [grid.size * i // count for i in range(count + 1)]
+        workers = min(workers, count)
 
     def run(first: int, last: int, bufs):
         up_buf, um_buf, *work = bufs
-        for start in starts[first:last]:
-            stop = min(start + BLOCK_POINTS, grid.size)
+        for start, stop in zip(bounds[first:last], bounds[first + 1:last + 1]):
             blk, k = slice(start, stop), stop - start
             up = up_buf[:width * k].reshape(lead + (k,))
             um = um_buf[:width * k].reshape(lead + (k,))
@@ -304,9 +311,9 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> Non
                 + [np.empty(tuple(s) + (BLOCK_POINTS,)) for s in scratch])
 
     if workers == 1:
-        run(0, len(starts), buffers())
+        run(0, count, buffers())
         return
-    cuts = [len(starts) * i // workers for i in range(workers + 1)]
+    cuts = [count * i // workers for i in range(workers + 1)]
     bufs = [buffers() for _ in range(workers)]
 
     def run_in_worker(i: int):

@@ -16,13 +16,16 @@ composed second differences H_ab = D_a D_b f come from one Hessian stream:
 block by block, one stacked gather per step table gives the rows H_a. of
 every D_b f, and the stream accumulates tr H and omega_s(H), and |H|^2
 when asked.  Three contractions read it: hessian() keeps the whole-field
-HessianData (with the p-deficit), deficit() keeps the p-deficit alone, and
-p_functional forms its integrand per block from tr H and omega_s(H) alone;
-the last two never build the full Hessian.  grad_h, sub_laplacian,
-hessian_data and p_functional read a jet, so a caller that needs several
-of them passes the jet instead of the field and pays for the gathers once.
-A difference of a derived field (divergence, the third-order contractions,
-the identity catalog's commutators) reads that field's jet.
+HessianData (with the p-deficit), deficit_stream() hands each block's
+p-deficit to a caller's contraction (the production integrals of
+identities.FlowQuantities), and p_functional forms its integrand per block
+from tr H and omega_s(H) alone; the last two never build the full
+Hessian.  grad_h, sub_laplacian, hessian_data and p_functional read a jet,
+so a caller that needs several of them passes the jet instead of the field
+and pays for the gathers once.  divergence is one kernel over the stacked
+components of its 1-form; any other difference of a derived field (the
+third-order contractions, the identity catalog's commutators) reads that
+field's jet.
 
 Because D_a is exactly skew-adjoint, the P-pairing needs no third-order
 stencil: summing by parts,
@@ -88,7 +91,8 @@ class DifferenceJet:
                S_a^- f) / h_x^2, from the same 8n step gathers as `first`
     hessian()  contractions of H_ab = D_a D_b f from the Hessian stream,
                computed on first use and kept
-    deficit()  the p-deficit alone from the same stream
+    deficit_stream(contract)
+               the p-deficit alone from the same stream, block by block
 
     Both passes are block kernels of lattice.map_blocks, the one blocked
     gather pass, and give the bits of the whole-field stencils.  A composed
@@ -135,22 +139,22 @@ class DifferenceJet:
             self._hessian = self._contract_hessian()
         return self._hessian
 
-    def deficit(self) -> np.ndarray:
-        """The p-deficit alone, with the bits of hessian().deficit: the
-        Hessian stream contracted to one whole-field array, without the
-        |H|^2 and omega_s arrays of HessianData (whose deficit it returns
-        when hessian() has run)."""
-        if self._hessian is not None:
-            return self._hessian.deficit
-        grid = self.grid
-        deficit = np.empty(grid.size)
-        quarter = 1.0 / grid.dim_h
+    def deficit_stream(self, contract, scratch=()) -> None:
+        """Stream the p-deficit alone, without the whole-field |H|^2 and
+        omega_s arrays of HessianData: after each block of the Hessian
+        stream, contract(blk, d, work) reads the block's deficit d, with
+        the bits of hessian().deficit[blk], and work holds one block array
+        per entry of scratch.  contract runs on the pool's threads: it may
+        call no public qcflow function."""
+        quarter = 1.0 / self.grid.dim_h
 
-        def contract(blk, tr, om, nsq, work):
-            _deficit_block(deficit[blk], tr, om, nsq, work[0], quarter)
+        def deficit_block(blk, tr, om, nsq, work):
+            d, sq = work[0], work[1]
+            _deficit_block(d, tr, om, nsq, sq, quarter)
+            contract(blk, d, work[2:])
 
-        self._hessian_stream(contract, with_norm=True, scratch=((),))
-        return deficit.reshape(grid.shape)
+        self._hessian_stream(deficit_block, with_norm=True,
+                             scratch=((), ()) + tuple(scratch))
 
     def _hessian_stream(self, contract, with_norm: bool, scratch=()):
         """The one pass over the composed Hessian H_ab = D_a D_b f.
@@ -283,13 +287,24 @@ def sub_laplacian(f: ScalarField | DifferenceJet) -> ScalarField:
 def divergence(sigma: HorizontalField) -> ScalarField:
     """Horizontal divergence nabla* sigma = -sum_a X_a sigma_a.
 
-    Integrates to zero exactly on the periodic quotient.
+    One block kernel over the stacked (4n, N) components: axis a reads the
+    a-th row of the stepped stack.  Integrates to zero exactly on the
+    periodic quotient.
     """
     grid = sigma.grid
-    acc = np.zeros(grid.shape)
-    for a in range(grid.dim_h):
-        acc += DifferenceJet(ScalarField(grid, sigma.components[a])).first[a]
-    return ScalarField(grid, -acc)
+    comps = sigma.components.reshape(grid.dim_h, grid.size)
+    acc = np.zeros(grid.size)
+    two_h = 2.0 * grid.h_x
+
+    def kernel(blk, a, up, um, scratch):
+        # zeros + D_0 sigma_0 + D_1 sigma_1 + ..., the whole-field sum
+        d_a = up[a]
+        np.subtract(d_a, um[a], out=d_a)
+        d_a /= two_h
+        acc[blk] += d_a
+
+    map_blocks(kernel, comps, grid)
+    return ScalarField(grid, -acc.reshape(grid.shape))
 
 
 def hessian_data(f: ScalarField | DifferenceJet) -> HessianData:

@@ -67,7 +67,7 @@ def test_run_deterministic_artifacts(tmp_path):
 
 @pytest.mark.skipif(shutil.which("taskset") is None, reason="needs taskset")
 def test_run_artifacts_do_not_depend_on_the_cores(tmp_path):
-    # m_x = 5 spans three point blocks, which the block passes share among
+    # m_x = 5 spans several point blocks, which the block passes share among
     # every core of the affinity mask; taskset confines them to one core
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

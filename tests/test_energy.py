@@ -1,9 +1,11 @@
 """Tests for the energy monitor and its five-term production formula."""
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qcflow import lattice
 from qcflow.algebra import alpha_interval, h_polynomial
 from qcflow.energy import (
     derf_coefficients,
@@ -164,7 +166,25 @@ def test_derf_rhs_reads_the_deficit_without_building_the_hessian(m, monkeypatch)
     assert rep.min_pF == float(deficit.min())
     c_pdef = derf_coefficients(1, alpha)[4]
     assert rep.term_p == c_pdef * float(u.grid.cell_volume * np.sum(q.w2 * deficit))
-    assert np.array_equal(DifferenceJet(q.F).deficit(), deficit)
+
+
+def test_derf_rhs_peaks_below_nine_whole_fields(monkeypatch):
+    # the production integrands are formed block by block inside F's
+    # Hessian stream: besides the record, one evaluation holds f's or F's
+    # jet (5 fields here), three integrands and block buffers.  Whole-field
+    # weights and squares (12 fields) fail this.  The workers and the block
+    # size are fixed, so the per-worker buffers weigh the same on any host.
+    monkeypatch.setattr(lattice, "WORKERS", 2)
+    monkeypatch.setattr(lattice, "BLOCK_POINTS", 4096)
+    u = initial_field(flow_config(m=6))
+    derf_rhs(u, -0.05)  # builds the grid's step tables and frame data
+    tracemalloc.start()
+    try:
+        derf_rhs(u, -0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * u.values.nbytes
 
 
 def test_derf_rhs_term_L_zero_on_model():

@@ -323,6 +323,29 @@ def test_step_gathers_match_shift(m, monkeypatch):
         assert seen == order
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_map_blocks_gives_every_run_the_same_points(workers, monkeypatch):
+    # several workers take equal blocks of at most BLOCK_POINTS, as many as a
+    # multiple of the workers: 78125 points make 8 + 8 blocks of 4882 or
+    # 4883 points on two workers, 6 + 6 + 6 blocks of 4340 or 4341 on three
+    monkeypatch.setattr(lattice, "WORKERS", workers)
+    monkeypatch.setattr(lattice, "BLOCK_POINTS", 5000)
+    grid = make_grid(1, 5)
+    blocks = []
+
+    def kernel(blk, a, up, um, scratch):
+        if a == 0:
+            blocks.append((blk.start, blk.stop))
+
+    map_blocks(kernel, np.zeros(grid.size), grid)
+    blocks.sort()
+    sizes = [stop - start for start, stop in blocks]
+    assert blocks[0][0] == 0 and blocks[-1][1] == grid.size
+    assert all(prev[1] == nxt[0] for prev, nxt in zip(blocks, blocks[1:]))
+    assert len(blocks) % workers == 0
+    assert max(sizes) <= 5000 and max(sizes) - min(sizes) <= 1
+
+
 def test_step_tables_are_gathered_only_in_lattice():
     # every horizontal difference is a kernel of lattice.map_blocks
     # (lattice.shift stays as the whole-field reference): no other module

@@ -1,4 +1,5 @@
 """Tests for the discrete horizontal calculus."""
+import inspect
 import math
 import sys
 import threading
@@ -6,8 +7,9 @@ import threading
 import numpy as np
 import pytest
 
-from qcflow import flow, lattice, operators
+from qcflow import algebra, energy, flow, identities, lattice, operators
 from qcflow.algebra import TorsionData
+from qcflow.identities import FlowQuantities
 from qcflow.lattice import (
     ScalarField,
     default_center,
@@ -468,17 +470,44 @@ def test_grad_h_norm_sq_is_bit_identical_to_the_squared_gradient(m):
 
 # the block passes on the worker pool ----------------------------------------
 
+PRODUCTION_ALPHA = -0.05
+
+
+def _production(u):
+    q = FlowQuantities(u, PRODUCTION_ALPHA)
+    return q.I_lap2, q.I_quart, q.I_deficit, q.min_deficit
+
+
 def _run_passes(f):
     """Every block kernel of the package on f: the Euler update, the jet,
-    |Df|^2 and the Hessian stream under its three contractions."""
+    |Df|^2, the divergence of the jet's gradient and the Hessian stream
+    under its three contractions (the production integrals of
+    FlowQuantities read the p-deficit one, with f as u)."""
     return {
         "euler": lambda: flow._euler_update(f.values, f.grid, 0.01),
         "jet": lambda: DifferenceJet(f),
         "grad_sq": lambda: grad_h_norm_sq(f),
+        "divergence": lambda: divergence(grad_h(f)).values,
         "hessian": lambda: DifferenceJet(f).hessian(),
-        "deficit": lambda: DifferenceJet(f).deficit(),
+        "production": lambda: _production(f),
         "p_functional": lambda: p_functional(f),
     }
+
+
+def _reference_production(values, grid):
+    """The production integrals from the whole-field formulas of F = u^alpha,
+    their weights from whole-field np.power."""
+    a = PRODUCTION_ALPHA
+    F = np.power(values, a)
+    lap = _ref_sub_laplacian(F, grid)
+    grad_sq = np.sum(np.stack([_ref_first_difference(F, grid, b)
+                               for b in range(grid.dim_h)]) ** 2, axis=0)
+    deficit = _ref_hessian(F, grid)[3]
+    vol = grid.cell_volume
+    return (float(vol * np.sum(np.power(values, 1 - 2 * a) * lap ** 2)),
+            float(vol * np.sum(np.power(values, 1 - 4 * a) * grad_sq ** 2)),
+            float(vol * np.sum(np.power(values, 1 - 2 * a) * deficit)),
+            float(deficit.min()))
 
 
 def _reference_passes(f):
@@ -497,12 +526,16 @@ def _reference_passes(f):
     integrand = lap * trace
     for t in range(3):
         integrand += omega[t] * omega[t]
+    div = np.zeros(grid.shape)
+    for a in range(grid.dim_h):
+        div += _ref_first_difference(first[a], grid, a)
     return {
         "euler": values + 0.01 * acc,
         "jet": (first, lap),
         "grad_sq": np.sum(first ** 2, axis=0),
+        "divergence": -div,
         "hessian": (norm_sq, omega, deficit),
-        "deficit": deficit,
+        "production": _reference_production(values, grid),
         "p_functional": float(grid.cell_volume * np.sum(integrand)),
     }
 
@@ -517,9 +550,12 @@ def _as_arrays(name, result):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_block_passes_are_bit_identical_for_every_worker_count(workers, monkeypatch):
-    # 78125 points in blocks of 5000: 16 blocks, the last one partial, in
-    # runs of 16, 8 + 8 and 5 + 5 + 6 blocks; a short switch interval
-    # interleaves the threads often
+    # 78125 points in blocks of at most 5000: one worker takes 16 blocks
+    # 5000 apart, the last one partial (3125 points); two take 8 + 8 blocks
+    # of 4882 or 4883 points, three 6 + 6 + 6 blocks of 4340 or 4341.  Such
+    # blocks end in part of a SIMD vector, which pins the per-block np.power
+    # of the production integrals to the whole-field bits; a short switch
+    # interval interleaves the threads often
     monkeypatch.setattr(lattice, "WORKERS", workers)
     monkeypatch.setattr(lattice, "BLOCK_POINTS", 5000)
     interval = sys.getswitchinterval()
@@ -541,23 +577,35 @@ def test_block_passes_are_bit_identical_for_every_worker_count(workers, monkeypa
 
 
 def test_block_passes_call_public_functions_only_on_the_calling_thread(monkeypatch):
-    # the kernels run on the pool, while the step tables and the frame data
-    # are fetched on the calling thread, which keeps a tracer's span stack
-    # (one per process) valid
+    # the kernels run on the pool, while every public qcflow function (the
+    # step tables and the frame data among them) runs on the calling
+    # thread, which keeps a tracer's span stack (one per process) valid
     monkeypatch.setattr(lattice, "WORKERS", 2)
     monkeypatch.setattr(lattice, "BLOCK_POINTS", 5000)
     calls, kernel_threads = [], set()
     perm = lattice.LatticeGrid.step_permutation
-    fd = lattice.frame_data
     mapper = lattice.map_blocks
 
     def step_permutation(grid, a, direction):
         calls.append(("step_permutation", threading.get_ident()))
         return perm(grid, a, direction)
 
-    def frame_data(grid):
-        calls.append(("frame_data", threading.get_ident()))
-        return fd(grid)
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = (algebra, lattice, operators, identities, flow, energy)
+    for mod in modules:
+        for attr, obj in list(vars(mod).items()):
+            if (attr.startswith("_") or not inspect.isfunction(obj)
+                    or obj.__module__ != mod.__name__):
+                continue
+            wrapper = recorded(attr, obj)
+            for ns in modules:
+                if vars(ns).get(attr) is obj:
+                    monkeypatch.setattr(ns, attr, wrapper)
 
     def map_blocks(kernel, values, grid, scratch=()):
         # each run waits for the other at its first block, so the pass
@@ -574,8 +622,6 @@ def test_block_passes_call_public_functions_only_on_the_calling_thread(monkeypat
         mapper(watched, values, grid, scratch)
 
     monkeypatch.setattr(lattice.LatticeGrid, "step_permutation", step_permutation)
-    for mod in (lattice, operators):
-        monkeypatch.setattr(mod, "frame_data", frame_data)
     for mod in (flow, operators):
         monkeypatch.setattr(mod, "map_blocks", map_blocks)
     main = threading.get_ident()
@@ -586,7 +632,7 @@ def test_block_passes_call_public_functions_only_on_the_calling_thread(monkeypat
         run()
         names = {fn for fn, _ in calls}
         assert "step_permutation" in names, name
-        if name in ("hessian", "deficit", "p_functional"):
+        if name in ("hessian", "production", "p_functional"):
             assert "frame_data" in names, name
         assert {ident for _, ident in calls} == {main}, name
         assert len(kernel_threads) == 2 and main not in kernel_threads, name
