@@ -12,12 +12,13 @@ import csv
 import inspect
 import json
 import os
+import resource
 import sys
 from dataclasses import asdict
 from typing import get_args, get_type_hints
 
-from .energy import CSV_COLUMNS, energy_series, monotonicity_verdict
-from .flow import FlowConfig, evolve
+from .energy import CSV_COLUMNS, derf_rhs, fill_numeric_rates, monotonicity_verdict
+from .flow import FlowConfig, stream
 from .lattice import integrate, make_grid, save_field
 from .suites import SUITE_BUILDERS, SUITE_NAMES, run_suite
 
@@ -96,45 +97,99 @@ def build_run_config(args) -> FlowConfig:
     return FlowConfig(**values)
 
 
+# whole float64 fields alive while one record's diagnostics run: the record,
+# the state the flow steps from and one derf_rhs working set, whose peak is
+# below nine fields (tests/test_energy.py).  A whole streamed run at m_x = 7
+# peaks at 10.4 fields besides its tables under tracemalloc.
+RECORD_FIELDS = 12
+
+
+def run_memory_bytes(cfg: FlowConfig) -> int:
+    """Estimated peak bytes of `qcflow run` for cfg: 64n B of step tables
+    per grid point (8n int64 tables) plus RECORD_FIELDS whole float64 fields
+    for one record's diagnostics.  Records are streamed, so the estimate
+    does not grow with their number.  Computed from the grid's size alone,
+    without allocating a field."""
+    size = make_grid(cfg.n, cfg.m_x).size
+    return size * (64 * cfg.n + 8 * RECORD_FIELDS)
+
+
+def available_memory() -> int | None:
+    """Bytes the process may still allocate: the smaller of the kernel's
+    MemAvailable and the RLIMIT_AS soft limit, or None when neither is
+    known."""
+    limits = []
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    limits.append(int(line.split()[1]) * 1024)
+                    break
+    except OSError:
+        pass
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        limits.append(soft)
+    return min(limits, default=None)
+
+
+def check_memory(cfg: FlowConfig):
+    """Refuse a grid whose run cannot fit, before anything is allocated."""
+    need = run_memory_bytes(cfg)
+    avail = available_memory()
+    if avail is not None and need > avail:
+        raise ValueError(f"m_x={cfg.m_x} needs about {need / 2**20:.0f} MiB, "
+                         f"only {avail / 2**20:.0f} MiB are available")
+
+
 def cmd_run(args) -> int:
+    """Stream the flow: every step is checked for mass drift, range
+    expansion and positivity; every record gets its trajectory row, its
+    energy report and its snapshot, and is then dropped."""
     try:
         cfg = build_run_config(args)
+        check_memory(cfg)
         os.makedirs(cfg.out, exist_ok=True)
+        snap_dir = os.path.join(cfg.out, "snapshots")
+        if cfg.snapshots:
+            os.makedirs(snap_dir, exist_ok=True)
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    violations = []
+    trajectory_rows = []
+    reports = []
     try:
-        states = evolve(cfg)
+        for st in stream(cfg):
+            mass = integrate(st.u)
+            lo = float(st.u.values.min())
+            hi = float(st.u.values.max())
+            if st.step == 0:
+                mass0, lo0, hi0 = mass, lo, hi
+            if abs(mass - mass0) > 1e-12 * abs(mass0):
+                violations.append(f"mass drift at t={st.time}")
+            if lo < lo0 or hi > hi0:
+                violations.append(f"range expansion at t={st.time}")
+            if lo <= 0.0:
+                violations.append(f"positivity lost at t={st.time}")
+            if not st.record:
+                continue
+            trajectory_rows.append([st.step, st.time, mass, lo, hi])
+            reports.append(derf_rhs(st.u, cfg.alpha, time=st.time))
+            if cfg.snapshots:
+                save_field(st.u, os.path.join(snap_dir, f"u_{st.step:08d}"))
     except (ValueError, RuntimeError) as exc:
         print(f"error: flow aborted: {exc}", file=sys.stderr)
         return 1
+    fill_numeric_rates(reports)
 
-    violations = []
-    mass0 = None
-    lo0 = float(states[0].u.values.min())
-    hi0 = float(states[0].u.values.max())
-    trajectory_rows = []
-    for st in states:
-        mass = integrate(st.u)
-        lo = float(st.u.values.min())
-        hi = float(st.u.values.max())
-        trajectory_rows.append([st.step, st.time, mass, lo, hi])
-        if mass0 is None:
-            mass0 = mass
-        elif abs(mass - mass0) > 1e-12 * abs(mass0):
-            violations.append(f"mass drift at t={st.time}")
-        if lo < lo0 or hi > hi0:
-            violations.append(f"range expansion at t={st.time}")
-        if lo <= 0.0:
-            violations.append(f"positivity lost at t={st.time}")
     trajectory_path = os.path.join(cfg.out, "trajectory.csv")
     with open(trajectory_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "time", "mass", "min_u", "max_u"])
         writer.writerows(trajectory_rows)
 
-    reports = energy_series(states, cfg.alpha)
     csv_path = os.path.join(cfg.out, "energy.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -142,8 +197,8 @@ def cmd_run(args) -> int:
         for rep in reports:
             writer.writerow(rep.csv_row())
 
-    verdict = monotonicity_verdict(states, cfg.alpha, reports=reports) \
-        if len(states) >= 3 else None
+    verdict = monotonicity_verdict(reports, cfg.alpha, cfg.n) \
+        if len(reports) >= 3 else None
     verdict_path = os.path.join(cfg.out, "verdict.json")
     payload = {"config": config_echo(cfg),
                "verdict": verdict.to_dict() if verdict else None,
@@ -151,16 +206,10 @@ def cmd_run(args) -> int:
     with open(verdict_path, "w") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
 
-    if cfg.snapshots:
-        snap_dir = os.path.join(cfg.out, "snapshots")
-        os.makedirs(snap_dir, exist_ok=True)
-        for st in states:
-            save_field(st.u, os.path.join(snap_dir, f"u_{st.step:08d}"))
-
     for line in violations:
         print(f"invariant violated: {line}", file=sys.stderr)
     print(f"wrote {csv_path} and {verdict_path} "
-          f"({len(states)} records, final t={states[-1].time:.6g})")
+          f"({len(reports)} records, final t={reports[-1].time:.6g})")
     return 1 if violations else 0
 
 

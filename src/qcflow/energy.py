@@ -149,17 +149,22 @@ def lemma_residual(states: list[FlowState], k: int, alpha: float,
                           n=grid.n, m_x=grid.m_x)
 
 
+def fill_numeric_rates(reports: list[EnergyReport]) -> list[EnergyReport]:
+    """Set each interior report's centred numeric dE/dt from its neighbours'
+    energies and times; the first and the last keep NaN."""
+    for k in range(1, len(reports) - 1):
+        reports[k].dF_dt_numeric = ((reports[k + 1].energy - reports[k - 1].energy)
+                                    / (reports[k + 1].time - reports[k - 1].time))
+    return reports
+
+
 def energy_series(states: list[FlowState], alpha: float) -> list[EnergyReport]:
     """Per-record production terms plus centered numeric dE/dt.
 
     The numeric rate reads the energies of the neighbouring reports, so
     energy(u) runs once per record.
     """
-    reports = [derf_rhs(st.u, alpha, time=st.time) for st in states]
-    for k in range(1, len(states) - 1):
-        reports[k].dF_dt_numeric = ((reports[k + 1].energy - reports[k - 1].energy)
-                                    / (states[k + 1].time - states[k - 1].time))
-    return reports
+    return fill_numeric_rates([derf_rhs(st.u, alpha, time=st.time) for st in states])
 
 
 @dataclass
@@ -189,20 +194,18 @@ class MonotonicityVerdict:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def monotonicity_verdict(states: list[FlowState], alpha: float,
-                         reports: list[EnergyReport] | None = None) -> MonotonicityVerdict:
-    """Hypothesis checks plus the measured monotonicity of the energy.
+def monotonicity_verdict(reports: list[EnergyReport], alpha: float,
+                         n: int) -> MonotonicityVerdict:
+    """Hypothesis checks plus the measured monotonicity of the energy, from
+    the per-record reports of a flow in quaternionic dimension n.
 
     The energy decays toward zero along the flow, so the slack combines an
     absolute floor with a fraction of the initial energy.  The P-function
     hypothesis is measured per record, never assumed.
     """
-    if len(states) < 3:
+    if len(reports) < 3:
         raise ValueError("need at least three records")
     check_alpha(alpha)
-    if reports is None:
-        reports = energy_series(states, alpha)
-    n = states[0].u.grid.n
     lo, hi = alpha_interval(n)
     admissible = lo <= alpha < hi
 

@@ -8,6 +8,7 @@ range of u never expands, not even by an ulp.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +59,12 @@ class FlowConfig:
 
 @dataclass
 class FlowState:
+    """The field after `step` Euler steps; `record` marks the steps that
+    `evolve` keeps (every record_every-th, the first and the last)."""
     u: ScalarField
     time: float
     step: int
+    record: bool = True
 
 
 def cfl_timestep(grid: LatticeGrid, safety: float) -> float:
@@ -136,11 +140,14 @@ def initial_field(config: FlowConfig, grid: LatticeGrid | None = None) -> Scalar
     return ScalarField(grid, values)
 
 
-def evolve(config: FlowConfig, u0: ScalarField | None = None) -> list[FlowState]:
-    """Run the flow to t_end, recording every record_every steps.
+def stream(config: FlowConfig, u0: ScalarField | None = None) -> Iterator[FlowState]:
+    """Run the flow to t_end and yield the state after every step, step 0
+    (the initial field) included.
 
-    Deterministic: identical configuration yields bit-identical records.
-    Aborts if positivity is lost (CFL or initial-data problem).
+    heat_step returns a fresh field and never mutates its input, so a
+    yielded state stays valid after the next one; a consumer that drops it
+    holds one field at a time.  Aborts if positivity is lost (CFL or
+    initial-data problem).
     """
     if u0 is None:
         u = initial_field(config)
@@ -148,10 +155,7 @@ def evolve(config: FlowConfig, u0: ScalarField | None = None) -> list[FlowState]
         u = u0.copy()
     grid = u.grid
     dt = cfl_timestep(grid, config.cfl_safety)
-
-    # heat_step returns a fresh field and no record is mutated, so the
-    # records hold the states themselves
-    records = [FlowState(u=u, time=0.0, step=0)]
+    yield FlowState(u=u, time=0.0, step=0)
     n_steps = int(np.ceil(config.t_end / dt - 1e-12)) if config.t_end > 0 else 0
     for k in range(1, n_steps + 1):
         u = heat_step(u, dt)
@@ -159,9 +163,17 @@ def evolve(config: FlowConfig, u0: ScalarField | None = None) -> list[FlowState]
             raise RuntimeError(
                 f"positivity lost at step {k}: check the CFL bound and that "
                 f"the initial data is strictly positive")
-        if k % config.record_every == 0 or k == n_steps:
-            records.append(FlowState(u=u, time=k * dt, step=k))
-    return records
+        yield FlowState(u=u, time=k * dt, step=k,
+                        record=k % config.record_every == 0 or k == n_steps)
+
+
+def evolve(config: FlowConfig, u0: ScalarField | None = None) -> list[FlowState]:
+    """The records of `stream`: every record_every-th state, the first and
+    the last.
+
+    Deterministic: identical configuration yields bit-identical records.
+    """
+    return [st for st in stream(config, u0) if st.record]
 
 
 def phi_of(u: ScalarField) -> ScalarField:

@@ -601,7 +601,8 @@ def save_field(f: ScalarField, basepath: str) -> tuple[str, str]:
     binpath = basepath + ".f64"
     headerpath = basepath + ".json"
     with open(binpath, "wb") as fh:
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+        # the buffer itself, not a tobytes() copy of the field
+        fh.write(memoryview(np.ascontiguousarray(f.values, dtype="<f8")))
     header = {
         "format_version": FORMAT_VERSION,
         "n": f.grid.n,

@@ -1,18 +1,26 @@
 """Tests for the batch CLI."""
+import ast
 import csv
+import inspect
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import time
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from qcflow.cli import main, parse_config_file
-from qcflow.flow import FlowConfig
+from qcflow import cli, flow, suites
+from qcflow.cli import config_echo, main, parse_config_file
+from qcflow.energy import CSV_COLUMNS, energy_series, monotonicity_verdict
+from qcflow.flow import FlowConfig, cfl_timestep, evolve
+from qcflow.lattice import ScalarField, integrate, make_grid
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -104,6 +112,132 @@ def test_run_snapshots(tmp_path):
     base = os.path.join(out, "snapshots", snaps[0].rsplit(".", 1)[0])
     f = load_field(base)
     assert f.grid.m_x == 4
+
+
+def _csv_bytes(rows):
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(rows)
+    return text.getvalue().encode()
+
+
+def test_streamed_run_matches_the_record_list(tmp_path):
+    # the artifacts of the streamed run equal those built from the held
+    # records of evolve, energy_series and monotonicity_verdict
+    path = tmp_path / "run.cfg"
+    path.write_text("m_x = 4\nt_end = 0.02\nrecord_every = 4\n")
+    out = tmp_path / "o"
+    assert run_cli(["run", "--config", str(path), "--out", str(out)]) == 0
+    cfg = FlowConfig(**parse_config_file(str(path)))
+    states = evolve(cfg)
+    reports = energy_series(states, cfg.alpha)
+    verdict = monotonicity_verdict(reports, cfg.alpha, cfg.n)
+    assert len(states) >= 3
+    assert (out / "trajectory.csv").read_bytes() == _csv_bytes(
+        [["step", "time", "mass", "min_u", "max_u"]]
+        + [[st.step, st.time, integrate(st.u), float(st.u.values.min()),
+            float(st.u.values.max())] for st in states])
+    assert (out / "energy.csv").read_bytes() == _csv_bytes(
+        [CSV_COLUMNS] + [rep.csv_row() for rep in reports])
+    payload = {"config": config_echo(cfg), "verdict": verdict.to_dict(),
+               "violations": []}
+    assert (out / "verdict.json").read_text() == json.dumps(payload, indent=1,
+                                                            sort_keys=True)
+
+
+def test_run_checks_the_invariants_at_every_step(tmp_path, monkeypatch, capsys):
+    # step 3 gains mass and step 4 gives it back, so every record (each 8th
+    # step) conserves mass: only a check of every step sees the drift
+    real_step = flow.heat_step
+    calls = []
+    factor = 1.0 + 1e-9
+
+    def leaky_step(u, dt):
+        calls.append(dt)
+        if len(calls) == 3:
+            return ScalarField(u.grid, real_step(u, dt).values * factor)
+        if len(calls) == 4:
+            return real_step(ScalarField(u.grid, u.values / factor), dt)
+        return real_step(u, dt)
+
+    monkeypatch.setattr(flow, "heat_step", leaky_step)
+    out = tmp_path / "o"
+    code = run_cli(["run", "--mx", "4", "--t-end", "0.02", "--out", str(out)])
+    assert len(calls) > 8
+    message = f"mass drift at t={3 * calls[0]}"
+    assert code == 1
+    assert f"invariant violated: {message}" in capsys.readouterr().err
+    payload = json.loads((out / "verdict.json").read_text())
+    assert payload["violations"] == [message]
+
+
+def test_run_refuses_a_grid_that_cannot_fit(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "o"
+    need = cli.run_memory_bytes(FlowConfig(m_x=4))
+    # 64 B of step tables and 12 whole fields per point at n = 1
+    assert need == make_grid(1, 4).size * (64 + 8 * 12)
+    monkeypatch.setattr(cli, "available_memory", lambda: need - 1)
+    code = run_cli(["run", "--mx", "4", "--t-end", "0.001", "--out", str(out)])
+    assert code == 2
+    assert "MiB" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setattr(cli, "available_memory", lambda: need)
+    assert run_cli(["run", "--mx", "4", "--t-end", "0.001", "--out", str(out)]) == 0
+
+
+@pytest.mark.skipif(cli.available_memory() is None, reason="no memory reading")
+def test_run_refuses_an_oversized_grid_before_allocating(tmp_path, capsys):
+    # m_x = 60 has 60^7 points: 450 TB by the estimate
+    out = tmp_path / "o"
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = run_cli(["run", "--mx", "60", "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "m_x=60" in capsys.readouterr().err
+    assert not out.exists()
+    assert elapsed < 0.5
+    assert peak < 2**20
+
+
+def test_run_peak_memory_does_not_grow_with_the_records(tmp_path):
+    # the run holds one record at a time: 2 records and 17 records peak
+    # within one whole field of each other (each run builds its own tables)
+    grid = make_grid(1, 5)
+    t_end = 15.5 * cfl_timestep(grid, 0.5)  # 16 steps
+    peaks, lines = {}, {}
+    for every in (16, 16, 1):  # the first run warms up the pools and caches
+        path = tmp_path / f"run{every}.cfg"
+        path.write_text(f"m_x = 5\nt_end = {t_end!r}\nrecord_every = {every}\n"
+                        "snapshots = yes\n")
+        out = tmp_path / f"o{every}"
+        tracemalloc.start()
+        try:
+            assert run_cli(["run", "--config", str(path), "--out", str(out)]) == 0
+            peaks[every] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines[every] = len((out / "trajectory.csv").read_text().splitlines())
+    assert lines == {16: 3, 1: 18}
+    assert abs(peaks[1] - peaks[16]) < 8 * grid.size
+
+
+def test_run_and_theorem_suite_stream_the_flow():
+    # evolve and energy_series hold every record of a trajectory; the two
+    # long consumers take flow.stream one state at a time instead
+    held = {"evolve", "energy_series"}
+    for func in (cli.cmd_run, suites.theorem_suite):
+        called = set()
+        for node in ast.walk(ast.parse(inspect.getsource(func))):
+            if isinstance(node, ast.Call):
+                target = node.func
+                called.add(target.id if isinstance(target, ast.Name)
+                           else getattr(target, "attr", None))
+        assert "stream" in called, func.__name__
+        assert not called & held, func.__name__
 
 
 def test_config_parser_errors(tmp_path):

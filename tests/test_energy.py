@@ -245,7 +245,7 @@ def test_monotonicity_verdict_pipeline():
     cfg = flow_config(m=m, cfl_safety=0.5, record_every=4, t_end=0.02)
     states = evolve(cfg)
     assert len(states) >= 3
-    verdict = monotonicity_verdict(states, -0.05)
+    verdict = monotonicity_verdict(energy_series(states, -0.05), -0.05, 1)
     assert verdict.alpha_admissible
     assert verdict.L_nonneg
     assert verdict.p_function_nonneg  # vertically uniform data
@@ -263,7 +263,7 @@ def test_monotonicity_verdict_inadmissible_alpha():
     assert h_polynomial(1, alpha) > 0
     cfg = flow_config(m=m, alpha=alpha, cfl_safety=0.5, record_every=4, t_end=0.01)
     states = evolve(cfg)
-    verdict = monotonicity_verdict(states, alpha)
+    verdict = monotonicity_verdict(energy_series(states, alpha), alpha, 1)
     assert not verdict.alpha_admissible
     lo, hi = alpha_interval(1)
     assert not (lo <= alpha < hi)

@@ -13,6 +13,7 @@ from qcflow.flow import (
     heat_step,
     initial_field,
     phi_of,
+    stream,
 )
 from qcflow.lattice import ScalarField, integrate, make_grid
 from qcflow.operators import grad_h, sub_laplacian
@@ -159,6 +160,22 @@ def test_evolve_records_hold_distinct_states():
     for x, y in itertools.combinations(arrays, 2):
         assert not np.shares_memory(x, y)
     assert np.array_equal(u0.values, before)
+    digest = hashlib.sha256(states[-1].u.values.astype("<f8").tobytes()).hexdigest()
+    assert digest == EULER_20_STEPS_SHA256
+
+
+def test_stream_yields_every_step_and_marks_the_records():
+    grid = make_grid(1, 4)
+    dt = cfl_timestep(grid, 0.9)
+    cfg = small_config(tau_profile=None, t_end=20 * dt, record_every=8)
+    states = list(stream(cfg))
+    assert [st.step for st in states] == list(range(21))
+    assert [st.time for st in states] == [k * dt for k in range(21)]
+    assert [st.step for st in states if st.record] == [0, 8, 16, 20]
+    records = evolve(cfg)
+    assert [st.step for st in records] == [0, 8, 16, 20]
+    for st, rec in zip([st for st in states if st.record], records):
+        assert st.u.values.tobytes() == rec.u.values.tobytes()
     digest = hashlib.sha256(states[-1].u.values.astype("<f8").tobytes()).hexdigest()
     assert digest == EULER_20_STEPS_SHA256
 

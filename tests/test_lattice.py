@@ -283,6 +283,8 @@ def test_field_snapshot_round_trip(tmp_path):
     f = ScalarField(grid, rng.normal(size=grid.shape))
     base = str(tmp_path / "snap")
     binpath, headerpath = save_field(f, base)
+    with open(binpath, "rb") as fh:
+        assert fh.read() == f.values.astype("<f8").tobytes()
     g = load_field(base)
     assert np.array_equal(f.values, g.values)
     assert g.grid.m_x == 3 and g.grid.n == 1
