@@ -19,7 +19,7 @@ from typing import get_args, get_type_hints
 
 from .energy import CSV_COLUMNS, derf_rhs, fill_numeric_rates, monotonicity_verdict
 from .flow import FlowConfig, stream
-from .lattice import integrate, make_grid, save_field
+from .lattice import make_grid, save_field
 from .suites import SUITE_BUILDERS, SUITE_NAMES, run_suite
 
 FORMAT_VERSION = "qcflow-cli-1"
@@ -99,9 +99,10 @@ def build_run_config(args) -> FlowConfig:
 
 # whole float64 fields alive while one record's diagnostics run: the record,
 # the state the flow steps from and one derf_rhs working set, whose peak is
-# below nine fields (tests/test_energy.py).  A whole streamed run at m_x = 7
-# peaks at 10.4 fields besides its tables under tracemalloc.
-RECORD_FIELDS = 12
+# at most seven fields (tests/test_energy.py).  Under tracemalloc a whole
+# streamed `qcflow run --snapshots` peaks at 8.4 fields besides its tables
+# at m_x = 7 and at 9.6 at m_x = 6, where the block buffers weigh more.
+RECORD_FIELDS = 10
 
 
 def run_memory_bytes(cfg: FlowConfig) -> int:
@@ -144,8 +145,9 @@ def check_memory(cfg: FlowConfig):
 
 def cmd_run(args) -> int:
     """Stream the flow: every step is checked for mass drift, range
-    expansion and positivity; every record gets its trajectory row, its
-    energy report and its snapshot, and is then dropped."""
+    expansion and positivity from the mass, minimum and maximum its update
+    measured; every record gets its trajectory row, its energy report and
+    its snapshot, and is then dropped."""
     try:
         cfg = build_run_config(args)
         check_memory(cfg)
@@ -161,21 +163,18 @@ def cmd_run(args) -> int:
     trajectory_rows = []
     reports = []
     try:
-        for st in stream(cfg):
-            mass = integrate(st.u)
-            lo = float(st.u.values.min())
-            hi = float(st.u.values.max())
+        for st in stream(cfg, measure=True):
             if st.step == 0:
-                mass0, lo0, hi0 = mass, lo, hi
-            if abs(mass - mass0) > 1e-12 * abs(mass0):
+                mass0, lo0, hi0 = st.mass, st.lo, st.hi
+            if abs(st.mass - mass0) > 1e-12 * abs(mass0):
                 violations.append(f"mass drift at t={st.time}")
-            if lo < lo0 or hi > hi0:
+            if st.lo < lo0 or st.hi > hi0:
                 violations.append(f"range expansion at t={st.time}")
-            if lo <= 0.0:
+            if st.lo <= 0.0:
                 violations.append(f"positivity lost at t={st.time}")
             if not st.record:
                 continue
-            trajectory_rows.append([st.step, st.time, mass, lo, hi])
+            trajectory_rows.append([st.step, st.time, st.mass, st.lo, st.hi])
             reports.append(derf_rhs(st.u, cfg.alpha, time=st.time))
             if cfg.snapshots:
                 save_field(st.u, os.path.join(snap_dir, f"u_{st.step:08d}"))

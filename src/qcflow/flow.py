@@ -17,9 +17,11 @@ from .lattice import (
     LatticeGrid,
     ScalarField,
     check_bump_params,
+    integrate,
     make_grid,
     map_blocks,
     periodized_bump,
+    tree_sum,
     vertically_uniform_bump,
 )
 
@@ -60,11 +62,18 @@ class FlowConfig:
 @dataclass
 class FlowState:
     """The field after `step` Euler steps; `record` marks the steps that
-    `evolve` keeps (every record_every-th, the first and the last)."""
+    `evolve` keeps (every record_every-th, the first and the last).  In a
+    stream, lo is the minimum of u, which every step measures for the next
+    step's positivity guard, and mass (the bits of integrate(u)) and hi,
+    the maximum, are measured when the stream is asked to; otherwise they
+    are None."""
     u: ScalarField
     time: float
     step: int
     record: bool = True
+    mass: float | None = None
+    lo: float | None = None
+    hi: float | None = None
 
 
 def cfl_timestep(grid: LatticeGrid, safety: float) -> float:
@@ -74,16 +83,19 @@ def cfl_timestep(grid: LatticeGrid, safety: float) -> float:
     return safety * grid.h_x ** 2 / (4.0 * grid.dim_h)
 
 
-def _euler_update(values: np.ndarray, grid: LatticeGrid, w: float) -> np.ndarray:
+def _euler_update(values: np.ndarray, grid: LatticeGrid, w: float, measure: bool):
     # u + w * acc, where acc sums per axis (u+ + u-) - 2u: each per-axis sum
     # is <= 0 at a grid maximum even in floating point (u+ + u- <= 2u and
     # rounding is monotone), which makes the max principle exact; acc is h^2
     # times the negative sub-Laplacian.  A block kernel of lattice.map_blocks
     # with the arithmetic of a whole-field pass, which adds w * acc to u in
-    # the same block.
+    # the same block and measures the new block there.  Returns the new
+    # values with their min, and with their mass (integrate's bits, from
+    # tree_sum of the block sums) and max when measure is set, else None.
     flat = values.reshape(-1)
     out = np.empty_like(flat)
     last = grid.dim_h - 1
+    sums, mins, maxs = {}, [], []
 
     def kernel(blk, a, up, um, scratch):
         acc, two_u = scratch
@@ -98,10 +110,18 @@ def _euler_update(values: np.ndarray, grid: LatticeGrid, w: float) -> np.ndarray
             acc += up
         if a == last:
             acc *= w
-            np.add(flat[blk], acc, out=out[blk])
+            new = out[blk]
+            np.add(flat[blk], acc, out=new)
+            mins.append(np.minimum.reduce(new))
+            if measure:
+                sums[blk.start] = np.add.reduce(new)
+                maxs.append(np.maximum.reduce(new))
 
     map_blocks(kernel, flat, grid, scratch=((), ()))
-    return out.reshape(grid.shape)
+    if not measure:
+        return out.reshape(grid.shape), None, float(np.min(mins)), None
+    return (out.reshape(grid.shape), float(grid.cell_volume * tree_sum(sums, grid.size)),
+            float(np.min(mins)), float(np.max(maxs)))
 
 
 def heat_step(u: ScalarField, dt: float) -> ScalarField:
@@ -109,14 +129,27 @@ def heat_step(u: ScalarField, dt: float) -> ScalarField:
 
     Refuses a dt above the CFL bound and data that is not strictly positive.
     """
+    return euler_step(u, dt, float(u.values.min()))[0]
+
+
+def euler_step(u: ScalarField, dt: float, u_min: float, measure: bool = False):
+    """heat_step for a field whose minimum u_min is known, as the stream
+    knows it from the step that made the field.
+
+    Returns (field, mass, lo, hi): the new field with its minimum lo, and
+    with its mass (the bits of integrate) and maximum hi when measure is
+    set, else None.  The update measures them block by block, so the step
+    scans no whole field besides the one it computes.
+    """
     grid = u.grid
     bound = cfl_timestep(grid, 1.0)
     if dt > bound * (1.0 + 1e-12):
         raise ValueError(f"dt={dt} violates the CFL bound {bound}")
-    if float(u.values.min()) <= 0.0:
+    if u_min <= 0.0:
         raise ValueError("the heat flow needs strictly positive data")
     w = dt / (grid.h_x * grid.h_x)
-    return ScalarField(grid, _euler_update(u.values, grid, w))
+    values, mass, lo, hi = _euler_update(u.values, grid, w, measure)
+    return ScalarField(grid, values), mass, lo, hi
 
 
 def initial_field(config: FlowConfig, grid: LatticeGrid | None = None) -> ScalarField:
@@ -140,14 +173,18 @@ def initial_field(config: FlowConfig, grid: LatticeGrid | None = None) -> Scalar
     return ScalarField(grid, values)
 
 
-def stream(config: FlowConfig, u0: ScalarField | None = None) -> Iterator[FlowState]:
+def stream(config: FlowConfig, u0: ScalarField | None = None,
+           measure: bool = False) -> Iterator[FlowState]:
     """Run the flow to t_end and yield the state after every step, step 0
     (the initial field) included.
 
-    heat_step returns a fresh field and never mutates its input, so a
-    yielded state stays valid after the next one; a consumer that drops it
-    holds one field at a time.  Aborts if positivity is lost (CFL or
-    initial-data problem).
+    Each step is euler_step from the minimum the previous step measured,
+    and each state carries that minimum, and with measure also the mass
+    and the maximum, as its step measured them: the stream scans a whole
+    field only for the initial state.  A step returns a fresh field and
+    never mutates its input, so a yielded state stays valid after the next
+    one; a consumer that drops it holds one field at a time.  Aborts if
+    positivity is lost (CFL or initial-data problem).
     """
     if u0 is None:
         u = initial_field(config)
@@ -155,16 +192,22 @@ def stream(config: FlowConfig, u0: ScalarField | None = None) -> Iterator[FlowSt
         u = u0.copy()
     grid = u.grid
     dt = cfl_timestep(grid, config.cfl_safety)
-    yield FlowState(u=u, time=0.0, step=0)
+    # state is always the latest state: the stream keeps no older field
+    state = FlowState(u=u, time=0.0, step=0, lo=float(u.values.min()))
+    if measure:
+        state.mass, state.hi = integrate(u), float(u.values.max())
+    yield state
     n_steps = int(np.ceil(config.t_end / dt - 1e-12)) if config.t_end > 0 else 0
     for k in range(1, n_steps + 1):
-        u = heat_step(u, dt)
-        if float(u.values.min()) <= 0.0:
+        u, mass, lo, hi = euler_step(u, dt, state.lo, measure)
+        if lo <= 0.0:
             raise RuntimeError(
                 f"positivity lost at step {k}: check the CFL bound and that "
                 f"the initial data is strictly positive")
-        yield FlowState(u=u, time=k * dt, step=k,
-                        record=k % config.record_every == 0 or k == n_steps)
+        state = FlowState(u=u, time=k * dt, step=k,
+                          record=k % config.record_every == 0 or k == n_steps,
+                          mass=mass, lo=lo, hi=hi)
+        yield state
 
 
 def evolve(config: FlowConfig, u0: ScalarField | None = None) -> list[FlowState]:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import LatticeGrid, ScalarField, frame_data
+from .lattice import LatticeGrid, ScalarField, frame_data, tree_sum
 from .operators import (
     DifferenceJet,
     grad_h,
@@ -95,12 +95,12 @@ class FlowQuantities:
     gathers are made once.  The integrals of the production formula
     (I_lap2, I_quart, I_deficit) and the minimum of the p-deficit come
     from one contraction of F's Hessian stream, which forms their
-    integrands, weights included, block by block; only the three sums and
-    the minimum are kept.  The other quantities are computed on first use
-    and kept, except the fields F and f = u^(1/2), which are formed where
-    they are differentiated and do not outlive their jets.  The P-pairing
-    is the only quantity of f; p_functional builds f's jet and drops it
-    with its Hessian contractions.
+    integrands, weights included, and sums them block by block; no
+    integrand field is built.  The other quantities are computed on first
+    use and kept, except the fields F and f = u^(1/2), which are formed
+    where they are differentiated and do not outlive the building of their
+    jets.  The P-pairing is the only quantity of f; p_functional reads f's
+    jet and drops it with its Hessian contractions.
     """
 
     def __init__(self, u: ScalarField, alpha: float):
@@ -165,11 +165,12 @@ class FlowQuantities:
         contraction of F's Hessian stream.
 
         Per block it forms the p-deficit, the weights u^(1-2 alpha) and
-        u^(1-4 alpha), and |DF|^2 in axis order, and writes the integrands
-        w2 (Delta F)^2, w4 |DF|^4 and w2 deficit: per point the bits of the
-        whole-field formulas, without their weight and square fields.
-        Each block keeps its deficit minimum (a min is exact in any order),
-        and each integral is one whole-field np.sum on the calling thread.
+        u^(1-4 alpha), and |DF|^2 in axis order, then the integrands
+        w2 (Delta F)^2, w4 |DF|^4 and w2 deficit, and keeps their block
+        sums and the block's deficit minimum: per point the bits of the
+        whole-field formulas, without their weight, square or integrand
+        fields.  tree_sum gives each integral the bits of one np.sum over
+        the whole integrand, and a min is exact in any order.
         """
         grid = self.grid
         jet = self.jetF
@@ -177,28 +178,32 @@ class FlowQuantities:
         first = jet.first.reshape(grid.dim_h, grid.size)
         lap = jet.laplacian.reshape(-1)
         e2, e4 = 1.0 - 2 * self.alpha, 1.0 - 4 * self.alpha
-        lap2, quart, weighted = (np.empty(grid.size) for _ in range(3))
-        mins = []
+        lap2, quart, weighted, mins = {}, {}, {}, []
 
         def contract(blk, d, work):
             w, g, sq = work
+            key = blk.start
             np.power(u[blk], e2, out=w)
-            np.multiply(w, d, out=weighted[blk])
+            np.multiply(w, d, out=sq)
+            weighted[key] = np.add.reduce(sq)
             np.multiply(lap[blk], lap[blk], out=sq)
-            np.multiply(w, sq, out=lap2[blk])
+            sq *= w
+            lap2[key] = np.add.reduce(sq)
             np.multiply(first[0, blk], first[0, blk], out=g)
             for row in first[1:]:
                 np.multiply(row[blk], row[blk], out=sq)
                 g += sq
             np.multiply(g, g, out=sq)
             np.power(u[blk], e4, out=w)
-            np.multiply(w, sq, out=quart[blk])
-            mins.append(d.min())
+            sq *= w
+            quart[key] = np.add.reduce(sq)
+            mins.append(np.minimum.reduce(d))
 
         jet.deficit_stream(contract, scratch=((), (), ()))
-        return (self._integral(lap2.reshape(grid.shape)),
-                self._integral(quart.reshape(grid.shape)),
-                self._integral(weighted.reshape(grid.shape)),
+        vol = grid.cell_volume
+        return (float(vol * tree_sum(lap2, grid.size)),
+                float(vol * tree_sum(quart, grid.size)),
+                float(vol * tree_sum(weighted, grid.size)),
                 float(np.min(mins)))
 
     @property
@@ -235,7 +240,8 @@ class FlowQuantities:
 
     @cached_property
     def P_pair_half(self):
-        return p_functional(ScalarField(self.grid, np.sqrt(self.u.values)))
+        # f = u^(1/2) is a temporary of its jet, which drops it once built
+        return p_functional(DifferenceJet(ScalarField(self.grid, np.sqrt(self.u.values))))
 
     @cached_property
     def I_gradlap(self):

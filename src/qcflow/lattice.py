@@ -225,8 +225,52 @@ def shift(values: np.ndarray, grid: LatticeGrid, a: int, direction: int) -> np.n
 
 
 # a float64 block of BLOCK_POINTS values is 256 KB, so the few work arrays of
-# a blocked pass stay in a core's L2 cache instead of streaming whole fields
+# a blocked pass stay in a core's L2 cache instead of streaming whole fields.
+# It must be at least 128, the run numpy's pairwise sum adds without a cut.
 BLOCK_POINTS = 32768
+
+
+def _tree_cut(n: int) -> int:
+    """Where numpy's pairwise sum cuts a run of n > 128 points: at the
+    multiple of 8 at or below n // 2."""
+    half = n // 2
+    return half - half % 8
+
+
+def _block_bounds(size: int) -> list[int]:
+    """Bounds of the blocks of a pass over size points: the nodes of
+    numpy's pairwise-summation tree over them that have at most
+    BLOCK_POINTS points, in order."""
+    bounds = [0]
+
+    def cut(start: int, n: int):
+        if n <= BLOCK_POINTS:
+            bounds.append(start + n)
+        else:
+            half = _tree_cut(n)
+            cut(start, half)
+            cut(start + half, n - half)
+
+    cut(0, size)
+    return bounds
+
+
+def tree_sum(block_sums: dict, size: int):
+    """The np.sum of a field from the np.sum of each block of a map_blocks
+    pass over its size points, keyed by the block's first point (a kernel
+    calls np.add.reduce, the reduction of np.sum without its wrapper).
+
+    The blocks are nodes of numpy's pairwise-summation tree over the field,
+    so adding their sums back up that tree gives the bits of np.sum over
+    the whole field (a left-to-right sum of the same values does not)."""
+    def node(start: int, n: int):
+        if n <= BLOCK_POINTS:
+            return block_sums[start]
+        half = _tree_cut(n)
+        return node(start, half) + node(start + half, n - half)
+
+    return node(0, size)
+
 
 # threads that share the point blocks of a pass: every core this process may
 # run on (taskset -c 0 confines a run to one core, and the passes to one thread)
@@ -262,20 +306,25 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> Non
     the next call overwrites, so the kernel may work in them, and scratch
     holds one array of shape lead + (k,) per entry lead of `scratch`, kept
     across the axes of a block.  A kernel writes only into its outputs at
-    [blk] (or [..., blk]) and calls no public qcflow function; one that does
-    per point what a whole-field pass does, in the same order, gets its
-    bits whatever thread runs the block.
+    [blk] (or [..., blk]) or under the key blk.start, and calls no public
+    qcflow function; one that does per point what a whole-field pass does,
+    in the same order, gets its bits whatever thread runs the block.
 
-    One worker takes blocks that start BLOCK_POINTS apart.  WORKERS > 1
-    workers take equal blocks, their count rounded up to a multiple of the
-    workers, in one contiguous run each, so every run gets the same number
-    of points.  The runs go to a module thread pool of WORKERS threads,
-    made on first use, and the call returns when every run has ended.
-    np.take and the ufunc loops release the interpreter lock, so the runs
-    share the cores.  The step tables, the gather buffers and the scratch
-    are made on the calling thread.  With one worker, or when entered from
-    a worker (a kernel must not wait for the pool it runs on), the same
-    loop runs in the calling thread and no pool is used.
+    The blocks are the nodes of numpy's pairwise-summation tree over the
+    grid.size points that first have at most BLOCK_POINTS points
+    (_block_bounds): a run of more points splits at n//2 - (n//2) % 8, as
+    numpy's pairwise sum does.  So a kernel that keeps each block's np.sum
+    of an integrand, keyed by blk.start, gets the bits of np.sum of the
+    whole-field integrand from tree_sum, and a block min or max is exact in
+    any order.  The layout depends on grid.size alone; the workers split
+    it into one contiguous run of blocks each, the runs differing by at
+    most one block.  The runs go to a module thread pool of WORKERS
+    threads, made on first use, and the call returns when every run has
+    ended.  np.take and the ufunc loops release the interpreter lock, so
+    the runs share the cores.  The step tables, the gather buffers and the
+    scratch are made on the calling thread.  With one worker, or when
+    entered from a worker (a kernel must not wait for the pool it runs
+    on), the one run is the calling thread's and no pool is used.
 
     Every index of a step table is in range, so mode="clip" never clips;
     unlike the default mode it lets np.take write into the buffer without
@@ -285,14 +334,9 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> Non
              for a in range(grid.dim_h)]
     lead = values.shape[:-1]
     width = math.prod(lead)
-    workers = 1 if getattr(_in_worker, "active", False) else WORKERS
-    count = -(-grid.size // BLOCK_POINTS)
-    if workers == 1:
-        bounds = [min(i * BLOCK_POINTS, grid.size) for i in range(count + 1)]
-    else:
-        count = min(-(-count // workers) * workers, grid.size)
-        bounds = [grid.size * i // count for i in range(count + 1)]
-        workers = min(workers, count)
+    bounds = _block_bounds(grid.size)
+    count = len(bounds) - 1
+    workers = 1 if getattr(_in_worker, "active", False) else min(WORKERS, count)
 
     def run(first: int, last: int, bufs):
         up_buf, um_buf, *work = bufs
@@ -306,9 +350,11 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> Non
                 np.take(values, p_dn[blk], axis=-1, out=um, mode="clip")
                 kernel(blk, a, up, um, work_k)
 
+    most = max(stop - start for start, stop in zip(bounds, bounds[1:]))
+
     def buffers():
-        return ([np.empty(width * BLOCK_POINTS), np.empty(width * BLOCK_POINTS)]
-                + [np.empty(tuple(s) + (BLOCK_POINTS,)) for s in scratch])
+        return ([np.empty(width * most), np.empty(width * most)]
+                + [np.empty(tuple(s) + (most,)) for s in scratch])
 
     if workers == 1:
         run(0, count, buffers())
@@ -627,4 +673,5 @@ def load_field(basepath: str) -> ScalarField:
     raw = np.fromfile(basepath + ".f64", dtype="<f8")
     if raw.size != grid.size:
         raise ValueError("snapshot size does not match its header")
-    return ScalarField(grid, raw.astype(float).reshape(grid.shape))
+    # "<f8" is float64 on a little-endian host: no second copy of the field
+    return ScalarField(grid, raw.astype(float, copy=False).reshape(grid.shape))

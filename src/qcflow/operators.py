@@ -54,6 +54,7 @@ from .lattice import (
     ScalarField,
     frame_data,
     map_blocks,
+    tree_sum,
     vertical_shift,
 )
 
@@ -251,26 +252,56 @@ def grad_h(f: ScalarField | DifferenceJet) -> HorizontalField:
     return HorizontalField(jet.grid, jet.first)
 
 
-def grad_h_norm_sq(f: ScalarField) -> np.ndarray:
-    """|grad_h f|^2 = sum_a (D_a f)^2 pointwise, formed block by block from
-    the step gathers alone: the bits of np.sum(grad_h(f).components ** 2,
-    axis=0), without the jet's (4n,) + grid.shape first differences or its
-    sub-Laplacian."""
+def _grad_sq_pass(f: ScalarField, finish) -> None:
+    """|grad_h f|^2 = sum_a (D_a f)^2 block by block from the step gathers
+    alone, summed in axis order into a block array sq; after a block's last
+    axis, finish(blk, sq) reads it on the pool's thread."""
     grid = f.grid
-    out = np.empty(grid.size)
     two_h = 2.0 * grid.h_x
+    last = grid.dim_h - 1
 
     def kernel(blk, a, up, um, scratch):
-        # the first axis squares straight into out
-        d = out[blk] if a == 0 else up
+        sq = scratch[0]
+        # the first axis squares straight into sq
+        d = sq if a == 0 else up
         np.subtract(up, um, out=d)
         d /= two_h
         d *= d
         if a > 0:
-            out[blk] += d
+            sq += d
+        if a == last:
+            finish(blk, sq)
 
-    map_blocks(kernel, f.values.reshape(-1), grid)
-    return out.reshape(grid.shape)
+    map_blocks(kernel, f.values.reshape(-1), grid, scratch=((),))
+
+
+def grad_h_norm_sq(f: ScalarField) -> np.ndarray:
+    """|grad_h f|^2 pointwise, with the bits of
+    np.sum(grad_h(f).components ** 2, axis=0), without the jet's (4n,) +
+    grid.shape first differences or its sub-Laplacian."""
+    out = np.empty(f.grid.size)
+
+    def keep(blk, sq):
+        out[blk] = sq
+
+    _grad_sq_pass(f, keep)
+    return out.reshape(f.grid.shape)
+
+
+def weighted_grad_sq_integral(f: ScalarField, weight: np.ndarray) -> float:
+    """int |grad_h f|^2 weight: the bits of integrating grad_h_norm_sq(f) *
+    weight, with the integrand formed and summed block by block (tree_sum),
+    so no whole field is built."""
+    grid = f.grid
+    w = weight.reshape(-1)
+    sums = {}
+
+    def add(blk, sq):
+        sq *= w[blk]
+        sums[blk.start] = np.add.reduce(sq)
+
+    _grad_sq_pass(f, add)
+    return float(grid.cell_volume * tree_sum(sums, grid.size))
 
 
 def reeb_derivative(f: ScalarField, s: int) -> ScalarField:
@@ -389,36 +420,37 @@ def p_functional(f: ScalarField | DifferenceJet, torsion: TorsionData | None = N
     Evaluated by summation by parts from the jet of f (module docstring):
     vol * sum(Delta f tr H + sum_t G_t^2), plus the first-order torsion
     terms s_coef |Df|^2 + t_coef <T0 Df, Df> + u_coef <U Df, Df>.  The
-    integrand is formed block by block from tr H and omega_s(H) of the
-    Hessian stream, so the full Hessian is not built, and summed over the
-    whole field with one np.sum.  It agrees with the direct pairing of
-    p_form against grad_h to roundoff.  The
-    P-function of f counts as non-negative when this integral is
-    non-positive.
+    integrand is formed and summed block by block from tr H and omega_s(H)
+    of the Hessian stream, torsion terms included, so neither the full
+    Hessian nor a whole-field integrand is built; tree_sum gives the bits
+    of one np.sum over the whole integrand.  It agrees with the direct
+    pairing of p_form against grad_h to roundoff.  The P-function of f
+    counts as non-negative when this integral is non-positive.
     """
     jet = _jet(f)
     grid = jet.grid
     lap = jet.laplacian.reshape(-1)
-    integrand = np.empty(grid.size)
+    first = jet.first.reshape(grid.dim_h, grid.size)
+    coefs = _torsion_coefficients(grid, torsion)
+    sums = {}
 
     def contract(blk, tr, om, nsq, work):
-        ib, sq = integrand[blk], work[0]
+        ib, sq = work
         np.multiply(lap[blk], tr, out=ib)
         for t in range(3):
             np.multiply(om[t], om[t], out=sq)
             ib += sq
+        if coefs is not None:
+            td, s_coef, t_coef, u_coef = coefs
+            g = first[:, blk]
+            ib += s_coef * np.sum(g * g, axis=0)
+            ib += t_coef * np.einsum("a...,ab,b...->...", g, td.T0, g)
+            if u_coef != 0.0:
+                ib += u_coef * np.einsum("a...,ab,b...->...", g, td.U, g)
+        sums[blk.start] = np.add.reduce(ib)
 
-    jet._hessian_stream(contract, with_norm=False, scratch=((),))
-    integrand = integrand.reshape(grid.shape)
-    coefs = _torsion_coefficients(grid, torsion)
-    if coefs is not None:
-        td, s_coef, t_coef, u_coef = coefs
-        g = jet.first
-        integrand += s_coef * np.sum(g * g, axis=0)
-        integrand += t_coef * np.einsum("a...,ab,b...->...", g, td.T0, g)
-        if u_coef != 0.0:
-            integrand += u_coef * np.einsum("a...,ab,b...->...", g, td.U, g)
-    return float(grid.cell_volume * np.sum(integrand))
+    jet._hessian_stream(contract, with_norm=False, scratch=((), ()))
+    return float(grid.cell_volume * tree_sum(sums, grid.size))
 
 
 def c_operator(f: ScalarField, torsion: TorsionData | None = None) -> ScalarField:

@@ -147,19 +147,23 @@ def test_streamed_run_matches_the_record_list(tmp_path):
 def test_run_checks_the_invariants_at_every_step(tmp_path, monkeypatch, capsys):
     # step 3 gains mass and step 4 gives it back, so every record (each 8th
     # step) conserves mass: only a check of every step sees the drift
-    real_step = flow.heat_step
+    # (the stream's step measures the mass of the field it returns, so the
+    # leaky step measures its own)
+    real_step = flow.euler_step
     calls = []
     factor = 1.0 + 1e-9
 
-    def leaky_step(u, dt):
+    def leaky_step(u, dt, u_min, measure=False):
         calls.append(dt)
         if len(calls) == 3:
-            return ScalarField(u.grid, real_step(u, dt).values * factor)
+            v = ScalarField(u.grid, real_step(u, dt, u_min, measure)[0].values * factor)
+            return v, integrate(v), float(v.values.min()), float(v.values.max())
         if len(calls) == 4:
-            return real_step(ScalarField(u.grid, u.values / factor), dt)
-        return real_step(u, dt)
+            return real_step(ScalarField(u.grid, u.values / factor), dt, u_min / factor,
+                             measure)
+        return real_step(u, dt, u_min, measure)
 
-    monkeypatch.setattr(flow, "heat_step", leaky_step)
+    monkeypatch.setattr(flow, "euler_step", leaky_step)
     out = tmp_path / "o"
     code = run_cli(["run", "--mx", "4", "--t-end", "0.02", "--out", str(out)])
     assert len(calls) > 8
@@ -173,8 +177,8 @@ def test_run_checks_the_invariants_at_every_step(tmp_path, monkeypatch, capsys):
 def test_run_refuses_a_grid_that_cannot_fit(tmp_path, monkeypatch, capsys):
     out = tmp_path / "o"
     need = cli.run_memory_bytes(FlowConfig(m_x=4))
-    # 64 B of step tables and 12 whole fields per point at n = 1
-    assert need == make_grid(1, 4).size * (64 + 8 * 12)
+    # 64 B of step tables and 10 whole fields per point at n = 1
+    assert need == make_grid(1, 4).size * (64 + 8 * 10)
     monkeypatch.setattr(cli, "available_memory", lambda: need - 1)
     code = run_cli(["run", "--mx", "4", "--t-end", "0.001", "--out", str(out)])
     assert code == 2

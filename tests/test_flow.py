@@ -1,6 +1,7 @@
 """Tests for the explicit heat integrator."""
 import hashlib
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -178,6 +179,29 @@ def test_stream_yields_every_step_and_marks_the_records():
         assert st.u.values.tobytes() == rec.u.values.tobytes()
     digest = hashlib.sha256(states[-1].u.values.astype("<f8").tobytes()).hexdigest()
     assert digest == EULER_20_STEPS_SHA256
+    # every state carries the min of its field as its step measured it, and
+    # with measure also the mass and the max, with the bits of a scan
+    for st in states:
+        assert (st.mass, st.lo, st.hi) == (None, float(st.u.values.min()), None)
+    measured = list(stream(cfg, measure=True))
+    assert [st.u.values.tobytes() for st in measured] == [st.u.values.tobytes() for st in states]
+    for st in measured:
+        assert (st.mass, st.lo, st.hi) == (integrate(st.u), float(st.u.values.min()),
+                                           float(st.u.values.max()))
+
+
+def test_stream_keeps_only_the_latest_field():
+    # a consumer that drops a state drops its field: the stream itself
+    # holds the latest state alone
+    grid = make_grid(1, 4)
+    cfg = small_config(tau_profile=None, t_end=3 * cfl_timestep(grid, 0.9))
+    states = stream(cfg)
+    seen = [weakref.ref(next(states).u)]
+    for _ in range(3):
+        current = next(states).u
+        assert [ref() is None for ref in seen] == [True] * len(seen)
+        seen.append(weakref.ref(current))
+        del current
 
 
 def test_blocked_step_matches_whole_field_pass():

@@ -1,6 +1,8 @@
 """Tests for the group model, grid exactness, and periodized test data."""
 import ast
 import itertools
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -299,17 +301,28 @@ def test_vertical_shift_round_trip():
             vertical_shift(vertical_shift(vals, grid, s, +1), grid, s, -1), vals)
 
 
+def _tree_nodes(start, n, cap):
+    """The nodes of numpy's pairwise-summation tree over n points from start
+    that first have at most cap points: a run of more than 128 points
+    splits at n//2 - (n//2) % 8."""
+    if n <= cap:
+        return [(start, start + n)]
+    half = n // 2 - (n // 2) % 8
+    return _tree_nodes(start, half, cap) + _tree_nodes(start + half, n - half, cap)
+
+
 @pytest.mark.parametrize("m", [4, 5])
 def test_step_gathers_match_shift(m, monkeypatch):
-    # m_x = 4 is one point block, m_x = 5 three, the last one partial; one
-    # worker, so the kernel calls arrive in block order
+    # m_x = 4 is one point block, m_x = 5 four tree nodes of 19528 to 19541
+    # points; one worker, so the kernel calls arrive in block order
     monkeypatch.setattr(lattice, "WORKERS", 1)
     grid = make_grid(1, m)
     rng = np.random.default_rng(m)
     flat = rng.normal(size=grid.size)
     stacked = rng.normal(size=(grid.dim_h, grid.size))
-    order = [(start, a) for start in range(0, grid.size, BLOCK_POINTS)
+    order = [(start, a) for start, _ in _tree_nodes(0, grid.size, BLOCK_POINTS)
              for a in range(grid.dim_h)]
+    assert len(order) == grid.dim_h * (1 if m == 4 else 4)
     for values in (flat, stacked):
         seen = []
 
@@ -326,26 +339,63 @@ def test_step_gathers_match_shift(m, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_map_blocks_gives_every_run_the_same_points(workers, monkeypatch):
-    # several workers take equal blocks of at most BLOCK_POINTS, as many as a
-    # multiple of the workers: 78125 points make 8 + 8 blocks of 4882 or
-    # 4883 points on two workers, 6 + 6 + 6 blocks of 4340 or 4341 on three
+def test_map_blocks_gives_each_worker_one_run_of_tree_blocks(workers, monkeypatch):
+    # the blocks are the same tree nodes for any worker count: 78125 points
+    # make 16 nodes of at most 5000 points, and the workers take one
+    # contiguous run of them each, 8 + 8 or 5 + 5 + 6.  A pool of exactly
+    # `workers` threads, each waiting at its first block for the others,
+    # makes every run visible as one thread's blocks
     monkeypatch.setattr(lattice, "WORKERS", workers)
     monkeypatch.setattr(lattice, "BLOCK_POINTS", 5000)
     grid = make_grid(1, 5)
-    blocks = []
+    pool = ThreadPoolExecutor(max_workers=workers)
+    monkeypatch.setattr(lattice, "_executor", lambda: pool)
+    meet = threading.Barrier(workers, timeout=60)
+    runs = {}
 
     def kernel(blk, a, up, um, scratch):
         if a == 0:
-            blocks.append((blk.start, blk.stop))
+            ident = threading.get_ident()
+            if ident not in runs:
+                runs[ident] = []
+                meet.wait()
+            runs[ident].append((blk.start, blk.stop))
 
-    map_blocks(kernel, np.zeros(grid.size), grid)
-    blocks.sort()
-    sizes = [stop - start for start, stop in blocks]
-    assert blocks[0][0] == 0 and blocks[-1][1] == grid.size
-    assert all(prev[1] == nxt[0] for prev, nxt in zip(blocks, blocks[1:]))
-    assert len(blocks) % workers == 0
-    assert max(sizes) <= 5000 and max(sizes) - min(sizes) <= 1
+    try:
+        map_blocks(kernel, np.zeros(grid.size), grid)
+    finally:
+        pool.shutdown()
+    tree = _tree_nodes(0, grid.size, 5000)
+    assert len(tree) == 16 and max(stop - start for start, stop in tree) <= 5000
+    ordered = sorted(runs.values())
+    assert [blk for run in ordered for blk in run] == tree
+    sizes = [len(run) for run in ordered]
+    assert len(sizes) == workers and max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("cap", [None, 5000, 1000])
+def test_tree_sum_gives_the_bits_of_np_sum(cap, monkeypatch):
+    # wide-magnitude data, where the order of the additions shows in the
+    # bits: adding the block sums back up numpy's pairwise tree gives
+    # np.sum of the whole field on every grid, and adding the same sums
+    # left to right does not on some grid (so the test can fail, and a
+    # numpy that sums another way fails it)
+    if cap is not None:
+        monkeypatch.setattr(lattice, "BLOCK_POINTS", cap)
+    rng = np.random.default_rng(10)
+    left_to_right_differs = False
+    for m in range(3, 9):
+        size = make_grid(1, m).size
+        values = rng.standard_normal(size) * 2.0 ** rng.integers(-40, 40, size)
+        blocks = _tree_nodes(0, size, lattice.BLOCK_POINTS)
+        sums = {start: np.sum(values[start:stop]) for start, stop in blocks}
+        whole = np.sum(values)
+        assert lattice.tree_sum(sums, size) == whole, m
+        left_to_right = 0.0
+        for start, _ in blocks:
+            left_to_right += sums[start]
+        left_to_right_differs |= left_to_right != whole
+    assert left_to_right_differs
 
 
 def test_step_tables_are_gathered_only_in_lattice():

@@ -1,4 +1,5 @@
 """Tests for the discrete horizontal calculus."""
+import importlib
 import inspect
 import math
 import sys
@@ -7,8 +8,9 @@ import threading
 import numpy as np
 import pytest
 
-from qcflow import algebra, energy, flow, identities, lattice, operators
+from qcflow import algebra, flow, identities, lattice, operators
 from qcflow.algebra import TorsionData
+from qcflow.energy import energy
 from qcflow.identities import FlowQuantities
 from qcflow.lattice import (
     ScalarField,
@@ -479,14 +481,16 @@ def _production(u):
 
 
 def _run_passes(f):
-    """Every block kernel of the package on f: the Euler update, the jet,
-    |Df|^2, the divergence of the jet's gradient and the Hessian stream
-    under its three contractions (the production integrals of
-    FlowQuantities read the p-deficit one, with f as u)."""
+    """Every block kernel of the package on f: the Euler update with the
+    mass, min and max of the new field, the jet, |Df|^2, the energy (|D
+    phi|^2 u summed per block), the divergence of the jet's gradient and
+    the Hessian stream under its three contractions (the production
+    integrals of FlowQuantities read the p-deficit one, with f as u)."""
     return {
-        "euler": lambda: flow._euler_update(f.values, f.grid, 0.01),
+        "euler": lambda: flow._euler_update(f.values, f.grid, 0.01, True),
         "jet": lambda: DifferenceJet(f),
         "grad_sq": lambda: grad_h_norm_sq(f),
+        "energy": lambda: energy(f),
         "divergence": lambda: divergence(grad_h(f)).values,
         "hessian": lambda: DifferenceJet(f).hessian(),
         "production": lambda: _production(f),
@@ -511,7 +515,8 @@ def _reference_production(values, grid):
 
 
 def _reference_passes(f):
-    """The same quantities from the whole-field lattice.shift stencils."""
+    """The same quantities from the whole-field lattice.shift stencils, each
+    integral one np.sum over its whole-field integrand."""
     grid = f.grid
     values = f.values
     acc = np.zeros(grid.shape)
@@ -520,6 +525,10 @@ def _reference_passes(f):
         up += shift(values, grid, a, -1)
         up -= 2.0 * values
         acc += up
+    stepped = values + 0.01 * acc
+    phi = -np.log(values)
+    grad_phi_sq = np.sum(np.stack([_ref_first_difference(phi, grid, a)
+                                   for a in range(grid.dim_h)]) ** 2, axis=0)
     first = np.stack([_ref_first_difference(values, grid, a) for a in range(grid.dim_h)])
     lap = _ref_sub_laplacian(values, grid)
     norm_sq, trace, omega, deficit = _ref_hessian(values, grid)
@@ -530,9 +539,11 @@ def _reference_passes(f):
     for a in range(grid.dim_h):
         div += _ref_first_difference(first[a], grid, a)
     return {
-        "euler": values + 0.01 * acc,
+        "euler": (stepped, integrate(ScalarField(grid, stepped)),
+                  float(np.min(stepped)), float(np.max(stepped))),
         "jet": (first, lap),
         "grad_sq": np.sum(first ** 2, axis=0),
+        "energy": float(grid.cell_volume * np.sum(grad_phi_sq * values)),
         "divergence": -div,
         "hessian": (norm_sq, omega, deficit),
         "production": _reference_production(values, grid),
@@ -550,12 +561,12 @@ def _as_arrays(name, result):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_block_passes_are_bit_identical_for_every_worker_count(workers, monkeypatch):
-    # 78125 points in blocks of at most 5000: one worker takes 16 blocks
-    # 5000 apart, the last one partial (3125 points); two take 8 + 8 blocks
-    # of 4882 or 4883 points, three 6 + 6 + 6 blocks of 4340 or 4341.  Such
-    # blocks end in part of a SIMD vector, which pins the per-block np.power
-    # of the production integrals to the whole-field bits; a short switch
-    # interval interleaves the threads often
+    # 78125 points in blocks of at most 5000: 16 nodes of the pairwise
+    # tree, of 4880 to 4893 points, in one run, in runs of 8 + 8 or of
+    # 5 + 5 + 6 blocks.  Most blocks end in part of a SIMD vector, which
+    # pins the per-block np.power of the production integrals to the
+    # whole-field bits, and every integral and extreme is compared with
+    # ==; a short switch interval interleaves the threads often
     monkeypatch.setattr(lattice, "WORKERS", workers)
     monkeypatch.setattr(lattice, "BLOCK_POINTS", 5000)
     interval = sys.getswitchinterval()
@@ -596,7 +607,9 @@ def test_block_passes_call_public_functions_only_on_the_calling_thread(monkeypat
             return fn(*args, **kwargs)
         return wrapper
 
-    modules = (algebra, lattice, operators, identities, flow, energy)
+    # the package exports the function energy under the module's name
+    modules = (algebra, lattice, operators, identities, flow,
+               importlib.import_module("qcflow.energy"))
     for mod in modules:
         for attr, obj in list(vars(mod).items()):
             if (attr.startswith("_") or not inspect.isfunction(obj)
