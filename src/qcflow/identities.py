@@ -20,7 +20,6 @@ from .lattice import LatticeGrid, ScalarField, frame_data, tree_sum
 from .operators import (
     DifferenceJet,
     grad_h,
-    hessian_data,
     p_functional,
     reeb_derivative,
     sub_laplacian,
@@ -74,10 +73,6 @@ def _report(name, lhs, rhs, grid, norm_scale=None) -> IdentityReport:
                           n=grid.n, m_x=grid.m_x)
 
 
-def _l2(grid, values) -> float:
-    return float(np.sqrt(grid.cell_volume * np.sum(values * values)))
-
-
 def require_positive(u: ScalarField, role: str = "u"):
     if float(u.values.min()) <= 0.0:
         raise ValueError(f"field {role} must be strictly positive")
@@ -92,11 +87,12 @@ class FlowQuantities:
     """Shared derived fields for the F = u^alpha identity chain (lazy).
 
     F has one difference jet that every quantity of F reads, so its
-    gathers are made once.  The integrals of the production formula
-    (I_lap2, I_quart, I_deficit) and the minimum of the p-deficit come
-    from one contraction of F's Hessian stream, which forms their
-    integrands, weights included, and sums them block by block; no
-    integrand field is built.  The other quantities are computed on first
+    gathers are made once.  Every integral of F's Hessian (I_lap2,
+    I_quart, I_hess2, I_omega2, I_deficit), the minimum of the p-deficit
+    and the mean of |nabla^2 F|^2 come from one contraction of F's Hessian
+    stream, which forms their integrands, weights included, and sums them
+    block by block; F's Hessian is streamed once, and no integrand or
+    Hessian field is built.  The other quantities are computed on first
     use and kept, except the fields F and f = u^(1/2), which are formed
     where they are differentiated and do not outlive the building of their
     jets.  The P-pairing is the only quantity of f; p_functional reads f's
@@ -151,26 +147,23 @@ class FlowQuantities:
         return sub_laplacian(self.jetF)
 
     @cached_property
-    def hess(self):
-        return hessian_data(self.jetF)
-
-    @cached_property
     def xiF(self):
         return [reeb_derivative(self.F, s).values for s in range(3)]
 
     # integrals -------------------------------------------------------------
     @cached_property
     def _production(self):
-        """(I_lap2, I_quart, I_deficit, min of the p-deficit) from one
-        contraction of F's Hessian stream.
+        """(I_lap2, I_quart, I_hess2, I_omega2, I_deficit, min of the
+        p-deficit, mean of |H|^2) from one contraction of F's Hessian stream.
 
-        Per block it forms the p-deficit, the weights u^(1-2 alpha) and
-        u^(1-4 alpha), and |DF|^2 in axis order, then the integrands
-        w2 (Delta F)^2, w4 |DF|^4 and w2 deficit, and keeps their block
-        sums and the block's deficit minimum: per point the bits of the
-        whole-field formulas, without their weight, square or integrand
-        fields.  tree_sum gives each integral the bits of one np.sum over
-        the whole integrand, and a min is exact in any order.
+        Per block it forms the weights u^(1-2 alpha) and u^(1-4 alpha), and
+        |DF|^2 in axis order, then the integrands w2 (Delta F)^2,
+        w4 |DF|^4, w2 |H|^2, w2 sum_s omega_s^2 and w2 deficit, and keeps
+        their block sums, the block sum of |H|^2 and the block's deficit
+        minimum: per point the bits of the whole-field formulas, without
+        their weight, square or integrand fields.  tree_sum gives each
+        integral the bits of one np.sum over the whole integrand, a min is
+        exact in any order, and np.mean is that sum over the size.
         """
         grid = self.grid
         jet = self.jetF
@@ -178,14 +171,24 @@ class FlowQuantities:
         first = jet.first.reshape(grid.dim_h, grid.size)
         lap = jet.laplacian.reshape(-1)
         e2, e4 = 1.0 - 2 * self.alpha, 1.0 - 4 * self.alpha
-        lap2, quart, weighted, mins = {}, {}, {}, []
+        lap2, quart, hess2, omega2, weighted, norms, mins = {}, {}, {}, {}, {}, {}, []
 
-        def contract(blk, d, work):
+        def contract(blk, tr, om, nsq, d, work):
             w, g, sq = work
             key = blk.start
             np.power(u[blk], e2, out=w)
             np.multiply(w, d, out=sq)
             weighted[key] = np.add.reduce(sq)
+            np.multiply(w, nsq, out=sq)
+            hess2[key] = np.add.reduce(sq)
+            norms[key] = np.add.reduce(nsq)
+            # (om_0^2 + om_1^2) + om_2^2, then weighted
+            np.multiply(om[0], om[0], out=g)
+            for s in (1, 2):
+                np.multiply(om[s], om[s], out=sq)
+                g += sq
+            g *= w
+            omega2[key] = np.add.reduce(g)
             np.multiply(lap[blk], lap[blk], out=sq)
             sq *= w
             lap2[key] = np.add.reduce(sq)
@@ -199,12 +202,12 @@ class FlowQuantities:
             quart[key] = np.add.reduce(sq)
             mins.append(np.minimum.reduce(d))
 
-        jet.deficit_stream(contract, scratch=((), (), ()))
+        jet.hessian_stream(contract, with_norm=True, scratch=((), (), ()))
         vol = grid.cell_volume
-        return (float(vol * tree_sum(lap2, grid.size)),
-                float(vol * tree_sum(quart, grid.size)),
-                float(vol * tree_sum(weighted, grid.size)),
-                float(np.min(mins)))
+        integrals = tuple(float(vol * tree_sum(sums, grid.size))
+                          for sums in (lap2, quart, hess2, omega2, weighted))
+        return integrals + (float(np.min(mins)),
+                            float(tree_sum(norms, grid.size) / grid.size))
 
     @property
     def I_lap2(self):
@@ -222,21 +225,25 @@ class FlowQuantities:
     def I_xi2(self):
         return self._integral(self.w2 * sum(x * x for x in self.xiF))
 
-    @cached_property
-    def I_hess2(self):
-        return self._integral(self.w2 * self.hess.norm_sq)
-
-    @cached_property
-    def I_omega2(self):
-        return self._integral(self.w2 * sum(self.hess.omega[s] ** 2 for s in range(3)))
-
     @property
-    def I_deficit(self):
+    def I_hess2(self):
         return self._production[2]
 
     @property
-    def min_deficit(self):
+    def I_omega2(self):
         return self._production[3]
+
+    @property
+    def I_deficit(self):
+        return self._production[4]
+
+    @property
+    def min_deficit(self):
+        return self._production[5]
+
+    @property
+    def mean_hess2(self):
+        return self._production[6]
 
     @cached_property
     def P_pair_half(self):
@@ -310,8 +317,7 @@ def _ricci_mixed_report(f: ScalarField) -> IdentityReport:
             scale_sq += np.sum(mixed1 ** 2)
     lhs = float(np.sqrt(grid.cell_volume * res_sq))
     scale = float(np.sqrt(grid.cell_volume * scale_sq))
-    report = _report("ricci_mixed", lhs, 0.0, grid, norm_scale=max(scale, NORM_FLOOR))
-    return report
+    return _report("ricci_mixed", lhs, 0.0, grid, norm_scale=max(scale, NORM_FLOOR))
 
 
 def bochner_residual(f: ScalarField) -> IdentityReport:
@@ -327,22 +333,40 @@ def bochner_residual(f: ScalarField) -> IdentityReport:
     which reduces to the classical Euclidean identity for vertically
     constant fields; statements written with the analyst's sign of the
     Laplacian carry the opposite left-hand side, and the Euclidean
-    reduction pins the orientation used here.
+    reduction pins the orientation used here.  The right side and the L2
+    norms are formed and summed block by block in f's Hessian stream.
     """
     grid = f.grid
     jet = DifferenceJet(f)
     g = grad_h(jet)
     grad_sq = np.sum(g.components ** 2, axis=0)
-    lhs_field = 0.5 * sub_laplacian(ScalarField(grid, grad_sq)).values
-    hd = hessian_data(jet)
-    lap = sub_laplacian(jet)
-    grad_lap = grad_h(lap)
-    dot = np.sum(grad_lap.components * g.components, axis=0)
-    mixed = _reeb_mixed(grid, g.components)
-    rhs_field = -hd.norm_sq + dot - 4.0 * mixed
-    lhs = _l2(grid, lhs_field)
-    rhs = _l2(grid, rhs_field)
-    res = _l2(grid, lhs_field - rhs_field)
+    lhs_field = (0.5 * sub_laplacian(ScalarField(grid, grad_sq)).values).reshape(-1)
+    grad_lap = grad_h(sub_laplacian(jet))
+    dot = np.sum(grad_lap.components * g.components, axis=0).reshape(-1)
+    mixed = _reeb_mixed(grid, g.components).reshape(-1)
+    lhs_sq, rhs_sq, res_sq = {}, {}, {}
+
+    def contract(blk, tr, om, nsq, deficit, work):
+        # the right side -|H|^2 + dot - 4 mixed, grouped as written, and the
+        # block sums of the squares of both sides and of their difference
+        rhs, sq = work
+        key = blk.start
+        np.negative(nsq, out=rhs)
+        rhs += dot[blk]
+        np.multiply(mixed[blk], 4.0, out=sq)
+        rhs -= sq
+        lhs_b = lhs_field[blk]
+        np.multiply(lhs_b, lhs_b, out=sq)
+        lhs_sq[key] = np.add.reduce(sq)
+        np.subtract(lhs_b, rhs, out=sq)
+        sq *= sq
+        res_sq[key] = np.add.reduce(sq)
+        rhs *= rhs
+        rhs_sq[key] = np.add.reduce(rhs)
+
+    jet.hessian_stream(contract, with_norm=True, scratch=((), ()))
+    lhs, rhs, res = (float(np.sqrt(grid.cell_volume * tree_sum(sums, grid.size)))
+                     for sums in (lhs_sq, rhs_sq, res_sq))
     report = _report("bochner", lhs, rhs, grid)
     report.residual = res
     return report
@@ -400,13 +424,11 @@ def identity_residual(name: str, u: ScalarField, alpha: float | None = None) -> 
         if alpha is None:
             raise ValueError("hesrep_contraction needs alpha")
         q = FlowQuantities(u, alpha)
-        deficit = q.hess.deficit
-        min_p = float(deficit.min())
-        scale = float(np.mean(q.hess.norm_sq)) + NORM_FLOOR
-        report = IdentityReport(name=name, lhs=min_p, rhs=0.0,
-                                residual=max(0.0, -min_p),
-                                norm_scale=scale, n=n, m_x=grid.m_x)
-        return report
+        min_p = q.min_deficit
+        scale = q.mean_hess2 + NORM_FLOOR
+        return IdentityReport(name=name, lhs=min_p, rhs=0.0,
+                              residual=max(0.0, -min_p),
+                              norm_scale=scale, n=n, m_x=grid.m_x)
 
     if alpha is None:
         raise ValueError(f"identity {name!r} needs alpha")

@@ -12,20 +12,19 @@ one blocked gather pass through the step tables, which shares the point
 blocks among the cores.  One field's derivatives come from its difference
 jet (DifferenceJet): the 8n step gathers S_a^{+-} f are made once, and
 give both the first differences D_a f and the compact sub-Laplacian.  The
-composed second differences H_ab = D_a D_b f come from one Hessian stream:
-block by block, one stacked gather per step table gives the rows H_a. of
-every D_b f, and the stream accumulates tr H and omega_s(H), and |H|^2
-when asked.  Three contractions read it: hessian() keeps the whole-field
-HessianData (with the p-deficit), deficit_stream() hands each block's
-p-deficit to a caller's contraction (the production integrals of
-identities.FlowQuantities), and p_functional forms its integrand per block
-from tr H and omega_s(H) alone; the last two never build the full
-Hessian.  grad_h, sub_laplacian, hessian_data and p_functional read a jet,
-so a caller that needs several of them passes the jet instead of the field
-and pays for the gathers once.  divergence is one kernel over the stacked
-components of its 1-form; any other difference of a derived field (the
-third-order contractions, the identity catalog's commutators) reads that
-field's jet.
+composed second differences H_ab = D_a D_b f come from one Hessian stream,
+DifferenceJet.hessian_stream: block by block, one stacked gather per step
+table gives the rows H_a. of every D_b f, and the stream accumulates tr H
+and omega_s(H), and |H|^2 and the p-deficit when asked.  No Hessian field
+is kept: each consumer passes a contraction that reads a block's
+contractions and writes its share of the consumer's outputs (the
+production integrals of identities.FlowQuantities, the Bochner residual,
+the omega-contraction check of the calculus suite, and p_functional).
+grad_h, sub_laplacian and p_functional read a jet, so a caller that needs
+several of them passes the jet instead of the field and pays for the
+gathers once.  divergence is one kernel over the stacked components of its
+1-form; any other difference of a derived field (the third-order
+contractions, the identity catalog's commutators) reads that field's jet.
 
 Because D_a is exactly skew-adjoint, the P-pairing needs no third-order
 stencil: summing by parts,
@@ -41,8 +40,6 @@ Sign convention: sub_laplacian returns the positive operator
 Delta f = -sum_a f_aa, so the heat equation du/dt = -Delta u is smoothing.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,36 +61,16 @@ def vertical_difference(values: np.ndarray, grid: LatticeGrid, s: int) -> np.nda
             - vertical_shift(values, grid, s, -1)) / (2.0 * grid.h_t)
 
 
-@dataclass
-class HessianData:
-    """Streaming contractions of the composed horizontal Hessian.
-
-    norm_sq      |nabla^2 f|^2 pointwise
-    omega[s]     g(nabla^2 f, omega_s)
-    deficit      p-deficit |H|^2 - (1/4n)(tr H)^2 - (1/4n) sum_s omega[s]^2,
-                 pointwise non-negative by the Bessel inequality for the
-                 orthogonal family {Id, omega_1, omega_2, omega_3}
-
-    tr H = sum_a X_a X_a f (the wide stencil; the compact sub-Laplacian is
-    its negative up to an O(h^2) stencil gap) enters the deficit per block
-    and is not kept.
-    """
-
-    norm_sq: np.ndarray
-    omega: np.ndarray
-    deficit: np.ndarray
-
-
 class DifferenceJet:
     """The horizontal differences of one field, each gather made once.
 
     first      D_a f as a (4n,) + grid.shape array
     laplacian  the compact positive sub-Laplacian, -sum_a (S_a^+ f - 2f +
                S_a^- f) / h_x^2, from the same 8n step gathers as `first`
-    hessian()  contractions of H_ab = D_a D_b f from the Hessian stream,
-               computed on first use and kept
-    deficit_stream(contract)
-               the p-deficit alone from the same stream, block by block
+    hessian_stream(contract, with_norm)
+               the one pass over H_ab = D_a D_b f: per block it hands
+               contract tr H, omega_s(H) and, with_norm, |H|^2 and the
+               p-deficit; no Hessian field is built or kept
 
     Both passes are block kernels of lattice.map_blocks, the one blocked
     gather pass, and give the bits of the whole-field stencils.  A composed
@@ -133,41 +110,22 @@ class DifferenceJet:
         self.grid = grid
         self.first = first.reshape((dim,) + grid.shape)
         self.laplacian = lap.reshape(grid.shape)
-        self._hessian: HessianData | None = None
 
-    def hessian(self) -> HessianData:
-        if self._hessian is None:
-            self._hessian = self._contract_hessian()
-        return self._hessian
-
-    def deficit_stream(self, contract, scratch=()) -> None:
-        """Stream the p-deficit alone, without the whole-field |H|^2 and
-        omega_s arrays of HessianData: after each block of the Hessian
-        stream, contract(blk, d, work) reads the block's deficit d, with
-        the bits of hessian().deficit[blk], and work holds one block array
-        per entry of scratch.  contract runs on the pool's threads: it may
-        call no public qcflow function."""
-        quarter = 1.0 / self.grid.dim_h
-
-        def deficit_block(blk, tr, om, nsq, work):
-            d, sq = work[0], work[1]
-            _deficit_block(d, tr, om, nsq, sq, quarter)
-            contract(blk, d, work[2:])
-
-        self._hessian_stream(deficit_block, with_norm=True,
-                             scratch=((), ()) + tuple(scratch))
-
-    def _hessian_stream(self, contract, with_norm: bool, scratch=()):
+    def hessian_stream(self, contract, with_norm: bool, scratch=()) -> None:
         """The one pass over the composed Hessian H_ab = D_a D_b f.
 
         A block kernel of lattice.map_blocks over the stacked first
         differences: for each block and axis a, one gather per direction
         carries every D_b f through S_a^+- and gives the block rows
-        H_a. = D_a D_. f.  The kernel accumulates tr H and omega_s(H) in
-        (a, b) order from zero, so each point sees the operations of a
-        whole-field pass, and |H|^2 only when with_norm.  After a block's
-        last axis it calls contract(blk, tr, om, nsq, work), which writes
-        the block's share of the caller's outputs; nsq is None without
+        H_a. = D_a D_. f.  The kernel accumulates, in (a, b) order from zero
+        as a whole-field pass does, tr H (the wide stencil: the compact
+        sub-Laplacian is its negative up to an O(h^2) stencil gap) and
+        omega_s(H); with_norm, also |H|^2 and then the p-deficit
+        |H|^2 - (1/4n)(tr H)^2 - (1/4n) sum_s omega_s(H)^2, pointwise
+        non-negative by the Bessel inequality for the orthogonal family
+        {Id, omega_1, omega_2, omega_3}.  After a block's last axis it calls
+        contract(blk, tr, om, nsq, deficit, work), which writes the block's
+        share of the caller's outputs; nsq and deficit are None without
         with_norm, and work holds one block array per entry of scratch.
         contract runs on the pool's threads: it may call no public qcflow
         function.
@@ -180,15 +138,17 @@ class DifferenceJet:
                     if fd.omega[s][a, b] != 0.0] for a in range(dim)]
         two_h = 2.0 * grid.h_x
         last = dim - 1
-        own = ((), (3,), ()) if with_norm else ((), (3,))
+        quarter = 1.0 / dim
+        # tr, om, and with_norm nsq, the deficit and its work block
+        own = ((), (3,), (), (), ()) if with_norm else ((), (3,))
 
         def kernel(blk, a, rows, work, blocks):
             tr, om = blocks[0], blocks[1]
-            nsq = blocks[2] if with_norm else None
+            nsq, deficit = (blocks[2], blocks[3]) if with_norm else (None, None)
             if a == 0:
                 tr.fill(0.0)
                 om.fill(0.0)
-                if nsq is not None:
+                if with_norm:
                     nsq.fill(0.0)
             rows -= work
             rows /= two_h
@@ -202,32 +162,17 @@ class DifferenceJet:
                     om[s] -= rows[b]
                 else:
                     om[s] += w * rows[b]
-            if nsq is not None:
+            if with_norm:
                 rows *= rows
                 for row in rows:
                     nsq += row
             if a == last:
-                contract(blk, tr, om, nsq, blocks[len(own):])
+                if with_norm:
+                    _deficit_block(deficit, tr, om, nsq, blocks[4], quarter)
+                contract(blk, tr, om, nsq, deficit, blocks[len(own):])
 
         first = self.first.reshape(dim, grid.size)
         map_blocks(kernel, first, grid, scratch=own + tuple(scratch))
-
-    def _contract_hessian(self) -> HessianData:
-        grid = self.grid
-        norm_sq, deficit = np.empty(grid.size), np.empty(grid.size)
-        omega = np.empty((3, grid.size))
-        quarter = 1.0 / grid.dim_h
-
-        def contract(blk, tr, om, nsq, work):
-            norm_sq[blk] = nsq
-            omega[:, blk] = om
-            _deficit_block(deficit[blk], tr, om, nsq, work[0], quarter)
-
-        self._hessian_stream(contract, with_norm=True, scratch=((),))
-        shape = grid.shape
-        return HessianData(norm_sq=norm_sq.reshape(shape),
-                           omega=omega.reshape((3,) + shape),
-                           deficit=deficit.reshape(shape))
 
 
 def _deficit_block(d, tr, om, nsq, sq, quarter):
@@ -338,10 +283,6 @@ def divergence(sigma: HorizontalField) -> ScalarField:
     return ScalarField(grid, -acc.reshape(grid.shape))
 
 
-def hessian_data(f: ScalarField | DifferenceJet) -> HessianData:
-    return _jet(f).hessian()
-
-
 def third_contractions(f: ScalarField):
     """The two third-derivative contractions entering the P-form.
 
@@ -434,7 +375,7 @@ def p_functional(f: ScalarField | DifferenceJet, torsion: TorsionData | None = N
     coefs = _torsion_coefficients(grid, torsion)
     sums = {}
 
-    def contract(blk, tr, om, nsq, work):
+    def contract(blk, tr, om, nsq, deficit, work):
         ib, sq = work
         np.multiply(lap[blk], tr, out=ib)
         for t in range(3):
@@ -449,7 +390,7 @@ def p_functional(f: ScalarField | DifferenceJet, torsion: TorsionData | None = N
                 ib += u_coef * np.einsum("a...,ab,b...->...", g, td.U, g)
         sums[blk.start] = np.add.reduce(ib)
 
-    jet._hessian_stream(contract, with_norm=False, scratch=((), ()))
+    jet.hessian_stream(contract, with_norm=False, scratch=((), ()))
     return float(grid.cell_volume * tree_sum(sums, grid.size))
 
 

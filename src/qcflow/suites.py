@@ -56,8 +56,9 @@ from .lattice import (
     grid_inner,
     make_grid,
     periodized_bump,
+    tree_sum,
 )
-from .operators import divergence, sub_laplacian
+from .operators import DifferenceJet, divergence, reeb_derivative, sub_laplacian
 
 SUITE_NAMES = ("algebra", "roots", "geometry", "calculus", "flow", "lemma",
                "theorem")
@@ -321,14 +322,21 @@ def calculus_suite(seed: int = 1, m_pair=(4, 8), alpha: float = -0.05) -> SuiteR
             grid = make_grid(1, m)
             u = maker(grid)
             if tag == "omega_contraction":
-                from .operators import hessian_data, reeb_derivative
-                hd = hessian_data(u)
-                num = 0.0
-                den = 0.0
-                for s in range(3):
-                    xi = reeb_derivative(u, s).values
-                    num += float(np.sum((hd.omega[s] + 4.0 * xi) ** 2))
-                    den += float(np.sum((4.0 * xi) ** 2))
+                xi = [reeb_derivative(u, s).values.reshape(-1) for s in range(3)]
+                sums = ({}, {}, {})
+
+                def contract(blk, tr, om, nsq, deficit, work):
+                    # (omega_s(H) + 4 xi_s u)^2 per block and per s
+                    sq = work[0]
+                    for s in range(3):
+                        np.multiply(xi[s][blk], 4.0, out=sq)
+                        sq += om[s]
+                        sq *= sq
+                        sums[s][blk.start] = np.add.reduce(sq)
+
+                DifferenceJet(u).hessian_stream(contract, with_norm=False, scratch=((),))
+                num = sum(float(tree_sum(t, grid.size)) for t in sums)
+                den = sum(float(np.sum((4.0 * x) ** 2)) for x in xi)
                 rel[tag][m] = np.sqrt(num) / max(np.sqrt(den), 1e-30)
             else:
                 rel[tag][m] = identity_residual(tag, u).relative_residual

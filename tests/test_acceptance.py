@@ -6,9 +6,12 @@ grid family; the analysis lives in the project notes:
 
 * criterion 4's [3,5] ratio windows for the vertical-structure identities
   (order-2 Ricci, omega-contraction) and intform's ratio >= 2: the
-  vertical period is tied to the spacing (L_t = 2 h_x), so no admissible
-  bump family has twisted-orbit-resolvable vertical structure at m_x = 4;
-  the measured ratios saturate near 1.5 at every width/profile tested.
+  measured 4 -> 8 ratios sit near 1.5 (intform 1.52, omega-contraction
+  1.49).  The vertical period tied to the spacing (L_t = 2 h_x) is not
+  the cause: on a lattice family with a fixed L_t = 1/2 the ratios did
+  not improve (intform 1.39, omega-contraction 1.34).  A likely cause,
+  not yet tested, is horizontal under-resolution: the bump width 0.22 is
+  1.76 h_x at m_x = 8.
 * criterion 6's 2e-2 residual gate and the 10x mutation inflation at
   m_x = 8, alpha = -0.05: the five-term formula evaluated with the
   composed/compact stencils differs from the exact semi-discrete energy

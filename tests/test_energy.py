@@ -1,10 +1,11 @@
 """Tests for the energy monitor and its five-term production formula."""
-import importlib
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import qcflow.energy as energy_module
 from qcflow import lattice
 from qcflow.algebra import alpha_interval, h_polynomial
 from qcflow.energy import (
@@ -16,9 +17,10 @@ from qcflow.energy import (
     monotonicity_verdict,
 )
 from qcflow.flow import FlowConfig, cfl_timestep, evolve, initial_field
-from qcflow.identities import FlowQuantities
-from qcflow.lattice import ScalarField, make_grid, periodized_bump
+from qcflow.identities import IDENTITY_NAMES, identity_residual
+from qcflow.lattice import ScalarField, frame_data, make_grid, periodized_bump
 from qcflow.operators import DifferenceJet, grad_h
+from qcflow.suites import _rich_field
 
 
 def flow_config(m=4, alpha=-0.05, **kw):
@@ -144,28 +146,67 @@ def test_derf_rhs_bookkeeping_identity():
         sum(rep.terms()), rel=1e-14)
 
 
+# the tags whose identity reads no integral of F's Hessian
+NO_HESSIAN_OF_F = ("ricci2", "ricci_mixed", "bochner", "gr4", "intform", "secondt")
+
+
+@pytest.mark.parametrize("tag", IDENTITY_NAMES)
+def test_each_tag_streams_the_hessian_of_F_at_most_once(tag, monkeypatch):
+    # every integral of F's Hessian comes from one contraction of its
+    # stream, so no tag streams F's Hessian twice
+    alpha = -0.05
+    u = _rich_field(make_grid(1, 4))
+    lap_F = DifferenceJet(ScalarField(u.grid, np.power(u.values, alpha))).laplacian
+    streamed = []
+    stream = DifferenceJet.hessian_stream
+
+    def counting_stream(jet, *args, **kwargs):
+        streamed.append(np.array_equal(jet.laplacian, lap_F))
+        return stream(jet, *args, **kwargs)
+
+    monkeypatch.setattr(DifferenceJet, "hessian_stream", counting_stream)
+    identity_residual(tag, u, alpha)
+    assert sum(streamed) == (0 if tag in NO_HESSIAN_OF_F else 1)
+
+
+def _whole_field_deficit(F):
+    """The p-deficit of F from its whole-field composed Hessian, summed in
+    the (a, b) order of the Hessian stream."""
+    grid = F.grid
+    fd = frame_data(grid)
+    # second[b][a] = D_a D_b F = H_ab
+    second = [DifferenceJet(ScalarField(grid, d_b)).first for d_b in DifferenceJet(F).first]
+    norm_sq = np.zeros(grid.shape)
+    trace = np.zeros(grid.shape)
+    omega = np.zeros((3,) + grid.shape)
+    for a in range(grid.dim_h):
+        for b in range(grid.dim_h):
+            hab = second[b][a]
+            norm_sq += hab * hab
+            if a == b:
+                trace += hab
+            for s in range(3):
+                if fd.omega[s][a, b] != 0.0:
+                    omega[s] += fd.omega[s][a, b] * hab
+    quarter = 1.0 / grid.dim_h
+    deficit = norm_sq - quarter * trace * trace
+    for s in range(3):
+        deficit = deficit - quarter * omega[s] * omega[s]
+    return deficit
+
+
 @pytest.mark.parametrize("m", [4, 5])
-def test_derf_rhs_reads_the_deficit_without_building_the_hessian(m, monkeypatch):
-    # derf_rhs needs only F's p-deficit: its jet streams the deficit alone
-    # and never contracts the full HessianData, with the bits of that route
+def test_derf_rhs_deficit_terms_are_bit_identical_to_the_whole_field_hessian(m):
+    # min_pF and term_p come from F's Hessian stream with the bits of the
+    # whole-field p-deficit
     u = initial_field(flow_config(m=m, tau_profile=None))
     alpha = -0.05
-    built = []
-    contract = DifferenceJet._contract_hessian
-
-    def counting_contract(jet):
-        built.append(jet)
-        return contract(jet)
-
-    monkeypatch.setattr(DifferenceJet, "_contract_hessian", counting_contract)
     rep = derf_rhs(u, alpha)
-    assert built == []
-    q = FlowQuantities(u, alpha)
-    deficit = q.hess.deficit
-    assert len(built) == 1
+    deficit = _whole_field_deficit(ScalarField(u.grid, np.power(u.values, alpha)))
     assert rep.min_pF == float(deficit.min())
     c_pdef = derf_coefficients(1, alpha)[4]
-    assert rep.term_p == c_pdef * float(u.grid.cell_volume * np.sum(q.w2 * deficit))
+    w2 = np.power(u.values, 1.0 - 2 * alpha)
+    assert rep.term_p == c_pdef * float(u.grid.cell_volume * np.sum(w2 * deficit))
 
 
 def test_derf_rhs_peaks_within_seven_whole_fields(monkeypatch):
@@ -272,8 +313,9 @@ def test_monotonicity_verdict_inadmissible_alpha():
 
 
 def test_energy_series_evaluates_energy_once_per_record(monkeypatch):
-    # the package re-exports the function energy under the module's name
-    energy_mod = importlib.import_module("qcflow.energy")
+    # the package attribute and the import bind the module, not its
+    # function energy
+    assert inspect.ismodule(energy_module)
     states = evolve(flow_config(m=4, cfl_safety=0.5, record_every=2, t_end=0.004))
     calls = []
 
@@ -281,7 +323,7 @@ def test_energy_series_evaluates_energy_once_per_record(monkeypatch):
         calls.append(u)
         return energy(u)
 
-    monkeypatch.setattr(energy_mod, "energy", counting_energy)
+    monkeypatch.setattr(energy_module, "energy", counting_energy)
     reports = energy_series(states, -0.05)
     assert len(calls) == len(states)
     for k in range(1, len(states) - 1):

@@ -1,5 +1,4 @@
 """Tests for the discrete horizontal calculus."""
-import importlib
 import inspect
 import math
 import sys
@@ -8,10 +7,11 @@ import threading
 import numpy as np
 import pytest
 
+import qcflow.energy as energy_module
 from qcflow import algebra, flow, identities, lattice, operators
 from qcflow.algebra import TorsionData
 from qcflow.energy import energy
-from qcflow.identities import FlowQuantities
+from qcflow.identities import FlowQuantities, bochner_residual
 from qcflow.lattice import (
     ScalarField,
     default_center,
@@ -29,7 +29,6 @@ from qcflow.operators import (
     divergence,
     grad_h,
     grad_h_norm_sq,
-    hessian_data,
     p_form,
     p_functional,
     reeb_derivative,
@@ -332,24 +331,48 @@ def test_p_form_torsion_branches():
     assert np.allclose(with_s.components, expect, atol=1e-12)
 
 
+def _stream_hessian(f, with_norm=True):
+    """(|H|^2, tr H, omega_s(H), p-deficit) as whole fields, in the order of
+    _ref_hessian, collected from the blocks of the Hessian stream of f (a
+    field or its jet); |H|^2 and the deficit are None without with_norm."""
+    jet = f if isinstance(f, DifferenceJet) else DifferenceJet(f)
+    grid = jet.grid
+    norm_sq, trace, deficit = (np.full(grid.size, np.nan) for _ in range(3))
+    omega = np.full((3, grid.size), np.nan)
+
+    def collect(blk, tr, om, nsq, d, work):
+        trace[blk] = tr
+        omega[:, blk] = om
+        if with_norm:
+            norm_sq[blk] = nsq
+            deficit[blk] = d
+        else:
+            assert nsq is None and d is None
+
+    jet.hessian_stream(collect, with_norm=with_norm)
+    shape = grid.shape
+    if not with_norm:
+        return None, trace.reshape(shape), omega.reshape((3,) + shape), None
+    return (norm_sq.reshape(shape), trace.reshape(shape),
+            omega.reshape((3,) + shape), deficit.reshape(shape))
+
 def test_hessian_deficit_nonnegative():
     # Bessel inequality for the orthogonal family {Id, omega_s} holds
     # pointwise for the composed Hessian, up to roundoff
     f = make_bump_field(4, amplitude=1.0, offset=1.0)
-    hd = hessian_data(f)
-    floor = -1e-12 * float(np.max(hd.norm_sq))
-    assert float(hd.deficit.min()) >= floor
+    norm_sq, _, _, deficit = _stream_hessian(f)
+    floor = -1e-12 * float(np.max(norm_sq))
+    assert float(deficit.min()) >= floor
 
 
 def test_omega_contraction_tracks_reeb():
     # g(nabla^2 f, omega_s) approximates -4n xi_s f; exact modulo the
     # corner-averaging of the twisted stencil
     f = make_bump_field(6)
-    grid = f.grid
-    hd = hessian_data(f)
+    omega = _stream_hessian(f, with_norm=False)[2]
     for s in range(3):
         xi = reeb_derivative(f, s).values
-        num = np.sqrt(np.sum((hd.omega[s] + 4.0 * xi) ** 2))
+        num = np.sqrt(np.sum((omega[s] + 4.0 * xi) ** 2))
         den = np.sqrt(np.sum((4.0 * xi) ** 2)) + 1e-30
         assert num / den < 1.2  # bounded; exactness is unattainable at this scale
 
@@ -407,25 +430,17 @@ def test_jet_readers_are_bit_identical_to_the_stencils(m):
         assert np.array_equal(grad_h(f).components, first)
         assert np.array_equal(sub_laplacian(f).values,
                               _ref_sub_laplacian(f.values, grid))
-        hd = hessian_data(f)
-        ref_norm_sq, ref_trace, ref_omega, ref_deficit = _ref_hessian(f.values, grid)
-        for got, ref in zip((hd.norm_sq, hd.omega, hd.deficit),
-                            (ref_norm_sq, ref_omega, ref_deficit)):
-            assert np.array_equal(got, ref)
-        # the trace enters the deficit per block and is not kept: compare
-        # the stream's per-block trace point by point
-        jet = DifferenceJet(f)
-        trace = np.full(grid.size, np.nan)
-
-        def keep_trace(blk, tr, om, nsq, work):
-            trace[blk] = tr
-
-        jet._hessian_stream(keep_trace, with_norm=False)
-        assert np.array_equal(trace, ref_trace.reshape(-1))
+        ref = _ref_hessian(f.values, grid)
+        for got, expect in zip(_stream_hessian(f), ref):
+            assert np.array_equal(got, expect)
+        # without the norm the stream gives the same trace and omega_s, and
         # a shared jet gives the same bits as a jet per call
+        jet = DifferenceJet(f)
+        _, trace, omega, _ = _stream_hessian(jet, with_norm=False)
+        assert np.array_equal(trace, ref[1])
+        assert np.array_equal(omega, ref[2])
         assert np.array_equal(grad_h(jet).components, first)
         assert np.array_equal(sub_laplacian(jet).values, sub_laplacian(f).values)
-        assert np.array_equal(hessian_data(jet).deficit, hd.deficit)
 
 
 @pytest.mark.parametrize("m", [4, 6])
@@ -448,19 +463,14 @@ def test_p_functional_matches_the_third_order_pairing(m, with_torsion):
 @pytest.mark.parametrize("m", [4, 5])
 def test_p_functional_stream_is_bit_identical_to_the_hessian_route(m):
     # the Hessian stream without |H|^2 gives the bits of the integrand built
-    # from the full Hessian, without building it, and a jet that already
-    # keeps the Hessian gives the same value
+    # from the full Hessian, without building it
     for f in _jet_fields(m):
         _, trace, omega, _ = _ref_hessian(f.values, f.grid)
         integrand = sub_laplacian(f).values * trace
         for t in range(3):
             integrand += omega[t] * omega[t]
         expect = float(f.grid.cell_volume * np.sum(integrand))
-        jet = DifferenceJet(f)
-        assert p_functional(jet) == expect
-        assert jet._hessian is None
-        jet.hessian()
-        assert p_functional(jet) == expect
+        assert p_functional(DifferenceJet(f)) == expect
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -477,23 +487,31 @@ PRODUCTION_ALPHA = -0.05
 
 def _production(u):
     q = FlowQuantities(u, PRODUCTION_ALPHA)
-    return q.I_lap2, q.I_quart, q.I_deficit, q.min_deficit
+    return (q.I_lap2, q.I_quart, q.I_hess2, q.I_omega2, q.I_deficit,
+            q.min_deficit, q.mean_hess2)
+
+
+def _bochner(f):
+    report = bochner_residual(f)
+    return report.lhs, report.rhs, report.residual
 
 
 def _run_passes(f):
     """Every block kernel of the package on f: the Euler update with the
     mass, min and max of the new field, the jet, |Df|^2, the energy (|D
     phi|^2 u summed per block), the divergence of the jet's gradient and
-    the Hessian stream under its three contractions (the production
-    integrals of FlowQuantities read the p-deficit one, with f as u)."""
+    the Hessian stream under its contractions: one that collects it, the
+    production integrals of FlowQuantities (with f as u), the Bochner
+    residual's L2 norms and the P-pairing."""
     return {
         "euler": lambda: flow._euler_update(f.values, f.grid, 0.01, True),
         "jet": lambda: DifferenceJet(f),
         "grad_sq": lambda: grad_h_norm_sq(f),
         "energy": lambda: energy(f),
         "divergence": lambda: divergence(grad_h(f)).values,
-        "hessian": lambda: DifferenceJet(f).hessian(),
+        "hessian": lambda: _stream_hessian(f),
         "production": lambda: _production(f),
+        "bochner": lambda: _bochner(f),
         "p_functional": lambda: p_functional(f),
     }
 
@@ -506,12 +524,28 @@ def _reference_production(values, grid):
     lap = _ref_sub_laplacian(F, grid)
     grad_sq = np.sum(np.stack([_ref_first_difference(F, grid, b)
                                for b in range(grid.dim_h)]) ** 2, axis=0)
-    deficit = _ref_hessian(F, grid)[3]
+    norm_sq, _, omega, deficit = _ref_hessian(F, grid)
+    w2 = np.power(values, 1 - 2 * a)
     vol = grid.cell_volume
-    return (float(vol * np.sum(np.power(values, 1 - 2 * a) * lap ** 2)),
+    return (float(vol * np.sum(w2 * lap ** 2)),
             float(vol * np.sum(np.power(values, 1 - 4 * a) * grad_sq ** 2)),
-            float(vol * np.sum(np.power(values, 1 - 2 * a) * deficit)),
-            float(deficit.min()))
+            float(vol * np.sum(w2 * norm_sq)),
+            float(vol * np.sum(w2 * sum(omega[s] ** 2 for s in range(3)))),
+            float(vol * np.sum(w2 * deficit)),
+            float(deficit.min()),
+            float(np.mean(norm_sq)))
+
+
+def _reference_bochner(values, grid):
+    """The Bochner residual's three L2 norms from whole-field formulas."""
+    first = np.stack([_ref_first_difference(values, grid, a) for a in range(grid.dim_h)])
+    lhs = 0.5 * _ref_sub_laplacian(np.sum(first ** 2, axis=0), grid)
+    lap = _ref_sub_laplacian(values, grid)
+    grad_lap = np.stack([_ref_first_difference(lap, grid, a) for a in range(grid.dim_h)])
+    mixed = identities._reeb_mixed(grid, first)
+    rhs = -_ref_hessian(values, grid)[0] + np.sum(grad_lap * first, axis=0) - 4.0 * mixed
+    return tuple(float(np.sqrt(grid.cell_volume * np.sum(v * v)))
+                 for v in (lhs, rhs, lhs - rhs))
 
 
 def _reference_passes(f):
@@ -545,8 +579,9 @@ def _reference_passes(f):
         "grad_sq": np.sum(first ** 2, axis=0),
         "energy": float(grid.cell_volume * np.sum(grad_phi_sq * values)),
         "divergence": -div,
-        "hessian": (norm_sq, omega, deficit),
+        "hessian": (norm_sq, trace, omega, deficit),
         "production": _reference_production(values, grid),
+        "bochner": _reference_bochner(values, grid),
         "p_functional": float(grid.cell_volume * np.sum(integrand)),
     }
 
@@ -554,8 +589,6 @@ def _reference_passes(f):
 def _as_arrays(name, result):
     if name == "jet":
         return result.first, result.laplacian
-    if name == "hessian":
-        return result.norm_sq, result.omega, result.deficit
     return result
 
 
@@ -607,9 +640,7 @@ def test_block_passes_call_public_functions_only_on_the_calling_thread(monkeypat
             return fn(*args, **kwargs)
         return wrapper
 
-    # the package exports the function energy under the module's name
-    modules = (algebra, lattice, operators, identities, flow,
-               importlib.import_module("qcflow.energy"))
+    modules = (algebra, lattice, operators, identities, flow, energy_module)
     for mod in modules:
         for attr, obj in list(vars(mod).items()):
             if (attr.startswith("_") or not inspect.isfunction(obj)
@@ -645,7 +676,7 @@ def test_block_passes_call_public_functions_only_on_the_calling_thread(monkeypat
         run()
         names = {fn for fn, _ in calls}
         assert "step_permutation" in names, name
-        if name in ("hessian", "production", "p_functional"):
+        if name in ("hessian", "production", "bochner", "p_functional"):
             assert "frame_data" in names, name
         assert {ident for _, ident in calls} == {main}, name
         assert len(kernel_threads) == 2 and main not in kernel_threads, name
