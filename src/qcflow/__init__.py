@@ -27,7 +27,7 @@ from .energy import (
     lemma_residual,
     monotonicity_verdict,
 )
-from .flow import FlowConfig, FlowState, F_of, cfl_timestep, evolve, heat_step, phi_of, stream
+from .flow import FlowConfig, FlowState, cfl_timestep, evolve, heat_step, stream
 from .identities import IDENTITY_NAMES, IdentityReport, bochner_residual, identity_residual
 from .lattice import (
     FrameData,

@@ -90,10 +90,9 @@ def derf_rhs(u: ScalarField, alpha: float, coeff_override=None,
     The Lichnerowicz term pairs grad F with the Lichnerowicz form of the
     model's torsion, which vanishes, so its integral is zero.
     coeff_override replaces the five standard coefficients, which the
-    mutation-sensitivity tests use.
+    mutation-sensitivity tests use.  energy(u) checks that u is positive
+    before any work, and FlowQuantities checks alpha.
     """
-    require_positive(u)
-    check_alpha(alpha)
     n = u.grid.n
     e = energy(u)
     q = FlowQuantities(u, alpha)

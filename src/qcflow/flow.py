@@ -54,9 +54,13 @@ class FlowConfig:
             raise ValueError("record_every must be a positive integer")
         if self.offset <= self.amplitude or self.amplitude < 0.0:
             raise ValueError("need offset > amplitude >= 0 so u stays positive")
-        # "uniform" picks vertically_uniform_bump, whose vertical profile is fixed
-        check_bump_params(self.width, self.profile,
-                          None if self.tau_profile == "uniform" else self.tau_profile)
+        uniform = self.tau_profile == "uniform"
+        check_bump_params(self.width, self.profile, None if uniform else self.tau_profile)
+        # vertically_uniform_bump fixes a smooth horizontal profile and
+        # tau_width = L_t, so a run would silently ignore other settings
+        if uniform and (self.profile != "smooth" or self.tau_width is not None):
+            raise ValueError('tau_profile "uniform" needs profile = smooth '
+                             "and tau_width = none")
 
 
 @dataclass
@@ -88,34 +92,32 @@ def _euler_update(values: np.ndarray, grid: LatticeGrid, w: float, measure: bool
     # is <= 0 at a grid maximum even in floating point (u+ + u- <= 2u and
     # rounding is monotone), which makes the max principle exact; acc is h^2
     # times the negative sub-Laplacian.  A block kernel of lattice.map_blocks
-    # with the arithmetic of a whole-field pass, which adds w * acc to u in
-    # the same block and measures the new block there.  Returns the new
-    # values with their min, and with their mass (integrate's bits, from
+    # with the arithmetic of a whole-field pass: per block it sums the axes
+    # into acc, adds w * acc to u and measures the new block.  Returns the
+    # new values with their min, and with their mass (integrate's bits, from
     # tree_sum of the block sums) and max when measure is set, else None.
     flat = values.reshape(-1)
     out = np.empty_like(flat)
-    last = grid.dim_h - 1
     sums, mins, maxs = {}, [], []
 
-    def kernel(blk, a, up, um, scratch):
+    def kernel(blk, steps, scratch):
         acc, two_u = scratch
-        if a == 0:
-            # the first axis sums straight into acc
-            np.multiply(flat[blk], 2.0, out=two_u)
-            np.add(up, um, out=acc)
-            acc -= two_u
-        else:
+        np.multiply(flat[blk], 2.0, out=two_u)
+        # the first axis sums straight into acc
+        _, up, um = next(steps)
+        np.add(up, um, out=acc)
+        acc -= two_u
+        for _, up, um in steps:
             up += um
             up -= two_u
             acc += up
-        if a == last:
-            acc *= w
-            new = out[blk]
-            np.add(flat[blk], acc, out=new)
-            mins.append(np.minimum.reduce(new))
-            if measure:
-                sums[blk.start] = np.add.reduce(new)
-                maxs.append(np.maximum.reduce(new))
+        acc *= w
+        new = out[blk]
+        np.add(flat[blk], acc, out=new)
+        mins.append(np.minimum.reduce(new))
+        if measure:
+            sums[blk.start] = np.add.reduce(new)
+            maxs.append(np.maximum.reduce(new))
 
     map_blocks(kernel, flat, grid, scratch=((), ()))
     if not measure:
@@ -218,18 +220,3 @@ def evolve(config: FlowConfig, u0: ScalarField | None = None) -> list[FlowState]
     """
     return [st for st in stream(config, u0) if st.record]
 
-
-def phi_of(u: ScalarField) -> ScalarField:
-    """phi = -ln u (requires positive u)."""
-    if float(u.values.min()) <= 0.0:
-        raise ValueError("phi_of needs strictly positive data")
-    return ScalarField(u.grid, -np.log(u.values))
-
-
-def F_of(u: ScalarField, alpha: float) -> ScalarField:
-    """F = u^alpha (requires positive u and alpha outside {0, 1/2})."""
-    if alpha in (0.0, 0.5):
-        raise ValueError("alpha must avoid 0 and 1/2")
-    if float(u.values.min()) <= 0.0:
-        raise ValueError("F_of needs strictly positive data")
-    return ScalarField(u.grid, np.power(u.values, alpha))

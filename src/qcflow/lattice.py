@@ -85,10 +85,6 @@ def group_inverse(p: GroupPoint) -> GroupPoint:
     return GroupPoint(-p.x, -p.t)
 
 
-def group_identity(n: int) -> GroupPoint:
-    return GroupPoint(np.zeros(4 * n), np.zeros(3))
-
-
 @dataclass
 class LatticeGrid:
     """Uniform grid on the lattice quotient; horizontal axes first, then the
@@ -299,16 +295,19 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> Non
     gather pass through the step tables.
 
     values has shape (..., grid.size): a flat field, or stacked fields such
-    as the (4n, N) first differences.  Blocks of at most BLOCK_POINTS points
-    outside, axes a = 0 .. 4n-1 inside, the helper calls
-    kernel(blk, a, up, um, scratch), where up and um are S_a^+ values and
-    S_a^- values on the flat slice blk in contiguous (..., k) buffers that
-    the next call overwrites, so the kernel may work in them, and scratch
-    holds one array of shape lead + (k,) per entry lead of `scratch`, kept
-    across the axes of a block.  A kernel writes only into its outputs at
-    [blk] (or [..., blk]) or under the key blk.start, and calls no public
-    qcflow function; one that does per point what a whole-field pass does,
-    in the same order, gets its bits whatever thread runs the block.
+    as the (4n, N) first differences.  The helper calls
+    kernel(blk, steps, scratch) once per block of at most BLOCK_POINTS
+    points, the flat slice blk.  steps yields (a, up, um) for the axes
+    a = 0 .. 4n-1 in order, where up and um are the S_a^+ values and the
+    S_a^- values on blk in contiguous (..., k) buffers; it gathers axis a
+    when the kernel asks for it and overwrites the buffers with the next
+    axis, so the kernel may work in them.  scratch holds one array of
+    shape lead + (k,) per entry lead of `scratch`, the block's work space.
+    A kernel starts its block before its axis loop and finishes it after
+    the loop; it writes only into its outputs at [blk] (or [..., blk]) or
+    under the key blk.start, and calls no public qcflow function.  One that
+    does per point what a whole-field pass does, in the same order, gets
+    its bits whatever thread runs the block.
 
     The blocks are the nodes of numpy's pairwise-summation tree over the
     grid.size points that first have at most BLOCK_POINTS points
@@ -338,17 +337,19 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> Non
     count = len(bounds) - 1
     workers = 1 if getattr(_in_worker, "active", False) else min(WORKERS, count)
 
+    def steps(blk: slice, up, um):
+        for a, (p_up, p_dn) in enumerate(perms):
+            np.take(values, p_up[blk], axis=-1, out=up, mode="clip")
+            np.take(values, p_dn[blk], axis=-1, out=um, mode="clip")
+            yield a, up, um
+
     def run(first: int, last: int, bufs):
         up_buf, um_buf, *work = bufs
         for start, stop in zip(bounds[first:last], bounds[first + 1:last + 1]):
             blk, k = slice(start, stop), stop - start
             up = up_buf[:width * k].reshape(lead + (k,))
             um = um_buf[:width * k].reshape(lead + (k,))
-            work_k = [w[..., :k] for w in work]
-            for a, (p_up, p_dn) in enumerate(perms):
-                np.take(values, p_up[blk], axis=-1, out=up, mode="clip")
-                np.take(values, p_dn[blk], axis=-1, out=um, mode="clip")
-                kernel(blk, a, up, um, work_k)
+            kernel(blk, steps(blk, up, um), [w[..., :k] for w in work])
 
     most = max(stop - start for start, stop in zip(bounds, bounds[1:]))
 

@@ -86,25 +86,22 @@ class DifferenceJet:
         lap = np.empty(grid.size)
         two_h = 2.0 * grid.h_x
         h_sq = grid.h_x * grid.h_x
-        last = dim - 1
 
-        def kernel(blk, a, up, um, scratch):
+        def kernel(blk, steps, scratch):
             acc, two_f = scratch
-            # a block's first axis starts its Laplacian sum, its last ends it
-            if a == 0:
-                np.multiply(flat[blk], 2.0, out=two_f)
-                acc.fill(0.0)
-            d_a = first[a, blk]
-            np.subtract(up, um, out=d_a)
-            d_a /= two_h
-            # (S^+ f - 2f) + S^- f, the grouping of the compact stencil
-            up -= two_f
-            up += um
-            acc += up
-            if a == last:
-                lap_b = lap[blk]
-                np.negative(acc, out=lap_b)
-                lap_b /= h_sq
+            np.multiply(flat[blk], 2.0, out=two_f)
+            acc.fill(0.0)
+            for a, up, um in steps:
+                d_a = first[a, blk]
+                np.subtract(up, um, out=d_a)
+                d_a /= two_h
+                # (S^+ f - 2f) + S^- f, the grouping of the compact stencil
+                up -= two_f
+                up += um
+                acc += up
+            lap_b = lap[blk]
+            np.negative(acc, out=lap_b)
+            lap_b /= h_sq
 
         map_blocks(kernel, flat, grid, scratch=((), ()))
         self.grid = grid
@@ -115,7 +112,7 @@ class DifferenceJet:
         """The one pass over the composed Hessian H_ab = D_a D_b f.
 
         A block kernel of lattice.map_blocks over the stacked first
-        differences: for each block and axis a, one gather per direction
+        differences: per block, for each axis a, one gather per direction
         carries every D_b f through S_a^+- and gives the block rows
         H_a. = D_a D_. f.  The kernel accumulates, in (a, b) order from zero
         as a whole-field pass does, tr H (the wide stencil: the compact
@@ -123,7 +120,7 @@ class DifferenceJet:
         omega_s(H); with_norm, also |H|^2 and then the p-deficit
         |H|^2 - (1/4n)(tr H)^2 - (1/4n) sum_s omega_s(H)^2, pointwise
         non-negative by the Bessel inequality for the orthogonal family
-        {Id, omega_1, omega_2, omega_3}.  After a block's last axis it calls
+        {Id, omega_1, omega_2, omega_3}.  After the block's axis loop it calls
         contract(blk, tr, om, nsq, deficit, work), which writes the block's
         share of the caller's outputs; nsq and deficit are None without
         with_norm, and work holds one block array per entry of scratch.
@@ -137,39 +134,37 @@ class DifferenceJet:
         weights = [[(b, s, fd.omega[s][a, b]) for b in range(dim) for s in range(3)
                     if fd.omega[s][a, b] != 0.0] for a in range(dim)]
         two_h = 2.0 * grid.h_x
-        last = dim - 1
         quarter = 1.0 / dim
         # tr, om, and with_norm nsq, the deficit and its work block
         own = ((), (3,), (), (), ()) if with_norm else ((), (3,))
 
-        def kernel(blk, a, rows, work, blocks):
+        def kernel(blk, steps, blocks):
             tr, om = blocks[0], blocks[1]
             nsq, deficit = (blocks[2], blocks[3]) if with_norm else (None, None)
-            if a == 0:
-                tr.fill(0.0)
-                om.fill(0.0)
-                if with_norm:
-                    nsq.fill(0.0)
-            rows -= work
-            rows /= two_h
-            tr += rows[a]
-            for b, s, w in weights[a]:
-                # the frame's entries are +-1, where adding or subtracting
-                # the row gives the bits of w * H_ab without a temporary
-                if w == 1.0:
-                    om[s] += rows[b]
-                elif w == -1.0:
-                    om[s] -= rows[b]
-                else:
-                    om[s] += w * rows[b]
+            tr.fill(0.0)
+            om.fill(0.0)
             if with_norm:
-                rows *= rows
-                for row in rows:
-                    nsq += row
-            if a == last:
+                nsq.fill(0.0)
+            for a, rows, work in steps:
+                rows -= work
+                rows /= two_h
+                tr += rows[a]
+                for b, s, w in weights[a]:
+                    # the frame's entries are +-1, where adding or subtracting
+                    # the row gives the bits of w * H_ab without a temporary
+                    if w == 1.0:
+                        om[s] += rows[b]
+                    elif w == -1.0:
+                        om[s] -= rows[b]
+                    else:
+                        om[s] += w * rows[b]
                 if with_norm:
-                    _deficit_block(deficit, tr, om, nsq, blocks[4], quarter)
-                contract(blk, tr, om, nsq, deficit, blocks[len(own):])
+                    rows *= rows
+                    for row in rows:
+                        nsq += row
+            if with_norm:
+                _deficit_block(deficit, tr, om, nsq, blocks[4], quarter)
+            contract(blk, tr, om, nsq, deficit, blocks[len(own):])
 
         first = self.first.reshape(dim, grid.size)
         map_blocks(kernel, first, grid, scratch=own + tuple(scratch))
@@ -197,55 +192,33 @@ def grad_h(f: ScalarField | DifferenceJet) -> HorizontalField:
     return HorizontalField(jet.grid, jet.first)
 
 
-def _grad_sq_pass(f: ScalarField, finish) -> None:
-    """|grad_h f|^2 = sum_a (D_a f)^2 block by block from the step gathers
-    alone, summed in axis order into a block array sq; after a block's last
-    axis, finish(blk, sq) reads it on the pool's thread."""
-    grid = f.grid
-    two_h = 2.0 * grid.h_x
-    last = grid.dim_h - 1
-
-    def kernel(blk, a, up, um, scratch):
-        sq = scratch[0]
-        # the first axis squares straight into sq
-        d = sq if a == 0 else up
-        np.subtract(up, um, out=d)
-        d /= two_h
-        d *= d
-        if a > 0:
-            sq += d
-        if a == last:
-            finish(blk, sq)
-
-    map_blocks(kernel, f.values.reshape(-1), grid, scratch=((),))
-
-
-def grad_h_norm_sq(f: ScalarField) -> np.ndarray:
-    """|grad_h f|^2 pointwise, with the bits of
-    np.sum(grad_h(f).components ** 2, axis=0), without the jet's (4n,) +
-    grid.shape first differences or its sub-Laplacian."""
-    out = np.empty(f.grid.size)
-
-    def keep(blk, sq):
-        out[blk] = sq
-
-    _grad_sq_pass(f, keep)
-    return out.reshape(f.grid.shape)
-
-
 def weighted_grad_sq_integral(f: ScalarField, weight: np.ndarray) -> float:
-    """int |grad_h f|^2 weight: the bits of integrating grad_h_norm_sq(f) *
-    weight, with the integrand formed and summed block by block (tree_sum),
-    so no whole field is built."""
+    """int |grad_h f|^2 weight, with |grad_h f|^2 = sum_a (D_a f)^2 summed
+    in axis order from the step gathers alone: one block kernel forms the
+    integrand and its sum per block (tree_sum), with the bits of
+    integrating np.sum(grad_h(f).components ** 2, axis=0) * weight, and
+    builds no whole field (no jet, no Laplacian)."""
     grid = f.grid
     w = weight.reshape(-1)
+    two_h = 2.0 * grid.h_x
     sums = {}
 
-    def add(blk, sq):
+    def kernel(blk, steps, scratch):
+        sq = scratch[0]
+        # the first axis squares straight into sq
+        _, up, um = next(steps)
+        np.subtract(up, um, out=sq)
+        sq /= two_h
+        sq *= sq
+        for _, up, um in steps:
+            np.subtract(up, um, out=up)
+            up /= two_h
+            up *= up
+            sq += up
         sq *= w[blk]
         sums[blk.start] = np.add.reduce(sq)
 
-    _grad_sq_pass(f, add)
+    map_blocks(kernel, f.values.reshape(-1), grid, scratch=((),))
     return float(grid.cell_volume * tree_sum(sums, grid.size))
 
 
@@ -272,12 +245,13 @@ def divergence(sigma: HorizontalField) -> ScalarField:
     acc = np.zeros(grid.size)
     two_h = 2.0 * grid.h_x
 
-    def kernel(blk, a, up, um, scratch):
+    def kernel(blk, steps, scratch):
         # zeros + D_0 sigma_0 + D_1 sigma_1 + ..., the whole-field sum
-        d_a = up[a]
-        np.subtract(d_a, um[a], out=d_a)
-        d_a /= two_h
-        acc[blk] += d_a
+        for a, up, um in steps:
+            d_a = up[a]
+            np.subtract(d_a, um[a], out=d_a)
+            d_a /= two_h
+            acc[blk] += d_a
 
     map_blocks(kernel, comps, grid)
     return ScalarField(grid, -acc.reshape(grid.shape))

@@ -258,6 +258,7 @@ def test_config_parser_errors(tmp_path):
 @pytest.mark.parametrize("line", ["amplitude = 1.5", "record_every = 0",
                                   "cfl_safety = 0", "m_x = none",
                                   "profile = gauss", "tau_profile = gauss",
+                                  "profile = cosine", "tau_width = 0.01",
                                   "width = 0.4", "width = 0"])
 def test_run_rejects_invalid_config(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"

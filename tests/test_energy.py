@@ -65,6 +65,17 @@ def test_energy_positive_required():
         energy(ScalarField(grid, np.zeros(grid.shape)))
 
 
+def test_derf_rhs_rejects_nonpositive_data_and_excluded_alpha():
+    # energy(u) checks u before any work, and FlowQuantities checks alpha
+    grid = make_grid(1, 3)
+    with pytest.raises(ValueError, match="strictly positive"):
+        derf_rhs(ScalarField(grid, np.zeros(grid.shape)), -0.05)
+    u = ScalarField(grid, np.ones(grid.shape))
+    for bad in (0.0, 0.5):
+        with pytest.raises(ValueError, match="alpha"):
+            derf_rhs(u, bad)
+
+
 def test_derf_coefficient_signs_and_values():
     c_lap, c_quart, c_pfun, c_lich, c_pdef = derf_coefficients(1, -0.05)
     assert c_lap == pytest.approx(-0.2 / 3.3, rel=1e-12)

@@ -28,7 +28,6 @@ from qcflow.operators import (
     c_operator,
     divergence,
     grad_h,
-    grad_h_norm_sq,
     p_form,
     p_functional,
     reeb_derivative,
@@ -473,13 +472,6 @@ def test_p_functional_stream_is_bit_identical_to_the_hessian_route(m):
         assert p_functional(DifferenceJet(f)) == expect
 
 
-@pytest.mark.parametrize("m", [4, 5])
-def test_grad_h_norm_sq_is_bit_identical_to_the_squared_gradient(m):
-    for f in _jet_fields(m):
-        expect = np.sum(grad_h(f).components ** 2, axis=0)
-        assert grad_h_norm_sq(f).tobytes() == expect.tobytes()
-
-
 # the block passes on the worker pool ----------------------------------------
 
 PRODUCTION_ALPHA = -0.05
@@ -498,15 +490,14 @@ def _bochner(f):
 
 def _run_passes(f):
     """Every block kernel of the package on f: the Euler update with the
-    mass, min and max of the new field, the jet, |Df|^2, the energy (|D
-    phi|^2 u summed per block), the divergence of the jet's gradient and
+    mass, min and max of the new field, the jet, the energy (|D phi|^2 u
+    summed per block), the divergence of the jet's gradient and
     the Hessian stream under its contractions: one that collects it, the
     production integrals of FlowQuantities (with f as u), the Bochner
     residual's L2 norms and the P-pairing."""
     return {
         "euler": lambda: flow._euler_update(f.values, f.grid, 0.01, True),
         "jet": lambda: DifferenceJet(f),
-        "grad_sq": lambda: grad_h_norm_sq(f),
         "energy": lambda: energy(f),
         "divergence": lambda: divergence(grad_h(f)).values,
         "hessian": lambda: _stream_hessian(f),
@@ -576,7 +567,6 @@ def _reference_passes(f):
         "euler": (stepped, integrate(ScalarField(grid, stepped)),
                   float(np.min(stepped)), float(np.max(stepped))),
         "jet": (first, lap),
-        "grad_sq": np.sum(first ** 2, axis=0),
         "energy": float(grid.cell_volume * np.sum(grad_phi_sq * values)),
         "divergence": -div,
         "hessian": (norm_sq, trace, omega, deficit),
@@ -691,11 +681,12 @@ def test_map_blocks_runs_serially_inside_a_worker(monkeypatch):
     values = np.arange(grid.size, dtype=float)
     inner = []
 
-    def inner_kernel(blk, a, up, um, scratch):
-        inner.append(threading.get_ident())
+    def inner_kernel(blk, steps, scratch):
+        for _ in steps:
+            inner.append(threading.get_ident())
 
-    def kernel(blk, a, up, um, scratch):
-        if blk.start == 0 and a == 0:
+    def kernel(blk, steps, scratch):
+        if blk.start == 0:
             lattice.map_blocks(inner_kernel, values, grid)
 
     done = threading.Thread(target=lattice.map_blocks, args=(kernel, values, grid),
