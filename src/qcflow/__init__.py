@@ -35,7 +35,6 @@ from .lattice import (
     HorizontalField,
     LatticeGrid,
     ScalarField,
-    bump_value,
     frame_data,
     group_inverse,
     group_multiply,
@@ -49,14 +48,11 @@ from .lattice import (
 )
 from .operators import (
     DifferenceJet,
-    c_operator,
     divergence,
     grad_h,
-    p_form,
     p_functional,
     reeb_derivative,
     sub_laplacian,
-    third_contractions,
 )
 from .suites import SUITE_NAMES, run_suite
 

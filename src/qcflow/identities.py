@@ -83,6 +83,20 @@ def check_alpha(alpha: float):
         raise ValueError("alpha must avoid 0 and 1/2")
 
 
+def _deficit_block(d, tr, om, nsq, sq, quarter):
+    # the p-deficit |H|^2 - (1/4n)(tr H)^2 - (1/4n) sum_s omega_s(H)^2 of a
+    # Hessian stream block into d, grouped as written; pointwise
+    # non-negative by the Bessel inequality for the orthogonal family
+    # {Id, omega_1, omega_2, omega_3}.  sq is a block of work space
+    np.multiply(tr, quarter, out=d)
+    d *= tr
+    np.subtract(nsq, d, out=d)
+    for s in range(3):
+        np.multiply(om[s], quarter, out=sq)
+        sq *= om[s]
+        d -= sq
+
+
 class FlowQuantities:
     """Shared derived fields for the F = u^alpha identity chain (lazy).
 
@@ -156,12 +170,13 @@ class FlowQuantities:
         """(I_lap2, I_quart, I_hess2, I_omega2, I_deficit, min of the
         p-deficit, mean of |H|^2) from one contraction of F's Hessian stream.
 
-        Per block it forms the weights u^(1-2 alpha) and u^(1-4 alpha), and
-        |DF|^2 in axis order, then the integrands w2 (Delta F)^2,
-        w4 |DF|^4, w2 |H|^2, w2 sum_s omega_s^2 and w2 deficit, and keeps
-        their block sums, the block sum of |H|^2 and the block's deficit
-        minimum: per point the bits of the whole-field formulas, without
-        their weight, square or integrand fields.  tree_sum gives each
+        Per block it forms the p-deficit from |H|^2, tr H and omega_s(H),
+        the weights u^(1-2 alpha) and u^(1-4 alpha), and |DF|^2 in axis
+        order, then the integrands w2 (Delta F)^2, w4 |DF|^4, w2 |H|^2,
+        w2 sum_s omega_s^2 and w2 deficit, and keeps their block sums, the
+        block sum of |H|^2 and the block's deficit minimum: per point the
+        bits of the whole-field formulas, without their weight, square or
+        integrand fields.  tree_sum gives each
         integral the bits of one np.sum over the whole integrand, a min is
         exact in any order, and np.mean is that sum over the size.
         """
@@ -171,11 +186,13 @@ class FlowQuantities:
         first = jet.first.reshape(grid.dim_h, grid.size)
         lap = jet.laplacian.reshape(-1)
         e2, e4 = 1.0 - 2 * self.alpha, 1.0 - 4 * self.alpha
+        quarter = 1.0 / grid.dim_h
         lap2, quart, hess2, omega2, weighted, norms, mins = {}, {}, {}, {}, {}, {}, []
 
-        def contract(blk, tr, om, nsq, d, work):
-            w, g, sq = work
+        def contract(blk, tr, om, nsq, work):
+            w, g, sq, d = work
             key = blk.start
+            _deficit_block(d, tr, om, nsq, sq, quarter)
             np.power(u[blk], e2, out=w)
             np.multiply(w, d, out=sq)
             weighted[key] = np.add.reduce(sq)
@@ -202,7 +219,7 @@ class FlowQuantities:
             quart[key] = np.add.reduce(sq)
             mins.append(np.minimum.reduce(d))
 
-        jet.hessian_stream(contract, with_norm=True, scratch=((), (), ()))
+        jet.hessian_stream(contract, with_norm=True, scratch=((), (), (), ()))
         vol = grid.cell_volume
         integrals = tuple(float(vol * tree_sum(sums, grid.size))
                           for sums in (lap2, quart, hess2, omega2, weighted))
@@ -346,7 +363,7 @@ def bochner_residual(f: ScalarField) -> IdentityReport:
     mixed = _reeb_mixed(grid, g.components).reshape(-1)
     lhs_sq, rhs_sq, res_sq = {}, {}, {}
 
-    def contract(blk, tr, om, nsq, deficit, work):
+    def contract(blk, tr, om, nsq, work):
         # the right side -|H|^2 + dot - 4 mixed, grouped as written, and the
         # block sums of the squares of both sides and of their difference
         rhs, sq = work

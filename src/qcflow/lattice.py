@@ -73,9 +73,7 @@ def imaginary_product(x: np.ndarray, xp: np.ndarray) -> np.ndarray:
     return np.array([x @ B[s] @ xp for s in range(3)])
 
 
-def group_multiply(p: GroupPoint, q: GroupPoint, n: int | None = None) -> GroupPoint:
-    if n is not None and (p.n != n or q.n != n):
-        raise ValueError("group points do not match the requested n")
+def group_multiply(p: GroupPoint, q: GroupPoint) -> GroupPoint:
     if p.n != q.n:
         raise ValueError("group points have different dimensions")
     return GroupPoint(p.x + q.x, p.t + q.t + 2.0 * imaginary_product(p.x, q.x))
@@ -450,21 +448,6 @@ def _radial_profile(q: np.ndarray, scale: float, profile: str = "smooth") -> np.
     return out
 
 
-def _line_profile(tau: np.ndarray, scale: float, profile: str = "smooth") -> np.ndarray:
-    """Compactly supported 1-d profile with support SUPPORT_FACTOR*scale."""
-    ell = SUPPORT_FACTOR * scale
-    out = np.zeros_like(tau)
-    inside = np.abs(tau) < ell
-    ti = tau[inside]
-    if profile == "smooth":
-        out[inside] = np.exp(-ti * ti / (ell * ell - ti * ti))
-    elif profile == "cosine":
-        out[inside] = np.cos(0.5 * np.pi * ti / ell) ** 2
-    else:
-        raise ValueError(f"unknown bump profile {profile!r}")
-    return out
-
-
 def _periodized_line_profile(tau: np.ndarray, scale: float, period: float,
                              profile: str = "smooth") -> np.ndarray:
     # window wide enough to cover every image of the support for the actual
@@ -475,7 +458,8 @@ def _periodized_line_profile(tau: np.ndarray, scale: float, period: float,
     kmax = int(math.ceil((support - float(np.min(tau))) / period))
     total = np.zeros_like(tau)
     for k in range(kmin, kmax + 1):
-        total += _line_profile(tau + k * period, scale, profile)
+        shifted = tau + k * period
+        total += _radial_profile(shifted * shifted, scale, profile)
     return total
 
 
@@ -561,58 +545,6 @@ def periodized_bump(grid: LatticeGrid, center: GroupPoint | None = None,
                    * tpart[2][..., None, None, :])
         total += contrib
     return ScalarField(grid, offset + amplitude * total)
-
-
-def bump_value(point: GroupPoint, grid: LatticeGrid, center: GroupPoint | None = None,
-               width: float = 0.2, amplitude: float = 1.0, offset: float = 0.0,
-               tau_width: float | None = None, shells: int = 2,
-               profile: str = "smooth", tau_profile: str | None = None) -> float:
-    """Pointwise evaluation of the defining lattice sum at any group point.
-
-    Sums psi(center^{-1} * (gamma * point)) over lattice elements gamma with
-    horizontal shifts up to `shells` and an exact vertical window; used to
-    test lattice invariance of the construction.
-    """
-    if center is None:
-        center = default_center(grid)
-    if tau_width is None:
-        tau_width = default_tau_width(width)
-    if tau_profile is None:
-        tau_profile = profile
-    dh = grid.dim_h
-    cinv = group_inverse(center)
-    W = SUPPORT_FACTOR * width
-    T = SUPPORT_FACTOR * tau_width
-    total = 0.0
-    for ell_tuple in itertools.product(range(-shells, shells + 1), repeat=dh):
-        ell = np.array(ell_tuple, dtype=float) * grid.L_x
-        gamma = GroupPoint(ell, np.zeros(3))
-        rel0 = group_multiply(cinv, group_multiply(gamma, point))
-        q = float(rel0.x @ rel0.x)
-        if q >= W * W:
-            continue
-        if profile == "smooth":
-            chi_x = math.exp(-q / (W * W - q))
-        elif profile == "cosine":
-            chi_x = math.cos(0.5 * math.pi * math.sqrt(q) / W) ** 2
-        else:
-            raise ValueError(f"unknown bump profile {profile!r}")
-        tprod = 1.0
-        for s in range(3):
-            acc = 0.0
-            base = rel0.t[s]
-            kmin = int(math.floor((-base - T) / grid.L_t))
-            kmax = int(math.ceil((T - base) / grid.L_t))
-            for k in range(kmin, kmax + 1):
-                tau = base + k * grid.L_t
-                if abs(tau) < T:
-                    if tau_profile == "smooth":
-                        acc += math.exp(-tau * tau / (T * T - tau * tau))
-                    else:
-                        acc += math.cos(0.5 * math.pi * tau / T) ** 2
-            tprod *= acc
-        total += chi_x * tprod
-    return offset + amplitude * total
 
 
 def vertically_uniform_bump(grid: LatticeGrid, center: GroupPoint | None = None,

@@ -15,16 +15,16 @@ give both the first differences D_a f and the compact sub-Laplacian.  The
 composed second differences H_ab = D_a D_b f come from one Hessian stream,
 DifferenceJet.hessian_stream: block by block, one stacked gather per step
 table gives the rows H_a. of every D_b f, and the stream accumulates tr H
-and omega_s(H), and |H|^2 and the p-deficit when asked.  No Hessian field
-is kept: each consumer passes a contraction that reads a block's
-contractions and writes its share of the consumer's outputs (the
-production integrals of identities.FlowQuantities, the Bochner residual,
-the omega-contraction check of the calculus suite, and p_functional).
+and omega_s(H), and |H|^2 when asked.  No Hessian field is kept: each
+consumer passes a contraction that reads a block's contractions and writes
+its share of the consumer's outputs (the production integrals of
+identities.FlowQuantities, the Bochner residual, the omega-contraction
+check of the calculus suite, and p_functional).
 grad_h, sub_laplacian and p_functional read a jet, so a caller that needs
 several of them passes the jet instead of the field and pays for the
 gathers once.  divergence is one kernel over the stacked components of its
-1-form; any other difference of a derived field (the third-order
-contractions, the identity catalog's commutators) reads that field's jet.
+1-form; any other difference of a derived field (the identity catalog's
+commutators) reads that field's jet.
 
 Because D_a is exactly skew-adjoint, the P-pairing needs no third-order
 stencil: summing by parts,
@@ -32,9 +32,10 @@ stencil: summing by parts,
     int P_f(grad f) = int (Delta f tr H + sum_t G_t^2),
     G_t = sum_{b,d} I_t[d, b] H_bd = g(H, omega_t),
 
-which p_functional evaluates from the jet.  p_form and third_contractions
-build the third-order 1-form itself; they remain for c_operator and as the
-independent route that the duality tests compare against.
+which p_functional evaluates from the jet.  The model's torsion vanishes,
+so the P-form has no first-order terms.  The tests assemble the third-order
+1-form itself from composed differences, as the independent route they
+compare this pairing and the duality int f C f = -int P_f(grad f) with.
 
 Sign convention: sub_laplacian returns the positive operator
 Delta f = -sum_a f_aa, so the heat equation du/dt = -Delta u is smoothing.
@@ -43,22 +44,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import TorsionData
 from .lattice import (
     XI_SCALE,
     HorizontalField,
-    LatticeGrid,
     ScalarField,
     frame_data,
     map_blocks,
     tree_sum,
     vertical_shift,
 )
-
-
-def vertical_difference(values: np.ndarray, grid: LatticeGrid, s: int) -> np.ndarray:
-    return (vertical_shift(values, grid, s, +1)
-            - vertical_shift(values, grid, s, -1)) / (2.0 * grid.h_t)
 
 
 class DifferenceJet:
@@ -69,8 +63,8 @@ class DifferenceJet:
                S_a^- f) / h_x^2, from the same 8n step gathers as `first`
     hessian_stream(contract, with_norm)
                the one pass over H_ab = D_a D_b f: per block it hands
-               contract tr H, omega_s(H) and, with_norm, |H|^2 and the
-               p-deficit; no Hessian field is built or kept
+               contract tr H, omega_s(H) and, with_norm, |H|^2; no Hessian
+               field is built or kept
 
     Both passes are block kernels of lattice.map_blocks, the one blocked
     gather pass, and give the bits of the whole-field stencils.  A composed
@@ -117,15 +111,11 @@ class DifferenceJet:
         H_a. = D_a D_. f.  The kernel accumulates, in (a, b) order from zero
         as a whole-field pass does, tr H (the wide stencil: the compact
         sub-Laplacian is its negative up to an O(h^2) stencil gap) and
-        omega_s(H); with_norm, also |H|^2 and then the p-deficit
-        |H|^2 - (1/4n)(tr H)^2 - (1/4n) sum_s omega_s(H)^2, pointwise
-        non-negative by the Bessel inequality for the orthogonal family
-        {Id, omega_1, omega_2, omega_3}.  After the block's axis loop it calls
-        contract(blk, tr, om, nsq, deficit, work), which writes the block's
-        share of the caller's outputs; nsq and deficit are None without
-        with_norm, and work holds one block array per entry of scratch.
-        contract runs on the pool's threads: it may call no public qcflow
-        function.
+        omega_s(H), and with_norm also |H|^2.  After the block's axis loop
+        it calls contract(blk, tr, om, nsq, work), which writes the block's
+        share of the caller's outputs; nsq is None without with_norm, and
+        work holds one block array per entry of scratch.  contract runs on
+        the pool's threads: it may call no public qcflow function.
         """
         grid = self.grid
         fd = frame_data(grid)
@@ -134,13 +124,12 @@ class DifferenceJet:
         weights = [[(b, s, fd.omega[s][a, b]) for b in range(dim) for s in range(3)
                     if fd.omega[s][a, b] != 0.0] for a in range(dim)]
         two_h = 2.0 * grid.h_x
-        quarter = 1.0 / dim
-        # tr, om, and with_norm nsq, the deficit and its work block
-        own = ((), (3,), (), (), ()) if with_norm else ((), (3,))
+        # tr, om, and with_norm nsq
+        own = ((), (3,), ()) if with_norm else ((), (3,))
 
         def kernel(blk, steps, blocks):
             tr, om = blocks[0], blocks[1]
-            nsq, deficit = (blocks[2], blocks[3]) if with_norm else (None, None)
+            nsq = blocks[2] if with_norm else None
             tr.fill(0.0)
             om.fill(0.0)
             if with_norm:
@@ -162,24 +151,10 @@ class DifferenceJet:
                     rows *= rows
                     for row in rows:
                         nsq += row
-            if with_norm:
-                _deficit_block(deficit, tr, om, nsq, blocks[4], quarter)
-            contract(blk, tr, om, nsq, deficit, blocks[len(own):])
+            contract(blk, tr, om, nsq, blocks[len(own):])
 
         first = self.first.reshape(dim, grid.size)
         map_blocks(kernel, first, grid, scratch=own + tuple(scratch))
-
-
-def _deficit_block(d, tr, om, nsq, sq, quarter):
-    # nsq - (1/4n) tr^2 - (1/4n) sum_s om_s^2 into the block d, grouped as
-    # written; sq is a block of work space
-    np.multiply(tr, quarter, out=d)
-    d *= tr
-    np.subtract(nsq, d, out=d)
-    for s in range(3):
-        np.multiply(om[s], quarter, out=sq)
-        sq *= om[s]
-        d -= sq
 
 
 def _jet(f: ScalarField | DifferenceJet) -> DifferenceJet:
@@ -224,7 +199,10 @@ def weighted_grad_sq_integral(f: ScalarField, weight: np.ndarray) -> float:
 
 def reeb_derivative(f: ScalarField, s: int) -> ScalarField:
     """xi_s f via the centered vertical difference and the frame scale."""
-    return ScalarField(f.grid, XI_SCALE * vertical_difference(f.values, f.grid, s))
+    grid = f.grid
+    diff = (vertical_shift(f.values, grid, s, +1)
+            - vertical_shift(f.values, grid, s, -1)) / (2.0 * grid.h_t)
+    return ScalarField(grid, XI_SCALE * diff)
 
 
 def sub_laplacian(f: ScalarField | DifferenceJet) -> ScalarField:
@@ -257,118 +235,29 @@ def divergence(sigma: HorizontalField) -> ScalarField:
     return ScalarField(grid, -acc.reshape(grid.shape))
 
 
-def third_contractions(f: ScalarField):
-    """The two third-derivative contractions entering the P-form.
-
-    c1(X_a) = nabla^3 f(e_a, e_b, e_b) summed over b = -X_a(Delta f);
-    c2(X_a) = sum_t nabla^3 f(I_t e_a, e_b, I_t e_b), assembled by
-    recombining directional compositions through the constant I_t matrices.
-    """
-    grid = f.grid
-    fd = frame_data(grid)
-    dim = grid.dim_h
-    jet = DifferenceJet(f)
-    c1 = -DifferenceJet(ScalarField(grid, jet.laplacian)).first
-    # second[b][a] = D_a D_b f = H_ab
-    second = [DifferenceJet(ScalarField(grid, jet.first[b])).first for b in range(dim)]
-
-    c2 = np.zeros((dim,) + grid.shape)
-    for t in range(3):
-        It = fd.structure.I[t]
-        # G_t = g(nabla^2 f, omega_t) built from the composed Hessian
-        gt = np.zeros(grid.shape)
-        for b in range(dim):
-            for d in range(dim):
-                w = It[d, b]
-                if w != 0.0:
-                    gt += w * second[d][b]
-        dgt = DifferenceJet(ScalarField(grid, gt)).first
-        for a in range(dim):
-            for c in range(dim):
-                w = It[c, a]
-                if w != 0.0:
-                    c2[a] += w * dgt[c]
-    return HorizontalField(grid, c1), HorizontalField(grid, c2)
-
-
-def _torsion_or_model(grid: LatticeGrid, torsion: TorsionData | None) -> TorsionData:
-    if torsion is None:
-        return TorsionData.zero(grid.n)
-    if torsion.n != grid.n:
-        raise ValueError("torsion data does not match the grid dimension")
-    return torsion
-
-
-def _torsion_coefficients(grid: LatticeGrid, torsion: TorsionData | None):
-    """(td, s_coef, t_coef, u_coef) of the first-order part
-    s_coef Df + t_coef T0 Df + u_coef U Df of P_f, or None when the torsion
-    vanishes (the model)."""
-    td = _torsion_or_model(grid, torsion)
-    if not (td.S != 0.0 or np.any(td.T0) or np.any(td.U)):
-        return None
-    n = grid.n
-    if n > 1:
-        return td, -4.0 * n * td.S, 4.0 * n, -8.0 * n * (n - 2) / (n - 1)
-    return td, -4.0 * td.S, 4.0, 0.0
-
-
-def p_form(f: ScalarField, torsion: TorsionData | None = None) -> HorizontalField:
-    """Third-order 1-form P_f; torsion terms use the supplied data (zero on
-    the model) with the n = 1 coefficient branch."""
-    grid = f.grid
-    c1, c2 = third_contractions(f)
-    comps = c1.components + c2.components
-    coefs = _torsion_coefficients(grid, torsion)
-    if coefs is not None:
-        td, s_coef, t_coef, u_coef = coefs
-        g = grad_h(f)
-        t0g = np.einsum("ab,b...->a...", td.T0, g.components)
-        comps = comps + s_coef * g.components + t_coef * t0g
-        if u_coef != 0.0:
-            comps = comps + u_coef * np.einsum("ab,b...->a...", td.U, g.components)
-    return HorizontalField(grid, comps)
-
-
-def p_functional(f: ScalarField | DifferenceJet, torsion: TorsionData | None = None) -> float:
+def p_functional(f: ScalarField | DifferenceJet) -> float:
     """Pairing integral of P_f against the gradient of f.
 
     Evaluated by summation by parts from the jet of f (module docstring):
-    vol * sum(Delta f tr H + sum_t G_t^2), plus the first-order torsion
-    terms s_coef |Df|^2 + t_coef <T0 Df, Df> + u_coef <U Df, Df>.  The
-    integrand is formed and summed block by block from tr H and omega_s(H)
-    of the Hessian stream, torsion terms included, so neither the full
-    Hessian nor a whole-field integrand is built; tree_sum gives the bits
-    of one np.sum over the whole integrand.  It agrees with the direct
-    pairing of p_form against grad_h to roundoff.  The P-function of f
-    counts as non-negative when this integral is non-positive.
+    vol * sum(Delta f tr H + sum_t G_t^2).  The integrand is formed and
+    summed block by block from tr H and omega_s(H) of the Hessian stream,
+    so neither the full Hessian nor a whole-field integrand is built;
+    tree_sum gives the bits of one np.sum over the whole integrand.  The
+    P-function of f counts as non-negative when this integral is
+    non-positive.
     """
     jet = _jet(f)
     grid = jet.grid
     lap = jet.laplacian.reshape(-1)
-    first = jet.first.reshape(grid.dim_h, grid.size)
-    coefs = _torsion_coefficients(grid, torsion)
     sums = {}
 
-    def contract(blk, tr, om, nsq, deficit, work):
+    def contract(blk, tr, om, nsq, work):
         ib, sq = work
         np.multiply(lap[blk], tr, out=ib)
         for t in range(3):
             np.multiply(om[t], om[t], out=sq)
             ib += sq
-        if coefs is not None:
-            td, s_coef, t_coef, u_coef = coefs
-            g = first[:, blk]
-            ib += s_coef * np.sum(g * g, axis=0)
-            ib += t_coef * np.einsum("a...,ab,b...->...", g, td.T0, g)
-            if u_coef != 0.0:
-                ib += u_coef * np.einsum("a...,ab,b...->...", g, td.U, g)
         sums[blk.start] = np.add.reduce(ib)
 
     jet.hessian_stream(contract, with_norm=False, scratch=((), ()))
     return float(grid.cell_volume * tree_sum(sums, grid.size))
-
-
-def c_operator(f: ScalarField, torsion: TorsionData | None = None) -> ScalarField:
-    """Fourth-order operator C f = -nabla* P_f."""
-    div = divergence(p_form(f, torsion))
-    return ScalarField(f.grid, -div.values)

@@ -325,7 +325,7 @@ def calculus_suite(seed: int = 1, m_pair=(4, 8), alpha: float = -0.05) -> SuiteR
                 xi = [reeb_derivative(u, s).values.reshape(-1) for s in range(3)]
                 sums = ({}, {}, {})
 
-                def contract(blk, tr, om, nsq, deficit, work):
+                def contract(blk, tr, om, nsq, work):
                     # (omega_s(H) + 4 xi_s u)^2 per block and per s
                     sq = work[0]
                     for s in range(3):

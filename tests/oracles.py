@@ -1,0 +1,113 @@
+"""Independent reference routes the tests compare the package against: the
+third-order P-form assembled from composed first differences (the lab pairs
+it with grad f by summation by parts, operators.p_functional), and the bump
+as its defining lattice sum at one group point (lattice.periodized_bump)."""
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from qcflow.lattice import (SUPPORT_FACTOR, GroupPoint, HorizontalField, LatticeGrid,
+                            ScalarField, default_center, default_tau_width, frame_data,
+                            group_inverse, group_multiply)
+from qcflow.operators import DifferenceJet, divergence
+
+
+def third_contractions(f: ScalarField):
+    """The two third-derivative contractions entering the P-form.
+
+    c1(X_a) = nabla^3 f(e_a, e_b, e_b) summed over b = -X_a(Delta f);
+    c2(X_a) = sum_t nabla^3 f(I_t e_a, e_b, I_t e_b), assembled by
+    recombining directional compositions through the constant I_t matrices.
+    """
+    grid = f.grid
+    fd = frame_data(grid)
+    dim = grid.dim_h
+    jet = DifferenceJet(f)
+    c1 = -DifferenceJet(ScalarField(grid, jet.laplacian)).first
+    # second[b][a] = D_a D_b f = H_ab
+    second = [DifferenceJet(ScalarField(grid, jet.first[b])).first for b in range(dim)]
+
+    c2 = np.zeros((dim,) + grid.shape)
+    for t in range(3):
+        It = fd.structure.I[t]
+        # G_t = g(nabla^2 f, omega_t) built from the composed Hessian
+        gt = np.zeros(grid.shape)
+        for b in range(dim):
+            for d in range(dim):
+                w = It[d, b]
+                if w != 0.0:
+                    gt += w * second[d][b]
+        dgt = DifferenceJet(ScalarField(grid, gt)).first
+        for a in range(dim):
+            for c in range(dim):
+                w = It[c, a]
+                if w != 0.0:
+                    c2[a] += w * dgt[c]
+    return HorizontalField(grid, c1), HorizontalField(grid, c2)
+
+
+def p_form(f: ScalarField) -> HorizontalField:
+    """Third-order 1-form P_f of the model, whose torsion vanishes."""
+    c1, c2 = third_contractions(f)
+    return HorizontalField(f.grid, c1.components + c2.components)
+
+
+def c_operator(f: ScalarField) -> ScalarField:
+    """Fourth-order operator C f = -nabla* P_f."""
+    div = divergence(p_form(f))
+    return ScalarField(f.grid, -div.values)
+
+
+def bump_value(point: GroupPoint, grid: LatticeGrid, center: GroupPoint | None = None,
+               width: float = 0.2, amplitude: float = 1.0, offset: float = 0.0,
+               tau_width: float | None = None, shells: int = 2,
+               profile: str = "smooth", tau_profile: str | None = None) -> float:
+    """Pointwise evaluation of the defining lattice sum at any group point.
+
+    Sums psi(center^{-1} * (gamma * point)) over lattice elements gamma with
+    horizontal shifts up to `shells` and an exact vertical window; used to
+    test lattice invariance of the construction.
+    """
+    if center is None:
+        center = default_center(grid)
+    if tau_width is None:
+        tau_width = default_tau_width(width)
+    if tau_profile is None:
+        tau_profile = profile
+    dh = grid.dim_h
+    cinv = group_inverse(center)
+    W = SUPPORT_FACTOR * width
+    T = SUPPORT_FACTOR * tau_width
+    total = 0.0
+    for ell_tuple in itertools.product(range(-shells, shells + 1), repeat=dh):
+        ell = np.array(ell_tuple, dtype=float) * grid.L_x
+        gamma = GroupPoint(ell, np.zeros(3))
+        rel0 = group_multiply(cinv, group_multiply(gamma, point))
+        q = float(rel0.x @ rel0.x)
+        if q >= W * W:
+            continue
+        if profile == "smooth":
+            chi_x = math.exp(-q / (W * W - q))
+        elif profile == "cosine":
+            chi_x = math.cos(0.5 * math.pi * math.sqrt(q) / W) ** 2
+        else:
+            raise ValueError(f"unknown bump profile {profile!r}")
+        tprod = 1.0
+        for s in range(3):
+            acc = 0.0
+            base = rel0.t[s]
+            kmin = int(math.floor((-base - T) / grid.L_t))
+            kmax = int(math.ceil((T - base) / grid.L_t))
+            for k in range(kmin, kmax + 1):
+                tau = base + k * grid.L_t
+                if abs(tau) < T:
+                    if tau_profile == "smooth":
+                        acc += math.exp(-tau * tau / (T * T - tau * tau))
+                    else:
+                        acc += math.cos(0.5 * math.pi * tau / T) ** 2
+            tprod *= acc
+        total += chi_x * tprod
+    return offset + amplitude * total

@@ -14,7 +14,6 @@ from qcflow.lattice import (
     XI_SCALE,
     GroupPoint,
     ScalarField,
-    bump_value,
     frame_data,
     group_inverse,
     group_multiply,
@@ -29,6 +28,8 @@ from qcflow.lattice import (
     shift,
     vertical_shift,
 )
+
+from oracles import bump_value
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qcflow"
 
@@ -425,22 +426,23 @@ def test_step_tables_are_gathered_only_in_lattice():
 
 
 # public functions that no code of the package calls, kept on purpose: the
-# whole-field gather the tests compare every block kernel with, the pointwise
-# lattice sum of the bump, the snapshot reader perfbench uses, the
-# fourth-order operator C f = -nabla* P_f, and the list form of the reports
-KEPT_UNCALLED = ("lattice.shift", "lattice.bump_value", "lattice.load_field",
-                 "operators.c_operator", "energy.energy_series")
+# whole-field gather the tests compare every block kernel with, the snapshot
+# reader perfbench uses, and the list form of the reports
+KEPT_UNCALLED = ("lattice.shift", "lattice.load_field", "energy.energy_series")
 
 
 def test_every_public_function_has_a_caller_in_the_package():
     # code whose only caller is its own test goes: a public module-level
     # function must be referenced (by name or as an attribute) somewhere in
-    # src/qcflow outside its own definition and __init__.py
+    # src/qcflow outside its own definition, __init__.py and the kept
+    # uncalled functions (a function that only those reach has no caller)
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     referenced = set()
-    for tree in modules.values():
+    for name, tree in modules.items():
         for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and f"{name}.{top.name}" in KEPT_UNCALLED:
+                continue
             names = {node.id if isinstance(node, ast.Name) else node.attr
                      for node in ast.walk(top)
                      if isinstance(node, (ast.Name, ast.Attribute))}

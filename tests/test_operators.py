@@ -9,7 +9,6 @@ import pytest
 
 import qcflow.energy as energy_module
 from qcflow import algebra, flow, identities, lattice, operators
-from qcflow.algebra import TorsionData
 from qcflow.energy import energy
 from qcflow.identities import FlowQuantities, bochner_residual
 from qcflow.lattice import (
@@ -25,15 +24,14 @@ from qcflow.lattice import (
 )
 from qcflow.operators import (
     DifferenceJet,
-    c_operator,
     divergence,
     grad_h,
-    p_form,
     p_functional,
     reeb_derivative,
     sub_laplacian,
-    third_contractions,
 )
+
+from oracles import c_operator, p_form, third_contractions
 
 
 def make_bump_field(m, width=0.22, tau_width=None, amplitude=1.0, offset=0.0,
@@ -314,41 +312,28 @@ def test_p_form_constant_zero_and_duality():
     assert abs(pf + fc) <= 1e-12 * scale
 
 
-def test_p_form_torsion_branches():
-    # supplying synthetic torsion data changes the form through the
-    # dimension-dependent coefficient branches
-    from qcflow.algebra import TorsionData
-    grid = make_grid(1, 3)
-    f = make_bump_field(3, amplitude=1.0, offset=0.5)
-    d = 4
-    td = TorsionData(n=1, T0=np.zeros((d, d)), U=np.zeros((d, d)), S=2.0)
-    base = p_form(f)
-    with_s = p_form(f, torsion=td)
-    g = grad_h(f)
-    # n = 1 branch: -4 S df term
-    expect = base.components - 4.0 * 2.0 * g.components
-    assert np.allclose(with_s.components, expect, atol=1e-12)
-
-
 def _stream_hessian(f, with_norm=True):
     """(|H|^2, tr H, omega_s(H), p-deficit) as whole fields, in the order of
     _ref_hessian, collected from the blocks of the Hessian stream of f (a
-    field or its jet); |H|^2 and the deficit are None without with_norm."""
+    field or its jet), the deficit formed per block as F's production
+    contraction forms it; |H|^2 and the deficit are None without
+    with_norm."""
     jet = f if isinstance(f, DifferenceJet) else DifferenceJet(f)
     grid = jet.grid
+    quarter = 1.0 / grid.dim_h
     norm_sq, trace, deficit = (np.full(grid.size, np.nan) for _ in range(3))
     omega = np.full((3, grid.size), np.nan)
 
-    def collect(blk, tr, om, nsq, d, work):
+    def collect(blk, tr, om, nsq, work):
         trace[blk] = tr
         omega[:, blk] = om
         if with_norm:
             norm_sq[blk] = nsq
-            deficit[blk] = d
+            identities._deficit_block(deficit[blk], tr, om, nsq, work[0], quarter)
         else:
-            assert nsq is None and d is None
+            assert nsq is None
 
-    jet.hessian_stream(collect, with_norm=with_norm)
+    jet.hessian_stream(collect, with_norm=with_norm, scratch=((),))
     shape = grid.shape
     if not with_norm:
         return None, trace.reshape(shape), omega.reshape((3,) + shape), None
@@ -443,20 +428,16 @@ def test_jet_readers_are_bit_identical_to_the_stencils(m):
 
 
 @pytest.mark.parametrize("m", [4, 6])
-@pytest.mark.parametrize("with_torsion", [False, True])
-def test_p_functional_matches_the_third_order_pairing(m, with_torsion):
+def test_p_functional_matches_the_third_order_pairing(m):
     # summation by parts: vol * sum(Delta f tr H + sum_t G_t^2) equals the
     # direct pairing of the third-order P-form against grad f to roundoff
-    td = None
-    if with_torsion:
-        td = TorsionData(n=1, T0=np.zeros((4, 4)), U=np.zeros((4, 4)), S=2.0)
     for f in _jet_fields(m):
         grid = f.grid
         oracle = float(grid.cell_volume
-                       * np.sum(p_form(f, td).components * grad_h(f).components))
-        got = p_functional(f, td)
+                       * np.sum(p_form(f).components * grad_h(f).components))
+        got = p_functional(f)
         assert abs(got - oracle) <= 1e-13 * abs(oracle)
-        assert p_functional(DifferenceJet(f), td) == got
+        assert p_functional(DifferenceJet(f)) == got
 
 
 @pytest.mark.parametrize("m", [4, 5])
