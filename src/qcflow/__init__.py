@@ -23,7 +23,6 @@ from .energy import (
     MonotonicityVerdict,
     derf_coefficients,
     derf_rhs,
-    energy_series,
     lemma_residual,
     monotonicity_verdict,
 )

@@ -10,7 +10,6 @@ the measured positivity hypotheses hold.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +30,13 @@ CSV_COLUMNS = (
 def energy(u: ScalarField) -> float:
     """E(u) = int |grad phi|^2 u, phi = -ln u.
 
-    One block pass over the first differences of phi alone (no jet of phi,
-    no Laplacian) forms |grad phi|^2 u and its sum per block, with the bits
-    of integrating np.sum(grad_h(phi).components ** 2, axis=0) * u.
+    One block pass over the first differences of ln u alone (no jet, no
+    Laplacian) forms |grad phi|^2 u and its sum per block, with the bits of
+    integrating np.sum(grad_h(phi).components ** 2, axis=0) * u: negating
+    ln u is exact through the difference, the division and the square.
     """
     require_positive(u)
-    phi = np.log(u.values)
-    np.negative(phi, out=phi)
-    return weighted_grad_sq_integral(ScalarField(u.grid, phi), u.values)
+    return weighted_grad_sq_integral(ScalarField(u.grid, np.log(u.values)), u.values)
 
 
 def derf_coefficients(n: int, alpha: float):
@@ -155,15 +153,6 @@ def fill_numeric_rates(reports: list[EnergyReport]) -> list[EnergyReport]:
     return reports
 
 
-def energy_series(states: list[FlowState], alpha: float) -> list[EnergyReport]:
-    """Per-record production terms plus centered numeric dE/dt.
-
-    The numeric rate reads the energies of the neighbouring reports, so
-    energy(u) runs once per record.
-    """
-    return fill_numeric_rates([derf_rhs(st.u, alpha, time=st.time) for st in states])
-
-
 @dataclass
 class MonotonicityVerdict:
     alpha: float
@@ -186,9 +175,6 @@ class MonotonicityVerdict:
             "eps_mono": self.eps_mono,
             "eps_p": self.eps_p,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def monotonicity_verdict(reports: list[EnergyReport], alpha: float,

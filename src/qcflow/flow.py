@@ -21,7 +21,6 @@ from .lattice import (
     make_grid,
     map_blocks,
     periodized_bump,
-    tree_sum,
     vertically_uniform_bump,
 )
 
@@ -94,11 +93,11 @@ def _euler_update(values: np.ndarray, grid: LatticeGrid, w: float, measure: bool
     # times the negative sub-Laplacian.  A block kernel of lattice.map_blocks
     # with the arithmetic of a whole-field pass: per block it sums the axes
     # into acc, adds w * acc to u and measures the new block.  Returns the
-    # new values with their min, and with their mass (integrate's bits, from
-    # tree_sum of the block sums) and max when measure is set, else None.
+    # new values with their min, and with their mass (integrate's bits: the
+    # kernel returns its block's sum) and max when measure is set, else None.
     flat = values.reshape(-1)
     out = np.empty_like(flat)
-    sums, mins, maxs = {}, [], []
+    mins, maxs = [], []
 
     def kernel(blk, steps, scratch):
         acc, two_u = scratch
@@ -116,13 +115,13 @@ def _euler_update(values: np.ndarray, grid: LatticeGrid, w: float, measure: bool
         np.add(flat[blk], acc, out=new)
         mins.append(np.minimum.reduce(new))
         if measure:
-            sums[blk.start] = np.add.reduce(new)
             maxs.append(np.maximum.reduce(new))
+            return (np.add.reduce(new),)
 
-    map_blocks(kernel, flat, grid, scratch=((), ()))
+    sums = map_blocks(kernel, flat, grid, scratch=((), ()))
     if not measure:
         return out.reshape(grid.shape), None, float(np.min(mins)), None
-    return (out.reshape(grid.shape), float(grid.cell_volume * tree_sum(sums, grid.size)),
+    return (out.reshape(grid.shape), float(grid.cell_volume * sums[0]),
             float(np.min(mins)), float(np.max(maxs)))
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import LatticeGrid, ScalarField, frame_data, tree_sum
+from .lattice import LatticeGrid, ScalarField, frame_data
 from .operators import (
     DifferenceJet,
     grad_h,
@@ -173,12 +173,12 @@ class FlowQuantities:
         Per block it forms the p-deficit from |H|^2, tr H and omega_s(H),
         the weights u^(1-2 alpha) and u^(1-4 alpha), and |DF|^2 in axis
         order, then the integrands w2 (Delta F)^2, w4 |DF|^4, w2 |H|^2,
-        w2 sum_s omega_s^2 and w2 deficit, and keeps their block sums, the
-        block sum of |H|^2 and the block's deficit minimum: per point the
-        bits of the whole-field formulas, without their weight, square or
-        integrand fields.  tree_sum gives each
-        integral the bits of one np.sum over the whole integrand, a min is
-        exact in any order, and np.mean is that sum over the size.
+        w2 sum_s omega_s^2 and w2 deficit, returns their block sums and the
+        block sum of |H|^2, and keeps the block's deficit minimum: per point
+        the bits of the whole-field formulas, without their weight, square
+        or integrand fields.  The stream's totals give each integral the
+        bits of one np.sum over the whole integrand, a min is exact in any
+        order, and np.mean is that sum over the size.
         """
         grid = self.grid
         jet = self.jetF
@@ -187,28 +187,27 @@ class FlowQuantities:
         lap = jet.laplacian.reshape(-1)
         e2, e4 = 1.0 - 2 * self.alpha, 1.0 - 4 * self.alpha
         quarter = 1.0 / grid.dim_h
-        lap2, quart, hess2, omega2, weighted, norms, mins = {}, {}, {}, {}, {}, {}, []
+        mins = []
 
         def contract(blk, tr, om, nsq, work):
             w, g, sq, d = work
-            key = blk.start
             _deficit_block(d, tr, om, nsq, sq, quarter)
             np.power(u[blk], e2, out=w)
             np.multiply(w, d, out=sq)
-            weighted[key] = np.add.reduce(sq)
+            weighted = np.add.reduce(sq)
             np.multiply(w, nsq, out=sq)
-            hess2[key] = np.add.reduce(sq)
-            norms[key] = np.add.reduce(nsq)
+            hess2 = np.add.reduce(sq)
+            norm = np.add.reduce(nsq)
             # (om_0^2 + om_1^2) + om_2^2, then weighted
             np.multiply(om[0], om[0], out=g)
             for s in (1, 2):
                 np.multiply(om[s], om[s], out=sq)
                 g += sq
             g *= w
-            omega2[key] = np.add.reduce(g)
+            omega2 = np.add.reduce(g)
             np.multiply(lap[blk], lap[blk], out=sq)
             sq *= w
-            lap2[key] = np.add.reduce(sq)
+            lap2 = np.add.reduce(sq)
             np.multiply(first[0, blk], first[0, blk], out=g)
             for row in first[1:]:
                 np.multiply(row[blk], row[blk], out=sq)
@@ -216,15 +215,15 @@ class FlowQuantities:
             np.multiply(g, g, out=sq)
             np.power(u[blk], e4, out=w)
             sq *= w
-            quart[key] = np.add.reduce(sq)
+            quart = np.add.reduce(sq)
             mins.append(np.minimum.reduce(d))
+            return lap2, quart, hess2, omega2, weighted, norm
 
-        jet.hessian_stream(contract, with_norm=True, scratch=((), (), (), ()))
+        *sums, norms = jet.hessian_stream(contract, with_norm=True,
+                                          scratch=((), (), (), ()))
         vol = grid.cell_volume
-        integrals = tuple(float(vol * tree_sum(sums, grid.size))
-                          for sums in (lap2, quart, hess2, omega2, weighted))
-        return integrals + (float(np.min(mins)),
-                            float(tree_sum(norms, grid.size) / grid.size))
+        integrals = tuple(float(vol * total) for total in sums)
+        return integrals + (float(np.min(mins)), float(norms / grid.size))
 
     @property
     def I_lap2(self):
@@ -361,29 +360,26 @@ def bochner_residual(f: ScalarField) -> IdentityReport:
     grad_lap = grad_h(sub_laplacian(jet))
     dot = np.sum(grad_lap.components * g.components, axis=0).reshape(-1)
     mixed = _reeb_mixed(grid, g.components).reshape(-1)
-    lhs_sq, rhs_sq, res_sq = {}, {}, {}
 
     def contract(blk, tr, om, nsq, work):
         # the right side -|H|^2 + dot - 4 mixed, grouped as written, and the
         # block sums of the squares of both sides and of their difference
         rhs, sq = work
-        key = blk.start
         np.negative(nsq, out=rhs)
         rhs += dot[blk]
         np.multiply(mixed[blk], 4.0, out=sq)
         rhs -= sq
         lhs_b = lhs_field[blk]
         np.multiply(lhs_b, lhs_b, out=sq)
-        lhs_sq[key] = np.add.reduce(sq)
+        lhs_sq = np.add.reduce(sq)
         np.subtract(lhs_b, rhs, out=sq)
         sq *= sq
-        res_sq[key] = np.add.reduce(sq)
+        res_sq = np.add.reduce(sq)
         rhs *= rhs
-        rhs_sq[key] = np.add.reduce(rhs)
+        return lhs_sq, np.add.reduce(rhs), res_sq
 
-    jet.hessian_stream(contract, with_norm=True, scratch=((), ()))
-    lhs, rhs, res = (float(np.sqrt(grid.cell_volume * tree_sum(sums, grid.size)))
-                     for sums in (lhs_sq, rhs_sq, res_sq))
+    sums = jet.hessian_stream(contract, with_norm=True, scratch=((), ()))
+    lhs, rhs, res = (float(np.sqrt(grid.cell_volume * total)) for total in sums)
     report = _report("bochner", lhs, rhs, grid)
     report.residual = res
     return report

@@ -249,21 +249,22 @@ def _block_bounds(size: int) -> list[int]:
     return bounds
 
 
-def tree_sum(block_sums: dict, size: int):
-    """The np.sum of a field from the np.sum of each block of a map_blocks
-    pass over its size points, keyed by the block's first point (a kernel
-    calls np.add.reduce, the reduction of np.sum without its wrapper).
+def _tree_sum(block_sums: list, size: int):
+    """The np.sum of a field from the np.sum of each block of a pass over
+    its size points, in block order.
 
     The blocks are nodes of numpy's pairwise-summation tree over the field,
     so adding their sums back up that tree gives the bits of np.sum over
     the whole field (a left-to-right sum of the same values does not)."""
-    def node(start: int, n: int):
-        if n <= BLOCK_POINTS:
-            return block_sums[start]
-        half = _tree_cut(n)
-        return node(start, half) + node(start + half, n - half)
+    sums = iter(block_sums)
 
-    return node(0, size)
+    def node(n: int):
+        if n <= BLOCK_POINTS:
+            return next(sums)
+        half = _tree_cut(n)
+        return node(half) + node(n - half)
+
+    return node(size)
 
 
 # threads that share the point blocks of a pass: every core this process may
@@ -288,7 +289,7 @@ def _executor():
         return _pool
 
 
-def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> None:
+def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tuple:
     """Map a block kernel over the step gathers of values: the one blocked
     gather pass through the step tables.
 
@@ -302,26 +303,27 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> Non
     axis, so the kernel may work in them.  scratch holds one array of
     shape lead + (k,) per entry lead of `scratch`, the block's work space.
     A kernel starts its block before its axis loop and finishes it after
-    the loop; it writes only into its outputs at [blk] (or [..., blk]) or
-    under the key blk.start, and calls no public qcflow function.  One that
-    does per point what a whole-field pass does, in the same order, gets
-    its bits whatever thread runs the block.
+    the loop; it writes only into its outputs at [blk] (or [..., blk]),
+    returns a tuple of its block's sums (np.add.reduce, the reduction of
+    np.sum without its wrapper) or nothing, and calls no public qcflow
+    function.  One that does per point what a whole-field pass does, in
+    the same order, gets its bits whatever thread runs the block.
 
     The blocks are the nodes of numpy's pairwise-summation tree over the
     grid.size points that first have at most BLOCK_POINTS points
     (_block_bounds): a run of more points splits at n//2 - (n//2) % 8, as
-    numpy's pairwise sum does.  So a kernel that keeps each block's np.sum
-    of an integrand, keyed by blk.start, gets the bits of np.sum of the
-    whole-field integrand from tree_sum, and a block min or max is exact in
-    any order.  The layout depends on grid.size alone; the workers split
-    it into one contiguous run of blocks each, the runs differing by at
-    most one block.  The runs go to a module thread pool of WORKERS
-    threads, made on first use, and the call returns when every run has
-    ended.  np.take and the ufunc loops release the interpreter lock, so
-    the runs share the cores.  The step tables, the gather buffers and the
-    scratch are made on the calling thread.  With one worker, or when
-    entered from a worker (a kernel must not wait for the pool it runs
-    on), the one run is the calling thread's and no pool is used.
+    numpy's pairwise sum does.  So adding the block sums back up that tree
+    (_tree_sum) gives the bits of np.sum of the whole-field integrand: the
+    call returns one such total per entry of the kernel's tuple, and a block
+    min or max is exact in any order.  The layout depends on grid.size
+    alone; the workers split it into one contiguous run of blocks each, the
+    runs differing by at most one block.  The runs go to a module thread
+    pool of WORKERS threads, made on first use, and the call returns when
+    every run has ended.  np.take and the ufunc loops release the
+    interpreter lock, so the runs share the cores.  The step tables, the
+    gather buffers and the scratch are made on the calling thread.  With one
+    worker, or when entered from a worker (a kernel must not wait on its own
+    pool), the one run is the calling thread's and no pool is used.
 
     Every index of a step table is in range, so mode="clip" never clips;
     unlike the default mode it lets np.take write into the buffer without
@@ -341,13 +343,15 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> Non
             np.take(values, p_dn[blk], axis=-1, out=um, mode="clip")
             yield a, up, um
 
+    sums = [()] * count  # each block's sums, in the block's own slot
+
     def run(first: int, last: int, bufs):
         up_buf, um_buf, *work = bufs
-        for start, stop in zip(bounds[first:last], bounds[first + 1:last + 1]):
-            blk, k = slice(start, stop), stop - start
+        for i in range(first, last):
+            blk, k = slice(bounds[i], bounds[i + 1]), bounds[i + 1] - bounds[i]
             up = up_buf[:width * k].reshape(lead + (k,))
             um = um_buf[:width * k].reshape(lead + (k,))
-            kernel(blk, steps(blk, up, um), [w[..., :k] for w in work])
+            sums[i] = kernel(blk, steps(blk, up, um), [w[..., :k] for w in work]) or ()
 
     most = max(stop - start for start, stop in zip(bounds, bounds[1:]))
 
@@ -357,24 +361,25 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> Non
 
     if workers == 1:
         run(0, count, buffers())
-        return
-    cuts = [count * i // workers for i in range(workers + 1)]
-    bufs = [buffers() for _ in range(workers)]
+    else:
+        cuts = [count * i // workers for i in range(workers + 1)]
+        bufs = [buffers() for _ in range(workers)]
 
-    def run_in_worker(i: int):
-        _in_worker.active = True
-        try:
-            run(cuts[i], cuts[i + 1], bufs[i])
-        finally:
-            _in_worker.active = False
+        def run_in_worker(i: int):
+            _in_worker.active = True
+            try:
+                run(cuts[i], cuts[i + 1], bufs[i])
+            finally:
+                _in_worker.active = False
 
-    futures = [_executor().submit(run_in_worker, i) for i in range(workers)]
-    # every run ends before a kernel's error propagates, so no worker is
-    # still writing when the caller sees it
-    for fut in futures:
-        fut.exception()
-    for fut in futures:
-        fut.result()
+        futures = [_executor().submit(run_in_worker, i) for i in range(workers)]
+        # every run ends before a kernel's error propagates, so no worker is
+        # still writing when the caller sees it
+        for fut in futures:
+            fut.exception()
+        for fut in futures:
+            fut.result()
+    return tuple(_tree_sum(entry, grid.size) for entry in zip(*sums))
 
 
 def vertical_shift(values: np.ndarray, grid: LatticeGrid, s: int, direction: int) -> np.ndarray:
@@ -390,7 +395,6 @@ class FrameData:
 
     omega: np.ndarray                     # (3, 4n, 4n), omega_s(e_a, e_b)
     structure: QuaternionicStructure      # triple I_s with omega_s = g(I_s., .)
-    xi_scale: float                       # xi_s = xi_scale * d/dt_s
     torsion: TorsionData                  # identically zero on the model
 
 
@@ -398,8 +402,7 @@ def frame_data(grid: LatticeGrid) -> FrameData:
     B = twist_matrices(grid.n)
     Q = structure_from_triple(grid.n, B[0], B[1], B[2])
     omega = np.stack([Q.omega(s) for s in range(3)])
-    return FrameData(omega=omega, structure=Q, xi_scale=XI_SCALE,
-                     torsion=TorsionData.zero(grid.n))
+    return FrameData(omega=omega, structure=Q, torsion=TorsionData.zero(grid.n))
 
 
 # ---------------------------------------------------------------------------

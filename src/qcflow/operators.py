@@ -16,8 +16,8 @@ composed second differences H_ab = D_a D_b f come from one Hessian stream,
 DifferenceJet.hessian_stream: block by block, one stacked gather per step
 table gives the rows H_a. of every D_b f, and the stream accumulates tr H
 and omega_s(H), and |H|^2 when asked.  No Hessian field is kept: each
-consumer passes a contraction that reads a block's contractions and writes
-its share of the consumer's outputs (the production integrals of
+consumer passes a contraction that reads a block's contractions and returns
+its block sums of the consumer's integrands (the production integrals of
 identities.FlowQuantities, the Bochner residual, the omega-contraction
 check of the calculus suite, and p_functional).
 grad_h, sub_laplacian and p_functional read a jet, so a caller that needs
@@ -50,7 +50,6 @@ from .lattice import (
     ScalarField,
     frame_data,
     map_blocks,
-    tree_sum,
     vertical_shift,
 )
 
@@ -63,7 +62,8 @@ class DifferenceJet:
                S_a^- f) / h_x^2, from the same 8n step gathers as `first`
     hessian_stream(contract, with_norm)
                the one pass over H_ab = D_a D_b f: per block it hands
-               contract tr H, omega_s(H) and, with_norm, |H|^2; no Hessian
+               contract tr H, omega_s(H) and, with_norm, |H|^2, and it
+               returns the totals of contract's block sums; no Hessian
                field is built or kept
 
     Both passes are block kernels of lattice.map_blocks, the one blocked
@@ -102,7 +102,7 @@ class DifferenceJet:
         self.first = first.reshape((dim,) + grid.shape)
         self.laplacian = lap.reshape(grid.shape)
 
-    def hessian_stream(self, contract, with_norm: bool, scratch=()) -> None:
+    def hessian_stream(self, contract, with_norm: bool, scratch=()) -> tuple:
         """The one pass over the composed Hessian H_ab = D_a D_b f.
 
         A block kernel of lattice.map_blocks over the stacked first
@@ -113,9 +113,11 @@ class DifferenceJet:
         sub-Laplacian is its negative up to an O(h^2) stencil gap) and
         omega_s(H), and with_norm also |H|^2.  After the block's axis loop
         it calls contract(blk, tr, om, nsq, work), which writes the block's
-        share of the caller's outputs; nsq is None without with_norm, and
-        work holds one block array per entry of scratch.  contract runs on
-        the pool's threads: it may call no public qcflow function.
+        share of the caller's outputs and returns its block's sums, as a
+        map_blocks kernel does; nsq is None without with_norm, and work holds
+        one block array per entry of scratch.  The stream returns what
+        map_blocks returns: the whole-field sum of each entry.  contract runs
+        on the pool's threads: it may call no public qcflow function.
         """
         grid = self.grid
         fd = frame_data(grid)
@@ -151,10 +153,10 @@ class DifferenceJet:
                     rows *= rows
                     for row in rows:
                         nsq += row
-            contract(blk, tr, om, nsq, blocks[len(own):])
+            return contract(blk, tr, om, nsq, blocks[len(own):])
 
         first = self.first.reshape(dim, grid.size)
-        map_blocks(kernel, first, grid, scratch=own + tuple(scratch))
+        return map_blocks(kernel, first, grid, scratch=own + tuple(scratch))
 
 
 def _jet(f: ScalarField | DifferenceJet) -> DifferenceJet:
@@ -170,13 +172,12 @@ def grad_h(f: ScalarField | DifferenceJet) -> HorizontalField:
 def weighted_grad_sq_integral(f: ScalarField, weight: np.ndarray) -> float:
     """int |grad_h f|^2 weight, with |grad_h f|^2 = sum_a (D_a f)^2 summed
     in axis order from the step gathers alone: one block kernel forms the
-    integrand and its sum per block (tree_sum), with the bits of
+    integrand and returns its sum per block to map_blocks, with the bits of
     integrating np.sum(grad_h(f).components ** 2, axis=0) * weight, and
     builds no whole field (no jet, no Laplacian)."""
     grid = f.grid
     w = weight.reshape(-1)
     two_h = 2.0 * grid.h_x
-    sums = {}
 
     def kernel(blk, steps, scratch):
         sq = scratch[0]
@@ -191,10 +192,10 @@ def weighted_grad_sq_integral(f: ScalarField, weight: np.ndarray) -> float:
             up *= up
             sq += up
         sq *= w[blk]
-        sums[blk.start] = np.add.reduce(sq)
+        return (np.add.reduce(sq),)
 
-    map_blocks(kernel, f.values.reshape(-1), grid, scratch=((),))
-    return float(grid.cell_volume * tree_sum(sums, grid.size))
+    (total,) = map_blocks(kernel, f.values.reshape(-1), grid, scratch=((),))
+    return float(grid.cell_volume * total)
 
 
 def reeb_derivative(f: ScalarField, s: int) -> ScalarField:
@@ -241,15 +242,14 @@ def p_functional(f: ScalarField | DifferenceJet) -> float:
     Evaluated by summation by parts from the jet of f (module docstring):
     vol * sum(Delta f tr H + sum_t G_t^2).  The integrand is formed and
     summed block by block from tr H and omega_s(H) of the Hessian stream,
-    so neither the full Hessian nor a whole-field integrand is built;
-    tree_sum gives the bits of one np.sum over the whole integrand.  The
+    so neither the full Hessian nor a whole-field integrand is built; the
+    stream's total has the bits of one np.sum over the whole integrand.  The
     P-function of f counts as non-negative when this integral is
     non-positive.
     """
     jet = _jet(f)
     grid = jet.grid
     lap = jet.laplacian.reshape(-1)
-    sums = {}
 
     def contract(blk, tr, om, nsq, work):
         ib, sq = work
@@ -257,7 +257,7 @@ def p_functional(f: ScalarField | DifferenceJet) -> float:
         for t in range(3):
             np.multiply(om[t], om[t], out=sq)
             ib += sq
-        sums[blk.start] = np.add.reduce(ib)
+        return (np.add.reduce(ib),)
 
-    jet.hessian_stream(contract, with_norm=False, scratch=((), ()))
-    return float(grid.cell_volume * tree_sum(sums, grid.size))
+    (total,) = jet.hessian_stream(contract, with_norm=False, scratch=((), ()))
+    return float(grid.cell_volume * total)

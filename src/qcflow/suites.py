@@ -56,7 +56,6 @@ from .lattice import (
     grid_inner,
     make_grid,
     periodized_bump,
-    tree_sum,
 )
 from .operators import DifferenceJet, divergence, reeb_derivative, sub_laplacian
 
@@ -323,19 +322,21 @@ def calculus_suite(seed: int = 1, m_pair=(4, 8), alpha: float = -0.05) -> SuiteR
             u = maker(grid)
             if tag == "omega_contraction":
                 xi = [reeb_derivative(u, s).values.reshape(-1) for s in range(3)]
-                sums = ({}, {}, {})
 
                 def contract(blk, tr, om, nsq, work):
-                    # (omega_s(H) + 4 xi_s u)^2 per block and per s
+                    # the block sums of (omega_s(H) + 4 xi_s u)^2 per s
                     sq = work[0]
+                    sums = []
                     for s in range(3):
                         np.multiply(xi[s][blk], 4.0, out=sq)
                         sq += om[s]
                         sq *= sq
-                        sums[s][blk.start] = np.add.reduce(sq)
+                        sums.append(np.add.reduce(sq))
+                    return tuple(sums)
 
-                DifferenceJet(u).hessian_stream(contract, with_norm=False, scratch=((),))
-                num = sum(float(tree_sum(t, grid.size)) for t in sums)
+                totals = DifferenceJet(u).hessian_stream(contract, with_norm=False,
+                                                         scratch=((),))
+                num = sum(float(t) for t in totals)
                 den = sum(float(np.sum((4.0 * x) ** 2)) for x in xi)
                 rel[tag][m] = np.sqrt(num) / max(np.sqrt(den), 1e-30)
             else:

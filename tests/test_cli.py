@@ -18,7 +18,7 @@ import pytest
 
 from qcflow import cli, flow, suites
 from qcflow.cli import config_echo, main, parse_config_file
-from qcflow.energy import CSV_COLUMNS, energy_series, monotonicity_verdict
+from qcflow.energy import CSV_COLUMNS, derf_rhs, fill_numeric_rates, monotonicity_verdict
 from qcflow.flow import FlowConfig, cfl_timestep, evolve
 from qcflow.lattice import ScalarField, integrate, make_grid
 
@@ -122,14 +122,14 @@ def _csv_bytes(rows):
 
 def test_streamed_run_matches_the_record_list(tmp_path):
     # the artifacts of the streamed run equal those built from the held
-    # records of evolve, energy_series and monotonicity_verdict
+    # records of evolve, derf_rhs per record and monotonicity_verdict
     path = tmp_path / "run.cfg"
     path.write_text("m_x = 4\nt_end = 0.02\nrecord_every = 4\n")
     out = tmp_path / "o"
     assert run_cli(["run", "--config", str(path), "--out", str(out)]) == 0
     cfg = FlowConfig(**parse_config_file(str(path)))
     states = evolve(cfg)
-    reports = energy_series(states, cfg.alpha)
+    reports = fill_numeric_rates([derf_rhs(st.u, cfg.alpha, time=st.time) for st in states])
     verdict = monotonicity_verdict(reports, cfg.alpha, cfg.n)
     assert len(states) >= 3
     assert (out / "trajectory.csv").read_bytes() == _csv_bytes(
@@ -230,9 +230,9 @@ def test_run_peak_memory_does_not_grow_with_the_records(tmp_path):
 
 
 def test_run_and_theorem_suite_stream_the_flow():
-    # evolve and energy_series hold every record of a trajectory; the two
-    # long consumers take flow.stream one state at a time instead
-    held = {"evolve", "energy_series"}
+    # evolve holds every record of a trajectory; the two long consumers
+    # take flow.stream one state at a time instead
+    held = {"evolve"}
     for func in (cli.cmd_run, suites.theorem_suite):
         called = set()
         for node in ast.walk(ast.parse(inspect.getsource(func))):

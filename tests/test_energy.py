@@ -12,7 +12,7 @@ from qcflow.energy import (
     derf_coefficients,
     derf_rhs,
     energy,
-    energy_series,
+    fill_numeric_rates,
     lemma_residual,
     monotonicity_verdict,
 )
@@ -299,7 +299,8 @@ def test_monotonicity_verdict_pipeline():
     cfg = flow_config(m=m, cfl_safety=0.5, record_every=4, t_end=0.02)
     states = evolve(cfg)
     assert len(states) >= 3
-    verdict = monotonicity_verdict(energy_series(states, -0.05), -0.05, 1)
+    reports = fill_numeric_rates([derf_rhs(st.u, -0.05, time=st.time) for st in states])
+    verdict = monotonicity_verdict(reports, -0.05, 1)
     assert verdict.alpha_admissible
     assert verdict.L_nonneg
     assert verdict.p_function_nonneg  # vertically uniform data
@@ -317,7 +318,8 @@ def test_monotonicity_verdict_inadmissible_alpha():
     assert h_polynomial(1, alpha) > 0
     cfg = flow_config(m=m, alpha=alpha, cfl_safety=0.5, record_every=4, t_end=0.01)
     states = evolve(cfg)
-    verdict = monotonicity_verdict(energy_series(states, alpha), alpha, 1)
+    reports = fill_numeric_rates([derf_rhs(st.u, alpha, time=st.time) for st in states])
+    verdict = monotonicity_verdict(reports, alpha, 1)
     assert not verdict.alpha_admissible
     lo, hi = alpha_interval(1)
     assert not (lo <= alpha < hi)
@@ -335,7 +337,7 @@ def test_energy_series_evaluates_energy_once_per_record(monkeypatch):
         return energy(u)
 
     monkeypatch.setattr(energy_module, "energy", counting_energy)
-    reports = energy_series(states, -0.05)
+    reports = fill_numeric_rates([derf_rhs(st.u, -0.05, time=st.time) for st in states])
     assert len(calls) == len(states)
     for k in range(1, len(states) - 1):
         rate = ((energy(states[k + 1].u) - energy(states[k - 1].u))
@@ -346,7 +348,7 @@ def test_energy_series_evaluates_energy_once_per_record(monkeypatch):
 def test_energy_series_numeric_rates():
     cfg = flow_config(m=4, cfl_safety=0.5, record_every=2, t_end=0.004)
     states = evolve(cfg)
-    reports = energy_series(states, -0.05)
+    reports = fill_numeric_rates([derf_rhs(st.u, -0.05, time=st.time) for st in states])
     assert np.isnan(reports[0].dF_dt_numeric)
     for rep in reports[1:-1]:
         assert np.isfinite(rep.dF_dt_numeric)

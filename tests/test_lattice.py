@@ -376,24 +376,26 @@ def test_map_blocks_gives_each_worker_one_run_of_tree_blocks(workers, monkeypatc
 @pytest.mark.parametrize("cap", [None, 5000, 1000])
 def test_tree_sum_gives_the_bits_of_np_sum(cap, monkeypatch):
     # wide-magnitude data, where the order of the additions shows in the
-    # bits: adding the block sums back up numpy's pairwise tree gives
-    # np.sum of the whole field on every grid, and adding the same sums
-    # left to right does not on some grid (so the test can fail, and a
-    # numpy that sums another way fails it)
+    # bits: a kernel that returns its block's np.add.reduce gets np.sum of
+    # the whole field back from map_blocks on every grid, and adding the
+    # same block sums left to right does not on some grid (so the test can
+    # fail, and a numpy that sums another way fails it)
     if cap is not None:
         monkeypatch.setattr(lattice, "BLOCK_POINTS", cap)
     rng = np.random.default_rng(10)
     left_to_right_differs = False
     for m in range(3, 9):
-        size = make_grid(1, m).size
-        values = rng.standard_normal(size) * 2.0 ** rng.integers(-40, 40, size)
-        blocks = _tree_nodes(0, size, lattice.BLOCK_POINTS)
-        sums = {start: np.sum(values[start:stop]) for start, stop in blocks}
+        grid = make_grid(1, m)
+        values = rng.standard_normal(grid.size) * 2.0 ** rng.integers(-40, 40, grid.size)
+
+        def kernel(blk, steps, scratch):
+            return (np.add.reduce(values[blk]),)
+
         whole = np.sum(values)
-        assert lattice.tree_sum(sums, size) == whole, m
+        assert map_blocks(kernel, values, grid) == (whole,), m
         left_to_right = 0.0
-        for start, _ in blocks:
-            left_to_right += sums[start]
+        for start, stop in _tree_nodes(0, grid.size, lattice.BLOCK_POINTS):
+            left_to_right += np.sum(values[start:stop])
         left_to_right_differs |= left_to_right != whole
     assert left_to_right_differs
 
@@ -401,8 +403,12 @@ def test_tree_sum_gives_the_bits_of_np_sum(cap, monkeypatch):
 def test_step_tables_are_gathered_only_in_lattice():
     # every horizontal difference is a kernel of lattice.map_blocks
     # (lattice.shift stays as the whole-field reference): no other module
-    # takes a gather, reaches the whole-field shift, or owns a thread
+    # takes a gather, reaches the whole-field shift, or owns a thread.  The
+    # block layout is lattice's alone: a kernel returns its block's sums and
+    # map_blocks adds them up, so no other module names the layout or reads
+    # a block's bounds
     banned = {"shift", "point_blocks"}
+    layout = {"tree_sum", "_tree_sum", "_block_bounds", "BLOCK_POINTS"}
     concurrency = {"threading", "concurrent"}
     for path in sorted(SRC.glob("*.py")):
         if path.name == "lattice.py":
@@ -410,11 +416,14 @@ def test_step_tables_are_gathered_only_in_lattice():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute):
                 assert node.attr != "take", f"{path.name}:{node.lineno}"
+                assert node.attr not in layout | {"start", "stop"}, f"{path.name}:{node.lineno}"
                 if isinstance(node.value, ast.Name) and node.value.id == "lattice":
                     assert node.attr not in banned, f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.Name):
+                assert node.id not in layout, f"{path.name}:{node.lineno}"
             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("lattice"):
                 names = {alias.name for alias in node.names}
-                assert not names & banned, f"{path.name}:{node.lineno}"
+                assert not names & (banned | layout), f"{path.name}:{node.lineno}"
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -426,9 +435,9 @@ def test_step_tables_are_gathered_only_in_lattice():
 
 
 # public functions that no code of the package calls, kept on purpose: the
-# whole-field gather the tests compare every block kernel with, the snapshot
-# reader perfbench uses, and the list form of the reports
-KEPT_UNCALLED = ("lattice.shift", "lattice.load_field", "energy.energy_series")
+# whole-field gather the tests compare every block kernel with, and the
+# snapshot reader perfbench uses
+KEPT_UNCALLED = ("lattice.shift", "lattice.load_field")
 
 
 def test_every_public_function_has_a_caller_in_the_package():

@@ -632,9 +632,9 @@ def test_block_passes_call_public_functions_only_on_the_calling_thread(monkeypat
             if ident not in kernel_threads:
                 kernel_threads.add(ident)
                 meet.wait()
-            kernel(*args)
+            return kernel(*args)
 
-        mapper(watched, values, grid, scratch)
+        return mapper(watched, values, grid, scratch)
 
     monkeypatch.setattr(lattice.LatticeGrid, "step_permutation", step_permutation)
     for mod in (flow, operators):
