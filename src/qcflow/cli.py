@@ -100,19 +100,19 @@ def build_run_config(args) -> FlowConfig:
 # whole float64 fields alive while one record's diagnostics run: the record,
 # the state the flow steps from and one derf_rhs working set, whose peak is
 # at most seven fields (tests/test_energy.py).  Under tracemalloc a whole
-# streamed `qcflow run --snapshots` peaks at 8.4 fields besides its tables
-# at m_x = 7 and at 9.6 at m_x = 6, where the block buffers weigh more.
+# streamed `qcflow run --snapshots` peaks at 8.4 fields at m_x = 7 and at 9.6
+# at m_x = 6, where the block buffers weigh more.
 RECORD_FIELDS = 10
 
 
 def run_memory_bytes(cfg: FlowConfig) -> int:
-    """Estimated peak bytes of `qcflow run` for cfg: 64n B of step tables
-    per grid point (8n int64 tables) plus RECORD_FIELDS whole float64 fields
-    for one record's diagnostics.  Records are streamed, so the estimate
-    does not grow with their number.  Computed from the grid's size alone,
+    """Estimated peak bytes of `qcflow run` for cfg: RECORD_FIELDS whole
+    float64 fields for one record's diagnostics.  Records are streamed and
+    the step gathers keep no index table, so the estimate does not grow
+    with the number of records.  Computed from the grid's size alone,
     without allocating a field."""
     size = make_grid(cfg.n, cfg.m_x).size
-    return size * (64 * cfg.n + 8 * RECORD_FIELDS)
+    return size * 8 * RECORD_FIELDS
 
 
 def available_memory() -> int | None:

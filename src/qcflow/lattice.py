@@ -9,7 +9,11 @@ with the imaginary quaternion product summed over the n coordinate blocks.
 The grid couples the vertical spacing to the horizontal one (h_t = 2 h_x^2,
 L_t = 2 h_x L_x, m_t = m_x) so that every unit horizontal step from a grid
 point lands exactly on a grid point after periodic wrap; all discrete
-derivatives are pure index arithmetic with zero interpolation error.
+derivatives are pure index arithmetic with zero interpolation error.  A
+step along axis a moves each vertical fibre (fixed horizontal index) to
+its neighbour along a and rolls it by the twist K(x); map_blocks gathers
+the steps with the C kernel step_pair of _steps.c, compiled on first use,
+and keeps no index table.
 
 Left-invariant frame conventions (validated by the frame-contract tests):
 the twist bilinears are Im_s(conj(x) x') = x @ B_s @ x' with B_s minus the
@@ -18,6 +22,7 @@ almost complex triple of the frame is I_s = B_s.
 """
 from __future__ import annotations
 
+import ctypes
 import itertools
 import json
 import math
@@ -90,6 +95,8 @@ class LatticeGrid:
 
     n: int
     m_x: int
+    # always empty, since no step table is kept: perfbench's tracer reads it
+    # to tell a table build from a cache hit, and fails without it
     _perm_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -115,19 +122,11 @@ class LatticeGrid:
     def step_permutation(self, a: int, direction: int) -> np.ndarray:
         """Flat index map P with (S f)(g) = f(g * (dir*h_x e_a, 0)) = f.flat[P].
 
-        Each table is int64, built directly for either direction (no
-        inverse scatter, see _build_step_permutation) and kept for the life
-        of the grid.  The 8n tables of a full difference pass cost 64n B per
-        point against 8 B for one float64 field: at n = 1, m_x = 12 (12^7
-        points) that is 2.3 GB.
-        """
-        key = (a, direction)
-        if key not in self._perm_cache:
-            self._perm_cache[key] = self._build_step_permutation(a, direction)
-        return self._perm_cache[key]
+        The reference index map of one step, built on demand as an int64
+        table: no run path reads one (map_blocks gathers with the C kernel
+        step_pair), so nothing keeps it.
 
-    def _build_step_permutation(self, a: int, direction: int) -> np.ndarray:
-        """The step is the affine map i_a -> i_a + d, t_s -> t_s + d K_s(x)
+        The step is the affine map i_a -> i_a + d, t_s -> t_s + d K_s(x)
         (mod m) with K_s(x) = sum_b twist[s][b, a] i_b: crossing the top or
         the bottom of axis a adds a wrap correction +-m K_s to t_s, a
         multiple of m_t = m_x that drops out mod m.  So the flat index is a
@@ -152,7 +151,6 @@ class LatticeGrid:
         flat = sum(offsets[:-1])
         total = np.empty(self.shape, dtype=np.int64)
         np.add(flat, offsets[-1], out=total)
-        # int64 indices: numpy gathers avoid a per-call index cast
         return total.reshape(-1)
 
 
@@ -289,9 +287,77 @@ def _executor():
         return _pool
 
 
+_STEPS_SOURCE = os.path.join(os.path.dirname(__file__), "_steps.c")
+_STEPS_DIR = os.path.join(os.path.dirname(__file__), "__pycache__")
+_steps_lock = threading.Lock()
+_step_pair = None  # the C function step_pair, loaded on first use, never at import
+
+
+# the compile path imports hashlib, shlex, subprocess, sysconfig and
+# tempfile itself: the set-up of a process that never gathers does not
+# pay for them
+
+
+def _compiler() -> list[str]:
+    """The C compiler command this Python was built with."""
+    import shlex
+    import sysconfig
+
+    return shlex.split(sysconfig.get_config_var("CC") or "cc")
+
+
+def _build_steps_library(path: str):
+    """Compile _steps.c into the shared library path.  The compiler writes
+    a temporary file that os.replace moves into place, so a process that
+    loads path never sees half a library."""
+    import shlex
+    import subprocess
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
+    os.close(fd)
+    cmd = _compiler() + ["-O2", "-shared", "-fPIC", "-o", tmp, _STEPS_SOURCE]
+    try:
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+        except OSError as exc:
+            raise RuntimeError(f"cannot compile the step kernel: `{shlex.join(cmd)}` "
+                               f"failed to start: {exc}") from exc
+        if proc.returncode != 0:
+            raise RuntimeError(f"cannot compile the step kernel: `{shlex.join(cmd)}` "
+                               f"exited with {proc.returncode}:\n{proc.stderr}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _step_kernel():
+    """The C function step_pair of _steps.c.  The first call compiles the
+    source into __pycache__, under a name that holds the source's sha256,
+    unless that library is there already, and loads it.  ctypes releases
+    the interpreter lock during each call, so the workers gather at once."""
+    global _step_pair
+    with _steps_lock:
+        if _step_pair is None:
+            import hashlib
+
+            with open(_STEPS_SOURCE, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            os.makedirs(_STEPS_DIR, exist_ok=True)
+            path = os.path.join(_STEPS_DIR, f"_steps-{digest}.so")
+            if not os.path.exists(path):
+                _build_steps_library(path)
+            fn = ctypes.CDLL(path).step_pair
+            fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 7 + [ctypes.c_void_p]
+            fn.restype = None
+            _step_pair = fn
+        return _step_pair
+
+
 def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tuple:
     """Map a block kernel over the step gathers of values: the one blocked
-    gather pass through the step tables.
+    gather pass.
 
     values has shape (..., grid.size): a flat field, or stacked fields such
     as the (4n, N) first differences.  The helper calls
@@ -309,6 +375,11 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tup
     function.  One that does per point what a whole-field pass does, in
     the same order, gets its bits whatever thread runs the block.
 
+    The gathers are the C kernel step_pair (_steps.c), which computes each
+    vertical fibre's source fibre and roll from the affine step and copies
+    the rolled values: the values of a gather through step_permutation,
+    bit for bit, with no index table.
+
     The blocks are the nodes of numpy's pairwise-summation tree over the
     grid.size points that first have at most BLOCK_POINTS points
     (_block_bounds): a run of more points splits at n//2 - (n//2) % 8, as
@@ -319,18 +390,23 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tup
     alone; the workers split it into one contiguous run of blocks each, the
     runs differing by at most one block.  The runs go to a module thread
     pool of WORKERS threads, made on first use, and the call returns when
-    every run has ended.  np.take and the ufunc loops release the
-    interpreter lock, so the runs share the cores.  The step tables, the
-    gather buffers and the scratch are made on the calling thread.  With one
-    worker, or when entered from a worker (a kernel must not wait on its own
-    pool), the one run is the calling thread's and no pool is used.
-
-    Every index of a step table is in range, so mode="clip" never clips;
-    unlike the default mode it lets np.take write into the buffer without
-    an intermediate copy.
+    every run has ended.  step_pair and the ufunc loops release the
+    interpreter lock, so the runs share the cores.  The gather buffers and
+    the scratch are made on the calling thread.  With one worker, or when
+    entered from a worker (a kernel must not wait on its own pool), the one
+    run is the calling thread's and no pool is used.
     """
-    perms = [(grid.step_permutation(a, +1), grid.step_permutation(a, -1))
-             for a in range(grid.dim_h)]
+    step_pair = _step_kernel()
+    src = np.ascontiguousarray(values, dtype=np.float64)
+    if src.shape[-1:] != (grid.size,):
+        raise ValueError(f"values of shape {values.shape} do not end in the "
+                         f"grid size {grid.size}")
+    # twist[s][b, a] of each axis a, as the (3, 4n) array step_pair reads.
+    # step_pair reads src and cols by address: both live until every run
+    # has ended, since this call returns only then
+    cols = [np.ascontiguousarray(grid.twist[:, :, a]) for a in range(grid.dim_h)]
+    col_at = [col.ctypes.data for col in cols]
+    src_at = src.ctypes.data
     lead = values.shape[:-1]
     width = math.prod(lead)
     bounds = _block_bounds(grid.size)
@@ -338,9 +414,10 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tup
     workers = 1 if getattr(_in_worker, "active", False) else min(WORKERS, count)
 
     def steps(blk: slice, up, um):
-        for a, (p_up, p_dn) in enumerate(perms):
-            np.take(values, p_up[blk], axis=-1, out=up, mode="clip")
-            np.take(values, p_dn[blk], axis=-1, out=um, mode="clip")
+        up_at, um_at = up.ctypes.data, um.ctypes.data
+        for a in range(grid.dim_h):
+            step_pair(src_at, up_at, um_at, width, grid.size, blk.start,
+                      blk.stop - blk.start, grid.m_x, grid.dim_h, a, col_at[a])
             yield a, up, um
 
     sums = [()] * count  # each block's sums, in the block's own slot

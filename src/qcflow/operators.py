@@ -8,13 +8,13 @@ is skew-adjoint for the grid inner product, and the compact sub-Laplacian
 is self-adjoint.
 
 Every horizontal difference is a block kernel of lattice.map_blocks, the
-one blocked gather pass through the step tables, which shares the point
-blocks among the cores.  One field's derivatives come from its difference
+one blocked pass of step gathers, which shares the point blocks among the
+cores.  One field's derivatives come from its difference
 jet (DifferenceJet): the 8n step gathers S_a^{+-} f are made once, and
 give both the first differences D_a f and the compact sub-Laplacian.  The
 composed second differences H_ab = D_a D_b f come from one Hessian stream,
 DifferenceJet.hessian_stream: block by block, one stacked gather per step
-table gives the rows H_a. of every D_b f, and the stream accumulates tr H
+gives the rows H_a. of every D_b f, and the stream accumulates tr H
 and omega_s(H), and |H|^2 when asked.  No Hessian field is kept: each
 consumer passes a contraction that reads a block's contractions and returns
 its block sums of the consumer's integrands (the production integrals of

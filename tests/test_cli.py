@@ -177,8 +177,8 @@ def test_run_checks_the_invariants_at_every_step(tmp_path, monkeypatch, capsys):
 def test_run_refuses_a_grid_that_cannot_fit(tmp_path, monkeypatch, capsys):
     out = tmp_path / "o"
     need = cli.run_memory_bytes(FlowConfig(m_x=4))
-    # 64 B of step tables and 10 whole fields per point at n = 1
-    assert need == make_grid(1, 4).size * (64 + 8 * 10)
+    # 10 whole fields per point
+    assert need == make_grid(1, 4).size * 8 * 10
     monkeypatch.setattr(cli, "available_memory", lambda: need - 1)
     code = run_cli(["run", "--mx", "4", "--t-end", "0.001", "--out", str(out)])
     assert code == 2

@@ -1,6 +1,8 @@
 """Tests for the group model, grid exactness, and periodized test data."""
 import ast
+import hashlib
 import itertools
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -337,6 +339,68 @@ def test_step_gathers_match_shift(m, monkeypatch):
 
         map_blocks(kernel, values, grid)
         assert seen == order
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3)])
+def test_step_kernel_gathers_what_the_step_tables_give(n, m, workers, monkeypatch):
+    # step_pair against np.take through step_permutation, for every (a, +-1),
+    # on a flat field and a (3, N) stack; blocks of a little over two
+    # vertical fibres cut fibres at every odd m and at m = 6, so both the
+    # whole-fibre copies and the point-by-point edges are read
+    monkeypatch.setattr(lattice, "WORKERS", workers)
+    monkeypatch.setattr(lattice, "BLOCK_POINTS", max(128, 2 * m ** 3 + 1))
+    grid = make_grid(n, m)
+    if m in (3, 5, 6):
+        assert any(b % m ** 3 for b in lattice._block_bounds(grid.size))
+    rng = np.random.default_rng(m)
+    for values in (rng.normal(size=grid.size), rng.normal(size=(3, grid.size))):
+        expect = [[np.take(values, grid.step_permutation(a, d), axis=-1) for d in (1, -1)]
+                  for a in range(grid.dim_h)]
+        seen, wrong = [], []
+
+        def kernel(blk, steps, scratch):
+            for a, up, um in steps:
+                seen.append((blk.start, a))
+                if not (np.array_equal(up, expect[a][0][..., blk])
+                        and np.array_equal(um, expect[a][1][..., blk])):
+                    wrong.append((blk.start, a))
+
+        map_blocks(kernel, values, grid)
+        assert sorted(seen) == [(start, a) for start in lattice._block_bounds(grid.size)[:-1]
+                                for a in range(grid.dim_h)]
+        assert wrong == []
+
+
+def test_step_kernel_is_compiled_once_per_source(tmp_path, monkeypatch):
+    # the library is built into the cache directory under the sha256 of its
+    # source, with no temporary file left, and loaded from there afterwards
+    monkeypatch.setattr(lattice, "_STEPS_DIR", str(tmp_path))
+    monkeypatch.setattr(lattice, "_step_pair", None)
+    first = lattice._step_kernel()
+    digest = hashlib.sha256(Path(lattice._STEPS_SOURCE).read_bytes()).hexdigest()
+    assert [p.name for p in tmp_path.iterdir()] == [f"_steps-{digest}.so"]
+    assert lattice._step_kernel() is first
+    monkeypatch.setattr(lattice, "_step_pair", None)
+    monkeypatch.setattr(lattice, "_compiler", lambda: ["qcflow-no-such-cc"])
+    lattice._step_kernel()  # the library is there: nothing is compiled
+
+
+def test_a_missing_compiler_stops_the_first_pass(tmp_path, monkeypatch):
+    # one gather route: without a compiler the pass raises, naming the
+    # command, and shows the compiler's stderr when it ran and failed
+    grid = make_grid(1, 3)
+    monkeypatch.setattr(lattice, "_STEPS_DIR", str(tmp_path))
+    for command, shown in ((["qcflow-no-such-cc"], "qcflow-no-such-cc"),
+                           ([sys.executable, "-c",
+                             "import sys; sys.exit('qcflow: no compiler here')"],
+                            "qcflow: no compiler here")):
+        monkeypatch.setattr(lattice, "_step_pair", None)
+        monkeypatch.setattr(lattice, "_compiler", lambda: command)
+        with pytest.raises(RuntimeError) as err:
+            map_blocks(lambda blk, steps, scratch: None, np.zeros(grid.size), grid)
+        assert command[0] in str(err.value) and shown in str(err.value)
+        assert lattice._step_pair is None and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("workers", [2, 3])
