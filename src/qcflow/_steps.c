@@ -1,19 +1,43 @@
 /* The twisted horizontal steps of the lattice quotient, gathered without a
- * step table.
+ * step table, and the Euler update that sums them.
  *
  * A step along horizontal axis a in direction d maps the point (i, t) to
  * (i + d e_a, t + d K(i)) (mod m), K_s(i) = sum_b twist[s][b, a] i_b, so
- * the m^3 points of one vertical fibre (fixed i) read the rolled points of
- * one source fibre.  step_pair writes S_a^+ and S_a^- of every row of a
- * C-contiguous (rows, size) float64 array on the points [start, start+len)
- * into the C-contiguous (rows, len) arrays up and um.  It only copies
- * values, so its output has the bits of a gather through the step table.
+ * the m^3 points of one vertical fibre (fixed i) read the points of one
+ * source fibre, rolled by d K(i).  A roll moves every plane (fixed t_0) of
+ * the fibre in the same way, so one index array of m^2 entries per
+ * direction serves the whole fibre, and a block edge that cuts a fibre
+ * (odd m, and m = 6 with small blocks) cuts a run of that array.
+ *
+ * step_pair writes S_a^+ and S_a^- of every row of a C-contiguous
+ * (rows, size) float64 array on the points [start, start+len) into the
+ * C-contiguous (rows, len) arrays up and um.  It only copies values, so its
+ * output has the bits of a gather through the step table.
+ *
+ * euler_update writes u + acc * w, acc = sum_a ((S_a^+ u + S_a^- u) - u * 2),
+ * on the same points of a flat field: the first axis writes acc, each later
+ * one adds to it.  These are the + - x of the whole-field numpy update in
+ * its per-point order, each one rounded on its own, so the output has that
+ * update's bits as long as the compiler contracts no multiply and add into
+ * an FMA: the library is built with -ffp-contract=off, and never with
+ * -ffast-math.
+ *
+ * work is int64 space: step_pair uses 2 m^2 of it, the index arrays of its
+ * two steps, and euler_update 2 dim_h (m^2 + 3), the index arrays of all
+ * 2 dim_h steps and three numbers for each.
  */
 #include <stdint.h>
 
-/* the source fibre and the roll (c0, c1, c2) of one step from fibre fib */
-static int64_t source(int64_t fib, int64_t m, int64_t dim_h, int64_t a,
-                      int64_t d, const int64_t *twist_col, int64_t c[3])
+/* (t + c) mod m for t and c in [0, m), with no division */
+static int64_t wrap(int64_t t, int64_t c, int64_t m)
+{
+    return t + c < m ? t + c : t + c - m;
+}
+
+/* the source fibres from[0] (d = +1) and from[1] (d = -1) of the steps
+ * from fibre fib along axis a, and their rolls c[0] and c[1] */
+static void sources(int64_t fib, int64_t m, int64_t dim_h, int64_t a,
+                    const int64_t *twist_col, int64_t from[2], int64_t c[2][3])
 {
     int64_t K[3] = {0, 0, 0}, rest = fib, stride = 1, ia = 0;
     for (int64_t b = dim_h - 1; b >= 0; b--) {
@@ -26,55 +50,96 @@ static int64_t source(int64_t fib, int64_t m, int64_t dim_h, int64_t a,
         if (b > a)
             stride *= m;
     }
-    for (int s = 0; s < 3; s++)
-        c[s] = ((d * K[s]) % m + m) % m;
-    return fib + (((ia + d) % m + m) % m - ia) * stride;
+    for (int s = 0; s < 3; s++) {
+        int64_t k = K[s] % m;
+        c[0][s] = k < 0 ? k + m : k;
+        c[1][s] = c[0][s] ? m - c[0][s] : 0;
+    }
+    from[0] = fib + (wrap(ia, 1, m) - ia) * stride;
+    from[1] = fib + (wrap(ia, m - 1, m) - ia) * stride;
 }
 
-/* out[q - lo] for the fibre points q in [lo, hi) of the source fibre src
- * rolled by c */
-static void roll(double *out, const double *src, int64_t lo, int64_t hi,
-                 int64_t m, const int64_t c[3])
+/* idx[t1 m + t2]: where a plane rolled by c reads its source plane */
+static void plane_roll(int64_t *idx, int64_t m, const int64_t c[3])
 {
-    int64_t m2 = m * m;
-    if (lo == 0 && hi == m2 * m) {
-        for (int64_t t0 = 0; t0 < m; t0++) {
-            const double *plane = src + (t0 + c[0]) % m * m2;
-            for (int64_t t1 = 0; t1 < m; t1++, out += m) {
-                const double *line = plane + (t1 + c[1]) % m * m;
-                for (int64_t t2 = 0; t2 < m - c[2]; t2++)
-                    out[t2] = line[c[2] + t2];
-                for (int64_t t2 = m - c[2]; t2 < m; t2++)
-                    out[t2] = line[t2 - (m - c[2])];
-            }
-        }
-        return;
-    }
-    /* a block edge cuts this fibre: point by point */
-    for (int64_t q = lo; q < hi; q++) {
-        int64_t t0 = q / m2, t1 = q / m % m, t2 = q % m;
-        out[q - lo] = src[(t0 + c[0]) % m * m2 + (t1 + c[1]) % m * m
-                          + (t2 + c[2]) % m];
-    }
+    for (int64_t t1 = 0; t1 < m; t1++)
+        for (int64_t t2 = 0; t2 < m; t2++)
+            idx[t1 * m + t2] = wrap(t1, c[1], m) * m + wrap(t2, c[2], m);
 }
 
-void step_pair(const double *src, double *up, double *um, int64_t rows,
-               int64_t size, int64_t start, int64_t len, int64_t m,
-               int64_t dim_h, int64_t a, const int64_t *twist_col)
+/* the run [q0, q1) of plane t0 within the fibre points [lo, hi) */
+static int plane_run(int64_t t0, int64_t m2, int64_t lo, int64_t hi,
+                     int64_t *q0, int64_t *q1)
 {
-    int64_t fibre = m * m * m, stop = start + len;
+    *q0 = lo > t0 * m2 ? lo - t0 * m2 : 0;
+    *q1 = hi < t0 * m2 + m2 ? hi - t0 * m2 : m2;
+    return t0 * m2 < hi;
+}
+
+void step_pair(const double *src, double *up, double *um, int64_t *work,
+               int64_t rows, int64_t size, int64_t start, int64_t len,
+               int64_t m, int64_t dim_h, int64_t a, const int64_t *twist_col)
+{
+    int64_t m2 = m * m, fibre = m2 * m, stop = start + len, q0, q1;
+    double *out[2] = {up, um};
     for (int64_t fib = start / fibre; fib * fibre < stop; fib++) {
         int64_t base = fib * fibre;
         int64_t lo = start > base ? start - base : 0;
         int64_t hi = stop < base + fibre ? stop - base : fibre;
-        int64_t cp[3], cm[3];
-        int64_t sp = source(fib, m, dim_h, a, +1, twist_col, cp) * fibre;
-        int64_t sm = source(fib, m, dim_h, a, -1, twist_col, cm) * fibre;
-        int64_t at = base + lo - start;
-        for (int64_t r = 0; r < rows; r++) {
-            const double *row = src + r * size;
-            roll(up + r * len + at, row + sp, lo, hi, m, cp);
-            roll(um + r * len + at, row + sm, lo, hi, m, cm);
+        int64_t from[2], c[2][3];
+        sources(fib, m, dim_h, a, twist_col, from, c);
+        for (int d = 0; d < 2; d++) {
+            int64_t *idx = work + d * m2;
+            plane_roll(idx, m, c[d]);
+            for (int64_t r = 0; r < rows; r++)
+                for (int64_t t0 = lo / m2; plane_run(t0, m2, lo, hi, &q0, &q1); t0++) {
+                    const double *plane = src + r * size + from[d] * fibre
+                                          + wrap(t0, c[d][0], m) * m2;
+                    double *o = out[d] + r * len + base + t0 * m2 - start;
+                    for (int64_t q = q0; q < q1; q++)
+                        o[q] = plane[idx[q]];
+                }
+        }
+    }
+}
+
+void euler_update(const double *src, double *out, int64_t *work, int64_t start,
+                  int64_t len, int64_t m, int64_t dim_h, const int64_t *twist,
+                  double w)
+{
+    int64_t m2 = m * m, fibre = m2 * m, stop = start + len, q0, q1;
+    /* per step k = 2a + d (d = 0 for +, 1 for -): its index array, the
+     * offset of its source fibre, its roll c_0 and its source plane */
+    int64_t *idx = work, *from = idx + 2 * dim_h * m2;
+    int64_t *c0 = from + 2 * dim_h, *at = c0 + 2 * dim_h;
+    for (int64_t fib = start / fibre; fib * fibre < stop; fib++) {
+        int64_t base = fib * fibre;
+        int64_t lo = start > base ? start - base : 0;
+        int64_t hi = stop < base + fibre ? stop - base : fibre;
+        for (int64_t a = 0; a < dim_h; a++) {
+            int64_t f[2], c[2][3];
+            sources(fib, m, dim_h, a, twist + a * 3 * dim_h, f, c);
+            for (int d = 0; d < 2; d++) {
+                plane_roll(idx + (2 * a + d) * m2, m, c[d]);
+                from[2 * a + d] = f[d] * fibre;
+                c0[2 * a + d] = c[d][0];
+            }
+        }
+        for (int64_t t0 = lo / m2; plane_run(t0, m2, lo, hi, &q0, &q1); t0++) {
+            const double *v = src + base + t0 * m2;
+            double *o = out + base + t0 * m2 - start;
+            for (int64_t k = 0; k < 2 * dim_h; k++)
+                at[k] = from[k] + wrap(t0, c0[k], m) * m2;
+            /* acc stays in a register: out is written once per point */
+            for (int64_t q = q0; q < q1; q++) {
+                double acc = (src[at[0] + idx[q]] + src[at[1] + idx[m2 + q]]) - v[q] * 2.0;
+                for (int64_t a = 1; a < dim_h; a++) {
+                    const int64_t *ia = idx + 2 * a * m2;
+                    acc += (src[at[2 * a] + ia[q]] + src[at[2 * a + 1] + ia[m2 + q]])
+                           - v[q] * 2.0;
+                }
+                o[q] = v[q] + acc * w;
+            }
         }
     }
 }

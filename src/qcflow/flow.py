@@ -90,35 +90,26 @@ def _euler_update(values: np.ndarray, grid: LatticeGrid, w: float, measure: bool
     # u + w * acc, where acc sums per axis (u+ + u-) - 2u: each per-axis sum
     # is <= 0 at a grid maximum even in floating point (u+ + u- <= 2u and
     # rounding is monotone), which makes the max principle exact; acc is h^2
-    # times the negative sub-Laplacian.  A block kernel of lattice.map_blocks
-    # with the arithmetic of a whole-field pass: per block it sums the axes
-    # into acc, adds w * acc to u and measures the new block.  Returns the
-    # new values with their min, and with their mass (integrate's bits: the
-    # kernel returns its block's sum) and max when measure is set, else None.
+    # times the negative sub-Laplacian.  A block kernel of lattice.map_blocks:
+    # per block, the C function euler_update (steps.euler) gathers the steps
+    # and does the + - x of a whole-field numpy pass in its per-point order,
+    # each rounded on its own (no FMA: -ffp-contract=off), and the kernel
+    # measures the new block.  Returns the new values with their min, and
+    # with their mass (integrate's bits: the kernel returns its block's sum)
+    # and max when measure is set, else None.
     flat = values.reshape(-1)
     out = np.empty_like(flat)
     mins, maxs = [], []
 
     def kernel(blk, steps, scratch):
-        acc, two_u = scratch
-        np.multiply(flat[blk], 2.0, out=two_u)
-        # the first axis sums straight into acc
-        _, up, um = next(steps)
-        np.add(up, um, out=acc)
-        acc -= two_u
-        for _, up, um in steps:
-            up += um
-            up -= two_u
-            acc += up
-        acc *= w
         new = out[blk]
-        np.add(flat[blk], acc, out=new)
+        steps.euler(w, new)
         mins.append(np.minimum.reduce(new))
         if measure:
             maxs.append(np.maximum.reduce(new))
             return (np.add.reduce(new),)
 
-    sums = map_blocks(kernel, flat, grid, scratch=((), ()))
+    sums = map_blocks(kernel, flat, grid)
     if not measure:
         return out.reshape(grid.shape), None, float(np.min(mins)), None
     return (out.reshape(grid.shape), float(grid.cell_volume * sums[0]),

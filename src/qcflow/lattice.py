@@ -12,8 +12,11 @@ point lands exactly on a grid point after periodic wrap; all discrete
 derivatives are pure index arithmetic with zero interpolation error.  A
 step along axis a moves each vertical fibre (fixed horizontal index) to
 its neighbour along a and rolls it by the twist K(x); map_blocks gathers
-the steps with the C kernel step_pair of _steps.c, compiled on first use,
-and keeps no index table.
+the steps with the C function step_pair of _steps.c, compiled on first
+use, and keeps no index table.  step_pair only copies values; the C
+function euler_update, the fused Euler step, also does + - x, in the
+per-point order of the numpy update, under -ffp-contract=off (no FMA), so
+both have the bits of the numpy route on every machine.
 
 Left-invariant frame conventions (validated by the frame-contract tests):
 the twist bilinears are Im_s(conj(x) x') = x @ B_s @ x' with B_s minus the
@@ -289,8 +292,12 @@ def _executor():
 
 _STEPS_SOURCE = os.path.join(os.path.dirname(__file__), "_steps.c")
 _STEPS_DIR = os.path.join(os.path.dirname(__file__), "__pycache__")
+# -ffp-contract=off keeps euler_update's multiply and add two roundings:
+# GCC's default in GNU C mode fuses them into an FMA wherever the target
+# has one (on aarch64 it always has), which changes the Euler bits
+_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _steps_lock = threading.Lock()
-_step_pair = None  # the C function step_pair, loaded on first use, never at import
+_steps_lib = None  # the library of _steps.c, loaded on first use, never at import
 
 
 # the compile path imports hashlib, shlex, subprocess, sysconfig and
@@ -316,7 +323,7 @@ def _build_steps_library(path: str):
 
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
     os.close(fd)
-    cmd = _compiler() + ["-O2", "-shared", "-fPIC", "-o", tmp, _STEPS_SOURCE]
+    cmd = _compiler() + list(_CFLAGS) + ["-o", tmp, _STEPS_SOURCE]
     try:
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -333,26 +340,49 @@ def _build_steps_library(path: str):
 
 
 def _step_kernel():
-    """The C function step_pair of _steps.c.  The first call compiles the
-    source into __pycache__, under a name that holds the source's sha256,
-    unless that library is there already, and loads it.  ctypes releases
-    the interpreter lock during each call, so the workers gather at once."""
-    global _step_pair
+    """The library of _steps.c, with its functions step_pair and
+    euler_update.  The first call compiles the source into __pycache__,
+    under a name that holds the sha256 of the source followed by the
+    compile flags, unless that library is there already, and loads it.  So
+    a changed flag list builds a library of its own.  ctypes releases the
+    interpreter lock during each call, so the workers gather at once."""
+    global _steps_lib
     with _steps_lock:
-        if _step_pair is None:
+        if _steps_lib is None:
             import hashlib
+            import shlex
 
             with open(_STEPS_SOURCE, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
+                digest = hashlib.sha256(fh.read() + shlex.join(_CFLAGS).encode())
             os.makedirs(_STEPS_DIR, exist_ok=True)
-            path = os.path.join(_STEPS_DIR, f"_steps-{digest}.so")
+            path = os.path.join(_STEPS_DIR, f"_steps-{digest.hexdigest()}.so")
             if not os.path.exists(path):
                 _build_steps_library(path)
-            fn = ctypes.CDLL(path).step_pair
-            fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 7 + [ctypes.c_void_p]
-            fn.restype = None
-            _step_pair = fn
-        return _step_pair
+            lib = ctypes.CDLL(path)
+            lib.step_pair.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_int64] * 7
+                                      + [ctypes.c_void_p])
+            lib.step_pair.restype = None
+            lib.euler_update.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4
+                                         + [ctypes.c_void_p, ctypes.c_double])
+            lib.euler_update.restype = None
+            _steps_lib = lib
+        return _steps_lib
+
+
+class _Steps:
+    """What a block kernel of map_blocks receives as steps: an iterator of
+    (a, up, um), which gathers axis a when the kernel asks for it, and
+    euler(w, out), the block's fused Euler update (see map_blocks)."""
+
+    def __init__(self, axes, euler):
+        self._axes = axes
+        self.euler = euler
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self._axes)
 
 
 def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tuple:
@@ -366,8 +396,12 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tup
     a = 0 .. 4n-1 in order, where up and um are the S_a^+ values and the
     S_a^- values on blk in contiguous (..., k) buffers; it gathers axis a
     when the kernel asks for it and overwrites the buffers with the next
-    axis, so the kernel may work in them.  scratch holds one array of
-    shape lead + (k,) per entry lead of `scratch`, the block's work space.
+    axis, so the kernel may work in them.  For a flat field, steps also
+    offers steps.euler(w, out), which writes the block's Euler update
+    u + acc * w, acc = sum_a ((S_a^+ u + S_a^- u) - u * 2), into the
+    contiguous float64 (k,) array out and gathers nothing into the
+    buffers.  scratch holds one array of shape lead + (k,) per entry lead
+    of `scratch`, the block's work space.
     A kernel starts its block before its axis loop and finishes it after
     the loop; it writes only into its outputs at [blk] (or [..., blk]),
     returns a tuple of its block's sums (np.add.reduce, the reduction of
@@ -375,10 +409,16 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tup
     function.  One that does per point what a whole-field pass does, in
     the same order, gets its bits whatever thread runs the block.
 
-    The gathers are the C kernel step_pair (_steps.c), which computes each
-    vertical fibre's source fibre and roll from the affine step and copies
-    the rolled values: the values of a gather through step_permutation,
-    bit for bit, with no index table.
+    The gathers are the C function step_pair (_steps.c), which computes
+    each vertical fibre's source fibre and roll from the affine step and
+    copies the rolled values: the values of a gather through
+    step_permutation, bit for bit, with no index table.  steps.euler is the
+    C function euler_update, which reads the rolled values itself and does
+    the + - x of the numpy update in its per-point order (the first axis
+    writes acc, each later one adds to it, then u + acc * w), each one
+    rounded on its own: the library is compiled with -ffp-contract=off, so
+    no multiply and add fuse into an FMA, and the update has the numpy
+    bits on every machine.
 
     The blocks are the nodes of numpy's pairwise-summation tree over the
     grid.size points that first have at most BLOCK_POINTS points
@@ -390,50 +430,74 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tup
     alone; the workers split it into one contiguous run of blocks each, the
     runs differing by at most one block.  The runs go to a module thread
     pool of WORKERS threads, made on first use, and the call returns when
-    every run has ended.  step_pair and the ufunc loops release the
-    interpreter lock, so the runs share the cores.  The gather buffers and
-    the scratch are made on the calling thread.  With one worker, or when
-    entered from a worker (a kernel must not wait on its own pool), the one
-    run is the calling thread's and no pool is used.
+    every run has ended.  The C functions and the ufunc loops release the
+    interpreter lock, so the runs share the cores.  The gather buffers, the
+    C functions' index arrays and the scratch are made on the calling
+    thread.  With one worker, or when entered from a worker (a kernel must
+    not wait on its own pool), the one run is the calling thread's and no
+    pool is used.
     """
-    step_pair = _step_kernel()
+    lib = _step_kernel()
     src = np.ascontiguousarray(values, dtype=np.float64)
     if src.shape[-1:] != (grid.size,):
         raise ValueError(f"values of shape {values.shape} do not end in the "
                          f"grid size {grid.size}")
-    # twist[s][b, a] of each axis a, as the (3, 4n) array step_pair reads.
-    # step_pair reads src and cols by address: both live until every run
-    # has ended, since this call returns only then
-    cols = [np.ascontiguousarray(grid.twist[:, :, a]) for a in range(grid.dim_h)]
-    col_at = [col.ctypes.data for col in cols]
-    src_at = src.ctypes.data
+    m, dim_h = grid.m_x, grid.dim_h
+    # cols[a] is twist[s][b, a] of axis a, the (3, 4n) array step_pair
+    # reads; euler_update reads all of them.  The C functions read src and
+    # cols by address: both live until every run has ended, since this call
+    # returns only then
+    cols = np.ascontiguousarray(grid.twist.transpose(2, 0, 1))
+    src_at, cols_at = src.ctypes.data, cols.ctypes.data
     lead = values.shape[:-1]
     width = math.prod(lead)
     bounds = _block_bounds(grid.size)
     count = len(bounds) - 1
     workers = 1 if getattr(_in_worker, "active", False) else min(WORKERS, count)
 
-    def steps(blk: slice, up, um):
-        up_at, um_at = up.ctypes.data, um.ctypes.data
-        for a in range(grid.dim_h):
-            step_pair(src_at, up_at, um_at, width, grid.size, blk.start,
-                      blk.stop - blk.start, grid.m_x, grid.dim_h, a, col_at[a])
-            yield a, up, um
+    def steps(blk: slice, up, um, rolls):
+        start, k = blk.start, blk.stop - blk.start
+
+        def axes():
+            up_at, um_at = up.ctypes.data, um.ctypes.data
+            for a in range(dim_h):
+                lib.step_pair(src_at, up_at, um_at, rolls.ctypes.data, width, grid.size,
+                              start, k, m, dim_h, a, cols[a].ctypes.data)
+                yield a, up, um
+
+        def euler(w: float, out: np.ndarray):
+            # the C function writes out by address while it reads src: refuse
+            # anything but k contiguous float64 values apart from a flat field
+            if (lead or out.dtype != np.float64 or out.shape != (k,)
+                    or not (out.flags.c_contiguous and out.flags.writeable)
+                    or np.may_share_memory(out, src)):
+                raise ValueError("the fused Euler update needs a flat field and a "
+                                 "writeable contiguous float64 out of the block's "
+                                 "size that does not overlap it")
+            lib.euler_update(src_at, out.ctypes.data, rolls.ctypes.data, start, k,
+                             m, dim_h, cols_at, w)
+
+        return _Steps(axes(), euler)
 
     sums = [()] * count  # each block's sums, in the block's own slot
 
     def run(first: int, last: int, bufs):
-        up_buf, um_buf, *work = bufs
+        up_buf, um_buf, rolls, *work = bufs
         for i in range(first, last):
             blk, k = slice(bounds[i], bounds[i + 1]), bounds[i + 1] - bounds[i]
             up = up_buf[:width * k].reshape(lead + (k,))
             um = um_buf[:width * k].reshape(lead + (k,))
-            sums[i] = kernel(blk, steps(blk, up, um), [w[..., :k] for w in work]) or ()
+            sums[i] = kernel(blk, steps(blk, up, um, rolls),
+                             [w[..., :k] for w in work]) or ()
 
     most = max(stop - start for start, stop in zip(bounds, bounds[1:]))
 
     def buffers():
-        return ([np.empty(width * most), np.empty(width * most)]
+        # the gather buffers, the C functions' index arrays (euler_update's
+        # 2 dim_h (m^2 + 3) int64 hold step_pair's 2 m^2) and the kernel's
+        # scratch
+        return ([np.empty(width * most), np.empty(width * most),
+                 np.empty(2 * dim_h * (m * m + 3), dtype=np.int64)]
                 + [np.empty(tuple(s) + (most,)) for s in scratch])
 
     if workers == 1:

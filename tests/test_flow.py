@@ -2,10 +2,12 @@
 import hashlib
 import itertools
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qcflow import flow, lattice
 from qcflow.flow import (
     FlowConfig,
     cfl_timestep,
@@ -142,6 +144,68 @@ def test_euler_rounding_is_pinned():
         u = heat_step(u, dt)
     digest = hashlib.sha256(u.values.astype("<f8").tobytes()).hexdigest()
     assert digest == EULER_20_STEPS_SHA256
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3)])
+def test_fused_euler_update_matches_the_step_tables(n, m, workers, monkeypatch):
+    # the C update against the numpy one through np.take of the reference
+    # step tables: the first axis gives acc = (u+ + u-) - 2u, each later one
+    # adds its own, and the new field is u + acc * w.  Blocks of a little
+    # over two vertical fibres cut fibres at m = 3, 5 and 6, so both whole
+    # fibres and the runs of cut ones are read
+    monkeypatch.setattr(lattice, "WORKERS", workers)
+    monkeypatch.setattr(lattice, "BLOCK_POINTS", max(128, 2 * m ** 3 + 1))
+    grid = make_grid(n, m)
+    if m in (3, 5, 6):
+        assert any(b % m ** 3 for b in lattice._block_bounds(grid.size))
+    values = 1.0 + 0.3 * np.random.default_rng(m).random(grid.size)
+    two_u = values * 2.0
+    for a in range(grid.dim_h):
+        term = (np.take(values, grid.step_permutation(a, 1))
+                + np.take(values, grid.step_permutation(a, -1))) - two_u
+        acc = term if a == 0 else acc + term
+    w = cfl_timestep(grid, 0.9) / (grid.h_x * grid.h_x)
+    new = (values + acc * w).reshape(grid.shape)
+    got, mass, lo, hi = flow._euler_update(values.reshape(grid.shape), grid, w, True)
+    assert got.tobytes() == new.tobytes()
+    assert mass == integrate(ScalarField(grid, new))
+    assert (lo, hi) == (float(new.min()), float(new.max()))
+    got, mass, lo, hi = flow._euler_update(values.reshape(grid.shape), grid, w, False)
+    assert got.tobytes() == new.tobytes() and (mass, lo, hi) == (None, float(new.min()), None)
+
+
+def test_the_contraction_guard_keeps_the_euler_bits(tmp_path, monkeypatch):
+    # the guard matters: with fused multiply-adds allowed, u + acc * w is
+    # rounded once instead of twice and the pinned Euler bits move, while
+    # the shipped flags, built afresh, reproduce them
+    cpuinfo = Path("/proc/cpuinfo")
+    if not cpuinfo.exists() or "fma" not in cpuinfo.read_text().split():
+        pytest.skip("the CPU has no fma flag")
+
+    def euler_20_steps_digest():
+        grid = make_grid(1, 4)
+        u = initial_field(small_config(tau_profile=None), grid)
+        dt = cfl_timestep(grid, 0.9)
+        for _ in range(20):
+            u = heat_step(u, dt)
+        return hashlib.sha256(u.values.astype("<f8").tobytes()).hexdigest()
+
+    shipped = lattice._CFLAGS
+    monkeypatch.setattr(lattice, "_STEPS_DIR", str(tmp_path))
+    monkeypatch.setattr(lattice, "_CFLAGS",
+                        ("-O3", "-mfma", "-ffp-contract=fast", "-shared", "-fPIC"))
+    monkeypatch.setattr(lattice, "_steps_lib", None)
+    try:
+        lattice._step_kernel()
+    except RuntimeError as exc:
+        pytest.skip(f"the compiler refuses -mfma: {exc}")
+    fused = euler_20_steps_digest()
+    monkeypatch.setattr(lattice, "_CFLAGS", shipped)
+    monkeypatch.setattr(lattice, "_steps_lib", None)
+    assert euler_20_steps_digest() == EULER_20_STEPS_SHA256
+    assert fused != EULER_20_STEPS_SHA256
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def test_evolve_records_hold_distinct_states():

@@ -2,6 +2,8 @@
 import ast
 import hashlib
 import itertools
+import shlex
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcflow import lattice
+from qcflow import flow, lattice
 from qcflow.lattice import (
     BLOCK_POINTS,
     XI_SCALE,
@@ -346,8 +348,8 @@ def test_step_gathers_match_shift(m, monkeypatch):
 def test_step_kernel_gathers_what_the_step_tables_give(n, m, workers, monkeypatch):
     # step_pair against np.take through step_permutation, for every (a, +-1),
     # on a flat field and a (3, N) stack; blocks of a little over two
-    # vertical fibres cut fibres at every odd m and at m = 6, so both the
-    # whole-fibre copies and the point-by-point edges are read
+    # vertical fibres cut fibres at every odd m and at m = 6, so both whole
+    # fibres and the runs of cut ones are read
     monkeypatch.setattr(lattice, "WORKERS", workers)
     monkeypatch.setattr(lattice, "BLOCK_POINTS", max(128, 2 * m ** 3 + 1))
     grid = make_grid(n, m)
@@ -372,35 +374,81 @@ def test_step_kernel_gathers_what_the_step_tables_give(n, m, workers, monkeypatc
         assert wrong == []
 
 
+def test_fused_euler_update_refuses_what_it_cannot_write():
+    # euler_update writes out by address: a stacked field, an out of
+    # another size or dtype, and an out that overlaps the field are refused
+    grid = make_grid(1, 3)
+    flat = np.ones(grid.size)
+    for values, make_out in ((np.ones((2, grid.size)), lambda blk: np.empty(blk.stop - blk.start)),
+                             (flat, lambda blk: np.empty(blk.stop - blk.start + 1)),
+                             (flat, lambda blk: np.empty(blk.stop - blk.start, np.float32)),
+                             (flat, lambda blk: flat[blk])):
+        def kernel(blk, steps, scratch):
+            steps.euler(0.1, make_out(blk))
+
+        with pytest.raises(ValueError, match="fused Euler update"):
+            map_blocks(kernel, values, grid)
+    assert np.array_equal(flat, np.ones(grid.size))
+
+
+def _library_name(flags):
+    source = Path(lattice._STEPS_SOURCE).read_bytes()
+    return f"_steps-{hashlib.sha256(source + shlex.join(flags).encode()).hexdigest()}.so"
+
+
 def test_step_kernel_is_compiled_once_per_source(tmp_path, monkeypatch):
     # the library is built into the cache directory under the sha256 of its
-    # source, with no temporary file left, and loaded from there afterwards
+    # source followed by its compile flags, with no temporary file left,
+    # and loaded from there afterwards; a changed flag list builds a second
+    # library instead of loading one built with other flags
     monkeypatch.setattr(lattice, "_STEPS_DIR", str(tmp_path))
-    monkeypatch.setattr(lattice, "_step_pair", None)
+    monkeypatch.setattr(lattice, "_steps_lib", None)
     first = lattice._step_kernel()
-    digest = hashlib.sha256(Path(lattice._STEPS_SOURCE).read_bytes()).hexdigest()
-    assert [p.name for p in tmp_path.iterdir()] == [f"_steps-{digest}.so"]
+    shipped = _library_name(lattice._CFLAGS)
+    assert [p.name for p in tmp_path.iterdir()] == [shipped]
     assert lattice._step_kernel() is first
-    monkeypatch.setattr(lattice, "_step_pair", None)
+    compiler = lattice._compiler
+    monkeypatch.setattr(lattice, "_steps_lib", None)
     monkeypatch.setattr(lattice, "_compiler", lambda: ["qcflow-no-such-cc"])
     lattice._step_kernel()  # the library is there: nothing is compiled
+    monkeypatch.setattr(lattice, "_compiler", compiler)
+    flags = ("-O1",) + lattice._CFLAGS[1:]
+    monkeypatch.setattr(lattice, "_CFLAGS", flags)
+    monkeypatch.setattr(lattice, "_steps_lib", None)
+    lattice._step_kernel()
+    assert shipped != _library_name(flags)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([shipped, _library_name(flags)])
+
+
+def test_step_kernel_source_is_portable_c99(tmp_path):
+    # the kernel source is plain C99: no GNU extension, and no warning
+    cmd = lattice._compiler() + ["-std=c99", "-Wall", "-Wextra", "-Werror", "-pedantic",
+                                 "-c", "-o", str(tmp_path / "_steps.o"), lattice._STEPS_SOURCE]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_a_missing_compiler_stops_the_first_pass(tmp_path, monkeypatch):
     # one gather route: without a compiler the pass raises, naming the
-    # command, and shows the compiler's stderr when it ran and failed
+    # command, and shows the compiler's stderr when it ran and failed; so
+    # does the first step of a flow, after the initial state
     grid = make_grid(1, 3)
     monkeypatch.setattr(lattice, "_STEPS_DIR", str(tmp_path))
     for command, shown in ((["qcflow-no-such-cc"], "qcflow-no-such-cc"),
                            ([sys.executable, "-c",
                              "import sys; sys.exit('qcflow: no compiler here')"],
                             "qcflow: no compiler here")):
-        monkeypatch.setattr(lattice, "_step_pair", None)
+        monkeypatch.setattr(lattice, "_steps_lib", None)
         monkeypatch.setattr(lattice, "_compiler", lambda: command)
         with pytest.raises(RuntimeError) as err:
             map_blocks(lambda blk, steps, scratch: None, np.zeros(grid.size), grid)
         assert command[0] in str(err.value) and shown in str(err.value)
-        assert lattice._step_pair is None and list(tmp_path.iterdir()) == []
+        states = flow.stream(flow.FlowConfig(m_x=3))
+        assert next(states).step == 0
+        with pytest.raises(RuntimeError) as err:
+            next(states)
+        assert command[0] in str(err.value) and shown in str(err.value)
+        assert lattice._steps_lib is None and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("workers", [2, 3])
