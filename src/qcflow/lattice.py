@@ -11,12 +11,14 @@ L_t = 2 h_x L_x, m_t = m_x) so that every unit horizontal step from a grid
 point lands exactly on a grid point after periodic wrap; all discrete
 derivatives are pure index arithmetic with zero interpolation error.  A
 step along axis a moves each vertical fibre (fixed horizontal index) to
-its neighbour along a and rolls it by the twist K(x); map_blocks gathers
-the steps with the C function step_pair of _steps.c, compiled on first
-use, and keeps no index table.  step_pair only copies values; the C
-function euler_update, the fused Euler step, also does + - x, in the
-per-point order of the numpy update, under -ffp-contract=off (no FMA), so
-both have the bits of the numpy route on every machine.
+its neighbour along a and rolls it by the twist K(x); map_blocks reads
+the steps with the C functions of _steps.c, compiled on first use, and
+keeps no index table.  Kernels get differences, not raw steps:
+difference_gather writes D_a of every row of a stack, difference_jet a
+field's D_a and compact Laplacian, and euler_update the Euler step.  Each
+does the + - x / of the whole-field numpy formula in its per-point order,
+under -ffp-contract=off (no FMA), so all have the bits of the numpy route
+on every machine.
 
 Left-invariant frame conventions (validated by the frame-contract tests):
 the twist bilinears are Im_s(conj(x) x') = x @ B_s @ x' with B_s minus the
@@ -126,8 +128,8 @@ class LatticeGrid:
         """Flat index map P with (S f)(g) = f(g * (dir*h_x e_a, 0)) = f.flat[P].
 
         The reference index map of one step, built on demand as an int64
-        table: no run path reads one (map_blocks gathers with the C kernel
-        step_pair), so nothing keeps it.
+        table: no run path reads one (map_blocks reads the steps with the C
+        functions of _steps.c), so nothing keeps it.
 
         The step is the affine map i_a -> i_a + d, t_s -> t_s + d K_s(x)
         (mod m) with K_s(x) = sum_b twist[s][b, a] i_b: crossing the top or
@@ -292,7 +294,7 @@ def _executor():
 
 _STEPS_SOURCE = os.path.join(os.path.dirname(__file__), "_steps.c")
 _STEPS_DIR = os.path.join(os.path.dirname(__file__), "__pycache__")
-# -ffp-contract=off keeps euler_update's multiply and add two roundings:
+# -ffp-contract=off keeps each multiply and add of _steps.c two roundings:
 # GCC's default in GNU C mode fuses them into an FMA wherever the target
 # has one (on aarch64 it always has), which changes the Euler bits
 _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
@@ -340,12 +342,13 @@ def _build_steps_library(path: str):
 
 
 def _step_kernel():
-    """The library of _steps.c, with its functions step_pair and
-    euler_update.  The first call compiles the source into __pycache__,
-    under a name that holds the sha256 of the source followed by the
-    compile flags, unless that library is there already, and loads it.  So
-    a changed flag list builds a library of its own.  ctypes releases the
-    interpreter lock during each call, so the workers gather at once."""
+    """The library of _steps.c, with its functions difference_gather,
+    difference_jet and euler_update.  The first call compiles the source
+    into __pycache__, under a name that holds the sha256 of the source
+    followed by the compile flags, unless that library is there already,
+    and loads it.  So a changed flag list builds a library of its own.
+    ctypes releases the interpreter lock during each call, so the workers
+    gather at once."""
     global _steps_lib
     with _steps_lock:
         if _steps_lib is None:
@@ -359,23 +362,25 @@ def _step_kernel():
             if not os.path.exists(path):
                 _build_steps_library(path)
             lib = ctypes.CDLL(path)
-            lib.step_pair.argtypes = ([ctypes.c_void_p] * 4 + [ctypes.c_int64] * 7
-                                      + [ctypes.c_void_p])
-            lib.step_pair.restype = None
-            lib.euler_update.argtypes = ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4
-                                         + [ctypes.c_void_p, ctypes.c_double])
-            lib.euler_update.restype = None
+            ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+            lib.difference_gather.argtypes = [ptr] * 3 + [i64] * 7 + [ptr, f64]
+            lib.difference_jet.argtypes = [ptr] * 4 + [i64] * 5 + [ptr, f64, f64]
+            lib.euler_update.argtypes = [ptr] * 3 + [i64] * 4 + [ptr, f64]
+            for fn in (lib.difference_gather, lib.difference_jet, lib.euler_update):
+                fn.restype = None
             _steps_lib = lib
         return _steps_lib
 
 
 class _Steps:
     """What a block kernel of map_blocks receives as steps: an iterator of
-    (a, up, um), which gathers axis a when the kernel asks for it, and
-    euler(w, out), the block's fused Euler update (see map_blocks)."""
+    (a, d), which writes the block's D_a when the kernel asks for it, and
+    the block's fused passes over a flat field, jet(first, lap) and
+    euler(w, out) (see map_blocks)."""
 
-    def __init__(self, axes, euler):
+    def __init__(self, axes, jet, euler):
         self._axes = axes
+        self.jet = jet
         self.euler = euler
 
     def __iter__(self):
@@ -385,23 +390,43 @@ class _Steps:
         return next(self._axes)
 
 
+def _check_outputs(what: str, src: np.ndarray, lead: tuple, outs) -> None:
+    """Refuse the outputs of a fused pass unless the field is flat and each
+    (array, shape) of outs is a writeable contiguous float64 array of that
+    shape that overlaps neither the field nor an earlier output: the C
+    functions write them by address while they read the field."""
+    seen = [src]
+    for out, shape in outs:
+        if (lead or out.dtype != np.float64 or out.shape != shape
+                or not (out.flags.c_contiguous and out.flags.writeable)
+                or any(np.may_share_memory(out, other) for other in seen)):
+            raise ValueError(f"the fused {what} needs a flat field and writeable "
+                             "contiguous float64 outputs of its sizes that overlap "
+                             "neither the field nor each other")
+        seen.append(out)
+
+
 def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tuple:
-    """Map a block kernel over the step gathers of values: the one blocked
-    gather pass.
+    """Map a block kernel over the step differences of values: the one
+    blocked gather pass.
 
     values has shape (..., grid.size): a flat field, or stacked fields such
     as the (4n, N) first differences.  The helper calls
     kernel(blk, steps, scratch) once per block of at most BLOCK_POINTS
-    points, the flat slice blk.  steps yields (a, up, um) for the axes
-    a = 0 .. 4n-1 in order, where up and um are the S_a^+ values and the
-    S_a^- values on blk in contiguous (..., k) buffers; it gathers axis a
-    when the kernel asks for it and overwrites the buffers with the next
-    axis, so the kernel may work in them.  For a flat field, steps also
-    offers steps.euler(w, out), which writes the block's Euler update
-    u + acc * w, acc = sum_a ((S_a^+ u + S_a^- u) - u * 2), into the
-    contiguous float64 (k,) array out and gathers nothing into the
-    buffers.  scratch holds one array of shape lead + (k,) per entry lead
-    of `scratch`, the block's work space.
+    points, the flat slice blk.  steps yields (a, d) for the axes
+    a = 0 .. 4n-1 in order, where d holds the centred differences
+    D_a = (S_a^+ - S_a^-) / (2 h_x) of every row on blk in a contiguous
+    (..., k) buffer; it writes axis a when the kernel asks for it and
+    overwrites the buffer with the next axis, so the kernel may work in it.
+    For a flat field, steps also offers two fused passes that write whole
+    outputs by address and leave the buffer alone: steps.jet(first, lap)
+    writes the block's columns of D_a f into row a of the contiguous
+    float64 (4n, N) array first and the compact Laplacian
+    -sum_a ((S_a^+ f - f * 2) + S_a^- f) / h_x^2 into the (N,) array lap;
+    steps.euler(w, out) writes the block's Euler update u + acc * w,
+    acc = sum_a ((S_a^+ u + S_a^- u) - u * 2), into the contiguous float64
+    (k,) array out.  scratch holds one array of shape lead + (k,) per entry
+    lead of `scratch`, the block's work space.
     A kernel starts its block before its axis loop and finishes it after
     the loop; it writes only into its outputs at [blk] (or [..., blk]),
     returns a tuple of its block's sums (np.add.reduce, the reduction of
@@ -409,16 +434,14 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tup
     function.  One that does per point what a whole-field pass does, in
     the same order, gets its bits whatever thread runs the block.
 
-    The gathers are the C function step_pair (_steps.c), which computes
-    each vertical fibre's source fibre and roll from the affine step and
-    copies the rolled values: the values of a gather through
-    step_permutation, bit for bit, with no index table.  steps.euler is the
-    C function euler_update, which reads the rolled values itself and does
-    the + - x of the numpy update in its per-point order (the first axis
-    writes acc, each later one adds to it, then u + acc * w), each one
-    rounded on its own: the library is compiled with -ffp-contract=off, so
-    no multiply and add fuse into an FMA, and the update has the numpy
-    bits on every machine.
+    The differences are the C function difference_gather (_steps.c), the
+    jet difference_jet and the Euler update euler_update.  Each computes
+    every vertical fibre's source fibres and rolls from the affine step,
+    reads the rolled values itself and does the + - x / of the whole-field
+    numpy formula over gathers through step_permutation in its per-point
+    order, each one rounded on its own: the library is compiled with
+    -ffp-contract=off, so no multiply and add fuse into an FMA, and each
+    has the numpy bits on every machine, with no index table.
 
     The blocks are the nodes of numpy's pairwise-summation tree over the
     grid.size points that first have at most BLOCK_POINTS points
@@ -431,8 +454,8 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tup
     runs differing by at most one block.  The runs go to a module thread
     pool of WORKERS threads, made on first use, and the call returns when
     every run has ended.  The C functions and the ufunc loops release the
-    interpreter lock, so the runs share the cores.  The gather buffers, the
-    C functions' index arrays and the scratch are made on the calling
+    interpreter lock, so the runs share the cores.  The difference buffer,
+    the C functions' index arrays and the scratch are made on the calling
     thread.  With one worker, or when entered from a worker (a kernel must
     not wait on its own pool), the one run is the calling thread's and no
     pool is used.
@@ -442,61 +465,59 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tup
     if src.shape[-1:] != (grid.size,):
         raise ValueError(f"values of shape {values.shape} do not end in the "
                          f"grid size {grid.size}")
-    m, dim_h = grid.m_x, grid.dim_h
-    # cols[a] is twist[s][b, a] of axis a, the (3, 4n) array step_pair
-    # reads; euler_update reads all of them.  The C functions read src and
-    # cols by address: both live until every run has ended, since this call
-    # returns only then
+    m, dim_h, size = grid.m_x, grid.dim_h, grid.size
+    two_h, h_sq = 2.0 * grid.h_x, grid.h_x * grid.h_x
+    # cols[a] is twist[s][b, a] of axis a: the C functions read the (4n, 3,
+    # 4n) array by address, as they read src, and both live until every run
+    # has ended, since this call returns only then
     cols = np.ascontiguousarray(grid.twist.transpose(2, 0, 1))
     src_at, cols_at = src.ctypes.data, cols.ctypes.data
     lead = values.shape[:-1]
     width = math.prod(lead)
-    bounds = _block_bounds(grid.size)
+    bounds = _block_bounds(size)
     count = len(bounds) - 1
     workers = 1 if getattr(_in_worker, "active", False) else min(WORKERS, count)
 
-    def steps(blk: slice, up, um, rolls):
+    def steps(blk: slice, d, rolls):
         start, k = blk.start, blk.stop - blk.start
 
         def axes():
-            up_at, um_at = up.ctypes.data, um.ctypes.data
+            d_at, rolls_at = d.ctypes.data, rolls.ctypes.data
             for a in range(dim_h):
-                lib.step_pair(src_at, up_at, um_at, rolls.ctypes.data, width, grid.size,
-                              start, k, m, dim_h, a, cols[a].ctypes.data)
-                yield a, up, um
+                lib.difference_gather(src_at, d_at, rolls_at, width, size, start, k,
+                                      m, dim_h, a, cols_at, two_h)
+                yield a, d
+
+        def jet(first: np.ndarray, lap: np.ndarray):
+            _check_outputs("difference jet", src, lead,
+                           ((first, (dim_h, size)), (lap, (size,))))
+            lib.difference_jet(src_at, first.ctypes.data, lap.ctypes.data,
+                               rolls.ctypes.data, size, start, k, m, dim_h, cols_at,
+                               two_h, h_sq)
 
         def euler(w: float, out: np.ndarray):
-            # the C function writes out by address while it reads src: refuse
-            # anything but k contiguous float64 values apart from a flat field
-            if (lead or out.dtype != np.float64 or out.shape != (k,)
-                    or not (out.flags.c_contiguous and out.flags.writeable)
-                    or np.may_share_memory(out, src)):
-                raise ValueError("the fused Euler update needs a flat field and a "
-                                 "writeable contiguous float64 out of the block's "
-                                 "size that does not overlap it")
+            _check_outputs("Euler update", src, lead, ((out, (k,)),))
             lib.euler_update(src_at, out.ctypes.data, rolls.ctypes.data, start, k,
                              m, dim_h, cols_at, w)
 
-        return _Steps(axes(), euler)
+        return _Steps(axes(), jet, euler)
 
     sums = [()] * count  # each block's sums, in the block's own slot
 
     def run(first: int, last: int, bufs):
-        up_buf, um_buf, rolls, *work = bufs
+        d_buf, rolls, *work = bufs
         for i in range(first, last):
             blk, k = slice(bounds[i], bounds[i + 1]), bounds[i + 1] - bounds[i]
-            up = up_buf[:width * k].reshape(lead + (k,))
-            um = um_buf[:width * k].reshape(lead + (k,))
-            sums[i] = kernel(blk, steps(blk, up, um, rolls),
+            d = d_buf[:width * k].reshape(lead + (k,))
+            sums[i] = kernel(blk, steps(blk, d, rolls),
                              [w[..., :k] for w in work]) or ()
 
     most = max(stop - start for start, stop in zip(bounds, bounds[1:]))
 
     def buffers():
-        # the gather buffers, the C functions' index arrays (euler_update's
-        # 2 dim_h (m^2 + 3) int64 hold step_pair's 2 m^2) and the kernel's
-        # scratch
-        return ([np.empty(width * most), np.empty(width * most),
+        # the difference buffer, the C functions' index arrays (2 dim_h
+        # (m^2 + 3) int64) and the kernel's scratch
+        return ([np.empty(width * most),
                  np.empty(2 * dim_h * (m * m + 3), dtype=np.int64)]
                 + [np.empty(tuple(s) + (most,)) for s in scratch])
 

@@ -9,15 +9,18 @@ is self-adjoint.
 
 Every horizontal difference is a block kernel of lattice.map_blocks, the
 one blocked pass of step gathers, which shares the point blocks among the
-cores.  One field's derivatives come from its difference
-jet (DifferenceJet): the 8n step gathers S_a^{+-} f are made once, and
-give both the first differences D_a f and the compact sub-Laplacian.  The
-composed second differences H_ab = D_a D_b f come from one Hessian stream,
-DifferenceJet.hessian_stream: block by block, one stacked gather per step
-gives the rows H_a. of every D_b f, and the stream accumulates tr H
-and omega_s(H), and |H|^2 when asked.  No Hessian field is kept: each
-consumer passes a contraction that reads a block's contractions and returns
-its block sums of the consumer's integrands (the production integrals of
+cores and hands its kernels differences, not raw steps: each axis a gives
+D_a of every row of the stacked fields, computed in C where the steps are
+read.  One field's derivatives come from its difference jet
+(DifferenceJet): one fused C pass reads the 8n steps S_a^{+-} f once per
+point and writes both the first differences D_a f and the compact
+sub-Laplacian.  The composed second differences H_ab = D_a D_b f come
+from one Hessian stream, DifferenceJet.hessian_stream: block by block,
+each axis a gives the rows H_a. = D_a of every D_b f, and the stream
+accumulates in numpy tr H and omega_s(H), and |H|^2 when asked.  No
+Hessian field is kept: each consumer passes a contraction that reads a
+block's contractions and returns its block sums of the consumer's
+integrands (the production integrals of
 identities.FlowQuantities, the Bochner residual, the omega-contraction
 check of the calculus suite, and p_functional).
 grad_h, sub_laplacian and p_functional read a jet, so a caller that needs
@@ -58,8 +61,9 @@ class DifferenceJet:
     """The horizontal differences of one field, each gather made once.
 
     first      D_a f as a (4n,) + grid.shape array
-    laplacian  the compact positive sub-Laplacian, -sum_a (S_a^+ f - 2f +
-               S_a^- f) / h_x^2, from the same 8n step gathers as `first`
+    laplacian  the compact positive sub-Laplacian,
+               -sum_a ((S_a^+ f - 2f) + S_a^- f) / h_x^2, from the same 8n
+               step reads as `first`
     hessian_stream(contract, with_norm)
                the one pass over H_ab = D_a D_b f: per block it hands
                contract tr H, omega_s(H) and, with_norm, |H|^2, and it
@@ -67,9 +71,11 @@ class DifferenceJet:
                field is built or kept
 
     Both passes are block kernels of lattice.map_blocks, the one blocked
-    gather pass, and give the bits of the whole-field stencils.  A composed
-    difference D_a g of a derived field g reads the jet of g:
-    DifferenceJet(g).first[a].
+    gather pass, and give the bits of the whole-field stencils: first and
+    laplacian come from the fused C pass steps.jet, which reads each
+    point's 8n steps once and does the stencils' + - x / in their per-point
+    order.  A composed difference D_a g of a derived field g reads the jet
+    of g: DifferenceJet(g).first[a].
     """
 
     def __init__(self, f: ScalarField):
@@ -78,26 +84,11 @@ class DifferenceJet:
         flat = f.values.reshape(-1)
         first = np.empty((dim, grid.size))
         lap = np.empty(grid.size)
-        two_h = 2.0 * grid.h_x
-        h_sq = grid.h_x * grid.h_x
 
         def kernel(blk, steps, scratch):
-            acc, two_f = scratch
-            np.multiply(flat[blk], 2.0, out=two_f)
-            acc.fill(0.0)
-            for a, up, um in steps:
-                d_a = first[a, blk]
-                np.subtract(up, um, out=d_a)
-                d_a /= two_h
-                # (S^+ f - 2f) + S^- f, the grouping of the compact stencil
-                up -= two_f
-                up += um
-                acc += up
-            lap_b = lap[blk]
-            np.negative(acc, out=lap_b)
-            lap_b /= h_sq
+            steps.jet(first, lap)
 
-        map_blocks(kernel, flat, grid, scratch=((), ()))
+        map_blocks(kernel, flat, grid)
         self.grid = grid
         self.first = first.reshape((dim,) + grid.shape)
         self.laplacian = lap.reshape(grid.shape)
@@ -106,12 +97,12 @@ class DifferenceJet:
         """The one pass over the composed Hessian H_ab = D_a D_b f.
 
         A block kernel of lattice.map_blocks over the stacked first
-        differences: per block, for each axis a, one gather per direction
-        carries every D_b f through S_a^+- and gives the block rows
-        H_a. = D_a D_. f.  The kernel accumulates, in (a, b) order from zero
-        as a whole-field pass does, tr H (the wide stencil: the compact
-        sub-Laplacian is its negative up to an O(h^2) stencil gap) and
-        omega_s(H), and with_norm also |H|^2.  After the block's axis loop
+        differences: per block, each axis a gives the block rows
+        H_a. = D_a D_. f, the differences of every D_b f.  The kernel
+        accumulates, in (a, b) order from zero as a whole-field pass does,
+        tr H (the wide stencil: the compact sub-Laplacian is its negative up
+        to an O(h^2) stencil gap) and omega_s(H), and with_norm also |H|^2,
+        in numpy.  After the block's axis loop
         it calls contract(blk, tr, om, nsq, work), which writes the block's
         share of the caller's outputs and returns its block's sums, as a
         map_blocks kernel does; nsq is None without with_norm, and work holds
@@ -125,7 +116,6 @@ class DifferenceJet:
         # (b, s, omega_s[a, b]) for the nonzero entries of row a, in (b, s) order
         weights = [[(b, s, fd.omega[s][a, b]) for b in range(dim) for s in range(3)
                     if fd.omega[s][a, b] != 0.0] for a in range(dim)]
-        two_h = 2.0 * grid.h_x
         # tr, om, and with_norm nsq
         own = ((), (3,), ()) if with_norm else ((), (3,))
 
@@ -136,9 +126,7 @@ class DifferenceJet:
             om.fill(0.0)
             if with_norm:
                 nsq.fill(0.0)
-            for a, rows, work in steps:
-                rows -= work
-                rows /= two_h
+            for a, rows in steps:
                 tr += rows[a]
                 for b, s, w in weights[a]:
                     # the frame's entries are +-1, where adding or subtracting
@@ -171,26 +159,21 @@ def grad_h(f: ScalarField | DifferenceJet) -> HorizontalField:
 
 def weighted_grad_sq_integral(f: ScalarField, weight: np.ndarray) -> float:
     """int |grad_h f|^2 weight, with |grad_h f|^2 = sum_a (D_a f)^2 summed
-    in axis order from the step gathers alone: one block kernel forms the
-    integrand and returns its sum per block to map_blocks, with the bits of
+    in axis order from the step differences alone: one block kernel forms
+    the integrand and returns its sum per block to map_blocks, with the bits of
     integrating np.sum(grad_h(f).components ** 2, axis=0) * weight, and
     builds no whole field (no jet, no Laplacian)."""
     grid = f.grid
     w = weight.reshape(-1)
-    two_h = 2.0 * grid.h_x
 
     def kernel(blk, steps, scratch):
         sq = scratch[0]
         # the first axis squares straight into sq
-        _, up, um = next(steps)
-        np.subtract(up, um, out=sq)
-        sq /= two_h
-        sq *= sq
-        for _, up, um in steps:
-            np.subtract(up, um, out=up)
-            up /= two_h
-            up *= up
-            sq += up
+        _, d = next(steps)
+        np.multiply(d, d, out=sq)
+        for _, d in steps:
+            d *= d
+            sq += d
         sq *= w[blk]
         return (np.add.reduce(sq),)
 
@@ -215,22 +198,17 @@ def sub_laplacian(f: ScalarField | DifferenceJet) -> ScalarField:
 def divergence(sigma: HorizontalField) -> ScalarField:
     """Horizontal divergence nabla* sigma = -sum_a X_a sigma_a.
 
-    One block kernel over the stacked (4n, N) components: axis a reads the
-    a-th row of the stepped stack.  Integrates to zero exactly on the
-    periodic quotient.
+    One block kernel over the stacked (4n, N) components: axis a reads D_a
+    of the a-th row.  Integrates to zero exactly on the periodic quotient.
     """
     grid = sigma.grid
     comps = sigma.components.reshape(grid.dim_h, grid.size)
     acc = np.zeros(grid.size)
-    two_h = 2.0 * grid.h_x
 
     def kernel(blk, steps, scratch):
         # zeros + D_0 sigma_0 + D_1 sigma_1 + ..., the whole-field sum
-        for a, up, um in steps:
-            d_a = up[a]
-            np.subtract(d_a, um[a], out=d_a)
-            d_a /= two_h
-            acc[blk] += d_a
+        for a, d in steps:
+            acc[blk] += d[a]
 
     map_blocks(kernel, comps, grid)
     return ScalarField(grid, -acc.reshape(grid.shape))

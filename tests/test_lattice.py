@@ -331,13 +331,13 @@ def test_step_gathers_match_shift(m, monkeypatch):
         seen = []
 
         def kernel(blk, steps, scratch):
-            for a, up, um in steps:
+            for a, d in steps:
                 seen.append((blk.start, a))
-                for got, direction in ((up, +1), (um, -1)):
-                    assert got.shape == values.shape[:-1] + (blk.stop - blk.start,)
-                    ref = [shift(row, grid, a, direction).reshape(-1)[blk]
-                           for row in values.reshape(-1, grid.size)]
-                    assert np.array_equal(got.reshape(-1, got.shape[-1]), np.stack(ref))
+                assert d.shape == values.shape[:-1] + (blk.stop - blk.start,)
+                ref = [((shift(row, grid, a, +1) - shift(row, grid, a, -1))
+                        / (2.0 * grid.h_x)).reshape(-1)[blk]
+                       for row in values.reshape(-1, grid.size)]
+                assert np.array_equal(d.reshape(-1, d.shape[-1]), np.stack(ref))
 
         map_blocks(kernel, values, grid)
         assert seen == order
@@ -346,10 +346,10 @@ def test_step_gathers_match_shift(m, monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3)])
 def test_step_kernel_gathers_what_the_step_tables_give(n, m, workers, monkeypatch):
-    # step_pair against np.take through step_permutation, for every (a, +-1),
-    # on a flat field and a (3, N) stack; blocks of a little over two
-    # vertical fibres cut fibres at every odd m and at m = 6, so both whole
-    # fibres and the runs of cut ones are read
+    # difference_gather against (S^+ - S^-) / 2h through np.take of
+    # step_permutation, for every axis, on a flat field and a (3, N) stack;
+    # blocks of a little over two vertical fibres cut fibres at every odd m
+    # and at m = 6, so both whole fibres and the runs of cut ones are read
     monkeypatch.setattr(lattice, "WORKERS", workers)
     monkeypatch.setattr(lattice, "BLOCK_POINTS", max(128, 2 * m ** 3 + 1))
     grid = make_grid(n, m)
@@ -357,15 +357,15 @@ def test_step_kernel_gathers_what_the_step_tables_give(n, m, workers, monkeypatc
         assert any(b % m ** 3 for b in lattice._block_bounds(grid.size))
     rng = np.random.default_rng(m)
     for values in (rng.normal(size=grid.size), rng.normal(size=(3, grid.size))):
-        expect = [[np.take(values, grid.step_permutation(a, d), axis=-1) for d in (1, -1)]
-                  for a in range(grid.dim_h)]
+        expect = [(np.take(values, grid.step_permutation(a, 1), axis=-1)
+                   - np.take(values, grid.step_permutation(a, -1), axis=-1))
+                  / (2.0 * grid.h_x) for a in range(grid.dim_h)]
         seen, wrong = [], []
 
         def kernel(blk, steps, scratch):
-            for a, up, um in steps:
+            for a, d in steps:
                 seen.append((blk.start, a))
-                if not (np.array_equal(up, expect[a][0][..., blk])
-                        and np.array_equal(um, expect[a][1][..., blk])):
+                if not np.array_equal(d, expect[a][..., blk]):
                     wrong.append((blk.start, a))
 
         map_blocks(kernel, values, grid)
@@ -389,6 +389,33 @@ def test_fused_euler_update_refuses_what_it_cannot_write():
         with pytest.raises(ValueError, match="fused Euler update"):
             map_blocks(kernel, values, grid)
     assert np.array_equal(flat, np.ones(grid.size))
+
+
+def test_fused_jet_refuses_what_it_cannot_write():
+    # difference_jet writes first and lap by address: a stacked field, and
+    # outputs that are not contiguous, not writeable, not float64, of
+    # another shape, or that overlap the field or each other are refused
+    grid = make_grid(1, 3)
+    dim, size = grid.dim_h, grid.size
+    flat = np.ones(size)
+    readonly = np.empty((dim, size))
+    readonly.flags.writeable = False
+    shared = np.empty((dim + 1) * size)
+    for values, first, lap in (
+            (np.ones((2, size)), np.empty((dim, size)), np.empty(size)),
+            (flat, np.empty((dim, 2 * size))[:, ::2], np.empty(size)),
+            (flat, np.empty((dim, size)), np.empty(2 * size)[::2]),
+            (flat, readonly, np.empty(size)),
+            (flat, np.empty((dim, size)), np.empty(size, np.float32)),
+            (flat, np.empty((dim, size + 1)), np.empty(size)),
+            (flat, np.empty((dim, size)), flat),
+            (flat, shared[:dim * size].reshape(dim, size), shared[-2 * size:-size])):
+        def kernel(blk, steps, scratch):
+            steps.jet(first, lap)
+
+        with pytest.raises(ValueError, match="fused difference jet"):
+            map_blocks(kernel, values, grid)
+    assert np.array_equal(flat, np.ones(size))
 
 
 def _library_name(flags):

@@ -428,6 +428,34 @@ def test_jet_readers_are_bit_identical_to_the_stencils(m):
         assert np.array_equal(sub_laplacian(jet).values, sub_laplacian(f).values)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3)])
+def test_fused_jet_matches_the_step_tables(n, m, workers, monkeypatch):
+    # difference_jet against np.take through the reference step tables:
+    # D_a f = (f+ - f-) / 2h, and the compact Laplacian -acc / h^2, where
+    # acc starts at zero and each axis adds (f+ - 2f) + f-.  Blocks of a
+    # little over two vertical fibres cut fibres at m = 3, 5 and 6, so both
+    # whole fibres and the runs of cut ones are read
+    monkeypatch.setattr(lattice, "WORKERS", workers)
+    monkeypatch.setattr(lattice, "BLOCK_POINTS", max(128, 2 * m ** 3 + 1))
+    grid = make_grid(n, m)
+    if m in (3, 5, 6):
+        assert any(b % m ** 3 for b in lattice._block_bounds(grid.size))
+    values = np.random.default_rng(m).normal(size=grid.size)
+    two_f = values * 2.0
+    first, acc = [], np.zeros(grid.size)
+    for a in range(grid.dim_h):
+        up = np.take(values, grid.step_permutation(a, 1))
+        um = np.take(values, grid.step_permutation(a, -1))
+        first.append((up - um) / (2.0 * grid.h_x))
+        acc += (up - two_f) + um
+    lap = -acc / (grid.h_x * grid.h_x)
+    jet = DifferenceJet(ScalarField(grid, values.reshape(grid.shape)))
+    assert jet.first.shape == (grid.dim_h,) + grid.shape
+    assert jet.first.tobytes() == np.stack(first).tobytes()
+    assert jet.laplacian.tobytes() == lap.tobytes()
+
+
 @pytest.mark.parametrize("m", [4, 6])
 def test_p_functional_matches_the_third_order_pairing(m):
     # summation by parts: vol * sum(Delta f tr H + sum_t G_t^2) equals the
@@ -679,7 +707,7 @@ def test_map_blocks_runs_serially_inside_a_worker(monkeypatch):
     inner = []
 
     def inner_kernel(blk, steps, scratch):
-        for _ in steps:
+        for a, d in steps:
             inner.append(threading.get_ident())
 
     def kernel(blk, steps, scratch):
