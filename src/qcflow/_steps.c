@@ -6,10 +6,19 @@
  * (i + d e_a, t + d K(i)) (mod m), K_s(i) = sum_b twist[s][b, a] i_b, so
  * the m^3 points of one vertical fibre (fixed i) read the points of one
  * source fibre, rolled by d K(i).  A roll moves every plane (fixed t_0) of
- * the fibre in the same way, so one index array of m^2 entries per
- * direction serves the whole fibre, and a block edge that cuts a fibre
- * (odd m, and m = 6 with small blocks) cuts a run of that array.
- * fibre_steps sets up the steps of one fibre for all three functions.
+ * the fibre in the same way, by (c_1, c_2) in (t_1, t_2), and there are
+ * only m^2 such plane rolls.  The caller passes all of them in one
+ * read-only int64 table of m^4 entries (32 KiB at m = 8), shared by every
+ * thread:
+ *
+ *     rolls[(c_1 m + c_2) m^2 + t_1 m + t_2] = (t_1 + c_1 mod m) m + (t_2 + c_2 mod m),
+ *
+ * where the plane rolled by (c_1, c_2) reads point (t_1, t_2) of its
+ * source plane.  So a step needs, per fibre, three numbers and no index
+ * array: fibre_steps sets its source fibre, its roll of t_0 and the offset
+ * of its plane roll in the table, for all three functions.  A block edge
+ * that cuts a fibre (odd m, and m = 6 with small blocks) cuts a run of
+ * the fibre's planes.
  *
  * difference_gather writes D_a = (S_a^+ - S_a^-) / two_h of every row of a
  * C-contiguous (rows, size) float64 array on the points [start, start+len)
@@ -25,15 +34,21 @@
  * on the same points of a flat field: the first axis writes acc, each later
  * one adds to it.
  *
+ * The per-point loops of difference_jet and euler_update are written once,
+ * as static inline bodies that each function calls with the literal dim_h
+ * 4 and 8 (n = 1 and 2), so the compiler unrolls the 2 dim_h reads of a
+ * point, and with the runtime dim_h otherwise.
+ *
  * Each function does the + - x / of the whole-field numpy formula in its
  * per-point order, each one rounded on its own, so its output has that
  * formula's bits as long as the compiler contracts no multiply and add
  * into an FMA: the library is built with -ffp-contract=off, and never with
  * -ffast-math.
  *
- * work is int64 space of 2 dim_h (m^2 + 3) entries: the index arrays of
- * all 2 dim_h steps and three numbers for each (difference_gather uses
- * those of its two steps).
+ * work is int64 space of 8 dim_h entries, four arrays of one entry per
+ * step k = 2 a + d (d = 0 for +, 1 for -): from, c0 and roll (set per
+ * fibre) and at (set per plane).  difference_gather uses the entries of
+ * its own two steps.
  */
 #include <stdint.h>
 
@@ -68,21 +83,13 @@ static void sources(int64_t fib, int64_t m, int64_t dim_h, int64_t a,
     from[1] = fib + (wrap(ia, m - 1, m) - ia) * stride;
 }
 
-/* idx[t1 m + t2]: where a plane rolled by c reads its source plane */
-static void plane_roll(int64_t *idx, int64_t m, const int64_t c[3])
-{
-    for (int64_t t1 = 0; t1 < m; t1++)
-        for (int64_t t2 = 0; t2 < m; t2++)
-            idx[t1 * m + t2] = wrap(t1, c[1], m) * m + wrap(t2, c[2], m);
-}
-
 /* the steps from fibre fib along the axes [a0, a1): step k = 2 (a - a0) + d
- * (d = 0 for +, 1 for -) gets its index array idx + k m^2, the offset
- * from[k] of its source fibre and its roll c0[k] of t_0.  twist is the
- * (dim_h, 3, dim_h) array of the columns twist[s][:, a] */
+ * (d = 0 for +, 1 for -) gets the offset from[k] of its source fibre, its
+ * roll c0[k] of t_0 and the offset roll[k] of its plane roll in the table.
+ * twist is the (dim_h, 3, dim_h) array of the columns twist[s][:, a] */
 static void fibre_steps(int64_t fib, int64_t m, int64_t dim_h, int64_t a0,
-                        int64_t a1, const int64_t *twist, int64_t *idx,
-                        int64_t *from, int64_t *c0)
+                        int64_t a1, const int64_t *twist, int64_t *from,
+                        int64_t *c0, int64_t *roll)
 {
     int64_t m2 = m * m, fibre = m2 * m;
     for (int64_t a = a0; a < a1; a++) {
@@ -90,9 +97,9 @@ static void fibre_steps(int64_t fib, int64_t m, int64_t dim_h, int64_t a0,
         sources(fib, m, dim_h, a, twist + a * 3 * dim_h, f, c);
         for (int d = 0; d < 2; d++) {
             int64_t k = 2 * (a - a0) + d;
-            plane_roll(idx + k * m2, m, c[d]);
             from[k] = f[d] * fibre;
             c0[k] = c[d][0];
+            roll[k] = (c[d][1] * m + c[d][2]) * m2;
         }
     }
 }
@@ -106,50 +113,69 @@ static int plane_run(int64_t t0, int64_t m2, int64_t lo, int64_t hi,
     return t0 * m2 < hi;
 }
 
+/* where each of the 2 dim_h steps reads plane t0's source plane */
+static void plane_sources(int64_t t0, int64_t m, int64_t dim_h, const int64_t *from,
+                          const int64_t *c0, int64_t *at)
+{
+    for (int64_t k = 0; k < 2 * dim_h; k++)
+        at[k] = from[k] + wrap(t0, c0[k], m) * m * m;
+}
+
+/* the value step k reads at point q of the plane */
+static inline double step_read(const double *src, const int64_t *rolls,
+                               const int64_t *at, const int64_t *roll, int64_t k,
+                               int64_t q)
+{
+    return src[at[k] + rolls[roll[k] + q]];
+}
+
 void difference_gather(const double *src, double *out, int64_t *work, int64_t rows,
                        int64_t size, int64_t start, int64_t len, int64_t m,
-                       int64_t dim_h, int64_t a, const int64_t *twist, double two_h)
+                       int64_t dim_h, int64_t a, const int64_t *twist,
+                       const int64_t *rolls, double two_h)
 {
     int64_t m2 = m * m, fibre = m2 * m, stop = start + len, q0, q1;
-    int64_t *idx = work, *from = idx + 2 * dim_h * m2, *c0 = from + 2 * dim_h;
+    int64_t *from = work, *c0 = from + 2 * dim_h, *roll = c0 + 2 * dim_h;
     for (int64_t fib = start / fibre; fib * fibre < stop; fib++) {
         int64_t base = fib * fibre;
         int64_t lo = start > base ? start - base : 0;
         int64_t hi = stop < base + fibre ? stop - base : fibre;
-        fibre_steps(fib, m, dim_h, a, a + 1, twist, idx, from, c0);
+        fibre_steps(fib, m, dim_h, a, a + 1, twist, from, c0, roll);
+        const int64_t *rp = rolls + roll[0], *rm = rolls + roll[1];
         for (int64_t r = 0; r < rows; r++)
             for (int64_t t0 = lo / m2; plane_run(t0, m2, lo, hi, &q0, &q1); t0++) {
                 const double *up = src + r * size + from[0] + wrap(t0, c0[0], m) * m2;
                 const double *um = src + r * size + from[1] + wrap(t0, c0[1], m) * m2;
                 double *o = out + r * len + base + t0 * m2 - start;
                 for (int64_t q = q0; q < q1; q++)
-                    o[q] = (up[idx[q]] - um[idx[m2 + q]]) / two_h;
+                    o[q] = (up[rp[q]] - um[rm[q]]) / two_h;
             }
     }
 }
 
-void difference_jet(const double *src, double *first, double *lap, int64_t *work,
-                    int64_t size, int64_t start, int64_t len, int64_t m, int64_t dim_h,
-                    const int64_t *twist, double two_h, double h_sq)
+/* the body of difference_jet */
+static inline void jet_points(const double *src, double *first, double *lap,
+                              int64_t *work, int64_t size, int64_t start, int64_t len,
+                              int64_t m, int64_t dim_h, const int64_t *twist,
+                              const int64_t *rolls, double two_h, double h_sq)
 {
     int64_t m2 = m * m, fibre = m2 * m, stop = start + len, q0, q1;
-    int64_t *idx = work, *from = idx + 2 * dim_h * m2;
-    int64_t *c0 = from + 2 * dim_h, *at = c0 + 2 * dim_h;
+    int64_t *from = work, *c0 = from + 2 * dim_h;
+    int64_t *roll = c0 + 2 * dim_h, *at = roll + 2 * dim_h;
     for (int64_t fib = start / fibre; fib * fibre < stop; fib++) {
         int64_t base = fib * fibre;
         int64_t lo = start > base ? start - base : 0;
         int64_t hi = stop < base + fibre ? stop - base : fibre;
-        fibre_steps(fib, m, dim_h, 0, dim_h, twist, idx, from, c0);
+        fibre_steps(fib, m, dim_h, 0, dim_h, twist, from, c0, roll);
         for (int64_t t0 = lo / m2; plane_run(t0, m2, lo, hi, &q0, &q1); t0++) {
             int64_t p0 = base + t0 * m2;
             const double *v = src + p0;
-            for (int64_t k = 0; k < 2 * dim_h; k++)
-                at[k] = from[k] + wrap(t0, c0[k], m) * m2;
+            plane_sources(t0, m, dim_h, from, c0, at);
             for (int64_t q = q0; q < q1; q++) {
                 double two_f = v[q] * 2.0, acc = 0.0;
                 for (int64_t a = 0; a < dim_h; a++) {
-                    const int64_t *ia = idx + 2 * a * m2;
-                    double up = src[at[2 * a] + ia[q]], um = src[at[2 * a + 1] + ia[m2 + q]];
+                    double up = step_read(src, rolls, at, roll, 2 * a, q);
+                    double um = step_read(src, rolls, at, roll, 2 * a + 1, q);
                     first[a * size + p0 + q] = (up - um) / two_h;
                     acc += (up - two_f) + um;
                 }
@@ -159,34 +185,57 @@ void difference_jet(const double *src, double *first, double *lap, int64_t *work
     }
 }
 
-void euler_update(const double *src, double *out, int64_t *work, int64_t start,
-                  int64_t len, int64_t m, int64_t dim_h, const int64_t *twist,
-                  double w)
+void difference_jet(const double *src, double *first, double *lap, int64_t *work,
+                    int64_t size, int64_t start, int64_t len, int64_t m, int64_t dim_h,
+                    const int64_t *twist, const int64_t *rolls, double two_h, double h_sq)
+{
+    if (dim_h == 4)
+        jet_points(src, first, lap, work, size, start, len, m, 4, twist, rolls, two_h, h_sq);
+    else if (dim_h == 8)
+        jet_points(src, first, lap, work, size, start, len, m, 8, twist, rolls, two_h, h_sq);
+    else
+        jet_points(src, first, lap, work, size, start, len, m, dim_h, twist, rolls, two_h,
+                   h_sq);
+}
+
+/* the body of euler_update */
+static inline void euler_points(const double *src, double *out, int64_t *work,
+                                int64_t start, int64_t len, int64_t m, int64_t dim_h,
+                                const int64_t *twist, const int64_t *rolls, double w)
 {
     int64_t m2 = m * m, fibre = m2 * m, stop = start + len, q0, q1;
-    int64_t *idx = work, *from = idx + 2 * dim_h * m2;
-    int64_t *c0 = from + 2 * dim_h, *at = c0 + 2 * dim_h;
+    int64_t *from = work, *c0 = from + 2 * dim_h;
+    int64_t *roll = c0 + 2 * dim_h, *at = roll + 2 * dim_h;
     for (int64_t fib = start / fibre; fib * fibre < stop; fib++) {
         int64_t base = fib * fibre;
         int64_t lo = start > base ? start - base : 0;
         int64_t hi = stop < base + fibre ? stop - base : fibre;
-        fibre_steps(fib, m, dim_h, 0, dim_h, twist, idx, from, c0);
+        fibre_steps(fib, m, dim_h, 0, dim_h, twist, from, c0, roll);
         for (int64_t t0 = lo / m2; plane_run(t0, m2, lo, hi, &q0, &q1); t0++) {
             const double *v = src + base + t0 * m2;
             double *o = out + base + t0 * m2 - start;
-            /* at[k]: where step k reads plane t0's source plane */
-            for (int64_t k = 0; k < 2 * dim_h; k++)
-                at[k] = from[k] + wrap(t0, c0[k], m) * m2;
+            plane_sources(t0, m, dim_h, from, c0, at);
             /* acc stays in a register: out is written once per point */
             for (int64_t q = q0; q < q1; q++) {
-                double acc = (src[at[0] + idx[q]] + src[at[1] + idx[m2 + q]]) - v[q] * 2.0;
-                for (int64_t a = 1; a < dim_h; a++) {
-                    const int64_t *ia = idx + 2 * a * m2;
-                    acc += (src[at[2 * a] + ia[q]] + src[at[2 * a + 1] + ia[m2 + q]])
-                           - v[q] * 2.0;
-                }
+                double acc = (step_read(src, rolls, at, roll, 0, q)
+                              + step_read(src, rolls, at, roll, 1, q)) - v[q] * 2.0;
+                for (int64_t a = 1; a < dim_h; a++)
+                    acc += (step_read(src, rolls, at, roll, 2 * a, q)
+                            + step_read(src, rolls, at, roll, 2 * a + 1, q)) - v[q] * 2.0;
                 o[q] = v[q] + acc * w;
             }
         }
     }
+}
+
+void euler_update(const double *src, double *out, int64_t *work, int64_t start,
+                  int64_t len, int64_t m, int64_t dim_h, const int64_t *twist,
+                  const int64_t *rolls, double w)
+{
+    if (dim_h == 4)
+        euler_points(src, out, work, start, len, m, 4, twist, rolls, w);
+    else if (dim_h == 8)
+        euler_points(src, out, work, start, len, m, 8, twist, rolls, w);
+    else
+        euler_points(src, out, work, start, len, m, dim_h, twist, rolls, w);
 }

@@ -13,7 +13,9 @@ derivatives are pure index arithmetic with zero interpolation error.  A
 step along axis a moves each vertical fibre (fixed horizontal index) to
 its neighbour along a and rolls it by the twist K(x); map_blocks reads
 the steps with the C functions of _steps.c, compiled on first use, and
-keeps no index table.  Kernels get differences, not raw steps:
+keeps no step table: a fibre's roll moves each of its planes alike, and
+each pass makes one m^4-entry int64 table of the m^2 plane rolls (32 KiB
+at m_x = 8) that every worker reads.  Kernels get differences, not raw steps:
 difference_gather writes D_a of every row of a stack, difference_jet a
 field's D_a and compact Laplacian, and euler_update the Euler step.  Each
 does the + - x / of the whole-field numpy formula in its per-point order,
@@ -221,8 +223,13 @@ def shift(values: np.ndarray, grid: LatticeGrid, a: int, direction: int) -> np.n
     return np.take(values.reshape(-1), perm).reshape(grid.shape)
 
 
-# a float64 block of BLOCK_POINTS values is 256 KB, so the few work arrays of
-# a blocked pass stay in a core's L2 cache instead of streaming whole fields.
+# a float64 block of BLOCK_POINTS values is 256 KiB.  A pass holds its
+# difference buffer (one block per row) and its kernel's block arrays: the
+# Euler update and the jet hold none, the energy's pass two, which stay in a
+# core's L2 cache (2 MiB a core on the 2-core Xeon of the BENCH files).
+# The largest, F's Hessian stream with _production's contraction, holds 4n
+# difference rows, tr, three omega, |H|^2 and 4 scratch arrays: 13 blocks,
+# about 3.3 MiB a worker at n = 1, so it spills to L3.
 # It must be at least 128, the run numpy's pairwise sum adds without a cut.
 BLOCK_POINTS = 32768
 
@@ -363,9 +370,9 @@ def _step_kernel():
                 _build_steps_library(path)
             lib = ctypes.CDLL(path)
             ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-            lib.difference_gather.argtypes = [ptr] * 3 + [i64] * 7 + [ptr, f64]
-            lib.difference_jet.argtypes = [ptr] * 4 + [i64] * 5 + [ptr, f64, f64]
-            lib.euler_update.argtypes = [ptr] * 3 + [i64] * 4 + [ptr, f64]
+            lib.difference_gather.argtypes = [ptr] * 3 + [i64] * 7 + [ptr, ptr, f64]
+            lib.difference_jet.argtypes = [ptr] * 4 + [i64] * 5 + [ptr, ptr, f64, f64]
+            lib.euler_update.argtypes = [ptr] * 3 + [i64] * 4 + [ptr, ptr, f64]
             for fn in (lib.difference_gather, lib.difference_jet, lib.euler_update):
                 fn.restype = None
             _steps_lib = lib
@@ -388,6 +395,22 @@ class _Steps:
 
     def __next__(self):
         return next(self._axes)
+
+
+def _roll_table(m: int) -> np.ndarray:
+    """The m^2 plane rolls of a vertical fibre as one flat int64 table of
+    m^4 entries: entry (c1 m + c2) m^2 + t1 m + t2 is
+    ((t1 + c1) % m) m + (t2 + c2) % m, where the plane rolled by (c1, c2)
+    reads point (t1, t2) of its source plane."""
+    r = (np.arange(m)[:, None] + np.arange(m)) % m  # r[c, t] = (t + c) % m
+    return (r[:, None, :, None] * m + r[None, :, None, :]).reshape(-1)
+
+
+def _work_len(dim_h: int) -> int:
+    """The int64 work space of one thread's C calls: four numbers per step
+    (its source fibre, its roll of t_0, its plane roll's offset in the
+    roll table, and where it reads the current plane)."""
+    return 4 * 2 * dim_h
 
 
 def _check_outputs(what: str, src: np.ndarray, lead: tuple, outs) -> None:
@@ -437,7 +460,8 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tup
     The differences are the C function difference_gather (_steps.c), the
     jet difference_jet and the Euler update euler_update.  Each computes
     every vertical fibre's source fibres and rolls from the affine step,
-    reads the rolled values itself and does the + - x / of the whole-field
+    reads the rolled values itself through one table of the m^2 plane rolls
+    (_roll_table, m^4 int64) and does the + - x / of the whole-field
     numpy formula over gathers through step_permutation in its per-point
     order, each one rounded on its own: the library is compiled with
     -ffp-contract=off, so no multiply and add fuse into an FMA, and each
@@ -454,11 +478,12 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tup
     runs differing by at most one block.  The runs go to a module thread
     pool of WORKERS threads, made on first use, and the call returns when
     every run has ended.  The C functions and the ufunc loops release the
-    interpreter lock, so the runs share the cores.  The difference buffer,
-    the C functions' index arrays and the scratch are made on the calling
-    thread.  With one worker, or when entered from a worker (a kernel must
-    not wait on its own pool), the one run is the calling thread's and no
-    pool is used.
+    interpreter lock, so the runs share the cores.  The roll table, which
+    every run reads, and each run's difference buffer, C work space (four
+    int64 per step, _work_len) and scratch are made on the calling thread.
+    With one worker, or when entered from a worker (a kernel must not wait
+    on its own pool), the one run is the calling thread's and no pool is
+    used.
     """
     lib = _step_kernel()
     src = np.ascontiguousarray(values, dtype=np.float64)
@@ -468,57 +493,57 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tup
     m, dim_h, size = grid.m_x, grid.dim_h, grid.size
     two_h, h_sq = 2.0 * grid.h_x, grid.h_x * grid.h_x
     # cols[a] is twist[s][b, a] of axis a: the C functions read the (4n, 3,
-    # 4n) array by address, as they read src, and both live until every run
-    # has ended, since this call returns only then
+    # 4n) array and the roll table by address, as they read src, and all
+    # three live until every run has ended, since this call returns only then
     cols = np.ascontiguousarray(grid.twist.transpose(2, 0, 1))
-    src_at, cols_at = src.ctypes.data, cols.ctypes.data
+    table = _roll_table(m)
+    src_at, cols_at, table_at = src.ctypes.data, cols.ctypes.data, table.ctypes.data
     lead = values.shape[:-1]
     width = math.prod(lead)
     bounds = _block_bounds(size)
     count = len(bounds) - 1
     workers = 1 if getattr(_in_worker, "active", False) else min(WORKERS, count)
 
-    def steps(blk: slice, d, rolls):
+    def steps(blk: slice, d, work):
         start, k = blk.start, blk.stop - blk.start
+        work_at = work.ctypes.data
 
         def axes():
-            d_at, rolls_at = d.ctypes.data, rolls.ctypes.data
+            d_at = d.ctypes.data
             for a in range(dim_h):
-                lib.difference_gather(src_at, d_at, rolls_at, width, size, start, k,
-                                      m, dim_h, a, cols_at, two_h)
+                lib.difference_gather(src_at, d_at, work_at, width, size, start, k,
+                                      m, dim_h, a, cols_at, table_at, two_h)
                 yield a, d
 
         def jet(first: np.ndarray, lap: np.ndarray):
             _check_outputs("difference jet", src, lead,
                            ((first, (dim_h, size)), (lap, (size,))))
-            lib.difference_jet(src_at, first.ctypes.data, lap.ctypes.data,
-                               rolls.ctypes.data, size, start, k, m, dim_h, cols_at,
-                               two_h, h_sq)
+            lib.difference_jet(src_at, first.ctypes.data, lap.ctypes.data, work_at,
+                               size, start, k, m, dim_h, cols_at, table_at, two_h, h_sq)
 
         def euler(w: float, out: np.ndarray):
             _check_outputs("Euler update", src, lead, ((out, (k,)),))
-            lib.euler_update(src_at, out.ctypes.data, rolls.ctypes.data, start, k,
-                             m, dim_h, cols_at, w)
+            lib.euler_update(src_at, out.ctypes.data, work_at, start, k, m, dim_h,
+                             cols_at, table_at, w)
 
         return _Steps(axes(), jet, euler)
 
     sums = [()] * count  # each block's sums, in the block's own slot
 
     def run(first: int, last: int, bufs):
-        d_buf, rolls, *work = bufs
+        d_buf, work, *space = bufs
         for i in range(first, last):
             blk, k = slice(bounds[i], bounds[i + 1]), bounds[i + 1] - bounds[i]
             d = d_buf[:width * k].reshape(lead + (k,))
-            sums[i] = kernel(blk, steps(blk, d, rolls),
-                             [w[..., :k] for w in work]) or ()
+            sums[i] = kernel(blk, steps(blk, d, work),
+                             [s[..., :k] for s in space]) or ()
 
     most = max(stop - start for start, stop in zip(bounds, bounds[1:]))
 
     def buffers():
-        # the difference buffer, the C functions' index arrays (2 dim_h
-        # (m^2 + 3) int64) and the kernel's scratch
-        return ([np.empty(width * most),
-                 np.empty(2 * dim_h * (m * m + 3), dtype=np.int64)]
+        # the difference buffer, the C functions' work space and the
+        # kernel's scratch
+        return ([np.empty(width * most), np.empty(_work_len(dim_h), dtype=np.int64)]
                 + [np.empty(tuple(s) + (most,)) for s in scratch])
 
     if workers == 1:

@@ -147,7 +147,8 @@ def test_euler_rounding_is_pinned():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3)])
+@pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3),
+                                  (3, 2)])
 def test_fused_euler_update_matches_the_step_tables(n, m, workers, monkeypatch):
     # the C update against the numpy one through np.take of the reference
     # step tables: the first axis gives acc = (u+ + u-) - 2u, each later one

@@ -344,7 +344,8 @@ def test_step_gathers_match_shift(m, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3)])
+@pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3),
+                                  (3, 2)])
 def test_step_kernel_gathers_what_the_step_tables_give(n, m, workers, monkeypatch):
     # difference_gather against (S^+ - S^-) / 2h through np.take of
     # step_permutation, for every axis, on a flat field and a (3, N) stack;
@@ -372,6 +373,90 @@ def test_step_kernel_gathers_what_the_step_tables_give(n, m, workers, monkeypatc
         assert sorted(seen) == [(start, a) for start in lattice._block_bounds(grid.size)[:-1]
                                 for a in range(grid.dim_h)]
         assert wrong == []
+
+
+def test_runtime_dim_h_bodies_keep_the_numpy_order(monkeypatch):
+    # n = 3 (dim_h 12) runs the jet and Euler bodies of _steps.c at a
+    # runtime dim_h, and m_x = 2 is the one such grid small enough to test.
+    # There S^+ = S^-, so on values in [1, 1.3] every regrouping of
+    # (S^+ + S^-) - 2u rounds alike; on signed values of wide magnitude it
+    # shows in the bits
+    monkeypatch.setattr(lattice, "BLOCK_POINTS", 128)
+    grid = make_grid(3, 2)
+    rng = np.random.default_rng(3)
+    f = rng.normal(size=grid.size) * 10.0 ** rng.uniform(-3, 3, size=grid.size)
+    ups = [np.take(f, grid.step_permutation(a, 1)) for a in range(grid.dim_h)]
+    ums = [np.take(f, grid.step_permutation(a, -1)) for a in range(grid.dim_h)]
+    two_f, acc, lap_acc = f * 2.0, None, np.zeros(grid.size)
+    for up, um in zip(ups, ums):
+        term = (up + um) - two_f
+        acc = term if acc is None else acc + term
+        lap_acc += (up - two_f) + um
+    w = 0.1
+    first = np.empty((grid.dim_h, grid.size))
+    lap, new = np.empty(grid.size), np.empty(grid.size)
+
+    def kernel(blk, steps, scratch):
+        steps.jet(first, lap)
+        steps.euler(w, new[blk])
+
+    map_blocks(kernel, f, grid)
+    assert first.tobytes() == np.stack([(up - um) / (2.0 * grid.h_x)
+                                        for up, um in zip(ups, ums)]).tobytes()
+    assert lap.tobytes() == (-lap_acc / (grid.h_x * grid.h_x)).tobytes()
+    assert new.tobytes() == (f + acc * w).tobytes()
+
+
+@pytest.mark.parametrize("m", [3, 8])
+def test_step_kernels_write_only_their_outputs_and_work_space(m):
+    # each C function, called by hand on the work space that map_blocks
+    # sizes (_work_len) and on canary-filled outputs, each with a canary
+    # tail: the work tail, the output tails and every output point outside
+    # the block keep their canaries.  The blocks cut fibres at both ends,
+    # or run to the field's end
+    lib = lattice._step_kernel()
+    grid = make_grid(1, m)
+    dim_h, size, fibre, tail = grid.dim_h, grid.size, m ** 3, 64
+    two_h, h_sq = 2.0 * grid.h_x, grid.h_x * grid.h_x
+    cols = np.ascontiguousarray(grid.twist.transpose(2, 0, 1))
+    table = lattice._roll_table(m)
+    assert table.shape == (m ** 4,) and table.dtype == np.int64
+    src = np.random.default_rng(m).normal(size=(2, size))
+    flat = src[0]
+    canary, work_canary = -1.25e300, -0x5EED
+
+    def canaries(n):
+        return np.full(n + tail, canary)
+
+    def kept(arr, written):
+        # the canaries outside the points in written are intact, and every
+        # point in written was written
+        arr = arr.copy()
+        assert np.all(arr[written] != canary)
+        arr[written] = canary
+        return np.all(arr == canary)
+
+    for start, k in ((fibre + 5, 2 * fibre + 7), (size - fibre - 3, fibre + 3)):
+        work = np.full(lattice._work_len(dim_h) + tail, work_canary, dtype=np.int64)
+        args = (size, start, k, m, dim_h)
+        stack = canaries(2 * k)
+        for a in range(dim_h):
+            lib.difference_gather(src.ctypes.data, stack.ctypes.data, work.ctypes.data, 2,
+                                  *args, a, cols.ctypes.data, table.ctypes.data, two_h)
+        assert kept(stack, slice(0, 2 * k))
+        first, lap = canaries(dim_h * size), canaries(size)
+        lib.difference_jet(flat.ctypes.data, first.ctypes.data, lap.ctypes.data,
+                           work.ctypes.data, *args, cols.ctypes.data, table.ctypes.data,
+                           two_h, h_sq)
+        rows = np.zeros(dim_h * size + tail, dtype=bool)
+        rows[:dim_h * size].reshape(dim_h, size)[:, start:start + k] = True
+        assert kept(first, rows)
+        assert kept(lap, slice(start, start + k))
+        out = canaries(k)
+        lib.euler_update(flat.ctypes.data, out.ctypes.data, work.ctypes.data, start, k,
+                         m, dim_h, cols.ctypes.data, table.ctypes.data, 0.1)
+        assert kept(out, slice(0, k))
+        assert np.all(work[lattice._work_len(dim_h):] == work_canary)
 
 
 def test_fused_euler_update_refuses_what_it_cannot_write():

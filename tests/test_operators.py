@@ -429,7 +429,8 @@ def test_jet_readers_are_bit_identical_to_the_stencils(m):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3)])
+@pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3),
+                                  (3, 2)])
 def test_fused_jet_matches_the_step_tables(n, m, workers, monkeypatch):
     # difference_jet against np.take through the reference step tables:
     # D_a f = (f+ - f-) / 2h, and the compact Laplacian -acc / h^2, where
