@@ -7,16 +7,18 @@
  * the m^3 points of one vertical fibre (fixed i) read the points of one
  * source fibre, rolled by d K(i).  A roll moves every plane (fixed t_0) of
  * the fibre in the same way, by (c_1, c_2) in (t_1, t_2), and there are
- * only m^2 such plane rolls.  The caller passes all of them in one
- * read-only int64 table of m^4 entries (32 KiB at m = 8), shared by every
- * thread:
+ * only m^2 such plane rolls.  plane_rolls writes all of them into one
+ * int64 table of m^4 entries (32 KiB at m = 8), which the caller makes
+ * once and every thread then reads:
  *
  *     rolls[(c_1 m + c_2) m^2 + t_1 m + t_2] = (t_1 + c_1 mod m) m + (t_2 + c_2 mod m),
  *
  * where the plane rolled by (c_1, c_2) reads point (t_1, t_2) of its
- * source plane.  So a step needs, per fibre, three numbers and no index
- * array: fibre_steps sets its source fibre, its roll of t_0 and the offset
- * of its plane roll in the table, for all three functions.  A block edge
+ * source plane.  The layout lives in this file alone: the caller only
+ * sizes the table and passes it back as rolls.  So a step needs, per
+ * fibre, three numbers and no index array: fibre_steps sets its source
+ * fibre, its roll of t_0 and the offset of its plane roll in the table,
+ * for all three functions.  A block edge
  * that cuts a fibre (odd m, and m = 6 with small blocks) cuts a run of
  * the fibre's planes.
  *
@@ -36,8 +38,8 @@
  *
  * The per-point loops of difference_jet and euler_update are written once,
  * as static inline bodies that each function calls with the literal dim_h
- * 4 and 8 (n = 1 and 2), so the compiler unrolls the 2 dim_h reads of a
- * point, and with the runtime dim_h otherwise.
+ * 4 (n = 1, the dimension every suite runs), so the compiler unrolls the
+ * 8 reads of a point, and with the runtime dim_h otherwise.
  *
  * Each function does the + - x / of the whole-field numpy formula in its
  * per-point order, each one rounded on its own, so its output has that
@@ -56,6 +58,16 @@
 static int64_t wrap(int64_t t, int64_t c, int64_t m)
 {
     return t + c < m ? t + c : t + c - m;
+}
+
+/* the table of all m^2 plane rolls, m^4 entries, in the layout above */
+void plane_rolls(int64_t *rolls, int64_t m)
+{
+    for (int64_t c1 = 0; c1 < m; c1++)
+        for (int64_t c2 = 0; c2 < m; c2++)
+            for (int64_t t1 = 0; t1 < m; t1++)
+                for (int64_t t2 = 0; t2 < m; t2++)
+                    *rolls++ = wrap(t1, c1, m) * m + wrap(t2, c2, m);
 }
 
 /* the source fibres from[0] (d = +1) and from[1] (d = -1) of the steps
@@ -191,8 +203,6 @@ void difference_jet(const double *src, double *first, double *lap, int64_t *work
 {
     if (dim_h == 4)
         jet_points(src, first, lap, work, size, start, len, m, 4, twist, rolls, two_h, h_sq);
-    else if (dim_h == 8)
-        jet_points(src, first, lap, work, size, start, len, m, 8, twist, rolls, two_h, h_sq);
     else
         jet_points(src, first, lap, work, size, start, len, m, dim_h, twist, rolls, two_h,
                    h_sq);
@@ -234,8 +244,6 @@ void euler_update(const double *src, double *out, int64_t *work, int64_t start,
 {
     if (dim_h == 4)
         euler_points(src, out, work, start, len, m, 4, twist, rolls, w);
-    else if (dim_h == 8)
-        euler_points(src, out, work, start, len, m, 8, twist, rolls, w);
     else
         euler_points(src, out, work, start, len, m, dim_h, twist, rolls, w);
 }

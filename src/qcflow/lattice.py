@@ -350,10 +350,10 @@ def _build_steps_library(path: str):
 
 def _step_kernel():
     """The library of _steps.c, with its functions difference_gather,
-    difference_jet and euler_update.  The first call compiles the source
-    into __pycache__, under a name that holds the sha256 of the source
-    followed by the compile flags, unless that library is there already,
-    and loads it.  So a changed flag list builds a library of its own.
+    difference_jet, euler_update and plane_rolls.  The first call compiles
+    the source into __pycache__, under a name that holds the sha256 of the
+    source followed by the compile flags, unless that library is there
+    already, and loads it.  So a changed flag list builds a library of its own.
     ctypes releases the interpreter lock during each call, so the workers
     gather at once."""
     global _steps_lib
@@ -373,7 +373,9 @@ def _step_kernel():
             lib.difference_gather.argtypes = [ptr] * 3 + [i64] * 7 + [ptr, ptr, f64]
             lib.difference_jet.argtypes = [ptr] * 4 + [i64] * 5 + [ptr, ptr, f64, f64]
             lib.euler_update.argtypes = [ptr] * 3 + [i64] * 4 + [ptr, ptr, f64]
-            for fn in (lib.difference_gather, lib.difference_jet, lib.euler_update):
+            lib.plane_rolls.argtypes = [ptr, i64]
+            for fn in (lib.difference_gather, lib.difference_jet, lib.euler_update,
+                       lib.plane_rolls):
                 fn.restype = None
             _steps_lib = lib
         return _steps_lib
@@ -395,15 +397,6 @@ class _Steps:
 
     def __next__(self):
         return next(self._axes)
-
-
-def _roll_table(m: int) -> np.ndarray:
-    """The m^2 plane rolls of a vertical fibre as one flat int64 table of
-    m^4 entries: entry (c1 m + c2) m^2 + t1 m + t2 is
-    ((t1 + c1) % m) m + (t2 + c2) % m, where the plane rolled by (c1, c2)
-    reads point (t1, t2) of its source plane."""
-    r = (np.arange(m)[:, None] + np.arange(m)) % m  # r[c, t] = (t + c) % m
-    return (r[:, None, :, None] * m + r[None, :, None, :]).reshape(-1)
 
 
 def _work_len(dim_h: int) -> int:
@@ -461,9 +454,10 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tup
     jet difference_jet and the Euler update euler_update.  Each computes
     every vertical fibre's source fibres and rolls from the affine step,
     reads the rolled values itself through one table of the m^2 plane rolls
-    (_roll_table, m^4 int64) and does the + - x / of the whole-field
-    numpy formula over gathers through step_permutation in its per-point
-    order, each one rounded on its own: the library is compiled with
+    (m^4 int64, written by the C function plane_rolls, which alone knows
+    its layout) and does the + - x / of the whole-field numpy formula over
+    gathers through step_permutation in its per-point order, each one
+    rounded on its own: the library is compiled with
     -ffp-contract=off, so no multiply and add fuse into an FMA, and each
     has the numpy bits on every machine, with no index table.
 
@@ -496,7 +490,8 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tup
     # 4n) array and the roll table by address, as they read src, and all
     # three live until every run has ended, since this call returns only then
     cols = np.ascontiguousarray(grid.twist.transpose(2, 0, 1))
-    table = _roll_table(m)
+    table = np.empty(m ** 4, dtype=np.int64)
+    lib.plane_rolls(table.ctypes.data, m)
     src_at, cols_at, table_at = src.ctypes.data, cols.ctypes.data, table.ctypes.data
     lead = values.shape[:-1]
     width = math.prod(lead)

@@ -409,21 +409,25 @@ def test_runtime_dim_h_bodies_keep_the_numpy_order(monkeypatch):
 
 @pytest.mark.parametrize("m", [3, 8])
 def test_step_kernels_write_only_their_outputs_and_work_space(m):
-    # each C function, called by hand on the work space that map_blocks
-    # sizes (_work_len) and on canary-filled outputs, each with a canary
-    # tail: the work tail, the output tails and every output point outside
-    # the block keep their canaries.  The blocks cut fibres at both ends,
+    # each C function, called by hand on the roll table and work space that
+    # map_blocks sizes (m^4 and _work_len int64) and on canary-filled
+    # outputs, each with a canary tail: the table and work tails, the output
+    # tails and every output point outside the block keep their canaries.  The blocks cut fibres at both ends,
     # or run to the field's end
     lib = lattice._step_kernel()
     grid = make_grid(1, m)
     dim_h, size, fibre, tail = grid.dim_h, grid.size, m ** 3, 64
     two_h, h_sq = 2.0 * grid.h_x, grid.h_x * grid.h_x
     cols = np.ascontiguousarray(grid.twist.transpose(2, 0, 1))
-    table = lattice._roll_table(m)
-    assert table.shape == (m ** 4,) and table.dtype == np.int64
+    canary, work_canary = -1.25e300, -0x5EED
+    # plane_rolls fills m^4 entries, each run of m^2 a permutation of the
+    # plane's points
+    table = np.full(m ** 4 + tail, work_canary, dtype=np.int64)
+    lib.plane_rolls(table.ctypes.data, m)
+    assert np.all(table[m ** 4:] == work_canary)
+    assert np.all(np.sort(table[:m ** 4].reshape(m * m, m * m), axis=1) == np.arange(m * m))
     src = np.random.default_rng(m).normal(size=(2, size))
     flat = src[0]
-    canary, work_canary = -1.25e300, -0x5EED
 
     def canaries(n):
         return np.full(n + tail, canary)
