@@ -1,6 +1,7 @@
 /* The twisted horizontal steps of the lattice quotient, read without a
  * step table: the centred differences they give, the difference jet of a
- * field and the Euler update that sums them.
+ * field, the Euler update that sums them and the composed Hessian of a
+ * field's first differences.
  *
  * A step along horizontal axis a in direction d maps the point (i, t) to
  * (i + d e_a, t + d K(i)) (mod m), K_s(i) = sum_b twist[s][b, a] i_b, so
@@ -9,7 +10,7 @@
  * the fibre in the same way, by (c_1, c_2) in (t_1, t_2), and there are
  * only m^2 such plane rolls.  plane_rolls writes all of them into one
  * int64 table of m^4 entries (32 KiB at m = 8), which the caller makes
- * once and every thread then reads:
+ * once per grid and every thread then reads:
  *
  *     rolls[(c_1 m + c_2) m^2 + t_1 m + t_2] = (t_1 + c_1 mod m) m + (t_2 + c_2 mod m),
  *
@@ -18,7 +19,7 @@
  * sizes the table and passes it back as rolls.  So a step needs, per
  * fibre, three numbers and no index array: fibre_steps sets its source
  * fibre, its roll of t_0 and the offset of its plane roll in the table,
- * for all three functions.  A block edge
+ * for every function.  A block edge
  * that cuts a fibre (odd m, and m = 6 with small blocks) cuts a run of
  * the fibre's planes.
  *
@@ -33,8 +34,23 @@
  * it.
  *
  * euler_update writes u + acc * w, acc = sum_a ((S_a^+ u + S_a^- u) - u * 2),
- * on the same points of a flat field: the first axis writes acc, each later
- * one adds to it.
+ * on the same points of a flat field into the flat array out: the first
+ * axis writes acc, each later one adds to it.  It writes the minimum and
+ * the maximum of the values it wrote into ext[0] and ext[1]; a NaN among
+ * them is kept, as np.min and np.max keep it.
+ *
+ * hessian_block accumulates, on the points [start, start+len) of the
+ * C-contiguous (dim_h, size) first differences D_b f, the composed Hessian
+ * H_ab = D_a D_b f into tr = sum_a H_aa, the C-contiguous (3, len) om,
+ * om[s] = sum_a sigma_s(a) H_a b_s(a), and, unless nsq is NULL, nsq =
+ * sum_a sum_b H_ab^2, each from zero in (a, b) order.  omega_s has one
+ * entry +-1 per row a, at column b_s(a), and the int64 table terms holds
+ * terms[(3 a + s) 2] = b_s(a) and terms[(3 a + s) 2 + 1] = sigma_s(a).  It
+ * works through the block in sub-blocks of HESSIAN_SUB points: per axis a
+ * it writes H_a. of the sub-block with difference_gather into buf, which
+ * holds dim_h min(len, HESSIAN_SUB) doubles and stays in a core's L2
+ * cache, and adds it in.  Adding sigma_s(a) H_ab, with sigma = +-1, gives
+ * the bits of adding or subtracting H_ab.
  *
  * The per-point loops of difference_jet and euler_update are written once,
  * as static inline bodies that each function calls with the literal dim_h
@@ -52,7 +68,13 @@
  * fibre) and at (set per plane).  difference_gather uses the entries of
  * its own two steps.
  */
+#include <math.h>
+#include <stddef.h>
 #include <stdint.h>
+
+/* the points of one sub-block of hessian_block: dim_h rows of them are
+ * 128 KiB at n = 1 */
+#define HESSIAN_SUB 4096
 
 /* (t + c) mod m for t and c in [0, m), with no division */
 static int64_t wrap(int64_t t, int64_t c, int64_t m)
@@ -209,13 +231,14 @@ void difference_jet(const double *src, double *first, double *lap, int64_t *work
 }
 
 /* the body of euler_update */
-static inline void euler_points(const double *src, double *out, int64_t *work,
+static inline void euler_points(const double *src, double *out, double *ext, int64_t *work,
                                 int64_t start, int64_t len, int64_t m, int64_t dim_h,
                                 const int64_t *twist, const int64_t *rolls, double w)
 {
     int64_t m2 = m * m, fibre = m2 * m, stop = start + len, q0, q1;
     int64_t *from = work, *c0 = from + 2 * dim_h;
     int64_t *roll = c0 + 2 * dim_h, *at = roll + 2 * dim_h;
+    double min_x = INFINITY, max_x = -INFINITY;
     for (int64_t fib = start / fibre; fib * fibre < stop; fib++) {
         int64_t base = fib * fibre;
         int64_t lo = start > base ? start - base : 0;
@@ -223,7 +246,7 @@ static inline void euler_points(const double *src, double *out, int64_t *work,
         fibre_steps(fib, m, dim_h, 0, dim_h, twist, from, c0, roll);
         for (int64_t t0 = lo / m2; plane_run(t0, m2, lo, hi, &q0, &q1); t0++) {
             const double *v = src + base + t0 * m2;
-            double *o = out + base + t0 * m2 - start;
+            double *o = out + base + t0 * m2;
             plane_sources(t0, m, dim_h, from, c0, at);
             /* acc stays in a register: out is written once per point */
             for (int64_t q = q0; q < q1; q++) {
@@ -232,18 +255,71 @@ static inline void euler_points(const double *src, double *out, int64_t *work,
                 for (int64_t a = 1; a < dim_h; a++)
                     acc += (step_read(src, rolls, at, roll, 2 * a, q)
                             + step_read(src, rolls, at, roll, 2 * a + 1, q)) - v[q] * 2.0;
-                o[q] = v[q] + acc * w;
+                double x = v[q] + acc * w;
+                o[q] = x;
+                /* x != x keeps a NaN: no later comparison replaces it */
+                min_x = x < min_x || x != x ? x : min_x;
+                max_x = x > max_x || x != x ? x : max_x;
             }
         }
     }
+    ext[0] = min_x;
+    ext[1] = max_x;
 }
 
-void euler_update(const double *src, double *out, int64_t *work, int64_t start,
+void euler_update(const double *src, double *out, double *ext, int64_t *work, int64_t start,
                   int64_t len, int64_t m, int64_t dim_h, const int64_t *twist,
                   const int64_t *rolls, double w)
 {
     if (dim_h == 4)
-        euler_points(src, out, work, start, len, m, 4, twist, rolls, w);
+        euler_points(src, out, ext, work, start, len, m, 4, twist, rolls, w);
     else
-        euler_points(src, out, work, start, len, m, dim_h, twist, rolls, w);
+        euler_points(src, out, ext, work, start, len, m, dim_h, twist, rolls, w);
+}
+
+/* adds axis a's rows H_a. of n points (row b at d + b n) into tr, the rows
+ * of om (row s at om + s stride) and, unless it is NULL, nsq */
+static void hessian_add(const double *d, int64_t n, int64_t a, int64_t dim_h,
+                        const int64_t *terms, double *restrict tr, double *restrict om,
+                        int64_t stride, double *restrict nsq)
+{
+    const int64_t *t = terms + 6 * a;
+    const double *daa = d + a * n, *d0 = d + t[0] * n, *d1 = d + t[2] * n, *d2 = d + t[4] * n;
+    double s0 = (double)t[1], s1 = (double)t[3], s2 = (double)t[5];
+    double *om0 = om, *om1 = om + stride, *om2 = om + 2 * stride;
+    for (int64_t i = 0; i < n; i++) {
+        tr[i] += daa[i];
+        om0[i] += s0 * d0[i];
+        om1[i] += s1 * d1[i];
+        om2[i] += s2 * d2[i];
+    }
+    if (nsq != NULL)
+        for (int64_t b = 0; b < dim_h; b++) {
+            const double *db = d + b * n;
+            for (int64_t i = 0; i < n; i++)
+                nsq[i] += db[i] * db[i];
+        }
+}
+
+void hessian_block(const double *first, double *tr, double *om, double *nsq, double *buf,
+                   int64_t *work, int64_t size, int64_t start, int64_t len, int64_t m,
+                   int64_t dim_h, const int64_t *twist, const int64_t *rolls,
+                   const int64_t *terms, double two_h)
+{
+    for (int64_t s0 = 0; s0 < len; s0 += HESSIAN_SUB) {
+        int64_t n = len - s0 < HESSIAN_SUB ? len - s0 : HESSIAN_SUB;
+        double *q = nsq != NULL ? nsq + s0 : NULL;
+        for (int64_t i = 0; i < n; i++) {
+            tr[s0 + i] = 0.0;
+            for (int s = 0; s < 3; s++)
+                om[s * len + s0 + i] = 0.0;
+            if (q != NULL)
+                q[i] = 0.0;
+        }
+        for (int64_t a = 0; a < dim_h; a++) {
+            difference_gather(first, buf, work, dim_h, size, start + s0, n, m, dim_h, a,
+                              twist, rolls, two_h);
+            hessian_add(buf, n, a, dim_h, terms, tr + s0, om + s0, len, q);
+        }
+    }
 }

@@ -17,9 +17,9 @@ from .lattice import (
     LatticeGrid,
     ScalarField,
     check_bump_params,
+    euler_pass,
     integrate,
     make_grid,
-    map_blocks,
     periodized_bump,
     vertically_uniform_bump,
 )
@@ -90,30 +90,13 @@ def _euler_update(values: np.ndarray, grid: LatticeGrid, w: float, measure: bool
     # u + w * acc, where acc sums per axis (u+ + u-) - 2u: each per-axis sum
     # is <= 0 at a grid maximum even in floating point (u+ + u- <= 2u and
     # rounding is monotone), which makes the max principle exact; acc is h^2
-    # times the negative sub-Laplacian.  A block kernel of lattice.map_blocks:
-    # per block, the C function euler_update (steps.euler) gathers the steps
+    # times the negative sub-Laplacian.  lattice.euler_pass makes one call
+    # of the C function euler_update per worker, which gathers the steps
     # and does the + - x of a whole-field numpy pass in its per-point order,
-    # each rounded on its own (no FMA: -ffp-contract=off), and the kernel
-    # measures the new block.  Returns the new values with their min, and
-    # with their mass (integrate's bits: the kernel returns its block's sum)
-    # and max when measure is set, else None.
-    flat = values.reshape(-1)
-    out = np.empty_like(flat)
-    mins, maxs = [], []
-
-    def kernel(blk, steps, scratch):
-        new = out[blk]
-        steps.euler(w, new)
-        mins.append(np.minimum.reduce(new))
-        if measure:
-            maxs.append(np.maximum.reduce(new))
-            return (np.add.reduce(new),)
-
-    sums = map_blocks(kernel, flat, grid)
-    if not measure:
-        return out.reshape(grid.shape), None, float(np.min(mins)), None
-    return (out.reshape(grid.shape), float(grid.cell_volume * sums[0]),
-            float(np.min(mins)), float(np.max(maxs)))
+    # each rounded on its own (no FMA: -ffp-contract=off), and measures the
+    # new values.  Returns the new values with their min, and with their
+    # mass (integrate's bits) and max when measure is set, else None.
+    return euler_pass(values, grid, w, measure)
 
 
 def heat_step(u: ScalarField, dt: float) -> ScalarField:
@@ -130,8 +113,9 @@ def euler_step(u: ScalarField, dt: float, u_min: float, measure: bool = False):
 
     Returns (field, mass, lo, hi): the new field with its minimum lo, and
     with its mass (the bits of integrate) and maximum hi when measure is
-    set, else None.  The update measures them block by block, so the step
-    scans no whole field besides the one it computes.
+    set, else None.  The update measures the extremes as it writes the
+    field and the mass block by block, so the step scans no whole field
+    besides the one it computes.
     """
     grid = u.grid
     bound = cfl_timestep(grid, 1.0)

@@ -11,16 +11,21 @@ L_t = 2 h_x L_x, m_t = m_x) so that every unit horizontal step from a grid
 point lands exactly on a grid point after periodic wrap; all discrete
 derivatives are pure index arithmetic with zero interpolation error.  A
 step along axis a moves each vertical fibre (fixed horizontal index) to
-its neighbour along a and rolls it by the twist K(x); map_blocks reads
+its neighbour along a and rolls it by the twist K(x).  The passes read
 the steps with the C functions of _steps.c, compiled on first use, and
-keeps no step table: a fibre's roll moves each of its planes alike, and
-each pass makes one m^4-entry int64 table of the m^2 plane rolls (32 KiB
-at m_x = 8) that every worker reads.  Kernels get differences, not raw steps:
-difference_gather writes D_a of every row of a stack, difference_jet a
-field's D_a and compact Laplacian, and euler_update the Euler step.  Each
-does the + - x / of the whole-field numpy formula in its per-point order,
-under -ffp-contract=off (no FMA), so all have the bits of the numpy route
-on every machine.
+keep no step table: a fibre's roll moves each of its planes alike, and
+each grid makes one m^4-entry int64 table of the m^2 plane rolls (32 KiB
+at m_x = 8), on its first pass, that every worker reads.  There are three
+passes, which share the point blocks and the worker pool (_share_blocks).
+map_blocks hands block kernels differences, not raw steps:
+difference_gather writes D_a of every row of a stack, and hessian_block a
+block's composed Hessian, summed into tr H, omega_s(H) and |H|^2.
+euler_pass (euler_update, the Euler step) and jet_pass (difference_jet,
+a field's D_a and compact Laplacian) make one C call per worker over its
+run of blocks, with the interpreter lock released.  Each C function does
+the + - x / of the whole-field numpy formula in its per-point order, under
+-ffp-contract=off (no FMA), so all have the bits of the numpy route on
+every machine.
 
 Left-invariant frame conventions (validated by the frame-contract tests):
 the twist bilinears are Im_s(conj(x) x') = x @ B_s @ x' with B_s minus the
@@ -30,6 +35,7 @@ almost complex triple of the frame is I_s = B_s.
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 import json
 import math
@@ -119,6 +125,19 @@ class LatticeGrid:
         self.size = self.m_x ** self.dim_h * self.m_t ** 3
         self.cell_volume = self.h_x ** self.dim_h * self.h_t ** 3
         self.twist = twist_matrices(self.n).astype(np.int64)
+
+    @functools.cached_property
+    def _step_constants(self) -> tuple[np.ndarray, np.ndarray]:
+        """What every pass over the grid reads by address, made on its first
+        pass and kept, read-only: the (4n, 3, 4n) twist columns, cols[a] =
+        twist[s][b, a] of axis a, and the m^4 int64 table of the m^2 plane
+        rolls, filled by the C function plane_rolls, which alone knows its
+        layout."""
+        cols = np.ascontiguousarray(self.twist.transpose(2, 0, 1))
+        rolls = np.empty(self.m_x ** 4, dtype=np.int64)
+        _step_kernel().plane_rolls(rolls.ctypes.data, self.m_x)
+        cols.flags.writeable = rolls.flags.writeable = False
+        return cols, rolls
 
     def point_at(self, idx) -> GroupPoint:
         idx = tuple(int(i) for i in idx)
@@ -223,13 +242,14 @@ def shift(values: np.ndarray, grid: LatticeGrid, a: int, direction: int) -> np.n
     return np.take(values.reshape(-1), perm).reshape(grid.shape)
 
 
-# a float64 block of BLOCK_POINTS values is 256 KiB.  A pass holds its
-# difference buffer (one block per row) and its kernel's block arrays: the
-# Euler update and the jet hold none, the energy's pass two, which stay in a
-# core's L2 cache (2 MiB a core on the 2-core Xeon of the BENCH files).
-# The largest, F's Hessian stream with _production's contraction, holds 4n
-# difference rows, tr, three omega, |H|^2 and 4 scratch arrays: 13 blocks,
-# about 3.3 MiB a worker at n = 1, so it spills to L3.
+# a float64 block of BLOCK_POINTS values is 256 KiB.  A kernel's pass holds
+# its difference buffer (one block per row) and its kernel's block arrays,
+# and the Euler and jet passes hold none: the energy's pass holds two, which
+# stay in a core's L2 cache (2 MiB a core on the 2-core Xeon of the BENCH
+# files).  The largest, F's Hessian stream with _production's contraction,
+# holds per worker tr, three omega, |H|^2 and 4 scratch arrays, 9 blocks,
+# and the 4n rows of one 4096-point sub-block of hessian_block (128 KiB at
+# n = 1): about 2.4 MiB at n = 1, a little over L2.
 # It must be at least 128, the run numpy's pairwise sum adds without a cut.
 BLOCK_POINTS = 32768
 
@@ -299,6 +319,41 @@ def _executor():
         return _pool
 
 
+def _share_blocks(run, count: int, buffers) -> None:
+    """The pool helper of every pass: call run(first, last, bufs) on the
+    blocks [first, last) of a pass of count blocks, one contiguous run of
+    blocks per worker, the runs differing by at most one block, where bufs =
+    buffers() is the run's work space, made on the calling thread.
+
+    The runs go to a module thread pool of WORKERS threads, made on first
+    use, and the call returns when every run has ended.  The C functions
+    and the ufunc loops release the interpreter lock, so the runs share the
+    cores.  With one worker, or when entered from a worker (a kernel must
+    not wait on its own pool), the one run is the calling thread's and no
+    pool is used."""
+    workers = 1 if getattr(_in_worker, "active", False) else min(WORKERS, count)
+    if workers == 1:
+        run(0, count, buffers())
+        return
+    cuts = [count * i // workers for i in range(workers + 1)]
+    bufs = [buffers() for _ in range(workers)]
+
+    def run_in_worker(i: int):
+        _in_worker.active = True
+        try:
+            run(cuts[i], cuts[i + 1], bufs[i])
+        finally:
+            _in_worker.active = False
+
+    futures = [_executor().submit(run_in_worker, i) for i in range(workers)]
+    # every run ends before a run's error propagates, so no worker is still
+    # writing when the caller sees it
+    for fut in futures:
+        fut.exception()
+    for fut in futures:
+        fut.result()
+
+
 _STEPS_SOURCE = os.path.join(os.path.dirname(__file__), "_steps.c")
 _STEPS_DIR = os.path.join(os.path.dirname(__file__), "__pycache__")
 # -ffp-contract=off keeps each multiply and add of _steps.c two roundings:
@@ -350,10 +405,10 @@ def _build_steps_library(path: str):
 
 def _step_kernel():
     """The library of _steps.c, with its functions difference_gather,
-    difference_jet, euler_update and plane_rolls.  The first call compiles
-    the source into __pycache__, under a name that holds the sha256 of the
-    source followed by the compile flags, unless that library is there
-    already, and loads it.  So a changed flag list builds a library of its own.
+    difference_jet, euler_update, hessian_block and plane_rolls.  The first
+    call compiles the source into __pycache__, under a name that holds the
+    sha256 of the source followed by the compile flags, unless that library
+    is there already, and loads it.  So a changed flag list builds a library of its own.
     ctypes releases the interpreter lock during each call, so the workers
     gather at once."""
     global _steps_lib
@@ -372,10 +427,11 @@ def _step_kernel():
             ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
             lib.difference_gather.argtypes = [ptr] * 3 + [i64] * 7 + [ptr, ptr, f64]
             lib.difference_jet.argtypes = [ptr] * 4 + [i64] * 5 + [ptr, ptr, f64, f64]
-            lib.euler_update.argtypes = [ptr] * 3 + [i64] * 4 + [ptr, ptr, f64]
+            lib.euler_update.argtypes = [ptr] * 4 + [i64] * 4 + [ptr, ptr, f64]
+            lib.hessian_block.argtypes = [ptr] * 6 + [i64] * 5 + [ptr] * 3 + [f64]
             lib.plane_rolls.argtypes = [ptr, i64]
             for fn in (lib.difference_gather, lib.difference_jet, lib.euler_update,
-                       lib.plane_rolls):
+                       lib.hessian_block, lib.plane_rolls):
                 fn.restype = None
             _steps_lib = lib
         return _steps_lib
@@ -383,14 +439,16 @@ def _step_kernel():
 
 class _Steps:
     """What a block kernel of map_blocks receives as steps: an iterator of
-    (a, d), which writes the block's D_a when the kernel asks for it, and
-    the block's fused passes over a flat field, jet(first, lap) and
-    euler(w, out) (see map_blocks)."""
+    (a, d), which writes the block's D_a of every row into d when the kernel
+    asks for it, and, for a (4n, N) stack, diagonal(), which yields (a, D_a
+    of row a) with one row gathered per axis, and hessian(terms, tr, om,
+    nsq), the stack's composed differences summed in one C call (see
+    map_blocks)."""
 
-    def __init__(self, axes, jet, euler):
+    def __init__(self, axes, diagonal, hessian):
         self._axes = axes
-        self.jet = jet
-        self.euler = euler
+        self.diagonal = diagonal
+        self.hessian = hessian
 
     def __iter__(self):
         return self
@@ -406,25 +464,19 @@ def _work_len(dim_h: int) -> int:
     return 4 * 2 * dim_h
 
 
-def _check_outputs(what: str, src: np.ndarray, lead: tuple, outs) -> None:
-    """Refuse the outputs of a fused pass unless the field is flat and each
-    (array, shape) of outs is a writeable contiguous float64 array of that
-    shape that overlaps neither the field nor an earlier output: the C
-    functions write them by address while they read the field."""
-    seen = [src]
-    for out, shape in outs:
-        if (lead or out.dtype != np.float64 or out.shape != shape
-                or not (out.flags.c_contiguous and out.flags.writeable)
-                or any(np.may_share_memory(out, other) for other in seen)):
-            raise ValueError(f"the fused {what} needs a flat field and writeable "
-                             "contiguous float64 outputs of its sizes that overlap "
-                             "neither the field nor each other")
-        seen.append(out)
+def _one_field(values: np.ndarray, grid: LatticeGrid, what: str) -> np.ndarray:
+    """values as one flat contiguous float64 field of grid.size points; a
+    stack of fields is refused."""
+    src = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    if src.size != grid.size:
+        raise ValueError(f"the {what} takes one field of {grid.size} points, "
+                         f"not values of shape {values.shape}")
+    return src
 
 
 def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tuple:
     """Map a block kernel over the step differences of values: the one
-    blocked gather pass.
+    blocked gather pass of the kernels.
 
     values has shape (..., grid.size): a flat field, or stacked fields such
     as the (4n, N) first differences.  The helper calls
@@ -434,15 +486,14 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tup
     D_a = (S_a^+ - S_a^-) / (2 h_x) of every row on blk in a contiguous
     (..., k) buffer; it writes axis a when the kernel asks for it and
     overwrites the buffer with the next axis, so the kernel may work in it.
-    For a flat field, steps also offers two fused passes that write whole
-    outputs by address and leave the buffer alone: steps.jet(first, lap)
-    writes the block's columns of D_a f into row a of the contiguous
-    float64 (4n, N) array first and the compact Laplacian
-    -sum_a ((S_a^+ f - f * 2) + S_a^- f) / h_x^2 into the (N,) array lap;
-    steps.euler(w, out) writes the block's Euler update u + acc * w,
-    acc = sum_a ((S_a^+ u + S_a^- u) - u * 2), into the contiguous float64
-    (k,) array out.  scratch holds one array of shape lead + (k,) per entry
-    lead of `scratch`, the block's work space.
+    For a (4n, N) stack, steps also offers steps.diagonal(), which yields
+    (a, D_a of row a) in the same buffer, and steps.hessian(terms, tr, om,
+    nsq), which writes the block's tr H, omega_s(H) and, unless nsq is
+    None, |H|^2 of the composed differences H_ab = D_a of row b into the
+    contiguous float64 arrays tr (k,), om (3, k) and nsq (k,) in one C call
+    (hessian_block of _steps.c, whose header gives the int64 (4n, 3, 2)
+    table terms of omega_s's entries).  scratch holds one contiguous array
+    of shape lead + (k,) per entry lead of `scratch`, the block's work space.
     A kernel starts its block before its axis loop and finishes it after
     the loop; it writes only into its outputs at [blk] (or [..., blk]),
     returns a tuple of its block's sums (np.add.reduce, the reduction of
@@ -450,16 +501,14 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tup
     function.  One that does per point what a whole-field pass does, in
     the same order, gets its bits whatever thread runs the block.
 
-    The differences are the C function difference_gather (_steps.c), the
-    jet difference_jet and the Euler update euler_update.  Each computes
-    every vertical fibre's source fibres and rolls from the affine step,
-    reads the rolled values itself through one table of the m^2 plane rolls
-    (m^4 int64, written by the C function plane_rolls, which alone knows
-    its layout) and does the + - x / of the whole-field numpy formula over
-    gathers through step_permutation in its per-point order, each one
-    rounded on its own: the library is compiled with
-    -ffp-contract=off, so no multiply and add fuse into an FMA, and each
-    has the numpy bits on every machine, with no index table.
+    The differences are the C function difference_gather (_steps.c).  Like
+    every C function of the passes it computes each vertical fibre's source
+    fibres and rolls from the affine step, reads the rolled values itself
+    through the grid's table of the m^2 plane rolls and does the + - x / of
+    the whole-field numpy formula over gathers through step_permutation in
+    its per-point order, each one rounded on its own: the library is
+    compiled with -ffp-contract=off, so no multiply and add fuse into an
+    FMA, and each has the numpy bits on every machine, with no index table.
 
     The blocks are the nodes of numpy's pairwise-summation tree over the
     grid.size points that first have at most BLOCK_POINTS points
@@ -468,16 +517,10 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tup
     (_tree_sum) gives the bits of np.sum of the whole-field integrand: the
     call returns one such total per entry of the kernel's tuple, and a block
     min or max is exact in any order.  The layout depends on grid.size
-    alone; the workers split it into one contiguous run of blocks each, the
-    runs differing by at most one block.  The runs go to a module thread
-    pool of WORKERS threads, made on first use, and the call returns when
-    every run has ended.  The C functions and the ufunc loops release the
-    interpreter lock, so the runs share the cores.  The roll table, which
-    every run reads, and each run's difference buffer, C work space (four
-    int64 per step, _work_len) and scratch are made on the calling thread.
-    With one worker, or when entered from a worker (a kernel must not wait
-    on its own pool), the one run is the calling thread's and no pool is
-    used.
+    alone; _share_blocks gives each worker one contiguous run of blocks and
+    returns when every run has ended.  Each run's difference buffer, C work
+    space (four int64 per step, _work_len) and scratch are made on the
+    calling thread.
     """
     lib = _step_kernel()
     src = np.ascontiguousarray(values, dtype=np.float64)
@@ -485,53 +528,70 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tup
         raise ValueError(f"values of shape {values.shape} do not end in the "
                          f"grid size {grid.size}")
     m, dim_h, size = grid.m_x, grid.dim_h, grid.size
-    two_h, h_sq = 2.0 * grid.h_x, grid.h_x * grid.h_x
-    # cols[a] is twist[s][b, a] of axis a: the C functions read the (4n, 3,
-    # 4n) array and the roll table by address, as they read src, and all
-    # three live until every run has ended, since this call returns only then
-    cols = np.ascontiguousarray(grid.twist.transpose(2, 0, 1))
-    table = np.empty(m ** 4, dtype=np.int64)
-    lib.plane_rolls(table.ctypes.data, m)
-    src_at, cols_at, table_at = src.ctypes.data, cols.ctypes.data, table.ctypes.data
+    two_h = 2.0 * grid.h_x
+    # the C functions read src and the grid's constants by address: all
+    # live until every run has ended, since this call returns only then
+    cols, rolls = grid._step_constants
+    src_at, cols_at, rolls_at = src.ctypes.data, cols.ctypes.data, rolls.ctypes.data
     lead = values.shape[:-1]
     width = math.prod(lead)
     bounds = _block_bounds(size)
     count = len(bounds) - 1
-    workers = 1 if getattr(_in_worker, "active", False) else min(WORKERS, count)
 
-    def steps(blk: slice, d, work):
-        start, k = blk.start, blk.stop - blk.start
+    def steps(start: int, k: int, d, work):
         work_at = work.ctypes.data
 
         def axes():
             d_at = d.ctypes.data
             for a in range(dim_h):
                 lib.difference_gather(src_at, d_at, work_at, width, size, start, k,
-                                      m, dim_h, a, cols_at, table_at, two_h)
+                                      m, dim_h, a, cols_at, rolls_at, two_h)
                 yield a, d
 
-        def jet(first: np.ndarray, lap: np.ndarray):
-            _check_outputs("difference jet", src, lead,
-                           ((first, (dim_h, size)), (lap, (size,))))
-            lib.difference_jet(src_at, first.ctypes.data, lap.ctypes.data, work_at,
-                               size, start, k, m, dim_h, cols_at, table_at, two_h, h_sq)
+        def stack_of_rows():
+            if lead != (dim_h,):
+                raise ValueError(f"steps of values of shape {values.shape} have no "
+                                 f"diagonal or Hessian: they need a ({dim_h}, N) stack")
 
-        def euler(w: float, out: np.ndarray):
-            _check_outputs("Euler update", src, lead, ((out, (k,)),))
-            lib.euler_update(src_at, out.ctypes.data, work_at, start, k, m, dim_h,
-                             cols_at, table_at, w)
+        def diagonal():
+            stack_of_rows()
+            row = d.reshape(-1)[:k]
+            for a in range(dim_h):
+                lib.difference_gather(src[a].ctypes.data, row.ctypes.data, work_at, 1, size,
+                                      start, k, m, dim_h, a, cols_at, rolls_at, two_h)
+                yield a, row
 
-        return _Steps(axes(), jet, euler)
+        def hessian(terms: np.ndarray, tr: np.ndarray, om: np.ndarray, nsq):
+            stack_of_rows()
+            # hessian_block writes the outputs by address and reads row
+            # terms[a, s, 0] of its sub-block buffer
+            outs = [(tr, (k,)), (om, (3, k))] + ([] if nsq is None else [(nsq, (k,))])
+            if not (all(arr.dtype == np.float64 and arr.shape == shape
+                        and arr.flags.c_contiguous and arr.flags.writeable
+                        for arr, shape in outs)
+                    and terms.dtype == np.int64 and terms.shape == (dim_h, 3, 2)
+                    and terms.flags.c_contiguous
+                    and np.all((terms[..., 0] >= 0) & (terms[..., 0] < dim_h))):
+                raise ValueError("the Hessian of a block needs an int64 (4n, 3, 2) "
+                                 "table of rows and contiguous float64 outputs of "
+                                 "its sizes")
+            lib.hessian_block(src_at, tr.ctypes.data, om.ctypes.data,
+                              None if nsq is None else nsq.ctypes.data, d.ctypes.data,
+                              work_at, size, start, k, m, dim_h, cols_at, rolls_at,
+                              terms.ctypes.data, two_h)
+
+        return _Steps(axes(), diagonal, hessian)
 
     sums = [()] * count  # each block's sums, in the block's own slot
 
     def run(first: int, last: int, bufs):
         d_buf, work, *space = bufs
         for i in range(first, last):
-            blk, k = slice(bounds[i], bounds[i + 1]), bounds[i + 1] - bounds[i]
+            start, k = bounds[i], bounds[i + 1] - bounds[i]
             d = d_buf[:width * k].reshape(lead + (k,))
-            sums[i] = kernel(blk, steps(blk, d, work),
-                             [s[..., :k] for s in space]) or ()
+            blocks = [s[:math.prod(shape) * k].reshape(tuple(shape) + (k,))
+                      for s, shape in zip(space, scratch)]
+            sums[i] = kernel(slice(start, start + k), steps(start, k, d, work), blocks) or ()
 
     most = max(stop - start for start, stop in zip(bounds, bounds[1:]))
 
@@ -539,29 +599,79 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tup
         # the difference buffer, the C functions' work space and the
         # kernel's scratch
         return ([np.empty(width * most), np.empty(_work_len(dim_h), dtype=np.int64)]
-                + [np.empty(tuple(s) + (most,)) for s in scratch])
+                + [np.empty(math.prod(shape) * most) for shape in scratch])
 
-    if workers == 1:
-        run(0, count, buffers())
-    else:
-        cuts = [count * i // workers for i in range(workers + 1)]
-        bufs = [buffers() for _ in range(workers)]
-
-        def run_in_worker(i: int):
-            _in_worker.active = True
-            try:
-                run(cuts[i], cuts[i + 1], bufs[i])
-            finally:
-                _in_worker.active = False
-
-        futures = [_executor().submit(run_in_worker, i) for i in range(workers)]
-        # every run ends before a kernel's error propagates, so no worker is
-        # still writing when the caller sees it
-        for fut in futures:
-            fut.exception()
-        for fut in futures:
-            fut.result()
+    _share_blocks(run, count, buffers)
     return tuple(_tree_sum(entry, grid.size) for entry in zip(*sums))
+
+
+def euler_pass(values: np.ndarray, grid: LatticeGrid, w: float, measure: bool):
+    """One Euler update of a field: (new, mass, lo, hi).
+
+    new, of grid.shape, is u + acc * w, acc = sum_a ((S_a^+ u + S_a^- u)
+    - u * 2), lo its minimum and, when measure is set, mass its integral
+    (the bits of integrate) and hi its maximum; otherwise they are None.
+    A NaN in new makes lo and hi NaN, as np.min and np.max do.  Each worker
+    makes one call of the C function euler_update over its run of the
+    blocks of map_blocks, which writes the update of every point and the
+    minimum and maximum of what it wrote; the mass is one np.add.reduce per
+    block, added up by _tree_sum.  The pass makes new itself.
+    """
+    lib = _step_kernel()
+    src = _one_field(values, grid, "Euler pass")
+    cols, rolls = grid._step_constants
+    out = np.empty(grid.size)
+    bounds = _block_bounds(grid.size)
+    sums = [None] * (len(bounds) - 1)
+    extremes = []
+
+    def buffers():
+        ext = np.empty(2)
+        extremes.append(ext)
+        return np.empty(_work_len(grid.dim_h), dtype=np.int64), ext
+
+    def run(first: int, last: int, bufs):
+        work, ext = bufs
+        start, stop = bounds[first], bounds[last]
+        lib.euler_update(src.ctypes.data, out.ctypes.data, ext.ctypes.data, work.ctypes.data,
+                         start, stop - start, grid.m_x, grid.dim_h, cols.ctypes.data,
+                         rolls.ctypes.data, w)
+        if measure:
+            for i in range(first, last):
+                sums[i] = np.add.reduce(out[bounds[i]:bounds[i + 1]])
+
+    _share_blocks(run, len(bounds) - 1, buffers)
+    lo = float(np.min([ext[0] for ext in extremes]))
+    if not measure:
+        return out.reshape(grid.shape), None, lo, None
+    return (out.reshape(grid.shape), float(grid.cell_volume * _tree_sum(sums, grid.size)),
+            lo, float(np.max([ext[1] for ext in extremes])))
+
+
+def jet_pass(values: np.ndarray, grid: LatticeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The difference jet of a field: (first, lap), first[a] = D_a f of
+    shape (4n,) + grid.shape and the compact Laplacian lap =
+    -sum_a ((S_a^+ f - f * 2) + S_a^- f) / h_x^2 of grid.shape.  Each
+    worker makes one call of the C function difference_jet over its run of
+    the blocks of map_blocks, which reads each point's 8n steps once.  The
+    pass makes first and lap itself."""
+    lib = _step_kernel()
+    src = _one_field(values, grid, "jet pass")
+    cols, rolls = grid._step_constants
+    first = np.empty((grid.dim_h,) + grid.shape)
+    lap = np.empty(grid.shape)
+    bounds = _block_bounds(grid.size)
+
+    def run(i0: int, i1: int, work):
+        start, stop = bounds[i0], bounds[i1]
+        lib.difference_jet(src.ctypes.data, first.ctypes.data, lap.ctypes.data,
+                           work.ctypes.data, grid.size, start, stop - start, grid.m_x,
+                           grid.dim_h, cols.ctypes.data, rolls.ctypes.data,
+                           2.0 * grid.h_x, grid.h_x * grid.h_x)
+
+    _share_blocks(run, len(bounds) - 1,
+                  lambda: np.empty(_work_len(grid.dim_h), dtype=np.int64))
+    return first, lap
 
 
 def vertical_shift(values: np.ndarray, grid: LatticeGrid, s: int, direction: int) -> np.ndarray:
@@ -581,10 +691,20 @@ class FrameData:
 
 
 def frame_data(grid: LatticeGrid) -> FrameData:
-    B = twist_matrices(grid.n)
-    Q = structure_from_triple(grid.n, B[0], B[1], B[2])
+    """The frame data of the grid's dimension, built once per n and shared,
+    so its arrays are read-only."""
+    return _frame_data(grid.n)
+
+
+@functools.lru_cache(maxsize=None)
+def _frame_data(n: int) -> FrameData:
+    B = twist_matrices(n)
+    Q = structure_from_triple(n, B[0], B[1], B[2])
     omega = np.stack([Q.omega(s) for s in range(3)])
-    return FrameData(omega=omega, structure=Q, torsion=TorsionData.zero(grid.n))
+    torsion = TorsionData.zero(n)
+    for arr in (omega, *Q.I, torsion.T0, torsion.U, *torsion.T0_xi):
+        arr.flags.writeable = False
+    return FrameData(omega=omega, structure=Q, torsion=torsion)
 
 
 # ---------------------------------------------------------------------------

@@ -7,22 +7,21 @@ differences.  Summation by parts is exact: every first-difference operator
 is skew-adjoint for the grid inner product, and the compact sub-Laplacian
 is self-adjoint.
 
-Every horizontal difference is a block kernel of lattice.map_blocks, the
-one blocked pass of step gathers, which shares the point blocks among the
-cores and hands its kernels differences, not raw steps: each axis a gives
-D_a of every row of the stacked fields, computed in C where the steps are
-read.  One field's derivatives come from its difference jet
-(DifferenceJet): one fused C pass reads the 8n steps S_a^{+-} f once per
-point and writes both the first differences D_a f and the compact
-sub-Laplacian.  The composed second differences H_ab = D_a D_b f come
-from one Hessian stream, DifferenceJet.hessian_stream: block by block,
-each axis a gives the rows H_a. = D_a of every D_b f, and the stream
-accumulates in numpy tr H and omega_s(H), and |H|^2 when asked.  No
-Hessian field is kept: each consumer passes a contraction that reads a
-block's contractions and returns its block sums of the consumer's
-integrands (the production integrals of
-identities.FlowQuantities, the Bochner residual, the omega-contraction
-check of the calculus suite, and p_functional).
+Every horizontal difference comes from a blocked pass of lattice, which
+shares the point blocks among the cores and reads the steps in C: a block
+kernel of lattice.map_blocks gets differences, not raw steps (each axis a
+gives D_a of every row of the stacked fields).  One field's derivatives
+come from its difference jet (DifferenceJet): lattice.jet_pass reads the
+8n steps S_a^{+-} f once per point and writes both the first differences
+D_a f and the compact sub-Laplacian.  The composed second differences
+H_ab = D_a D_b f come from one Hessian stream,
+DifferenceJet.hessian_stream: per block, one C call forms the rows
+H_a. = D_a of every D_b f axis by axis and accumulates tr H and
+omega_s(H), and |H|^2 when asked.  No Hessian field is kept: each
+consumer passes a contraction that reads a block's contractions and
+returns its block sums of the consumer's integrands (the production
+integrals of identities.FlowQuantities, the Bochner residual, the
+omega-contraction check of the calculus suite, and p_functional).
 grad_h, sub_laplacian and p_functional read a jet, so a caller that needs
 several of them passes the jet instead of the field and pays for the
 gathers once.  divergence is one kernel over the stacked components of its
@@ -52,6 +51,7 @@ from .lattice import (
     HorizontalField,
     ScalarField,
     frame_data,
+    jet_pass,
     map_blocks,
     vertical_shift,
 )
@@ -70,40 +70,29 @@ class DifferenceJet:
                returns the totals of contract's block sums; no Hessian
                field is built or kept
 
-    Both passes are block kernels of lattice.map_blocks, the one blocked
-    gather pass, and give the bits of the whole-field stencils: first and
-    laplacian come from the fused C pass steps.jet, which reads each
-    point's 8n steps once and does the stencils' + - x / in their per-point
-    order.  A composed difference D_a g of a derived field g reads the jet
-    of g: DifferenceJet(g).first[a].
+    Both are blocked passes of lattice and give the bits of the
+    whole-field stencils: first and laplacian come from lattice.jet_pass,
+    one C call per worker that reads each point's 8n steps once and does
+    the stencils' + - x / in their per-point order.  A composed difference
+    D_a g of a derived field g reads the jet of g: DifferenceJet(g).first[a].
     """
 
     def __init__(self, f: ScalarField):
-        grid = f.grid
-        dim = grid.dim_h
-        flat = f.values.reshape(-1)
-        first = np.empty((dim, grid.size))
-        lap = np.empty(grid.size)
-
-        def kernel(blk, steps, scratch):
-            steps.jet(first, lap)
-
-        map_blocks(kernel, flat, grid)
-        self.grid = grid
-        self.first = first.reshape((dim,) + grid.shape)
-        self.laplacian = lap.reshape(grid.shape)
+        self.grid = f.grid
+        self.first, self.laplacian = jet_pass(f.values, f.grid)
 
     def hessian_stream(self, contract, with_norm: bool, scratch=()) -> tuple:
         """The one pass over the composed Hessian H_ab = D_a D_b f.
 
         A block kernel of lattice.map_blocks over the stacked first
-        differences: per block, each axis a gives the block rows
-        H_a. = D_a D_. f, the differences of every D_b f.  The kernel
+        differences: per block, one C call (steps.hessian) forms axis by
+        axis the rows H_a. = D_a D_. f, the differences of every D_b f, and
         accumulates, in (a, b) order from zero as a whole-field pass does,
         tr H (the wide stencil: the compact sub-Laplacian is its negative up
-        to an O(h^2) stencil gap) and omega_s(H), and with_norm also |H|^2,
-        in numpy.  After the block's axis loop
-        it calls contract(blk, tr, om, nsq, work), which writes the block's
+        to an O(h^2) stencil gap) and omega_s(H), and with_norm also |H|^2.
+        It reads omega_s as one entry +-1 per row, which the frame of every
+        n has, and refuses a frame without that structure.  Then the kernel
+        calls contract(blk, tr, om, nsq, work), which writes the block's
         share of the caller's outputs and returns its block's sums, as a
         map_blocks kernel does; nsq is None without with_norm, and work holds
         one block array per entry of scratch.  The stream returns what
@@ -111,40 +100,31 @@ class DifferenceJet:
         on the pool's threads: it may call no public qcflow function.
         """
         grid = self.grid
-        fd = frame_data(grid)
-        dim = grid.dim_h
-        # (b, s, omega_s[a, b]) for the nonzero entries of row a, in (b, s) order
-        weights = [[(b, s, fd.omega[s][a, b]) for b in range(dim) for s in range(3)
-                    if fd.omega[s][a, b] != 0.0] for a in range(dim)]
+        terms = _omega_terms(frame_data(grid).omega)
         # tr, om, and with_norm nsq
         own = ((), (3,), ()) if with_norm else ((), (3,))
 
         def kernel(blk, steps, blocks):
             tr, om = blocks[0], blocks[1]
             nsq = blocks[2] if with_norm else None
-            tr.fill(0.0)
-            om.fill(0.0)
-            if with_norm:
-                nsq.fill(0.0)
-            for a, rows in steps:
-                tr += rows[a]
-                for b, s, w in weights[a]:
-                    # the frame's entries are +-1, where adding or subtracting
-                    # the row gives the bits of w * H_ab without a temporary
-                    if w == 1.0:
-                        om[s] += rows[b]
-                    elif w == -1.0:
-                        om[s] -= rows[b]
-                    else:
-                        om[s] += w * rows[b]
-                if with_norm:
-                    rows *= rows
-                    for row in rows:
-                        nsq += row
+            steps.hessian(terms, tr, om, nsq)
             return contract(blk, tr, om, nsq, blocks[len(own):])
 
-        first = self.first.reshape(dim, grid.size)
+        first = self.first.reshape(grid.dim_h, grid.size)
         return map_blocks(kernel, first, grid, scratch=own + tuple(scratch))
+
+
+def _omega_terms(omega: np.ndarray) -> np.ndarray:
+    """The (b_s(a), sigma_s(a)) table of the Hessian stream: the column and
+    the sign of the one entry +-1 in row a of each omega_s, as an int64
+    (4n, 3, 2) array.  Refuses a frame without that structure."""
+    nonzero = omega != 0.0
+    if not (np.all(nonzero.sum(axis=2) == 1) and np.all(np.abs(omega[nonzero]) == 1.0)):
+        raise ValueError("the Hessian stream needs a frame whose omega_s has one "
+                         "entry +-1 in each row")
+    # the one entry of a row is its sum
+    table = np.stack([nonzero.argmax(axis=2), omega.sum(axis=2)], axis=-1)
+    return np.ascontiguousarray(table.transpose(1, 0, 2), dtype=np.int64)
 
 
 def _jet(f: ScalarField | DifferenceJet) -> DifferenceJet:
@@ -198,8 +178,9 @@ def sub_laplacian(f: ScalarField | DifferenceJet) -> ScalarField:
 def divergence(sigma: HorizontalField) -> ScalarField:
     """Horizontal divergence nabla* sigma = -sum_a X_a sigma_a.
 
-    One block kernel over the stacked (4n, N) components: axis a reads D_a
-    of the a-th row.  Integrates to zero exactly on the periodic quotient.
+    One block kernel over the stacked (4n, N) components: axis a gathers
+    D_a of the a-th row alone (steps.diagonal).  Integrates to zero exactly
+    on the periodic quotient.
     """
     grid = sigma.grid
     comps = sigma.components.reshape(grid.dim_h, grid.size)
@@ -207,8 +188,8 @@ def divergence(sigma: HorizontalField) -> ScalarField:
 
     def kernel(blk, steps, scratch):
         # zeros + D_0 sigma_0 + D_1 sigma_1 + ..., the whole-field sum
-        for a, d in steps:
-            acc[blk] += d[a]
+        for _, d in steps.diagonal():
+            acc[blk] += d
 
     map_blocks(kernel, comps, grid)
     return ScalarField(grid, -acc.reshape(grid.shape))

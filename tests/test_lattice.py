@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcflow import flow, lattice
+from qcflow import flow, lattice, operators
 from qcflow.lattice import (
     BLOCK_POINTS,
     XI_SCALE,
@@ -393,27 +393,26 @@ def test_runtime_dim_h_bodies_keep_the_numpy_order(monkeypatch):
         acc = term if acc is None else acc + term
         lap_acc += (up - two_f) + um
     w = 0.1
-    first = np.empty((grid.dim_h, grid.size))
-    lap, new = np.empty(grid.size), np.empty(grid.size)
-
-    def kernel(blk, steps, scratch):
-        steps.jet(first, lap)
-        steps.euler(w, new[blk])
-
-    map_blocks(kernel, f, grid)
+    first, lap = lattice.jet_pass(f, grid)
+    new = lattice.euler_pass(f, grid, w, False)[0]
     assert first.tobytes() == np.stack([(up - um) / (2.0 * grid.h_x)
                                         for up, um in zip(ups, ums)]).tobytes()
     assert lap.tobytes() == (-lap_acc / (grid.h_x * grid.h_x)).tobytes()
     assert new.tobytes() == (f + acc * w).tobytes()
 
 
+# the points of one sub-block of hessian_block (HESSIAN_SUB in _steps.c)
+HESSIAN_SUB = 4096
+
+
 @pytest.mark.parametrize("m", [3, 8])
 def test_step_kernels_write_only_their_outputs_and_work_space(m):
     # each C function, called by hand on the roll table and work space that
-    # map_blocks sizes (m^4 and _work_len int64) and on canary-filled
+    # the passes size (m^4 and _work_len int64) and on canary-filled
     # outputs, each with a canary tail: the table and work tails, the output
-    # tails and every output point outside the block keep their canaries.  The blocks cut fibres at both ends,
-    # or run to the field's end
+    # tails and every output point outside the block keep their canaries.
+    # The blocks cut fibres at both ends, or run to the field's end, and at
+    # m_x = 8 one spans two whole Hessian sub-blocks and part of a third
     lib = lattice._step_kernel()
     grid = make_grid(1, m)
     dim_h, size, fibre, tail = grid.dim_h, grid.size, m ** 3, 64
@@ -426,8 +425,11 @@ def test_step_kernels_write_only_their_outputs_and_work_space(m):
     lib.plane_rolls(table.ctypes.data, m)
     assert np.all(table[m ** 4:] == work_canary)
     assert np.all(np.sort(table[:m ** 4].reshape(m * m, m * m), axis=1) == np.arange(m * m))
-    src = np.random.default_rng(m).normal(size=(2, size))
+    # a (4n, N) stack: its first two rows are the gathered stack, its first
+    # row the field of the jet and the Euler update
+    src = np.random.default_rng(m).normal(size=(dim_h, size))
     flat = src[0]
+    terms = operators._omega_terms(frame_data(grid).omega)
 
     def canaries(n):
         return np.full(n + tail, canary)
@@ -440,7 +442,8 @@ def test_step_kernels_write_only_their_outputs_and_work_space(m):
         arr[written] = canary
         return np.all(arr == canary)
 
-    for start, k in ((fibre + 5, 2 * fibre + 7), (size - fibre - 3, fibre + 3)):
+    for start, k in ((fibre + 5, 2 * fibre + 7), (size - fibre - 3, fibre + 3),
+                     (fibre + 5, min(size - fibre - 8, 2 * HESSIAN_SUB + 100))):
         work = np.full(lattice._work_len(dim_h) + tail, work_canary, dtype=np.int64)
         args = (size, start, k, m, dim_h)
         stack = canaries(2 * k)
@@ -456,55 +459,157 @@ def test_step_kernels_write_only_their_outputs_and_work_space(m):
         rows[:dim_h * size].reshape(dim_h, size)[:, start:start + k] = True
         assert kept(first, rows)
         assert kept(lap, slice(start, start + k))
-        out = canaries(k)
-        lib.euler_update(flat.ctypes.data, out.ctypes.data, work.ctypes.data, start, k,
-                         m, dim_h, cols.ctypes.data, table.ctypes.data, 0.1)
-        assert kept(out, slice(0, k))
+        # the Euler update writes its points of out, and their min and max
+        # into ext
+        out, ext = canaries(size), canaries(2)
+        lib.euler_update(flat.ctypes.data, out.ctypes.data, ext.ctypes.data, work.ctypes.data,
+                         start, k, m, dim_h, cols.ctypes.data, table.ctypes.data, 0.1)
+        assert kept(out, slice(start, start + k))
+        assert kept(ext, slice(0, 2))
+        assert (ext[0], ext[1]) == (out[start:start + k].min(), out[start:start + k].max())
+        # the Hessian writes tr, om and nsq of the block and works in the
+        # rows of one sub-block of buf; its sums are those of the gathered
+        # rows, axis by axis from zero, with or without nsq
+        tr, om, nsq = canaries(k), canaries(3 * k), canaries(k)
+        buf = canaries(dim_h * min(k, HESSIAN_SUB))
+        hess_args = (buf.ctypes.data, work.ctypes.data, *args, cols.ctypes.data,
+                     table.ctypes.data, terms.ctypes.data, two_h)
+        lib.hessian_block(src.ctypes.data, tr.ctypes.data, om.ctypes.data, nsq.ctypes.data,
+                          *hess_args)
+        assert kept(tr, slice(0, k)) and kept(om, slice(0, 3 * k)) and kept(nsq, slice(0, k))
+        assert np.all(buf[dim_h * min(k, HESSIAN_SUB):] == canary)
+        want_tr, want_om, want_nsq = np.zeros(k), np.zeros((3, k)), np.zeros(k)
+        d = np.empty((dim_h, k))
+        for a in range(dim_h):
+            lib.difference_gather(src.ctypes.data, d.ctypes.data, work.ctypes.data, dim_h,
+                                  *args, a, cols.ctypes.data, table.ctypes.data, two_h)
+            want_tr += d[a]
+            for s in range(3):
+                b, sign = terms[a, s]
+                if sign > 0:
+                    want_om[s] += d[b]
+                else:
+                    want_om[s] -= d[b]
+            for row in d:
+                want_nsq += row * row
+        assert tr[:k].tobytes() == want_tr.tobytes()
+        assert om[:3 * k].tobytes() == want_om.tobytes()
+        assert nsq[:k].tobytes() == want_nsq.tobytes()
+        tr2, om2 = canaries(k), canaries(3 * k)
+        lib.hessian_block(src.ctypes.data, tr2.ctypes.data, om2.ctypes.data, None, *hess_args)
+        assert tr2.tobytes() == tr.tobytes() and om2.tobytes() == om.tobytes()
         assert np.all(work[lattice._work_len(dim_h):] == work_canary)
 
 
-def test_fused_euler_update_refuses_what_it_cannot_write():
-    # euler_update writes out by address: a stacked field, an out of
-    # another size or dtype, and an out that overlaps the field are refused
-    grid = make_grid(1, 3)
-    flat = np.ones(grid.size)
-    for values, make_out in ((np.ones((2, grid.size)), lambda blk: np.empty(blk.stop - blk.start)),
-                             (flat, lambda blk: np.empty(blk.stop - blk.start + 1)),
-                             (flat, lambda blk: np.empty(blk.stop - blk.start, np.float32)),
-                             (flat, lambda blk: flat[blk])):
-        def kernel(blk, steps, scratch):
-            steps.euler(0.1, make_out(blk))
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_euler_pass_measures_the_new_field_like_numpy(workers, monkeypatch):
+    # lo and hi are np.min and np.max of the new field, whatever the runs:
+    # a NaN anywhere makes both NaN, and a -0.0 reads as a zero.  78125
+    # points in 16 blocks of at most 5000, in 1, 2 or 3 runs
+    monkeypatch.setattr(lattice, "WORKERS", workers)
+    monkeypatch.setattr(lattice, "BLOCK_POINTS", 5000)
+    grid = make_grid(1, 5)
+    rng = np.random.default_rng(workers)
+    u = 1.0 + 0.3 * rng.random(grid.size)
+    with_zero = u.copy()
+    with_zero[::7] = -0.0
+    with_nan = u.copy()
+    with_nan[70000] = np.nan
+    for values in (u, with_zero, -u, with_nan):
+        for w in (0.0, 0.05):
+            new, mass, lo, hi = lattice.euler_pass(values, grid, w, True)
+            assert new.shape == grid.shape
+            for got, want in ((lo, np.min(new)), (hi, np.max(new))):
+                assert got == want or (np.isnan(got) and np.isnan(want))
+            assert np.isnan(lo) == np.isnan(values).any()
+            assert mass == integrate(ScalarField(grid, new)) or np.isnan(mass)
+            assert lattice.euler_pass(values, grid, w, False)[1:] == (None, lo, None) \
+                or np.isnan(lo)
+    assert np.min(lattice.euler_pass(with_zero, grid, 0.0, False)[0]) == 0.0
 
-        with pytest.raises(ValueError, match="fused Euler update"):
-            map_blocks(kernel, values, grid)
-    assert np.array_equal(flat, np.ones(grid.size))
+
+def test_frame_omega_has_one_unit_entry_per_row_and_the_hessian_needs_it(monkeypatch):
+    # the Hessian stream reads omega_s as one entry +-1 per row a, at column
+    # b_s(a); every n's frame has that structure, and the stream refuses a
+    # frame without it before any pass
+    for n in (1, 2, 3):
+        omega = frame_data(make_grid(n, 2)).omega
+        assert omega.shape == (3, 4 * n, 4 * n)
+        nonzero = omega != 0.0
+        assert np.all(nonzero.sum(axis=2) == 1)
+        assert set(np.abs(omega[nonzero])) == {1.0}
+        terms = operators._omega_terms(omega)
+        assert terms.shape == (4 * n, 3, 2) and terms.dtype == np.int64
+        for a, s in itertools.product(range(4 * n), range(3)):
+            b, sign = terms[a, s]
+            assert omega[s, a, b] == sign
+    grid = make_grid(1, 3)
+    jet = operators.DifferenceJet(ScalarField(grid, np.ones(grid.shape)))
+    fd = frame_data(grid)
+    two_entries = fd.omega.copy()
+    two_entries[tuple(np.argwhere(fd.omega == 0.0)[0])] = 1.0
+    half = fd.omega * 0.5
+    for omega in (two_entries, half, np.zeros_like(fd.omega)):
+        broken = lattice.FrameData(omega=omega, structure=fd.structure, torsion=fd.torsion)
+        monkeypatch.setattr(operators, "frame_data", lambda grid: broken)
+
+        def contract(blk, tr, om, nsq, work):
+            raise AssertionError("a block was contracted")
+
+        with pytest.raises(ValueError, match="one entry"):
+            jet.hessian_stream(contract, with_norm=False)
+
+
+def test_fused_euler_update_refuses_what_it_cannot_write():
+    # the Euler pass writes one field's update: a stack of fields is
+    # refused, and left as it was
+    grid = make_grid(1, 3)
+    stacked = np.ones((2, grid.size))
+    with pytest.raises(ValueError, match="Euler pass takes one field"):
+        lattice.euler_pass(stacked, grid, 0.1, True)
+    assert np.array_equal(stacked, np.ones((2, grid.size)))
 
 
 def test_fused_jet_refuses_what_it_cannot_write():
-    # difference_jet writes first and lap by address: a stacked field, and
-    # outputs that are not contiguous, not writeable, not float64, of
-    # another shape, or that overlap the field or each other are refused
+    # the jet pass writes one field's jet: a stack of fields is refused,
+    # and left as it was
     grid = make_grid(1, 3)
-    dim, size = grid.dim_h, grid.size
-    flat = np.ones(size)
-    readonly = np.empty((dim, size))
-    readonly.flags.writeable = False
-    shared = np.empty((dim + 1) * size)
-    for values, first, lap in (
-            (np.ones((2, size)), np.empty((dim, size)), np.empty(size)),
-            (flat, np.empty((dim, 2 * size))[:, ::2], np.empty(size)),
-            (flat, np.empty((dim, size)), np.empty(2 * size)[::2]),
-            (flat, readonly, np.empty(size)),
-            (flat, np.empty((dim, size)), np.empty(size, np.float32)),
-            (flat, np.empty((dim, size + 1)), np.empty(size)),
-            (flat, np.empty((dim, size)), flat),
-            (flat, shared[:dim * size].reshape(dim, size), shared[-2 * size:-size])):
-        def kernel(blk, steps, scratch):
-            steps.jet(first, lap)
+    stacked = np.ones((2, grid.size))
+    with pytest.raises(ValueError, match="jet pass takes one field"):
+        lattice.jet_pass(stacked, grid)
+    assert np.array_equal(stacked, np.ones((2, grid.size)))
 
-        with pytest.raises(ValueError, match="fused difference jet"):
+
+def test_block_hessian_and_diagonal_refuse_what_they_cannot_read_or_write():
+    # steps.hessian writes its outputs by address and reads the rows the
+    # terms table names, steps.diagonal reads row a of a (4n, N) stack: a
+    # flat field, a row out of range, and outputs of another shape, dtype
+    # or layout are refused before any C call
+    grid = make_grid(1, 3)
+    dim, k = grid.dim_h, grid.size
+    terms = operators._omega_terms(frame_data(grid).omega)
+    far = terms.copy()
+    far[1, 2, 0] = dim
+    tr, om = np.zeros(k), np.zeros((3, k))
+    stack = np.ones((dim, k))
+    for values, args in ((np.ones(k), (terms, tr, om, None)),
+                         (stack, (far, tr, om, None)),
+                         (stack, (terms.astype(np.int32), tr, om, None)),
+                         (stack, (terms, tr, np.zeros((k, 3)), None)),
+                         (stack, (terms, tr, np.zeros((3, 2 * k))[:, ::2], None)),
+                         (stack, (terms, tr, om, np.zeros(k, np.float32)))):
+        def kernel(blk, steps, scratch):
+            steps.hessian(*args)
+
+        with pytest.raises(ValueError):
             map_blocks(kernel, values, grid)
-    assert np.array_equal(flat, np.ones(size))
+    assert not tr.any() and not om.any()
+
+    def diagonal(blk, steps, scratch):
+        next(steps.diagonal())
+
+    with pytest.raises(ValueError, match="diagonal"):
+        map_blocks(diagonal, np.ones(k), grid)
 
 
 def _library_name(flags):

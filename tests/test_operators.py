@@ -622,7 +622,8 @@ def test_block_passes_are_bit_identical_for_every_worker_count(workers, monkeypa
 
 
 def test_block_passes_call_public_functions_only_on_the_calling_thread(monkeypatch):
-    # the kernels run on the pool, while every public qcflow function (the
+    # the runs of every pass (its kernels or its C calls) go to the pool,
+    # while every public qcflow function (the
     # frame data among them, and a step table should a pass build one) runs
     # on the calling thread, which keeps a tracer's span stack (one per
     # process) valid
@@ -630,7 +631,7 @@ def test_block_passes_call_public_functions_only_on_the_calling_thread(monkeypat
     monkeypatch.setattr(lattice, "BLOCK_POINTS", 5000)
     calls, kernel_threads = [], set()
     perm = lattice.LatticeGrid.step_permutation
-    mapper = lattice.map_blocks
+    sharer = lattice._share_blocks
 
     def step_permutation(grid, a, direction):
         calls.append(("step_permutation", threading.get_ident()))
@@ -653,23 +654,21 @@ def test_block_passes_call_public_functions_only_on_the_calling_thread(monkeypat
                 if vars(ns).get(attr) is obj:
                     monkeypatch.setattr(ns, attr, wrapper)
 
-    def map_blocks(kernel, values, grid, scratch=()):
-        # each run waits for the other at its first block, so the pass
-        # fails (a broken barrier) unless two threads run it at once
+    def share_blocks(run, count, buffers):
+        # every pass hands its runs of blocks to the pool helper: each run
+        # waits for the other before its first block, so the pass fails (a
+        # broken barrier) unless two threads run it at once
         meet = threading.Barrier(2, timeout=60)
 
-        def watched(*args):
-            ident = threading.get_ident()
-            if ident not in kernel_threads:
-                kernel_threads.add(ident)
-                meet.wait()
-            return kernel(*args)
+        def watched(first, last, bufs):
+            kernel_threads.add(threading.get_ident())
+            meet.wait()
+            return run(first, last, bufs)
 
-        return mapper(watched, values, grid, scratch)
+        return sharer(watched, count, buffers)
 
     monkeypatch.setattr(lattice.LatticeGrid, "step_permutation", step_permutation)
-    for mod in (flow, operators):
-        monkeypatch.setattr(mod, "map_blocks", map_blocks)
+    monkeypatch.setattr(lattice, "_share_blocks", share_blocks)
     main = threading.get_ident()
     f = _jet_fields(5)[0]
     for name, run in _run_passes(f).items():
