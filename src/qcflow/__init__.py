@@ -26,7 +26,7 @@ from .energy import (
     lemma_residual,
     monotonicity_verdict,
 )
-from .flow import FlowConfig, FlowState, cfl_timestep, evolve, heat_step, stream
+from .flow import FlowConfig, FlowState, cfl_timestep, evolve, stream
 from .identities import IDENTITY_NAMES, IdentityReport, bochner_residual, identity_residual
 from .lattice import (
     FrameData,

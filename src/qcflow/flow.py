@@ -86,30 +86,11 @@ def cfl_timestep(grid: LatticeGrid, safety: float) -> float:
     return safety * grid.h_x ** 2 / (4.0 * grid.dim_h)
 
 
-def _euler_update(values: np.ndarray, grid: LatticeGrid, w: float, measure: bool):
-    # u + w * acc, where acc sums per axis (u+ + u-) - 2u: each per-axis sum
-    # is <= 0 at a grid maximum even in floating point (u+ + u- <= 2u and
-    # rounding is monotone), which makes the max principle exact; acc is h^2
-    # times the negative sub-Laplacian.  lattice.euler_pass makes one call
-    # of the C function euler_update per worker, which gathers the steps
-    # and does the + - x of a whole-field numpy pass in its per-point order,
-    # each rounded on its own (no FMA: -ffp-contract=off), and measures the
-    # new values.  Returns the new values with their min, and with their
-    # mass (integrate's bits) and max when measure is set, else None.
-    return euler_pass(values, grid, w, measure)
-
-
-def heat_step(u: ScalarField, dt: float) -> ScalarField:
-    """One explicit Euler step of du/dt = -Delta u.
-
-    Refuses a dt above the CFL bound and data that is not strictly positive.
-    """
-    return euler_step(u, dt, float(u.values.min()))[0]
-
-
 def euler_step(u: ScalarField, dt: float, u_min: float, measure: bool = False):
-    """heat_step for a field whose minimum u_min is known, as the stream
-    knows it from the step that made the field.
+    """One explicit Euler step of du/dt = -Delta u, for a field whose
+    minimum u_min is known, as the stream knows it from the step that made
+    the field.  Refuses a dt above the CFL bound and data that is not
+    strictly positive.
 
     Returns (field, mass, lo, hi): the new field with its minimum lo, and
     with its mass (the bits of integrate) and maximum hi when measure is
@@ -124,7 +105,14 @@ def euler_step(u: ScalarField, dt: float, u_min: float, measure: bool = False):
     if u_min <= 0.0:
         raise ValueError("the heat flow needs strictly positive data")
     w = dt / (grid.h_x * grid.h_x)
-    values, mass, lo, hi = _euler_update(u.values, grid, w, measure)
+    # u + w * acc, where acc sums per axis (u+ + u-) - 2u: each per-axis sum
+    # is <= 0 at a grid maximum even in floating point (u+ + u- <= 2u and
+    # rounding is monotone), which makes the max principle exact; acc is h^2
+    # times the negative sub-Laplacian.  euler_pass makes one call of the C
+    # function euler_update per worker, which gathers the steps and does the
+    # + - x of a whole-field numpy pass in its per-point order, each rounded
+    # on its own (no FMA: -ffp-contract=off), and measures the new values.
+    values, mass, lo, hi = euler_pass(u.values, grid, w, measure)
     return ScalarField(grid, values), mass, lo, hi
 
 
@@ -186,11 +174,11 @@ def stream(config: FlowConfig, u0: ScalarField | None = None,
         yield state
 
 
-def evolve(config: FlowConfig, u0: ScalarField | None = None) -> list[FlowState]:
+def evolve(config: FlowConfig) -> list[FlowState]:
     """The records of `stream`: every record_every-th state, the first and
     the last.
 
     Deterministic: identical configuration yields bit-identical records.
     """
-    return [st for st in stream(config, u0) if st.record]
+    return [st for st in stream(config) if st.record]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +39,7 @@ from .energy import (
 from .flow import (
     FlowConfig,
     cfl_timestep,
-    euler_step,
     evolve,
-    heat_step,
     initial_field,
     stream,
 )
@@ -384,20 +383,21 @@ def flow_suite(seed: int = 1, m_x: int = 8, steps: int = 200) -> SuiteReport:
     grid = make_grid(1, m_x)
     cfg = FlowConfig(n=1, m_x=m_x, cfl_safety=0.9, record_every=max(1, steps),
                      width=0.22, amplitude=0.3, offset=1.0, tau_profile="uniform",
-                     t_end=0.0)
+                     t_end=steps * cfl_timestep(grid, 0.9))
     u = initial_field(cfg, grid)
-    dt = cfl_timestep(grid, cfg.cfl_safety)
 
-    mass0 = integrate(u)
-    lo0, hi0 = float(u.values.min()), float(u.values.max())
-    # each step measures the mass, min and max of the field it makes
-    v, mass, lo = u.copy(), mass0, lo0
+    # each step measures the mass, min and max of the field it makes; the
+    # reruns below stream the same cfg, so they make as many steps
     range_ok = True
-    for _ in range(steps):
-        v, mass, lo, hi = euler_step(v, dt, lo, measure=True)
-        if lo < lo0 or hi > hi0:
+    for st in stream(cfg, u, measure=True):
+        if st.step == 0:
+            first = st
+        elif st.lo < first.lo or st.hi > first.hi:
             range_ok = False
-    drift = abs(mass - mass0) / abs(mass0)
+    if st.step != steps:
+        raise RuntimeError(f"the stream made {st.step} steps, not {steps}")
+    v = st.u
+    drift = abs(st.mass - first.mass) / abs(first.mass)
     checks = [
         _verdict("mass_drift", drift, 1e-12, drift <= 1e-12,
                  detail=f"{steps} steps"),
@@ -405,20 +405,17 @@ def flow_suite(seed: int = 1, m_x: int = 8, steps: int = 200) -> SuiteReport:
                  detail="exact inequality per step"),
     ]
 
-    # linearity over the same horizon
+    # linearity over the same horizon; a deque of length 1 keeps only the
+    # latest state, where `*_, last = stream(...)` would hold every field
     a_, b_ = 1.7, 0.4
-    w = ScalarField(grid, a_ * u.values + b_)
-    for _ in range(steps):
-        w = heat_step(w, dt)
+    w = deque(stream(cfg, ScalarField(grid, a_ * u.values + b_)), maxlen=1)[0].u
     lin_err = float(np.max(np.abs(w.values - (a_ * v.values + b_))))
     lin_scale = float(np.max(np.abs(w.values)))
     checks.append(_verdict("linearity", lin_err / lin_scale, 1e-12,
                            lin_err <= 1e-12 * lin_scale))
 
     # determinism: an independent rerun is bit-identical
-    v2 = u.copy()
-    for _ in range(steps):
-        v2 = heat_step(v2, dt)
+    v2 = deque(stream(cfg, u), maxlen=1)[0].u
     identical = np.array_equal(v.values, v2.values)
     checks.append(_verdict("determinism_bit_identical",
                            0.0 if identical else 1.0, 0.0, identical))
@@ -520,15 +517,15 @@ def theorem_suite(seed: int = 1, m_x: int = 6, alpha: float = -0.05) -> SuiteRep
     met_and_monotone = 0
     hypothesis_met_runs = 0
     for k, cfg in enumerate(theorem_configs(seed, m_x, alpha)):
-        # one record at a time: each field is dropped once its report exists
-        reports = fill_numeric_rates([derf_rhs(st.u, alpha, time=st.time)
-                                      for st in stream(cfg) if st.record])
-        verdict = monotonicity_verdict(reports, alpha, cfg.n)
         name = f"run{k}_{'uniform' if cfg.tau_profile == 'uniform' else 'structured'}"
         if not admissible:
             checks.append(CheckResult(name=name, status="not_applicable",
                                       detail="alpha outside the admissible interval"))
             continue
+        # one record at a time: each field is dropped once its report exists
+        reports = fill_numeric_rates([derf_rhs(st.u, alpha, time=st.time)
+                                      for st in stream(cfg) if st.record])
+        verdict = monotonicity_verdict(reports, alpha, cfg.n)
         if not verdict.p_function_nonneg:
             checks.append(CheckResult(
                 name=name, status="not_applicable",

@@ -1,6 +1,7 @@
 """Tests for the batch CLI."""
 import ast
 import csv
+import hashlib
 import inspect
 import io
 import json
@@ -230,10 +231,11 @@ def test_run_peak_memory_does_not_grow_with_the_records(tmp_path):
 
 
 def test_run_and_theorem_suite_stream_the_flow():
-    # evolve holds every record of a trajectory; the two long consumers
-    # take flow.stream one state at a time instead
-    held = {"evolve"}
-    for func in (cli.cmd_run, suites.theorem_suite):
+    # evolve holds every record of a trajectory; the long consumers take
+    # flow.stream one state at a time instead, and none of them steps a
+    # field itself: stream is the one loop that advances a field
+    held = {"evolve", "euler_step", "heat_step"}
+    for func in (cli.cmd_run, suites.theorem_suite, suites.flow_suite):
         called = set()
         for node in ast.walk(ast.parse(inspect.getsource(func))):
             if isinstance(node, ast.Call):
@@ -334,9 +336,13 @@ def test_verify_geometry_and_roots(tmp_path):
     assert run_cli(["verify", "--suite", "geometry", "--out", str(out)]) == 0
 
 
-def test_verify_theorem_not_applicable_alpha(tmp_path):
+def test_verify_theorem_not_applicable_alpha(tmp_path, monkeypatch):
     # exploratory alpha outside the admissible interval: the theorem gate
-    # reports not-applicable runs instead of failures
+    # reports not-applicable runs instead of failures, without running a flow
+    def no_stream(*args, **kw):
+        raise AssertionError("the theorem suite streamed a flow it cannot judge")
+
+    monkeypatch.setattr(suites, "stream", no_stream)
     out = tmp_path / "v"
     code = run_cli(["verify", "--suite", "theorem", "--mx", "4",
                     "--alpha", "0.7", "--out", str(out)])
@@ -346,6 +352,23 @@ def test_verify_theorem_not_applicable_alpha(tmp_path):
     assert all(v == "not_applicable" for k, v in statuses.items()
                if k.startswith("run"))
     assert code == 1  # admissibility itself is reported as failed
+
+
+# sha256 of flow_suite(seed=1, m_x=m, steps=s).to_json(), pinned when the
+# suite stepped its fields with its own loops; m = 5 is odd, so the blocks
+# cut fibres, and 0 steps passes every check on the initial field
+FLOW_SUITE_SHA256 = {
+    (4, 0): "be500ee503a3e65d889d129be97bd641453b802f6e3df3dd4c829908f0c9be1b",
+    (4, 20): "1a53b7e734ff62ca1389a560e707f1420fab5a301ca604cc4373983b987738af",
+    (5, 7): "516fd115db19a4b4824285ee45b8e30bf48f5f2903598baaa4c1ce08119869b9",
+}
+
+
+@pytest.mark.parametrize("m, steps", sorted(FLOW_SUITE_SHA256))
+def test_flow_suite_report_bytes_are_pinned(m, steps):
+    report = suites.flow_suite(seed=1, m_x=m, steps=steps)
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == FLOW_SUITE_SHA256[m, steps]
 
 
 def test_verify_unknown_suite_rejected():

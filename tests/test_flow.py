@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcflow import flow, lattice
+from qcflow import lattice
 from qcflow.flow import (
     FlowConfig,
     cfl_timestep,
+    euler_step,
     evolve,
-    heat_step,
     initial_field,
     stream,
 )
@@ -26,6 +26,12 @@ def small_config(**kw):
                 tau_profile="uniform")
     base.update(kw)
     return FlowConfig(**base)
+
+
+def heat_step(u, dt):
+    """One Euler step from a scan of u's minimum, through euler_step's
+    CFL and positivity guards."""
+    return euler_step(u, dt, float(u.values.min()))[0]
 
 
 def test_cfl_value_and_scaling():
@@ -111,8 +117,8 @@ def test_evolve_linearity():
     grid = u0.grid
     a, b = 1.7, 0.4
     scaled = ScalarField(grid, a * u0.values + b)
-    st1 = evolve(cfg, u0=u0)
-    st2 = evolve(cfg, u0=scaled)
+    st1 = [st for st in stream(cfg, u0) if st.record]
+    st2 = [st for st in stream(cfg, scaled) if st.record]
     for s1, s2 in zip(st1, st2):
         expect = a * s1.u.values + b
         scale = np.max(np.abs(expect))
@@ -168,11 +174,11 @@ def test_fused_euler_update_matches_the_step_tables(n, m, workers, monkeypatch):
         acc = term if a == 0 else acc + term
     w = cfl_timestep(grid, 0.9) / (grid.h_x * grid.h_x)
     new = (values + acc * w).reshape(grid.shape)
-    got, mass, lo, hi = flow._euler_update(values.reshape(grid.shape), grid, w, True)
+    got, mass, lo, hi = lattice.euler_pass(values.reshape(grid.shape), grid, w, True)
     assert got.tobytes() == new.tobytes()
     assert mass == integrate(ScalarField(grid, new))
     assert (lo, hi) == (float(new.min()), float(new.max()))
-    got, mass, lo, hi = flow._euler_update(values.reshape(grid.shape), grid, w, False)
+    got, mass, lo, hi = lattice.euler_pass(values.reshape(grid.shape), grid, w, False)
     assert got.tobytes() == new.tobytes() and (mass, lo, hi) == (None, float(new.min()), None)
 
 
@@ -210,15 +216,15 @@ def test_the_contraction_guard_keeps_the_euler_bits(tmp_path, monkeypatch):
 
 
 def test_evolve_records_hold_distinct_states():
-    # records hold the stepped fields themselves, not copies: each is its
-    # own array, u0 is left untouched, and the record after 20 steps carries
-    # the pinned Euler bits
+    # the records of stream(cfg, u0) hold the stepped fields themselves, not
+    # copies: each is its own array, u0 is left untouched, and the record
+    # after 20 steps carries the pinned Euler bits
     grid = make_grid(1, 4)
     dt = cfl_timestep(grid, 0.9)
     cfg = small_config(tau_profile=None, t_end=20 * dt, record_every=5)
     u0 = initial_field(cfg, grid)
     before = u0.values.copy()
-    states = evolve(cfg, u0=u0)
+    states = [st for st in stream(cfg, u0) if st.record]
     assert [st.step for st in states] == [0, 5, 10, 15, 20]
     arrays = [u0.values] + [st.u.values for st in states]
     for x, y in itertools.combinations(arrays, 2):

@@ -507,7 +507,7 @@ def _run_passes(f):
     production integrals of FlowQuantities (with f as u), the Bochner
     residual's L2 norms and the P-pairing."""
     return {
-        "euler": lambda: flow._euler_update(f.values, f.grid, 0.01, True),
+        "euler": lambda: lattice.euler_pass(f.values, f.grid, 0.01, True),
         "jet": lambda: DifferenceJet(f),
         "energy": lambda: energy(f),
         "divergence": lambda: divergence(grad_h(f)).values,
