@@ -11,7 +11,7 @@ import pytest
 import qcflow.energy as energy_module
 from qcflow import algebra, flow, identities, lattice, operators
 from qcflow.energy import energy
-from qcflow.identities import FlowQuantities, bochner_residual
+from qcflow.identities import FlowQuantities, bochner_residual, identity_residual
 from qcflow.lattice import (
     ScalarField,
     default_center,
@@ -548,6 +548,68 @@ def _reference_bochner(values, grid):
     rhs = -_ref_hessian(values, grid)[0] + np.sum(grad_lap * first, axis=0) - 4.0 * mixed
     return tuple(float(np.sqrt(grid.cell_volume * np.sum(v * v)))
                  for v in (lhs, rhs, lhs - rhs))
+
+
+def _reference_catalog(values, grid):
+    """The catalog's other integrals of F = u^alpha, phi = -ln u and
+    f = u^(1/2) from whole-field formulas, each one np.sum over its
+    integrand: the FlowQuantities integrals by name, and the (lhs, rhs) of
+    the gr4, intform and secondt reports."""
+    a = PRODUCTION_ALPHA
+    n = grid.n
+    vol = grid.cell_volume
+
+    def grad(v):
+        return np.stack([_ref_first_difference(v, grid, b) for b in range(grid.dim_h)])
+
+    def xi_sq(v):
+        return sum(reeb_derivative(ScalarField(grid, v), s).values ** 2 for s in range(3))
+
+    F = np.power(values, a)
+    dF = grad(F)
+    lap_F = _ref_sub_laplacian(F, grid)
+    grad_sq = np.sum(dF ** 2, axis=0)
+    w2 = np.power(values, 1 - 2 * a)
+    phi = -np.log(values)
+    lap_phi = _ref_sub_laplacian(phi, grid)
+    gp2 = np.sum(grad(phi) ** 2, axis=0)
+    f = np.sqrt(values)
+    lap_f = _ref_sub_laplacian(f, grid)
+    _, trace, omega, _ = _ref_hessian(f, grid)
+    pairing = lap_f * trace
+    for t in range(3):
+        pairing += omega[t] * omega[t]
+    i_xi2 = float(vol * np.sum(w2 * xi_sq(F)))
+    mixed_f = float(vol * np.sum(identities._reeb_mixed(grid, grad(f))))
+    return {
+        "I_mixed": float(vol * np.sum(np.power(values, 1 - 3 * a) * lap_F * grad_sq)),
+        "I_xi2": i_xi2,
+        "I_gradlap": float(vol * np.sum(w2 * np.sum(grad(lap_F) * dF, axis=0))),
+        "I_lap_gradsq": float(vol * np.sum(w2 * _ref_sub_laplacian(grad_sq, grid))),
+        "deriv1_integral": float(vol * np.sum(
+            values * (-2.0 * lap_phi ** 2 - 3.0 * lap_phi * gp2 - gp2 ** 2))),
+        "gr4": (mixed_f, -(1.0 / (4 * n)) * (float(vol * np.sum(pairing))
+                                            + float(vol * np.sum(lap_f ** 2)))),
+        "intform": (mixed_f, -4.0 * n * float(vol * np.sum(xi_sq(f)))),
+        "secondt": (float(vol * np.sum(w2 * identities._reeb_mixed(grid, dF))),
+                    -4.0 * n * i_xi2),
+    }
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_catalog_integrals_are_bit_identical_to_the_whole_field_formulas(m):
+    # the shared contractions of the catalog (|Dg|^2, <D Delta g, Dg>,
+    # sum_s (xi_s g)^2 and vol * sum) keep the bits of the whole-field
+    # stencils; a reference computed in this process, so no sha256 is pinned
+    for u in _jet_fields(m):
+        expect = _reference_catalog(u.values, u.grid)
+        q = FlowQuantities(u, PRODUCTION_ALPHA)
+        for name, value in expect.items():
+            if name in identities.IDENTITY_NAMES:
+                rep = identity_residual(name, u, PRODUCTION_ALPHA)
+                assert (rep.lhs, rep.rhs) == value, name
+            else:
+                assert getattr(q, name) == value, name
 
 
 def _reference_passes(f):
