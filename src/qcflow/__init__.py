@@ -48,7 +48,6 @@ from .lattice import (
 from .operators import (
     DifferenceJet,
     divergence,
-    grad_h,
     p_functional,
     reeb_derivative,
     sub_laplacian,

@@ -32,7 +32,7 @@ def energy(u: ScalarField) -> float:
 
     One block pass over the first differences of ln u alone (no jet, no
     Laplacian) forms |grad phi|^2 u and its sum per block, with the bits of
-    integrating np.sum(grad_h(phi).components ** 2, axis=0) * u: negating
+    integrating np.sum(DifferenceJet(phi).first ** 2, axis=0) * u: negating
     ln u is exact through the difference, the division and the square.
     """
     require_positive(u)
@@ -97,16 +97,17 @@ def derf_rhs(u: ScalarField, alpha: float, coeff_override=None,
     # f's jet lives only inside the P-pairing; evaluating it before F's jet
     # exists keeps the two jets out of memory at the same time
     p_pair = q.P_pair_half
+    prod = q.production
     coeffs = derf_coefficients(n, alpha) if coeff_override is None else tuple(coeff_override)
     c_lap, c_quart, c_pfun, c_lich, c_pdef = coeffs
 
-    term_lap = c_lap * q.I_lap2
-    term_quart = c_quart * q.I_quart
+    term_lap = c_lap * prod.I_lap2
+    term_quart = c_quart * prod.I_quart
     term_pfun = c_pfun * p_pair
     # the model's torsion vanishes; the product keeps the signed zero that
     # energy.csv has always written
     term_lich = c_lich * 0.0
-    term_pdef = c_pdef * q.I_deficit
+    term_pdef = c_pdef * prod.I_deficit
     total = term_lap + term_quart + term_pfun + term_lich + term_pdef
 
     return EnergyReport(
@@ -120,7 +121,7 @@ def derf_rhs(u: ScalarField, alpha: float, coeff_override=None,
         term_L=term_lich,
         term_p=term_pdef,
         p_functional_value=p_pair,
-        min_pF=q.min_deficit,
+        min_pF=prod.min_deficit,
     )
 
 

@@ -13,17 +13,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .lattice import LatticeGrid, ScalarField, frame_data
-from .operators import (
-    DifferenceJet,
-    grad_h,
-    p_functional,
-    reeb_derivative,
-    sub_laplacian,
-)
+from .operators import DifferenceJet, p_functional, reeb_derivative, sub_laplacian
 
 IDENTITY_NAMES = (
     "ricci2", "ricci_mixed", "bochner", "gr4", "intform", "deriv2", "deriv3",
@@ -97,20 +92,52 @@ def _deficit_block(d, tr, om, nsq, sq, quarter):
         d -= sq
 
 
+def _integral(grid: LatticeGrid, values) -> float:
+    return float(grid.cell_volume * np.sum(values))
+
+
+def _grad_sq(first: np.ndarray) -> np.ndarray:
+    # |Dg|^2 = sum_a (D_a g)^2 in axis order, the bits of
+    # np.sum(first ** 2, axis=0) without its (4n,) + grid.shape temporary
+    acc = first[0] * first[0]
+    sq = np.empty_like(acc)
+    for row in first[1:]:
+        np.multiply(row, row, out=sq)
+        acc += sq
+    return acc
+
+
+def _grad_lap_dot(jet: DifferenceJet) -> np.ndarray:
+    # <D Delta g, Dg> of the jet of g, summed in axis order
+    grad_lap = DifferenceJet(ScalarField(jet.grid, jet.laplacian)).first
+    return np.sum(grad_lap * jet.first, axis=0)
+
+
+def _xi_sq(f: ScalarField) -> np.ndarray:
+    # sum_s (xi_s f)^2 in s order
+    return sum(reeb_derivative(f, s).values ** 2 for s in range(3))
+
+
+class ProductionIntegrals(NamedTuple):
+    """FlowQuantities.production, from one contraction of F's Hessian stream."""
+    I_lap2: float
+    I_quart: float
+    I_hess2: float
+    I_omega2: float
+    I_deficit: float
+    min_deficit: float
+    mean_hess2: float
+
+
 class FlowQuantities:
     """Shared derived fields for the F = u^alpha identity chain (lazy).
 
     F has one difference jet that every quantity of F reads, so its
-    gathers are made once.  Every integral of F's Hessian (I_lap2,
-    I_quart, I_hess2, I_omega2, I_deficit), the minimum of the p-deficit
-    and the mean of |nabla^2 F|^2 come from one contraction of F's Hessian
-    stream, which forms their integrands, weights included, and sums them
-    block by block; F's Hessian is streamed once, and no integrand or
-    Hessian field is built.  The other quantities are computed on first
-    use and kept, except the fields F and f = u^(1/2), which are formed
-    where they are differentiated and do not outlive the building of their
-    jets.  The P-pairing is the only quantity of f; p_functional reads f's
-    jet and drops it with its Hessian contractions.
+    gathers are made once, and its Hessian is streamed once, by
+    production.  Only what two quantities share is kept: F's jet, the
+    weight u^(1 - 2 alpha), |DF|^2 and the integrals.  The fields F and
+    f = u^(1/2) are formed where they are differentiated and do not
+    outlive their jets; the P-pairing is the only quantity of f.
     """
 
     def __init__(self, u: ScalarField, alpha: float):
@@ -130,45 +157,21 @@ class FlowQuantities:
     def jetF(self):
         return DifferenceJet(self.F)
 
-    # the weights u^(1 - k alpha) = F^(1/alpha - k)
+    # the weight u^(1 - 2 alpha) = F^(1/alpha - 2)
     @cached_property
     def w2(self):
         return np.power(self.u.values, 1.0 - 2 * self.alpha)
 
     @cached_property
-    def w3(self):
-        return np.power(self.u.values, 1.0 - 3 * self.alpha)
-
-    @cached_property
-    def gradF(self):
-        return grad_h(self.jetF)
-
-    @cached_property
     def grad_sq(self):
-        # sum_a (D_a F)^2 in axis order, the bits of
-        # np.sum(components ** 2, axis=0) without its (4n,) + grid.shape
-        # temporary
-        comps = self.gradF.components
-        acc = comps[0] * comps[0]
-        sq = np.empty_like(acc)
-        for c in comps[1:]:
-            np.multiply(c, c, out=sq)
-            acc += sq
-        return acc
-
-    @cached_property
-    def lapF(self):
-        return sub_laplacian(self.jetF)
-
-    @cached_property
-    def xiF(self):
-        return [reeb_derivative(self.F, s).values for s in range(3)]
+        return _grad_sq(self.jetF.first)
 
     # integrals -------------------------------------------------------------
     @cached_property
-    def _production(self):
-        """(I_lap2, I_quart, I_hess2, I_omega2, I_deficit, min of the
-        p-deficit, mean of |H|^2) from one contraction of F's Hessian stream.
+    def production(self) -> ProductionIntegrals:
+        """The integrals of F's Hessian, I_lap2, I_quart, I_hess2, I_omega2
+        and I_deficit, the min of the p-deficit and the mean of |H|^2, from
+        one contraction of F's Hessian stream.
 
         Per block it forms the p-deficit from |H|^2, tr H and omega_s(H),
         the weights u^(1-2 alpha) and u^(1-4 alpha), and |DF|^2 in axis
@@ -222,44 +225,17 @@ class FlowQuantities:
         *sums, norms = jet.hessian_stream(contract, with_norm=True,
                                           scratch=((), (), (), ()))
         vol = grid.cell_volume
-        integrals = tuple(float(vol * total) for total in sums)
-        return integrals + (float(np.min(mins)), float(norms / grid.size))
-
-    @property
-    def I_lap2(self):
-        return self._production[0]
+        return ProductionIntegrals(*(float(vol * total) for total in sums),
+                                   float(np.min(mins)), float(norms / grid.size))
 
     @cached_property
     def I_mixed(self):
-        return self._integral(self.w3 * self.lapF.values * self.grad_sq)
-
-    @property
-    def I_quart(self):
-        return self._production[1]
+        w3 = np.power(self.u.values, 1.0 - 3 * self.alpha)
+        return _integral(self.grid, w3 * self.jetF.laplacian * self.grad_sq)
 
     @cached_property
     def I_xi2(self):
-        return self._integral(self.w2 * sum(x * x for x in self.xiF))
-
-    @property
-    def I_hess2(self):
-        return self._production[2]
-
-    @property
-    def I_omega2(self):
-        return self._production[3]
-
-    @property
-    def I_deficit(self):
-        return self._production[4]
-
-    @property
-    def min_deficit(self):
-        return self._production[5]
-
-    @property
-    def mean_hess2(self):
-        return self._production[6]
+        return _integral(self.grid, self.w2 * _xi_sq(self.F))
 
     @cached_property
     def P_pair_half(self):
@@ -268,29 +244,23 @@ class FlowQuantities:
 
     @cached_property
     def I_gradlap(self):
-        comps = grad_h(self.lapF)
-        val = np.sum(comps.components * self.gradF.components, axis=0)
-        return self._integral(self.w2 * val)
+        return _integral(self.grid, self.w2 * _grad_lap_dot(self.jetF))
 
     @cached_property
     def I_lap_gradsq(self):
-        lap = sub_laplacian(ScalarField(self.grid, self.grad_sq))
-        return self._integral(self.w2 * lap.values)
+        lap = sub_laplacian(ScalarField(self.grid, self.grad_sq)).values
+        return _integral(self.grid, self.w2 * lap)
 
     @cached_property
     def deriv1_integral(self):
         # d/dt of the energy expressed in the phi = -ln u variables:
         # int u * (-2 (Delta phi)^2 - 3 Delta phi |grad phi|^2 - |grad phi|^4)
         phi_jet = DifferenceJet(ScalarField(self.grid, -np.log(self.u.values)))
-        lap_phi = sub_laplacian(phi_jet).values
-        grad_phi = grad_h(phi_jet).components
-        gp2 = np.sum(grad_phi ** 2, axis=0)
+        lap_phi = phi_jet.laplacian
+        gp2 = _grad_sq(phi_jet.first)
         integrand = self.u.values * (-2.0 * lap_phi ** 2
                                      - 3.0 * lap_phi * gp2 - gp2 ** 2)
-        return self._integral(integrand)
-
-    def _integral(self, values) -> float:
-        return float(self.grid.cell_volume * np.sum(values))
+        return _integral(self.grid, integrand)
 
 
 def _ricci2_report(f: ScalarField) -> IdentityReport:
@@ -309,9 +279,7 @@ def _ricci2_report(f: ScalarField) -> IdentityReport:
             anti_sq += comm * comm
             twist_sq += twist * twist
             res_sq += (comm + twist) ** 2
-    lhs = float(np.sqrt(grid.cell_volume * np.sum(anti_sq)))
-    rhs = float(np.sqrt(grid.cell_volume * np.sum(twist_sq)))
-    res = float(np.sqrt(grid.cell_volume * np.sum(res_sq)))
+    lhs, rhs, res = (float(np.sqrt(_integral(grid, v))) for v in (anti_sq, twist_sq, res_sq))
     report = _report("ricci2", lhs, rhs, grid)
     report.residual = res
     return report
@@ -354,12 +322,9 @@ def bochner_residual(f: ScalarField) -> IdentityReport:
     """
     grid = f.grid
     jet = DifferenceJet(f)
-    g = grad_h(jet)
-    grad_sq = np.sum(g.components ** 2, axis=0)
-    lhs_field = (0.5 * sub_laplacian(ScalarField(grid, grad_sq)).values).reshape(-1)
-    grad_lap = grad_h(sub_laplacian(jet))
-    dot = np.sum(grad_lap.components * g.components, axis=0).reshape(-1)
-    mixed = _reeb_mixed(grid, g.components).reshape(-1)
+    lhs_field = (0.5 * sub_laplacian(ScalarField(grid, _grad_sq(jet.first))).values).reshape(-1)
+    dot = _grad_lap_dot(jet).reshape(-1)
+    mixed = _reeb_mixed(grid, jet.first).reshape(-1)
 
     def contract(blk, tr, om, nsq, work):
         # the right side -|H|^2 + dot - 4 mixed, grouped as written, and the
@@ -419,16 +384,13 @@ def identity_residual(name: str, u: ScalarField, alpha: float | None = None) -> 
         require_positive(u)
         f = ScalarField(grid, np.sqrt(u.values))
         jet = DifferenceJet(f)
-        lhs = float(grid.cell_volume * np.sum(_reeb_mixed(grid, grad_h(jet).components)))
+        lhs = _integral(grid, _reeb_mixed(grid, jet.first))
         if name == "gr4":
-            lap = sub_laplacian(jet)
-            i_lap = float(grid.cell_volume * np.sum(lap.values ** 2))
+            i_lap = _integral(grid, jet.laplacian ** 2)
             rhs = -(1.0 / (4 * n)) * (p_functional(jet) + i_lap)
             scale = max(abs(lhs), abs(rhs), (1.0 / (4 * n)) * i_lap, NORM_FLOOR)
         else:
-            xi_sq = sum(reeb_derivative(f, s).values ** 2 for s in range(3))
-            i_xi = float(grid.cell_volume * np.sum(xi_sq))
-            rhs = -4.0 * n * i_xi
+            rhs = -4.0 * n * _integral(grid, _xi_sq(f))
             scale = max(abs(lhs), abs(rhs), NORM_FLOOR)
         return _report(name, lhs, rhs, grid, norm_scale=scale)
 
@@ -437,8 +399,8 @@ def identity_residual(name: str, u: ScalarField, alpha: float | None = None) -> 
         if alpha is None:
             raise ValueError("hesrep_contraction needs alpha")
         q = FlowQuantities(u, alpha)
-        min_p = q.min_deficit
-        scale = q.mean_hess2 + NORM_FLOOR
+        min_p = q.production.min_deficit
+        scale = q.production.mean_hess2 + NORM_FLOOR
         return IdentityReport(name=name, lhs=min_p, rhs=0.0,
                               residual=max(0.0, -min_p),
                               norm_scale=scale, n=n, m_x=grid.m_x)
@@ -450,68 +412,69 @@ def identity_residual(name: str, u: ScalarField, alpha: float | None = None) -> 
 
     if name == "deriv2":
         lhs = a * a * q.deriv1_integral
-        rhs = (-2.0 * q.I_lap2
+        rhs = (-2.0 * q.production.I_lap2
                + (3.0 - 4.0 * a) / a * q.I_mixed
-               + (-1.0 + 3.0 * a - 2.0 * a * a) / (a * a) * q.I_quart)
-        scale = max(abs(lhs), abs(rhs), 2.0 * q.I_lap2, NORM_FLOOR)
+               + (-1.0 + 3.0 * a - 2.0 * a * a) / (a * a) * q.production.I_quart)
+        scale = max(abs(lhs), abs(rhs), 2.0 * q.production.I_lap2, NORM_FLOOR)
         return _report(name, lhs, rhs, grid=grid, norm_scale=scale)
 
     if name == "deriv3":
         lhs = q.I_gradlap + (1.0 / a - 2.0) * q.I_mixed
-        rhs = q.I_lap2
+        rhs = q.production.I_lap2
         return _report(name, lhs, rhs, grid)
 
     if name == "firstt":
         lhs = (1.0 / a - 2.0) * q.I_mixed
-        rhs = ((1.0 / a - 2.0) * (1.0 / a - 3.0) * q.I_quart + q.I_lap_gradsq)
+        rhs = ((1.0 / a - 2.0) * (1.0 / a - 3.0) * q.production.I_quart + q.I_lap_gradsq)
         scale = max(abs(lhs), abs(rhs), abs(q.I_lap_gradsq), NORM_FLOOR)
         return _report(name, lhs, rhs, grid, norm_scale=scale)
 
     if name == "secondt":
-        mixed = _reeb_mixed(grid, q.gradF.components)
-        lhs = float(grid.cell_volume * np.sum(q.w2 * mixed))
+        lhs = _integral(grid, q.w2 * _reeb_mixed(grid, q.jetF.first))
         rhs = -4.0 * n * q.I_xi2
         return _report(name, lhs, rhs, grid)
 
     if name == "deriv5":
         lhs = 1.5 * (1.0 / a - 2.0) * q.I_mixed
-        rhs = (0.5 * (1.0 / a - 2.0) * (1.0 / a - 3.0) * q.I_quart
-               - (q.I_hess2 - 16.0 * n * q.I_xi2 - q.I_lap2))
-        scale = max(abs(lhs), abs(rhs), q.I_hess2, NORM_FLOOR)
+        rhs = (0.5 * (1.0 / a - 2.0) * (1.0 / a - 3.0) * q.production.I_quart
+               - (q.production.I_hess2 - 16.0 * n * q.I_xi2 - q.production.I_lap2))
+        scale = max(abs(lhs), abs(rhs), q.production.I_hess2, NORM_FLOOR)
         return _report(name, lhs, rhs, grid, norm_scale=scale)
 
     if name == "intform1":
         lhs = -4.0 * n * q.I_xi2
         half = 1.0 / (2.0 * a) - 1.0
         rhs = (-(a * a / n) * q.P_pair_half
-               - (1.0 / (4 * n)) * q.I_lap2
+               - (1.0 / (4 * n)) * q.production.I_lap2
                + (1.0 / (2 * n)) * half * q.I_mixed
-               - (1.0 / (4 * n)) * half * half * q.I_quart)
-        scale = max(abs(lhs), abs(rhs), (1.0 / (4 * n)) * q.I_lap2, NORM_FLOOR)
+               - (1.0 / (4 * n)) * half * half * q.production.I_quart)
+        scale = max(abs(lhs), abs(rhs), (1.0 / (4 * n)) * q.production.I_lap2, NORM_FLOOR)
         return _report(name, lhs, rhs, grid, norm_scale=scale)
 
     if name == "deriv6":
         lhs = q.I_mixed
         c_div = (3.0 * n + 2.0) * (1.0 - 2.0 * a)
         rhs = (8.0 * a ** 3 / c_div * q.P_pair_half
-               + (2.0 * n + 1.0 - 2.0 * (3.0 * n + 1.0) * a) / (2.0 * (3 * n + 2) * a) * q.I_quart
-               + (3.0 + 4.0 * n) * a / (2.0 * c_div) * q.I_lap2
-               - 2.0 * n * a / c_div * ((1.0 / (4 * n)) * q.I_omega2 + q.I_deficit))
+               + ((2.0 * n + 1.0 - 2.0 * (3.0 * n + 1.0) * a) / (2.0 * (3 * n + 2) * a)
+                  * q.production.I_quart)
+               + (3.0 + 4.0 * n) * a / (2.0 * c_div) * q.production.I_lap2
+               - 2.0 * n * a / c_div * ((1.0 / (4 * n)) * q.production.I_omega2
+                                        + q.production.I_deficit))
         return _report(name, lhs, rhs, grid)
 
     if name == "reprtor":
         half = 1.0 / (2.0 * a) - 1.0
-        lhs = ((1.0 / (4 * n)) * (q.I_lap2 + half * half * q.I_quart)
+        lhs = ((1.0 / (4 * n)) * (q.production.I_lap2 + half * half * q.production.I_quart)
                + (a * a / n) * q.P_pair_half)
-        rhs = (1.0 / (4 * n)) * (2.0 * half * q.I_mixed + q.I_omega2)
+        rhs = (1.0 / (4 * n)) * (2.0 * half * q.I_mixed + q.production.I_omega2)
         return _report(name, lhs, rhs, grid)
 
     if name == "lastrep":
         lhs = 1.5 * (2.0 * n + 1.0) * q.I_mixed
-        rhs = ((8.0 * n + 3.0 - 6.0 * (4.0 * n + 1.0) * a) / (8.0 * a) * q.I_quart
-               + (2.0 * n + 1.0) * a / (1.0 - 2.0 * a) * q.I_lap2
+        rhs = ((8.0 * n + 3.0 - 6.0 * (4.0 * n + 1.0) * a) / (8.0 * a) * q.production.I_quart
+               + (2.0 * n + 1.0) * a / (1.0 - 2.0 * a) * q.production.I_lap2
                + 6.0 * a ** 3 / (1.0 - 2.0 * a) * q.P_pair_half
-               - 2.0 * n * a / (1.0 - 2.0 * a) * q.I_deficit)
+               - 2.0 * n * a / (1.0 - 2.0 * a) * q.production.I_deficit)
         return _report(name, lhs, rhs, grid)
 
     if name == "derf":

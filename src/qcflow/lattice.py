@@ -236,17 +236,11 @@ class HorizontalField:
             raise ValueError("component shape does not match the grid")
 
 
-def shift(values: np.ndarray, grid: LatticeGrid, a: int, direction: int) -> np.ndarray:
-    """Sample the field after one twisted horizontal step."""
-    perm = grid.step_permutation(a, direction)
-    return np.take(values.reshape(-1), perm).reshape(grid.shape)
-
-
 # a float64 block of BLOCK_POINTS values is 256 KiB.  A kernel's pass holds
 # its difference buffer (one block per row) and its kernel's block arrays,
 # and the Euler and jet passes hold none: the energy's pass holds two, which
 # stay in a core's L2 cache (2 MiB a core on the 2-core Xeon of the BENCH
-# files).  The largest, F's Hessian stream with _production's contraction,
+# files).  The largest, F's Hessian stream with production's contraction,
 # holds per worker tr, three omega, |H|^2 and 4 scratch arrays, 9 blocks,
 # and the 4n rows of one 4096-point sub-block of hessian_block (128 KiB at
 # n = 1): about 2.4 MiB at n = 1, a little over L2.

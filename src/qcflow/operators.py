@@ -22,11 +22,11 @@ consumer passes a contraction that reads a block's contractions and
 returns its block sums of the consumer's integrands (the production
 integrals of identities.FlowQuantities, the Bochner residual, the
 omega-contraction check of the calculus suite, and p_functional).
-grad_h, sub_laplacian and p_functional read a jet, so a caller that needs
-several of them passes the jet instead of the field and pays for the
-gathers once.  divergence is one kernel over the stacked components of its
-1-form; any other difference of a derived field (the identity catalog's
-commutators) reads that field's jet.
+sub_laplacian and p_functional read a jet, so a caller that needs both
+passes the jet instead of the field and pays for the gathers once; D_a f
+is the jet's `first`.  divergence is one kernel over the stacked
+components of its 1-form; any other difference of a derived field (the
+identity catalog's commutators) reads that field's jet.
 
 Because D_a is exactly skew-adjoint, the P-pairing needs no third-order
 stencil: summing by parts,
@@ -131,17 +131,11 @@ def _jet(f: ScalarField | DifferenceJet) -> DifferenceJet:
     return f if isinstance(f, DifferenceJet) else DifferenceJet(f)
 
 
-def grad_h(f: ScalarField | DifferenceJet) -> HorizontalField:
-    """Horizontal gradient, centered group differences per frame direction."""
-    jet = _jet(f)
-    return HorizontalField(jet.grid, jet.first)
-
-
 def weighted_grad_sq_integral(f: ScalarField, weight: np.ndarray) -> float:
-    """int |grad_h f|^2 weight, with |grad_h f|^2 = sum_a (D_a f)^2 summed
+    """int |Df|^2 weight, with |Df|^2 = sum_a (D_a f)^2 summed
     in axis order from the step differences alone: one block kernel forms
     the integrand and returns its sum per block to map_blocks, with the bits of
-    integrating np.sum(grad_h(f).components ** 2, axis=0) * weight, and
+    integrating np.sum(DifferenceJet(f).first ** 2, axis=0) * weight, and
     builds no whole field (no jet, no Laplacian)."""
     grid = f.grid
     w = weight.reshape(-1)

@@ -1,7 +1,9 @@
 """Independent reference routes the tests compare the package against: the
-third-order P-form assembled from composed first differences (the lab pairs
-it with grad f by summation by parts, operators.p_functional), and the bump
-as its defining lattice sum at one group point (lattice.periodized_bump)."""
+whole-field gather through a step table (every block kernel's reference),
+the gradient as a 1-form, the third-order P-form assembled from composed
+first differences (the lab pairs it with grad f by summation by parts,
+operators.p_functional), and the bump as its defining lattice sum at one
+group point (lattice.periodized_bump)."""
 from __future__ import annotations
 
 import itertools
@@ -13,6 +15,20 @@ from qcflow.lattice import (SUPPORT_FACTOR, GroupPoint, HorizontalField, Lattice
                             ScalarField, default_center, default_tau_width, frame_data,
                             group_inverse, group_multiply)
 from qcflow.operators import DifferenceJet, divergence
+
+
+def shift(values: np.ndarray, grid: LatticeGrid, a: int, direction: int) -> np.ndarray:
+    """Sample the field after one twisted horizontal step, one np.take
+    through the grid's step table."""
+    perm = grid.step_permutation(a, direction)
+    return np.take(values.reshape(-1), perm).reshape(grid.shape)
+
+
+def grad_h(f: ScalarField | DifferenceJet) -> HorizontalField:
+    """Horizontal gradient, centered group differences per frame direction:
+    the first differences of f's jet as a 1-form."""
+    jet = f if isinstance(f, DifferenceJet) else DifferenceJet(f)
+    return HorizontalField(jet.grid, jet.first)
 
 
 def third_contractions(f: ScalarField):

@@ -19,8 +19,10 @@ from qcflow.energy import (
 from qcflow.flow import FlowConfig, cfl_timestep, evolve, initial_field
 from qcflow.identities import IDENTITY_NAMES, identity_residual
 from qcflow.lattice import ScalarField, frame_data, make_grid, periodized_bump
-from qcflow.operators import DifferenceJet, grad_h
+from qcflow.operators import DifferenceJet
 from qcflow.suites import _rich_field
+
+from oracles import grad_h
 
 
 def flow_config(m=4, alpha=-0.05, **kw):

@@ -17,7 +17,9 @@ from qcflow.flow import (
     stream,
 )
 from qcflow.lattice import ScalarField, integrate, make_grid
-from qcflow.operators import grad_h, sub_laplacian
+from qcflow.operators import sub_laplacian
+
+from oracles import grad_h
 
 
 def small_config(**kw):

@@ -41,7 +41,7 @@ def rich_u(m, width=0.22, amplitude=0.3):
 def test_grad_sq_is_bit_identical_to_the_squared_sum(m):
     for u in (uniform_u(m), rich_u(m)):
         q = FlowQuantities(u, ALPHA)
-        expect = np.sum(q.gradF.components ** 2, axis=0)
+        expect = np.sum(q.jetF.first ** 2, axis=0)
         assert q.grad_sq.tobytes() == expect.tobytes()
 
 

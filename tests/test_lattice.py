@@ -29,11 +29,10 @@ from qcflow.lattice import (
     map_blocks,
     periodized_bump,
     save_field,
-    shift,
     vertical_shift,
 )
 
-from oracles import bump_value
+from oracles import bump_value, shift
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qcflow"
 
@@ -734,9 +733,9 @@ def test_tree_sum_gives_the_bits_of_np_sum(cap, monkeypatch):
 
 
 def test_step_tables_are_gathered_only_in_lattice():
-    # every horizontal difference is a kernel of lattice.map_blocks
-    # (lattice.shift stays as the whole-field reference): no other module
-    # takes a gather, reaches the whole-field shift, or owns a thread.  The
+    # every horizontal difference is a kernel of lattice.map_blocks (the
+    # whole-field shift, the tests' reference, lives in tests/oracles.py):
+    # no other module takes a gather, reaches a shift, or owns a thread.  The
     # block layout is lattice's alone: a kernel returns its block's sums and
     # map_blocks adds them up, so no other module names the layout or reads
     # a block's bounds
@@ -768,9 +767,8 @@ def test_step_tables_are_gathered_only_in_lattice():
 
 
 # public functions that no code of the package calls, kept on purpose: the
-# whole-field gather the tests compare every block kernel with, and the
 # snapshot reader perfbench uses
-KEPT_UNCALLED = ("lattice.shift", "lattice.load_field")
+KEPT_UNCALLED = ("lattice.load_field",)
 
 
 def test_every_public_function_has_a_caller_in_the_package():

@@ -20,19 +20,17 @@ from qcflow.lattice import (
     integrate,
     make_grid,
     periodized_bump,
-    shift,
     vertically_uniform_bump,
 )
 from qcflow.operators import (
     DifferenceJet,
     divergence,
-    grad_h,
     p_functional,
     reeb_derivative,
     sub_laplacian,
 )
 
-from oracles import c_operator, p_form, third_contractions
+from oracles import c_operator, grad_h, p_form, shift, third_contractions
 
 
 def make_bump_field(m, width=0.22, tau_width=None, amplitude=1.0, offset=0.0,
@@ -489,9 +487,7 @@ PRODUCTION_ALPHA = -0.05
 
 
 def _production(u):
-    q = FlowQuantities(u, PRODUCTION_ALPHA)
-    return (q.I_lap2, q.I_quart, q.I_hess2, q.I_omega2, q.I_deficit,
-            q.min_deficit, q.mean_hess2)
+    return tuple(FlowQuantities(u, PRODUCTION_ALPHA).production)
 
 
 def _bochner(f):
