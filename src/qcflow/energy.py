@@ -10,7 +10,7 @@ the measured positivity hypotheses hold.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -76,9 +76,7 @@ class EnergyReport:
                 self.term_L, self.term_p)
 
     def csv_row(self):
-        return [self.time, self.energy, self.dF_dt_numeric, self.dF_dt_analytic,
-                self.term_laplacian, self.term_quartic, self.term_pfunctional,
-                self.term_L, self.term_p, self.p_functional_value, self.min_pF]
+        return astuple(self)
 
 
 def derf_rhs(u: ScalarField, alpha: float, coeff_override=None,
@@ -166,16 +164,7 @@ class MonotonicityVerdict:
     eps_p: float
 
     def to_dict(self):
-        return {
-            "alpha": self.alpha,
-            "alpha_admissible": self.alpha_admissible,
-            "L_nonneg": self.L_nonneg,
-            "p_function_nonneg": self.p_function_nonneg,
-            "energy_monotone": self.energy_monotone,
-            "counterexample_time": self.counterexample_time,
-            "eps_mono": self.eps_mono,
-            "eps_p": self.eps_p,
-        }
+        return asdict(self)
 
 
 def monotonicity_verdict(reports: list[EnergyReport], alpha: float,

@@ -11,13 +11,13 @@ exponent alpha, and internally use F = u^alpha and f = u^(1/2).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import LatticeGrid, ScalarField, frame_data
+from .lattice import LatticeGrid, ScalarField, frame_data, hessian_pass
 from .operators import DifferenceJet, p_functional, reeb_derivative, sub_laplacian
 
 IDENTITY_NAMES = (
@@ -44,16 +44,7 @@ class IdentityReport:
         return self.residual / self.norm_scale
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "norm_scale": self.norm_scale,
-            "relative_residual": self.relative_residual,
-            "n": self.n,
-            "m_x": self.m_x,
-        }
+        return {**asdict(self), "relative_residual": self.relative_residual}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -80,7 +71,7 @@ def check_alpha(alpha: float):
 
 def _deficit_block(d, tr, om, nsq, sq, quarter):
     # the p-deficit |H|^2 - (1/4n)(tr H)^2 - (1/4n) sum_s omega_s(H)^2 of a
-    # Hessian stream block into d, grouped as written; pointwise
+    # block of the Hessian pass into d, grouped as written; pointwise
     # non-negative by the Bessel inequality for the orthogonal family
     # {Id, omega_1, omega_2, omega_3}.  sq is a block of work space
     np.multiply(tr, quarter, out=d)
@@ -119,7 +110,7 @@ def _xi_sq(f: ScalarField) -> np.ndarray:
 
 
 class ProductionIntegrals(NamedTuple):
-    """FlowQuantities.production, from one contraction of F's Hessian stream."""
+    """FlowQuantities.production, from one contraction of F's Hessian pass."""
     I_lap2: float
     I_quart: float
     I_hess2: float
@@ -133,7 +124,7 @@ class FlowQuantities:
     """Shared derived fields for the F = u^alpha identity chain (lazy).
 
     F has one difference jet that every quantity of F reads, so its
-    gathers are made once, and its Hessian is streamed once, by
+    gathers are made once, and its Hessian pass runs once, in
     production.  Only what two quantities share is kept: F's jet, the
     weight u^(1 - 2 alpha), |DF|^2 and the integrals.  The fields F and
     f = u^(1/2) are formed where they are differentiated and do not
@@ -171,7 +162,7 @@ class FlowQuantities:
     def production(self) -> ProductionIntegrals:
         """The integrals of F's Hessian, I_lap2, I_quart, I_hess2, I_omega2
         and I_deficit, the min of the p-deficit and the mean of |H|^2, from
-        one contraction of F's Hessian stream.
+        one contraction of F's Hessian pass.
 
         Per block it forms the p-deficit from |H|^2, tr H and omega_s(H),
         the weights u^(1-2 alpha) and u^(1-4 alpha), and |DF|^2 in axis
@@ -179,7 +170,7 @@ class FlowQuantities:
         w2 sum_s omega_s^2 and w2 deficit, returns their block sums and the
         block sum of |H|^2, and keeps the block's deficit minimum: per point
         the bits of the whole-field formulas, without their weight, square
-        or integrand fields.  The stream's totals give each integral the
+        or integrand fields.  The pass's totals give each integral the
         bits of one np.sum over the whole integrand, a min is exact in any
         order, and np.mean is that sum over the size.
         """
@@ -222,8 +213,8 @@ class FlowQuantities:
             mins.append(np.minimum.reduce(d))
             return lap2, quart, hess2, omega2, weighted, norm
 
-        *sums, norms = jet.hessian_stream(contract, with_norm=True,
-                                          scratch=((), (), (), ()))
+        *sums, norms = hessian_pass(jet.first, grid, contract, with_norm=True,
+                                    scratch=((), (), (), ()))
         vol = grid.cell_volume
         return ProductionIntegrals(*(float(vol * total) for total in sums),
                                    float(np.min(mins)), float(norms / grid.size))
@@ -318,7 +309,7 @@ def bochner_residual(f: ScalarField) -> IdentityReport:
     constant fields; statements written with the analyst's sign of the
     Laplacian carry the opposite left-hand side, and the Euclidean
     reduction pins the orientation used here.  The right side and the L2
-    norms are formed and summed block by block in f's Hessian stream.
+    norms are formed and summed block by block in f's Hessian pass.
     """
     grid = f.grid
     jet = DifferenceJet(f)
@@ -343,7 +334,7 @@ def bochner_residual(f: ScalarField) -> IdentityReport:
         rhs *= rhs
         return lhs_sq, np.add.reduce(rhs), res_sq
 
-    sums = jet.hessian_stream(contract, with_norm=True, scratch=((), ()))
+    sums = hessian_pass(jet.first, grid, contract, with_norm=True, scratch=((), ()))
     lhs, rhs, res = (float(np.sqrt(grid.cell_volume * total)) for total in sums)
     report = _report("bochner", lhs, rhs, grid)
     report.residual = res

@@ -15,15 +15,17 @@ its neighbour along a and rolls it by the twist K(x).  The passes read
 the steps with the C functions of _steps.c, compiled on first use, and
 keep no step table: a fibre's roll moves each of its planes alike, and
 each grid makes one m^4-entry int64 table of the m^2 plane rolls (32 KiB
-at m_x = 8), on its first pass, that every worker reads.  There are three
+at m_x = 8), on its first pass, that every worker reads.  There are four
 passes, which share the point blocks and the worker pool (_share_blocks).
-map_blocks hands block kernels differences, not raw steps:
-difference_gather writes D_a of every row of a stack, and hessian_block a
-block's composed Hessian, summed into tr H, omega_s(H) and |H|^2.
-euler_pass (euler_update, the Euler step) and jet_pass (difference_jet,
-a field's D_a and compact Laplacian) make one C call per worker over its
-run of blocks, with the interpreter lock released.  Each C function does
-the + - x / of the whole-field numpy formula in its per-point order, under
+map_blocks hands the block kernels of one field (the energy's) its
+differences D_a, written by difference_gather, not raw steps, and
+hessian_pass hands a contraction each block's composed differences of a
+(4n, N) stack, which hessian_block sums into tr H, omega_s(H) and |H|^2
+(divergence is -tr H of a 1-form's components).  euler_pass
+(euler_update, the Euler step) and jet_pass (difference_jet, a field's
+D_a and compact Laplacian) make one C call per worker over its run of
+blocks, with the interpreter lock released.  Each C function does the
++ - x / of the whole-field numpy formula in its per-point order, under
 -ffp-contract=off (no FMA), so all have the bits of the numpy route on
 every machine.
 
@@ -50,7 +52,6 @@ from .algebra import (
     RIGHT_J,
     RIGHT_K,
     QuaternionicStructure,
-    TorsionData,
     structure_from_triple,
 )
 
@@ -240,7 +241,7 @@ class HorizontalField:
 # its difference buffer (one block per row) and its kernel's block arrays,
 # and the Euler and jet passes hold none: the energy's pass holds two, which
 # stay in a core's L2 cache (2 MiB a core on the 2-core Xeon of the BENCH
-# files).  The largest, F's Hessian stream with production's contraction,
+# files).  The largest, F's Hessian pass with production's contraction,
 # holds per worker tr, three omega, |H|^2 and 4 scratch arrays, 9 blocks,
 # and the 4n rows of one 4096-point sub-block of hessian_block (128 KiB at
 # n = 1): about 2.4 MiB at n = 1, a little over L2.
@@ -431,26 +432,6 @@ def _step_kernel():
         return _steps_lib
 
 
-class _Steps:
-    """What a block kernel of map_blocks receives as steps: an iterator of
-    (a, d), which writes the block's D_a of every row into d when the kernel
-    asks for it, and, for a (4n, N) stack, diagonal(), which yields (a, D_a
-    of row a) with one row gathered per axis, and hessian(terms, tr, om,
-    nsq), the stack's composed differences summed in one C call (see
-    map_blocks)."""
-
-    def __init__(self, axes, diagonal, hessian):
-        self._axes = axes
-        self.diagonal = diagonal
-        self.hessian = hessian
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        return next(self._axes)
-
-
 def _work_len(dim_h: int) -> int:
     """The int64 work space of one thread's C calls: four numbers per step
     (its source fibre, its roll of t_0, its plane roll's offset in the
@@ -468,32 +449,64 @@ def _one_field(values: np.ndarray, grid: LatticeGrid, what: str) -> np.ndarray:
     return src
 
 
-def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tuple:
-    """Map a block kernel over the step differences of values: the one
-    blocked gather pass of the kernels.
+def _pass_blocks(block, grid: LatticeGrid, rows: int, scratch) -> tuple:
+    """The block driver of map_blocks and hessian_pass: call
+    block(start, k, buf, work, blocks) once per block [start, start + k),
+    where buf holds rows * k float64 or more, work is the C functions'
+    int64 work space (_work_len) and blocks holds one contiguous array of
+    shape lead + (k,) per entry lead of scratch, and return the whole-field
+    total of each entry of the tuple of block sums that block returns.
 
-    values has shape (..., grid.size): a flat field, or stacked fields such
-    as the (4n, N) first differences.  The helper calls
-    kernel(blk, steps, scratch) once per block of at most BLOCK_POINTS
-    points, the flat slice blk.  steps yields (a, d) for the axes
-    a = 0 .. 4n-1 in order, where d holds the centred differences
-    D_a = (S_a^+ - S_a^-) / (2 h_x) of every row on blk in a contiguous
-    (..., k) buffer; it writes axis a when the kernel asks for it and
-    overwrites the buffer with the next axis, so the kernel may work in it.
-    For a (4n, N) stack, steps also offers steps.diagonal(), which yields
-    (a, D_a of row a) in the same buffer, and steps.hessian(terms, tr, om,
-    nsq), which writes the block's tr H, omega_s(H) and, unless nsq is
-    None, |H|^2 of the composed differences H_ab = D_a of row b into the
-    contiguous float64 arrays tr (k,), om (3, k) and nsq (k,) in one C call
-    (hessian_block of _steps.c, whose header gives the int64 (4n, 3, 2)
-    table terms of omega_s's entries).  scratch holds one contiguous array
-    of shape lead + (k,) per entry lead of `scratch`, the block's work space.
-    A kernel starts its block before its axis loop and finishes it after
-    the loop; it writes only into its outputs at [blk] (or [..., blk]),
-    returns a tuple of its block's sums (np.add.reduce, the reduction of
-    np.sum without its wrapper) or nothing, and calls no public qcflow
-    function.  One that does per point what a whole-field pass does, in
-    the same order, gets its bits whatever thread runs the block.
+    The blocks are the nodes of numpy's pairwise-summation tree over the
+    grid.size points that first have at most BLOCK_POINTS points
+    (_block_bounds): a run of more points splits at n//2 - (n//2) % 8, as
+    numpy's pairwise sum does.  So adding the block sums back up that tree
+    (_tree_sum) gives the bits of np.sum of the whole-field integrand, and a
+    block min or max is exact in any order.  The layout depends on
+    grid.size alone; _share_blocks gives each worker one contiguous run of
+    blocks and returns when every run has ended.  Each run's buffer, work
+    space and scratch are made on the calling thread."""
+    bounds = _block_bounds(grid.size)
+    count = len(bounds) - 1
+    most = max(stop - start for start, stop in zip(bounds, bounds[1:]))
+    sums = [()] * count  # each block's sums, in the block's own slot
+
+    def run(first: int, last: int, bufs):
+        buf, work, *space = bufs
+        for i in range(first, last):
+            start, k = bounds[i], bounds[i + 1] - bounds[i]
+            blocks = [s[:math.prod(shape) * k].reshape(tuple(shape) + (k,))
+                      for s, shape in zip(space, scratch)]
+            sums[i] = block(start, k, buf, work, blocks) or ()
+
+    def buffers():
+        return ([np.empty(rows * most), np.empty(_work_len(grid.dim_h), dtype=np.int64)]
+                + [np.empty(math.prod(shape) * most) for shape in scratch])
+
+    _share_blocks(run, count, buffers)
+    return tuple(_tree_sum(entry, grid.size) for entry in zip(*sums))
+
+
+def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tuple:
+    """Map a block kernel over the step differences of one field: the
+    blocked gather pass of the energy.
+
+    The helper calls kernel(blk, steps, scratch) once per block of
+    _pass_blocks, the flat slice blk of k points.  steps yields (a, d) for
+    the axes a = 0 .. 4n-1 in order, where d holds the centred differences
+    D_a = (S_a^+ - S_a^-) / (2 h_x) of the field on blk in one contiguous
+    (k,) buffer; it writes axis a when the kernel asks for it and overwrites
+    the buffer with the next axis, so the kernel may work in it.  scratch
+    holds one contiguous array of shape lead + (k,) per entry lead of
+    `scratch`, the block's work space.  A kernel starts its block before
+    its axis loop and finishes it after the loop; it writes only into its
+    outputs at [blk], returns a tuple of its block's sums (np.add.reduce,
+    the reduction of np.sum without its wrapper) or nothing, and calls no
+    public qcflow function.  One that does per point what a whole-field
+    pass does, in the same order, gets its bits whatever thread runs the
+    block.  The call returns one whole-field total per entry of the
+    kernel's tuple.  A stack of fields is refused: the Hessian of a stack
+    is hessian_pass.
 
     The differences are the C function difference_gather (_steps.c).  Like
     every C function of the passes it computes each vertical fibre's source
@@ -503,100 +516,92 @@ def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tup
     its per-point order, each one rounded on its own: the library is
     compiled with -ffp-contract=off, so no multiply and add fuse into an
     FMA, and each has the numpy bits on every machine, with no index table.
-
-    The blocks are the nodes of numpy's pairwise-summation tree over the
-    grid.size points that first have at most BLOCK_POINTS points
-    (_block_bounds): a run of more points splits at n//2 - (n//2) % 8, as
-    numpy's pairwise sum does.  So adding the block sums back up that tree
-    (_tree_sum) gives the bits of np.sum of the whole-field integrand: the
-    call returns one such total per entry of the kernel's tuple, and a block
-    min or max is exact in any order.  The layout depends on grid.size
-    alone; _share_blocks gives each worker one contiguous run of blocks and
-    returns when every run has ended.  Each run's difference buffer, C work
-    space (four int64 per step, _work_len) and scratch are made on the
-    calling thread.
     """
     lib = _step_kernel()
-    src = np.ascontiguousarray(values, dtype=np.float64)
-    if src.shape[-1:] != (grid.size,):
-        raise ValueError(f"values of shape {values.shape} do not end in the "
-                         f"grid size {grid.size}")
+    src = _one_field(values, grid, "block pass")
     m, dim_h, size = grid.m_x, grid.dim_h, grid.size
     two_h = 2.0 * grid.h_x
     # the C functions read src and the grid's constants by address: all
     # live until every run has ended, since this call returns only then
     cols, rolls = grid._step_constants
     src_at, cols_at, rolls_at = src.ctypes.data, cols.ctypes.data, rolls.ctypes.data
-    lead = values.shape[:-1]
-    width = math.prod(lead)
-    bounds = _block_bounds(size)
-    count = len(bounds) - 1
 
-    def steps(start: int, k: int, d, work):
-        work_at = work.ctypes.data
+    def block(start: int, k: int, buf, work, blocks):
+        d = buf[:k]
+        d_at, work_at = d.ctypes.data, work.ctypes.data
 
         def axes():
-            d_at = d.ctypes.data
             for a in range(dim_h):
-                lib.difference_gather(src_at, d_at, work_at, width, size, start, k,
+                lib.difference_gather(src_at, d_at, work_at, 1, size, start, k,
                                       m, dim_h, a, cols_at, rolls_at, two_h)
                 yield a, d
 
-        def stack_of_rows():
-            if lead != (dim_h,):
-                raise ValueError(f"steps of values of shape {values.shape} have no "
-                                 f"diagonal or Hessian: they need a ({dim_h}, N) stack")
+        return kernel(slice(start, start + k), axes(), blocks)
 
-        def diagonal():
-            stack_of_rows()
-            row = d.reshape(-1)[:k]
-            for a in range(dim_h):
-                lib.difference_gather(src[a].ctypes.data, row.ctypes.data, work_at, 1, size,
-                                      start, k, m, dim_h, a, cols_at, rolls_at, two_h)
-                yield a, row
+    return _pass_blocks(block, grid, 1, scratch)
 
-        def hessian(terms: np.ndarray, tr: np.ndarray, om: np.ndarray, nsq):
-            stack_of_rows()
-            # hessian_block writes the outputs by address and reads row
-            # terms[a, s, 0] of its sub-block buffer
-            outs = [(tr, (k,)), (om, (3, k))] + ([] if nsq is None else [(nsq, (k,))])
-            if not (all(arr.dtype == np.float64 and arr.shape == shape
-                        and arr.flags.c_contiguous and arr.flags.writeable
-                        for arr, shape in outs)
-                    and terms.dtype == np.int64 and terms.shape == (dim_h, 3, 2)
-                    and terms.flags.c_contiguous
-                    and np.all((terms[..., 0] >= 0) & (terms[..., 0] < dim_h))):
-                raise ValueError("the Hessian of a block needs an int64 (4n, 3, 2) "
-                                 "table of rows and contiguous float64 outputs of "
-                                 "its sizes")
-            lib.hessian_block(src_at, tr.ctypes.data, om.ctypes.data,
-                              None if nsq is None else nsq.ctypes.data, d.ctypes.data,
-                              work_at, size, start, k, m, dim_h, cols_at, rolls_at,
-                              terms.ctypes.data, two_h)
 
-        return _Steps(axes(), diagonal, hessian)
+def _omega_terms(omega: np.ndarray) -> np.ndarray:
+    """The (b_s(a), sigma_s(a)) table of hessian_pass: the column and the
+    sign of the one entry +-1 in row a of each omega_s, as an int64
+    (4n, 3, 2) array.  Refuses a frame without that structure."""
+    nonzero = omega != 0.0
+    if not (np.all(nonzero.sum(axis=2) == 1) and np.all(np.abs(omega[nonzero]) == 1.0)):
+        raise ValueError("the Hessian pass needs a frame whose omega_s has one "
+                         "entry +-1 in each row")
+    # the one entry of a row is its sum
+    table = np.stack([nonzero.argmax(axis=2), omega.sum(axis=2)], axis=-1)
+    return np.ascontiguousarray(table.transpose(1, 0, 2), dtype=np.int64)
 
-    sums = [()] * count  # each block's sums, in the block's own slot
 
-    def run(first: int, last: int, bufs):
-        d_buf, work, *space = bufs
-        for i in range(first, last):
-            start, k = bounds[i], bounds[i + 1] - bounds[i]
-            d = d_buf[:width * k].reshape(lead + (k,))
-            blocks = [s[:math.prod(shape) * k].reshape(tuple(shape) + (k,))
-                      for s, shape in zip(space, scratch)]
-            sums[i] = kernel(slice(start, start + k), steps(start, k, d, work), blocks) or ()
+def hessian_pass(stack: np.ndarray, grid: LatticeGrid, contract, with_norm: bool,
+                 scratch=()) -> tuple:
+    """The one pass over the composed differences H_ab = D_a of row b of a
+    (4n,) + grid.shape stack: of a field's first differences, its Hessian.
 
-    most = max(stop - start for start, stop in zip(bounds, bounds[1:]))
+    Per block of _pass_blocks, one call of the C function hessian_block
+    forms axis by axis the rows H_a. and accumulates, in (a, b) order from
+    zero as a whole-field pass does, tr H = sum_a H_aa (of first
+    differences, the wide stencil: the compact sub-Laplacian is its
+    negative up to an O(h^2) stencil gap) and omega_s(H), and with_norm
+    also |H|^2, into block arrays tr (k,), om (3, k) and nsq (k,); nsq is
+    None without with_norm.  It reads omega_s as one entry +-1 per row,
+    which the frame of every n has, and refuses a frame without that
+    structure (_omega_terms, whose table hessian_block reads).  Then
+    contract(blk, tr, om, nsq, work) writes the block's share of the
+    caller's outputs and returns its block's sums, as a map_blocks kernel
+    does; work holds one block array per entry of scratch.  The pass
+    returns the whole-field sum of each entry, and builds no Hessian field.
+    contract runs on the pool's threads: it may call no public qcflow
+    function.
+    """
+    lib = _step_kernel()
+    m, dim_h, size = grid.m_x, grid.dim_h, grid.size
+    if np.shape(stack) != (dim_h,) + grid.shape:
+        raise ValueError(f"the Hessian pass takes a ({dim_h},) + grid.shape stack, "
+                         f"not values of shape {np.shape(stack)}")
+    src = np.ascontiguousarray(stack, dtype=np.float64)
+    terms = _omega_terms(frame_data(grid).omega)
+    two_h = 2.0 * grid.h_x
+    # as in map_blocks, every address read by the C call lives until the
+    # pass returns
+    cols, rolls = grid._step_constants
+    src_at, cols_at, rolls_at = src.ctypes.data, cols.ctypes.data, rolls.ctypes.data
+    terms_at = terms.ctypes.data
+    # tr, om, and with_norm nsq
+    own = ((), (3,), ()) if with_norm else ((), (3,))
 
-    def buffers():
-        # the difference buffer, the C functions' work space and the
-        # kernel's scratch
-        return ([np.empty(width * most), np.empty(_work_len(dim_h), dtype=np.int64)]
-                + [np.empty(math.prod(shape) * most) for shape in scratch])
+    def block(start: int, k: int, buf, work, blocks):
+        tr, om = blocks[0], blocks[1]
+        nsq = blocks[2] if with_norm else None
+        lib.hessian_block(src_at, tr.ctypes.data, om.ctypes.data,
+                          None if nsq is None else nsq.ctypes.data, buf.ctypes.data,
+                          work.ctypes.data, size, start, k, m, dim_h, cols_at, rolls_at,
+                          terms_at, two_h)
+        return contract(slice(start, start + k), tr, om, nsq, blocks[len(own):])
 
-    _share_blocks(run, count, buffers)
-    return tuple(_tree_sum(entry, grid.size) for entry in zip(*sums))
+    # hessian_block works in 4n rows of one sub-block of the buffer
+    return _pass_blocks(block, grid, dim_h, own + tuple(scratch))
 
 
 def euler_pass(values: np.ndarray, grid: LatticeGrid, w: float, measure: bool):
@@ -607,7 +612,7 @@ def euler_pass(values: np.ndarray, grid: LatticeGrid, w: float, measure: bool):
     (the bits of integrate) and hi its maximum; otherwise they are None.
     A NaN in new makes lo and hi NaN, as np.min and np.max do.  Each worker
     makes one call of the C function euler_update over its run of the
-    blocks of map_blocks, which writes the update of every point and the
+    blocks of the passes, which writes the update of every point and the
     minimum and maximum of what it wrote; the mass is one np.add.reduce per
     block, added up by _tree_sum.  The pass makes new itself.
     """
@@ -647,7 +652,7 @@ def jet_pass(values: np.ndarray, grid: LatticeGrid) -> tuple[np.ndarray, np.ndar
     shape (4n,) + grid.shape and the compact Laplacian lap =
     -sum_a ((S_a^+ f - f * 2) + S_a^- f) / h_x^2 of grid.shape.  Each
     worker makes one call of the C function difference_jet over its run of
-    the blocks of map_blocks, which reads each point's 8n steps once.  The
+    the blocks of the passes, which reads each point's 8n steps once.  The
     pass makes first and lap itself."""
     lib = _step_kernel()
     src = _one_field(values, grid, "jet pass")
@@ -681,7 +686,6 @@ class FrameData:
 
     omega: np.ndarray                     # (3, 4n, 4n), omega_s(e_a, e_b)
     structure: QuaternionicStructure      # triple I_s with omega_s = g(I_s., .)
-    torsion: TorsionData                  # identically zero on the model
 
 
 def frame_data(grid: LatticeGrid) -> FrameData:
@@ -695,10 +699,9 @@ def _frame_data(n: int) -> FrameData:
     B = twist_matrices(n)
     Q = structure_from_triple(n, B[0], B[1], B[2])
     omega = np.stack([Q.omega(s) for s in range(3)])
-    torsion = TorsionData.zero(n)
-    for arr in (omega, *Q.I, torsion.T0, torsion.U, *torsion.T0_xi):
+    for arr in (omega, *Q.I):
         arr.flags.writeable = False
-    return FrameData(omega=omega, structure=Q, torsion=torsion)
+    return FrameData(omega=omega, structure=Q)
 
 
 # ---------------------------------------------------------------------------

@@ -8,25 +8,24 @@ is skew-adjoint for the grid inner product, and the compact sub-Laplacian
 is self-adjoint.
 
 Every horizontal difference comes from a blocked pass of lattice, which
-shares the point blocks among the cores and reads the steps in C: a block
-kernel of lattice.map_blocks gets differences, not raw steps (each axis a
-gives D_a of every row of the stacked fields).  One field's derivatives
-come from its difference jet (DifferenceJet): lattice.jet_pass reads the
-8n steps S_a^{+-} f once per point and writes both the first differences
-D_a f and the compact sub-Laplacian.  The composed second differences
-H_ab = D_a D_b f come from one Hessian stream,
-DifferenceJet.hessian_stream: per block, one C call forms the rows
-H_a. = D_a of every D_b f axis by axis and accumulates tr H and
+shares the point blocks among the cores and reads the steps in C.  One
+field's derivatives come from its difference jet (DifferenceJet):
+lattice.jet_pass reads the 8n steps S_a^{+-} f once per point and writes
+both the first differences D_a f and the compact sub-Laplacian.  The
+composed second differences H_ab = D_a D_b f come from one Hessian pass,
+lattice.hessian_pass over the jet's `first`: per block, one C call forms
+the rows H_a. = D_a of every D_b f axis by axis and accumulates tr H and
 omega_s(H), and |H|^2 when asked.  No Hessian field is kept: each
 consumer passes a contraction that reads a block's contractions and
 returns its block sums of the consumer's integrands (the production
 integrals of identities.FlowQuantities, the Bochner residual, the
 omega-contraction check of the calculus suite, and p_functional).
+divergence is -tr H of the same pass over its 1-form's components, and
+the energy's |Df|^2 is the one block kernel of lattice.map_blocks.
 sub_laplacian and p_functional read a jet, so a caller that needs both
-passes the jet instead of the field and pays for the gathers once; D_a f
-is the jet's `first`.  divergence is one kernel over the stacked
-components of its 1-form; any other difference of a derived field (the
-identity catalog's commutators) reads that field's jet.
+passes the jet instead of the field and pays for the gathers once; any
+other difference of a derived field (the identity catalog's commutators)
+reads that field's jet.
 
 Because D_a is exactly skew-adjoint, the P-pairing needs no third-order
 stencil: summing by parts,
@@ -50,7 +49,7 @@ from .lattice import (
     XI_SCALE,
     HorizontalField,
     ScalarField,
-    frame_data,
+    hessian_pass,
     jet_pass,
     map_blocks,
     vertical_shift,
@@ -64,67 +63,18 @@ class DifferenceJet:
     laplacian  the compact positive sub-Laplacian,
                -sum_a ((S_a^+ f - 2f) + S_a^- f) / h_x^2, from the same 8n
                step reads as `first`
-    hessian_stream(contract, with_norm)
-               the one pass over H_ab = D_a D_b f: per block it hands
-               contract tr H, omega_s(H) and, with_norm, |H|^2, and it
-               returns the totals of contract's block sums; no Hessian
-               field is built or kept
 
-    Both are blocked passes of lattice and give the bits of the
-    whole-field stencils: first and laplacian come from lattice.jet_pass,
-    one C call per worker that reads each point's 8n steps once and does
-    the stencils' + - x / in their per-point order.  A composed difference
-    D_a g of a derived field g reads the jet of g: DifferenceJet(g).first[a].
+    Both come from lattice.jet_pass, one C call per worker that reads each
+    point's 8n steps once and does the stencils' + - x / in their per-point
+    order, so they have the bits of the whole-field stencils.  The Hessian
+    H_ab = D_a D_b f is lattice.hessian_pass over `first`.  A composed
+    difference D_a g of a derived field g reads the jet of g:
+    DifferenceJet(g).first[a].
     """
 
     def __init__(self, f: ScalarField):
         self.grid = f.grid
         self.first, self.laplacian = jet_pass(f.values, f.grid)
-
-    def hessian_stream(self, contract, with_norm: bool, scratch=()) -> tuple:
-        """The one pass over the composed Hessian H_ab = D_a D_b f.
-
-        A block kernel of lattice.map_blocks over the stacked first
-        differences: per block, one C call (steps.hessian) forms axis by
-        axis the rows H_a. = D_a D_. f, the differences of every D_b f, and
-        accumulates, in (a, b) order from zero as a whole-field pass does,
-        tr H (the wide stencil: the compact sub-Laplacian is its negative up
-        to an O(h^2) stencil gap) and omega_s(H), and with_norm also |H|^2.
-        It reads omega_s as one entry +-1 per row, which the frame of every
-        n has, and refuses a frame without that structure.  Then the kernel
-        calls contract(blk, tr, om, nsq, work), which writes the block's
-        share of the caller's outputs and returns its block's sums, as a
-        map_blocks kernel does; nsq is None without with_norm, and work holds
-        one block array per entry of scratch.  The stream returns what
-        map_blocks returns: the whole-field sum of each entry.  contract runs
-        on the pool's threads: it may call no public qcflow function.
-        """
-        grid = self.grid
-        terms = _omega_terms(frame_data(grid).omega)
-        # tr, om, and with_norm nsq
-        own = ((), (3,), ()) if with_norm else ((), (3,))
-
-        def kernel(blk, steps, blocks):
-            tr, om = blocks[0], blocks[1]
-            nsq = blocks[2] if with_norm else None
-            steps.hessian(terms, tr, om, nsq)
-            return contract(blk, tr, om, nsq, blocks[len(own):])
-
-        first = self.first.reshape(grid.dim_h, grid.size)
-        return map_blocks(kernel, first, grid, scratch=own + tuple(scratch))
-
-
-def _omega_terms(omega: np.ndarray) -> np.ndarray:
-    """The (b_s(a), sigma_s(a)) table of the Hessian stream: the column and
-    the sign of the one entry +-1 in row a of each omega_s, as an int64
-    (4n, 3, 2) array.  Refuses a frame without that structure."""
-    nonzero = omega != 0.0
-    if not (np.all(nonzero.sum(axis=2) == 1) and np.all(np.abs(omega[nonzero]) == 1.0)):
-        raise ValueError("the Hessian stream needs a frame whose omega_s has one "
-                         "entry +-1 in each row")
-    # the one entry of a row is its sum
-    table = np.stack([nonzero.argmax(axis=2), omega.sum(axis=2)], axis=-1)
-    return np.ascontiguousarray(table.transpose(1, 0, 2), dtype=np.int64)
 
 
 def _jet(f: ScalarField | DifferenceJet) -> DifferenceJet:
@@ -172,21 +122,19 @@ def sub_laplacian(f: ScalarField | DifferenceJet) -> ScalarField:
 def divergence(sigma: HorizontalField) -> ScalarField:
     """Horizontal divergence nabla* sigma = -sum_a X_a sigma_a.
 
-    One block kernel over the stacked (4n, N) components: axis a gathers
-    D_a of the a-th row alone (steps.diagonal).  Integrates to zero exactly
-    on the periodic quotient.
+    -tr H of the Hessian pass over the stacked components: tr sums D_a of
+    the a-th component from zero in axis order, the bits of
+    zeros + D_0 sigma_0 + D_1 sigma_1 + ...  Integrates to zero exactly on
+    the periodic quotient.
     """
     grid = sigma.grid
-    comps = sigma.components.reshape(grid.dim_h, grid.size)
-    acc = np.zeros(grid.size)
+    div = np.empty(grid.size)
 
-    def kernel(blk, steps, scratch):
-        # zeros + D_0 sigma_0 + D_1 sigma_1 + ..., the whole-field sum
-        for _, d in steps.diagonal():
-            acc[blk] += d
+    def contract(blk, tr, om, nsq, work):
+        np.negative(tr, out=div[blk])
 
-    map_blocks(kernel, comps, grid)
-    return ScalarField(grid, -acc.reshape(grid.shape))
+    hessian_pass(sigma.components, grid, contract, with_norm=False)
+    return ScalarField(grid, div.reshape(grid.shape))
 
 
 def p_functional(f: ScalarField | DifferenceJet) -> float:
@@ -194,9 +142,9 @@ def p_functional(f: ScalarField | DifferenceJet) -> float:
 
     Evaluated by summation by parts from the jet of f (module docstring):
     vol * sum(Delta f tr H + sum_t G_t^2).  The integrand is formed and
-    summed block by block from tr H and omega_s(H) of the Hessian stream,
+    summed block by block from tr H and omega_s(H) of the Hessian pass,
     so neither the full Hessian nor a whole-field integrand is built; the
-    stream's total has the bits of one np.sum over the whole integrand.  The
+    pass's total has the bits of one np.sum over the whole integrand.  The
     P-function of f counts as non-negative when this integral is
     non-positive.
     """
@@ -212,5 +160,5 @@ def p_functional(f: ScalarField | DifferenceJet) -> float:
             ib += sq
         return (np.add.reduce(ib),)
 
-    (total,) = jet.hessian_stream(contract, with_norm=False, scratch=((), ()))
+    (total,) = hessian_pass(jet.first, grid, contract, with_norm=False, scratch=((), ()))
     return float(grid.cell_volume * total)

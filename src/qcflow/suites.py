@@ -12,7 +12,7 @@ import itertools
 import json
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .lattice import (
     horizontal_step_index,
     integrate,
     grid_inner,
+    hessian_pass,
     make_grid,
     periodized_bump,
 )
@@ -77,9 +78,7 @@ class CheckResult:
         return self.status != "fail"
 
     def to_dict(self):
-        return {"name": self.name, "status": self.status,
-                "measured": self.measured, "threshold": self.threshold,
-                "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass
@@ -333,8 +332,8 @@ def calculus_suite(seed: int = 1, m_pair=(4, 8), alpha: float = -0.05) -> SuiteR
                         sums.append(np.add.reduce(sq))
                     return tuple(sums)
 
-                totals = DifferenceJet(u).hessian_stream(contract, with_norm=False,
-                                                         scratch=((),))
+                totals = hessian_pass(DifferenceJet(u).first, grid, contract,
+                                      with_norm=False, scratch=((),))
                 num = sum(float(t) for t in totals)
                 den = sum(float(np.sum((4.0 * x) ** 2)) for x in xi)
                 rel[tag][m] = np.sqrt(num) / max(np.sqrt(den), 1e-30)

@@ -1,5 +1,6 @@
 """Tests for the energy monitor and its five-term production formula."""
 import inspect
+import sys
 import tracemalloc
 
 import numpy as np
@@ -166,25 +167,31 @@ NO_HESSIAN_OF_F = ("ricci2", "ricci_mixed", "bochner", "gr4", "intform", "second
 @pytest.mark.parametrize("tag", IDENTITY_NAMES)
 def test_each_tag_streams_the_hessian_of_F_at_most_once(tag, monkeypatch):
     # every integral of F's Hessian comes from one contraction of its
-    # stream, so no tag streams F's Hessian twice
+    # Hessian pass, so no tag runs the pass over F's first differences
+    # twice; the pass is counted in every qcflow namespace that binds it
     alpha = -0.05
     u = _rich_field(make_grid(1, 4))
-    lap_F = DifferenceJet(ScalarField(u.grid, np.power(u.values, alpha))).laplacian
+    first_F = DifferenceJet(ScalarField(u.grid, np.power(u.values, alpha))).first
     streamed = []
-    stream = DifferenceJet.hessian_stream
+    hessian_pass = lattice.hessian_pass
 
-    def counting_stream(jet, *args, **kwargs):
-        streamed.append(np.array_equal(jet.laplacian, lap_F))
-        return stream(jet, *args, **kwargs)
+    def counting_pass(stack, *args, **kwargs):
+        streamed.append(np.array_equal(stack, first_F))
+        return hessian_pass(stack, *args, **kwargs)
 
-    monkeypatch.setattr(DifferenceJet, "hessian_stream", counting_stream)
+    bound = [mod for name, mod in sorted(sys.modules.items())
+             if name.split(".")[0] == "qcflow" and vars(mod).get("hessian_pass") is hessian_pass]
+    assert {mod.__name__ for mod in bound} >= {"qcflow.lattice", "qcflow.operators",
+                                               "qcflow.identities"}
+    for mod in bound:
+        monkeypatch.setattr(mod, "hessian_pass", counting_pass)
     identity_residual(tag, u, alpha)
     assert sum(streamed) == (0 if tag in NO_HESSIAN_OF_F else 1)
 
 
 def _whole_field_deficit(F):
     """The p-deficit of F from its whole-field composed Hessian, summed in
-    the (a, b) order of the Hessian stream."""
+    the (a, b) order of the Hessian pass."""
     grid = F.grid
     fd = frame_data(grid)
     # second[b][a] = D_a D_b F = H_ab
@@ -210,7 +217,7 @@ def _whole_field_deficit(F):
 
 @pytest.mark.parametrize("m", [4, 5])
 def test_derf_rhs_deficit_terms_are_bit_identical_to_the_whole_field_hessian(m):
-    # min_pF and term_p come from F's Hessian stream with the bits of the
+    # min_pF and term_p come from F's Hessian pass with the bits of the
     # whole-field p-deficit
     u = initial_field(flow_config(m=m, tau_profile=None))
     alpha = -0.05

@@ -162,8 +162,6 @@ def test_frame_structure():
         Is = fd.structure.I[s]
         assert np.max(np.abs(Is @ Is + np.eye(4))) == 0.0
         assert np.max(np.abs(fd.omega[s] + fd.omega[s].T)) == 0.0
-    assert fd.torsion.S == 0.0
-    assert np.max(np.abs(fd.torsion.T0)) == 0.0
 
 
 def _first_diff(vals, grid, a):
@@ -314,32 +312,80 @@ def _tree_nodes(start, n, cap):
     return _tree_nodes(start, half, cap) + _tree_nodes(start + half, n - half, cap)
 
 
+def _stack_hessian(stack, grid, diff):
+    """(|H|^2, tr H, omega_s(H)) of the composed differences H_ab =
+    diff(row b, a) of a (4n, N) stack, flat, each summed from zero in (a, b)
+    order as hessian_block sums them."""
+    omega = frame_data(grid).omega
+    rows = stack.reshape(grid.dim_h, grid.size)
+    norm_sq, trace, om = np.zeros(grid.size), np.zeros(grid.size), np.zeros((3, grid.size))
+    for a in range(grid.dim_h):
+        for b in range(grid.dim_h):
+            hab = diff(rows[b], a)
+            norm_sq += hab * hab
+            if a == b:
+                trace += hab
+            for s in range(3):
+                if omega[s, a, b] != 0.0:
+                    om[s] += omega[s, a, b] * hab
+    return norm_sq, trace, om
+
+
+def _collect_hessian(stack, grid):
+    """(|H|^2, tr H, omega_s(H)) of a stack, flat, from the blocks of
+    lattice.hessian_pass."""
+    norm_sq, trace = np.full(grid.size, np.nan), np.full(grid.size, np.nan)
+    om = np.full((3, grid.size), np.nan)
+
+    def collect(blk, tr, o, nsq, work):
+        trace[blk], om[:, blk], norm_sq[blk] = tr, o, nsq
+
+    lattice.hessian_pass(stack, grid, collect, with_norm=True)
+    return norm_sq, trace, om
+
+
 @pytest.mark.parametrize("m", [4, 5])
 def test_step_gathers_match_shift(m, monkeypatch):
     # m_x = 4 is one point block, m_x = 5 four tree nodes of 19528 to 19541
-    # points; one worker, so the kernel calls arrive in block order
+    # points; one worker, so the kernel and contraction calls arrive in
+    # block order
     monkeypatch.setattr(lattice, "WORKERS", 1)
     grid = make_grid(1, m)
     rng = np.random.default_rng(m)
     flat = rng.normal(size=grid.size)
-    stacked = rng.normal(size=(grid.dim_h, grid.size))
-    order = [(start, a) for start, _ in _tree_nodes(0, grid.size, BLOCK_POINTS)
-             for a in range(grid.dim_h)]
-    assert len(order) == grid.dim_h * (1 if m == 4 else 4)
-    for values in (flat, stacked):
-        seen = []
+    stacked = rng.normal(size=(grid.dim_h,) + grid.shape)
+    starts = [start for start, _ in _tree_nodes(0, grid.size, BLOCK_POINTS)]
+    assert len(starts) == (1 if m == 4 else 4)
 
-        def kernel(blk, steps, scratch):
-            for a, d in steps:
-                seen.append((blk.start, a))
-                assert d.shape == values.shape[:-1] + (blk.stop - blk.start,)
-                ref = [((shift(row, grid, a, +1) - shift(row, grid, a, -1))
-                        / (2.0 * grid.h_x)).reshape(-1)[blk]
-                       for row in values.reshape(-1, grid.size)]
-                assert np.array_equal(d.reshape(-1, d.shape[-1]), np.stack(ref))
+    def diff(values, a):
+        return ((shift(values, grid, a, +1) - shift(values, grid, a, -1))
+                / (2.0 * grid.h_x)).reshape(-1)
 
-        map_blocks(kernel, values, grid)
-        assert seen == order
+    first = [diff(flat, a) for a in range(grid.dim_h)]
+    seen = []
+
+    def kernel(blk, steps, scratch):
+        for a, d in steps:
+            seen.append((blk.start, a))
+            assert d.shape == (blk.stop - blk.start,)
+            assert np.array_equal(d, first[a][blk])
+
+    map_blocks(kernel, flat, grid)
+    assert seen == [(start, a) for start in starts for a in range(grid.dim_h)]
+    # the Hessian pass over a stack: H_ab = D_a of row b, whose sums each
+    # block's contraction receives
+    expect = _stack_hessian(stacked, grid, diff)
+    seen.clear()
+
+    def contract(blk, tr, om, nsq, work):
+        seen.append(blk.start)
+        assert tr.shape == nsq.shape == (blk.stop - blk.start,)
+        assert om.shape == (3, blk.stop - blk.start)
+        for got, want in zip((nsq, tr, om), expect):
+            assert np.array_equal(got, want[..., blk])
+
+    lattice.hessian_pass(stacked, grid, contract, with_norm=True)
+    assert seen == starts
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -347,31 +393,54 @@ def test_step_gathers_match_shift(m, monkeypatch):
                                   (3, 2)])
 def test_step_kernel_gathers_what_the_step_tables_give(n, m, workers, monkeypatch):
     # difference_gather against (S^+ - S^-) / 2h through np.take of
-    # step_permutation, for every axis, on a flat field and a (3, N) stack;
+    # step_permutation, for every axis, on a flat field through map_blocks
+    # and on a (3, N) stack called by hand over the blocks, and the Hessian
+    # pass over a (4n, N) stack against the Hessian of the step tables;
     # blocks of a little over two vertical fibres cut fibres at every odd m
     # and at m = 6, so both whole fibres and the runs of cut ones are read
     monkeypatch.setattr(lattice, "WORKERS", workers)
     monkeypatch.setattr(lattice, "BLOCK_POINTS", max(128, 2 * m ** 3 + 1))
     grid = make_grid(n, m)
+    bounds = lattice._block_bounds(grid.size)
     if m in (3, 5, 6):
-        assert any(b % m ** 3 for b in lattice._block_bounds(grid.size))
+        assert any(b % m ** 3 for b in bounds)
     rng = np.random.default_rng(m)
-    for values in (rng.normal(size=grid.size), rng.normal(size=(3, grid.size))):
-        expect = [(np.take(values, grid.step_permutation(a, 1), axis=-1)
-                   - np.take(values, grid.step_permutation(a, -1), axis=-1))
-                  / (2.0 * grid.h_x) for a in range(grid.dim_h)]
-        seen, wrong = [], []
 
-        def kernel(blk, steps, scratch):
-            for a, d in steps:
-                seen.append((blk.start, a))
-                if not np.array_equal(d, expect[a][..., blk]):
-                    wrong.append((blk.start, a))
+    perms = [(grid.step_permutation(a, 1), grid.step_permutation(a, -1))
+             for a in range(grid.dim_h)]
 
-        map_blocks(kernel, values, grid)
-        assert sorted(seen) == [(start, a) for start in lattice._block_bounds(grid.size)[:-1]
-                                for a in range(grid.dim_h)]
-        assert wrong == []
+    def diff(values, a):
+        up, down = perms[a]
+        return (np.take(values, up, axis=-1) - np.take(values, down, axis=-1)) / (2.0 * grid.h_x)
+
+    flat = rng.normal(size=grid.size)
+    expect = [diff(flat, a) for a in range(grid.dim_h)]
+    seen, wrong = [], []
+
+    def kernel(blk, steps, scratch):
+        for a, d in steps:
+            seen.append((blk.start, a))
+            if not np.array_equal(d, expect[a][blk]):
+                wrong.append((blk.start, a))
+
+    map_blocks(kernel, flat, grid)
+    assert sorted(seen) == [(start, a) for start in bounds[:-1] for a in range(grid.dim_h)]
+    assert wrong == []
+    rows = rng.normal(size=(3, grid.size))
+    lib = lattice._step_kernel()
+    cols, rolls = grid._step_constants
+    work = np.empty(lattice._work_len(grid.dim_h), dtype=np.int64)
+    for a in range(grid.dim_h):
+        expect = diff(rows, a)
+        for start, stop in zip(bounds, bounds[1:]):
+            d = np.empty((3, stop - start))
+            lib.difference_gather(rows.ctypes.data, d.ctypes.data, work.ctypes.data, 3,
+                                  grid.size, start, stop - start, m, grid.dim_h, a,
+                                  cols.ctypes.data, rolls.ctypes.data, 2.0 * grid.h_x)
+            assert np.array_equal(d, expect[:, start:stop]), (start, a)
+    stacked = rng.normal(size=(grid.dim_h,) + grid.shape)
+    for got, want in zip(_collect_hessian(stacked, grid), _stack_hessian(stacked, grid, diff)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_runtime_dim_h_bodies_keep_the_numpy_order(monkeypatch):
@@ -428,7 +497,7 @@ def test_step_kernels_write_only_their_outputs_and_work_space(m):
     # row the field of the jet and the Euler update
     src = np.random.default_rng(m).normal(size=(dim_h, size))
     flat = src[0]
-    terms = operators._omega_terms(frame_data(grid).omega)
+    terms = lattice._omega_terms(frame_data(grid).omega)
 
     def canaries(n):
         return np.full(n + tail, canary)
@@ -528,16 +597,16 @@ def test_euler_pass_measures_the_new_field_like_numpy(workers, monkeypatch):
 
 
 def test_frame_omega_has_one_unit_entry_per_row_and_the_hessian_needs_it(monkeypatch):
-    # the Hessian stream reads omega_s as one entry +-1 per row a, at column
-    # b_s(a); every n's frame has that structure, and the stream refuses a
-    # frame without it before any pass
+    # the Hessian pass reads omega_s as one entry +-1 per row a, at column
+    # b_s(a); every n's frame has that structure, and the pass refuses a
+    # frame without it before any block
     for n in (1, 2, 3):
         omega = frame_data(make_grid(n, 2)).omega
         assert omega.shape == (3, 4 * n, 4 * n)
         nonzero = omega != 0.0
         assert np.all(nonzero.sum(axis=2) == 1)
         assert set(np.abs(omega[nonzero])) == {1.0}
-        terms = operators._omega_terms(omega)
+        terms = lattice._omega_terms(omega)
         assert terms.shape == (4 * n, 3, 2) and terms.dtype == np.int64
         for a, s in itertools.product(range(4 * n), range(3)):
             b, sign = terms[a, s]
@@ -549,14 +618,14 @@ def test_frame_omega_has_one_unit_entry_per_row_and_the_hessian_needs_it(monkeyp
     two_entries[tuple(np.argwhere(fd.omega == 0.0)[0])] = 1.0
     half = fd.omega * 0.5
     for omega in (two_entries, half, np.zeros_like(fd.omega)):
-        broken = lattice.FrameData(omega=omega, structure=fd.structure, torsion=fd.torsion)
-        monkeypatch.setattr(operators, "frame_data", lambda grid: broken)
+        broken = lattice.FrameData(omega=omega, structure=fd.structure)
+        monkeypatch.setattr(lattice, "frame_data", lambda grid: broken)
 
         def contract(blk, tr, om, nsq, work):
             raise AssertionError("a block was contracted")
 
         with pytest.raises(ValueError, match="one entry"):
-            jet.hessian_stream(contract, with_norm=False)
+            lattice.hessian_pass(jet.first, grid, contract, with_norm=False)
 
 
 def test_fused_euler_update_refuses_what_it_cannot_write():
@@ -579,36 +648,25 @@ def test_fused_jet_refuses_what_it_cannot_write():
     assert np.array_equal(stacked, np.ones((2, grid.size)))
 
 
-def test_block_hessian_and_diagonal_refuse_what_they_cannot_read_or_write():
-    # steps.hessian writes its outputs by address and reads the rows the
-    # terms table names, steps.diagonal reads row a of a (4n, N) stack: a
-    # flat field, a row out of range, and outputs of another shape, dtype
-    # or layout are refused before any C call
+def test_block_passes_refuse_what_they_cannot_read():
+    # map_blocks differentiates one field and hessian_pass a (4n,) +
+    # grid.shape stack: a stack, a flat field and a stack of other rows are
+    # refused before any block, and left as they were
     grid = make_grid(1, 3)
-    dim, k = grid.dim_h, grid.size
-    terms = operators._omega_terms(frame_data(grid).omega)
-    far = terms.copy()
-    far[1, 2, 0] = dim
-    tr, om = np.zeros(k), np.zeros((3, k))
-    stack = np.ones((dim, k))
-    for values, args in ((np.ones(k), (terms, tr, om, None)),
-                         (stack, (far, tr, om, None)),
-                         (stack, (terms.astype(np.int32), tr, om, None)),
-                         (stack, (terms, tr, np.zeros((k, 3)), None)),
-                         (stack, (terms, tr, np.zeros((3, 2 * k))[:, ::2], None)),
-                         (stack, (terms, tr, om, np.zeros(k, np.float32)))):
-        def kernel(blk, steps, scratch):
-            steps.hessian(*args)
 
-        with pytest.raises(ValueError):
-            map_blocks(kernel, values, grid)
-    assert not tr.any() and not om.any()
+    def kernel(blk, *args):
+        raise AssertionError("a block was run")
 
-    def diagonal(blk, steps, scratch):
-        next(steps.diagonal())
-
-    with pytest.raises(ValueError, match="diagonal"):
-        map_blocks(diagonal, np.ones(k), grid)
+    stacked = np.ones((grid.dim_h, grid.size))
+    with pytest.raises(ValueError, match="block pass takes one field"):
+        map_blocks(kernel, stacked, grid)
+    assert np.array_equal(stacked, np.ones((grid.dim_h, grid.size)))
+    for values in (np.ones(grid.size), np.ones(grid.shape),
+                   np.ones((grid.dim_h - 1,) + grid.shape)):
+        before = values.copy()
+        with pytest.raises(ValueError, match="Hessian pass takes a"):
+            lattice.hessian_pass(values, grid, kernel, with_norm=True)
+        assert np.array_equal(values, before)
 
 
 def _library_name(flags):
@@ -733,12 +791,13 @@ def test_tree_sum_gives_the_bits_of_np_sum(cap, monkeypatch):
 
 
 def test_step_tables_are_gathered_only_in_lattice():
-    # every horizontal difference is a kernel of lattice.map_blocks (the
-    # whole-field shift, the tests' reference, lives in tests/oracles.py):
-    # no other module takes a gather, reaches a shift, or owns a thread.  The
-    # block layout is lattice's alone: a kernel returns its block's sums and
-    # map_blocks adds them up, so no other module names the layout or reads
-    # a block's bounds
+    # every horizontal difference is a pass of lattice (the whole-field
+    # shift, the tests' reference, lives in tests/oracles.py): no other
+    # module takes a gather, reaches a shift, owns a thread, reads an
+    # address (.ctypes) or calls the C functions (_step_kernel).  The block
+    # layout is lattice's alone: a kernel returns its block's sums and the
+    # pass adds them up, so no other module names the layout or reads a
+    # block's bounds
     banned = {"shift", "point_blocks"}
     layout = {"tree_sum", "_tree_sum", "_block_bounds", "BLOCK_POINTS"}
     concurrency = {"threading", "concurrent"}
@@ -747,12 +806,14 @@ def test_step_tables_are_gathered_only_in_lattice():
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute):
-                assert node.attr != "take", f"{path.name}:{node.lineno}"
+                assert node.attr not in {"take", "ctypes", "_step_kernel"}, \
+                    f"{path.name}:{node.lineno}"
                 assert node.attr not in layout | {"start", "stop"}, f"{path.name}:{node.lineno}"
                 if isinstance(node.value, ast.Name) and node.value.id == "lattice":
                     assert node.attr not in banned, f"{path.name}:{node.lineno}"
             if isinstance(node, ast.Name):
-                assert node.id not in layout, f"{path.name}:{node.lineno}"
+                assert node.id not in layout | {"ctypes", "_step_kernel"}, \
+                    f"{path.name}:{node.lineno}"
             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("lattice"):
                 names = {alias.name for alias in node.names}
                 assert not names & (banned | layout), f"{path.name}:{node.lineno}"
@@ -763,7 +824,8 @@ def test_step_tables_are_gathered_only_in_lattice():
             else:
                 modules = []
             for mod in modules:
-                assert mod.split(".")[0] not in concurrency, f"{path.name}:{node.lineno}"
+                assert mod.split(".")[0] not in concurrency | {"ctypes"}, \
+                    f"{path.name}:{node.lineno}"
 
 
 # public functions that no code of the package calls, kept on purpose: the

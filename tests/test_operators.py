@@ -313,10 +313,10 @@ def test_p_form_constant_zero_and_duality():
 
 def _stream_hessian(f, with_norm=True):
     """(|H|^2, tr H, omega_s(H), p-deficit) as whole fields, in the order of
-    _ref_hessian, collected from the blocks of the Hessian stream of f (a
-    field or its jet), the deficit formed per block as F's production
-    contraction forms it; |H|^2 and the deficit are None without
-    with_norm."""
+    _ref_hessian, collected from the blocks of the Hessian pass over the
+    first differences of f (a field or its jet), the deficit formed per
+    block as F's production contraction forms it; |H|^2 and the deficit
+    are None without with_norm."""
     jet = f if isinstance(f, DifferenceJet) else DifferenceJet(f)
     grid = jet.grid
     quarter = 1.0 / grid.dim_h
@@ -332,7 +332,7 @@ def _stream_hessian(f, with_norm=True):
         else:
             assert nsq is None
 
-    jet.hessian_stream(collect, with_norm=with_norm, scratch=((),))
+    lattice.hessian_pass(jet.first, grid, collect, with_norm=with_norm, scratch=((),))
     shape = grid.shape
     if not with_norm:
         return None, trace.reshape(shape), omega.reshape((3,) + shape), None
@@ -416,7 +416,7 @@ def test_jet_readers_are_bit_identical_to_the_stencils(m):
         ref = _ref_hessian(f.values, grid)
         for got, expect in zip(_stream_hessian(f), ref):
             assert np.array_equal(got, expect)
-        # without the norm the stream gives the same trace and omega_s, and
+        # without the norm the pass gives the same trace and omega_s, and
         # a shared jet gives the same bits as a jet per call
         jet = DifferenceJet(f)
         _, trace, omega, _ = _stream_hessian(jet, with_norm=False)
@@ -470,7 +470,7 @@ def test_p_functional_matches_the_third_order_pairing(m):
 
 @pytest.mark.parametrize("m", [4, 5])
 def test_p_functional_stream_is_bit_identical_to_the_hessian_route(m):
-    # the Hessian stream without |H|^2 gives the bits of the integrand built
+    # the Hessian pass without |H|^2 gives the bits of the integrand built
     # from the full Hessian, without building it
     for f in _jet_fields(m):
         _, trace, omega, _ = _ref_hessian(f.values, f.grid)
@@ -499,7 +499,7 @@ def _run_passes(f):
     """Every block kernel of the package on f: the Euler update with the
     mass, min and max of the new field, the jet, the energy (|D phi|^2 u
     summed per block), the divergence of the jet's gradient and
-    the Hessian stream under its contractions: one that collects it, the
+    the Hessian pass under its contractions: one that collects it, the
     production integrals of FlowQuantities (with f as u), the Bochner
     residual's L2 norms and the P-pairing."""
     return {
@@ -534,13 +534,57 @@ def _reference_production(values, grid):
             float(np.mean(norm_sq)))
 
 
+def _ref_reeb_mixed(first, grid):
+    """The Reeb mixed term sum_s sum_a xi_s(D_a f) (I_s Df)_a of the
+    reference first differences, read entry by entry from per-s loops over
+    I_s: no contraction of identities."""
+    structure = frame_data(grid).structure
+    mixed = np.zeros(grid.shape)
+    for s in range(3):
+        for a in range(grid.dim_h):
+            xi_da = reeb_derivative(ScalarField(grid, first[a]), s).values
+            for b in range(grid.dim_h):
+                entry = structure.I[s][a, b]
+                if entry != 0.0:
+                    mixed += xi_da * (entry * first[b])
+    return mixed
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_reeb_mixed_term_matches_a_per_entry_reference(m, monkeypatch):
+    # identities._reeb_mixed contracts I_s with Df by einsum, the reference
+    # reads I_s entry by entry, so the two may add in other orders: they
+    # agree to 1e-13 of the term's largest value.  With one sign of one I_s
+    # flipped in the frame the code reads, they do not.  The vertically
+    # uniform field of _jet_fields has no Reeb derivative, so a random one
+    # stands in for it
+    grid = make_grid(1, m)
+    rough = ScalarField(grid, np.random.default_rng(m).normal(size=grid.shape))
+    for f in (_jet_fields(m)[0], rough):
+        first = np.stack([_ref_first_difference(f.values, grid, a) for a in range(grid.dim_h)])
+        ref = _ref_reeb_mixed(first, grid)
+        tol = 1e-13 * float(np.max(np.abs(ref)))
+        assert tol > 0.0
+        assert float(np.max(np.abs(identities._reeb_mixed(grid, first) - ref))) <= tol
+        fd = frame_data(grid)
+        for s in range(3):
+            flipped = [I.copy() for I in fd.structure.I]
+            a, b = np.argwhere(flipped[s] != 0.0)[0]
+            flipped[s][a, b] *= -1.0
+            broken = lattice.FrameData(omega=fd.omega, structure=algebra.QuaternionicStructure(
+                n=fd.structure.n, I=tuple(flipped)))
+            monkeypatch.setattr(identities, "frame_data", lambda grid: broken)
+            assert float(np.max(np.abs(identities._reeb_mixed(grid, first) - ref))) > tol, s
+            monkeypatch.undo()
+
+
 def _reference_bochner(values, grid):
     """The Bochner residual's three L2 norms from whole-field formulas."""
     first = np.stack([_ref_first_difference(values, grid, a) for a in range(grid.dim_h)])
     lhs = 0.5 * _ref_sub_laplacian(np.sum(first ** 2, axis=0), grid)
     lap = _ref_sub_laplacian(values, grid)
     grad_lap = np.stack([_ref_first_difference(lap, grid, a) for a in range(grid.dim_h)])
-    mixed = identities._reeb_mixed(grid, first)
+    mixed = _ref_reeb_mixed(first, grid)
     rhs = -_ref_hessian(values, grid)[0] + np.sum(grad_lap * first, axis=0) - 4.0 * mixed
     return tuple(float(np.sqrt(grid.cell_volume * np.sum(v * v)))
                  for v in (lhs, rhs, lhs - rhs))
@@ -576,7 +620,7 @@ def _reference_catalog(values, grid):
     for t in range(3):
         pairing += omega[t] * omega[t]
     i_xi2 = float(vol * np.sum(w2 * xi_sq(F)))
-    mixed_f = float(vol * np.sum(identities._reeb_mixed(grid, grad(f))))
+    mixed_f = float(vol * np.sum(_ref_reeb_mixed(grad(f), grid)))
     return {
         "I_mixed": float(vol * np.sum(np.power(values, 1 - 3 * a) * lap_F * grad_sq)),
         "I_xi2": i_xi2,
@@ -587,7 +631,7 @@ def _reference_catalog(values, grid):
         "gr4": (mixed_f, -(1.0 / (4 * n)) * (float(vol * np.sum(pairing))
                                             + float(vol * np.sum(lap_f ** 2)))),
         "intform": (mixed_f, -4.0 * n * float(vol * np.sum(xi_sq(f)))),
-        "secondt": (float(vol * np.sum(w2 * identities._reeb_mixed(grid, dF))),
+        "secondt": (float(vol * np.sum(w2 * _ref_reeb_mixed(dF, grid))),
                     -4.0 * n * i_xi2),
     }
 
