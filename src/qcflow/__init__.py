@@ -37,7 +37,6 @@ from .lattice import (
     frame_data,
     group_inverse,
     group_multiply,
-    horizontal_step_index,
     integrate,
     load_field,
     make_grid,

@@ -143,13 +143,6 @@ class TorsionData:
     S: float
     T0_xi: tuple | None = None
 
-    @classmethod
-    def zero(cls, n: int) -> "TorsionData":
-        d = 4 * n
-        z = np.zeros((d, d))
-        return cls(n=n, T0=z, U=z.copy(), S=0.0,
-                   T0_xi=(z.copy(), z.copy(), z.copy()))
-
 
 def trace_free_casimir_part(sym: np.ndarray, Q: QuaternionicStructure) -> np.ndarray:
     """Trace-free [3]-component of a symmetric matrix (the U-type tensors)."""

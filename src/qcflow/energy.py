@@ -17,8 +17,7 @@ import numpy as np
 from .algebra import alpha_interval, h_polynomial
 from .flow import FlowState
 from .identities import FlowQuantities, IdentityReport, NORM_FLOOR, check_alpha, require_positive
-from .lattice import ScalarField
-from .operators import weighted_grad_sq_integral
+from .lattice import ScalarField, grad_sq_pass
 
 CSV_COLUMNS = (
     "time", "energy", "dF_dt_numeric", "dF_dt_analytic", "term_laplacian",
@@ -30,13 +29,14 @@ CSV_COLUMNS = (
 def energy(u: ScalarField) -> float:
     """E(u) = int |grad phi|^2 u, phi = -ln u.
 
-    One block pass over the first differences of ln u alone (no jet, no
-    Laplacian) forms |grad phi|^2 u and its sum per block, with the bits of
-    integrating np.sum(DifferenceJet(phi).first ** 2, axis=0) * u: negating
-    ln u is exact through the difference, the division and the square.
+    lattice.grad_sq_pass over the first differences of ln u alone (no jet,
+    no Laplacian) forms |grad phi|^2 u and its sum per block, with the bits
+    of integrating np.sum(DifferenceJet(phi).first ** 2, axis=0) * u:
+    negating ln u is exact through the difference, the division and the
+    square.
     """
     require_positive(u)
-    return weighted_grad_sq_integral(ScalarField(u.grid, np.log(u.values)), u.values)
+    return grad_sq_pass(np.log(u.values), u.grid, u.values)
 
 
 def derf_coefficients(n: int, alpha: float):

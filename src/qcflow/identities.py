@@ -10,8 +10,7 @@ exponent alpha, and internally use F = u^alpha and f = u^(1/2).
 """
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -42,12 +41,6 @@ class IdentityReport:
     @property
     def relative_residual(self) -> float:
         return self.residual / self.norm_scale
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "relative_residual": self.relative_residual}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _report(name, lhs, rhs, grid, norm_scale=None) -> IdentityReport:

@@ -16,15 +16,15 @@ the steps with the C functions of _steps.c, compiled on first use, and
 keep no step table: a fibre's roll moves each of its planes alike, and
 each grid makes one m^4-entry int64 table of the m^2 plane rolls (32 KiB
 at m_x = 8), on its first pass, that every worker reads.  There are four
-passes, which share the point blocks and the worker pool (_share_blocks).
-map_blocks hands the block kernels of one field (the energy's) its
-differences D_a, written by difference_gather, not raw steps, and
-hessian_pass hands a contraction each block's composed differences of a
-(4n, N) stack, which hessian_block sums into tr H, omega_s(H) and |H|^2
-(divergence is -tr H of a 1-form's components).  euler_pass
-(euler_update, the Euler step) and jet_pass (difference_jet, a field's
-D_a and compact Laplacian) make one C call per worker over its run of
-blocks, with the interpreter lock released.  Each C function does the
+passes over fixed C calls, which share the point blocks and the worker
+pool (_share_blocks).  euler_pass (euler_update, the Euler step) and
+jet_pass (difference_jet, a field's D_a and compact Laplacian) make one C
+call per worker over its run of blocks, with the interpreter lock
+released.  grad_sq_pass (the energy's int |Df|^2 weight) squares each
+block's differences D_a, written by difference_gather, and hessian_pass
+hands a contraction each block's composed differences of a (4n, N) stack,
+which hessian_block sums into tr H, omega_s(H) and |H|^2 (divergence is
+-tr H of a 1-form's components).  Each C function does the
 + - x / of the whole-field numpy formula in its per-point order, under
 -ffp-contract=off (no FMA), so all have the bits of the numpy route on
 every machine.
@@ -150,8 +150,10 @@ class LatticeGrid:
         """Flat index map P with (S f)(g) = f(g * (dir*h_x e_a, 0)) = f.flat[P].
 
         The reference index map of one step, built on demand as an int64
-        table: no run path reads one (map_blocks reads the steps with the C
-        functions of _steps.c), so nothing keeps it.
+        table: the tests compare the passes with gathers through it, and
+        the geometry suite checks it against the group law.  No run path
+        reads one (the passes read the steps with the C functions of
+        _steps.c), so nothing keeps it.
 
         The step is the affine map i_a -> i_a + d, t_s -> t_s + d K_s(x)
         (mod m) with K_s(x) = sum_b twist[s][b, a] i_b: crossing the top or
@@ -185,31 +187,6 @@ def make_grid(n: int, m_x: int) -> LatticeGrid:
     return LatticeGrid(n=n, m_x=m_x)
 
 
-def horizontal_step_index(grid: LatticeGrid, idx, a: int, direction: int):
-    """Grid index of g * (direction*h_x e_a, 0) for the point g at idx."""
-    if not 0 <= a < grid.dim_h:
-        raise ValueError(f"horizontal axis {a} out of range")
-    if direction not in (-1, 1):
-        raise ValueError("direction must be +1 or -1")
-    m = grid.m_x
-    ix = [int(i) for i in idx[: grid.dim_h]]
-    it = [int(i) for i in idx[grid.dim_h:]]
-    new_ix = list(ix)
-    new_ix[a] += direction
-    coef = direction
-    if new_ix[a] == m:
-        new_ix[a] = 0
-        coef += m
-    elif new_ix[a] == -1:
-        new_ix[a] = m - 1
-        coef -= m
-    out_t = []
-    for s in range(3):
-        K = int(sum(grid.twist[s][b, a] * ix[b] for b in range(grid.dim_h)))
-        out_t.append((it[s] + coef * K) % grid.m_t)
-    return tuple(new_ix) + tuple(out_t)
-
-
 @dataclass
 class ScalarField:
     grid: LatticeGrid
@@ -237,11 +214,10 @@ class HorizontalField:
             raise ValueError("component shape does not match the grid")
 
 
-# a float64 block of BLOCK_POINTS values is 256 KiB.  A kernel's pass holds
-# its difference buffer (one block per row) and its kernel's block arrays,
-# and the Euler and jet passes hold none: the energy's pass holds two, which
-# stay in a core's L2 cache (2 MiB a core on the 2-core Xeon of the BENCH
-# files).  The largest, F's Hessian pass with production's contraction,
+# a float64 block of BLOCK_POINTS values is 256 KiB.  The Euler and jet
+# passes hold none: the energy's pass holds two (its difference buffer and
+# |Df|^2), which stay in a core's L2 cache (2 MiB a core on the 2-core Xeon
+# of the BENCH files).  The largest, F's Hessian pass with production's contraction,
 # holds per worker tr, three omega, |H|^2 and 4 scratch arrays, 9 blocks,
 # and the 4n rows of one 4096-point sub-block of hessian_block (128 KiB at
 # n = 1): about 2.4 MiB at n = 1, a little over L2.
@@ -450,12 +426,13 @@ def _one_field(values: np.ndarray, grid: LatticeGrid, what: str) -> np.ndarray:
 
 
 def _pass_blocks(block, grid: LatticeGrid, rows: int, scratch) -> tuple:
-    """The block driver of map_blocks and hessian_pass: call
+    """The block driver of grad_sq_pass and hessian_pass: call
     block(start, k, buf, work, blocks) once per block [start, start + k),
     where buf holds rows * k float64 or more, work is the C functions'
     int64 work space (_work_len) and blocks holds one contiguous array of
     shape lead + (k,) per entry lead of scratch, and return the whole-field
-    total of each entry of the tuple of block sums that block returns.
+    total of each entry of the tuple of block sums that block returns
+    (np.add.reduce, the reduction of np.sum without its wrapper), or of none.
 
     The blocks are the nodes of numpy's pairwise-summation tree over the
     grid.size points that first have at most BLOCK_POINTS points
@@ -487,58 +464,45 @@ def _pass_blocks(block, grid: LatticeGrid, rows: int, scratch) -> tuple:
     return tuple(_tree_sum(entry, grid.size) for entry in zip(*sums))
 
 
-def map_blocks(kernel, values: np.ndarray, grid: LatticeGrid, scratch=()) -> tuple:
-    """Map a block kernel over the step differences of one field: the
-    blocked gather pass of the energy.
+def grad_sq_pass(values: np.ndarray, grid: LatticeGrid, weight: np.ndarray) -> float:
+    """int |Df|^2 weight of one field f, |Df|^2 = sum_a (D_a f)^2: the
+    energy's pass.
 
-    The helper calls kernel(blk, steps, scratch) once per block of
-    _pass_blocks, the flat slice blk of k points.  steps yields (a, d) for
-    the axes a = 0 .. 4n-1 in order, where d holds the centred differences
-    D_a = (S_a^+ - S_a^-) / (2 h_x) of the field on blk in one contiguous
-    (k,) buffer; it writes axis a when the kernel asks for it and overwrites
-    the buffer with the next axis, so the kernel may work in it.  scratch
-    holds one contiguous array of shape lead + (k,) per entry lead of
-    `scratch`, the block's work space.  A kernel starts its block before
-    its axis loop and finishes it after the loop; it writes only into its
-    outputs at [blk], returns a tuple of its block's sums (np.add.reduce,
-    the reduction of np.sum without its wrapper) or nothing, and calls no
-    public qcflow function.  One that does per point what a whole-field
-    pass does, in the same order, gets its bits whatever thread runs the
-    block.  The call returns one whole-field total per entry of the
-    kernel's tuple.  A stack of fields is refused: the Hessian of a stack
-    is hessian_pass.
-
-    The differences are the C function difference_gather (_steps.c).  Like
-    every C function of the passes it computes each vertical fibre's source
-    fibres and rolls from the affine step, reads the rolled values itself
-    through the grid's table of the m^2 plane rolls and does the + - x / of
-    the whole-field numpy formula over gathers through step_permutation in
-    its per-point order, each one rounded on its own: the library is
-    compiled with -ffp-contract=off, so no multiply and add fuse into an
-    FMA, and each has the numpy bits on every machine, with no index table.
+    Per block of _pass_blocks, the C function difference_gather writes the
+    centred differences D_a = (S_a^+ - S_a^-) / (2 h_x) of the block, axis
+    by axis, into one buffer, which is squared into the block's |Df|^2 in
+    axis order (the first axis straight into it); times the weight, its
+    np.add.reduce is the block's sum.  Those are the per-point operations of
+    integrating np.sum(DifferenceJet(f).first ** 2, axis=0) * weight, in
+    their order, so the pass has their bits and builds no whole field.  A
+    stack of fields is refused.
     """
     lib = _step_kernel()
-    src = _one_field(values, grid, "block pass")
+    src = _one_field(values, grid, "gradient pass")
+    w = np.reshape(weight, -1)
     m, dim_h, size = grid.m_x, grid.dim_h, grid.size
     two_h = 2.0 * grid.h_x
-    # the C functions read src and the grid's constants by address: all
+    # the C function reads src and the grid's constants by address: all
     # live until every run has ended, since this call returns only then
     cols, rolls = grid._step_constants
     src_at, cols_at, rolls_at = src.ctypes.data, cols.ctypes.data, rolls.ctypes.data
 
     def block(start: int, k: int, buf, work, blocks):
-        d = buf[:k]
+        d, sq = buf[:k], blocks[0]
         d_at, work_at = d.ctypes.data, work.ctypes.data
+        for a in range(dim_h):
+            lib.difference_gather(src_at, d_at, work_at, 1, size, start, k,
+                                  m, dim_h, a, cols_at, rolls_at, two_h)
+            if a == 0:
+                np.multiply(d, d, out=sq)
+            else:
+                d *= d
+                sq += d
+        sq *= w[start:start + k]
+        return (np.add.reduce(sq),)
 
-        def axes():
-            for a in range(dim_h):
-                lib.difference_gather(src_at, d_at, work_at, 1, size, start, k,
-                                      m, dim_h, a, cols_at, rolls_at, two_h)
-                yield a, d
-
-        return kernel(slice(start, start + k), axes(), blocks)
-
-    return _pass_blocks(block, grid, 1, scratch)
+    (total,) = _pass_blocks(block, grid, 1, ((),))
+    return float(grid.cell_volume * total)
 
 
 def _omega_terms(omega: np.ndarray) -> np.ndarray:
@@ -567,13 +531,12 @@ def hessian_pass(stack: np.ndarray, grid: LatticeGrid, contract, with_norm: bool
     also |H|^2, into block arrays tr (k,), om (3, k) and nsq (k,); nsq is
     None without with_norm.  It reads omega_s as one entry +-1 per row,
     which the frame of every n has, and refuses a frame without that
-    structure (_omega_terms, whose table hessian_block reads).  Then
+    structure (FrameData.omega_terms, the table hessian_block reads).  Then
     contract(blk, tr, om, nsq, work) writes the block's share of the
-    caller's outputs and returns its block's sums, as a map_blocks kernel
-    does; work holds one block array per entry of scratch.  The pass
-    returns the whole-field sum of each entry, and builds no Hessian field.
-    contract runs on the pool's threads: it may call no public qcflow
-    function.
+    caller's outputs and returns its block's sums, or nothing; work holds
+    one block array per entry of scratch.  The pass returns the whole-field
+    sum of each entry, and builds no Hessian field.  contract runs on the
+    pool's threads: it may call no public qcflow function.
     """
     lib = _step_kernel()
     m, dim_h, size = grid.m_x, grid.dim_h, grid.size
@@ -581,9 +544,9 @@ def hessian_pass(stack: np.ndarray, grid: LatticeGrid, contract, with_norm: bool
         raise ValueError(f"the Hessian pass takes a ({dim_h},) + grid.shape stack, "
                          f"not values of shape {np.shape(stack)}")
     src = np.ascontiguousarray(stack, dtype=np.float64)
-    terms = _omega_terms(frame_data(grid).omega)
+    terms = frame_data(grid).omega_terms
     two_h = 2.0 * grid.h_x
-    # as in map_blocks, every address read by the C call lives until the
+    # as in grad_sq_pass, every address read by the C call lives until the
     # pass returns
     cols, rolls = grid._step_constants
     src_at, cols_at, rolls_at = src.ctypes.data, cols.ctypes.data, rolls.ctypes.data
@@ -686,6 +649,14 @@ class FrameData:
 
     omega: np.ndarray                     # (3, 4n, 4n), omega_s(e_a, e_b)
     structure: QuaternionicStructure      # triple I_s with omega_s = g(I_s., .)
+
+    @functools.cached_property
+    def omega_terms(self) -> np.ndarray:
+        """The table of omega that hessian_pass reads (_omega_terms), built
+        on first use and kept with the frame, so once per n."""
+        table = _omega_terms(self.omega)
+        table.flags.writeable = False
+        return table
 
 
 def frame_data(grid: LatticeGrid) -> FrameData:

@@ -20,8 +20,9 @@ consumer passes a contraction that reads a block's contractions and
 returns its block sums of the consumer's integrands (the production
 integrals of identities.FlowQuantities, the Bochner residual, the
 omega-contraction check of the calculus suite, and p_functional).
-divergence is -tr H of the same pass over its 1-form's components, and
-the energy's |Df|^2 is the one block kernel of lattice.map_blocks.
+divergence is -tr H of the same pass over its 1-form's components.  The
+energy's int |Df|^2 u is lattice.grad_sq_pass, which reads the steps of
+ln u alone and builds no jet.
 sub_laplacian and p_functional read a jet, so a caller that needs both
 passes the jet instead of the field and pays for the gathers once; any
 other difference of a derived field (the identity catalog's commutators)
@@ -51,7 +52,6 @@ from .lattice import (
     ScalarField,
     hessian_pass,
     jet_pass,
-    map_blocks,
     vertical_shift,
 )
 
@@ -79,30 +79,6 @@ class DifferenceJet:
 
 def _jet(f: ScalarField | DifferenceJet) -> DifferenceJet:
     return f if isinstance(f, DifferenceJet) else DifferenceJet(f)
-
-
-def weighted_grad_sq_integral(f: ScalarField, weight: np.ndarray) -> float:
-    """int |Df|^2 weight, with |Df|^2 = sum_a (D_a f)^2 summed
-    in axis order from the step differences alone: one block kernel forms
-    the integrand and returns its sum per block to map_blocks, with the bits of
-    integrating np.sum(DifferenceJet(f).first ** 2, axis=0) * weight, and
-    builds no whole field (no jet, no Laplacian)."""
-    grid = f.grid
-    w = weight.reshape(-1)
-
-    def kernel(blk, steps, scratch):
-        sq = scratch[0]
-        # the first axis squares straight into sq
-        _, d = next(steps)
-        np.multiply(d, d, out=sq)
-        for _, d in steps:
-            d *= d
-            sq += d
-        sq *= w[blk]
-        return (np.add.reduce(sq),)
-
-    (total,) = map_blocks(kernel, f.values.reshape(-1), grid, scratch=((),))
-    return float(grid.cell_volume * total)
 
 
 def reeb_derivative(f: ScalarField, s: int) -> ScalarField:

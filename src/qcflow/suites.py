@@ -50,7 +50,6 @@ from .lattice import (
     group_inverse,
     group_multiply,
     GroupPoint,
-    horizontal_step_index,
     integrate,
     grid_inner,
     hessian_pass,
@@ -239,17 +238,18 @@ def geometry_suite(seed: int = 1, m_x: int = 3) -> SuiteReport:
     grid = make_grid(1, m_x)
     checks = []
 
-    # exhaustive: every step from every point lands exactly on a grid point
-    # (group-law oracle: the landed index equals the true product up to an
-    # integer lattice translation)
+    # exhaustive: every step of the reference tables (step_permutation)
+    # from every point lands exactly on a grid point (group-law oracle: the
+    # landed index equals the true product up to an integer lattice
+    # translation)
     worst = 0.0
+    tables = {(a, d): grid.step_permutation(a, d) for a in range(4) for d in (-1, 1)}
     steps = {(a, d): GroupPoint(np.eye(4)[a] * d * grid.h_x, np.zeros(3))
-             for a in range(4) for d in (-1, 1)}
-    for idx in itertools.product(range(m_x), repeat=7):
+             for a, d in tables}
+    for flat, idx in enumerate(itertools.product(range(m_x), repeat=7)):
         g = grid.point_at(idx)
         for (a, d), stepper in steps.items():
-            new_idx = horizontal_step_index(grid, idx, a, d)
-            q = grid.point_at(new_idx)
+            q = grid.point_at(np.unravel_index(tables[a, d][flat], grid.shape))
             p = group_multiply(g, stepper)
             gamma = group_multiply(q, group_inverse(p))
             kx = gamma.x / grid.L_x
@@ -260,12 +260,8 @@ def geometry_suite(seed: int = 1, m_x: int = 3) -> SuiteReport:
     checks.append(_verdict("steps_land_on_grid", worst, 1e-12, worst <= 1e-12,
                            detail=f"exhaustive over {grid.size} points x 8 directions"))
 
-    bijective = True
-    for a in range(4):
-        for d in (-1, 1):
-            perm = grid.step_permutation(a, d)
-            if not np.array_equal(np.sort(perm), np.arange(grid.size)):
-                bijective = False
+    bijective = all(np.array_equal(np.sort(perm), np.arange(grid.size))
+                    for perm in tables.values())
     checks.append(_verdict("step_bijectivity", 0.0 if bijective else 1.0, 0.0,
                            bijective))
 

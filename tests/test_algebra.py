@@ -27,6 +27,12 @@ def maxabs(a):
     return float(np.max(np.abs(a)))
 
 
+def zero_torsion(n):
+    """The model's torsion: every component zero, the per-Reeb parts too."""
+    z = np.zeros((4 * n, 4 * n))
+    return TorsionData(n=n, T0=z, U=z.copy(), S=0.0, T0_xi=(z.copy(), z.copy(), z.copy()))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_triple_relations(n):
     Q = make_quaternionic_structure(n)
@@ -165,7 +171,7 @@ def test_torsion_invariants(n):
 
 def test_torsion_contraction_zero_cases():
     Q = make_quaternionic_structure(2)
-    td = TorsionData.zero(2)
+    td = zero_torsion(2)
     rng = np.random.default_rng(1)
     X = rng.normal(size=8)
     Y = rng.normal(size=8)
@@ -202,7 +208,7 @@ def test_torsion_contraction_matches_per_reeb_oracle():
 
 def test_torsion_contraction_rejects_bad_reeb_index():
     Q = make_quaternionic_structure(1)
-    td = TorsionData.zero(1)
+    td = zero_torsion(1)
     with pytest.raises(ValueError):
         torsion_contraction(td, Q, 3, np.ones(4), np.ones(4))
 
@@ -216,7 +222,7 @@ def test_ricci_from_torsion():
         X[0] = 1.0
         td = TorsionData(n=n, T0=np.zeros((d, d)), U=np.zeros((d, d)), S=1.3)
         assert abs(ricci_from_torsion(td, Q, X, X) - 2 * (n + 2) * 1.3) <= TOL
-        tdz = TorsionData.zero(n)
+        tdz = zero_torsion(n)
         assert abs(ricci_from_torsion(tdz, Q, X, X)) <= TOL
     # n = 2: coefficients 6, 18, 8 recomputed independently
     Q = make_quaternionic_structure(2)
@@ -242,7 +248,7 @@ def test_lichnerowicz_two_expressions_agree(n):
 
 def test_lichnerowicz_special_values():
     Q = make_quaternionic_structure(1)
-    td = TorsionData.zero(1)
+    td = zero_torsion(1)
     X = np.array([1.0, 0.0, 0.0, 0.0])
     assert abs(lichnerowicz_form(td, Q, X)) <= TOL
     td1 = TorsionData(n=1, T0=np.zeros((4, 4)), U=np.zeros((4, 4)), S=1.0)
@@ -253,7 +259,7 @@ def test_lichnerowicz_special_values():
 def test_represtor_identity(n):
     Q = make_quaternionic_structure(n)
     rng = np.random.default_rng(31)
-    tdz = TorsionData.zero(n)
+    tdz = zero_torsion(n)
     lhs, rhs = represtor_combination(tdz, Q, np.ones(Q.dim))
     assert abs(lhs) <= TOL and abs(rhs) <= TOL
     for _ in range(100):

@@ -1,5 +1,4 @@
 """Tests for the identity catalog."""
-import json
 
 import numpy as np
 import pytest
@@ -173,14 +172,3 @@ def test_sign_mutation_inflates_firstt():
     assert abs(rep.lhs) > 0 and abs(rep.rhs) > 0
     flipped = abs(rep.lhs + rep.rhs)  # residual if the rhs sign were wrong
     assert flipped >= 10.0 * rep.residual
-
-
-def test_report_serialization():
-    u = uniform_u(3)
-    rep = identity_residual("gr4", u)
-    data = json.loads(rep.to_json())
-    for key in ("name", "lhs", "rhs", "residual", "norm_scale",
-                "relative_residual", "n", "m_x"):
-        assert key in data
-    assert data["name"] == "gr4"
-    assert data["m_x"] == 3

@@ -2,6 +2,7 @@
 import ast
 import hashlib
 import itertools
+import re
 import shlex
 import subprocess
 import sys
@@ -21,14 +22,13 @@ from qcflow.lattice import (
     frame_data,
     group_inverse,
     group_multiply,
-    horizontal_step_index,
     imaginary_product,
     integrate,
     load_field,
     make_grid,
-    map_blocks,
     periodized_bump,
     save_field,
+    twist_matrices,
     vertical_shift,
 )
 
@@ -78,11 +78,18 @@ def test_group_noncommutativity_center():
     assert np.allclose(comm.t, 4.0 * imaginary_product(e1.x, e2.x), atol=1e-12)
 
 
+def _step_index(grid, idx, a, direction):
+    """Grid index of g * (direction*h_x e_a, 0) for the point g at idx,
+    read from the reference table step_permutation."""
+    flat = grid.step_permutation(a, direction)[np.ravel_multi_index(idx, grid.shape)]
+    return tuple(int(i) for i in np.unravel_index(flat, grid.shape))
+
+
 def test_step_from_origin_is_pure_x_shift():
     grid = make_grid(1, 4)
     origin = (0,) * 7
     for a in range(4):
-        new = horizontal_step_index(grid, origin, a, +1)
+        new = _step_index(grid, origin, a, +1)
         expect = [0] * 7
         expect[a] = 1
         assert new == tuple(expect)
@@ -93,33 +100,32 @@ def test_step_twist_unit():
     # exactly one grid unit, since 2 h_x * h_x = h_t
     grid = make_grid(1, 4)
     idx = (0, 1, 0, 0, 0, 0, 0)
-    new = horizontal_step_index(grid, idx, 0, +1)
+    new = _step_index(grid, idx, 0, +1)
     tshift = np.array(new[4:]) - np.array(idx[4:])
     tshift = (tshift + grid.m_t // 2) % grid.m_t - grid.m_t // 2
     assert sorted(np.abs(tshift)) == [0, 0, 1]
 
 
 def test_step_round_trip_exhaustive_m3():
+    # the step back undoes the step forward at every point
     grid = make_grid(1, 3)
-    for idx in itertools.product(range(3), repeat=7):
-        for a in range(4):
-            fwd = horizontal_step_index(grid, idx, a, +1)
-            back = horizontal_step_index(grid, fwd, a, -1)
-            assert back == idx
+    for a in range(4):
+        fwd, back = grid.step_permutation(a, +1), grid.step_permutation(a, -1)
+        assert np.array_equal(back[fwd], np.arange(grid.size))
 
 
 def test_step_lands_on_grid_exhaustive_m3():
-    # group-law oracle: the stepped index names exactly the group product,
-    # up to a lattice translation with integer coefficients
+    # group-law oracle: the stepped index of the table names exactly the
+    # group product, up to a lattice translation with integer coefficients
     grid = make_grid(1, 3)
     h = grid.h_x
     steps = {(a, d): GroupPoint(np.eye(4)[a] * d * h, np.zeros(3))
              for a in range(4) for d in (-1, 1)}
-    for idx in itertools.product(range(3), repeat=7):
+    tables = {key: grid.step_permutation(*key) for key in steps}
+    for flat, idx in enumerate(itertools.product(range(3), repeat=7)):
         g = grid.point_at(idx)
         for (a, d), stepper in steps.items():
-            new_idx = horizontal_step_index(grid, idx, a, d)
-            q = grid.point_at(new_idx)
+            q = grid.point_at(np.unravel_index(tables[a, d][flat], grid.shape))
             p = group_multiply(g, stepper)
             gamma = group_multiply(q, group_inverse(p))
             kx = gamma.x / grid.L_x
@@ -139,18 +145,28 @@ def test_step_permutation_bijective(m):
 
 def test_step_permutation_matches_index_arithmetic():
     # every table, both directions, at every point: the broadcast
-    # construction against the point-by-point group step
+    # construction against the group law (x, t) * (x', t') = (x + x',
+    # t + t' + 2 x B_s x'), over the whole grid at once.  The landed point
+    # q and the product p = g * (d h_x e_a, 0) differ by a lattice element
+    # gamma = q * p^-1 with integer coordinates in units of L_x and L_t
     for n, m in ((1, 3), (1, 4), (2, 2)):
         grid = make_grid(n, m)
-        points = list(np.ndindex(*grid.shape))
-        for a in range(grid.dim_h):
+        dim_h, B = grid.dim_h, twist_matrices(n)
+        idx = np.indices(grid.shape).reshape(dim_h + 3, -1).astype(float)
+        g_x, g_t = idx[:dim_h] * grid.h_x, idx[dim_h:] * grid.h_t
+        for a in range(dim_h):
             for d in (-1, 1):
                 perm = grid.step_permutation(a, d)
                 assert perm.dtype == np.int64 and perm.shape == (grid.size,)
-                expect = np.ravel_multi_index(
-                    np.array([horizontal_step_index(grid, idx, a, d)
-                              for idx in points]).T, grid.shape)
-                assert np.array_equal(perm, expect), (n, m, a, d)
+                landed = np.array(np.unravel_index(perm, grid.shape), dtype=float)
+                q_x, q_t = landed[:dim_h] * grid.h_x, landed[dim_h:] * grid.h_t
+                p_x = g_x.copy()
+                p_x[a] += d * grid.h_x
+                p_t = g_t + 2.0 * d * grid.h_x * np.einsum("bp,sb->sp", g_x, B[:, :, a])
+                k_x = (q_x - p_x) / grid.L_x
+                k_t = (q_t - p_t - 2.0 * np.einsum("bp,sbc,cp->sp", q_x, B, p_x)) / grid.L_t
+                for k in (k_x, k_t):
+                    assert np.max(np.abs(k - np.round(k))) <= 1e-12, (n, m, a, d)
 
 
 def test_frame_structure():
@@ -312,6 +328,19 @@ def _tree_nodes(start, n, cap):
     return _tree_nodes(start, half, cap) + _tree_nodes(start + half, n - half, cap)
 
 
+def _gather(values, grid, start, k, a):
+    """D_a of the rows of values, a flat field or a (rows, N) stack, on the
+    points [start, start + k), by one call of difference_gather."""
+    rows = 1 if values.ndim == 1 else values.shape[0]
+    cols, rolls = grid._step_constants
+    work = np.empty(lattice._work_len(grid.dim_h), dtype=np.int64)
+    out = np.empty(values.shape[:-1] + (k,))
+    lattice._step_kernel().difference_gather(
+        values.ctypes.data, out.ctypes.data, work.ctypes.data, rows, grid.size, start, k,
+        grid.m_x, grid.dim_h, a, cols.ctypes.data, rolls.ctypes.data, 2.0 * grid.h_x)
+    return out
+
+
 def _stack_hessian(stack, grid, diff):
     """(|H|^2, tr H, omega_s(H)) of the composed differences H_ab =
     diff(row b, a) of a (4n, N) stack, flat, each summed from zero in (a, b)
@@ -347,8 +376,7 @@ def _collect_hessian(stack, grid):
 @pytest.mark.parametrize("m", [4, 5])
 def test_step_gathers_match_shift(m, monkeypatch):
     # m_x = 4 is one point block, m_x = 5 four tree nodes of 19528 to 19541
-    # points; one worker, so the kernel and contraction calls arrive in
-    # block order
+    # points; one worker, so the contraction calls arrive in block order
     monkeypatch.setattr(lattice, "WORKERS", 1)
     grid = make_grid(1, m)
     rng = np.random.default_rng(m)
@@ -356,26 +384,22 @@ def test_step_gathers_match_shift(m, monkeypatch):
     stacked = rng.normal(size=(grid.dim_h,) + grid.shape)
     starts = [start for start, _ in _tree_nodes(0, grid.size, BLOCK_POINTS)]
     assert len(starts) == (1 if m == 4 else 4)
+    assert lattice._block_bounds(grid.size)[:-1] == starts
 
     def diff(values, a):
         return ((shift(values, grid, a, +1) - shift(values, grid, a, -1))
                 / (2.0 * grid.h_x)).reshape(-1)
 
-    first = [diff(flat, a) for a in range(grid.dim_h)]
-    seen = []
-
-    def kernel(blk, steps, scratch):
-        for a, d in steps:
-            seen.append((blk.start, a))
-            assert d.shape == (blk.stop - blk.start,)
-            assert np.array_equal(d, first[a][blk])
-
-    map_blocks(kernel, flat, grid)
-    assert seen == [(start, a) for start in starts for a in range(grid.dim_h)]
+    # one row, the gather of the energy's pass, on each block of the passes
+    for start, stop in _tree_nodes(0, grid.size, BLOCK_POINTS):
+        for a in range(grid.dim_h):
+            d = _gather(flat, grid, start, stop - start, a)
+            assert d.shape == (stop - start,)
+            assert np.array_equal(d, diff(flat, a)[start:stop])
     # the Hessian pass over a stack: H_ab = D_a of row b, whose sums each
     # block's contraction receives
     expect = _stack_hessian(stacked, grid, diff)
-    seen.clear()
+    seen = []
 
     def contract(blk, tr, om, nsq, work):
         seen.append(blk.start)
@@ -393,9 +417,9 @@ def test_step_gathers_match_shift(m, monkeypatch):
                                   (3, 2)])
 def test_step_kernel_gathers_what_the_step_tables_give(n, m, workers, monkeypatch):
     # difference_gather against (S^+ - S^-) / 2h through np.take of
-    # step_permutation, for every axis, on a flat field through map_blocks
-    # and on a (3, N) stack called by hand over the blocks, and the Hessian
-    # pass over a (4n, N) stack against the Hessian of the step tables;
+    # step_permutation, for every axis, called by hand over the blocks on a
+    # flat field and on a (3, N) stack, and the Hessian pass over a (4n, N)
+    # stack against the Hessian of the step tables;
     # blocks of a little over two vertical fibres cut fibres at every odd m
     # and at m = 6, so both whole fibres and the runs of cut ones are read
     monkeypatch.setattr(lattice, "WORKERS", workers)
@@ -414,33 +438,36 @@ def test_step_kernel_gathers_what_the_step_tables_give(n, m, workers, monkeypatc
         return (np.take(values, up, axis=-1) - np.take(values, down, axis=-1)) / (2.0 * grid.h_x)
 
     flat = rng.normal(size=grid.size)
-    expect = [diff(flat, a) for a in range(grid.dim_h)]
-    seen, wrong = [], []
-
-    def kernel(blk, steps, scratch):
-        for a, d in steps:
-            seen.append((blk.start, a))
-            if not np.array_equal(d, expect[a][blk]):
-                wrong.append((blk.start, a))
-
-    map_blocks(kernel, flat, grid)
-    assert sorted(seen) == [(start, a) for start in bounds[:-1] for a in range(grid.dim_h)]
-    assert wrong == []
     rows = rng.normal(size=(3, grid.size))
-    lib = lattice._step_kernel()
-    cols, rolls = grid._step_constants
-    work = np.empty(lattice._work_len(grid.dim_h), dtype=np.int64)
-    for a in range(grid.dim_h):
-        expect = diff(rows, a)
-        for start, stop in zip(bounds, bounds[1:]):
-            d = np.empty((3, stop - start))
-            lib.difference_gather(rows.ctypes.data, d.ctypes.data, work.ctypes.data, 3,
-                                  grid.size, start, stop - start, m, grid.dim_h, a,
-                                  cols.ctypes.data, rolls.ctypes.data, 2.0 * grid.h_x)
-            assert np.array_equal(d, expect[:, start:stop]), (start, a)
+    for values in (flat, rows):
+        for a in range(grid.dim_h):
+            expect = diff(values, a)
+            for start, stop in zip(bounds, bounds[1:]):
+                d = _gather(values, grid, start, stop - start, a)
+                assert np.array_equal(d, expect[..., start:stop]), (values.ndim, start, a)
     stacked = rng.normal(size=(grid.dim_h,) + grid.shape)
     for got, want in zip(_collect_hessian(stacked, grid), _stack_hessian(stacked, grid, diff)):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3),
+                                  (3, 2)])
+def test_grad_sq_pass_has_the_bits_of_the_step_tables(n, m, workers, monkeypatch):
+    # the energy's pass against vol * np.sum(np.sum(D ** 2, axis=0) * w),
+    # D_a = (S^+ - S^-) / 2h through np.take of step_permutation, with ==,
+    # on the blocks of the gather test above, which cut fibres
+    monkeypatch.setattr(lattice, "WORKERS", workers)
+    monkeypatch.setattr(lattice, "BLOCK_POINTS", max(128, 2 * m ** 3 + 1))
+    grid = make_grid(n, m)
+    rng = np.random.default_rng(m)
+    f = rng.normal(size=grid.shape)
+    w = rng.random(grid.shape)
+    D = np.stack([(np.take(f, grid.step_permutation(a, 1))
+                   - np.take(f, grid.step_permutation(a, -1))) / (2.0 * grid.h_x)
+                  for a in range(grid.dim_h)])
+    expect = grid.cell_volume * np.sum(np.sum(D ** 2, axis=0) * w.reshape(-1))
+    assert lattice.grad_sq_pass(f, grid, w) == expect
 
 
 def test_runtime_dim_h_bodies_keep_the_numpy_order(monkeypatch):
@@ -649,7 +676,7 @@ def test_fused_jet_refuses_what_it_cannot_write():
 
 
 def test_block_passes_refuse_what_they_cannot_read():
-    # map_blocks differentiates one field and hessian_pass a (4n,) +
+    # grad_sq_pass differentiates one field and hessian_pass a (4n,) +
     # grid.shape stack: a stack, a flat field and a stack of other rows are
     # refused before any block, and left as they were
     grid = make_grid(1, 3)
@@ -658,8 +685,8 @@ def test_block_passes_refuse_what_they_cannot_read():
         raise AssertionError("a block was run")
 
     stacked = np.ones((grid.dim_h, grid.size))
-    with pytest.raises(ValueError, match="block pass takes one field"):
-        map_blocks(kernel, stacked, grid)
+    with pytest.raises(ValueError, match="gradient pass takes one field"):
+        lattice.grad_sq_pass(stacked, grid, np.ones(grid.size))
     assert np.array_equal(stacked, np.ones((grid.dim_h, grid.size)))
     for values in (np.ones(grid.size), np.ones(grid.shape),
                    np.ones((grid.dim_h - 1,) + grid.shape)):
@@ -719,7 +746,7 @@ def test_a_missing_compiler_stops_the_first_pass(tmp_path, monkeypatch):
         monkeypatch.setattr(lattice, "_steps_lib", None)
         monkeypatch.setattr(lattice, "_compiler", lambda: command)
         with pytest.raises(RuntimeError) as err:
-            map_blocks(lambda blk, steps, scratch: None, np.zeros(grid.size), grid)
+            lattice.grad_sq_pass(np.zeros(grid.size), grid, np.ones(grid.size))
         assert command[0] in str(err.value) and shown in str(err.value)
         states = flow.stream(flow.FlowConfig(m_x=3))
         assert next(states).step == 0
@@ -730,7 +757,7 @@ def test_a_missing_compiler_stops_the_first_pass(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_map_blocks_gives_each_worker_one_run_of_tree_blocks(workers, monkeypatch):
+def test_pass_blocks_gives_each_worker_one_run_of_tree_blocks(workers, monkeypatch):
     # the blocks are the same tree nodes for any worker count: 78125 points
     # make 16 nodes of at most 5000 points, and the workers take one
     # contiguous run of them each, 8 + 8 or 5 + 5 + 6.  A pool of exactly
@@ -744,15 +771,15 @@ def test_map_blocks_gives_each_worker_one_run_of_tree_blocks(workers, monkeypatc
     meet = threading.Barrier(workers, timeout=60)
     runs = {}
 
-    def kernel(blk, steps, scratch):
+    def block(start, k, buf, work, blocks):
         ident = threading.get_ident()
         if ident not in runs:
             runs[ident] = []
             meet.wait()
-        runs[ident].append((blk.start, blk.stop))
+        runs[ident].append((start, start + k))
 
     try:
-        map_blocks(kernel, np.zeros(grid.size), grid)
+        lattice._pass_blocks(block, grid, 1, ())
     finally:
         pool.shutdown()
     tree = _tree_nodes(0, grid.size, 5000)
@@ -766,8 +793,8 @@ def test_map_blocks_gives_each_worker_one_run_of_tree_blocks(workers, monkeypatc
 @pytest.mark.parametrize("cap", [None, 5000, 1000])
 def test_tree_sum_gives_the_bits_of_np_sum(cap, monkeypatch):
     # wide-magnitude data, where the order of the additions shows in the
-    # bits: a kernel that returns its block's np.add.reduce gets np.sum of
-    # the whole field back from map_blocks on every grid, and adding the
+    # bits: a block that returns its np.add.reduce gets np.sum of the whole
+    # field back from _pass_blocks on every grid, and adding the
     # same block sums left to right does not on some grid (so the test can
     # fail, and a numpy that sums another way fails it)
     if cap is not None:
@@ -778,11 +805,11 @@ def test_tree_sum_gives_the_bits_of_np_sum(cap, monkeypatch):
         grid = make_grid(1, m)
         values = rng.standard_normal(grid.size) * 2.0 ** rng.integers(-40, 40, grid.size)
 
-        def kernel(blk, steps, scratch):
-            return (np.add.reduce(values[blk]),)
+        def block(start, k, buf, work, blocks):
+            return (np.add.reduce(values[start:start + k]),)
 
         whole = np.sum(values)
-        assert map_blocks(kernel, values, grid) == (whole,), m
+        assert lattice._pass_blocks(block, grid, 1, ()) == (whole,), m
         left_to_right = 0.0
         for start, stop in _tree_nodes(0, grid.size, lattice.BLOCK_POINTS):
             left_to_right += np.sum(values[start:stop])
@@ -833,28 +860,54 @@ def test_step_tables_are_gathered_only_in_lattice():
 KEPT_UNCALLED = ("lattice.load_field",)
 
 
+def _names(node):
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
 def test_every_public_function_has_a_caller_in_the_package():
     # code whose only caller is its own test goes: a public module-level
-    # function must be referenced (by name or as an attribute) somewhere in
+    # function, or a public method of a package class (dunder methods are
+    # exempt), must be referenced (by name or as an attribute) somewhere in
     # src/qcflow outside its own definition, __init__.py and the kept
     # uncalled functions (a function that only those reach has no caller)
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
-    referenced = set()
+    public, referenced = {}, set()
     for name, tree in modules.items():
         for top in tree.body:
-            if isinstance(top, ast.FunctionDef) and f"{name}.{top.name}" in KEPT_UNCALLED:
-                continue
-            names = {node.id if isinstance(node, ast.Name) else node.attr
-                     for node in ast.walk(top)
-                     if isinstance(node, (ast.Name, ast.Attribute))}
-            if isinstance(top, ast.FunctionDef):
-                names.discard(top.name)
-            referenced |= names
-    public = {f"{name}.{top.name}": top.name for name, tree in modules.items()
-              for top in tree.body
-              if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")}
+            owner, defs = name, [top]
+            if isinstance(top, ast.ClassDef):
+                owner, defs = f"{name}.{top.name}", top.body
+                referenced |= set().union(*(_names(node) for node in top.bases
+                                            + top.decorator_list))
+            for node in defs:
+                if not isinstance(node, ast.FunctionDef):
+                    referenced |= _names(node)
+                    continue
+                qual = f"{owner}.{node.name}"
+                if not node.name.startswith("_"):
+                    public[qual] = node.name
+                if qual not in KEPT_UNCALLED:
+                    # a definition does not call itself
+                    referenced |= _names(node) - {node.name}
     assert set(KEPT_UNCALLED) <= public.keys()
     uncalled = sorted(qual for qual, fn in public.items()
                       if fn not in referenced and qual not in KEPT_UNCALLED)
     assert uncalled == []
+
+
+def test_the_c_exports_are_the_bound_functions_and_each_has_a_caller():
+    # the non-static functions of _steps.c are exactly those that
+    # _step_kernel gives argtypes, and lattice calls each of them
+    source = Path(lattice._STEPS_SOURCE).read_text()
+    exported = set(re.findall(r"^(?!static\b)\w[\w \t*]*?\b(\w+)\s*\(", source, re.M))
+    tree = ast.parse((SRC / "lattice.py").read_text())
+    bound = {node.targets[0].value.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Attribute)
+             and node.targets[0].attr == "argtypes"}
+    called = {node.func.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert exported == bound == {"difference_gather", "difference_jet", "euler_update",
+                                 "hessian_block", "plane_rolls"}
+    assert exported <= called

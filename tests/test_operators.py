@@ -799,26 +799,25 @@ def test_no_run_path_builds_a_step_table(monkeypatch):
         run()
 
 
-def test_map_blocks_runs_serially_inside_a_worker(monkeypatch):
-    # a kernel that calls the helper again, on a pool whose threads are all
-    # busy, must not wait for a free thread
+def test_pass_blocks_runs_serially_inside_a_worker(monkeypatch):
+    # a block that calls the block driver again, on a pool whose threads
+    # are all busy, must not wait for a free thread: the inner pass runs
+    # its 16 blocks on the one thread that called it
     monkeypatch.setattr(lattice, "WORKERS", 2)
     monkeypatch.setattr(lattice, "BLOCK_POINTS", 5000)
     grid = make_grid(1, 5)
-    values = np.arange(grid.size, dtype=float)
     inner = []
 
-    def inner_kernel(blk, steps, scratch):
-        for a, d in steps:
-            inner.append(threading.get_ident())
+    def inner_block(start, k, buf, work, blocks):
+        inner.append(threading.get_ident())
 
-    def kernel(blk, steps, scratch):
-        if blk.start == 0:
-            lattice.map_blocks(inner_kernel, values, grid)
+    def block(start, k, buf, work, blocks):
+        if start == 0:
+            lattice._pass_blocks(inner_block, grid, 1, ())
 
-    done = threading.Thread(target=lattice.map_blocks, args=(kernel, values, grid),
+    done = threading.Thread(target=lattice._pass_blocks, args=(block, grid, 1, ()),
                             daemon=True)
     done.start()
     done.join(timeout=120)
     assert not done.is_alive()
-    assert len(inner) == 16 * grid.dim_h and len(set(inner)) == 1
+    assert len(inner) == 16 and len(set(inner)) == 1
