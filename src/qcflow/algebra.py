@@ -265,7 +265,7 @@ def represtor_combination(td: TorsionData, Q: QuaternionicStructure,
 
 def h_polynomial(n: int, alpha: float) -> float:
     """Admissibility quadratic h_n(alpha) = 48 n alpha^2 - 2(16n-3) alpha - 3."""
-    return 48.0 * n * alpha * alpha - 2.0 * (16.0 * n - 3.0) * alpha - 3.0
+    return 48 * n * alpha * alpha - 2 * (16 * n - 3) * alpha - 3
 
 
 def alpha_interval(n: int):

@@ -43,17 +43,17 @@ def derf_coefficients(n: int, alpha: float):
     """The five rational coefficients of the energy-production formula.
 
     Order: (Delta F)^2 term, |grad F|^4 term, P-pairing term, L term,
-    p(F) term.
+    p(F) term.  Integer literals keep them exact at Fraction input.
     """
     check_alpha(alpha)
     a = alpha
-    one_m2a = 1.0 - 2.0 * a
-    three_m4a = 3.0 - 4.0 * a
-    c_lap = 4.0 * a / (3.0 * one_m2a)
-    c_quart = h_polynomial(n, a) / (12.0 * (2 * n + 1) * a * a)
-    c_pfun = 4.0 * three_m4a * a * a / ((2 * n + 1) * one_m2a)
-    c_lich = -2.0 * n * three_m4a / (3.0 * (n + 2) * one_m2a)
-    c_pdef = -4.0 * n * three_m4a / (3.0 * (2 * n + 1) * one_m2a)
+    one_m2a = 1 - 2 * a
+    three_m4a = 3 - 4 * a
+    c_lap = 4 * a / (3 * one_m2a)
+    c_quart = h_polynomial(n, a) / (12 * (2 * n + 1) * a * a)
+    c_pfun = 4 * three_m4a * a * a / ((2 * n + 1) * one_m2a)
+    c_lich = -2 * n * three_m4a / (3 * (n + 2) * one_m2a)
+    c_pdef = -4 * n * three_m4a / (3 * (2 * n + 1) * one_m2a)
     return c_lap, c_quart, c_pfun, c_lich, c_pdef
 
 

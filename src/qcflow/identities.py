@@ -5,8 +5,12 @@ supplied field with the model's torsion terms (identically zero) and
 returns an IdentityReport.  Both sides are computed through independent
 subexpressions so that a sign error in one route cannot silently cancel.
 
-Tags operating on the heat-flow variables take a positive field u and the
-exponent alpha, and internally use F = u^alpha and f = u^(1/2).
+Six tags have code of their own: ricci2, ricci_mixed, bochner, gr4,
+intform and hesrep_contraction.  The other ten are the linear links of the
+lemma's chain, one row each of linear_rows over the integrals that
+FlowQuantities keeps of F = u^alpha (and of f = u^(1/2), its P-pairing).
+A row's coefficients are rational in (n, alpha), so at Fraction input the
+chain's algebra is exact.
 """
 from __future__ import annotations
 
@@ -43,18 +47,19 @@ class IdentityReport:
         return self.residual / self.norm_scale
 
 
-def _report(name, lhs, rhs, grid, norm_scale=None) -> IdentityReport:
+def _report(name, lhs, rhs, grid, norm_scale=None, residual=None) -> IdentityReport:
     if norm_scale is None:
         norm_scale = max(abs(lhs), abs(rhs), NORM_FLOOR)
-    return IdentityReport(name=name, lhs=float(lhs), rhs=float(rhs),
-                          residual=abs(float(lhs) - float(rhs)),
+    if residual is None:
+        residual = abs(float(lhs) - float(rhs))
+    return IdentityReport(name=name, lhs=float(lhs), rhs=float(rhs), residual=residual,
                           norm_scale=max(float(norm_scale), NORM_FLOOR),
                           n=grid.n, m_x=grid.m_x)
 
 
-def require_positive(u: ScalarField, role: str = "u"):
+def require_positive(u: ScalarField):
     if float(u.values.min()) <= 0.0:
-        raise ValueError(f"field {role} must be strictly positive")
+        raise ValueError("field u must be strictly positive")
 
 
 def check_alpha(alpha: float):
@@ -218,6 +223,10 @@ class FlowQuantities:
         return _integral(self.grid, w3 * self.jetF.laplacian * self.grad_sq)
 
     @cached_property
+    def I_reeb_mixed(self):
+        return _integral(self.grid, self.w2 * _reeb_mixed(self.grid, self.jetF.first))
+
+    @cached_property
     def I_xi2(self):
         return _integral(self.grid, self.w2 * _xi_sq(self.F))
 
@@ -264,9 +273,7 @@ def _ricci2_report(f: ScalarField) -> IdentityReport:
             twist_sq += twist * twist
             res_sq += (comm + twist) ** 2
     lhs, rhs, res = (float(np.sqrt(_integral(grid, v))) for v in (anti_sq, twist_sq, res_sq))
-    report = _report("ricci2", lhs, rhs, grid)
-    report.residual = res
-    return report
+    return _report("ricci2", lhs, rhs, grid, residual=res)
 
 
 def _ricci_mixed_report(f: ScalarField) -> IdentityReport:
@@ -329,9 +336,7 @@ def bochner_residual(f: ScalarField) -> IdentityReport:
 
     sums = hessian_pass(jet.first, grid, contract, with_norm=True, scratch=((), ()))
     lhs, rhs, res = (float(np.sqrt(grid.cell_volume * total)) for total in sums)
-    report = _report("bochner", lhs, rhs, grid)
-    report.residual = res
-    return report
+    return _report("bochner", lhs, rhs, grid, residual=res)
 
 
 def _reeb_mixed(grid: LatticeGrid, grad: np.ndarray) -> np.ndarray:
@@ -344,6 +349,72 @@ def _reeb_mixed(grid: LatticeGrid, grad: np.ndarray) -> np.ndarray:
         for a in range(grid.dim_h):
             mixed += reeb_derivative(ScalarField(grid, grad[a]), s).values * is_grad[a]
     return mixed
+
+
+def linear_rows(n, alpha) -> dict:
+    """Each linear tag as a row q -> (lhs, rhs, scale_terms) over the
+    integrals of a FlowQuantities q.  Coefficients are + - x / of n and
+    alpha with integer literals: at Fraction (n, alpha), on a record of
+    unit vectors, a row gives its exact coefficient vector."""
+    check_alpha(alpha)
+    a = alpha
+    half = 1 / (2 * a) - 1
+    c_div = (3 * n + 2) * (1 - 2 * a)
+
+    def deriv2(q):
+        p = q.production
+        return (a * a * q.deriv1_integral,
+                -2 * p.I_lap2 + (3 - 4 * a) / a * q.I_mixed
+                + (-1 + 3 * a - 2 * a * a) / (a * a) * p.I_quart, (2 * p.I_lap2,))
+    def deriv3(q):
+        return q.I_gradlap + (1 / a - 2) * q.I_mixed, q.production.I_lap2, ()
+    def firstt(q):
+        return ((1 / a - 2) * q.I_mixed,
+                (1 / a - 2) * (1 / a - 3) * q.production.I_quart + q.I_lap_gradsq,
+                (q.I_lap_gradsq,))
+    def secondt(q):
+        return q.I_reeb_mixed, -4 * n * q.I_xi2, ()
+    def deriv5(q):
+        p = q.production
+        return (3 * (1 / a - 2) / 2 * q.I_mixed,
+                (1 / a - 2) / 2 * (1 / a - 3) * p.I_quart
+                - (p.I_hess2 - 16 * n * q.I_xi2 - p.I_lap2), (p.I_hess2,))
+    def intform1(q):
+        p = q.production
+        return (-4 * n * q.I_xi2,
+                -(a * a / n) * q.P_pair_half - 1 / (4 * n) * p.I_lap2
+                + 1 / (2 * n) * half * q.I_mixed - 1 / (4 * n) * half * half * p.I_quart,
+                (1 / (4 * n) * p.I_lap2,))
+    def deriv6(q):
+        p = q.production
+        return (q.I_mixed,
+                8 * a ** 3 / c_div * q.P_pair_half
+                + (2 * n + 1 - 2 * (3 * n + 1) * a) / (2 * (3 * n + 2) * a) * p.I_quart
+                + (3 + 4 * n) * a / (2 * c_div) * p.I_lap2
+                - 2 * n * a / c_div * (1 / (4 * n) * p.I_omega2 + p.I_deficit), ())
+    def reprtor(q):
+        p = q.production
+        return (1 / (4 * n) * (p.I_lap2 + half * half * p.I_quart) + a * a / n * q.P_pair_half,
+                1 / (4 * n) * (2 * half * q.I_mixed + p.I_omega2), ())
+    def lastrep(q):
+        p = q.production
+        return (3 * (2 * n + 1) / 2 * q.I_mixed,
+                (8 * n + 3 - 6 * (4 * n + 1) * a) / (8 * a) * p.I_quart
+                + (2 * n + 1) * a / (1 - 2 * a) * p.I_lap2
+                + 6 * a ** 3 / (1 - 2 * a) * q.P_pair_half
+                - 2 * n * a / (1 - 2 * a) * p.I_deficit, ())
+    def derf(q):
+        # the five-term formula times alpha^2; its Lichnerowicz term
+        # multiplies the model's vanishing torsion
+        from .energy import derf_coefficients
+        c_lap, c_quart, c_pfun, _, c_pdef = derf_coefficients(n, a)
+        p = q.production
+        terms = (c_lap * p.I_lap2, c_quart * p.I_quart, c_pfun * q.P_pair_half,
+                 c_pdef * p.I_deficit)
+        return a * a * q.deriv1_integral, sum(terms), terms
+
+    return {row.__name__: row for row in (deriv2, deriv3, firstt, secondt, deriv5,
+                                          intform1, deriv6, reprtor, lastrep, derf)}
 
 
 def identity_residual(name: str, u: ScalarField, alpha: float | None = None) -> IdentityReport:
@@ -369,105 +440,22 @@ def identity_residual(name: str, u: ScalarField, alpha: float | None = None) -> 
         f = ScalarField(grid, np.sqrt(u.values))
         jet = DifferenceJet(f)
         lhs = _integral(grid, _reeb_mixed(grid, jet.first))
-        if name == "gr4":
-            i_lap = _integral(grid, jet.laplacian ** 2)
-            rhs = -(1.0 / (4 * n)) * (p_functional(jet) + i_lap)
-            scale = max(abs(lhs), abs(rhs), (1.0 / (4 * n)) * i_lap, NORM_FLOOR)
-        else:
-            rhs = -4.0 * n * _integral(grid, _xi_sq(f))
-            scale = max(abs(lhs), abs(rhs), NORM_FLOOR)
+        if name == "intform":
+            return _report(name, lhs, -4.0 * n * _integral(grid, _xi_sq(f)), grid)
+        i_lap = _integral(grid, jet.laplacian ** 2)
+        rhs = -(1.0 / (4 * n)) * (p_functional(jet) + i_lap)
+        scale = max(abs(lhs), abs(rhs), (1.0 / (4 * n)) * i_lap, NORM_FLOOR)
         return _report(name, lhs, rhs, grid, norm_scale=scale)
-
-    if name == "hesrep_contraction":
-        require_positive(u, "F-base")
-        if alpha is None:
-            raise ValueError("hesrep_contraction needs alpha")
-        q = FlowQuantities(u, alpha)
-        min_p = q.production.min_deficit
-        scale = q.production.mean_hess2 + NORM_FLOOR
-        return IdentityReport(name=name, lhs=min_p, rhs=0.0,
-                              residual=max(0.0, -min_p),
-                              norm_scale=scale, n=n, m_x=grid.m_x)
 
     if alpha is None:
         raise ValueError(f"identity {name!r} needs alpha")
     q = FlowQuantities(u, alpha)
-    a = alpha
+    if name == "hesrep_contraction":
+        min_p = q.production.min_deficit
+        return IdentityReport(name=name, lhs=min_p, rhs=0.0, residual=max(0.0, -min_p),
+                              norm_scale=q.production.mean_hess2 + NORM_FLOOR,
+                              n=n, m_x=grid.m_x)
 
-    if name == "deriv2":
-        lhs = a * a * q.deriv1_integral
-        rhs = (-2.0 * q.production.I_lap2
-               + (3.0 - 4.0 * a) / a * q.I_mixed
-               + (-1.0 + 3.0 * a - 2.0 * a * a) / (a * a) * q.production.I_quart)
-        scale = max(abs(lhs), abs(rhs), 2.0 * q.production.I_lap2, NORM_FLOOR)
-        return _report(name, lhs, rhs, grid=grid, norm_scale=scale)
-
-    if name == "deriv3":
-        lhs = q.I_gradlap + (1.0 / a - 2.0) * q.I_mixed
-        rhs = q.production.I_lap2
-        return _report(name, lhs, rhs, grid)
-
-    if name == "firstt":
-        lhs = (1.0 / a - 2.0) * q.I_mixed
-        rhs = ((1.0 / a - 2.0) * (1.0 / a - 3.0) * q.production.I_quart + q.I_lap_gradsq)
-        scale = max(abs(lhs), abs(rhs), abs(q.I_lap_gradsq), NORM_FLOOR)
-        return _report(name, lhs, rhs, grid, norm_scale=scale)
-
-    if name == "secondt":
-        lhs = _integral(grid, q.w2 * _reeb_mixed(grid, q.jetF.first))
-        rhs = -4.0 * n * q.I_xi2
-        return _report(name, lhs, rhs, grid)
-
-    if name == "deriv5":
-        lhs = 1.5 * (1.0 / a - 2.0) * q.I_mixed
-        rhs = (0.5 * (1.0 / a - 2.0) * (1.0 / a - 3.0) * q.production.I_quart
-               - (q.production.I_hess2 - 16.0 * n * q.I_xi2 - q.production.I_lap2))
-        scale = max(abs(lhs), abs(rhs), q.production.I_hess2, NORM_FLOOR)
-        return _report(name, lhs, rhs, grid, norm_scale=scale)
-
-    if name == "intform1":
-        lhs = -4.0 * n * q.I_xi2
-        half = 1.0 / (2.0 * a) - 1.0
-        rhs = (-(a * a / n) * q.P_pair_half
-               - (1.0 / (4 * n)) * q.production.I_lap2
-               + (1.0 / (2 * n)) * half * q.I_mixed
-               - (1.0 / (4 * n)) * half * half * q.production.I_quart)
-        scale = max(abs(lhs), abs(rhs), (1.0 / (4 * n)) * q.production.I_lap2, NORM_FLOOR)
-        return _report(name, lhs, rhs, grid, norm_scale=scale)
-
-    if name == "deriv6":
-        lhs = q.I_mixed
-        c_div = (3.0 * n + 2.0) * (1.0 - 2.0 * a)
-        rhs = (8.0 * a ** 3 / c_div * q.P_pair_half
-               + ((2.0 * n + 1.0 - 2.0 * (3.0 * n + 1.0) * a) / (2.0 * (3 * n + 2) * a)
-                  * q.production.I_quart)
-               + (3.0 + 4.0 * n) * a / (2.0 * c_div) * q.production.I_lap2
-               - 2.0 * n * a / c_div * ((1.0 / (4 * n)) * q.production.I_omega2
-                                        + q.production.I_deficit))
-        return _report(name, lhs, rhs, grid)
-
-    if name == "reprtor":
-        half = 1.0 / (2.0 * a) - 1.0
-        lhs = ((1.0 / (4 * n)) * (q.production.I_lap2 + half * half * q.production.I_quart)
-               + (a * a / n) * q.P_pair_half)
-        rhs = (1.0 / (4 * n)) * (2.0 * half * q.I_mixed + q.production.I_omega2)
-        return _report(name, lhs, rhs, grid)
-
-    if name == "lastrep":
-        lhs = 1.5 * (2.0 * n + 1.0) * q.I_mixed
-        rhs = ((8.0 * n + 3.0 - 6.0 * (4.0 * n + 1.0) * a) / (8.0 * a) * q.production.I_quart
-               + (2.0 * n + 1.0) * a / (1.0 - 2.0 * a) * q.production.I_lap2
-               + 6.0 * a ** 3 / (1.0 - 2.0 * a) * q.P_pair_half
-               - 2.0 * n * a / (1.0 - 2.0 * a) * q.production.I_deficit)
-        return _report(name, lhs, rhs, grid)
-
-    if name == "derf":
-        from .energy import derf_rhs
-        lhs = a * a * q.deriv1_integral
-        report = derf_rhs(u, alpha)
-        rhs = report.dF_dt_analytic * a * a
-        scale = max(abs(lhs), abs(rhs),
-                    max(abs(t) for t in report.terms()), NORM_FLOOR)
-        return _report(name, lhs, rhs, grid, norm_scale=scale)
-
-    raise AssertionError(f"unhandled tag {name}")
+    lhs, rhs, extra = linear_rows(n, alpha)[name](q)
+    scale = max(abs(lhs), abs(rhs), *(abs(t) for t in extra), NORM_FLOOR)
+    return _report(name, lhs, rhs, grid, norm_scale=scale)

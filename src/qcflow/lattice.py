@@ -62,10 +62,13 @@ L_X = 1.0  # horizontal period of the lattice quotient
 FORMAT_VERSION = "qcflow-field-1"
 
 
+@functools.lru_cache(maxsize=None)
 def twist_matrices(n: int) -> np.ndarray:
-    """Integer bilinear forms B_s with Im_s(conj(x) x') = x @ B_s @ x'."""
-    eye = np.eye(n)
-    return np.stack([np.kron(eye, -blk) for blk in (RIGHT_I, RIGHT_J, RIGHT_K)])
+    """Integer bilinear forms B_s with Im_s(conj(x) x') = x @ B_s @ x',
+    built once per n and shared, so read-only."""
+    B = np.stack([np.kron(np.eye(n), -blk) for blk in (RIGHT_I, RIGHT_J, RIGHT_K)])
+    B.flags.writeable = False
+    return B
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,18 @@
 """Tests for the identity catalog."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+import qcflow.energy as energy_module
+from qcflow.algebra import alpha_interval
 from qcflow.identities import (
     IDENTITY_NAMES,
     FlowQuantities,
     bochner_residual,
     identity_residual,
+    linear_rows,
 )
 from qcflow.lattice import (
     ScalarField,
@@ -15,6 +20,7 @@ from qcflow.lattice import (
     periodized_bump,
     vertically_uniform_bump,
 )
+from qcflow.suites import _rich_field
 
 ALPHA = -0.05
 
@@ -172,3 +178,127 @@ def test_sign_mutation_inflates_firstt():
     assert abs(rep.lhs) > 0 and abs(rep.rhs) > 0
     flipped = abs(rep.lhs + rep.rhs)  # residual if the rhs sign were wrong
     assert flipped >= 10.0 * rep.residual
+
+
+NONLINEAR_TAGS = ("ricci2", "ricci_mixed", "bochner", "gr4", "intform", "hesrep_contraction")
+
+
+def test_every_tag_has_exactly_one_route():
+    # a tag is either a row of linear_rows or one of the tags with code of
+    # their own, never both and never neither
+    routes = sorted(list(linear_rows(1, ALPHA)) + list(NONLINEAR_TAGS))
+    assert routes == sorted(IDENTITY_NAMES)
+
+
+# every integral a linear row reads, FlowQuantities' and its production's
+INTEGRALS = ("deriv1_integral", "I_lap2", "I_quart", "I_mixed", "I_gradlap", "I_lap_gradsq",
+             "I_xi2", "I_reeb_mixed", "P_pair_half", "I_hess2", "I_omega2", "I_deficit")
+
+
+class _UnitRecord:
+    """Each integral is its unit vector of exact ints, and the record is its
+    own production record, so a row's lhs - rhs is its coefficient vector."""
+
+    def __init__(self):
+        for k, name in enumerate(INTEGRALS):
+            unit = np.zeros(len(INTEGRALS), dtype=object)
+            unit[k] = 1
+            setattr(self, name, unit)
+        self.production = self
+
+
+def _hesrep(q, n):
+    # the integrated Hessian split |H|^2 = (tr H)^2/4n + sum_s omega_s^2/4n + deficit
+    p = q.production
+    return p.I_hess2 - (p.I_lap2 + p.I_omega2) / (4 * n) - p.I_deficit
+
+
+def _exact_rank(rows):
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                ratio = Fraction(rows[i][col]) / rows[rank][col]
+                rows[i] = [x - ratio * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_chain_algebra_is_exact(n):
+    # the catalog's own rows at rational (n, alpha): every coefficient is
+    # exact, the eight rows that do not read I_reeb_mixed and are not derf,
+    # with the Hessian split, have rank 7, and derf, lastrep and the split
+    # are the combinations of the lemma's chain
+    n = Fraction(n)
+    lo, hi = alpha_interval(int(n))
+    q = _UnitRecord()
+    for a in (Fraction(-1, 40), Fraction(-1, 64), Fraction(-1, 100)):
+        assert lo <= a < hi
+        rows = {}
+        for tag, row in linear_rows(n, a).items():
+            lhs, rhs, _ = row(q)
+            rows[tag] = lhs - rhs
+            assert all(type(c) in (int, Fraction) for c in rows[tag]), tag
+        chain = [rows[tag] for tag in rows if tag not in ("derf", "secondt")]
+        assert len(chain) == 8
+        assert _exact_rank(chain + [_hesrep(q, n)]) == 7
+        assert list(rows["derf"]) == list(
+            rows["deriv2"] + 2 * (3 - 4 * a) / (3 * a * (2 * n + 1)) * rows["lastrep"])
+        assert list(rows["lastrep"]) == list(
+            (3 * n + 2) * rows["deriv6"] + 2 * n * a / (1 - 2 * a) * rows["reprtor"])
+        assert list(_hesrep(q, n)) == list(
+            rows["deriv5"] - 4 * rows["intform1"]
+            + (2 * a - 1) * (3 * n + 2) / (2 * a * n) * rows["deriv6"])
+
+
+def _lognormal_u(n, m, seed=7):
+    grid = make_grid(n, m)
+    rng = np.random.default_rng(seed)
+    return ScalarField(grid, np.exp(0.2 * rng.standard_normal(grid.shape)))
+
+
+def _relation_misses(q, n, a):
+    """The three relations on the signed residuals lhs - rhs of the rows at
+    one record, with the largest norm scale involved."""
+    res, scale = {}, []
+    for tag, row in linear_rows(n, a).items():
+        lhs, rhs, extra = row(q)
+        res[tag] = lhs - rhs
+        scale.append(max(abs(lhs), abs(rhs), *(abs(t) for t in extra)))
+    p = q.production
+    res["hesrep"] = _hesrep(q, n)
+    scale.append(p.I_hess2)
+    misses = (
+        res["derf"] - res["deriv2"] - 2 * (3 - 4 * a) / (3 * a * (2 * n + 1)) * res["lastrep"],
+        res["lastrep"] - (3 * n + 2) * res["deriv6"] - 2 * n * a / (1 - 2 * a) * res["reprtor"],
+        res["hesrep"] - res["deriv5"] + 4 * res["intform1"]
+        - (2 * a - 1) * (3 * n + 2) / (2 * a * n) * res["deriv6"])
+    return [abs(m) for m in misses], max(scale)
+
+
+@pytest.mark.parametrize("n, m", [(1, 4), (2, 3)])
+@pytest.mark.parametrize("alpha", [-0.05, -0.2])
+def test_the_chain_relations_hold_on_lattice_residuals(n, m, alpha, monkeypatch):
+    # the lattice residuals obey the chain's algebra to roundoff, and a 1 %
+    # error in any five-term coefficient whose term is non-zero breaks the
+    # derf relation by far more; the Lichnerowicz coefficient multiplies
+    # the model's vanishing torsion and is skipped, as in the lemma suite
+    u = _rich_field(make_grid(n, m)) if n == 1 else _lognormal_u(n, m)
+    q = FlowQuantities(u, alpha)
+    misses, scale = _relation_misses(q, n, alpha)
+    assert max(misses) <= 1e-13 * scale
+    coefficients = energy_module.derf_coefficients
+    for k in (0, 1, 2, 4):
+        def mutated(n_, a_, k=k):
+            c = list(coefficients(n_, a_))
+            c[k] *= 1.01
+            return tuple(c)
+        monkeypatch.setattr(energy_module, "derf_coefficients", mutated)
+        (derf_miss, _, _), _ = _relation_misses(q, n, alpha)
+        assert derf_miss >= 1e-9 * scale, k
