@@ -18,10 +18,9 @@
  * source plane.  The layout lives in this file alone: the caller only
  * sizes the table and passes it back as rolls.  So a step needs, per
  * fibre, three numbers and no index array: fibre_steps sets its source
- * fibre, its roll of t_0 and the offset of its plane roll in the table,
- * for every function.  A block edge
- * that cuts a fibre (odd m, and m = 6 with small blocks) cuts a run of
- * the fibre's planes.
+ * fibre, its roll of t_0 and the offset of its plane roll in the table.
+ * A block edge that cuts a fibre (odd m, and m = 6 with small blocks)
+ * cuts a run of the fibre's planes.
  *
  * difference_gather writes D_a = (S_a^+ - S_a^-) / two_h of every row of a
  * C-contiguous (rows, size) float64 array on the points [start, start+len)
@@ -43,14 +42,13 @@
  * C-contiguous (dim_h, size) first differences D_b f, the composed Hessian
  * H_ab = D_a D_b f into tr = sum_a H_aa, the C-contiguous (3, len) om,
  * om[s] = sum_a sigma_s(a) H_a b_s(a), and, unless nsq is NULL, nsq =
- * sum_a sum_b H_ab^2, each from zero in (a, b) order.  omega_s has one
- * entry +-1 per row a, at column b_s(a), and the int64 table terms holds
- * terms[(3 a + s) 2] = b_s(a) and terms[(3 a + s) 2 + 1] = sigma_s(a).  It
- * works through the block in sub-blocks of HESSIAN_SUB points: per axis a
- * it writes H_a. of the sub-block with difference_gather into buf, which
- * holds dim_h min(len, HESSIAN_SUB) doubles and stays in a core's L2
- * cache, and adds it in.  Adding sigma_s(a) H_ab, with sigma = +-1, gives
- * the bits of adding or subtracting H_ab.
+ * sum_a sum_b H_ab^2, each from zero in (a, b) order.  Row a of omega_s =
+ * g(I_s ., .), I_s = B_s, is the twist column of (a, s), with one entry
+ * +-1 (the caller refuses others): sigma_s(a), at b_s(a).  Per sub-block
+ * of HESSIAN_SUB points and per axis a, it writes H_a. with
+ * difference_gather into a buffer on its stack, which stays in a core's L2
+ * cache, and adds it in; adding sigma_s(a) H_ab, sigma = +-1, gives the
+ * bits of adding or subtracting H_ab.
  *
  * The per-point loops of difference_jet and euler_update are written once,
  * as static inline bodies that each function calls with the literal dim_h
@@ -63,18 +61,18 @@
  * into an FMA: the library is built with -ffp-contract=off, and never with
  * -ffast-math.
  *
- * work is int64 space of 8 dim_h entries, four arrays of one entry per
- * step k = 2 a + d (d = 0 for +, 1 for -): from, c0 and roll (set per
- * fibre) and at (set per plane).  difference_gather uses the entries of
- * its own two steps.
+ * Each function keeps its scratch on its own stack, the per-step arrays at
+ * a fixed size: a variable-length one costs the hot loops a register.
  */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 
-/* the points of one sub-block of hessian_block: dim_h rows of them are
- * 128 KiB at n = 1 */
+/* the points of a sub-block of hessian_block: its dim_h rows are 128 KiB at n = 1 */
 #define HESSIAN_SUB 4096
+/* the 2 dim_h steps of a point: a field of 2^(dim_h + 3) float64 values or
+ * more fits in a 64-bit address space only for dim_h <= 57 */
+#define MAX_STEPS 128
 
 /* (t + c) mod m for t and c in [0, m), with no division */
 static int64_t wrap(int64_t t, int64_t c, int64_t m)
@@ -163,13 +161,12 @@ static inline double step_read(const double *src, const int64_t *rolls,
     return src[at[k] + rolls[roll[k] + q]];
 }
 
-void difference_gather(const double *src, double *out, int64_t *work, int64_t rows,
-                       int64_t size, int64_t start, int64_t len, int64_t m,
-                       int64_t dim_h, int64_t a, const int64_t *twist,
-                       const int64_t *rolls, double two_h)
+void difference_gather(const double *src, double *out, int64_t rows, int64_t size,
+                       int64_t start, int64_t len, int64_t m, int64_t dim_h, int64_t a,
+                       const int64_t *twist, const int64_t *rolls, double two_h)
 {
     int64_t m2 = m * m, fibre = m2 * m, stop = start + len, q0, q1;
-    int64_t *from = work, *c0 = from + 2 * dim_h, *roll = c0 + 2 * dim_h;
+    int64_t from[2], c0[2], roll[2];
     for (int64_t fib = start / fibre; fib * fibre < stop; fib++) {
         int64_t base = fib * fibre;
         int64_t lo = start > base ? start - base : 0;
@@ -188,14 +185,13 @@ void difference_gather(const double *src, double *out, int64_t *work, int64_t ro
 }
 
 /* the body of difference_jet */
-static inline void jet_points(const double *src, double *first, double *lap,
-                              int64_t *work, int64_t size, int64_t start, int64_t len,
-                              int64_t m, int64_t dim_h, const int64_t *twist,
-                              const int64_t *rolls, double two_h, double h_sq)
+static inline void jet_points(const double *src, double *first, double *lap, int64_t size,
+                              int64_t start, int64_t len, int64_t m, int64_t dim_h,
+                              const int64_t *twist, const int64_t *rolls, double two_h,
+                              double h_sq)
 {
     int64_t m2 = m * m, fibre = m2 * m, stop = start + len, q0, q1;
-    int64_t *from = work, *c0 = from + 2 * dim_h;
-    int64_t *roll = c0 + 2 * dim_h, *at = roll + 2 * dim_h;
+    int64_t from[MAX_STEPS], c0[MAX_STEPS], roll[MAX_STEPS], at[MAX_STEPS];
     for (int64_t fib = start / fibre; fib * fibre < stop; fib++) {
         int64_t base = fib * fibre;
         int64_t lo = start > base ? start - base : 0;
@@ -219,25 +215,23 @@ static inline void jet_points(const double *src, double *first, double *lap,
     }
 }
 
-void difference_jet(const double *src, double *first, double *lap, int64_t *work,
-                    int64_t size, int64_t start, int64_t len, int64_t m, int64_t dim_h,
+void difference_jet(const double *src, double *first, double *lap, int64_t size,
+                    int64_t start, int64_t len, int64_t m, int64_t dim_h,
                     const int64_t *twist, const int64_t *rolls, double two_h, double h_sq)
 {
     if (dim_h == 4)
-        jet_points(src, first, lap, work, size, start, len, m, 4, twist, rolls, two_h, h_sq);
+        jet_points(src, first, lap, size, start, len, m, 4, twist, rolls, two_h, h_sq);
     else
-        jet_points(src, first, lap, work, size, start, len, m, dim_h, twist, rolls, two_h,
-                   h_sq);
+        jet_points(src, first, lap, size, start, len, m, dim_h, twist, rolls, two_h, h_sq);
 }
 
 /* the body of euler_update */
-static inline void euler_points(const double *src, double *out, double *ext, int64_t *work,
-                                int64_t start, int64_t len, int64_t m, int64_t dim_h,
-                                const int64_t *twist, const int64_t *rolls, double w)
+static inline void euler_points(const double *src, double *out, double *ext, int64_t start,
+                                int64_t len, int64_t m, int64_t dim_h, const int64_t *twist,
+                                const int64_t *rolls, double w)
 {
     int64_t m2 = m * m, fibre = m2 * m, stop = start + len, q0, q1;
-    int64_t *from = work, *c0 = from + 2 * dim_h;
-    int64_t *roll = c0 + 2 * dim_h, *at = roll + 2 * dim_h;
+    int64_t from[MAX_STEPS], c0[MAX_STEPS], roll[MAX_STEPS], at[MAX_STEPS];
     double min_x = INFINITY, max_x = -INFINITY;
     for (int64_t fib = start / fibre; fib * fibre < stop; fib++) {
         int64_t base = fib * fibre;
@@ -267,31 +261,37 @@ static inline void euler_points(const double *src, double *out, double *ext, int
     ext[1] = max_x;
 }
 
-void euler_update(const double *src, double *out, double *ext, int64_t *work, int64_t start,
-                  int64_t len, int64_t m, int64_t dim_h, const int64_t *twist,
-                  const int64_t *rolls, double w)
+void euler_update(const double *src, double *out, double *ext, int64_t start, int64_t len,
+                  int64_t m, int64_t dim_h, const int64_t *twist, const int64_t *rolls,
+                  double w)
 {
     if (dim_h == 4)
-        euler_points(src, out, ext, work, start, len, m, 4, twist, rolls, w);
+        euler_points(src, out, ext, start, len, m, 4, twist, rolls, w);
     else
-        euler_points(src, out, ext, work, start, len, m, dim_h, twist, rolls, w);
+        euler_points(src, out, ext, start, len, m, dim_h, twist, rolls, w);
 }
 
 /* adds axis a's rows H_a. of n points (row b at d + b n) into tr, the rows
  * of om (row s at om + s stride) and, unless it is NULL, nsq */
 static void hessian_add(const double *d, int64_t n, int64_t a, int64_t dim_h,
-                        const int64_t *terms, double *restrict tr, double *restrict om,
+                        const int64_t *twist, double *restrict tr, double *restrict om,
                         int64_t stride, double *restrict nsq)
 {
-    const int64_t *t = terms + 6 * a;
-    const double *daa = d + a * n, *d0 = d + t[0] * n, *d1 = d + t[2] * n, *d2 = d + t[4] * n;
-    double s0 = (double)t[1], s1 = (double)t[3], s2 = (double)t[5];
+    const int64_t *col = twist + a * 3 * dim_h;
+    const double *daa = d + a * n, *ds[3] = {d, d, d};
+    double sg[3] = {0.0, 0.0, 0.0};
+    for (int s = 0; s < 3; s++)
+        for (int64_t b = 0; b < dim_h; b++)
+            if (col[s * dim_h + b] != 0) {
+                ds[s] = d + b * n;
+                sg[s] = (double)col[s * dim_h + b];
+            }
     double *om0 = om, *om1 = om + stride, *om2 = om + 2 * stride;
     for (int64_t i = 0; i < n; i++) {
         tr[i] += daa[i];
-        om0[i] += s0 * d0[i];
-        om1[i] += s1 * d1[i];
-        om2[i] += s2 * d2[i];
+        om0[i] += sg[0] * ds[0][i];
+        om1[i] += sg[1] * ds[1][i];
+        om2[i] += sg[2] * ds[2][i];
     }
     if (nsq != NULL)
         for (int64_t b = 0; b < dim_h; b++) {
@@ -301,11 +301,11 @@ static void hessian_add(const double *d, int64_t n, int64_t a, int64_t dim_h,
         }
 }
 
-void hessian_block(const double *first, double *tr, double *om, double *nsq, double *buf,
-                   int64_t *work, int64_t size, int64_t start, int64_t len, int64_t m,
-                   int64_t dim_h, const int64_t *twist, const int64_t *rolls,
-                   const int64_t *terms, double two_h)
+void hessian_block(const double *first, double *tr, double *om, double *nsq, int64_t size,
+                   int64_t start, int64_t len, int64_t m, int64_t dim_h,
+                   const int64_t *twist, const int64_t *rolls, double two_h)
 {
+    double buf[dim_h * HESSIAN_SUB];
     for (int64_t s0 = 0; s0 < len; s0 += HESSIAN_SUB) {
         int64_t n = len - s0 < HESSIAN_SUB ? len - s0 : HESSIAN_SUB;
         double *q = nsq != NULL ? nsq + s0 : NULL;
@@ -317,9 +317,9 @@ void hessian_block(const double *first, double *tr, double *om, double *nsq, dou
                 q[i] = 0.0;
         }
         for (int64_t a = 0; a < dim_h; a++) {
-            difference_gather(first, buf, work, dim_h, size, start + s0, n, m, dim_h, a,
-                              twist, rolls, two_h);
-            hessian_add(buf, n, a, dim_h, terms, tr + s0, om + s0, len, q);
+            difference_gather(first, buf, dim_h, size, start + s0, n, m, dim_h, a, twist,
+                              rolls, two_h);
+            hessian_add(buf, n, a, dim_h, twist, tr + s0, om + s0, len, q);
         }
     }
 }

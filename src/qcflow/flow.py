@@ -102,7 +102,7 @@ def euler_step(u: ScalarField, dt: float, u_min: float, measure: bool = False):
     bound = cfl_timestep(grid, 1.0)
     if dt > bound * (1.0 + 1e-12):
         raise ValueError(f"dt={dt} violates the CFL bound {bound}")
-    if u_min <= 0.0:
+    if not u_min > 0.0:
         raise ValueError("the heat flow needs strictly positive data")
     w = dt / (grid.h_x * grid.h_x)
     # u + w * acc, where acc sums per axis (u+ + u-) - 2u: each per-axis sum
@@ -164,7 +164,7 @@ def stream(config: FlowConfig, u0: ScalarField | None = None,
     n_steps = int(np.ceil(config.t_end / dt - 1e-12)) if config.t_end > 0 else 0
     for k in range(1, n_steps + 1):
         u, mass, lo, hi = euler_step(u, dt, state.lo, measure)
-        if lo <= 0.0:
+        if not lo > 0.0:
             raise RuntimeError(
                 f"positivity lost at step {k}: check the CFL bound and that "
                 f"the initial data is strictly positive")

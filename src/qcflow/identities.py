@@ -58,7 +58,7 @@ def _report(name, lhs, rhs, grid, norm_scale=None, residual=None) -> IdentityRep
 
 
 def require_positive(u: ScalarField):
-    if float(u.values.min()) <= 0.0:
+    if not float(u.values.min()) > 0.0:
         raise ValueError("field u must be strictly positive")
 
 

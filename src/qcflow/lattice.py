@@ -24,10 +24,11 @@ released.  grad_sq_pass (the energy's int |Df|^2 weight) squares each
 block's differences D_a, written by difference_gather, and hessian_pass
 hands a contraction each block's composed differences of a (4n, N) stack,
 which hessian_block sums into tr H, omega_s(H) and |H|^2 (divergence is
--tr H of a 1-form's components).  Each C function does the
-+ - x / of the whole-field numpy formula in its per-point order, under
--ffp-contract=off (no FMA), so all have the bits of the numpy route on
-every machine.
+-tr H of a 1-form's components), reading omega_s from the twist columns.
+The C functions take only the data and the grid's constants, keep their
+scratch on their own stacks, and do the + - x / of the whole-field numpy
+formula in its per-point order, under -ffp-contract=off (no FMA), so all
+have the bits of the numpy route on every machine.
 
 Left-invariant frame conventions (validated by the frame-contract tests):
 the twist bilinears are Im_s(conj(x) x') = x @ B_s @ x' with B_s minus the
@@ -136,8 +137,12 @@ class LatticeGrid:
         pass and kept, read-only: the (4n, 3, 4n) twist columns, cols[a] =
         twist[s][b, a] of axis a, and the m^4 int64 table of the m^2 plane
         rolls, filled by the C function plane_rolls, which alone knows its
-        layout."""
+        layout.  cols[a, s] is row a of omega_s, which hessian_block reads
+        as one entry +-1: columns without that structure are refused."""
         cols = np.ascontiguousarray(self.twist.transpose(2, 0, 1))
+        if not np.all((cols != 0).sum(axis=2) == 1) or np.any(np.abs(cols) > 1):
+            raise ValueError("the passes need twist columns with one entry +-1 "
+                             "for each axis and s")
         rolls = np.empty(self.m_x ** 4, dtype=np.int64)
         _step_kernel().plane_rolls(rolls.ctypes.data, self.m_x)
         cols.flags.writeable = rolls.flags.writeable = False
@@ -222,8 +227,8 @@ class HorizontalField:
 # |Df|^2), which stay in a core's L2 cache (2 MiB a core on the 2-core Xeon
 # of the BENCH files).  The largest, F's Hessian pass with production's contraction,
 # holds per worker tr, three omega, |H|^2 and 4 scratch arrays, 9 blocks,
-# and the 4n rows of one 4096-point sub-block of hessian_block (128 KiB at
-# n = 1): about 2.4 MiB at n = 1, a little over L2.
+# and hessian_block keeps the 4n rows of one 4096-point sub-block on its C
+# stack (128 KiB at n = 1): about 2.4 MiB at n = 1, a little over L2.
 # It must be at least 128, the run numpy's pairwise sum adds without a cut.
 BLOCK_POINTS = 32768
 
@@ -399,23 +404,16 @@ def _step_kernel():
                 _build_steps_library(path)
             lib = ctypes.CDLL(path)
             ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-            lib.difference_gather.argtypes = [ptr] * 3 + [i64] * 7 + [ptr, ptr, f64]
-            lib.difference_jet.argtypes = [ptr] * 4 + [i64] * 5 + [ptr, ptr, f64, f64]
-            lib.euler_update.argtypes = [ptr] * 4 + [i64] * 4 + [ptr, ptr, f64]
-            lib.hessian_block.argtypes = [ptr] * 6 + [i64] * 5 + [ptr] * 3 + [f64]
+            lib.difference_gather.argtypes = [ptr] * 2 + [i64] * 7 + [ptr, ptr, f64]
+            lib.difference_jet.argtypes = [ptr] * 3 + [i64] * 5 + [ptr, ptr, f64, f64]
+            lib.euler_update.argtypes = [ptr] * 3 + [i64] * 4 + [ptr, ptr, f64]
+            lib.hessian_block.argtypes = [ptr] * 4 + [i64] * 5 + [ptr, ptr, f64]
             lib.plane_rolls.argtypes = [ptr, i64]
             for fn in (lib.difference_gather, lib.difference_jet, lib.euler_update,
                        lib.hessian_block, lib.plane_rolls):
                 fn.restype = None
             _steps_lib = lib
         return _steps_lib
-
-
-def _work_len(dim_h: int) -> int:
-    """The int64 work space of one thread's C calls: four numbers per step
-    (its source fibre, its roll of t_0, its plane roll's offset in the
-    roll table, and where it reads the current plane)."""
-    return 4 * 2 * dim_h
 
 
 def _one_field(values: np.ndarray, grid: LatticeGrid, what: str) -> np.ndarray:
@@ -428,14 +426,13 @@ def _one_field(values: np.ndarray, grid: LatticeGrid, what: str) -> np.ndarray:
     return src
 
 
-def _pass_blocks(block, grid: LatticeGrid, rows: int, scratch) -> tuple:
+def _pass_blocks(block, grid: LatticeGrid, scratch) -> tuple:
     """The block driver of grad_sq_pass and hessian_pass: call
-    block(start, k, buf, work, blocks) once per block [start, start + k),
-    where buf holds rows * k float64 or more, work is the C functions'
-    int64 work space (_work_len) and blocks holds one contiguous array of
-    shape lead + (k,) per entry lead of scratch, and return the whole-field
-    total of each entry of the tuple of block sums that block returns
-    (np.add.reduce, the reduction of np.sum without its wrapper), or of none.
+    block(start, k, blocks) once per block [start, start + k), where blocks
+    holds one contiguous float64 array of shape lead + (k,) per entry lead
+    of scratch, and return the whole-field total of each entry of the tuple
+    of block sums that block returns (np.add.reduce, the reduction of
+    np.sum without its wrapper), or of none.
 
     The blocks are the nodes of numpy's pairwise-summation tree over the
     grid.size points that first have at most BLOCK_POINTS points
@@ -444,24 +441,22 @@ def _pass_blocks(block, grid: LatticeGrid, rows: int, scratch) -> tuple:
     (_tree_sum) gives the bits of np.sum of the whole-field integrand, and a
     block min or max is exact in any order.  The layout depends on
     grid.size alone; _share_blocks gives each worker one contiguous run of
-    blocks and returns when every run has ended.  Each run's buffer, work
-    space and scratch are made on the calling thread."""
+    blocks and returns when every run has ended.  Each run's scratch is
+    made on the calling thread."""
     bounds = _block_bounds(grid.size)
     count = len(bounds) - 1
     most = max(stop - start for start, stop in zip(bounds, bounds[1:]))
     sums = [()] * count  # each block's sums, in the block's own slot
 
-    def run(first: int, last: int, bufs):
-        buf, work, *space = bufs
+    def run(first: int, last: int, space):
         for i in range(first, last):
             start, k = bounds[i], bounds[i + 1] - bounds[i]
             blocks = [s[:math.prod(shape) * k].reshape(tuple(shape) + (k,))
                       for s, shape in zip(space, scratch)]
-            sums[i] = block(start, k, buf, work, blocks) or ()
+            sums[i] = block(start, k, blocks) or ()
 
     def buffers():
-        return ([np.empty(rows * most), np.empty(_work_len(grid.dim_h), dtype=np.int64)]
-                + [np.empty(math.prod(shape) * most) for shape in scratch])
+        return [np.empty(math.prod(shape) * most) for shape in scratch]
 
     _share_blocks(run, count, buffers)
     return tuple(_tree_sum(entry, grid.size) for entry in zip(*sums))
@@ -490,12 +485,12 @@ def grad_sq_pass(values: np.ndarray, grid: LatticeGrid, weight: np.ndarray) -> f
     cols, rolls = grid._step_constants
     src_at, cols_at, rolls_at = src.ctypes.data, cols.ctypes.data, rolls.ctypes.data
 
-    def block(start: int, k: int, buf, work, blocks):
-        d, sq = buf[:k], blocks[0]
-        d_at, work_at = d.ctypes.data, work.ctypes.data
+    def block(start: int, k: int, blocks):
+        sq, d = blocks
+        d_at = d.ctypes.data
         for a in range(dim_h):
-            lib.difference_gather(src_at, d_at, work_at, 1, size, start, k,
-                                  m, dim_h, a, cols_at, rolls_at, two_h)
+            lib.difference_gather(src_at, d_at, 1, size, start, k, m, dim_h, a, cols_at,
+                                  rolls_at, two_h)
             if a == 0:
                 np.multiply(d, d, out=sq)
             else:
@@ -504,21 +499,9 @@ def grad_sq_pass(values: np.ndarray, grid: LatticeGrid, weight: np.ndarray) -> f
         sq *= w[start:start + k]
         return (np.add.reduce(sq),)
 
-    (total,) = _pass_blocks(block, grid, 1, ((),))
+    # |Df|^2 and the difference row
+    (total,) = _pass_blocks(block, grid, ((), ()))
     return float(grid.cell_volume * total)
-
-
-def _omega_terms(omega: np.ndarray) -> np.ndarray:
-    """The (b_s(a), sigma_s(a)) table of hessian_pass: the column and the
-    sign of the one entry +-1 in row a of each omega_s, as an int64
-    (4n, 3, 2) array.  Refuses a frame without that structure."""
-    nonzero = omega != 0.0
-    if not (np.all(nonzero.sum(axis=2) == 1) and np.all(np.abs(omega[nonzero]) == 1.0)):
-        raise ValueError("the Hessian pass needs a frame whose omega_s has one "
-                         "entry +-1 in each row")
-    # the one entry of a row is its sum
-    table = np.stack([nonzero.argmax(axis=2), omega.sum(axis=2)], axis=-1)
-    return np.ascontiguousarray(table.transpose(1, 0, 2), dtype=np.int64)
 
 
 def hessian_pass(stack: np.ndarray, grid: LatticeGrid, contract, with_norm: bool,
@@ -532,14 +515,14 @@ def hessian_pass(stack: np.ndarray, grid: LatticeGrid, contract, with_norm: bool
     differences, the wide stencil: the compact sub-Laplacian is its
     negative up to an O(h^2) stencil gap) and omega_s(H), and with_norm
     also |H|^2, into block arrays tr (k,), om (3, k) and nsq (k,); nsq is
-    None without with_norm.  It reads omega_s as one entry +-1 per row,
-    which the frame of every n has, and refuses a frame without that
-    structure (FrameData.omega_terms, the table hessian_block reads).  Then
-    contract(blk, tr, om, nsq, work) writes the block's share of the
-    caller's outputs and returns its block's sums, or nothing; work holds
-    one block array per entry of scratch.  The pass returns the whole-field
-    sum of each entry, and builds no Hessian field.  contract runs on the
-    pool's threads: it may call no public qcflow function.
+    None without with_norm.  It reads row a of omega_s as the twist column
+    of (a, s), one entry +-1, as the grid's constants hold it (they refuse
+    columns without that structure).  Then contract(blk, tr, om, nsq,
+    work) writes the block's share of the caller's outputs and returns its
+    block's sums, or nothing; work holds one block array per entry of
+    scratch.  The pass returns the whole-field sum of each entry, and
+    builds no Hessian field.  contract runs on the pool's threads: it may
+    call no public qcflow function.
     """
     lib = _step_kernel()
     m, dim_h, size = grid.m_x, grid.dim_h, grid.size
@@ -547,27 +530,23 @@ def hessian_pass(stack: np.ndarray, grid: LatticeGrid, contract, with_norm: bool
         raise ValueError(f"the Hessian pass takes a ({dim_h},) + grid.shape stack, "
                          f"not values of shape {np.shape(stack)}")
     src = np.ascontiguousarray(stack, dtype=np.float64)
-    terms = frame_data(grid).omega_terms
     two_h = 2.0 * grid.h_x
     # as in grad_sq_pass, every address read by the C call lives until the
     # pass returns
     cols, rolls = grid._step_constants
     src_at, cols_at, rolls_at = src.ctypes.data, cols.ctypes.data, rolls.ctypes.data
-    terms_at = terms.ctypes.data
     # tr, om, and with_norm nsq
     own = ((), (3,), ()) if with_norm else ((), (3,))
 
-    def block(start: int, k: int, buf, work, blocks):
+    def block(start: int, k: int, blocks):
         tr, om = blocks[0], blocks[1]
         nsq = blocks[2] if with_norm else None
         lib.hessian_block(src_at, tr.ctypes.data, om.ctypes.data,
-                          None if nsq is None else nsq.ctypes.data, buf.ctypes.data,
-                          work.ctypes.data, size, start, k, m, dim_h, cols_at, rolls_at,
-                          terms_at, two_h)
+                          None if nsq is None else nsq.ctypes.data, size, start, k, m,
+                          dim_h, cols_at, rolls_at, two_h)
         return contract(slice(start, start + k), tr, om, nsq, blocks[len(own):])
 
-    # hessian_block works in 4n rows of one sub-block of the buffer
-    return _pass_blocks(block, grid, dim_h, own + tuple(scratch))
+    return _pass_blocks(block, grid, own + tuple(scratch))
 
 
 def euler_pass(values: np.ndarray, grid: LatticeGrid, w: float, measure: bool):
@@ -593,13 +572,12 @@ def euler_pass(values: np.ndarray, grid: LatticeGrid, w: float, measure: bool):
     def buffers():
         ext = np.empty(2)
         extremes.append(ext)
-        return np.empty(_work_len(grid.dim_h), dtype=np.int64), ext
+        return ext
 
-    def run(first: int, last: int, bufs):
-        work, ext = bufs
+    def run(first: int, last: int, ext):
         start, stop = bounds[first], bounds[last]
-        lib.euler_update(src.ctypes.data, out.ctypes.data, ext.ctypes.data, work.ctypes.data,
-                         start, stop - start, grid.m_x, grid.dim_h, cols.ctypes.data,
+        lib.euler_update(src.ctypes.data, out.ctypes.data, ext.ctypes.data, start,
+                         stop - start, grid.m_x, grid.dim_h, cols.ctypes.data,
                          rolls.ctypes.data, w)
         if measure:
             for i in range(first, last):
@@ -627,15 +605,13 @@ def jet_pass(values: np.ndarray, grid: LatticeGrid) -> tuple[np.ndarray, np.ndar
     lap = np.empty(grid.shape)
     bounds = _block_bounds(grid.size)
 
-    def run(i0: int, i1: int, work):
+    def run(i0: int, i1: int, _):
         start, stop = bounds[i0], bounds[i1]
-        lib.difference_jet(src.ctypes.data, first.ctypes.data, lap.ctypes.data,
-                           work.ctypes.data, grid.size, start, stop - start, grid.m_x,
-                           grid.dim_h, cols.ctypes.data, rolls.ctypes.data,
-                           2.0 * grid.h_x, grid.h_x * grid.h_x)
+        lib.difference_jet(src.ctypes.data, first.ctypes.data, lap.ctypes.data, grid.size,
+                           start, stop - start, grid.m_x, grid.dim_h, cols.ctypes.data,
+                           rolls.ctypes.data, 2.0 * grid.h_x, grid.h_x * grid.h_x)
 
-    _share_blocks(run, len(bounds) - 1,
-                  lambda: np.empty(_work_len(grid.dim_h), dtype=np.int64))
+    _share_blocks(run, len(bounds) - 1, lambda: None)
     return first, lap
 
 
@@ -648,18 +624,11 @@ def vertical_shift(values: np.ndarray, grid: LatticeGrid, s: int, direction: int
 
 @dataclass(frozen=True)
 class FrameData:
-    """Constant frame data of the left-invariant Biquard frame."""
+    """Constant frame data of the left-invariant Biquard frame, built by
+    algebra's route; the passes read omega_s[a, b] = twist[s][b, a]."""
 
     omega: np.ndarray                     # (3, 4n, 4n), omega_s(e_a, e_b)
     structure: QuaternionicStructure      # triple I_s with omega_s = g(I_s., .)
-
-    @functools.cached_property
-    def omega_terms(self) -> np.ndarray:
-        """The table of omega that hessian_pass reads (_omega_terms), built
-        on first use and kept with the frame, so once per n."""
-        table = _omega_terms(self.omega)
-        table.flags.writeable = False
-        return table
 
 
 def frame_data(grid: LatticeGrid) -> FrameData:

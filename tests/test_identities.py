@@ -7,6 +7,7 @@ import pytest
 
 import qcflow.energy as energy_module
 from qcflow.algebra import alpha_interval
+from qcflow.flow import FlowConfig, stream
 from qcflow.identities import (
     IDENTITY_NAMES,
     FlowQuantities,
@@ -72,6 +73,26 @@ def test_positive_field_required():
         identity_residual("gr4", u)
     with pytest.raises(ValueError):
         identity_residual("deriv5", u, ALPHA)
+
+
+def test_a_nan_point_is_refused_like_a_non_positive_one():
+    # every positivity guard reads `not x > 0.0`, which holds for NaN where
+    # `x <= 0.0` does not: a field with one NaN point is refused by the
+    # energy, the catalog and its record, and by the first step of a
+    # stream, which would otherwise step from a NaN minimum
+    grid = make_grid(1, 3)
+    values = np.full(grid.shape, 1.0)
+    values.flat[grid.size // 2] = np.nan
+    u = ScalarField(grid, values)
+    for refused in (lambda: energy_module.energy(u),
+                    lambda: identity_residual("deriv2", u, ALPHA),
+                    lambda: FlowQuantities(u, ALPHA)):
+        with pytest.raises(ValueError, match="strictly positive"):
+            refused()
+    states = stream(FlowConfig(m_x=3), u)
+    assert next(states).step == 0
+    with pytest.raises(ValueError, match="strictly positive"):
+        next(states)
 
 
 def test_constant_field_all_tags_trivial():
@@ -255,6 +276,32 @@ def test_the_chain_algebra_is_exact(n):
         assert list(_hesrep(q, n)) == list(
             rows["deriv5"] - 4 * rows["intform1"]
             + (2 * a - 1) * (3 * n + 2) / (2 * a * n) * rows["deriv6"])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_deriv3_and_firstt_rows_are_their_summation_by_parts(n):
+    # The weight of both rows is u^(1 - 2 alpha) = F^p with F = u^alpha
+    # and p = 1/alpha - 2; I_mixed weighs Delta F |DF|^2 by F^(p-1) and
+    # I_quart weighs |DF|^4 by F^(p-2).  With Delta = -div D, summation by
+    # parts and the product rule give
+    #   deriv3: int F^p <D Delta F, DF> = -int Delta F div(F^p DF)
+    #             = -p I_mixed + I_lap2, as div(F^p DF) = p F^(p-1) |DF|^2
+    #             - F^p Delta F, so I_gradlap + p I_mixed - I_lap2 = 0;
+    #   firstt: int F^p Delta |DF|^2 = int |DF|^2 Delta F^p
+    #             = p I_mixed - p (p - 1) I_quart, as Delta F^p = p F^(p-1)
+    #             Delta F - p (p - 1) F^(p-2) |DF|^2, so
+    #             p I_mixed - p (p - 1) I_quart - I_lap_gradsq = 0.
+    # Each row's lhs - rhs is that vector exactly.  No other row reads
+    # I_gradlap or I_lap_gradsq, so the chain's algebra cannot pin them
+    q = _UnitRecord()
+    for a in (Fraction(-1, 40), Fraction(-1, 64), Fraction(-1, 100)):
+        p = 1 / a - 2
+        rows = linear_rows(Fraction(n), a)
+        lhs, rhs, _ = rows["deriv3"](q)
+        assert list(lhs - rhs) == list(q.I_gradlap + p * q.I_mixed - q.I_lap2)
+        lhs, rhs, _ = rows["firstt"](q)
+        assert list(lhs - rhs) == list(p * q.I_mixed - p * (p - 1) * q.I_quart
+                                       - q.I_lap_gradsq)
 
 
 def _lognormal_u(n, m, seed=7):

@@ -1,5 +1,6 @@
 """Tests for the group model, grid exactness, and periodized test data."""
 import ast
+import ctypes
 import hashlib
 import itertools
 import re
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcflow import flow, lattice, operators
+from qcflow import flow, lattice
 from qcflow.lattice import (
     BLOCK_POINTS,
     XI_SCALE,
@@ -333,11 +334,10 @@ def _gather(values, grid, start, k, a):
     points [start, start + k), by one call of difference_gather."""
     rows = 1 if values.ndim == 1 else values.shape[0]
     cols, rolls = grid._step_constants
-    work = np.empty(lattice._work_len(grid.dim_h), dtype=np.int64)
     out = np.empty(values.shape[:-1] + (k,))
     lattice._step_kernel().difference_gather(
-        values.ctypes.data, out.ctypes.data, work.ctypes.data, rows, grid.size, start, k,
-        grid.m_x, grid.dim_h, a, cols.ctypes.data, rolls.ctypes.data, 2.0 * grid.h_x)
+        values.ctypes.data, out.ctypes.data, rows, grid.size, start, k, grid.m_x,
+        grid.dim_h, a, cols.ctypes.data, rolls.ctypes.data, 2.0 * grid.h_x)
     return out
 
 
@@ -421,7 +421,9 @@ def test_step_kernel_gathers_what_the_step_tables_give(n, m, workers, monkeypatc
     # flat field and on a (3, N) stack, and the Hessian pass over a (4n, N)
     # stack against the Hessian of the step tables;
     # blocks of a little over two vertical fibres cut fibres at every odd m
-    # and at m = 6, so both whole fibres and the runs of cut ones are read
+    # and at m = 6, so both whole fibres and the runs of cut ones are read.
+    # (3, 2) on 2 workers runs hessian_block, with its 384 KiB sub-block
+    # buffer on the C stack, on the pool's threads
     monkeypatch.setattr(lattice, "WORKERS", workers)
     monkeypatch.setattr(lattice, "BLOCK_POINTS", max(128, 2 * m ** 3 + 1))
     grid = make_grid(n, m)
@@ -501,11 +503,11 @@ HESSIAN_SUB = 4096
 
 
 @pytest.mark.parametrize("m", [3, 8])
-def test_step_kernels_write_only_their_outputs_and_work_space(m):
-    # each C function, called by hand on the roll table and work space that
-    # the passes size (m^4 and _work_len int64) and on canary-filled
-    # outputs, each with a canary tail: the table and work tails, the output
-    # tails and every output point outside the block keep their canaries.
+def test_step_kernels_write_only_their_outputs(m):
+    # each C function, called by hand on the roll table that the passes
+    # size (m^4 int64) and on canary-filled outputs, each with a canary
+    # tail: the table tail, the output tails and every output point outside
+    # the block keep their canaries.
     # The blocks cut fibres at both ends, or run to the field's end, and at
     # m_x = 8 one spans two whole Hessian sub-blocks and part of a third
     lib = lattice._step_kernel()
@@ -513,18 +515,18 @@ def test_step_kernels_write_only_their_outputs_and_work_space(m):
     dim_h, size, fibre, tail = grid.dim_h, grid.size, m ** 3, 64
     two_h, h_sq = 2.0 * grid.h_x, grid.h_x * grid.h_x
     cols = np.ascontiguousarray(grid.twist.transpose(2, 0, 1))
-    canary, work_canary = -1.25e300, -0x5EED
+    canary, table_canary = -1.25e300, -0x5EED
     # plane_rolls fills m^4 entries, each run of m^2 a permutation of the
     # plane's points
-    table = np.full(m ** 4 + tail, work_canary, dtype=np.int64)
+    table = np.full(m ** 4 + tail, table_canary, dtype=np.int64)
     lib.plane_rolls(table.ctypes.data, m)
-    assert np.all(table[m ** 4:] == work_canary)
+    assert np.all(table[m ** 4:] == table_canary)
     assert np.all(np.sort(table[:m ** 4].reshape(m * m, m * m), axis=1) == np.arange(m * m))
     # a (4n, N) stack: its first two rows are the gathered stack, its first
     # row the field of the jet and the Euler update
     src = np.random.default_rng(m).normal(size=(dim_h, size))
     flat = src[0]
-    terms = lattice._omega_terms(frame_data(grid).omega)
+    omega = frame_data(grid).omega
 
     def canaries(n):
         return np.full(n + tail, canary)
@@ -539,17 +541,15 @@ def test_step_kernels_write_only_their_outputs_and_work_space(m):
 
     for start, k in ((fibre + 5, 2 * fibre + 7), (size - fibre - 3, fibre + 3),
                      (fibre + 5, min(size - fibre - 8, 2 * HESSIAN_SUB + 100))):
-        work = np.full(lattice._work_len(dim_h) + tail, work_canary, dtype=np.int64)
         args = (size, start, k, m, dim_h)
         stack = canaries(2 * k)
         for a in range(dim_h):
-            lib.difference_gather(src.ctypes.data, stack.ctypes.data, work.ctypes.data, 2,
-                                  *args, a, cols.ctypes.data, table.ctypes.data, two_h)
+            lib.difference_gather(src.ctypes.data, stack.ctypes.data, 2, *args, a,
+                                  cols.ctypes.data, table.ctypes.data, two_h)
         assert kept(stack, slice(0, 2 * k))
         first, lap = canaries(dim_h * size), canaries(size)
-        lib.difference_jet(flat.ctypes.data, first.ctypes.data, lap.ctypes.data,
-                           work.ctypes.data, *args, cols.ctypes.data, table.ctypes.data,
-                           two_h, h_sq)
+        lib.difference_jet(flat.ctypes.data, first.ctypes.data, lap.ctypes.data, *args,
+                           cols.ctypes.data, table.ctypes.data, two_h, h_sq)
         rows = np.zeros(dim_h * size + tail, dtype=bool)
         rows[:dim_h * size].reshape(dim_h, size)[:, start:start + k] = True
         assert kept(first, rows)
@@ -557,31 +557,28 @@ def test_step_kernels_write_only_their_outputs_and_work_space(m):
         # the Euler update writes its points of out, and their min and max
         # into ext
         out, ext = canaries(size), canaries(2)
-        lib.euler_update(flat.ctypes.data, out.ctypes.data, ext.ctypes.data, work.ctypes.data,
-                         start, k, m, dim_h, cols.ctypes.data, table.ctypes.data, 0.1)
+        lib.euler_update(flat.ctypes.data, out.ctypes.data, ext.ctypes.data, start, k, m,
+                         dim_h, cols.ctypes.data, table.ctypes.data, 0.1)
         assert kept(out, slice(start, start + k))
         assert kept(ext, slice(0, 2))
         assert (ext[0], ext[1]) == (out[start:start + k].min(), out[start:start + k].max())
-        # the Hessian writes tr, om and nsq of the block and works in the
-        # rows of one sub-block of buf; its sums are those of the gathered
-        # rows, axis by axis from zero, with or without nsq
+        # the Hessian writes tr, om and nsq of the block; its sums are
+        # those of the gathered rows, axis by axis from zero, with or
+        # without nsq, omega_s's one entry +-1 of row a read from the frame
         tr, om, nsq = canaries(k), canaries(3 * k), canaries(k)
-        buf = canaries(dim_h * min(k, HESSIAN_SUB))
-        hess_args = (buf.ctypes.data, work.ctypes.data, *args, cols.ctypes.data,
-                     table.ctypes.data, terms.ctypes.data, two_h)
+        hess_args = (*args, cols.ctypes.data, table.ctypes.data, two_h)
         lib.hessian_block(src.ctypes.data, tr.ctypes.data, om.ctypes.data, nsq.ctypes.data,
                           *hess_args)
         assert kept(tr, slice(0, k)) and kept(om, slice(0, 3 * k)) and kept(nsq, slice(0, k))
-        assert np.all(buf[dim_h * min(k, HESSIAN_SUB):] == canary)
         want_tr, want_om, want_nsq = np.zeros(k), np.zeros((3, k)), np.zeros(k)
         d = np.empty((dim_h, k))
         for a in range(dim_h):
-            lib.difference_gather(src.ctypes.data, d.ctypes.data, work.ctypes.data, dim_h,
-                                  *args, a, cols.ctypes.data, table.ctypes.data, two_h)
+            lib.difference_gather(src.ctypes.data, d.ctypes.data, dim_h, *args, a,
+                                  cols.ctypes.data, table.ctypes.data, two_h)
             want_tr += d[a]
             for s in range(3):
-                b, sign = terms[a, s]
-                if sign > 0:
+                (b,) = np.flatnonzero(omega[s, a])
+                if omega[s, a, b] > 0:
                     want_om[s] += d[b]
                 else:
                     want_om[s] -= d[b]
@@ -593,7 +590,6 @@ def test_step_kernels_write_only_their_outputs_and_work_space(m):
         tr2, om2 = canaries(k), canaries(3 * k)
         lib.hessian_block(src.ctypes.data, tr2.ctypes.data, om2.ctypes.data, None, *hess_args)
         assert tr2.tobytes() == tr.tobytes() and om2.tobytes() == om.tobytes()
-        assert np.all(work[lattice._work_len(dim_h):] == work_canary)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -623,36 +619,34 @@ def test_euler_pass_measures_the_new_field_like_numpy(workers, monkeypatch):
     assert np.min(lattice.euler_pass(with_zero, grid, 0.0, False)[0]) == 0.0
 
 
-def test_frame_omega_has_one_unit_entry_per_row_and_the_hessian_needs_it(monkeypatch):
-    # the Hessian pass reads omega_s as one entry +-1 per row a, at column
-    # b_s(a); every n's frame has that structure, and the pass refuses a
-    # frame without it before any block
+def test_frame_omega_is_the_twist_columns_and_the_grid_refuses_others():
+    # hessian_block reads row a of omega_s as the twist column of (a, s),
+    # omega_s[a, b] = twist[s][b, a] (omega_s = g(I_s ., .), I_s = B_s),
+    # with one entry +-1: for every n the frame's omega, built by algebra's
+    # route from the triple, is exactly those columns, and a grid whose
+    # twist breaks that structure is refused before any block
     for n in (1, 2, 3):
-        omega = frame_data(make_grid(n, 2)).omega
+        grid = make_grid(n, 2)
+        cols, _ = grid._step_constants
+        omega = frame_data(grid).omega
         assert omega.shape == (3, 4 * n, 4 * n)
+        assert np.array_equal(omega, cols.transpose(1, 0, 2))
         nonzero = omega != 0.0
         assert np.all(nonzero.sum(axis=2) == 1)
         assert set(np.abs(omega[nonzero])) == {1.0}
-        terms = lattice._omega_terms(omega)
-        assert terms.shape == (4 * n, 3, 2) and terms.dtype == np.int64
-        for a, s in itertools.product(range(4 * n), range(3)):
-            b, sign = terms[a, s]
-            assert omega[s, a, b] == sign
-    grid = make_grid(1, 3)
-    jet = operators.DifferenceJet(ScalarField(grid, np.ones(grid.shape)))
-    fd = frame_data(grid)
-    two_entries = fd.omega.copy()
-    two_entries[tuple(np.argwhere(fd.omega == 0.0)[0])] = 1.0
-    half = fd.omega * 0.5
-    for omega in (two_entries, half, np.zeros_like(fd.omega)):
-        broken = lattice.FrameData(omega=omega, structure=fd.structure)
-        monkeypatch.setattr(lattice, "frame_data", lambda grid: broken)
+    twist = make_grid(1, 3).twist
+    two_entries = twist.copy()
+    two_entries[tuple(np.argwhere(twist == 0)[0])] = 1
+    for broken in (two_entries, 2 * twist, np.zeros_like(twist)):
+        grid = make_grid(1, 3)
+        grid.twist = broken
 
         def contract(blk, tr, om, nsq, work):
             raise AssertionError("a block was contracted")
 
         with pytest.raises(ValueError, match="one entry"):
-            lattice.hessian_pass(jet.first, grid, contract, with_norm=False)
+            lattice.hessian_pass(np.ones((grid.dim_h,) + grid.shape), grid, contract,
+                                 with_norm=False)
 
 
 def test_fused_euler_update_refuses_what_it_cannot_write():
@@ -771,7 +765,7 @@ def test_pass_blocks_gives_each_worker_one_run_of_tree_blocks(workers, monkeypat
     meet = threading.Barrier(workers, timeout=60)
     runs = {}
 
-    def block(start, k, buf, work, blocks):
+    def block(start, k, blocks):
         ident = threading.get_ident()
         if ident not in runs:
             runs[ident] = []
@@ -779,7 +773,7 @@ def test_pass_blocks_gives_each_worker_one_run_of_tree_blocks(workers, monkeypat
         runs[ident].append((start, start + k))
 
     try:
-        lattice._pass_blocks(block, grid, 1, ())
+        lattice._pass_blocks(block, grid, ())
     finally:
         pool.shutdown()
     tree = _tree_nodes(0, grid.size, 5000)
@@ -805,11 +799,11 @@ def test_tree_sum_gives_the_bits_of_np_sum(cap, monkeypatch):
         grid = make_grid(1, m)
         values = rng.standard_normal(grid.size) * 2.0 ** rng.integers(-40, 40, grid.size)
 
-        def block(start, k, buf, work, blocks):
+        def block(start, k, blocks):
             return (np.add.reduce(values[start:start + k]),)
 
         whole = np.sum(values)
-        assert lattice._pass_blocks(block, grid, 1, ()) == (whole,), m
+        assert lattice._pass_blocks(block, grid, ()) == (whole,), m
         left_to_right = 0.0
         for start, stop in _tree_nodes(0, grid.size, lattice.BLOCK_POINTS):
             left_to_right += np.sum(values[start:stop])
@@ -897,11 +891,35 @@ def test_every_public_function_has_a_caller_in_the_package():
     assert uncalled == []
 
 
+def _c_parameter_kinds(source):
+    """The ctypes kind of each parameter of each non-static function of a C
+    source, by name: a pointer is c_void_p, int64_t c_int64, double
+    c_double, and anything else stays its C text, which no kind matches."""
+    kinds = {}
+    for name, params in re.findall(r"^(?!static\b)\w[\w \t*]*?\b(\w+)\s*\(([^)]*)\)",
+                                   source, re.M):
+        kinds[name] = [ctypes.c_void_p if "*" in p
+                       else {"int64_t": ctypes.c_int64, "double": ctypes.c_double}.get(
+                           p.split()[0], p.strip())
+                       for p in params.split(",")]
+    return kinds
+
+
 def test_the_c_exports_are_the_bound_functions_and_each_has_a_caller():
     # the non-static functions of _steps.c are exactly those that
-    # _step_kernel gives argtypes, and lattice calls each of them
+    # _step_kernel gives argtypes, each with one argtype of the kind of each
+    # C parameter, in order (a mismatch is not an error ctypes reports: the
+    # call reads or writes the wrong memory), and lattice calls each of them
     source = Path(lattice._STEPS_SOURCE).read_text()
-    exported = set(re.findall(r"^(?!static\b)\w[\w \t*]*?\b(\w+)\s*\(", source, re.M))
+    kinds = _c_parameter_kinds(source)
+    exported = set(kinds)
+    lib = lattice._step_kernel()
+    for name, want in kinds.items():
+        assert list(getattr(lib, name).argtypes) == want, name
+    # the check sees one more C parameter in any function
+    for name in kinds:
+        grown = re.sub(rf"^(void {name}\()", r"\1int64_t extra, ", source, flags=re.M)
+        assert list(getattr(lib, name).argtypes) != _c_parameter_kinds(grown)[name], name
     tree = ast.parse((SRC / "lattice.py").read_text())
     bound = {node.targets[0].value.attr for node in ast.walk(tree)
              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Attribute)

@@ -725,8 +725,8 @@ def test_block_passes_are_bit_identical_for_every_worker_count(workers, monkeypa
 
 def test_block_passes_call_public_functions_only_on_the_calling_thread(monkeypatch):
     # the runs of every pass (its kernels or its C calls) go to the pool,
-    # while every public qcflow function (the
-    # frame data among them, and a step table should a pass build one) runs
+    # while every public qcflow function (the Bochner residual's frame
+    # data among them, and a step table should a pass build one) runs
     # on the calling thread, which keeps a tracer's span stack (one per
     # process) valid
     monkeypatch.setattr(lattice, "WORKERS", 2)
@@ -778,7 +778,7 @@ def test_block_passes_call_public_functions_only_on_the_calling_thread(monkeypat
         kernel_threads.clear()
         run()
         names = {fn for fn, _ in calls}
-        if name in ("hessian", "production", "bochner", "p_functional"):
+        if name == "bochner":
             assert "frame_data" in names, name
         assert {ident for _, ident in calls} <= {main}, name
         assert len(kernel_threads) == 2 and main not in kernel_threads, name
@@ -808,14 +808,14 @@ def test_pass_blocks_runs_serially_inside_a_worker(monkeypatch):
     grid = make_grid(1, 5)
     inner = []
 
-    def inner_block(start, k, buf, work, blocks):
+    def inner_block(start, k, blocks):
         inner.append(threading.get_ident())
 
-    def block(start, k, buf, work, blocks):
+    def block(start, k, blocks):
         if start == 0:
-            lattice._pass_blocks(inner_block, grid, 1, ())
+            lattice._pass_blocks(inner_block, grid, ())
 
-    done = threading.Thread(target=lattice._pass_blocks, args=(block, grid, 1, ()),
+    done = threading.Thread(target=lattice._pass_blocks, args=(block, grid, ()),
                             daemon=True)
     done.start()
     done.join(timeout=120)
