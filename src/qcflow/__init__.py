@@ -29,12 +29,10 @@ from .energy import (
 from .flow import FlowConfig, FlowState, cfl_timestep, evolve, stream
 from .identities import IDENTITY_NAMES, IdentityReport, bochner_residual, identity_residual
 from .lattice import (
-    FrameData,
     GroupPoint,
     HorizontalField,
     LatticeGrid,
     ScalarField,
-    frame_data,
     group_inverse,
     group_multiply,
     integrate,

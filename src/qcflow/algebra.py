@@ -62,10 +62,6 @@ class QuaternionicStructure:
     def dim(self) -> int:
         return 4 * self.n
 
-    def omega(self, s: int) -> np.ndarray:
-        """Fundamental 2-form matrix, omega_s[a, b] = g(I_s e_a, e_b)."""
-        return self.I[s].T
-
 
 def make_quaternionic_structure(n: int) -> QuaternionicStructure:
     """Standard block-diagonal triple (left multiplication by i, j, k)."""
@@ -74,15 +70,6 @@ def make_quaternionic_structure(n: int) -> QuaternionicStructure:
     eye = np.eye(n)
     triple = tuple(np.kron(eye, blk) for blk in (LEFT_I, LEFT_J, LEFT_K))
     return QuaternionicStructure(n=n, I=triple)
-
-
-def structure_from_triple(n: int, I1, I2, I3) -> QuaternionicStructure:
-    """Wrap an explicit triple (used by the lattice model's frame)."""
-    if n < 1:
-        raise ValueError("quaternionic dimension n must be >= 1")
-    return QuaternionicStructure(n=n, I=(np.asarray(I1, dtype=float),
-                                         np.asarray(I2, dtype=float),
-                                         np.asarray(I3, dtype=float)))
 
 
 def _check_shape(psi: np.ndarray, Q: QuaternionicStructure) -> np.ndarray:

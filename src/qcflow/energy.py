@@ -10,7 +10,7 @@ the measured positivity hypotheses hold.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -18,12 +18,6 @@ from .algebra import alpha_interval, h_polynomial
 from .flow import FlowState
 from .identities import FlowQuantities, IdentityReport, NORM_FLOOR, check_alpha, require_positive
 from .lattice import ScalarField, grad_sq_pass
-
-CSV_COLUMNS = (
-    "time", "energy", "dF_dt_numeric", "dF_dt_analytic", "term_laplacian",
-    "term_quartic", "term_pfunctional", "term_L", "term_p", "p_functional",
-    "min_pF",
-)
 
 
 def energy(u: ScalarField) -> float:
@@ -68,7 +62,7 @@ class EnergyReport:
     term_pfunctional: float
     term_L: float
     term_p: float
-    p_functional_value: float
+    p_functional: float
     min_pF: float
 
     def terms(self):
@@ -77,6 +71,9 @@ class EnergyReport:
 
     def csv_row(self):
         return astuple(self)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(EnergyReport))
 
 
 def derf_rhs(u: ScalarField, alpha: float, coeff_override=None,
@@ -118,7 +115,7 @@ def derf_rhs(u: ScalarField, alpha: float, coeff_override=None,
         term_pfunctional=term_pfun,
         term_L=term_lich,
         term_p=term_pdef,
-        p_functional_value=p_pair,
+        p_functional=p_pair,
         min_pF=prod.min_deficit,
     )
 
@@ -191,7 +188,7 @@ def monotonicity_verdict(reports: list[EnergyReport], alpha: float,
         p_scales.append(base)
     eps_p = max(1e-12, 1e-8 * max(p_scales)) if p_scales else 1e-12
 
-    p_ok = all(rep.p_functional_value <= eps_p for rep in reports)
+    p_ok = all(rep.p_functional <= eps_p for rep in reports)
     monotone = True
     counterexample = None
     for rep in reports:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import LatticeGrid, ScalarField, frame_data, hessian_pass
+from .lattice import LatticeGrid, ScalarField, hessian_pass, twist_matrices
 from .operators import DifferenceJet, p_functional, reeb_derivative, sub_laplacian
 
 IDENTITY_NAMES = (
@@ -258,7 +258,7 @@ class FlowQuantities:
 
 def _ricci2_report(f: ScalarField) -> IdentityReport:
     grid = f.grid
-    fd = frame_data(grid)
+    B = twist_matrices(grid.n)
     xi = [reeb_derivative(f, s).values for s in range(3)]
     # second[b][a] = D_a D_b f = H_ab
     second = [DifferenceJet(ScalarField(grid, d_b)).first for d_b in DifferenceJet(f).first]
@@ -268,7 +268,8 @@ def _ricci2_report(f: ScalarField) -> IdentityReport:
     for a in range(grid.dim_h):
         for b in range(a + 1, grid.dim_h):
             comm = second[b][a] - second[a][b]
-            twist = sum(2.0 * fd.omega[s][a, b] * xi[s] for s in range(3))
+            # omega_s[a, b] = B_s[b, a]
+            twist = sum(2.0 * B[s][b, a] * xi[s] for s in range(3))
             anti_sq += comm * comm
             twist_sq += twist * twist
             res_sq += (comm + twist) ** 2
@@ -341,11 +342,11 @@ def bochner_residual(f: ScalarField) -> IdentityReport:
 
 def _reeb_mixed(grid: LatticeGrid, grad: np.ndarray) -> np.ndarray:
     """Pointwise Reeb mixed term sum_s sum_a xi_s(D_a f) (I_s Df)_a of the
-    gradient components grad = Df."""
-    fd = frame_data(grid)
+    gradient components grad = Df, with I_s = B_s."""
+    B = twist_matrices(grid.n)
     mixed = np.zeros(grid.shape)
     for s in range(3):
-        is_grad = np.einsum("ab,b...->a...", fd.structure.I[s], grad)
+        is_grad = np.einsum("ab,b...->a...", B[s], grad)
         for a in range(grid.dim_h):
             mixed += reeb_derivative(ScalarField(grid, grad[a]), s).values * is_grad[a]
     return mixed

@@ -32,8 +32,9 @@ have the bits of the numpy route on every machine.
 
 Left-invariant frame conventions (validated by the frame-contract tests):
 the twist bilinears are Im_s(conj(x) x') = x @ B_s @ x' with B_s minus the
-right multiplication by i_s, the Reeb fields are xi_s = 2 d/dt_s, and the
-almost complex triple of the frame is I_s = B_s.
+right multiplication by i_s, and the Reeb fields are xi_s = 2 d/dt_s.
+twist_matrices is the frame: its almost complex triple is I_s = B_s and
+its 2-forms omega_s = g(I_s ., .) are omega_s[a, b] = B_s[b, a].
 """
 from __future__ import annotations
 
@@ -48,13 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (
-    RIGHT_I,
-    RIGHT_J,
-    RIGHT_K,
-    QuaternionicStructure,
-    structure_from_triple,
-)
+from .algebra import RIGHT_I, RIGHT_J, RIGHT_K
 
 XI_SCALE = 2.0  # xi_s = XI_SCALE * d/dt_s
 
@@ -622,31 +617,6 @@ def vertical_shift(values: np.ndarray, grid: LatticeGrid, s: int, direction: int
     return np.roll(values, -direction, axis=grid.dim_h + s)
 
 
-@dataclass(frozen=True)
-class FrameData:
-    """Constant frame data of the left-invariant Biquard frame, built by
-    algebra's route; the passes read omega_s[a, b] = twist[s][b, a]."""
-
-    omega: np.ndarray                     # (3, 4n, 4n), omega_s(e_a, e_b)
-    structure: QuaternionicStructure      # triple I_s with omega_s = g(I_s., .)
-
-
-def frame_data(grid: LatticeGrid) -> FrameData:
-    """The frame data of the grid's dimension, built once per n and shared,
-    so its arrays are read-only."""
-    return _frame_data(grid.n)
-
-
-@functools.lru_cache(maxsize=None)
-def _frame_data(n: int) -> FrameData:
-    B = twist_matrices(n)
-    Q = structure_from_triple(n, B[0], B[1], B[2])
-    omega = np.stack([Q.omega(s) for s in range(3)])
-    for arr in (omega, *Q.I):
-        arr.flags.writeable = False
-    return FrameData(omega=omega, structure=Q)
-
-
 # ---------------------------------------------------------------------------
 # periodized bump test data
 # ---------------------------------------------------------------------------
@@ -731,23 +701,21 @@ def _axis_shifts(grid: LatticeGrid, center_x: np.ndarray, width: float):
     return shifts
 
 
-def periodized_bump(grid: LatticeGrid, center: GroupPoint | None = None,
-                    width: float = 0.2, amplitude: float = 1.0,
+def periodized_bump(grid: LatticeGrid, width: float = 0.2, amplitude: float = 1.0,
                     offset: float = 0.0, tau_width: float | None = None,
                     profile: str = "smooth",
                     tau_profile: str | None = None) -> ScalarField:
     """Lattice-periodic smooth bump plus a constant offset.
 
     The bump is the sum over the lattice of a compactly supported profile of
-    the group-relative coordinates: with rel = center^{-1} * (gamma * g),
+    the group-relative coordinates: with rel = center^{-1} * (gamma * g) and
+    center = default_center(grid),
     psi(rel) = chi(|rel_x| / width) * prod_s chi(|rel_t,s| / tau_width),
     where chi has characteristic scale 1 and support radius SUPPORT_FACTOR.
     width < L_x/4 keeps the support inside one lattice shell horizontally;
     the vertical profile may wrap the short vertical period, in which case
     the overlapping images are summed exactly.
     """
-    if center is None:
-        center = default_center(grid)
     check_bump_params(width, profile, tau_profile)
     if tau_width is None:
         tau_width = default_tau_width(width)
@@ -758,6 +726,7 @@ def periodized_bump(grid: LatticeGrid, center: GroupPoint | None = None,
     xs = np.arange(grid.m_x) * grid.h_x
     ts = np.arange(grid.m_t) * grid.h_t
     B = grid.twist.astype(float)
+    center = default_center(grid)
     xc, tc = center.x, center.t
 
     total = np.zeros(grid.shape)
@@ -792,8 +761,7 @@ def periodized_bump(grid: LatticeGrid, center: GroupPoint | None = None,
     return ScalarField(grid, offset + amplitude * total)
 
 
-def vertically_uniform_bump(grid: LatticeGrid, center: GroupPoint | None = None,
-                            width: float = 0.2, amplitude: float = 1.0,
+def vertically_uniform_bump(grid: LatticeGrid, width: float = 0.2, amplitude: float = 1.0,
                             offset: float = 0.0) -> ScalarField:
     """Smooth bump constant along the vertical axes.
 
@@ -802,8 +770,7 @@ def vertically_uniform_bump(grid: LatticeGrid, center: GroupPoint | None = None,
     so the result is the plain horizontal mollifier broadcast vertically,
     still built by the defining lattice sum.
     """
-    return periodized_bump(grid, center=center, width=width,
-                           amplitude=amplitude, offset=offset,
+    return periodized_bump(grid, width=width, amplitude=amplitude, offset=offset,
                            tau_width=grid.L_t, profile="smooth",
                            tau_profile="cosine")
 

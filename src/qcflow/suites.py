@@ -58,9 +58,6 @@ from .lattice import (
 )
 from .operators import DifferenceJet, divergence, reeb_derivative, sub_laplacian
 
-SUITE_NAMES = ("algebra", "roots", "geometry", "calculus", "flow", "lemma",
-               "theorem")
-
 FORMAT_VERSION = "qcflow-report-1"
 
 
@@ -526,7 +523,7 @@ def theorem_suite(seed: int = 1, m_x: int = 6, alpha: float = -0.05) -> SuiteRep
         if not verdict.p_function_nonneg:
             checks.append(CheckResult(
                 name=name, status="not_applicable",
-                measured=max(r.p_functional_value for r in reports),
+                measured=max(r.p_functional for r in reports),
                 detail="P-function hypothesis not met (measured)"))
             continue
         hypothesis_met_runs += 1
@@ -540,7 +537,7 @@ def theorem_suite(seed: int = 1, m_x: int = 6, alpha: float = -0.05) -> SuiteRep
         checks.append(_verdict(name, max(worst_rate, worst_term), eps, ok,
                                detail=f"records={len(reports)}, "
                                       f"max p_functional="
-                                      f"{max(r.p_functional_value for r in reports):.3g}"))
+                                      f"{max(r.p_functional for r in reports):.3g}"))
     if admissible:
         checks.append(_verdict("hypothesis_met_monotone_runs", met_and_monotone,
                                3, met_and_monotone >= 3,
@@ -558,6 +555,7 @@ SUITE_BUILDERS = {
     "lemma": lemma_suite,
     "theorem": theorem_suite,
 }
+SUITE_NAMES = tuple(SUITE_BUILDERS)
 
 
 def run_suite(name: str, seed: int = 1, **kw) -> SuiteReport:

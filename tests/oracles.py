@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from qcflow.lattice import (SUPPORT_FACTOR, GroupPoint, HorizontalField, LatticeGrid,
-                            ScalarField, default_center, default_tau_width, frame_data,
-                            group_inverse, group_multiply)
+                            ScalarField, default_center, default_tau_width, group_inverse,
+                            group_multiply, twist_matrices)
 from qcflow.operators import DifferenceJet, divergence
 
 
@@ -39,7 +39,7 @@ def third_contractions(f: ScalarField):
     recombining directional compositions through the constant I_t matrices.
     """
     grid = f.grid
-    fd = frame_data(grid)
+    B = twist_matrices(grid.n)
     dim = grid.dim_h
     jet = DifferenceJet(f)
     c1 = -DifferenceJet(ScalarField(grid, jet.laplacian)).first
@@ -48,7 +48,7 @@ def third_contractions(f: ScalarField):
 
     c2 = np.zeros((dim,) + grid.shape)
     for t in range(3):
-        It = fd.structure.I[t]
+        It = B[t]
         # G_t = g(nabla^2 f, omega_t) built from the composed Hessian
         gt = np.zeros(grid.shape)
         for b in range(dim):

@@ -55,7 +55,7 @@ def test_structure_rejects_n_zero():
 def test_omega_pairings_brute_force():
     # sum_{a,b} omega_s(a,b) omega_t(a,b) = 4n delta_st, by explicit double sum
     Q = make_quaternionic_structure(1)
-    om = [Q.omega(s) for s in range(3)]
+    om = [Q.I[s].T for s in range(3)]
     for s in range(3):
         for t in range(3):
             total = 0.0

@@ -19,7 +19,7 @@ from qcflow.energy import (
 )
 from qcflow.flow import FlowConfig, cfl_timestep, evolve, initial_field
 from qcflow.identities import IDENTITY_NAMES, identity_residual
-from qcflow.lattice import ScalarField, frame_data, make_grid, periodized_bump
+from qcflow.lattice import ScalarField, make_grid, periodized_bump, twist_matrices
 from qcflow.operators import DifferenceJet
 from qcflow.suites import _rich_field
 
@@ -149,7 +149,7 @@ def test_derf_rhs_constant_field():
     for term in rep.terms():
         assert term == pytest.approx(0.0, abs=1e-15)
     assert rep.energy == 0.0
-    assert rep.p_functional_value == pytest.approx(0.0, abs=1e-15)
+    assert rep.p_functional == pytest.approx(0.0, abs=1e-15)
 
 
 def test_derf_rhs_bookkeeping_identity():
@@ -193,7 +193,7 @@ def _whole_field_deficit(F):
     """The p-deficit of F from its whole-field composed Hessian, summed in
     the (a, b) order of the Hessian pass."""
     grid = F.grid
-    fd = frame_data(grid)
+    B = twist_matrices(grid.n)
     # second[b][a] = D_a D_b F = H_ab
     second = [DifferenceJet(ScalarField(grid, d_b)).first for d_b in DifferenceJet(F).first]
     norm_sq = np.zeros(grid.shape)
@@ -206,8 +206,8 @@ def _whole_field_deficit(F):
             if a == b:
                 trace += hab
             for s in range(3):
-                if fd.omega[s][a, b] != 0.0:
-                    omega[s] += fd.omega[s][a, b] * hab
+                if B[s][b, a] != 0.0:
+                    omega[s] += B[s][b, a] * hab
     quarter = 1.0 / grid.dim_h
     deficit = norm_sq - quarter * trace * trace
     for s in range(3):
@@ -240,7 +240,7 @@ def test_derf_rhs_peaks_within_seven_whole_fields(monkeypatch):
     monkeypatch.setattr(lattice, "WORKERS", 2)
     monkeypatch.setattr(lattice, "BLOCK_POINTS", 4096)
     u = initial_field(flow_config(m=6))
-    derf_rhs(u, -0.05)  # builds the grid's step tables and frame data
+    derf_rhs(u, -0.05)  # builds the grid's step constants and the twist matrices
     tracemalloc.start()
     try:
         derf_rhs(u, -0.05)

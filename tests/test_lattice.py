@@ -20,7 +20,6 @@ from qcflow.lattice import (
     XI_SCALE,
     GroupPoint,
     ScalarField,
-    frame_data,
     group_inverse,
     group_multiply,
     imaginary_product,
@@ -170,15 +169,36 @@ def test_step_permutation_matches_index_arithmetic():
                     assert np.max(np.abs(k - np.round(k))) <= 1e-12, (n, m, a, d)
 
 
-def test_frame_structure():
-    grid = make_grid(1, 4)
-    fd = frame_data(grid)
-    I1, I2, I3 = fd.structure.I
-    assert np.max(np.abs(I1 @ I2 - I3)) == 0.0
-    for s in range(3):
-        Is = fd.structure.I[s]
-        assert np.max(np.abs(Is @ Is + np.eye(4))) == 0.0
-        assert np.max(np.abs(fd.omega[s] + fd.omega[s].T)) == 0.0
+def _hamilton(p, q):
+    """The Hamilton product of two quaternions given by their (1, i, j, k)
+    parts."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+def test_twist_matrices_are_the_quaternion_product():
+    # B_s[a, b] = Im_s(conj(e_a) e_b), block by block, from the Hamilton
+    # product itself and not from code that reads B_s; the frame's triple
+    # I_s = B_s is quaternionic and antisymmetric, and its 2-forms
+    # omega_s = B_s^T are the twist columns every C pass reads
+    units = np.eye(4, dtype=np.int64)
+    conj = np.array([1, -1, -1, -1])
+    block = np.array([[[_hamilton(conj * units[p], units[q])[1 + s] for q in range(4)]
+                       for p in range(4)] for s in range(3)])
+    for n in (1, 2, 3):
+        B = twist_matrices(n)
+        assert np.array_equal(B, [np.kron(np.eye(n), block[s]) for s in range(3)])
+        I1, I2, I3 = B
+        assert np.array_equal(I1 @ I2, I3)
+        for s in range(3):
+            assert np.array_equal(B[s] @ B[s], -np.eye(4 * n))
+            assert np.array_equal(B[s].T, -B[s])
+        cols, _ = make_grid(n, 2)._step_constants
+        assert np.array_equal(B.transpose(0, 2, 1), cols.transpose(1, 0, 2))
 
 
 def _first_diff(vals, grid, a):
@@ -196,7 +216,7 @@ def test_commutator_exact_vertical_factorization():
     # with v = Im(conj(e_a) e_b).  This is the sharp discrete form of the
     # torsion contract and pins every sign in the frame conventions.
     grid = make_grid(1, 4)
-    fd = frame_data(grid)
+    B = twist_matrices(grid.n)
     f = periodized_bump(grid, width=0.2, amplitude=1.0, offset=0.0)
     vals = f.values
     first = [_first_diff(vals, grid, a) for a in range(grid.dim_h)]
@@ -217,7 +237,7 @@ def test_commutator_exact_vertical_factorization():
             scale = max(np.max(np.abs(comm)), 1e-30)
             assert np.max(np.abs(comm - ident)) <= 1e-12 * scale
             # the twist term of the contract is exactly -4 v_s (vertical diff)
-            twist = sum(2.0 * fd.omega[t][a, b] * _reeb(vals, grid, t)
+            twist = sum(2.0 * B[t][b, a] * _reeb(vals, grid, t)
                         for t in range(3))
             assert np.max(np.abs(twist + 4.0 * vs * dvf)) <= 1e-12 * scale
 
@@ -345,7 +365,7 @@ def _stack_hessian(stack, grid, diff):
     """(|H|^2, tr H, omega_s(H)) of the composed differences H_ab =
     diff(row b, a) of a (4n, N) stack, flat, each summed from zero in (a, b)
     order as hessian_block sums them."""
-    omega = frame_data(grid).omega
+    omega = twist_matrices(grid.n).transpose(0, 2, 1)
     rows = stack.reshape(grid.dim_h, grid.size)
     norm_sq, trace, om = np.zeros(grid.size), np.zeros(grid.size), np.zeros((3, grid.size))
     for a in range(grid.dim_h):
@@ -526,7 +546,7 @@ def test_step_kernels_write_only_their_outputs(m):
     # row the field of the jet and the Euler update
     src = np.random.default_rng(m).normal(size=(dim_h, size))
     flat = src[0]
-    omega = frame_data(grid).omega
+    omega = twist_matrices(grid.n).transpose(0, 2, 1)
 
     def canaries(n):
         return np.full(n + tail, canary)
@@ -564,7 +584,7 @@ def test_step_kernels_write_only_their_outputs(m):
         assert (ext[0], ext[1]) == (out[start:start + k].min(), out[start:start + k].max())
         # the Hessian writes tr, om and nsq of the block; its sums are
         # those of the gathered rows, axis by axis from zero, with or
-        # without nsq, omega_s's one entry +-1 of row a read from the frame
+        # without nsq, omega_s's one entry +-1 of row a read from the twist
         tr, om, nsq = canaries(k), canaries(3 * k), canaries(k)
         hess_args = (*args, cols.ctypes.data, table.ctypes.data, two_h)
         lib.hessian_block(src.ctypes.data, tr.ctypes.data, om.ctypes.data, nsq.ctypes.data,
@@ -621,19 +641,15 @@ def test_euler_pass_measures_the_new_field_like_numpy(workers, monkeypatch):
 
 def test_frame_omega_is_the_twist_columns_and_the_grid_refuses_others():
     # hessian_block reads row a of omega_s as the twist column of (a, s),
-    # omega_s[a, b] = twist[s][b, a] (omega_s = g(I_s ., .), I_s = B_s),
-    # with one entry +-1: for every n the frame's omega, built by algebra's
-    # route from the triple, is exactly those columns, and a grid whose
-    # twist breaks that structure is refused before any block
+    # omega_s[a, b] = twist[s][b, a] (omega_s = g(I_s ., .), I_s = B_s, as
+    # test_twist_matrices_are_the_quaternion_product checks), with one
+    # entry +-1: for every n the columns have that structure, and a grid
+    # whose twist breaks it is refused before any block
     for n in (1, 2, 3):
-        grid = make_grid(n, 2)
-        cols, _ = grid._step_constants
-        omega = frame_data(grid).omega
-        assert omega.shape == (3, 4 * n, 4 * n)
-        assert np.array_equal(omega, cols.transpose(1, 0, 2))
-        nonzero = omega != 0.0
+        cols, _ = make_grid(n, 2)._step_constants
+        nonzero = cols != 0
         assert np.all(nonzero.sum(axis=2) == 1)
-        assert set(np.abs(omega[nonzero])) == {1.0}
+        assert set(np.abs(cols[nonzero])) == {1}
     twist = make_grid(1, 3).twist
     two_entries = twist.copy()
     two_entries[tuple(np.argwhere(twist == 0)[0])] = 1
@@ -861,30 +877,34 @@ def _names(node):
 
 def test_every_public_function_has_a_caller_in_the_package():
     # code whose only caller is its own test goes: a public module-level
-    # function, or a public method of a package class (dunder methods are
-    # exempt), must be referenced (by name or as an attribute) somewhere in
-    # src/qcflow outside its own definition, __init__.py and the kept
-    # uncalled functions (a function that only those reach has no caller)
+    # function or class, or a public method of a package class (dunder
+    # methods are exempt), must be referenced (by name or as an attribute)
+    # somewhere in src/qcflow outside its own definition, __init__.py and
+    # the kept uncalled functions (a function that only those reach has no
+    # caller).  A class's own body does not reference it, so a class with
+    # no methods is held to the rule too
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     public, referenced = {}, set()
     for name, tree in modules.items():
         for top in tree.body:
-            owner, defs = name, [top]
+            owner, defs, own = name, [top], set()
             if isinstance(top, ast.ClassDef):
-                owner, defs = f"{name}.{top.name}", top.body
+                owner, defs, own = f"{name}.{top.name}", top.body, {top.name}
+                if not top.name.startswith("_"):
+                    public[owner] = top.name
                 referenced |= set().union(*(_names(node) for node in top.bases
                                             + top.decorator_list))
             for node in defs:
                 if not isinstance(node, ast.FunctionDef):
-                    referenced |= _names(node)
+                    referenced |= _names(node) - own
                     continue
                 qual = f"{owner}.{node.name}"
                 if not node.name.startswith("_"):
                     public[qual] = node.name
                 if qual not in KEPT_UNCALLED:
                     # a definition does not call itself
-                    referenced |= _names(node) - {node.name}
+                    referenced |= _names(node) - {node.name} - own
     assert set(KEPT_UNCALLED) <= public.keys()
     uncalled = sorted(qual for qual, fn in public.items()
                       if fn not in referenced and qual not in KEPT_UNCALLED)

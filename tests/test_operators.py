@@ -15,11 +15,11 @@ from qcflow.identities import FlowQuantities, bochner_residual, identity_residua
 from qcflow.lattice import (
     ScalarField,
     default_center,
-    frame_data,
     grid_inner,
     integrate,
     make_grid,
     periodized_bump,
+    twist_matrices,
     vertically_uniform_bump,
 )
 from qcflow.operators import (
@@ -375,7 +375,7 @@ def _ref_sub_laplacian(values, grid):
 
 
 def _ref_hessian(values, grid):
-    fd = frame_data(grid)
+    B = twist_matrices(grid.n)
     dim = grid.dim_h
     first = [_ref_first_difference(values, grid, b) for b in range(dim)]
     norm_sq = np.zeros(grid.shape)
@@ -388,7 +388,7 @@ def _ref_hessian(values, grid):
             if a == b:
                 trace += hab
             for s in range(3):
-                w = fd.omega[s][a, b]
+                w = B[s][b, a]
                 if w != 0.0:
                     om[s] += w * hab
     quarter = 1.0 / dim
@@ -538,13 +538,13 @@ def _ref_reeb_mixed(first, grid):
     """The Reeb mixed term sum_s sum_a xi_s(D_a f) (I_s Df)_a of the
     reference first differences, read entry by entry from per-s loops over
     I_s: no contraction of identities."""
-    structure = frame_data(grid).structure
+    B = twist_matrices(grid.n)
     mixed = np.zeros(grid.shape)
     for s in range(3):
         for a in range(grid.dim_h):
             xi_da = reeb_derivative(ScalarField(grid, first[a]), s).values
             for b in range(grid.dim_h):
-                entry = structure.I[s][a, b]
+                entry = B[s][a, b]
                 if entry != 0.0:
                     mixed += xi_da * (entry * first[b])
     return mixed
@@ -566,14 +566,11 @@ def test_reeb_mixed_term_matches_a_per_entry_reference(m, monkeypatch):
         tol = 1e-13 * float(np.max(np.abs(ref)))
         assert tol > 0.0
         assert float(np.max(np.abs(identities._reeb_mixed(grid, first) - ref))) <= tol
-        fd = frame_data(grid)
         for s in range(3):
-            flipped = [I.copy() for I in fd.structure.I]
-            a, b = np.argwhere(flipped[s] != 0.0)[0]
-            flipped[s][a, b] *= -1.0
-            broken = lattice.FrameData(omega=fd.omega, structure=algebra.QuaternionicStructure(
-                n=fd.structure.n, I=tuple(flipped)))
-            monkeypatch.setattr(identities, "frame_data", lambda grid: broken)
+            broken = twist_matrices(grid.n).copy()
+            a, b = np.argwhere(broken[s] != 0.0)[0]
+            broken[s, a, b] *= -1.0
+            monkeypatch.setattr(identities, "twist_matrices", lambda n: broken)
             assert float(np.max(np.abs(identities._reeb_mixed(grid, first) - ref))) > tol, s
             monkeypatch.undo()
 
@@ -725,8 +722,8 @@ def test_block_passes_are_bit_identical_for_every_worker_count(workers, monkeypa
 
 def test_block_passes_call_public_functions_only_on_the_calling_thread(monkeypatch):
     # the runs of every pass (its kernels or its C calls) go to the pool,
-    # while every public qcflow function (the Bochner residual's frame
-    # data among them, and a step table should a pass build one) runs
+    # while every public qcflow function (the Bochner residual's Reeb
+    # derivatives among them, and a step table should a pass build one) runs
     # on the calling thread, which keeps a tracer's span stack (one per
     # process) valid
     monkeypatch.setattr(lattice, "WORKERS", 2)
@@ -779,7 +776,7 @@ def test_block_passes_call_public_functions_only_on_the_calling_thread(monkeypat
         run()
         names = {fn for fn, _ in calls}
         if name == "bochner":
-            assert "frame_data" in names, name
+            assert "reeb_derivative" in names, name
         assert {ident for _, ident in calls} <= {main}, name
         assert len(kernel_threads) == 2 and main not in kernel_threads, name
 
