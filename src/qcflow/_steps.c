@@ -1,7 +1,8 @@
 /* The twisted horizontal steps of the lattice quotient, read without a
  * step table: the centred differences they give, the difference jet of a
- * field, the Euler update that sums them and the composed Hessian of a
- * field's first differences.
+ * field, the Euler update that sums them, the composed Hessian of a
+ * field's first differences, and the per-point integrands of the energy
+ * production that read that Hessian.
  *
  * A step along horizontal axis a in direction d maps the point (i, t) to
  * (i + d e_a, t + d K(i)) (mod m), K_s(i) = sum_b twist[s][b, a] i_b, so
@@ -27,10 +28,11 @@
  * into the C-contiguous (rows, len) array out.
  *
  * difference_jet writes, on the same points of a flat field f, D_a f into
- * row a of the C-contiguous (dim_h, size) array first, for every a, and
- * the compact Laplacian -acc / h_sq, acc = sum_a ((S_a^+ f - f * 2) +
- * S_a^- f), into the flat array lap: acc starts at 0 and each axis adds to
- * it.
+ * first[p dim_h + a] of point p, for every a: first is point-major, a
+ * C-contiguous (size, dim_h) array that holds each point's dim_h
+ * differences as one run.  It writes the compact Laplacian -acc / h_sq,
+ * acc = sum_a ((S_a^+ f - f * 2) + S_a^- f), into the flat array lap: acc
+ * starts at 0 and each axis adds to it.
  *
  * euler_update writes u + acc * w, acc = sum_a ((S_a^+ u + S_a^- u) - u * 2),
  * on the same points of a flat field into the flat array out: the first
@@ -39,21 +41,37 @@
  * them is kept, as np.min and np.max keep it.
  *
  * hessian_block accumulates, on the points [start, start+len) of the
- * C-contiguous (dim_h, size) first differences D_b f, the composed Hessian
- * H_ab = D_a D_b f into tr = sum_a H_aa, the C-contiguous (3, len) om,
- * om[s] = sum_a sigma_s(a) H_a b_s(a), and, unless nsq is NULL, nsq =
- * sum_a sum_b H_ab^2, each from zero in (a, b) order.  Row a of omega_s =
- * g(I_s ., .), I_s = B_s, is the twist column of (a, s), with one entry
- * +-1 (the caller refuses others): sigma_s(a), at b_s(a).  Per sub-block
- * of HESSIAN_SUB points and per axis a, it writes H_a. with
- * difference_gather into a buffer on its stack, which stays in a core's L2
- * cache, and adds it in; adding sigma_s(a) H_ab, sigma = +-1, gives the
- * bits of adding or subtracting H_ab.
+ * point-major first differences D_b f that difference_jet writes, the
+ * composed Hessian H_ab = D_a D_b f into tr = sum_a H_aa, the C-contiguous
+ * (3, len) om, om[s] = sum_a sigma_s(a) H_a b_s(a), and, unless nsq is
+ * NULL, nsq = sum_a sum_b H_ab^2, each from zero in (a, b) order.  Row a
+ * of omega_s = g(I_s ., .), I_s = B_s, is the twist column of (a, s), with
+ * one entry +-1 (the caller refuses others): sigma_s(a), at b_s(a).  It
+ * goes fibre by fibre and, within a fibre, axis by axis: at each point it
+ * reads the dim_h differences of each of the two points that the steps
+ * along a reach as one run, through one plane-roll index per step, forms
+ * the row H_a. = (up - um) / two_h and adds it into tr, om and nsq, whose
+ * share of the fibre stays in a core's L1 cache across the axes.  Adding
+ * sigma_s(a) H_ab, sigma = +-1, gives the bits of adding or subtracting
+ * H_ab.
  *
- * The per-point loops of difference_jet and euler_update are written once,
- * as static inline bodies that each function calls with the literal dim_h
- * 4 (n = 1, the dimension every suite runs), so the compiler unrolls the
- * 8 reads of a point, and with the runtime dim_h otherwise.
+ * production_block forms, per point of a block of len points, from the
+ * Hessian's tr, om and nsq there, with the compact Laplacian lap and the
+ * point-major first differences first of the same points, the p-deficit
+ * d = ((((nsq - tr q tr) - om_0 q om_0) - om_1 q om_1) - om_2 q om_2),
+ * q = 1 / dim_h, and |Df|^2 = sum_b first_b^2 in axis order.  The
+ * C-contiguous (5, len) work holds the weights w2 and w4 in its rows 0
+ * and 1; a point's weights are read before the point's integrands are
+ * written over them: lap^2 w2, (|Df|^2)^2 w4, w2 nsq,
+ * (om_0^2 + om_1^2 + om_2^2) w2 and w2 d, in rows 0 to 4.  It writes the
+ * minimum of d into lo[0]; a NaN among the d is kept, as
+ * np.minimum.reduce keeps it.
+ *
+ * The per-point loops of difference_jet, euler_update and hessian_block
+ * are written once, as static inline bodies that each function calls
+ * with the literal dim_h 4 (n = 1, the dimension every suite runs), so
+ * the compiler unrolls the reads of a point, and with the runtime dim_h
+ * otherwise.
  *
  * Each function does the + - x / of the whole-field numpy formula in its
  * per-point order, each one rounded on its own, so its output has that
@@ -68,8 +86,6 @@
 #include <stddef.h>
 #include <stdint.h>
 
-/* the points of a sub-block of hessian_block: its dim_h rows are 128 KiB at n = 1 */
-#define HESSIAN_SUB 4096
 /* the 2 dim_h steps of a point: a field of 2^(dim_h + 3) float64 values or
  * more fits in a 64-bit address space only for dim_h <= 57 */
 #define MAX_STEPS 128
@@ -185,10 +201,9 @@ void difference_gather(const double *src, double *out, int64_t rows, int64_t siz
 }
 
 /* the body of difference_jet */
-static inline void jet_points(const double *src, double *first, double *lap, int64_t size,
-                              int64_t start, int64_t len, int64_t m, int64_t dim_h,
-                              const int64_t *twist, const int64_t *rolls, double two_h,
-                              double h_sq)
+static inline void jet_points(const double *src, double *first, double *lap, int64_t start,
+                              int64_t len, int64_t m, int64_t dim_h, const int64_t *twist,
+                              const int64_t *rolls, double two_h, double h_sq)
 {
     int64_t m2 = m * m, fibre = m2 * m, stop = start + len, q0, q1;
     int64_t from[MAX_STEPS], c0[MAX_STEPS], roll[MAX_STEPS], at[MAX_STEPS];
@@ -206,7 +221,7 @@ static inline void jet_points(const double *src, double *first, double *lap, int
                 for (int64_t a = 0; a < dim_h; a++) {
                     double up = step_read(src, rolls, at, roll, 2 * a, q);
                     double um = step_read(src, rolls, at, roll, 2 * a + 1, q);
-                    first[a * size + p0 + q] = (up - um) / two_h;
+                    first[(p0 + q) * dim_h + a] = (up - um) / two_h;
                     acc += (up - two_f) + um;
                 }
                 lap[p0 + q] = -acc / h_sq;
@@ -215,14 +230,14 @@ static inline void jet_points(const double *src, double *first, double *lap, int
     }
 }
 
-void difference_jet(const double *src, double *first, double *lap, int64_t size,
-                    int64_t start, int64_t len, int64_t m, int64_t dim_h,
-                    const int64_t *twist, const int64_t *rolls, double two_h, double h_sq)
+void difference_jet(const double *src, double *first, double *lap, int64_t start,
+                    int64_t len, int64_t m, int64_t dim_h, const int64_t *twist,
+                    const int64_t *rolls, double two_h, double h_sq)
 {
     if (dim_h == 4)
-        jet_points(src, first, lap, size, start, len, m, 4, twist, rolls, two_h, h_sq);
+        jet_points(src, first, lap, start, len, m, 4, twist, rolls, two_h, h_sq);
     else
-        jet_points(src, first, lap, size, start, len, m, dim_h, twist, rolls, two_h, h_sq);
+        jet_points(src, first, lap, start, len, m, dim_h, twist, rolls, two_h, h_sq);
 }
 
 /* the body of euler_update */
@@ -271,55 +286,105 @@ void euler_update(const double *src, double *out, double *ext, int64_t start, in
         euler_points(src, out, ext, start, len, m, dim_h, twist, rolls, w);
 }
 
-/* adds axis a's rows H_a. of n points (row b at d + b n) into tr, the rows
- * of om (row s at om + s stride) and, unless it is NULL, nsq */
-static void hessian_add(const double *d, int64_t n, int64_t a, int64_t dim_h,
-                        const int64_t *twist, double *restrict tr, double *restrict om,
-                        int64_t stride, double *restrict nsq)
+
+/* the one entry +-1 of row a of each omega_s, omega_s[a, b] = twist[s][b, a]:
+ * sign sg[s] at column bs[s] */
+static void omega_row(const int64_t *twist, int64_t dim_h, int64_t a, int64_t bs[3],
+                      double sg[3])
 {
     const int64_t *col = twist + a * 3 * dim_h;
-    const double *daa = d + a * n, *ds[3] = {d, d, d};
-    double sg[3] = {0.0, 0.0, 0.0};
     for (int s = 0; s < 3; s++)
         for (int64_t b = 0; b < dim_h; b++)
             if (col[s * dim_h + b] != 0) {
-                ds[s] = d + b * n;
+                bs[s] = b;
                 sg[s] = (double)col[s * dim_h + b];
             }
-    double *om0 = om, *om1 = om + stride, *om2 = om + 2 * stride;
-    for (int64_t i = 0; i < n; i++) {
-        tr[i] += daa[i];
-        om0[i] += sg[0] * ds[0][i];
-        om1[i] += sg[1] * ds[1][i];
-        om2[i] += sg[2] * ds[2][i];
-    }
-    if (nsq != NULL)
-        for (int64_t b = 0; b < dim_h; b++) {
-            const double *db = d + b * n;
-            for (int64_t i = 0; i < n; i++)
-                nsq[i] += db[i] * db[i];
-        }
 }
 
-void hessian_block(const double *first, double *tr, double *om, double *nsq, int64_t size,
-                   int64_t start, int64_t len, int64_t m, int64_t dim_h,
-                   const int64_t *twist, const int64_t *rolls, double two_h)
+/* the body of hessian_block */
+static inline void hessian_points(const double *first, double *restrict tr,
+                                  double *restrict om, double *restrict nsq, int64_t start,
+                                  int64_t len, int64_t m, int64_t dim_h, const int64_t *twist,
+                                  const int64_t *rolls, double two_h)
 {
-    double buf[dim_h * HESSIAN_SUB];
-    for (int64_t s0 = 0; s0 < len; s0 += HESSIAN_SUB) {
-        int64_t n = len - s0 < HESSIAN_SUB ? len - s0 : HESSIAN_SUB;
-        double *q = nsq != NULL ? nsq + s0 : NULL;
-        for (int64_t i = 0; i < n; i++) {
-            tr[s0 + i] = 0.0;
-            for (int s = 0; s < 3; s++)
-                om[s * len + s0 + i] = 0.0;
-            if (q != NULL)
-                q[i] = 0.0;
+    int64_t m2 = m * m, fibre = m2 * m, stop = start + len, q0, q1;
+    double *om0 = om, *om1 = om + len, *om2 = om + 2 * len;
+    for (int64_t fib = start / fibre; fib * fibre < stop; fib++) {
+        int64_t base = fib * fibre;
+        int64_t lo = start > base ? start - base : 0;
+        int64_t hi = stop < base + fibre ? stop - base : fibre;
+        for (int64_t p = base + lo - start; p < base + hi - start; p++) {
+            tr[p] = om0[p] = om1[p] = om2[p] = 0.0;
+            if (nsq != NULL)
+                nsq[p] = 0.0;
         }
         for (int64_t a = 0; a < dim_h; a++) {
-            difference_gather(first, buf, dim_h, size, start + s0, n, m, dim_h, a, twist,
-                              rolls, two_h);
-            hessian_add(buf, n, a, dim_h, twist, tr + s0, om + s0, len, q);
+            int64_t from[2], c0[2], roll[2], bs[3];
+            double sg[3], h[MAX_STEPS];
+            fibre_steps(fib, m, dim_h, a, a + 1, twist, from, c0, roll);
+            omega_row(twist, dim_h, a, bs, sg);
+            const int64_t *rp = rolls + roll[0], *rm = rolls + roll[1];
+            for (int64_t t0 = lo / m2; plane_run(t0, m2, lo, hi, &q0, &q1); t0++) {
+                /* the planes the two steps read, each point's run of dim_h
+                 * differences at dim_h times its index */
+                const double *up = first + (from[0] + wrap(t0, c0[0], m) * m2) * dim_h;
+                const double *um = first + (from[1] + wrap(t0, c0[1], m) * m2) * dim_h;
+                int64_t p0 = base + t0 * m2 - start;
+                for (int64_t q = q0; q < q1; q++) {
+                    const double *u = up + rp[q] * dim_h, *v = um + rm[q] * dim_h;
+                    int64_t p = p0 + q;
+                    for (int64_t b = 0; b < dim_h; b++)
+                        h[b] = (u[b] - v[b]) / two_h;
+                    tr[p] += h[a];
+                    om0[p] += sg[0] * h[bs[0]];
+                    om1[p] += sg[1] * h[bs[1]];
+                    om2[p] += sg[2] * h[bs[2]];
+                    if (nsq != NULL) {
+                        double acc = nsq[p];
+                        for (int64_t b = 0; b < dim_h; b++)
+                            acc += h[b] * h[b];
+                        nsq[p] = acc;
+                    }
+                }
+            }
         }
     }
+}
+
+void hessian_block(const double *first, double *tr, double *om, double *nsq, int64_t start,
+                   int64_t len, int64_t m, int64_t dim_h, const int64_t *twist,
+                   const int64_t *rolls, double two_h)
+{
+    if (dim_h == 4)
+        hessian_points(first, tr, om, nsq, start, len, m, 4, twist, rolls, two_h);
+    else
+        hessian_points(first, tr, om, nsq, start, len, m, dim_h, twist, rolls, two_h);
+}
+
+void production_block(const double *tr, const double *om, const double *nsq,
+                      const double *lap, const double *first, double *work, double *lo,
+                      int64_t len, int64_t dim_h)
+{
+    double quarter = 1.0 / (double)dim_h, min_d = INFINITY;
+    double *lap2 = work, *quart = work + len, *hess2 = work + 2 * len;
+    double *omega2 = work + 3 * len, *weighted = work + 4 * len;
+    for (int64_t i = 0; i < len; i++) {
+        /* the weights are read before any integrand overwrites them */
+        double w2 = work[i], w4 = work[len + i];
+        double t = tr[i], o0 = om[i], o1 = om[len + i], o2 = om[2 * len + i], n = nsq[i];
+        const double *f = first + i * dim_h;
+        double d = (((n - t * quarter * t) - o0 * quarter * o0) - o1 * quarter * o1)
+                   - o2 * quarter * o2;
+        double g = f[0] * f[0];
+        for (int64_t b = 1; b < dim_h; b++)
+            g += f[b] * f[b];
+        lap2[i] = lap[i] * lap[i] * w2;
+        quart[i] = g * g * w4;
+        hess2[i] = w2 * n;
+        omega2[i] = (o0 * o0 + o1 * o1 + o2 * o2) * w2;
+        weighted[i] = w2 * d;
+        /* d != d keeps a NaN: no later comparison replaces it */
+        min_d = d < min_d || d != d ? d : min_d;
+    }
+    *lo = min_d;
 }

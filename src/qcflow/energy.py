@@ -25,7 +25,7 @@ def energy(u: ScalarField) -> float:
 
     lattice.grad_sq_pass over the first differences of ln u alone (no jet,
     no Laplacian) forms |grad phi|^2 u and its sum per block, with the bits
-    of integrating np.sum(DifferenceJet(phi).first ** 2, axis=0) * u:
+    of integrating sum_a (D_a phi)^2, added in axis order, times u:
     negating ln u is exact through the difference, the division and the
     square.
     """

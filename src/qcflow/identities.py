@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import LatticeGrid, ScalarField, hessian_pass, twist_matrices
+from .lattice import LatticeGrid, ScalarField, _production_block, hessian_pass, twist_matrices
 from .operators import DifferenceJet, p_functional, reeb_derivative, sub_laplacian
 
 IDENTITY_NAMES = (
@@ -67,39 +67,28 @@ def check_alpha(alpha: float):
         raise ValueError("alpha must avoid 0 and 1/2")
 
 
-def _deficit_block(d, tr, om, nsq, sq, quarter):
-    # the p-deficit |H|^2 - (1/4n)(tr H)^2 - (1/4n) sum_s omega_s(H)^2 of a
-    # block of the Hessian pass into d, grouped as written; pointwise
-    # non-negative by the Bessel inequality for the orthogonal family
-    # {Id, omega_1, omega_2, omega_3}.  sq is a block of work space
-    np.multiply(tr, quarter, out=d)
-    d *= tr
-    np.subtract(nsq, d, out=d)
-    for s in range(3):
-        np.multiply(om[s], quarter, out=sq)
-        sq *= om[s]
-        d -= sq
-
-
 def _integral(grid: LatticeGrid, values) -> float:
     return float(grid.cell_volume * np.sum(values))
 
 
 def _grad_sq(first: np.ndarray) -> np.ndarray:
-    # |Dg|^2 = sum_a (D_a g)^2 in axis order, the bits of
-    # np.sum(first ** 2, axis=0) without its (4n,) + grid.shape temporary
-    acc = first[0] * first[0]
+    # |Dg|^2 = sum_a (D_a g)^2 of a jet's point-major first differences,
+    # in axis order from the first square
+    acc = first[..., 0] * first[..., 0]
     sq = np.empty_like(acc)
-    for row in first[1:]:
-        np.multiply(row, row, out=sq)
+    for a in range(1, first.shape[-1]):
+        np.multiply(first[..., a], first[..., a], out=sq)
         acc += sq
     return acc
 
 
 def _grad_lap_dot(jet: DifferenceJet) -> np.ndarray:
-    # <D Delta g, Dg> of the jet of g, summed in axis order
+    # <D Delta g, Dg> of the jet of g, in axis order from the first product
     grad_lap = DifferenceJet(ScalarField(jet.grid, jet.laplacian)).first
-    return np.sum(grad_lap * jet.first, axis=0)
+    acc = grad_lap[..., 0] * jet.first[..., 0]
+    for a in range(1, jet.grid.dim_h):
+        acc += grad_lap[..., a] * jet.first[..., a]
+    return acc
 
 
 def _xi_sq(f: ScalarField) -> np.ndarray:
@@ -162,57 +151,35 @@ class FlowQuantities:
         and I_deficit, the min of the p-deficit and the mean of |H|^2, from
         one contraction of F's Hessian pass.
 
-        Per block it forms the p-deficit from |H|^2, tr H and omega_s(H),
-        the weights u^(1-2 alpha) and u^(1-4 alpha), and |DF|^2 in axis
-        order, then the integrands w2 (Delta F)^2, w4 |DF|^4, w2 |H|^2,
-        w2 sum_s omega_s^2 and w2 deficit, returns their block sums and the
-        block sum of |H|^2, and keeps the block's deficit minimum: per point
-        the bits of the whole-field formulas, without their weight, square
-        or integrand fields.  The pass's totals give each integral the
-        bits of one np.sum over the whole integrand, a min is exact in any
-        order, and np.mean is that sum over the size.
+        Per block it writes the weights u^(1-2 alpha) and u^(1-4 alpha)
+        with np.power, and one call of lattice's production block forms,
+        per point, the p-deficit from |H|^2, tr H and omega_s(H), |DF|^2 in
+        axis order and the integrands w2 (Delta F)^2, w4 |DF|^4, w2 |H|^2,
+        w2 sum_s omega_s^2 and w2 deficit, with the bits of the whole-field
+        formulas, and returns the block's deficit minimum.  The contraction
+        returns each integrand's np.add.reduce and that of |H|^2, so no
+        weight, square or integrand field is built.  The pass's totals give
+        each integral the bits of one np.sum over the whole integrand, a
+        min is exact in any order, and np.mean is that sum over the size.
         """
         grid = self.grid
         jet = self.jetF
         u = self.u.values.reshape(-1)
-        first = jet.first.reshape(grid.dim_h, grid.size)
+        first = jet.first.reshape(grid.size, grid.dim_h)
         lap = jet.laplacian.reshape(-1)
         e2, e4 = 1.0 - 2 * self.alpha, 1.0 - 4 * self.alpha
-        quarter = 1.0 / grid.dim_h
         mins = []
 
         def contract(blk, tr, om, nsq, work):
-            w, g, sq, d = work
-            _deficit_block(d, tr, om, nsq, sq, quarter)
-            np.power(u[blk], e2, out=w)
-            np.multiply(w, d, out=sq)
-            weighted = np.add.reduce(sq)
-            np.multiply(w, nsq, out=sq)
-            hess2 = np.add.reduce(sq)
-            norm = np.add.reduce(nsq)
-            # (om_0^2 + om_1^2) + om_2^2, then weighted
-            np.multiply(om[0], om[0], out=g)
-            for s in (1, 2):
-                np.multiply(om[s], om[s], out=sq)
-                g += sq
-            g *= w
-            omega2 = np.add.reduce(g)
-            np.multiply(lap[blk], lap[blk], out=sq)
-            sq *= w
-            lap2 = np.add.reduce(sq)
-            np.multiply(first[0, blk], first[0, blk], out=g)
-            for row in first[1:]:
-                np.multiply(row[blk], row[blk], out=sq)
-                g += sq
-            np.multiply(g, g, out=sq)
-            np.power(u[blk], e4, out=w)
-            sq *= w
-            quart = np.add.reduce(sq)
-            mins.append(np.minimum.reduce(d))
-            return lap2, quart, hess2, omega2, weighted, norm
+            (rows,) = work
+            np.power(u[blk], e2, out=rows[0])
+            np.power(u[blk], e4, out=rows[1])
+            mins.append(_production_block(tr, om, nsq, lap[blk], first[blk], rows))
+            # lap2, quart, hess2, omega2 and the weighted deficit
+            return (*(np.add.reduce(row) for row in rows), np.add.reduce(nsq))
 
         *sums, norms = hessian_pass(jet.first, grid, contract, with_norm=True,
-                                    scratch=((), (), (), ()))
+                                    scratch=((5,),))
         vol = grid.cell_volume
         return ProductionIntegrals(*(float(vol * total) for total in sums),
                                    float(np.min(mins)), float(norms / grid.size))
@@ -260,14 +227,15 @@ def _ricci2_report(f: ScalarField) -> IdentityReport:
     grid = f.grid
     B = twist_matrices(grid.n)
     xi = [reeb_derivative(f, s).values for s in range(3)]
-    # second[b][a] = D_a D_b f = H_ab
-    second = [DifferenceJet(ScalarField(grid, d_b)).first for d_b in DifferenceJet(f).first]
+    # second[b][..., a] = D_a D_b f = H_ab; f's jet goes once they are built
+    second = [DifferenceJet(ScalarField(grid, d_b)).first
+              for d_b in np.moveaxis(DifferenceJet(f).first, -1, 0)]
     anti_sq = np.zeros(grid.shape)
     twist_sq = np.zeros(grid.shape)
     res_sq = np.zeros(grid.shape)
     for a in range(grid.dim_h):
         for b in range(a + 1, grid.dim_h):
-            comm = second[b][a] - second[a][b]
+            comm = second[b][..., a] - second[a][..., b]
             # omega_s[a, b] = B_s[b, a]
             twist = sum(2.0 * B[s][b, a] * xi[s] for s in range(3))
             anti_sq += comm * comm
@@ -281,14 +249,16 @@ def _ricci_mixed_report(f: ScalarField) -> IdentityReport:
     # mixed second derivatives commute exactly on the model: the torsion
     # endomorphism vanishes, and vertical shifts commute with group steps
     grid = f.grid
-    first = DifferenceJet(f).first
+    # the rows D_a f, each rolled whole, as one contiguous copy: a roll of
+    # the strided first[..., a] reads four times the bytes
+    rows = np.moveaxis(DifferenceJet(f).first, -1, 0).copy()
     res_sq = 0.0
     scale_sq = 0.0
     for s in range(3):
         d_xi_f = DifferenceJet(reeb_derivative(f, s)).first
         for a in range(grid.dim_h):
-            mixed1 = d_xi_f[a]
-            mixed2 = reeb_derivative(ScalarField(grid, first[a]), s).values
+            mixed1 = d_xi_f[..., a]
+            mixed2 = reeb_derivative(ScalarField(grid, rows[a]), s).values
             res_sq += np.sum((mixed1 - mixed2) ** 2)
             scale_sq += np.sum(mixed1 ** 2)
     lhs = float(np.sqrt(grid.cell_volume * res_sq))
@@ -342,13 +312,16 @@ def bochner_residual(f: ScalarField) -> IdentityReport:
 
 def _reeb_mixed(grid: LatticeGrid, grad: np.ndarray) -> np.ndarray:
     """Pointwise Reeb mixed term sum_s sum_a xi_s(D_a f) (I_s Df)_a of the
-    gradient components grad = Df, with I_s = B_s."""
+    point-major gradient components grad[..., a] = D_a f, with I_s = B_s."""
     B = twist_matrices(grid.n)
+    # the rows D_a f as one contiguous copy, since each is rolled and
+    # contracted whole (as in _ricci_mixed_report)
+    rows = np.moveaxis(grad, -1, 0).copy()
     mixed = np.zeros(grid.shape)
     for s in range(3):
-        is_grad = np.einsum("ab,b...->a...", B[s], grad)
+        is_grad = np.einsum("ab,b...->a...", B[s], rows)
         for a in range(grid.dim_h):
-            mixed += reeb_derivative(ScalarField(grid, grad[a]), s).values * is_grad[a]
+            mixed += reeb_derivative(ScalarField(grid, rows[a]), s).values * is_grad[a]
     return mixed
 
 

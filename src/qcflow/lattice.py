@@ -15,20 +15,24 @@ its neighbour along a and rolls it by the twist K(x).  The passes read
 the steps with the C functions of _steps.c, compiled on first use, and
 keep no step table: a fibre's roll moves each of its planes alike, and
 each grid makes one m^4-entry int64 table of the m^2 plane rolls (32 KiB
-at m_x = 8), on its first pass, that every worker reads.  There are four
+at m_x = 8), on its first pass, that every worker reads.  There are five
 passes over fixed C calls, which share the point blocks and the worker
 pool (_share_blocks).  euler_pass (euler_update, the Euler step) and
 jet_pass (difference_jet, a field's D_a and compact Laplacian) make one C
 call per worker over its run of blocks, with the interpreter lock
-released.  grad_sq_pass (the energy's int |Df|^2 weight) squares each
-block's differences D_a, written by difference_gather, and hessian_pass
-hands a contraction each block's composed differences of a (4n, N) stack,
-which hessian_block sums into tr H, omega_s(H) and |H|^2 (divergence is
--tr H of a 1-form's components), reading omega_s from the twist columns.
-The C functions take only the data and the grid's constants, keep their
-scratch on their own stacks, and do the + - x / of the whole-field numpy
-formula in its per-point order, under -ffp-contract=off (no FMA), so all
-have the bits of the numpy route on every machine.
+released; the jet's first differences are point-major, each point's 4n
+of them one run.  grad_sq_pass (the energy's int |Df|^2 weight) squares
+each block's differences D_a, written by difference_gather, and
+divergence_pass adds D_a of a 1-form's a-th component alone.
+hessian_pass hands a contraction each block's composed differences of a
+jet, which hessian_block sums into tr H, omega_s(H) and |H|^2, reading
+each neighbour's 4n differences as one run and omega_s from the twist
+columns; production's contraction forms its integrands with one more C
+call per block, production_block.  The C functions take only the data and
+the grid's constants, keep their scratch on their own stacks, and do the
++ - x / of the whole-field numpy formula in its per-point order, under
+-ffp-contract=off (no FMA), so all have the bits of the numpy route on
+every machine.
 
 Left-invariant frame conventions (validated by the frame-contract tests):
 the twist bilinears are Im_s(conj(x) x') = x @ B_s @ x' with B_s minus the
@@ -220,10 +224,10 @@ class HorizontalField:
 # a float64 block of BLOCK_POINTS values is 256 KiB.  The Euler and jet
 # passes hold none: the energy's pass holds two (its difference buffer and
 # |Df|^2), which stay in a core's L2 cache (2 MiB a core on the 2-core Xeon
-# of the BENCH files).  The largest, F's Hessian pass with production's contraction,
-# holds per worker tr, three omega, |H|^2 and 4 scratch arrays, 9 blocks,
-# and hessian_block keeps the 4n rows of one 4096-point sub-block on its C
-# stack (128 KiB at n = 1): about 2.4 MiB at n = 1, a little over L2.
+# of the BENCH files).  The largest, F's Hessian pass with production's
+# contraction, holds per worker tr, three omega, |H|^2 and production's
+# (5, k) work array, 10 blocks: 2.5 MiB, a little over L2; hessian_block
+# keeps no buffer.
 # It must be at least 128, the run numpy's pairwise sum adds without a cut.
 BLOCK_POINTS = 32768
 
@@ -379,7 +383,8 @@ def _build_steps_library(path: str):
 
 def _step_kernel():
     """The library of _steps.c, with its functions difference_gather,
-    difference_jet, euler_update, hessian_block and plane_rolls.  The first
+    difference_jet, euler_update, hessian_block, production_block and
+    plane_rolls.  The first
     call compiles the source into __pycache__, under a name that holds the
     sha256 of the source followed by the compile flags, unless that library
     is there already, and loads it.  So a changed flag list builds a library of its own.
@@ -400,12 +405,13 @@ def _step_kernel():
             lib = ctypes.CDLL(path)
             ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
             lib.difference_gather.argtypes = [ptr] * 2 + [i64] * 7 + [ptr, ptr, f64]
-            lib.difference_jet.argtypes = [ptr] * 3 + [i64] * 5 + [ptr, ptr, f64, f64]
+            lib.difference_jet.argtypes = [ptr] * 3 + [i64] * 4 + [ptr, ptr, f64, f64]
             lib.euler_update.argtypes = [ptr] * 3 + [i64] * 4 + [ptr, ptr, f64]
-            lib.hessian_block.argtypes = [ptr] * 4 + [i64] * 5 + [ptr, ptr, f64]
+            lib.hessian_block.argtypes = [ptr] * 4 + [i64] * 4 + [ptr, ptr, f64]
+            lib.production_block.argtypes = [ptr] * 7 + [i64] * 2
             lib.plane_rolls.argtypes = [ptr, i64]
             for fn in (lib.difference_gather, lib.difference_jet, lib.euler_update,
-                       lib.hessian_block, lib.plane_rolls):
+                       lib.hessian_block, lib.production_block, lib.plane_rolls):
                 fn.restype = None
             _steps_lib = lib
         return _steps_lib
@@ -422,12 +428,12 @@ def _one_field(values: np.ndarray, grid: LatticeGrid, what: str) -> np.ndarray:
 
 
 def _pass_blocks(block, grid: LatticeGrid, scratch) -> tuple:
-    """The block driver of grad_sq_pass and hessian_pass: call
-    block(start, k, blocks) once per block [start, start + k), where blocks
-    holds one contiguous float64 array of shape lead + (k,) per entry lead
-    of scratch, and return the whole-field total of each entry of the tuple
-    of block sums that block returns (np.add.reduce, the reduction of
-    np.sum without its wrapper), or of none.
+    """The block driver of grad_sq_pass, divergence_pass and hessian_pass:
+    call block(start, k, blocks) once per block [start, start + k), where
+    blocks holds one contiguous float64 array of shape lead + (k,) per
+    entry lead of scratch, and return the whole-field total of each entry
+    of the tuple of block sums that block returns (np.add.reduce, the
+    reduction of np.sum without its wrapper), or of none.
 
     The blocks are the nodes of numpy's pairwise-summation tree over the
     grid.size points that first have at most BLOCK_POINTS points
@@ -466,7 +472,7 @@ def grad_sq_pass(values: np.ndarray, grid: LatticeGrid, weight: np.ndarray) -> f
     by axis, into one buffer, which is squared into the block's |Df|^2 in
     axis order (the first axis straight into it); times the weight, its
     np.add.reduce is the block's sum.  Those are the per-point operations of
-    integrating np.sum(DifferenceJet(f).first ** 2, axis=0) * weight, in
+    integrating sum_a (D_a f)^2, added in axis order, times the weight, in
     their order, so the pass has their bits and builds no whole field.  A
     stack of fields is refused.
     """
@@ -499,32 +505,35 @@ def grad_sq_pass(values: np.ndarray, grid: LatticeGrid, weight: np.ndarray) -> f
     return float(grid.cell_volume * total)
 
 
-def hessian_pass(stack: np.ndarray, grid: LatticeGrid, contract, with_norm: bool,
+def hessian_pass(first: np.ndarray, grid: LatticeGrid, contract, with_norm: bool,
                  scratch=()) -> tuple:
-    """The one pass over the composed differences H_ab = D_a of row b of a
-    (4n,) + grid.shape stack: of a field's first differences, its Hessian.
+    """The one pass over a field's composed differences H_ab = D_a D_b f,
+    from the point-major first differences first[..., b] = D_b f of its
+    jet (jet_pass), of shape grid.shape + (4n,).
 
     Per block of _pass_blocks, one call of the C function hessian_block
-    forms axis by axis the rows H_a. and accumulates, in (a, b) order from
-    zero as a whole-field pass does, tr H = sum_a H_aa (of first
-    differences, the wide stencil: the compact sub-Laplacian is its
-    negative up to an O(h^2) stencil gap) and omega_s(H), and with_norm
-    also |H|^2, into block arrays tr (k,), om (3, k) and nsq (k,); nsq is
-    None without with_norm.  It reads row a of omega_s as the twist column
-    of (a, s), one entry +-1, as the grid's constants hold it (they refuse
-    columns without that structure).  Then contract(blk, tr, om, nsq,
-    work) writes the block's share of the caller's outputs and returns its
-    block's sums, or nothing; work holds one block array per entry of
-    scratch.  The pass returns the whole-field sum of each entry, and
-    builds no Hessian field.  contract runs on the pool's threads: it may
-    call no public qcflow function.
+    goes through the block fibre by fibre and axis by axis: at each point
+    it reads the 4n differences of each of the two points a step along a
+    reaches as one run, forms the row H_a. from them and adds it, in (a, b)
+    order from zero as a whole-field pass does, into tr H = sum_a H_aa (of
+    first differences, the wide stencil: the compact sub-Laplacian is its
+    negative up to an O(h^2) stencil gap), omega_s(H) and, with_norm, |H|^2:
+    block arrays tr (k,), om (3, k) and nsq (k,); nsq is None without
+    with_norm.  It reads row a of omega_s as the twist column of (a, s),
+    one entry +-1, as the grid's constants hold it (they refuse columns
+    without that structure).  Then contract(blk, tr, om, nsq, work) writes
+    the block's share of the caller's outputs and returns its block's sums,
+    or nothing; work holds one block array per entry of scratch.  The pass
+    returns the whole-field sum of each entry, and builds no Hessian
+    field.  contract runs on the pool's threads: it may call no public
+    qcflow function.
     """
     lib = _step_kernel()
-    m, dim_h, size = grid.m_x, grid.dim_h, grid.size
-    if np.shape(stack) != (dim_h,) + grid.shape:
-        raise ValueError(f"the Hessian pass takes a ({dim_h},) + grid.shape stack, "
-                         f"not values of shape {np.shape(stack)}")
-    src = np.ascontiguousarray(stack, dtype=np.float64)
+    m, dim_h = grid.m_x, grid.dim_h
+    if np.shape(first) != grid.shape + (dim_h,):
+        raise ValueError(f"the Hessian pass takes a grid.shape + ({dim_h},) jet, "
+                         f"not values of shape {np.shape(first)}")
+    src = np.ascontiguousarray(first, dtype=np.float64)
     two_h = 2.0 * grid.h_x
     # as in grad_sq_pass, every address read by the C call lives until the
     # pass returns
@@ -537,11 +546,77 @@ def hessian_pass(stack: np.ndarray, grid: LatticeGrid, contract, with_norm: bool
         tr, om = blocks[0], blocks[1]
         nsq = blocks[2] if with_norm else None
         lib.hessian_block(src_at, tr.ctypes.data, om.ctypes.data,
-                          None if nsq is None else nsq.ctypes.data, size, start, k, m,
-                          dim_h, cols_at, rolls_at, two_h)
+                          None if nsq is None else nsq.ctypes.data, start, k, m, dim_h,
+                          cols_at, rolls_at, two_h)
         return contract(slice(start, start + k), tr, om, nsq, blocks[len(own):])
 
     return _pass_blocks(block, grid, own + tuple(scratch))
+
+
+def _production_block(tr: np.ndarray, om: np.ndarray, nsq: np.ndarray, lap: np.ndarray,
+                     first: np.ndarray, work: np.ndarray) -> float:
+    """The integrands of FlowQuantities.production on one block of k points
+    of F's Hessian pass, by one call of the C function production_block,
+    and the block's minimum of the p-deficit.
+
+    tr, om (3, k) and nsq are the block's contractions, lap its compact
+    Laplacian and first (k, 4n) its first differences; work (5, k) holds
+    the weights u^(1 - 2 alpha) and u^(1 - 4 alpha) in rows 0 and 1.  Per
+    point the call forms the p-deficit |H|^2 - (1/4n)(tr H)^2 -
+    (1/4n) sum_s omega_s(H)^2, grouped as written and pointwise
+    non-negative by the Bessel inequality for the orthogonal family
+    {Id, omega_1, omega_2, omega_3}, and |DF|^2 in axis order, and writes
+    into the rows of work the integrands w2 (Delta F)^2, w4 |DF|^4,
+    w2 |H|^2, w2 sum_s omega_s^2 and w2 deficit, each with the bits of its
+    whole-field numpy formula.  The minimum keeps a NaN, as
+    np.minimum.reduce does.  Every array is C-contiguous float64, or the
+    call is refused.
+    """
+    k = tr.shape[0]
+    shapes = ((tr, (k,)), (om, (3, k)), (nsq, (k,)), (lap, (k,)),
+              (first, (k, first.shape[-1])), (work, (5, k)))
+    if any(arr.shape != shape or arr.dtype != np.float64 or not arr.flags.c_contiguous
+           for arr, shape in shapes):
+        raise ValueError("the production block takes C-contiguous float64 blocks of one size")
+    lo = np.empty(1)
+    _step_kernel().production_block(tr.ctypes.data, om.ctypes.data, nsq.ctypes.data,
+                                    lap.ctypes.data, first.ctypes.data, work.ctypes.data,
+                                    lo.ctypes.data, k, first.shape[-1])
+    return float(lo[0])
+
+
+def divergence_pass(components: np.ndarray, grid: LatticeGrid) -> np.ndarray:
+    """The horizontal divergence -sum_a D_a sigma_a of a 1-form, from its
+    components sigma_a, a (4n,) + grid.shape stack, as a grid.shape field.
+
+    Per block of _pass_blocks, the C function difference_gather writes D_a
+    of row a alone into one buffer, axis by axis; it is added into the
+    block's share of the output from zero in axis order, which is then
+    negated: the bits of -(zeros + D_0 sigma_0 + D_1 sigma_1 + ...).
+    """
+    lib = _step_kernel()
+    m, dim_h, size = grid.m_x, grid.dim_h, grid.size
+    if np.shape(components) != (dim_h,) + grid.shape:
+        raise ValueError(f"the divergence pass takes a ({dim_h},) + grid.shape stack, "
+                         f"not values of shape {np.shape(components)}")
+    rows = np.ascontiguousarray(components, dtype=np.float64).reshape(dim_h, size)
+    two_h = 2.0 * grid.h_x
+    cols, rolls = grid._step_constants
+    out = np.empty(size)
+
+    def block(start: int, k: int, blocks):
+        (d,) = blocks
+        acc = out[start:start + k]
+        acc.fill(0.0)
+        for a in range(dim_h):
+            lib.difference_gather(rows[a].ctypes.data, d.ctypes.data, 1, size, start, k, m,
+                                  dim_h, a, cols.ctypes.data, rolls.ctypes.data, two_h)
+            acc += d
+        np.negative(acc, out=acc)
+
+    # the difference row
+    _pass_blocks(block, grid, ((),))
+    return out.reshape(grid.shape)
 
 
 def euler_pass(values: np.ndarray, grid: LatticeGrid, w: float, measure: bool):
@@ -587,8 +662,9 @@ def euler_pass(values: np.ndarray, grid: LatticeGrid, w: float, measure: bool):
 
 
 def jet_pass(values: np.ndarray, grid: LatticeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The difference jet of a field: (first, lap), first[a] = D_a f of
-    shape (4n,) + grid.shape and the compact Laplacian lap =
+    """The difference jet of a field: (first, lap), first[..., a] = D_a f
+    point-major, of shape grid.shape + (4n,), so each point's 4n
+    differences are one run, and the compact Laplacian lap =
     -sum_a ((S_a^+ f - f * 2) + S_a^- f) / h_x^2 of grid.shape.  Each
     worker makes one call of the C function difference_jet over its run of
     the blocks of the passes, which reads each point's 8n steps once.  The
@@ -596,13 +672,13 @@ def jet_pass(values: np.ndarray, grid: LatticeGrid) -> tuple[np.ndarray, np.ndar
     lib = _step_kernel()
     src = _one_field(values, grid, "jet pass")
     cols, rolls = grid._step_constants
-    first = np.empty((grid.dim_h,) + grid.shape)
+    first = np.empty(grid.shape + (grid.dim_h,))
     lap = np.empty(grid.shape)
     bounds = _block_bounds(grid.size)
 
     def run(i0: int, i1: int, _):
         start, stop = bounds[i0], bounds[i1]
-        lib.difference_jet(src.ctypes.data, first.ctypes.data, lap.ctypes.data, grid.size,
+        lib.difference_jet(src.ctypes.data, first.ctypes.data, lap.ctypes.data,
                            start, stop - start, grid.m_x, grid.dim_h, cols.ctypes.data,
                            rolls.ctypes.data, 2.0 * grid.h_x, grid.h_x * grid.h_x)
 
@@ -725,7 +801,7 @@ def periodized_bump(grid: LatticeGrid, width: float = 0.2, amplitude: float = 1.
     dh = grid.dim_h
     xs = np.arange(grid.m_x) * grid.h_x
     ts = np.arange(grid.m_t) * grid.h_t
-    B = grid.twist.astype(float)
+    B = twist_matrices(grid.n)
     center = default_center(grid)
     xc, tc = center.x, center.t
 

@@ -13,14 +13,16 @@ field's derivatives come from its difference jet (DifferenceJet):
 lattice.jet_pass reads the 8n steps S_a^{+-} f once per point and writes
 both the first differences D_a f and the compact sub-Laplacian.  The
 composed second differences H_ab = D_a D_b f come from one Hessian pass,
-lattice.hessian_pass over the jet's `first`: per block, one C call forms
-the rows H_a. = D_a of every D_b f axis by axis and accumulates tr H and
-omega_s(H), and |H|^2 when asked.  No Hessian field is kept: each
-consumer passes a contraction that reads a block's contractions and
-returns its block sums of the consumer's integrands (the production
-integrals of identities.FlowQuantities, the Bochner residual, the
-omega-contraction check of the calculus suite, and p_functional).
-divergence is -tr H of the same pass over its 1-form's components.  The
+lattice.hessian_pass over the jet's point-major `first`, which holds each
+point's 4n differences D_b f as one run: per block, one C call reads the
+runs of a point's two neighbours along each axis a, forms the row
+H_a. = D_a of every D_b f and accumulates tr H and omega_s(H), and |H|^2
+when asked.  No Hessian field is kept: each consumer passes a contraction
+that reads a block's contractions and returns its block sums of the
+consumer's integrands (the production integrals of
+identities.FlowQuantities, the Bochner residual, the omega-contraction
+check of the calculus suite, and p_functional).  divergence is
+lattice.divergence_pass, which reads D_a of the a-th component alone.  The
 energy's int |Df|^2 u is lattice.grad_sq_pass, which reads the steps of
 ln u alone and builds no jet.
 sub_laplacian and p_functional read a jet, so a caller that needs both
@@ -50,6 +52,7 @@ from .lattice import (
     XI_SCALE,
     HorizontalField,
     ScalarField,
+    divergence_pass,
     hessian_pass,
     jet_pass,
     vertical_shift,
@@ -59,7 +62,8 @@ from .lattice import (
 class DifferenceJet:
     """The horizontal differences of one field, each gather made once.
 
-    first      D_a f as a (4n,) + grid.shape array
+    first      D_a f as first[..., a], point-major: a grid.shape + (4n,)
+               array that holds each point's 4n differences as one run
     laplacian  the compact positive sub-Laplacian,
                -sum_a ((S_a^+ f - 2f) + S_a^- f) / h_x^2, from the same 8n
                step reads as `first`
@@ -67,9 +71,9 @@ class DifferenceJet:
     Both come from lattice.jet_pass, one C call per worker that reads each
     point's 8n steps once and does the stencils' + - x / in their per-point
     order, so they have the bits of the whole-field stencils.  The Hessian
-    H_ab = D_a D_b f is lattice.hessian_pass over `first`.  A composed
-    difference D_a g of a derived field g reads the jet of g:
-    DifferenceJet(g).first[a].
+    H_ab = D_a D_b f is lattice.hessian_pass over `first`, which reads a
+    neighbour's 4n differences as one run.  A composed difference D_a g of
+    a derived field g reads the jet of g: DifferenceJet(g).first[..., a].
     """
 
     def __init__(self, f: ScalarField):
@@ -98,19 +102,12 @@ def sub_laplacian(f: ScalarField | DifferenceJet) -> ScalarField:
 def divergence(sigma: HorizontalField) -> ScalarField:
     """Horizontal divergence nabla* sigma = -sum_a X_a sigma_a.
 
-    -tr H of the Hessian pass over the stacked components: tr sums D_a of
-    the a-th component from zero in axis order, the bits of
-    zeros + D_0 sigma_0 + D_1 sigma_1 + ...  Integrates to zero exactly on
-    the periodic quotient.
+    lattice.divergence_pass reads one row per axis, D_a of the a-th
+    component, and sums them from zero in axis order before negating: the
+    bits of -(zeros + D_0 sigma_0 + D_1 sigma_1 + ...).  Integrates to zero
+    exactly on the periodic quotient.
     """
-    grid = sigma.grid
-    div = np.empty(grid.size)
-
-    def contract(blk, tr, om, nsq, work):
-        np.negative(tr, out=div[blk])
-
-    hessian_pass(sigma.components, grid, contract, with_norm=False)
-    return ScalarField(grid, div.reshape(grid.shape))
+    return ScalarField(sigma.grid, divergence_pass(sigma.components, sigma.grid))
 
 
 def p_functional(f: ScalarField | DifferenceJet) -> float:

@@ -26,9 +26,9 @@ def shift(values: np.ndarray, grid: LatticeGrid, a: int, direction: int) -> np.n
 
 def grad_h(f: ScalarField | DifferenceJet) -> HorizontalField:
     """Horizontal gradient, centered group differences per frame direction:
-    the first differences of f's jet as a 1-form."""
+    the point-major first differences of f's jet as a 1-form."""
     jet = f if isinstance(f, DifferenceJet) else DifferenceJet(f)
-    return HorizontalField(jet.grid, jet.first)
+    return HorizontalField(jet.grid, np.moveaxis(jet.first, -1, 0))
 
 
 def third_contractions(f: ScalarField):
@@ -42,9 +42,9 @@ def third_contractions(f: ScalarField):
     B = twist_matrices(grid.n)
     dim = grid.dim_h
     jet = DifferenceJet(f)
-    c1 = -DifferenceJet(ScalarField(grid, jet.laplacian)).first
-    # second[b][a] = D_a D_b f = H_ab
-    second = [DifferenceJet(ScalarField(grid, jet.first[b])).first for b in range(dim)]
+    c1 = -np.moveaxis(DifferenceJet(ScalarField(grid, jet.laplacian)).first, -1, 0)
+    # second[b][..., a] = D_a D_b f = H_ab
+    second = [DifferenceJet(ScalarField(grid, jet.first[..., b])).first for b in range(dim)]
 
     c2 = np.zeros((dim,) + grid.shape)
     for t in range(3):
@@ -55,13 +55,13 @@ def third_contractions(f: ScalarField):
             for d in range(dim):
                 w = It[d, b]
                 if w != 0.0:
-                    gt += w * second[d][b]
+                    gt += w * second[d][..., b]
         dgt = DifferenceJet(ScalarField(grid, gt)).first
         for a in range(dim):
             for c in range(dim):
                 w = It[c, a]
                 if w != 0.0:
-                    c2[a] += w * dgt[c]
+                    c2[a] += w * dgt[..., c]
     return HorizontalField(grid, c1), HorizontalField(grid, c2)
 
 

@@ -194,14 +194,16 @@ def _whole_field_deficit(F):
     the (a, b) order of the Hessian pass."""
     grid = F.grid
     B = twist_matrices(grid.n)
-    # second[b][a] = D_a D_b F = H_ab
-    second = [DifferenceJet(ScalarField(grid, d_b)).first for d_b in DifferenceJet(F).first]
+    first = DifferenceJet(F).first
+    # second[b][..., a] = D_a D_b F = H_ab
+    second = [DifferenceJet(ScalarField(grid, first[..., b])).first
+              for b in range(grid.dim_h)]
     norm_sq = np.zeros(grid.shape)
     trace = np.zeros(grid.shape)
     omega = np.zeros((3,) + grid.shape)
     for a in range(grid.dim_h):
         for b in range(grid.dim_h):
-            hab = second[b][a]
+            hab = second[b][..., a]
             norm_sq += hab * hab
             if a == b:
                 trace += hab

@@ -47,7 +47,10 @@ def rich_u(m, width=0.22, amplitude=0.3):
 def test_grad_sq_is_bit_identical_to_the_squared_sum(m):
     for u in (uniform_u(m), rich_u(m)):
         q = FlowQuantities(u, ALPHA)
-        expect = np.sum(q.jetF.first ** 2, axis=0)
+        # the rows D_a F as one (4n,) + grid.shape stack, summed over its
+        # first axis: one addition per axis, in axis order
+        rows = np.moveaxis(q.jetF.first, -1, 0).copy()
+        expect = np.sum(rows ** 2, axis=0)
         assert q.grad_sq.tobytes() == expect.tobytes()
 
 

@@ -361,12 +361,13 @@ def _gather(values, grid, start, k, a):
     return out
 
 
-def _stack_hessian(stack, grid, diff):
+def _stack_hessian(first, grid, diff):
     """(|H|^2, tr H, omega_s(H)) of the composed differences H_ab =
-    diff(row b, a) of a (4n, N) stack, flat, each summed from zero in (a, b)
-    order as hessian_block sums them."""
+    diff(D_b, a) of point-major first differences first[..., b] = D_b,
+    flat, each summed from zero in (a, b) order as hessian_block sums
+    them."""
     omega = twist_matrices(grid.n).transpose(0, 2, 1)
-    rows = stack.reshape(grid.dim_h, grid.size)
+    rows = np.moveaxis(first, -1, 0).reshape(grid.dim_h, grid.size)
     norm_sq, trace, om = np.zeros(grid.size), np.zeros(grid.size), np.zeros((3, grid.size))
     for a in range(grid.dim_h):
         for b in range(grid.dim_h):
@@ -380,16 +381,16 @@ def _stack_hessian(stack, grid, diff):
     return norm_sq, trace, om
 
 
-def _collect_hessian(stack, grid):
-    """(|H|^2, tr H, omega_s(H)) of a stack, flat, from the blocks of
-    lattice.hessian_pass."""
+def _collect_hessian(first, grid):
+    """(|H|^2, tr H, omega_s(H)) of point-major first differences, flat,
+    from the blocks of lattice.hessian_pass."""
     norm_sq, trace = np.full(grid.size, np.nan), np.full(grid.size, np.nan)
     om = np.full((3, grid.size), np.nan)
 
     def collect(blk, tr, o, nsq, work):
         trace[blk], om[:, blk], norm_sq[blk] = tr, o, nsq
 
-    lattice.hessian_pass(stack, grid, collect, with_norm=True)
+    lattice.hessian_pass(first, grid, collect, with_norm=True)
     return norm_sq, trace, om
 
 
@@ -401,7 +402,7 @@ def test_step_gathers_match_shift(m, monkeypatch):
     grid = make_grid(1, m)
     rng = np.random.default_rng(m)
     flat = rng.normal(size=grid.size)
-    stacked = rng.normal(size=(grid.dim_h,) + grid.shape)
+    stacked = rng.normal(size=grid.shape + (grid.dim_h,))
     starts = [start for start, _ in _tree_nodes(0, grid.size, BLOCK_POINTS)]
     assert len(starts) == (1 if m == 4 else 4)
     assert lattice._block_bounds(grid.size)[:-1] == starts
@@ -416,8 +417,8 @@ def test_step_gathers_match_shift(m, monkeypatch):
             d = _gather(flat, grid, start, stop - start, a)
             assert d.shape == (stop - start,)
             assert np.array_equal(d, diff(flat, a)[start:stop])
-    # the Hessian pass over a stack: H_ab = D_a of row b, whose sums each
-    # block's contraction receives
+    # the Hessian pass over point-major differences: H_ab = D_a of D_b,
+    # whose sums each block's contraction receives
     expect = _stack_hessian(stacked, grid, diff)
     seen = []
 
@@ -438,12 +439,14 @@ def test_step_gathers_match_shift(m, monkeypatch):
 def test_step_kernel_gathers_what_the_step_tables_give(n, m, workers, monkeypatch):
     # difference_gather against (S^+ - S^-) / 2h through np.take of
     # step_permutation, for every axis, called by hand over the blocks on a
-    # flat field and on a (3, N) stack, and the Hessian pass over a (4n, N)
-    # stack against the Hessian of the step tables;
-    # blocks of a little over two vertical fibres cut fibres at every odd m
+    # flat field and on a (3, N) stack; the Hessian pass over point-major
+    # random differences against the Hessian of the step tables; and the
+    # point-major jet of a field and the Hessian pass over it against the
+    # composed np.take references D_b f and D_a D_b f.
+    # Blocks of a little over two vertical fibres cut fibres at every odd m
     # and at m = 6, so both whole fibres and the runs of cut ones are read.
-    # (3, 2) on 2 workers runs hessian_block, with its 384 KiB sub-block
-    # buffer on the C stack, on the pool's threads
+    # (3, 2) on 2 workers runs hessian_block, with its dim_h = 12 runs, on
+    # the pool's threads
     monkeypatch.setattr(lattice, "WORKERS", workers)
     monkeypatch.setattr(lattice, "BLOCK_POINTS", max(128, 2 * m ** 3 + 1))
     grid = make_grid(n, m)
@@ -467,8 +470,14 @@ def test_step_kernel_gathers_what_the_step_tables_give(n, m, workers, monkeypatc
             for start, stop in zip(bounds, bounds[1:]):
                 d = _gather(values, grid, start, stop - start, a)
                 assert np.array_equal(d, expect[..., start:stop]), (values.ndim, start, a)
-    stacked = rng.normal(size=(grid.dim_h,) + grid.shape)
+    stacked = rng.normal(size=grid.shape + (grid.dim_h,))
     for got, want in zip(_collect_hessian(stacked, grid), _stack_hessian(stacked, grid, diff)):
+        assert got.tobytes() == want.tobytes()
+    first, _ = lattice.jet_pass(flat, grid)
+    expect = np.stack([diff(flat, b) for b in range(grid.dim_h)], axis=-1)
+    assert first.shape == grid.shape + (grid.dim_h,)
+    assert first.reshape(-1, grid.dim_h).tobytes() == expect.tobytes()
+    for got, want in zip(_collect_hessian(first, grid), _stack_hessian(expect, grid, diff)):
         assert got.tobytes() == want.tobytes()
 
 
@@ -518,18 +527,14 @@ def test_runtime_dim_h_bodies_keep_the_numpy_order(monkeypatch):
     assert new.tobytes() == (f + acc * w).tobytes()
 
 
-# the points of one sub-block of hessian_block (HESSIAN_SUB in _steps.c)
-HESSIAN_SUB = 4096
-
-
 @pytest.mark.parametrize("m", [3, 8])
 def test_step_kernels_write_only_their_outputs(m):
     # each C function, called by hand on the roll table that the passes
     # size (m^4 int64) and on canary-filled outputs, each with a canary
     # tail: the table tail, the output tails and every output point outside
     # the block keep their canaries.
-    # The blocks cut fibres at both ends, or run to the field's end, and at
-    # m_x = 8 one spans two whole Hessian sub-blocks and part of a third
+    # The blocks cut fibres at both ends, or run to the field's end, or
+    # span sixteen whole fibres
     lib = lattice._step_kernel()
     grid = make_grid(1, m)
     dim_h, size, fibre, tail = grid.dim_h, grid.size, m ** 3, 64
@@ -543,9 +548,11 @@ def test_step_kernels_write_only_their_outputs(m):
     assert np.all(table[m ** 4:] == table_canary)
     assert np.all(np.sort(table[:m ** 4].reshape(m * m, m * m), axis=1) == np.arange(m * m))
     # a (4n, N) stack: its first two rows are the gathered stack, its first
-    # row the field of the jet and the Euler update
+    # row the field of the jet and the Euler update; its point-major copy
+    # is what the Hessian reads
     src = np.random.default_rng(m).normal(size=(dim_h, size))
     flat = src[0]
+    by_point = np.ascontiguousarray(src.T)
     omega = twist_matrices(grid.n).transpose(0, 2, 1)
 
     def canaries(n):
@@ -560,19 +567,18 @@ def test_step_kernels_write_only_their_outputs(m):
         return np.all(arr == canary)
 
     for start, k in ((fibre + 5, 2 * fibre + 7), (size - fibre - 3, fibre + 3),
-                     (fibre + 5, min(size - fibre - 8, 2 * HESSIAN_SUB + 100))):
+                     (fibre, min(size - fibre, 16 * fibre))):
         args = (size, start, k, m, dim_h)
         stack = canaries(2 * k)
         for a in range(dim_h):
             lib.difference_gather(src.ctypes.data, stack.ctypes.data, 2, *args, a,
                                   cols.ctypes.data, table.ctypes.data, two_h)
         assert kept(stack, slice(0, 2 * k))
+        # the jet writes its points' runs of dim_h differences
         first, lap = canaries(dim_h * size), canaries(size)
-        lib.difference_jet(flat.ctypes.data, first.ctypes.data, lap.ctypes.data, *args,
+        lib.difference_jet(flat.ctypes.data, first.ctypes.data, lap.ctypes.data, *args[1:],
                            cols.ctypes.data, table.ctypes.data, two_h, h_sq)
-        rows = np.zeros(dim_h * size + tail, dtype=bool)
-        rows[:dim_h * size].reshape(dim_h, size)[:, start:start + k] = True
-        assert kept(first, rows)
+        assert kept(first, slice(dim_h * start, dim_h * (start + k)))
         assert kept(lap, slice(start, start + k))
         # the Euler update writes its points of out, and their min and max
         # into ext
@@ -586,9 +592,9 @@ def test_step_kernels_write_only_their_outputs(m):
         # those of the gathered rows, axis by axis from zero, with or
         # without nsq, omega_s's one entry +-1 of row a read from the twist
         tr, om, nsq = canaries(k), canaries(3 * k), canaries(k)
-        hess_args = (*args, cols.ctypes.data, table.ctypes.data, two_h)
-        lib.hessian_block(src.ctypes.data, tr.ctypes.data, om.ctypes.data, nsq.ctypes.data,
-                          *hess_args)
+        hess_args = (*args[1:], cols.ctypes.data, table.ctypes.data, two_h)
+        lib.hessian_block(by_point.ctypes.data, tr.ctypes.data, om.ctypes.data,
+                          nsq.ctypes.data, *hess_args)
         assert kept(tr, slice(0, k)) and kept(om, slice(0, 3 * k)) and kept(nsq, slice(0, k))
         want_tr, want_om, want_nsq = np.zeros(k), np.zeros((3, k)), np.zeros(k)
         d = np.empty((dim_h, k))
@@ -608,8 +614,57 @@ def test_step_kernels_write_only_their_outputs(m):
         assert om[:3 * k].tobytes() == want_om.tobytes()
         assert nsq[:k].tobytes() == want_nsq.tobytes()
         tr2, om2 = canaries(k), canaries(3 * k)
-        lib.hessian_block(src.ctypes.data, tr2.ctypes.data, om2.ctypes.data, None, *hess_args)
+        lib.hessian_block(by_point.ctypes.data, tr2.ctypes.data, om2.ctypes.data, None,
+                          *hess_args)
         assert tr2.tobytes() == tr.tobytes() and om2.tobytes() == om.tobytes()
+        # the production block writes the five rows of work, in place of
+        # the weights in its first two, and the deficit minimum into lo
+        work, lo = canaries(5 * k), canaries(1)
+        work[:2 * k] = 1.0 + np.arange(2 * k) / k
+        lib.production_block(tr.ctypes.data, om.ctypes.data, nsq.ctypes.data,
+                             flat[start:].ctypes.data, by_point[start:].ctypes.data,
+                             work.ctypes.data, lo.ctypes.data, k, dim_h)
+        assert kept(work, slice(0, 5 * k)) and kept(lo, slice(0, 1))
+
+
+@pytest.mark.parametrize("dim_h", [4, 8])
+def test_production_block_has_the_bits_of_the_numpy_formulas(dim_h):
+    # the one C call of production's contraction against the per-point
+    # numpy formulas it replaces, with ==, on signed contractions of wide
+    # magnitude: the p-deficit grouped as written, |DF|^2 in axis order and
+    # the five weighted integrands.  Its minimum is the deficit's, and keeps
+    # a NaN as np.minimum.reduce does, at the first point, the last or
+    # between them; misshapen or strided blocks are refused
+    rng = np.random.default_rng(dim_h)
+    k = 1000
+
+    def wide(*shape):
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+
+    tr, om, lap, first = wide(k), wide(3, k), wide(k), wide(k, dim_h)
+    w2, w4 = rng.random(k) + 0.5, rng.random(k) + 0.5
+    quarter = 1.0 / dim_h
+    for nan_at in (None, 0, k // 3, k - 1):
+        nsq = np.abs(wide(k))
+        if nan_at is not None:
+            nsq[nan_at] = np.nan
+        work = np.zeros((5, k))
+        work[0], work[1] = w2, w4
+        lo = lattice._production_block(tr, om, nsq, lap, first, work)
+        deficit = nsq - quarter * tr * tr
+        for s in range(3):
+            deficit = deficit - quarter * om[s] * om[s]
+        grad_sq = np.sum(np.ascontiguousarray(first.T) ** 2, axis=0)
+        expect = (w2 * lap ** 2, w4 * grad_sq ** 2, w2 * nsq,
+                  w2 * sum(om[s] ** 2 for s in range(3)), w2 * deficit)
+        for row, want in zip(work, expect):
+            assert row.tobytes() == want.tobytes()
+        want_lo = np.minimum.reduce(deficit)
+        assert lo == want_lo or (np.isnan(lo) and np.isnan(want_lo))
+        assert np.isnan(lo) == (nan_at is not None)
+    for bad in (first[:, ::-1], first[:-1]):
+        with pytest.raises(ValueError, match="production block takes"):
+            lattice._production_block(tr, om, nsq, lap, bad, np.zeros((5, k)))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -661,7 +716,7 @@ def test_frame_omega_is_the_twist_columns_and_the_grid_refuses_others():
             raise AssertionError("a block was contracted")
 
         with pytest.raises(ValueError, match="one entry"):
-            lattice.hessian_pass(np.ones((grid.dim_h,) + grid.shape), grid, contract,
+            lattice.hessian_pass(np.ones(grid.shape + (grid.dim_h,)), grid, contract,
                                  with_norm=False)
 
 
@@ -686,9 +741,11 @@ def test_fused_jet_refuses_what_it_cannot_write():
 
 
 def test_block_passes_refuse_what_they_cannot_read():
-    # grad_sq_pass differentiates one field and hessian_pass a (4n,) +
-    # grid.shape stack: a stack, a flat field and a stack of other rows are
-    # refused before any block, and left as they were
+    # grad_sq_pass differentiates one field, hessian_pass a jet's
+    # grid.shape + (4n,) differences and divergence_pass a (4n,) +
+    # grid.shape stack of components: a stack, a flat field, a stack of
+    # other rows and the other layout are refused before any block, and
+    # left as they were
     grid = make_grid(1, 3)
 
     def kernel(blk, *args):
@@ -699,10 +756,15 @@ def test_block_passes_refuse_what_they_cannot_read():
         lattice.grad_sq_pass(stacked, grid, np.ones(grid.size))
     assert np.array_equal(stacked, np.ones((grid.dim_h, grid.size)))
     for values in (np.ones(grid.size), np.ones(grid.shape),
-                   np.ones((grid.dim_h - 1,) + grid.shape)):
+                   np.ones((grid.dim_h - 1,) + grid.shape),
+                   np.ones((grid.dim_h,) + grid.shape), np.ones(grid.shape + (grid.dim_h,))):
         before = values.copy()
-        with pytest.raises(ValueError, match="Hessian pass takes a"):
-            lattice.hessian_pass(values, grid, kernel, with_norm=True)
+        if values.shape != grid.shape + (grid.dim_h,):
+            with pytest.raises(ValueError, match="Hessian pass takes a"):
+                lattice.hessian_pass(values, grid, kernel, with_norm=True)
+        if values.shape != (grid.dim_h,) + grid.shape:
+            with pytest.raises(ValueError, match="divergence pass takes a"):
+                lattice.divergence_pass(values, grid)
         assert np.array_equal(values, before)
 
 
@@ -947,5 +1009,5 @@ def test_the_c_exports_are_the_bound_functions_and_each_has_a_caller():
     called = {node.func.attr for node in ast.walk(tree)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
     assert exported == bound == {"difference_gather", "difference_jet", "euler_update",
-                                 "hessian_block", "plane_rolls"}
+                                 "hessian_block", "production_block", "plane_rolls"}
     assert exported <= called

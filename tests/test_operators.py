@@ -315,11 +315,13 @@ def _stream_hessian(f, with_norm=True):
     """(|H|^2, tr H, omega_s(H), p-deficit) as whole fields, in the order of
     _ref_hessian, collected from the blocks of the Hessian pass over the
     first differences of f (a field or its jet), the deficit formed per
-    block as F's production contraction forms it; |H|^2 and the deficit
-    are None without with_norm."""
+    block by F's production block, as its weighted deficit row with unit
+    weights (1.0 * d is d); |H|^2 and the deficit are None without
+    with_norm."""
     jet = f if isinstance(f, DifferenceJet) else DifferenceJet(f)
     grid = jet.grid
-    quarter = 1.0 / grid.dim_h
+    first = jet.first.reshape(grid.size, grid.dim_h)
+    lap = jet.laplacian.reshape(-1)
     norm_sq, trace, deficit = (np.full(grid.size, np.nan) for _ in range(3))
     omega = np.full((3, grid.size), np.nan)
 
@@ -328,11 +330,14 @@ def _stream_hessian(f, with_norm=True):
         omega[:, blk] = om
         if with_norm:
             norm_sq[blk] = nsq
-            identities._deficit_block(deficit[blk], tr, om, nsq, work[0], quarter)
+            (rows,) = work
+            rows[:2] = 1.0
+            lattice._production_block(tr, om, nsq, lap[blk], first[blk], rows)
+            deficit[blk] = rows[4]
         else:
             assert nsq is None
 
-    lattice.hessian_pass(jet.first, grid, collect, with_norm=with_norm, scratch=((),))
+    lattice.hessian_pass(jet.first, grid, collect, with_norm=with_norm, scratch=((5,),))
     shape = grid.shape
     if not with_norm:
         return None, trace.reshape(shape), omega.reshape((3,) + shape), None
@@ -450,8 +455,9 @@ def test_fused_jet_matches_the_step_tables(n, m, workers, monkeypatch):
         acc += (up - two_f) + um
     lap = -acc / (grid.h_x * grid.h_x)
     jet = DifferenceJet(ScalarField(grid, values.reshape(grid.shape)))
-    assert jet.first.shape == (grid.dim_h,) + grid.shape
-    assert jet.first.tobytes() == np.stack(first).tobytes()
+    # point-major: each point's 4n differences are one run
+    assert jet.first.shape == grid.shape + (grid.dim_h,)
+    assert jet.first.tobytes() == np.stack(first, axis=-1).tobytes()
     assert jet.laplacian.tobytes() == lap.tobytes()
 
 
@@ -565,6 +571,8 @@ def test_reeb_mixed_term_matches_a_per_entry_reference(m, monkeypatch):
         ref = _ref_reeb_mixed(first, grid)
         tol = 1e-13 * float(np.max(np.abs(ref)))
         assert tol > 0.0
+        # _reeb_mixed reads a jet's point-major differences
+        first = np.moveaxis(first, 0, -1)
         assert float(np.max(np.abs(identities._reeb_mixed(grid, first) - ref))) <= tol
         for s in range(3):
             broken = twist_matrices(grid.n).copy()
@@ -676,7 +684,7 @@ def _reference_passes(f):
     return {
         "euler": (stepped, integrate(ScalarField(grid, stepped)),
                   float(np.min(stepped)), float(np.max(stepped))),
-        "jet": (first, lap),
+        "jet": (np.stack(first, axis=-1), lap),
         "energy": float(grid.cell_volume * np.sum(grad_phi_sq * values)),
         "divergence": -div,
         "hessian": (norm_sq, trace, omega, deficit),
