@@ -1,8 +1,8 @@
 /* The twisted horizontal steps of the lattice quotient, read without a
- * step table: the centred differences they give, the difference jet of a
- * field, the Euler update that sums them, the composed Hessian of a
- * field's first differences, and the per-point integrands of the energy
- * production that read that Hessian.
+ * step table: the weighted square norm of the centred differences they
+ * give, the difference jet of a field, the Euler update that sums them,
+ * the composed Hessian of a field's first differences, and the per-point
+ * integrands of the energy production that read that Hessian.
  *
  * A step along horizontal axis a in direction d maps the point (i, t) to
  * (i + d e_a, t + d K(i)) (mod m), K_s(i) = sum_b twist[s][b, a] i_b, so
@@ -23,9 +23,10 @@
  * A block edge that cuts a fibre (odd m, and m = 6 with small blocks)
  * cuts a run of the fibre's planes.
  *
- * difference_gather writes D_a = (S_a^+ - S_a^-) / two_h of every row of a
- * C-contiguous (rows, size) float64 array on the points [start, start+len)
- * into the C-contiguous (rows, len) array out.
+ * grad_sq_block writes, on the points [start, start+len) of a flat field
+ * f, (((D_0 f)^2 + (D_1 f)^2) + ...) * w, D_a f = (S_a^+ f - S_a^- f) / two_h,
+ * into out[0:len], the block alone; the weight w is a flat field, read at
+ * the same points.
  *
  * difference_jet writes, on the same points of a flat field f, D_a f into
  * first[p dim_h + a] of point p, for every a: first is point-major, a
@@ -67,11 +68,11 @@
  * minimum of d into lo[0]; a NaN among the d is kept, as
  * np.minimum.reduce keeps it.
  *
- * The per-point loops of difference_jet, euler_update and hessian_block
- * are written once, as static inline bodies that each function calls
- * with the literal dim_h 4 (n = 1, the dimension every suite runs), so
- * the compiler unrolls the reads of a point, and with the runtime dim_h
- * otherwise.
+ * The per-point loops of grad_sq_block, difference_jet, euler_update and
+ * hessian_block are written once, as static inline bodies that each
+ * function calls with the literal dim_h 4 (n = 1, the dimension every
+ * suite runs), so the compiler unrolls the reads of a point, and with the
+ * runtime dim_h otherwise.
  *
  * Each function does the + - x / of the whole-field numpy formula in its
  * per-point order, each one rounded on its own, so its output has that
@@ -177,27 +178,44 @@ static inline double step_read(const double *src, const int64_t *rolls,
     return src[at[k] + rolls[roll[k] + q]];
 }
 
-void difference_gather(const double *src, double *out, int64_t rows, int64_t size,
-                       int64_t start, int64_t len, int64_t m, int64_t dim_h, int64_t a,
-                       const int64_t *twist, const int64_t *rolls, double two_h)
+/* the body of grad_sq_block */
+static inline void grad_sq_points(const double *src, const double *w, double *out,
+                                  int64_t start, int64_t len, int64_t m, int64_t dim_h,
+                                  const int64_t *twist, const int64_t *rolls, double two_h)
 {
     int64_t m2 = m * m, fibre = m2 * m, stop = start + len, q0, q1;
-    int64_t from[2], c0[2], roll[2];
+    int64_t from[MAX_STEPS], c0[MAX_STEPS], roll[MAX_STEPS], at[MAX_STEPS];
     for (int64_t fib = start / fibre; fib * fibre < stop; fib++) {
         int64_t base = fib * fibre;
         int64_t lo = start > base ? start - base : 0;
         int64_t hi = stop < base + fibre ? stop - base : fibre;
-        fibre_steps(fib, m, dim_h, a, a + 1, twist, from, c0, roll);
-        const int64_t *rp = rolls + roll[0], *rm = rolls + roll[1];
-        for (int64_t r = 0; r < rows; r++)
-            for (int64_t t0 = lo / m2; plane_run(t0, m2, lo, hi, &q0, &q1); t0++) {
-                const double *up = src + r * size + from[0] + wrap(t0, c0[0], m) * m2;
-                const double *um = src + r * size + from[1] + wrap(t0, c0[1], m) * m2;
-                double *o = out + r * len + base + t0 * m2 - start;
-                for (int64_t q = q0; q < q1; q++)
-                    o[q] = (up[rp[q]] - um[rm[q]]) / two_h;
+        fibre_steps(fib, m, dim_h, 0, dim_h, twist, from, c0, roll);
+        for (int64_t t0 = lo / m2; plane_run(t0, m2, lo, hi, &q0, &q1); t0++) {
+            int64_t p0 = base + t0 * m2;
+            plane_sources(t0, m, dim_h, from, c0, at);
+            for (int64_t q = q0; q < q1; q++) {
+                double d = (step_read(src, rolls, at, roll, 0, q)
+                            - step_read(src, rolls, at, roll, 1, q)) / two_h;
+                double g = d * d;
+                for (int64_t a = 1; a < dim_h; a++) {
+                    d = (step_read(src, rolls, at, roll, 2 * a, q)
+                         - step_read(src, rolls, at, roll, 2 * a + 1, q)) / two_h;
+                    g += d * d;
+                }
+                out[p0 + q - start] = g * w[p0 + q];
             }
+        }
     }
+}
+
+void grad_sq_block(const double *src, const double *w, double *out, int64_t start,
+                   int64_t len, int64_t m, int64_t dim_h, const int64_t *twist,
+                   const int64_t *rolls, double two_h)
+{
+    if (dim_h == 4)
+        grad_sq_points(src, w, out, start, len, m, 4, twist, rolls, two_h);
+    else
+        grad_sq_points(src, w, out, start, len, m, dim_h, twist, rolls, two_h);
 }
 
 /* the body of difference_jet */

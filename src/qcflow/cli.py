@@ -221,7 +221,11 @@ def cmd_verify(args) -> int:
         params = inspect.signature(SUITE_BUILDERS[name]).parameters
         kwargs = {key: val for key, val in (("m_x", args.mx), ("alpha", args.alpha))
                   if val is not None and key in params}
-        report = run_suite(name, seed=args.seed, **kwargs)
+        try:
+            report = run_suite(name, seed=args.seed, **kwargs)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         path = os.path.join(out_dir, f"verify_{name}.json")
         with open(path, "w") as fh:
             fh.write(report.to_json())

@@ -8,6 +8,7 @@ range of u never expands, not even by an ulp.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -45,6 +46,9 @@ class FlowConfig:
     out: str = "out"
 
     def __post_init__(self):
+        for name in ("alpha", "amplitude", "offset", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
         if self.alpha in (0.0, 0.5):
             raise ValueError("alpha must avoid 0 and 1/2")
         if not 0.0 < self.cfl_safety <= 1.0:
@@ -89,8 +93,8 @@ def cfl_timestep(grid: LatticeGrid, safety: float) -> float:
 def euler_step(u: ScalarField, dt: float, u_min: float, measure: bool = False):
     """One explicit Euler step of du/dt = -Delta u, for a field whose
     minimum u_min is known, as the stream knows it from the step that made
-    the field.  Refuses a dt above the CFL bound and data that is not
-    strictly positive.
+    the field.  Refuses a dt that is not positive or lies above the CFL
+    bound (NaN among them), and data that is not strictly positive.
 
     Returns (field, mass, lo, hi): the new field with its minimum lo, and
     with its mass (the bits of integrate) and maximum hi when measure is
@@ -100,8 +104,8 @@ def euler_step(u: ScalarField, dt: float, u_min: float, measure: bool = False):
     """
     grid = u.grid
     bound = cfl_timestep(grid, 1.0)
-    if dt > bound * (1.0 + 1e-12):
-        raise ValueError(f"dt={dt} violates the CFL bound {bound}")
+    if not 0.0 < dt <= bound * (1.0 + 1e-12):
+        raise ValueError(f"dt={dt} must be positive and within the CFL bound {bound}")
     if not u_min > 0.0:
         raise ValueError("the heat flow needs strictly positive data")
     w = dt / (grid.h_x * grid.h_x)

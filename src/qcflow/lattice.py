@@ -15,24 +15,25 @@ its neighbour along a and rolls it by the twist K(x).  The passes read
 the steps with the C functions of _steps.c, compiled on first use, and
 keep no step table: a fibre's roll moves each of its planes alike, and
 each grid makes one m^4-entry int64 table of the m^2 plane rolls (32 KiB
-at m_x = 8), on its first pass, that every worker reads.  There are five
-passes over fixed C calls, which share the point blocks and the worker
-pool (_share_blocks).  euler_pass (euler_update, the Euler step) and
+at m_x = 8), on its first pass, that every worker reads.  There are four
+passes, each one C function called per worker run or per block, which
+share the point blocks and the worker pool (_share_blocks); none loops
+over the axes in Python.  euler_pass (euler_update, the Euler step) and
 jet_pass (difference_jet, a field's D_a and compact Laplacian) make one C
 call per worker over its run of blocks, with the interpreter lock
 released; the jet's first differences are point-major, each point's 4n
-of them one run.  grad_sq_pass (the energy's int |Df|^2 weight) squares
-each block's differences D_a, written by difference_gather, and
-divergence_pass adds D_a of a 1-form's a-th component alone.
-hessian_pass hands a contraction each block's composed differences of a
-jet, which hessian_block sums into tr H, omega_s(H) and |H|^2, reading
-each neighbour's 4n differences as one run and omega_s from the twist
-columns; production's contraction forms its integrands with one more C
-call per block, production_block.  The C functions take only the data and
-the grid's constants, keep their scratch on their own stacks, and do the
-+ - x / of the whole-field numpy formula in its per-point order, under
--ffp-contract=off (no FMA), so all have the bits of the numpy route on
-every machine.
+of them one run.  grad_sq_pass (the energy's int |Df|^2 weight) makes
+one call of grad_sq_block per block, which reads each point's 8n steps
+once and writes its weighted |Df|^2.  hessian_pass hands a contraction
+each block's composed differences of a jet, which hessian_block sums into
+tr H, omega_s(H) and |H|^2, reading each neighbour's 4n differences as
+one run and omega_s from the twist columns; production's contraction
+forms its integrands with one more C call per block, production_block.
+The C function of each pass takes its inputs, its outputs, the points
+[start, start + len), the grid's constants and its scalars.  Every C
+function keeps its scratch on its own stack and does the + - x / of the
+whole-field numpy formula in its per-point order, under -ffp-contract=off
+(no FMA), so all have the bits of the numpy route on every machine.
 
 Left-invariant frame conventions (validated by the frame-contract tests):
 the twist bilinears are Im_s(conj(x) x') = x @ B_s @ x' with B_s minus the
@@ -222,12 +223,12 @@ class HorizontalField:
 
 
 # a float64 block of BLOCK_POINTS values is 256 KiB.  The Euler and jet
-# passes hold none: the energy's pass holds two (its difference buffer and
-# |Df|^2), which stay in a core's L2 cache (2 MiB a core on the 2-core Xeon
-# of the BENCH files).  The largest, F's Hessian pass with production's
-# contraction, holds per worker tr, three omega, |H|^2 and production's
-# (5, k) work array, 10 blocks: 2.5 MiB, a little over L2; hessian_block
-# keeps no buffer.
+# passes hold none: the energy's pass holds one, its weighted |Df|^2, which
+# stays in a core's L2 cache (2 MiB a core on the 2-core Xeon of the BENCH
+# files).  The largest, F's Hessian pass with production's contraction,
+# holds per worker tr, three omega, |H|^2 and production's (5, k) work
+# array, 10 blocks: 2.5 MiB, a little over L2; hessian_block keeps no
+# buffer.
 # It must be at least 128, the run numpy's pairwise sum adds without a cut.
 BLOCK_POINTS = 32768
 
@@ -382,12 +383,12 @@ def _build_steps_library(path: str):
 
 
 def _step_kernel():
-    """The library of _steps.c, with its functions difference_gather,
+    """The library of _steps.c, with its functions grad_sq_block,
     difference_jet, euler_update, hessian_block, production_block and
-    plane_rolls.  The first
-    call compiles the source into __pycache__, under a name that holds the
-    sha256 of the source followed by the compile flags, unless that library
-    is there already, and loads it.  So a changed flag list builds a library of its own.
+    plane_rolls.  The first call compiles the source into __pycache__,
+    under a name that holds the sha256 of the source followed by the
+    compile flags, unless that library is there already, and loads it.  So
+    a changed flag list builds a library of its own.
     ctypes releases the interpreter lock during each call, so the workers
     gather at once."""
     global _steps_lib
@@ -404,13 +405,13 @@ def _step_kernel():
                 _build_steps_library(path)
             lib = ctypes.CDLL(path)
             ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-            lib.difference_gather.argtypes = [ptr] * 2 + [i64] * 7 + [ptr, ptr, f64]
+            lib.grad_sq_block.argtypes = [ptr] * 3 + [i64] * 4 + [ptr, ptr, f64]
             lib.difference_jet.argtypes = [ptr] * 3 + [i64] * 4 + [ptr, ptr, f64, f64]
             lib.euler_update.argtypes = [ptr] * 3 + [i64] * 4 + [ptr, ptr, f64]
             lib.hessian_block.argtypes = [ptr] * 4 + [i64] * 4 + [ptr, ptr, f64]
             lib.production_block.argtypes = [ptr] * 7 + [i64] * 2
             lib.plane_rolls.argtypes = [ptr, i64]
-            for fn in (lib.difference_gather, lib.difference_jet, lib.euler_update,
+            for fn in (lib.grad_sq_block, lib.difference_jet, lib.euler_update,
                        lib.hessian_block, lib.production_block, lib.plane_rolls):
                 fn.restype = None
             _steps_lib = lib
@@ -428,7 +429,7 @@ def _one_field(values: np.ndarray, grid: LatticeGrid, what: str) -> np.ndarray:
 
 
 def _pass_blocks(block, grid: LatticeGrid, scratch) -> tuple:
-    """The block driver of grad_sq_pass, divergence_pass and hessian_pass:
+    """The block driver of grad_sq_pass and hessian_pass:
     call block(start, k, blocks) once per block [start, start + k), where
     blocks holds one contiguous float64 array of shape lead + (k,) per
     entry lead of scratch, and return the whole-field total of each entry
@@ -467,41 +468,34 @@ def grad_sq_pass(values: np.ndarray, grid: LatticeGrid, weight: np.ndarray) -> f
     """int |Df|^2 weight of one field f, |Df|^2 = sum_a (D_a f)^2: the
     energy's pass.
 
-    Per block of _pass_blocks, the C function difference_gather writes the
-    centred differences D_a = (S_a^+ - S_a^-) / (2 h_x) of the block, axis
-    by axis, into one buffer, which is squared into the block's |Df|^2 in
-    axis order (the first axis straight into it); times the weight, its
-    np.add.reduce is the block's sum.  Those are the per-point operations of
-    integrating sum_a (D_a f)^2, added in axis order, times the weight, in
-    their order, so the pass has their bits and builds no whole field.  A
-    stack of fields is refused.
+    Per block of _pass_blocks, one call of the C function grad_sq_block
+    reads each point's 8n steps once and writes (((D_0 f)^2 + (D_1 f)^2)
+    + ...) * weight, D_a f = (S_a^+ f - S_a^- f) / (2 h_x), into the
+    block's buffer, whose np.add.reduce is the block's sum.  Those are the
+    per-point operations of integrating sum_a (D_a f)^2, added in axis
+    order, times the weight, in their order, so the pass has their bits and
+    builds no whole field.  A stack of fields, and a weight that is not
+    grid.size values, are refused: the C function reads both by address.
     """
     lib = _step_kernel()
     src = _one_field(values, grid, "gradient pass")
-    w = np.reshape(weight, -1)
-    m, dim_h, size = grid.m_x, grid.dim_h, grid.size
+    w = _one_field(weight, grid, "gradient pass weight")
+    m, dim_h = grid.m_x, grid.dim_h
     two_h = 2.0 * grid.h_x
-    # the C function reads src and the grid's constants by address: all
+    # the C function reads src, w and the grid's constants by address: all
     # live until every run has ended, since this call returns only then
     cols, rolls = grid._step_constants
-    src_at, cols_at, rolls_at = src.ctypes.data, cols.ctypes.data, rolls.ctypes.data
+    src_at, w_at = src.ctypes.data, w.ctypes.data
+    cols_at, rolls_at = cols.ctypes.data, rolls.ctypes.data
 
     def block(start: int, k: int, blocks):
-        sq, d = blocks
-        d_at = d.ctypes.data
-        for a in range(dim_h):
-            lib.difference_gather(src_at, d_at, 1, size, start, k, m, dim_h, a, cols_at,
-                                  rolls_at, two_h)
-            if a == 0:
-                np.multiply(d, d, out=sq)
-            else:
-                d *= d
-                sq += d
-        sq *= w[start:start + k]
+        (sq,) = blocks
+        lib.grad_sq_block(src_at, w_at, sq.ctypes.data, start, k, m, dim_h, cols_at,
+                          rolls_at, two_h)
         return (np.add.reduce(sq),)
 
-    # |Df|^2 and the difference row
-    (total,) = _pass_blocks(block, grid, ((), ()))
+    # the block's weighted |Df|^2
+    (total,) = _pass_blocks(block, grid, ((),))
     return float(grid.cell_volume * total)
 
 
@@ -583,40 +577,6 @@ def _production_block(tr: np.ndarray, om: np.ndarray, nsq: np.ndarray, lap: np.n
                                     lap.ctypes.data, first.ctypes.data, work.ctypes.data,
                                     lo.ctypes.data, k, first.shape[-1])
     return float(lo[0])
-
-
-def divergence_pass(components: np.ndarray, grid: LatticeGrid) -> np.ndarray:
-    """The horizontal divergence -sum_a D_a sigma_a of a 1-form, from its
-    components sigma_a, a (4n,) + grid.shape stack, as a grid.shape field.
-
-    Per block of _pass_blocks, the C function difference_gather writes D_a
-    of row a alone into one buffer, axis by axis; it is added into the
-    block's share of the output from zero in axis order, which is then
-    negated: the bits of -(zeros + D_0 sigma_0 + D_1 sigma_1 + ...).
-    """
-    lib = _step_kernel()
-    m, dim_h, size = grid.m_x, grid.dim_h, grid.size
-    if np.shape(components) != (dim_h,) + grid.shape:
-        raise ValueError(f"the divergence pass takes a ({dim_h},) + grid.shape stack, "
-                         f"not values of shape {np.shape(components)}")
-    rows = np.ascontiguousarray(components, dtype=np.float64).reshape(dim_h, size)
-    two_h = 2.0 * grid.h_x
-    cols, rolls = grid._step_constants
-    out = np.empty(size)
-
-    def block(start: int, k: int, blocks):
-        (d,) = blocks
-        acc = out[start:start + k]
-        acc.fill(0.0)
-        for a in range(dim_h):
-            lib.difference_gather(rows[a].ctypes.data, d.ctypes.data, 1, size, start, k, m,
-                                  dim_h, a, cols.ctypes.data, rolls.ctypes.data, two_h)
-            acc += d
-        np.negative(acc, out=acc)
-
-    # the difference row
-    _pass_blocks(block, grid, ((),))
-    return out.reshape(grid.shape)
 
 
 def euler_pass(values: np.ndarray, grid: LatticeGrid, w: float, measure: bool):

@@ -21,9 +21,9 @@ when asked.  No Hessian field is kept: each consumer passes a contraction
 that reads a block's contractions and returns its block sums of the
 consumer's integrands (the production integrals of
 identities.FlowQuantities, the Bochner residual, the omega-contraction
-check of the calculus suite, and p_functional).  divergence is
-lattice.divergence_pass, which reads D_a of the a-th component alone.  The
-energy's int |Df|^2 u is lattice.grad_sq_pass, which reads the steps of
+check of the calculus suite, and p_functional).  divergence reads D_a of
+the a-th component from that component's jet.  The energy's int |Df|^2 u
+is lattice.grad_sq_pass, one C call per block that reads the steps of
 ln u alone and builds no jet.
 sub_laplacian and p_functional read a jet, so a caller that needs both
 passes the jet instead of the field and pays for the gathers once; any
@@ -52,7 +52,6 @@ from .lattice import (
     XI_SCALE,
     HorizontalField,
     ScalarField,
-    divergence_pass,
     hessian_pass,
     jet_pass,
     vertical_shift,
@@ -102,12 +101,16 @@ def sub_laplacian(f: ScalarField | DifferenceJet) -> ScalarField:
 def divergence(sigma: HorizontalField) -> ScalarField:
     """Horizontal divergence nabla* sigma = -sum_a X_a sigma_a.
 
-    lattice.divergence_pass reads one row per axis, D_a of the a-th
-    component, and sums them from zero in axis order before negating: the
-    bits of -(zeros + D_0 sigma_0 + D_1 sigma_1 + ...).  Integrates to zero
-    exactly on the periodic quotient.
+    D_a sigma_a is read from the jet of the a-th component, and the terms
+    are added from zero in axis order before negating: the bits of
+    -(zeros + D_0 sigma_0 + D_1 sigma_1 + ...).  Integrates to zero exactly
+    on the periodic quotient.
     """
-    return ScalarField(sigma.grid, divergence_pass(sigma.components, sigma.grid))
+    grid = sigma.grid
+    total = np.zeros(grid.shape)
+    for a, component in enumerate(sigma.components):
+        total += jet_pass(component, grid)[0][..., a]
+    return ScalarField(grid, -total)
 
 
 def p_functional(f: ScalarField | DifferenceJet) -> float:

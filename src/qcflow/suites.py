@@ -288,14 +288,23 @@ def geometry_suite(seed: int = 1, m_x: int = 3) -> SuiteReport:
 # criterion 4: convergence orders of the calculus identities
 # ---------------------------------------------------------------------------
 
+def _unit_peak_field(grid, bump):
+    """1 + 0.3 bump / max(bump); a bump that is zero on every grid point is
+    refused, since it has no peak to normalise by."""
+    peak = bump.values.max()
+    if not peak > 0.0:
+        raise ValueError(f"the bump is zero on every point of the grid at "
+                         f"n={grid.n}, m_x={grid.m_x}")
+    return ScalarField(grid, 1.0 + 0.3 * bump.values / peak)
+
+
 def _uniformish_field(grid):
-    b = periodized_bump(grid, width=0.245, tau_width=0.75, profile="cosine")
-    return ScalarField(grid, 1.0 + 0.3 * b.values / b.values.max())
+    return _unit_peak_field(
+        grid, periodized_bump(grid, width=0.245, tau_width=0.75, profile="cosine"))
 
 
 def _rich_field(grid):
-    b = periodized_bump(grid, width=0.22)
-    return ScalarField(grid, 1.0 + 0.3 * b.values / b.values.max())
+    return _unit_peak_field(grid, periodized_bump(grid, width=0.22))
 
 
 def calculus_suite(seed: int = 1, m_pair=(4, 8), alpha: float = -0.05) -> SuiteReport:

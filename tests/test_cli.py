@@ -261,7 +261,8 @@ def test_config_parser_errors(tmp_path):
                                   "cfl_safety = 0", "m_x = none",
                                   "profile = gauss", "tau_profile = gauss",
                                   "profile = cosine", "tau_width = 0.01",
-                                  "width = 0.4", "width = 0"])
+                                  "width = 0.4", "width = 0", "alpha = nan",
+                                  "amplitude = inf", "offset = nan"])
 def test_run_rejects_invalid_config(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
@@ -270,6 +271,19 @@ def test_run_rejects_invalid_config(tmp_path, capsys, line):
                     "--t-end", "0.001", "--out", str(out)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--t-end", "inf"], ["--t-end", "nan"], ["--alpha", "nan"],
+                                  ["--alpha=-inf"]])
+def test_run_refuses_settings_that_are_not_finite(tmp_path, capsys, args):
+    # `--t-end inf` ended in an OverflowError traceback and `--alpha nan`
+    # wrote an energy.csv of NaN: both are refused before the run starts
+    out = tmp_path / "o"
+    code = run_cli(["run", "--mx", "3", *args, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
     assert not out.exists()
 
 
@@ -369,6 +383,17 @@ def test_flow_suite_report_bytes_are_pinned(m, steps):
     report = suites.flow_suite(seed=1, m_x=m, steps=steps)
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
     assert digest == FLOW_SUITE_SHA256[m, steps]
+
+
+@pytest.mark.parametrize("args, named", [(["--suite", "lemma", "--alpha", "0.5"], "alpha"),
+                                         (["--suite", "geometry", "--mx", "1"], "m_x")])
+def test_verify_refuses_bad_settings_with_an_error_line(tmp_path, capsys, args, named):
+    # a setting the suite refuses is reported as `qcflow run` reports one,
+    # not as a traceback
+    code = run_cli(["verify", *args, "--out", str(tmp_path / "v")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def test_verify_unknown_suite_rejected():

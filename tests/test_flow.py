@@ -57,6 +57,12 @@ def test_config_validation():
         small_config(offset=0.1, amplitude=0.3)
     with pytest.raises(ValueError):
         small_config(record_every=0)
+    # an infinite t_end overflowed the step count, and a NaN alpha ran to
+    # the end with NaN energies
+    for name in ("alpha", "amplitude", "offset", "t_end"):
+        for value in (float("inf"), -float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                small_config(**{name: value})
 
 
 def test_heat_step_constant_fixed_point():
@@ -72,6 +78,11 @@ def test_heat_step_guards():
     u = ScalarField(grid, np.full(grid.shape, 1.0))
     with pytest.raises(ValueError):
         heat_step(u, cfl_timestep(grid, 1.0) * 2.0)
+    # a negative dt steps the flow backwards, which widens the range, and
+    # a NaN dt makes every value NaN
+    for dt in (-1e-4, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="must be positive and within the CFL bound"):
+            heat_step(u, dt)
     bad = ScalarField(grid, np.zeros(grid.shape))
     with pytest.raises(ValueError):
         heat_step(bad, cfl_timestep(grid, 0.5))

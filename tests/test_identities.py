@@ -21,7 +21,7 @@ from qcflow.lattice import (
     periodized_bump,
     vertically_uniform_bump,
 )
-from qcflow.suites import _rich_field
+from qcflow.suites import _rich_field, _uniformish_field
 
 ALPHA = -0.05
 
@@ -96,6 +96,20 @@ def test_a_nan_point_is_refused_like_a_non_positive_one():
     assert next(states).step == 0
     with pytest.raises(ValueError, match="strictly positive"):
         next(states)
+
+
+def test_suite_fields_refuse_a_bump_that_is_zero_on_the_grid():
+    # at (n, m_x) = (2, 3) no grid point lies in the support of the rich
+    # field's bump, which was then normalised by its zero peak into an
+    # all-NaN field; both suite fields share one normalisation, which
+    # refuses such a bump by n and m_x and otherwise spans [1, 1.3]
+    with pytest.raises(ValueError, match=r"zero on every point .* n=2, m_x=3"):
+        _rich_field(make_grid(2, 3))
+    for maker in (_rich_field, _uniformish_field):
+        for n, m in ((1, 3), (2, 2)):
+            u = maker(make_grid(n, m))
+            assert u.values.min() >= 1.0
+            assert u.values.max() == pytest.approx(1.3, rel=1e-15)
 
 
 def test_constant_field_all_tags_trivial():

@@ -19,6 +19,7 @@ from qcflow.lattice import (
     BLOCK_POINTS,
     XI_SCALE,
     GroupPoint,
+    HorizontalField,
     ScalarField,
     group_inverse,
     group_multiply,
@@ -349,16 +350,24 @@ def _tree_nodes(start, n, cap):
     return _tree_nodes(start, half, cap) + _tree_nodes(start + half, n - half, cap)
 
 
-def _gather(values, grid, start, k, a):
-    """D_a of the rows of values, a flat field or a (rows, N) stack, on the
-    points [start, start + k), by one call of difference_gather."""
-    rows = 1 if values.ndim == 1 else values.shape[0]
+def _grad_sq_block(values, weight, grid, start, k):
+    """The weighted |Df|^2 of a flat field on the points [start, start + k),
+    by one call of grad_sq_block."""
     cols, rolls = grid._step_constants
-    out = np.empty(values.shape[:-1] + (k,))
-    lattice._step_kernel().difference_gather(
-        values.ctypes.data, out.ctypes.data, rows, grid.size, start, k, grid.m_x,
-        grid.dim_h, a, cols.ctypes.data, rolls.ctypes.data, 2.0 * grid.h_x)
+    out = np.empty(k)
+    lattice._step_kernel().grad_sq_block(
+        values.ctypes.data, weight.ctypes.data, out.ctypes.data, start, k, grid.m_x,
+        grid.dim_h, cols.ctypes.data, rolls.ctypes.data, 2.0 * grid.h_x)
     return out
+
+
+def _weighted_grad_sq(diffs, weight):
+    """(((D_0 f)^2 + (D_1 f)^2) + ...) * weight, in the order of the energy's
+    pass, from the differences D_a f."""
+    acc = diffs[0] * diffs[0]
+    for d in diffs[1:]:
+        acc = acc + d * d
+    return acc * weight
 
 
 def _stack_hessian(first, grid, diff):
@@ -403,6 +412,7 @@ def test_step_gathers_match_shift(m, monkeypatch):
     rng = np.random.default_rng(m)
     flat = rng.normal(size=grid.size)
     stacked = rng.normal(size=grid.shape + (grid.dim_h,))
+    weight = rng.random(grid.size)
     starts = [start for start, _ in _tree_nodes(0, grid.size, BLOCK_POINTS)]
     assert len(starts) == (1 if m == 4 else 4)
     assert lattice._block_bounds(grid.size)[:-1] == starts
@@ -411,12 +421,11 @@ def test_step_gathers_match_shift(m, monkeypatch):
         return ((shift(values, grid, a, +1) - shift(values, grid, a, -1))
                 / (2.0 * grid.h_x)).reshape(-1)
 
-    # one row, the gather of the energy's pass, on each block of the passes
+    # the energy's weighted |Df|^2 on each block of the passes
+    expect_sq = _weighted_grad_sq([diff(flat, a) for a in range(grid.dim_h)], weight)
     for start, stop in _tree_nodes(0, grid.size, BLOCK_POINTS):
-        for a in range(grid.dim_h):
-            d = _gather(flat, grid, start, stop - start, a)
-            assert d.shape == (stop - start,)
-            assert np.array_equal(d, diff(flat, a)[start:stop])
+        got = _grad_sq_block(flat, weight, grid, start, stop - start)
+        assert np.array_equal(got, expect_sq[start:stop])
     # the Hessian pass over point-major differences: H_ab = D_a of D_b,
     # whose sums each block's contraction receives
     expect = _stack_hessian(stacked, grid, diff)
@@ -437,12 +446,12 @@ def test_step_gathers_match_shift(m, monkeypatch):
 @pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3),
                                   (3, 2)])
 def test_step_kernel_gathers_what_the_step_tables_give(n, m, workers, monkeypatch):
-    # difference_gather against (S^+ - S^-) / 2h through np.take of
-    # step_permutation, for every axis, called by hand over the blocks on a
-    # flat field and on a (3, N) stack; the Hessian pass over point-major
-    # random differences against the Hessian of the step tables; and the
-    # point-major jet of a field and the Hessian pass over it against the
-    # composed np.take references D_b f and D_a D_b f.
+    # grad_sq_block against the weighted sum of squares of (S^+ - S^-) / 2h
+    # through np.take of step_permutation, called by hand over the blocks;
+    # the Hessian pass over point-major random differences against the
+    # Hessian of the step tables; and the point-major jet of a field and
+    # the Hessian pass over it against the composed np.take references D_b f
+    # and D_a D_b f.
     # Blocks of a little over two vertical fibres cut fibres at every odd m
     # and at m = 6, so both whole fibres and the runs of cut ones are read.
     # (3, 2) on 2 workers runs hessian_block, with its dim_h = 12 runs, on
@@ -463,13 +472,11 @@ def test_step_kernel_gathers_what_the_step_tables_give(n, m, workers, monkeypatc
         return (np.take(values, up, axis=-1) - np.take(values, down, axis=-1)) / (2.0 * grid.h_x)
 
     flat = rng.normal(size=grid.size)
-    rows = rng.normal(size=(3, grid.size))
-    for values in (flat, rows):
-        for a in range(grid.dim_h):
-            expect = diff(values, a)
-            for start, stop in zip(bounds, bounds[1:]):
-                d = _gather(values, grid, start, stop - start, a)
-                assert np.array_equal(d, expect[..., start:stop]), (values.ndim, start, a)
+    weight = rng.random(grid.size)
+    expect = _weighted_grad_sq([diff(flat, a) for a in range(grid.dim_h)], weight)
+    for start, stop in zip(bounds, bounds[1:]):
+        got = _grad_sq_block(flat, weight, grid, start, stop - start)
+        assert got.tobytes() == expect[start:stop].tobytes(), start
     stacked = rng.normal(size=grid.shape + (grid.dim_h,))
     for got, want in zip(_collect_hessian(stacked, grid), _stack_hessian(stacked, grid, diff)):
         assert got.tobytes() == want.tobytes()
@@ -547,13 +554,18 @@ def test_step_kernels_write_only_their_outputs(m):
     lib.plane_rolls(table.ctypes.data, m)
     assert np.all(table[m ** 4:] == table_canary)
     assert np.all(np.sort(table[:m ** 4].reshape(m * m, m * m), axis=1) == np.arange(m * m))
-    # a (4n, N) stack: its first two rows are the gathered stack, its first
-    # row the field of the jet and the Euler update; its point-major copy
-    # is what the Hessian reads
+    # a (4n, N) stack: its first row is the field of the energy's block,
+    # the jet and the Euler update; its point-major copy is what the
+    # Hessian reads
     src = np.random.default_rng(m).normal(size=(dim_h, size))
     flat = src[0]
     by_point = np.ascontiguousarray(src.T)
+    weight = 1.0 + np.arange(size) / size
     omega = twist_matrices(grid.n).transpose(0, 2, 1)
+    # the references read the steps through np.take of the step tables,
+    # which share no code with _steps.c
+    perms = [(grid.step_permutation(a, 1), grid.step_permutation(a, -1))
+             for a in range(dim_h)]
 
     def canaries(n):
         return np.full(n + tail, canary)
@@ -568,15 +580,21 @@ def test_step_kernels_write_only_their_outputs(m):
 
     for start, k in ((fibre + 5, 2 * fibre + 7), (size - fibre - 3, fibre + 3),
                      (fibre, min(size - fibre, 16 * fibre))):
-        args = (size, start, k, m, dim_h)
-        stack = canaries(2 * k)
-        for a in range(dim_h):
-            lib.difference_gather(src.ctypes.data, stack.ctypes.data, 2, *args, a,
-                                  cols.ctypes.data, table.ctypes.data, two_h)
-        assert kept(stack, slice(0, 2 * k))
+        args = (start, k, m, dim_h)
+        # d[a][b] = D_a of row b of the stack, on the block's points
+        d = [(np.take(src, up[start:start + k], axis=-1)
+              - np.take(src, um[start:start + k], axis=-1)) / two_h for up, um in perms]
+        # the energy's block writes out[0:len] alone: the weighted |Df|^2 of
+        # the block's points
+        out = canaries(k)
+        lib.grad_sq_block(flat.ctypes.data, weight.ctypes.data, out.ctypes.data, *args,
+                          cols.ctypes.data, table.ctypes.data, two_h)
+        assert kept(out, slice(0, k))
+        want = _weighted_grad_sq([da[0] for da in d], weight[start:start + k])
+        assert out[:k].tobytes() == want.tobytes()
         # the jet writes its points' runs of dim_h differences
         first, lap = canaries(dim_h * size), canaries(size)
-        lib.difference_jet(flat.ctypes.data, first.ctypes.data, lap.ctypes.data, *args[1:],
+        lib.difference_jet(flat.ctypes.data, first.ctypes.data, lap.ctypes.data, *args,
                            cols.ctypes.data, table.ctypes.data, two_h, h_sq)
         assert kept(first, slice(dim_h * start, dim_h * (start + k)))
         assert kept(lap, slice(start, start + k))
@@ -589,26 +607,23 @@ def test_step_kernels_write_only_their_outputs(m):
         assert kept(ext, slice(0, 2))
         assert (ext[0], ext[1]) == (out[start:start + k].min(), out[start:start + k].max())
         # the Hessian writes tr, om and nsq of the block; its sums are
-        # those of the gathered rows, axis by axis from zero, with or
-        # without nsq, omega_s's one entry +-1 of row a read from the twist
+        # those of the rows d[a], axis by axis from zero, with or without
+        # nsq, omega_s's one entry +-1 of row a read from the twist
         tr, om, nsq = canaries(k), canaries(3 * k), canaries(k)
-        hess_args = (*args[1:], cols.ctypes.data, table.ctypes.data, two_h)
+        hess_args = (*args, cols.ctypes.data, table.ctypes.data, two_h)
         lib.hessian_block(by_point.ctypes.data, tr.ctypes.data, om.ctypes.data,
                           nsq.ctypes.data, *hess_args)
         assert kept(tr, slice(0, k)) and kept(om, slice(0, 3 * k)) and kept(nsq, slice(0, k))
         want_tr, want_om, want_nsq = np.zeros(k), np.zeros((3, k)), np.zeros(k)
-        d = np.empty((dim_h, k))
         for a in range(dim_h):
-            lib.difference_gather(src.ctypes.data, d.ctypes.data, dim_h, *args, a,
-                                  cols.ctypes.data, table.ctypes.data, two_h)
-            want_tr += d[a]
+            want_tr += d[a][a]
             for s in range(3):
                 (b,) = np.flatnonzero(omega[s, a])
                 if omega[s, a, b] > 0:
-                    want_om[s] += d[b]
+                    want_om[s] += d[a][b]
                 else:
-                    want_om[s] -= d[b]
-            for row in d:
+                    want_om[s] -= d[a][b]
+            for row in d[a]:
                 want_nsq += row * row
         assert tr[:k].tobytes() == want_tr.tobytes()
         assert om[:3 * k].tobytes() == want_om.tobytes()
@@ -741,11 +756,13 @@ def test_fused_jet_refuses_what_it_cannot_write():
 
 
 def test_block_passes_refuse_what_they_cannot_read():
-    # grad_sq_pass differentiates one field, hessian_pass a jet's
-    # grid.shape + (4n,) differences and divergence_pass a (4n,) +
-    # grid.shape stack of components: a stack, a flat field, a stack of
-    # other rows and the other layout are refused before any block, and
-    # left as they were
+    # grad_sq_pass differentiates one field with a weight of one field,
+    # hessian_pass reads a jet's grid.shape + (4n,) differences and a
+    # HorizontalField holds a (4n,) + grid.shape stack of components: a
+    # stack, a flat field, a stack of other rows and the other layout are
+    # refused before any block, and left as they were.  The energy's C
+    # function reads the weight by address, so a weight with a point too
+    # few or too many is refused too
     grid = make_grid(1, 3)
 
     def kernel(blk, *args):
@@ -755,6 +772,9 @@ def test_block_passes_refuse_what_they_cannot_read():
     with pytest.raises(ValueError, match="gradient pass takes one field"):
         lattice.grad_sq_pass(stacked, grid, np.ones(grid.size))
     assert np.array_equal(stacked, np.ones((grid.dim_h, grid.size)))
+    for weight in (np.ones(grid.size - 1), np.ones(grid.size + 1), stacked):
+        with pytest.raises(ValueError, match="gradient pass weight takes one field"):
+            lattice.grad_sq_pass(np.ones(grid.size), grid, weight)
     for values in (np.ones(grid.size), np.ones(grid.shape),
                    np.ones((grid.dim_h - 1,) + grid.shape),
                    np.ones((grid.dim_h,) + grid.shape), np.ones(grid.shape + (grid.dim_h,))):
@@ -763,8 +783,8 @@ def test_block_passes_refuse_what_they_cannot_read():
             with pytest.raises(ValueError, match="Hessian pass takes a"):
                 lattice.hessian_pass(values, grid, kernel, with_norm=True)
         if values.shape != (grid.dim_h,) + grid.shape:
-            with pytest.raises(ValueError, match="divergence pass takes a"):
-                lattice.divergence_pass(values, grid)
+            with pytest.raises(ValueError, match="component shape does not match"):
+                HorizontalField(grid, values)
         assert np.array_equal(values, before)
 
 
@@ -1008,6 +1028,6 @@ def test_the_c_exports_are_the_bound_functions_and_each_has_a_caller():
              and node.targets[0].attr == "argtypes"}
     called = {node.func.attr for node in ast.walk(tree)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
-    assert exported == bound == {"difference_gather", "difference_jet", "euler_update",
+    assert exported == bound == {"grad_sq_block", "difference_jet", "euler_update",
                                  "hessian_block", "production_block", "plane_rolls"}
     assert exported <= called
