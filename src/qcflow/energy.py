@@ -1,12 +1,16 @@
-"""Energy functional, its exact five-term production formula, and the
-monotonicity verdict for heat-flow trajectories.
+"""Energy functional, the per-record energy reports, and the lemma
+residual and monotonicity verdict read from them.
 
 The energy is E(u) = int |grad phi|^2 e^{-phi} with phi = -ln u, computed
 as int |grad phi|^2 u to avoid an exp/log round trip.  Its time derivative
 along the flow decomposes, after multiplying by alpha^2, into five
 integrals of F = u^alpha with fixed rational-in-(n, alpha) coefficients;
 for admissible alpha every one of the five terms is non-positive provided
-the measured positivity hypotheses hold.
+the measured positivity hypotheses hold.  The formula is written once, as
+identities.derf_terms, which the catalog's derf row reads too;
+derf_coefficients is re-exported from there.  derf_rhs evaluates one
+record's EnergyReport, the rows of energy.csv, and lemma_residual and
+monotonicity_verdict only read reports.
 """
 from __future__ import annotations
 
@@ -14,10 +18,10 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .algebra import alpha_interval, h_polynomial
-from .flow import FlowState
-from .identities import FlowQuantities, IdentityReport, NORM_FLOOR, check_alpha, require_positive
-from .lattice import ScalarField, grad_sq_pass
+from .algebra import alpha_interval
+from .identities import (FlowQuantities, IdentityReport, NORM_FLOOR, check_alpha,
+                         derf_coefficients, derf_terms, require_positive)
+from .lattice import LatticeGrid, ScalarField, grad_sq_pass
 
 
 def energy(u: ScalarField) -> float:
@@ -31,24 +35,6 @@ def energy(u: ScalarField) -> float:
     """
     require_positive(u)
     return grad_sq_pass(np.log(u.values), u.grid, u.values)
-
-
-def derf_coefficients(n: int, alpha: float):
-    """The five rational coefficients of the energy-production formula.
-
-    Order: (Delta F)^2 term, |grad F|^4 term, P-pairing term, L term,
-    p(F) term.  Integer literals keep them exact at Fraction input.
-    """
-    check_alpha(alpha)
-    a = alpha
-    one_m2a = 1 - 2 * a
-    three_m4a = 3 - 4 * a
-    c_lap = 4 * a / (3 * one_m2a)
-    c_quart = h_polynomial(n, a) / (12 * (2 * n + 1) * a * a)
-    c_pfun = 4 * three_m4a * a * a / ((2 * n + 1) * one_m2a)
-    c_lich = -2 * n * three_m4a / (3 * (n + 2) * one_m2a)
-    c_pdef = -4 * n * three_m4a / (3 * (2 * n + 1) * one_m2a)
-    return c_lap, c_quart, c_pfun, c_lich, c_pdef
 
 
 @dataclass
@@ -76,65 +62,37 @@ class EnergyReport:
 CSV_COLUMNS = tuple(f.name for f in fields(EnergyReport))
 
 
-def derf_rhs(u: ScalarField, alpha: float, coeff_override=None,
-             time: float = 0.0) -> EnergyReport:
-    """Evaluate the five production terms at one snapshot.
+def derf_rhs(u: ScalarField, alpha: float, time: float = 0.0) -> EnergyReport:
+    """The energy and the five production terms of identities.derf_terms at
+    one record.
 
-    The Lichnerowicz term pairs grad F with the Lichnerowicz form of the
-    model's torsion, which vanishes, so its integral is zero.
-    coeff_override replaces the five standard coefficients, which the
-    mutation-sensitivity tests use.  energy(u) checks that u is positive
-    before any work, and FlowQuantities checks alpha.
+    energy(u) checks that u is positive before any work, and
+    FlowQuantities checks alpha.
     """
-    n = u.grid.n
     e = energy(u)
     q = FlowQuantities(u, alpha)
-    # f's jet lives only inside the P-pairing; evaluating it before F's jet
-    # exists keeps the two jets out of memory at the same time
-    p_pair = q.P_pair_half
-    prod = q.production
-    coeffs = derf_coefficients(n, alpha) if coeff_override is None else tuple(coeff_override)
-    c_lap, c_quart, c_pfun, c_lich, c_pdef = coeffs
-
-    term_lap = c_lap * prod.I_lap2
-    term_quart = c_quart * prod.I_quart
-    term_pfun = c_pfun * p_pair
-    # the model's torsion vanishes; the product keeps the signed zero that
-    # energy.csv has always written
-    term_lich = c_lich * 0.0
-    term_pdef = c_pdef * prod.I_deficit
-    total = term_lap + term_quart + term_pfun + term_lich + term_pdef
-
-    return EnergyReport(
-        time=time,
-        energy=e,
-        dF_dt_numeric=float("nan"),
-        dF_dt_analytic=total / (alpha * alpha),
-        term_laplacian=term_lap,
-        term_quartic=term_quart,
-        term_pfunctional=term_pfun,
-        term_L=term_lich,
-        term_p=term_pdef,
-        p_functional=p_pair,
-        min_pF=prod.min_deficit,
-    )
+    terms = derf_terms(q, u.grid.n, alpha)
+    # in field order; fill_numeric_rates sets the numeric rate from the neighbours
+    return EnergyReport(time, e, float("nan"), sum(terms) / (alpha * alpha), *terms,
+                        q.P_pair_half, q.production.min_deficit)
 
 
-def lemma_residual(states: list[FlowState], k: int, alpha: float,
-                   coeff_override=None) -> IdentityReport:
-    """Centered time derivative of the energy vs the five-term formula.
+def lemma_residual(reports: list[EnergyReport], k: int, alpha: float,
+                   grid: LatticeGrid) -> IdentityReport:
+    """Centred time derivative of the energy vs the five-term formula, read
+    from the reports of records k-1, k and k+1 on grid; nothing is
+    evaluated.
 
     lhs = alpha^2 [E(t_{k+1}) - E(t_{k-1})] / (t_{k+1} - t_{k-1}),
-    rhs = alpha^2 * analytic rate at t_k.
+    rhs = alpha^2 * analytic rate at t_k, and the norm scale takes in the
+    five terms at t_k.
     """
-    if not 1 <= k <= len(states) - 2:
+    if not 1 <= k <= len(reports) - 2:
         raise IndexError("k needs a left and a right neighbor record")
-    left, mid, right = states[k - 1], states[k], states[k + 1]
-    lhs = alpha * alpha * (energy(right.u) - energy(left.u)) / (right.time - left.time)
-    report = derf_rhs(mid.u, alpha, coeff_override=coeff_override, time=mid.time)
-    rhs = alpha * alpha * report.dF_dt_analytic
-    scale = max(abs(lhs), abs(rhs), max(abs(t) for t in report.terms()), NORM_FLOOR)
-    grid = mid.u.grid
+    left, mid, right = reports[k - 1], reports[k], reports[k + 1]
+    lhs = alpha * alpha * (right.energy - left.energy) / (right.time - left.time)
+    rhs = alpha * alpha * mid.dF_dt_analytic
+    scale = max(abs(lhs), abs(rhs), *(abs(t) for t in mid.terms()), NORM_FLOOR)
     return IdentityReport(name="derf", lhs=float(lhs), rhs=float(rhs),
                           residual=abs(lhs - rhs), norm_scale=scale,
                           n=grid.n, m_x=grid.m_x)
@@ -182,11 +140,8 @@ def monotonicity_verdict(reports: list[EnergyReport], alpha: float,
     eps_mono = max(1e-10, 1e-6 * abs(reports[0].energy))
     # scale for the P-pairing sign check: the Laplacian integral that
     # dominates the pairing on the flat model
-    p_scales = []
-    for rep in reports:
-        base = abs(rep.term_laplacian) + abs(rep.term_pfunctional)
-        p_scales.append(base)
-    eps_p = max(1e-12, 1e-8 * max(p_scales)) if p_scales else 1e-12
+    p_scale = max(abs(rep.term_laplacian) + abs(rep.term_pfunctional) for rep in reports)
+    eps_p = max(1e-12, 1e-8 * p_scale)
 
     p_ok = all(rep.p_functional <= eps_p for rep in reports)
     monotone = True

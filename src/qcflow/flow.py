@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .identities import check_alpha
 from .lattice import (
     LatticeGrid,
     ScalarField,
@@ -49,8 +50,7 @@ class FlowConfig:
         for name in ("alpha", "amplitude", "offset", "t_end"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
-        if self.alpha in (0.0, 0.5):
-            raise ValueError("alpha must avoid 0 and 1/2")
+        check_alpha(self.alpha)
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
         if self.record_every < 1:

@@ -10,7 +10,8 @@ intform and hesrep_contraction.  The other ten are the linear links of the
 lemma's chain, one row each of linear_rows over the integrals that
 FlowQuantities keeps of F = u^alpha (and of f = u^(1/2), its P-pairing).
 A row's coefficients are rational in (n, alpha), so at Fraction input the
-chain's algebra is exact.
+chain's algebra is exact.  The derf row reads derf_terms, the five-term
+production formula, which energy.derf_rhs evaluates at every record.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .algebra import h_polynomial
 from .lattice import LatticeGrid, ScalarField, _production_block, hessian_pass, twist_matrices
 from .operators import DifferenceJet, p_functional, reeb_derivative, sub_laplacian
 
@@ -325,6 +327,38 @@ def _reeb_mixed(grid: LatticeGrid, grad: np.ndarray) -> np.ndarray:
     return mixed
 
 
+def derf_coefficients(n: int, alpha: float):
+    """The five rational coefficients of the energy-production formula.
+
+    Order: (Delta F)^2 term, |grad F|^4 term, P-pairing term, L term,
+    p(F) term.  Integer literals keep them exact at Fraction input.
+    """
+    check_alpha(alpha)
+    a = alpha
+    one_m2a = 1 - 2 * a
+    three_m4a = 3 - 4 * a
+    c_lap = 4 * a / (3 * one_m2a)
+    c_quart = h_polynomial(n, a) / (12 * (2 * n + 1) * a * a)
+    c_pfun = 4 * three_m4a * a * a / ((2 * n + 1) * one_m2a)
+    c_lich = -2 * n * three_m4a / (3 * (n + 2) * one_m2a)
+    c_pdef = -4 * n * three_m4a / (3 * (2 * n + 1) * one_m2a)
+    return c_lap, c_quart, c_pfun, c_lich, c_pdef
+
+
+def derf_terms(q, n, alpha) -> tuple:
+    """The five terms of alpha^2 dE/dt over the integrals of q, in the
+    order of derf_coefficients.  The Lichnerowicz term pairs grad F with
+    the model's torsion, which vanishes: c_lich * 0 is the signed zero that
+    energy.csv has always written, and exact at Fraction input."""
+    c_lap, c_quart, c_pfun, c_lich, c_pdef = derf_coefficients(n, alpha)
+    # f's jet lives only inside the P-pairing; evaluating it before F's jet
+    # exists keeps the two jets out of memory at the same time
+    p_pair = q.P_pair_half
+    p = q.production
+    return (c_lap * p.I_lap2, c_quart * p.I_quart, c_pfun * p_pair, c_lich * 0,
+            c_pdef * p.I_deficit)
+
+
 def linear_rows(n, alpha) -> dict:
     """Each linear tag as a row q -> (lhs, rhs, scale_terms) over the
     integrals of a FlowQuantities q.  Coefficients are + - x / of n and
@@ -378,13 +412,8 @@ def linear_rows(n, alpha) -> dict:
                 + 6 * a ** 3 / (1 - 2 * a) * q.P_pair_half
                 - 2 * n * a / (1 - 2 * a) * p.I_deficit, ())
     def derf(q):
-        # the five-term formula times alpha^2; its Lichnerowicz term
-        # multiplies the model's vanishing torsion
-        from .energy import derf_coefficients
-        c_lap, c_quart, c_pfun, _, c_pdef = derf_coefficients(n, a)
-        p = q.production
-        terms = (c_lap * p.I_lap2, c_quart * p.I_quart, c_pfun * q.P_pair_half,
-                 c_pdef * p.I_deficit)
+        # the five-term formula times alpha^2
+        terms = derf_terms(q, n, a)
         return a * a * q.deriv1_integral, sum(terms), terms
 
     return {row.__name__: row for row in (deriv2, deriv3, firstt, secondt, deriv5,

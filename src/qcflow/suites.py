@@ -30,7 +30,6 @@ from .algebra import (
     torsion_contraction,
 )
 from .energy import (
-    derf_coefficients,
     derf_rhs,
     fill_numeric_rates,
     lemma_residual,
@@ -429,6 +428,9 @@ def flow_suite(seed: int = 1, m_x: int = 8, steps: int = 200) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 def _lemma_states(m_x: int, alpha: float):
+    """The records of a short flow at n = 1: a horizon of four steps times
+    1.0000001 makes 5 steps (the last one short) and 4 records, at steps 0,
+    2, 4 and 5; the lemma reads the first 3."""
     safety, record_every = 0.1, 2
     grid = make_grid(1, m_x)
     dt = cfl_timestep(grid, safety)
@@ -439,17 +441,27 @@ def _lemma_states(m_x: int, alpha: float):
     return evolve(cfg)
 
 
+def _lemma_residual(m_x: int, alpha: float):
+    """The lemma residual at the middle of the first three records at m_x,
+    from one derf_rhs each, and the middle record's report."""
+    states = _lemma_states(m_x, alpha)[:3]
+    reports = [derf_rhs(st.u, alpha, time=st.time) for st in states]
+    return lemma_residual(reports, 1, alpha, states[1].u.grid), reports[1]
+
+
 def lemma_suite(seed: int = 1, m_x: int = 8, alpha: float = -0.05) -> SuiteReport:
+    """The energy-production formula along the flow (criterion 6): the
+    lemma residual at m_x and at max(4, m_x // 2), from derf_rhs on the
+    first three records of each grid (6 calls in all), and the mutation
+    checks, read from the same reports."""
     t0 = time.time()
     checks = []
-    states = _lemma_states(m_x, alpha)
-    rep = lemma_residual(states, 1, alpha)
+    rep, mid = _lemma_residual(m_x, alpha)
     checks.append(_verdict("lemma_relative_residual", rep.relative_residual,
                            2e-2, rep.relative_residual <= 2e-2,
                            detail=f"m_x={m_x}, alpha={alpha}"))
 
-    states_lo = _lemma_states(max(4, m_x // 2), alpha)
-    rep_lo = lemma_residual(states_lo, 1, alpha)
+    rep_lo, _ = _lemma_residual(max(4, m_x // 2), alpha)
     decreasing = rep.relative_residual < rep_lo.relative_residual
     checks.append(_verdict("lemma_residual_decreases_with_refinement",
                            rep.relative_residual / max(rep_lo.relative_residual, 1e-30),
@@ -457,27 +469,22 @@ def lemma_suite(seed: int = 1, m_x: int = 8, alpha: float = -0.05) -> SuiteRepor
                            detail=f"rel {rep_lo.relative_residual:.3g} -> "
                                   f"{rep.relative_residual:.3g}"))
 
-    # mutation sensitivity: perturb each coefficient whose term is nonzero
-    # on the model by 1% (the Lichnerowicz coefficient multiplies an
-    # identically zero integral here and cannot move the residual)
+    # mutation sensitivity: a 1% error in a coefficient whose term is
+    # nonzero on the model moves the right side by 1% of that term (the
+    # Lichnerowicz coefficient multiplies an identically zero integral here
+    # and cannot move the residual)
     base = rep.residual
     names = ("laplacian", "quartic", "p_functional", "lichnerowicz", "p_deficit")
-    base_coeffs = derf_coefficients(1, alpha)
-    mid_report = derf_rhs(states[1].u, alpha)
-    terms = mid_report.terms()
-    for k, name in enumerate(names):
-        if terms[k] == 0.0:
+    for name, term in zip(names, mid.terms()):
+        if term == 0.0:
             checks.append(CheckResult(
                 name=f"mutation_{name}", status="not_applicable",
                 detail="term identically zero on the flat model"))
             continue
-        coeffs = list(base_coeffs)
-        coeffs[k] *= 1.01
-        rep_mut = lemma_residual(states, 1, alpha, coeff_override=coeffs)
-        inflation = rep_mut.residual / max(base, 1e-300)
+        inflation = abs(rep.lhs - rep.rhs - 0.01 * term) / max(base, 1e-300)
         checks.append(_verdict(f"mutation_{name}", inflation, 10.0,
                                inflation >= 10.0,
-                               detail=f"term={terms[k]:.3g}"))
+                               detail=f"term={term:.3g}"))
     return SuiteReport("lemma", seed, {"m_x": m_x, "alpha": alpha}, checks,
                        time.time() - t0)
 
@@ -491,7 +498,9 @@ def theorem_configs(seed: int, m_x: int = 6, alpha: float = -0.05):
     vertically structured.  At m_x = 6, seed 1, all five meet the measured
     positivity hypothesis, the structured ones included (largest
     P-pairings -8.09e-5 for run3 and -2.12e-5 for run4), so no run reaches
-    the hypothesis-not-met path."""
+    the hypothesis-not-met path.  A horizon of 64 steps times 1.0000001
+    makes 65 steps (the last one short) and 10 records, at steps 0, 8, ...,
+    64 and 65."""
     rng = np.random.default_rng(seed)
     configs = []
     for k in range(5):

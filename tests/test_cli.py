@@ -344,6 +344,20 @@ def test_verify_algebra_deterministic(tmp_path, capsys):
     assert report["format_version"]
 
 
+def test_verify_lemma_deterministic(tmp_path):
+    # the lemma suite fails its documented gate (criterion 6b), so both
+    # runs exit 1, with byte-identical reports
+    outs = [tmp_path / "v1", tmp_path / "v2"]
+    codes = [run_cli(["verify", "--suite", "lemma", "--mx", "4", "--out", str(out)])
+             for out in outs]
+    assert codes[0] == codes[1]
+    b1, b2 = ((out / "verify_lemma.json").read_bytes() for out in outs)
+    assert b1 == b2
+    report = json.loads(b1)
+    assert report["suite"] == "lemma" and report["config"]["m_x"] == 4
+    assert codes[0] == (0 if report["passed"] else 1)
+
+
 def test_verify_geometry_and_roots(tmp_path):
     out = tmp_path / "v"
     assert run_cli(["verify", "--suite", "roots", "--out", str(out)]) == 0

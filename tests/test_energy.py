@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import qcflow.energy as energy_module
+import qcflow.suites as suites_module
 from qcflow import lattice
 from qcflow.algebra import alpha_interval, h_polynomial
 from qcflow.energy import (
+    EnergyReport,
     derf_coefficients,
     derf_rhs,
     energy,
@@ -18,10 +20,10 @@ from qcflow.energy import (
     monotonicity_verdict,
 )
 from qcflow.flow import FlowConfig, cfl_timestep, evolve, initial_field
-from qcflow.identities import IDENTITY_NAMES, identity_residual
+from qcflow.identities import IDENTITY_NAMES, FlowQuantities, identity_residual
 from qcflow.lattice import ScalarField, make_grid, periodized_bump, twist_matrices
 from qcflow.operators import DifferenceJet
-from qcflow.suites import _rich_field
+from qcflow.suites import _lemma_states, _rich_field, lemma_suite
 
 from oracles import grad_h
 
@@ -258,51 +260,104 @@ def test_derf_rhs_term_L_zero_on_model():
     assert rep.term_L == 0.0
 
 
-def test_coeff_override_changes_terms():
-    u = initial_field(flow_config())
-    alpha = -0.05
-    base = derf_rhs(u, alpha)
-    coeffs = list(derf_coefficients(1, alpha))
-    coeffs[0] *= 1.01
-    mutated = derf_rhs(u, alpha, coeff_override=coeffs)
-    assert mutated.term_laplacian == pytest.approx(1.01 * base.term_laplacian, rel=1e-12)
-    assert mutated.term_quartic == base.term_quartic
-
-
 def run_lemma(m, alpha=-0.05, safety=0.1, record_every=2, **kw):
     cfg = flow_config(m=m, alpha=alpha, cfl_safety=safety,
                       record_every=record_every, **kw)
     dt = cfl_timestep(make_grid(1, m), safety)
     cfg.t_end = 2 * record_every * dt * 1.0000001
-    states = evolve(cfg)
-    return lemma_residual(states, 1, alpha)
+    states = evolve(cfg)[:3]
+    reports = [derf_rhs(st.u, alpha, time=st.time) for st in states]
+    return lemma_residual(reports, 1, alpha, states[1].u.grid)
+
+
+def _constant_reports():
+    grid = make_grid(1, 3)
+    u = ScalarField(grid, np.full(grid.shape, 1.0))
+    return [derf_rhs(u, -0.05, time=k * 0.1) for k in range(3)], grid
 
 
 def test_lemma_residual_constant_data():
-    grid = make_grid(1, 3)
-    u = ScalarField(grid, np.full(grid.shape, 1.0))
-    from qcflow.flow import FlowState
-    states = [FlowState(u=u.copy(), time=k * 0.1, step=k) for k in range(3)]
-    rep = lemma_residual(states, 1, -0.05)
+    reports, grid = _constant_reports()
+    rep = lemma_residual(reports, 1, -0.05, grid)
     assert rep.lhs == pytest.approx(0.0, abs=1e-14)
     assert rep.rhs == pytest.approx(0.0, abs=1e-14)
 
 
 def test_lemma_residual_needs_neighbors():
-    grid = make_grid(1, 3)
-    u = ScalarField(grid, np.full(grid.shape, 1.0))
-    from qcflow.flow import FlowState
-    states = [FlowState(u=u.copy(), time=k * 0.1, step=k) for k in range(3)]
+    reports, grid = _constant_reports()
     with pytest.raises(IndexError):
-        lemma_residual(states, 0, -0.05)
+        lemma_residual(reports, 0, -0.05, grid)
     with pytest.raises(IndexError):
-        lemma_residual(states, 2, -0.05)
+        lemma_residual(reports, 2, -0.05, grid)
+
+
+def test_lemma_residual_reads_the_reports():
+    # lhs from the neighbours' energies and times, rhs from the middle
+    # record's analytic rate, and a norm scale that takes in its terms
+    alpha = -0.05
+    terms = (-1.0, -0.5, 0.25, -0.0, -0.125)
+    reports = [EnergyReport(0.1 * k, 3.0 - 0.5 * k, float("nan"), -4.0, *terms, 0.0, 0.0)
+               for k in range(3)]
+    grid = make_grid(2, 3)
+    rep = lemma_residual(reports, 1, alpha, grid)
+    assert rep.lhs == alpha * alpha * (2.0 - 3.0) / (0.2 - 0.0)
+    assert rep.rhs == alpha * alpha * -4.0
+    assert rep.residual == abs(rep.lhs - rep.rhs)
+    assert rep.norm_scale == 1.0
+    assert (rep.name, rep.n, rep.m_x) == ("derf", 2, 3)
 
 
 def test_lemma_residual_decreases_under_refinement():
     r4 = run_lemma(4).relative_residual
     r8 = run_lemma(8).relative_residual
     assert r8 < r4
+
+
+def test_lemma_suite_evaluates_each_record_once(monkeypatch):
+    # derf_rhs runs once on each of the first three records at each of the
+    # two grids, and the energy of no record is evaluated again; derf_rhs
+    # is counted in every module that binds it
+    derf_calls, energy_calls = [], []
+    derf = energy_module.derf_rhs
+
+    def counting_derf(*args, **kwargs):
+        derf_calls.append(args)
+        return derf(*args, **kwargs)
+
+    def counting_energy(u):
+        energy_calls.append(u)
+        return energy(u)
+
+    for mod in (energy_module, suites_module):
+        monkeypatch.setattr(mod, "derf_rhs", counting_derf)
+    monkeypatch.setattr(energy_module, "energy", counting_energy)
+    lemma_suite()
+    assert (len(derf_calls), len(energy_calls)) == (6, 6)
+
+
+def test_lemma_mutation_checks_move_one_coefficient_by_one_percent():
+    # each applicable mutation check is the lemma residual with that
+    # coefficient times 1.01, recomputed here from the middle record's
+    # integrals; the Lichnerowicz term is zero on the model
+    alpha, m = -0.05, 4
+    checks = {c.name: c for c in lemma_suite(m_x=m, alpha=alpha).checks}
+    states = _lemma_states(m, alpha)[:3]
+    reports = [derf_rhs(st.u, alpha, time=st.time) for st in states]
+    base = lemma_residual(reports, 1, alpha, states[1].u.grid)
+    q = FlowQuantities(states[1].u, alpha)
+    p = q.production
+    integrals = (p.I_lap2, p.I_quart, q.P_pair_half, 0.0, p.I_deficit)
+    coeffs = derf_coefficients(1, alpha)
+    names = ("laplacian", "quartic", "p_functional", "lichnerowicz", "p_deficit")
+    for k, name in enumerate(names):
+        check = checks[f"mutation_{name}"]
+        if coeffs[k] * integrals[k] == 0.0:
+            assert check.status == "not_applicable", name
+            continue
+        mutated = list(coeffs)
+        mutated[k] *= 1.01
+        by_hand = abs(base.lhs - sum(c * i for c, i in zip(mutated, integrals)))
+        assert check.measured * base.residual == pytest.approx(by_hand, rel=1e-12), name
 
 
 def test_monotonicity_verdict_pipeline():
