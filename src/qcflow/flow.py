@@ -58,7 +58,8 @@ class FlowConfig:
         if self.offset <= self.amplitude or self.amplitude < 0.0:
             raise ValueError("need offset > amplitude >= 0 so u stays positive")
         uniform = self.tau_profile == "uniform"
-        check_bump_params(self.width, self.profile, None if uniform else self.tau_profile)
+        check_bump_params(self.width, self.profile, None if uniform else self.tau_profile,
+                          self.tau_width)
         # vertically_uniform_bump fixes a smooth horizontal profile and
         # tau_width = L_t, so a run would silently ignore other settings
         if uniform and (self.profile != "smooth" or self.tau_width is not None):

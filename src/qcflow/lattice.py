@@ -211,14 +211,14 @@ class ScalarField:
 
 @dataclass
 class HorizontalField:
-    """Frame components sigma(e_a), stored as a (4n,) + grid.shape array."""
+    """Frame components sigma(e_a) = components[..., a], point-major as a jet: tr H = -div."""
 
     grid: LatticeGrid
     components: np.ndarray
 
     def __post_init__(self):
         self.components = np.asarray(self.components, dtype=float)
-        if self.components.shape != (self.grid.dim_h,) + self.grid.shape:
+        if self.components.shape != self.grid.shape + (self.grid.dim_h,):
             raise ValueError("component shape does not match the grid")
 
 
@@ -503,7 +503,8 @@ def hessian_pass(first: np.ndarray, grid: LatticeGrid, contract, with_norm: bool
                  scratch=()) -> tuple:
     """The one pass over a field's composed differences H_ab = D_a D_b f,
     from the point-major first differences first[..., b] = D_b f of its
-    jet (jet_pass), of shape grid.shape + (4n,).
+    jet (jet_pass), of shape grid.shape + (4n,), or of a 1-form's
+    components (HorizontalField), whose tr H is minus its divergence.
 
     Per block of _pass_blocks, one call of the C function hessian_block
     goes through the block fibre by fibre and axis by axis: at each point
@@ -663,14 +664,16 @@ BUMP_PROFILES = ("smooth", "cosine")
 
 
 def check_bump_params(width: float, profile: str = "smooth",
-                      tau_profile: str | None = None):
+                      tau_profile: str | None = None, tau_width: float | None = None):
     """Raise ValueError unless periodized_bump accepts these parameters:
     0 < width < L_x/4 keeps the support inside one lattice shell
-    horizontally, and both profiles come from BUMP_PROFILES (a None
-    tau_profile follows profile)."""
+    horizontally, tau_width is None or finite and > 0, and both profiles
+    come from BUMP_PROFILES (a None tau_profile follows profile)."""
     if not 0 < width < L_X / 4:
         raise ValueError(f"bump width must lie in (0, {L_X / 4}) so one "
                          "lattice shell covers the support")
+    if tau_width is not None and not (math.isfinite(tau_width) and tau_width > 0):
+        raise ValueError(f"tau_width must be finite and > 0, not {tau_width}")
     if profile not in BUMP_PROFILES:
         raise ValueError(f"bump profile must be one of {', '.join(BUMP_PROFILES)}")
     if tau_profile is not None and tau_profile not in BUMP_PROFILES:
@@ -752,7 +755,7 @@ def periodized_bump(grid: LatticeGrid, width: float = 0.2, amplitude: float = 1.
     the vertical profile may wrap the short vertical period, in which case
     the overlapping images are summed exactly.
     """
-    check_bump_params(width, profile, tau_profile)
+    check_bump_params(width, profile, tau_profile, tau_width)
     if tau_width is None:
         tau_width = default_tau_width(width)
     if tau_profile is None:

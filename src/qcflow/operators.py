@@ -21,8 +21,8 @@ when asked.  No Hessian field is kept: each consumer passes a contraction
 that reads a block's contractions and returns its block sums of the
 consumer's integrands (the production integrals of
 identities.FlowQuantities, the Bochner residual, the omega-contraction
-check of the calculus suite, and p_functional).  divergence reads D_a of
-the a-th component from that component's jet.  The energy's int |Df|^2 u
+check of the calculus suite, p_functional, and divergence, the negated
+tr H of a 1-form's point-major components).  The energy's int |Df|^2 u
 is lattice.grad_sq_pass, one C call per block that reads the steps of
 ln u alone and builds no jet.
 sub_laplacian and p_functional read a jet, so a caller that needs both
@@ -99,18 +99,17 @@ def sub_laplacian(f: ScalarField | DifferenceJet) -> ScalarField:
 
 
 def divergence(sigma: HorizontalField) -> ScalarField:
-    """Horizontal divergence nabla* sigma = -sum_a X_a sigma_a.
-
-    D_a sigma_a is read from the jet of the a-th component, and the terms
-    are added from zero in axis order before negating: the bits of
-    -(zeros + D_0 sigma_0 + D_1 sigma_1 + ...).  Integrates to zero exactly
-    on the periodic quotient.
-    """
+    """Horizontal divergence nabla* sigma = -sum_a X_a sigma_a, of integral
+    exactly zero: the negated tr H = sum_a D_a sigma_a of the Hessian pass
+    over sigma, the bits of -(zeros + D_0 sigma_0 + D_1 sigma_1 + ...)."""
     grid = sigma.grid
-    total = np.zeros(grid.shape)
-    for a, component in enumerate(sigma.components):
-        total += jet_pass(component, grid)[0][..., a]
-    return ScalarField(grid, -total)
+    out = np.empty(grid.size)
+
+    def contract(blk, tr, om, nsq, work):
+        np.negative(tr, out=out[blk])
+
+    hessian_pass(sigma.components, grid, contract, with_norm=False)
+    return ScalarField(grid, out.reshape(grid.shape))
 
 
 def p_functional(f: ScalarField | DifferenceJet) -> float:

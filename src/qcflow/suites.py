@@ -264,7 +264,7 @@ def geometry_suite(seed: int = 1, m_x: int = 3) -> SuiteReport:
     worst_div = 0.0
     for _ in range(100):
         comps = rng.normal(size=(4,) + grid.shape)
-        sigma = HorizontalField(grid, comps)
+        sigma = HorizontalField(grid, np.moveaxis(comps, 0, -1))
         total = integrate(divergence(sigma))
         l1 = grid.cell_volume * float(np.sum(np.abs(comps)))
         worst_div = max(worst_div, abs(total) / max(l1, 1e-30))
@@ -428,32 +428,31 @@ def flow_suite(seed: int = 1, m_x: int = 8, steps: int = 200) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 def _lemma_states(m_x: int, alpha: float):
-    """The records of a short flow at n = 1: a horizon of four steps times
-    1.0000001 makes 5 steps (the last one short) and 4 records, at steps 0,
-    2, 4 and 5; the lemma reads the first 3."""
+    """The records of a short flow at n = 1: a horizon of four steps makes
+    4 steps and 3 records, at steps 0, 2 and 4, the three the lemma reads."""
     safety, record_every = 0.1, 2
     grid = make_grid(1, m_x)
     dt = cfl_timestep(grid, safety)
     cfg = FlowConfig(n=1, m_x=m_x, alpha=alpha, cfl_safety=safety,
                      record_every=record_every, width=0.245, amplitude=0.3,
                      offset=1.0, tau_profile="uniform",
-                     t_end=2 * record_every * dt * 1.0000001)
+                     t_end=2 * record_every * dt)
     return evolve(cfg)
 
 
 def _lemma_residual(m_x: int, alpha: float):
-    """The lemma residual at the middle of the first three records at m_x,
-    from one derf_rhs each, and the middle record's report."""
-    states = _lemma_states(m_x, alpha)[:3]
+    """The lemma residual at the middle of the three records at m_x, from
+    one derf_rhs each, and the middle record's report."""
+    states = _lemma_states(m_x, alpha)
     reports = [derf_rhs(st.u, alpha, time=st.time) for st in states]
     return lemma_residual(reports, 1, alpha, states[1].u.grid), reports[1]
 
 
 def lemma_suite(seed: int = 1, m_x: int = 8, alpha: float = -0.05) -> SuiteReport:
     """The energy-production formula along the flow (criterion 6): the
-    lemma residual at m_x and at max(4, m_x // 2), from derf_rhs on the
-    first three records of each grid (6 calls in all), and the mutation
-    checks, read from the same reports."""
+    lemma residual at m_x and at the coarser max(4, m_x // 2) (at m_x <= 4
+    there is none, and that check is not applicable), from derf_rhs on the
+    three records of each grid, and the mutation checks, read from them."""
     t0 = time.time()
     checks = []
     rep, mid = _lemma_residual(m_x, alpha)
@@ -461,13 +460,14 @@ def lemma_suite(seed: int = 1, m_x: int = 8, alpha: float = -0.05) -> SuiteRepor
                            2e-2, rep.relative_residual <= 2e-2,
                            detail=f"m_x={m_x}, alpha={alpha}"))
 
-    rep_lo, _ = _lemma_residual(max(4, m_x // 2), alpha)
-    decreasing = rep.relative_residual < rep_lo.relative_residual
-    checks.append(_verdict("lemma_residual_decreases_with_refinement",
-                           rep.relative_residual / max(rep_lo.relative_residual, 1e-30),
-                           1.0, decreasing,
-                           detail=f"rel {rep_lo.relative_residual:.3g} -> "
-                                  f"{rep.relative_residual:.3g}"))
+    coarse, name = max(4, m_x // 2), "lemma_residual_decreases_with_refinement"
+    if coarse >= m_x:
+        checks.append(CheckResult(name, "not_applicable",
+                                  detail=f"max(4, m_x // 2) = {coarse} is no coarser grid"))
+    else:
+        r_lo, r = _lemma_residual(coarse, alpha)[0].relative_residual, rep.relative_residual
+        checks.append(_verdict(name, r / max(r_lo, 1e-30), 1.0, r < r_lo,
+                               detail=f"rel {r_lo:.3g} -> {r:.3g}"))
 
     # mutation sensitivity: a 1% error in a coefficient whose term is
     # nonzero on the model moves the right side by 1% of that term (the
@@ -499,8 +499,8 @@ def theorem_configs(seed: int, m_x: int = 6, alpha: float = -0.05):
     positivity hypothesis, the structured ones included (largest
     P-pairings -8.09e-5 for run3 and -2.12e-5 for run4), so no run reaches
     the hypothesis-not-met path.  A horizon of 64 steps times 1.0000001
-    makes 65 steps (the last one short) and 10 records, at steps 0, 8, ...,
-    64 and 65."""
+    makes 65 whole steps (stream rounds it up) and 10 records, at steps 0,
+    8, ..., 64 and 65."""
     rng = np.random.default_rng(seed)
     configs = []
     for k in range(5):

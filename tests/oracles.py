@@ -28,7 +28,7 @@ def grad_h(f: ScalarField | DifferenceJet) -> HorizontalField:
     """Horizontal gradient, centered group differences per frame direction:
     the point-major first differences of f's jet as a 1-form."""
     jet = f if isinstance(f, DifferenceJet) else DifferenceJet(f)
-    return HorizontalField(jet.grid, np.moveaxis(jet.first, -1, 0))
+    return HorizontalField(jet.grid, jet.first)
 
 
 def third_contractions(f: ScalarField):
@@ -42,11 +42,11 @@ def third_contractions(f: ScalarField):
     B = twist_matrices(grid.n)
     dim = grid.dim_h
     jet = DifferenceJet(f)
-    c1 = -np.moveaxis(DifferenceJet(ScalarField(grid, jet.laplacian)).first, -1, 0)
+    c1 = -DifferenceJet(ScalarField(grid, jet.laplacian)).first
     # second[b][..., a] = D_a D_b f = H_ab
     second = [DifferenceJet(ScalarField(grid, jet.first[..., b])).first for b in range(dim)]
 
-    c2 = np.zeros((dim,) + grid.shape)
+    c2 = np.zeros(grid.shape + (dim,))
     for t in range(3):
         It = B[t]
         # G_t = g(nabla^2 f, omega_t) built from the composed Hessian
@@ -61,7 +61,7 @@ def third_contractions(f: ScalarField):
             for c in range(dim):
                 w = It[c, a]
                 if w != 0.0:
-                    c2[a] += w * dgt[..., c]
+                    c2[..., a] += w * dgt[..., c]
     return HorizontalField(grid, c1), HorizontalField(grid, c2)
 
 

@@ -275,10 +275,17 @@ def test_run_rejects_invalid_config(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize("args", [["--t-end", "inf"], ["--t-end", "nan"], ["--alpha", "nan"],
-                                  ["--alpha=-inf"]])
+                                  ["--alpha=-inf"], ["tau_width = inf"], ["tau_width = nan"],
+                                  ["tau_width = 0"], ["tau_width = -0.05"]])
 def test_run_refuses_settings_that_are_not_finite(tmp_path, capsys, args):
     # `--t-end inf` ended in an OverflowError traceback and `--alpha nan`
-    # wrote an energy.csv of NaN: both are refused before the run starts
+    # wrote an energy.csv of NaN: both are refused before the run starts,
+    # as is a tau_width under a smooth vertical profile, from a config file,
+    # that is not finite and > 0
+    if args[0].startswith("tau_width"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"tau_profile = smooth\n{args[0]}\n")
+        args = ["--config", str(cfg)]
     out = tmp_path / "o"
     code = run_cli(["run", "--mx", "3", *args, "--out", str(out)])
     assert code == 2

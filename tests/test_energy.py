@@ -44,7 +44,9 @@ def test_energy_pass_is_bit_identical_to_the_gradient_route(m):
     for u in (initial_field(flow_config(m=m), grid),
               periodized_bump(grid, width=0.22, amplitude=0.3, offset=1.0), rough):
         phi = ScalarField(grid, -np.log(u.values))
-        val = np.sum(grad_h(phi).components ** 2, axis=0) * u.values
+        g = grad_h(phi).components
+        # |D phi|^2 in axis order, as the pass adds it
+        val = sum(g[..., a] ** 2 for a in range(grid.dim_h)) * u.values
         assert energy(u) == float(grid.cell_volume * np.sum(val))
 
 
@@ -313,10 +315,9 @@ def test_lemma_residual_decreases_under_refinement():
     assert r8 < r4
 
 
-def test_lemma_suite_evaluates_each_record_once(monkeypatch):
-    # derf_rhs runs once on each of the first three records at each of the
-    # two grids, and the energy of no record is evaluated again; derf_rhs
-    # is counted in every module that binds it
+def _count_derf_and_energy(monkeypatch):
+    """Lists that grow by one on each derf_rhs and each energy call;
+    derf_rhs is counted in every module that binds it."""
     derf_calls, energy_calls = [], []
     derf = energy_module.derf_rhs
 
@@ -331,8 +332,38 @@ def test_lemma_suite_evaluates_each_record_once(monkeypatch):
     for mod in (energy_module, suites_module):
         monkeypatch.setattr(mod, "derf_rhs", counting_derf)
     monkeypatch.setattr(energy_module, "energy", counting_energy)
+    return derf_calls, energy_calls
+
+
+def test_lemma_suite_evaluates_each_record_once(monkeypatch):
+    # derf_rhs runs once on each of the three records at each of the two
+    # grids, and the energy of no record is evaluated again
+    derf_calls, energy_calls = _count_derf_and_energy(monkeypatch)
     lemma_suite()
     assert (len(derf_calls), len(energy_calls)) == (6, 6)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_lemma_suite_has_no_refinement_check_without_a_coarser_grid(m, monkeypatch):
+    # max(4, m_x // 2) is the same grid at m_x = 4 and a finer one at 3, so
+    # a refinement check would compare the residual with itself or with a
+    # finer grid's: it is not applicable, never a pass, and the suite
+    # evaluates one grid's three records.  The 6b gate still fails there
+    derf_calls, _ = _count_derf_and_energy(monkeypatch)
+    report = lemma_suite(m_x=m)
+    checks = {c.name: c for c in report.checks}
+    check = checks["lemma_residual_decreases_with_refinement"]
+    assert check.status == "not_applicable" and "no coarser grid" in check.detail
+    assert (check.measured, check.threshold) == (None, None)
+    assert len(derf_calls) == 3
+    assert checks["lemma_relative_residual"].status == "fail" and not report.passed
+
+
+def test_lemma_states_are_the_three_records_the_lemma_reads():
+    # a horizon of exactly four steps: steps 0, 2 and 4 are recorded, and no
+    # fourth record a step later is made and held
+    states = _lemma_states(5, -0.05)
+    assert [st.step for st in states] == [0, 2, 4]
 
 
 def test_lemma_mutation_checks_move_one_coefficient_by_one_percent():

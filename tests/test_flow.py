@@ -63,6 +63,11 @@ def test_config_validation():
         for value in (float("inf"), -float("inf"), float("nan")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 small_config(**{name: value})
+    # under a smooth vertical profile, tau_width = inf overflows the bump, NaN
+    # makes it NaN, 0 makes it constant and a negative width acts as |tau_width|
+    for value in (float("inf"), -float("inf"), float("nan"), 0.0, -0.05):
+        with pytest.raises(ValueError, match="tau_width must be finite and > 0"):
+            small_config(tau_profile="smooth", tau_width=value)
 
 
 def test_heat_step_constant_fixed_point():
@@ -313,8 +318,8 @@ def _connect_residuals(m, alpha=-0.05):
     F = ScalarField(grid, np.power(u.values, alpha))
     gphi = grad_h(phi).components
     gF = grad_h(F).components
-    gphi_sq = np.sum(gphi ** 2, axis=0)
-    gF_sq = np.sum(gF ** 2, axis=0)
+    gphi_sq = sum(gphi[..., a] ** 2 for a in range(grid.dim_h))
+    gF_sq = sum(gF[..., a] ** 2 for a in range(grid.dim_h))
     Finv = 1.0 / F.values
     r1 = gphi_sq - (alpha ** -2) * Finv ** 2 * gF_sq
     lapphi = sub_laplacian(phi).values

@@ -272,6 +272,9 @@ def test_bump_rejects_wide_width():
     grid = make_grid(1, 4)
     with pytest.raises(ValueError):
         periodized_bump(grid, width=0.3)
+    for tau_width in (float("inf"), float("nan"), 0.0, -0.05):
+        with pytest.raises(ValueError, match="tau_width must be finite and > 0"):
+            periodized_bump(grid, width=0.2, tau_width=tau_width)
 
 
 def test_bump_field_matches_pointwise_sum():
@@ -756,13 +759,12 @@ def test_fused_jet_refuses_what_it_cannot_write():
 
 
 def test_block_passes_refuse_what_they_cannot_read():
-    # grad_sq_pass differentiates one field with a weight of one field,
-    # hessian_pass reads a jet's grid.shape + (4n,) differences and a
-    # HorizontalField holds a (4n,) + grid.shape stack of components: a
-    # stack, a flat field, a stack of other rows and the other layout are
-    # refused before any block, and left as they were.  The energy's C
-    # function reads the weight by address, so a weight with a point too
-    # few or too many is refused too
+    # grad_sq_pass differentiates one field with a weight of one field, and
+    # hessian_pass and a HorizontalField both take a jet's grid.shape + (4n,)
+    # layout: a stack, a flat field, a stack of other rows and the
+    # component-major layout are refused before any block, and left as they
+    # were.  The energy's C function reads the weight by address, so a
+    # weight with a point too few or too many is refused too
     grid = make_grid(1, 3)
 
     def kernel(blk, *args):
@@ -782,7 +784,6 @@ def test_block_passes_refuse_what_they_cannot_read():
         if values.shape != grid.shape + (grid.dim_h,):
             with pytest.raises(ValueError, match="Hessian pass takes a"):
                 lattice.hessian_pass(values, grid, kernel, with_norm=True)
-        if values.shape != (grid.dim_h,) + grid.shape:
             with pytest.raises(ValueError, match="component shape does not match"):
                 HorizontalField(grid, values)
         assert np.array_equal(values, before)

@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ def test_grad_xonly_equals_euclidean():
     g = grad_h(f)
     for a in range(4):
         plain = (np.roll(f.values, -1, axis=a) - np.roll(f.values, +1, axis=a)) / (2 * grid.h_x)
-        assert np.array_equal(g.components[a], plain)
+        assert np.array_equal(g.components[..., a], plain)
 
 
 def test_grad_matches_analytic_xonly_bump_derivative():
@@ -105,7 +106,7 @@ def test_grad_matches_analytic_xonly_bump_derivative():
                     dchi_dq = chi * (-(W * W) / (W * W - q) ** 2)
                     for a in range(4):
                         oracle = C * dchi_dq * 2.0 * y[a]
-                        got = g.components[(a,) + idx]
+                        got = g.components[idx + (a,)]
                         max_err = max(max_err, abs(got - oracle))
                         max_scale = max(max_scale, abs(oracle))
                     break
@@ -189,7 +190,7 @@ def test_grad_oracle_tau_rich_bump_improves():
             y, tau = best
             for a in range(4):
                 oracle = psi_and_dpsi(y, tau, a)
-                got = g.components[(a,) + idx]
+                got = g.components[idx + (a,)]
                 max_err = max(max_err, abs(got - oracle))
                 max_scale = max(max_scale, abs(oracle))
         errs[m] = max_err / max_scale
@@ -230,10 +231,35 @@ def test_divergence_integrates_to_zero_rough_fields():
     from qcflow.lattice import HorizontalField
     for _ in range(100):
         comps = rng.normal(size=(4,) + grid.shape)
-        sigma = HorizontalField(grid, comps)
+        sigma = HorizontalField(grid, np.moveaxis(comps, 0, -1))
         total = integrate(divergence(sigma))
         l1 = grid.cell_volume * np.sum(np.abs(comps))
         assert abs(total) <= 1e-12 * max(l1, 1e-30)
+
+
+def test_divergence_is_the_trace_of_one_hessian_pass(monkeypatch):
+    # the divergence is the negated trace of the Hessian pass over the
+    # point-major components: no jet pass, and besides the input it holds
+    # only its output and the pass's block buffers (1.5 fields here; a jet
+    # per component is 5 each).  The workers are fixed, so the per-worker
+    # buffers weigh the same on any host
+    def no_jet(*args):
+        raise AssertionError("divergence ran a jet pass")
+
+    monkeypatch.setattr(lattice, "WORKERS", 2)
+    monkeypatch.setattr(lattice, "jet_pass", no_jet)
+    monkeypatch.setattr(operators, "jet_pass", no_jet)
+    grid = make_grid(1, 6)
+    sigma = lattice.HorizontalField(
+        grid, np.random.default_rng(6).normal(size=grid.shape + (grid.dim_h,)))
+    divergence(sigma)  # builds the grid's step constants
+    tracemalloc.start()
+    try:
+        divergence(sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * grid.size
 
 
 def test_divergence_of_gradient_vs_laplacian_stencil_gap():
@@ -282,7 +308,7 @@ def test_c1_interior_zero_for_xonly_quadratic():
     full = np.broadcast_to(vals[..., None, None, None], grid.shape).copy()
     f = ScalarField(grid, full)
     c1, c2 = third_contractions(f)
-    interior = (slice(None),) + (slice(2, 6),) * 4
+    interior = (slice(2, 6),) * 4
     assert np.max(np.abs(c1.components[interior])) <= 1e-10
     assert np.max(np.abs(c2.components)) <= 1e-12
 
@@ -414,7 +440,7 @@ def test_jet_readers_are_bit_identical_to_the_stencils(m):
     for f in _jet_fields(m):
         grid = f.grid
         first = np.stack([_ref_first_difference(f.values, grid, a)
-                          for a in range(grid.dim_h)])
+                          for a in range(grid.dim_h)], axis=-1)
         assert np.array_equal(grad_h(f).components, first)
         assert np.array_equal(sub_laplacian(f).values,
                               _ref_sub_laplacian(f.values, grid))
