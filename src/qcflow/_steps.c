@@ -306,17 +306,20 @@ void euler_update(const double *src, double *out, double *ext, int64_t start, in
 
 
 /* the one entry +-1 of row a of each omega_s, omega_s[a, b] = twist[s][b, a]:
- * sign sg[s] at column bs[s] */
+ * sign sg[s] at column bs[s]; a row without one reads as sign 0 at column 0 */
 static void omega_row(const int64_t *twist, int64_t dim_h, int64_t a, int64_t bs[3],
                       double sg[3])
 {
     const int64_t *col = twist + a * 3 * dim_h;
-    for (int s = 0; s < 3; s++)
+    for (int s = 0; s < 3; s++) {
+        bs[s] = 0;
+        sg[s] = 0.0;
         for (int64_t b = 0; b < dim_h; b++)
             if (col[s * dim_h + b] != 0) {
                 bs[s] = b;
                 sg[s] = (double)col[s * dim_h + b];
             }
+    }
 }
 
 /* the body of hessian_block */

@@ -1,8 +1,10 @@
 """Pointwise Sp(n)Sp(1) linear algebra on the 4n-dimensional horizontal space.
 
-Quaternionic triples, the Casimir eigenprojections, the four commutation
-sign-pattern components, torsion tensor algebra, and the scalar
-combinations consumed by the heat-flow energy monitor.
+The model's one quaternionic triple I_s = B_s (twist_matrices, the group
+law's twist, which the lattice and the identity catalog read too), the
+Casimir eigenprojections, the four commutation sign-pattern components,
+torsion tensor algebra, and the scalar combinations consumed by the
+heat-flow energy monitor.
 
 All routines are pure functions on immutable values; endomorphisms and
 bilinear forms are plain (4n, 4n) float arrays.  A bilinear form B is
@@ -10,30 +12,14 @@ stored so that B(X, Y) = X @ B_mat @ Y.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# Left multiplication by the unit quaternions i, j, k on one coordinate
+# Right multiplication by the unit quaternions i, j, k on one coordinate
 # block ordered (1, i, j, k).
-LEFT_I = np.array(
-    [[0.0, -1.0, 0.0, 0.0],
-     [1.0, 0.0, 0.0, 0.0],
-     [0.0, 0.0, 0.0, -1.0],
-     [0.0, 0.0, 1.0, 0.0]])
-LEFT_J = np.array(
-    [[0.0, 0.0, -1.0, 0.0],
-     [0.0, 0.0, 0.0, 1.0],
-     [1.0, 0.0, 0.0, 0.0],
-     [0.0, -1.0, 0.0, 0.0]])
-LEFT_K = np.array(
-    [[0.0, 0.0, 0.0, -1.0],
-     [0.0, 0.0, -1.0, 0.0],
-     [0.0, 1.0, 0.0, 0.0],
-     [1.0, 0.0, 0.0, 0.0]])
-
-# Right multiplication by i, j, k on one block; used by the group model.
 RIGHT_I = np.array(
     [[0.0, -1.0, 0.0, 0.0],
      [1.0, 0.0, 0.0, 0.0],
@@ -51,6 +37,15 @@ RIGHT_K = np.array(
      [1.0, 0.0, 0.0, 0.0]])
 
 
+@functools.lru_cache(maxsize=None)
+def twist_matrices(n: int) -> np.ndarray:
+    """Integer bilinear forms B_s with Im_s(conj(x) x') = x @ B_s @ x',
+    built once per n and shared, so read-only."""
+    B = np.stack([np.kron(np.eye(n), -blk) for blk in (RIGHT_I, RIGHT_J, RIGHT_K)])
+    B.flags.writeable = False
+    return B
+
+
 @dataclass(frozen=True)
 class QuaternionicStructure:
     """Almost complex triple I1, I2, I3 on R^{4n} with the Euclidean metric."""
@@ -64,12 +59,10 @@ class QuaternionicStructure:
 
 
 def make_quaternionic_structure(n: int) -> QuaternionicStructure:
-    """Standard block-diagonal triple (left multiplication by i, j, k)."""
+    """The model's triple, I_s = B_s = twist_matrices(n)[s]."""
     if n < 1:
         raise ValueError("quaternionic dimension n must be >= 1")
-    eye = np.eye(n)
-    triple = tuple(np.kron(eye, blk) for blk in (LEFT_I, LEFT_J, LEFT_K))
-    return QuaternionicStructure(n=n, I=triple)
+    return QuaternionicStructure(n, tuple(twist_matrices(n)))
 
 
 def _check_shape(psi: np.ndarray, Q: QuaternionicStructure) -> np.ndarray:

@@ -214,13 +214,20 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
+    settings = {key: val for key, val in (("m_x", args.mx), ("alpha", args.alpha))
+                if val is not None}
+    takes = {name: inspect.signature(SUITE_BUILDERS[name]).parameters for name in names}
+    # a named suite refuses a setting it does not take; with --suite all
+    # each setting goes to the suites that take it
+    for key in settings if args.suite != "all" else ():
+        if key not in takes[args.suite]:
+            print(f"error: suite {args.suite} takes no {key} setting", file=sys.stderr)
+            return 2
     out_dir = args.out or "out"
     os.makedirs(out_dir, exist_ok=True)
     all_ok = True
     for name in names:
-        params = inspect.signature(SUITE_BUILDERS[name]).parameters
-        kwargs = {key: val for key, val in (("m_x", args.mx), ("alpha", args.alpha))
-                  if val is not None and key in params}
+        kwargs = {key: val for key, val in settings.items() if key in takes[name]}
         try:
             report = run_suite(name, seed=args.seed, **kwargs)
         except ValueError as exc:

@@ -126,6 +126,7 @@ def initial_field(config: FlowConfig, grid: LatticeGrid | None = None) -> Scalar
 
     Normalizing the bump keeps the configured range bounds valid even when
     vertical periodization overlaps (which inflates the raw lattice sum).
+    A bump that is zero on every grid point, with no peak, is refused.
     """
     if grid is None:
         grid = make_grid(config.n, config.m_x)
@@ -137,7 +138,8 @@ def initial_field(config: FlowConfig, grid: LatticeGrid | None = None) -> Scalar
                                tau_profile=config.tau_profile)
     peak = float(np.max(np.abs(bump.values)))
     if peak == 0.0:
-        return ScalarField(grid, np.full(grid.shape, config.offset))
+        raise ValueError(f"the bump of width {config.width} is zero on every point "
+                         f"of the grid at n={grid.n}, m_x={grid.m_x}")
     values = config.offset + config.amplitude * (bump.values / peak)
     return ScalarField(grid, values)
 

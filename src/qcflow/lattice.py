@@ -38,7 +38,7 @@ whole-field numpy formula in its per-point order, under -ffp-contract=off
 Left-invariant frame conventions (validated by the frame-contract tests):
 the twist bilinears are Im_s(conj(x) x') = x @ B_s @ x' with B_s minus the
 right multiplication by i_s, and the Reeb fields are xi_s = 2 d/dt_s.
-twist_matrices is the frame: its almost complex triple is I_s = B_s and
+algebra.twist_matrices is the frame and the package's one triple, I_s = B_s;
 its 2-forms omega_s = g(I_s ., .) are omega_s[a, b] = B_s[b, a].
 """
 from __future__ import annotations
@@ -54,22 +54,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import RIGHT_I, RIGHT_J, RIGHT_K
+from .algebra import twist_matrices
 
 XI_SCALE = 2.0  # xi_s = XI_SCALE * d/dt_s
 
 L_X = 1.0  # horizontal period of the lattice quotient
 
 FORMAT_VERSION = "qcflow-field-1"
-
-
-@functools.lru_cache(maxsize=None)
-def twist_matrices(n: int) -> np.ndarray:
-    """Integer bilinear forms B_s with Im_s(conj(x) x') = x @ B_s @ x',
-    built once per n and shared, so read-only."""
-    B = np.stack([np.kron(np.eye(n), -blk) for blk in (RIGHT_I, RIGHT_J, RIGHT_K)])
-    B.flags.writeable = False
-    return B
 
 
 @dataclass(frozen=True)

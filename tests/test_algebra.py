@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qcflow import algebra, lattice
 from qcflow.algebra import (
     TorsionData,
     alpha_interval,
@@ -18,7 +19,9 @@ from qcflow.algebra import (
     represtor_combination,
     ricci_from_torsion,
     torsion_contraction,
+    twist_matrices,
 )
+from qcflow.lattice import imaginary_product
 
 TOL = 1e-12
 
@@ -45,6 +48,26 @@ def test_triple_relations(n):
         assert maxabs(Is @ Is + np.eye(d)) == 0.0
         assert maxabs(Is.T @ Is - np.eye(d)) == 0.0
         assert maxabs(Is.T + Is) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_structure_is_the_models_twist(n):
+    # one triple: criterion 1's I_s are the B_s of the group law's twist,
+    # which the lattice, the Hessian's omega_s(H) and the catalog read
+    Q = make_quaternionic_structure(n)
+    B = twist_matrices(n)
+    for s in range(3):
+        assert np.array_equal(Q.I[s], B[s])
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        x, y = rng.normal(size=(2, 4 * n))
+        got = imaginary_product(x, y)
+        for s in range(3):
+            assert got[s] == x @ Q.I[s] @ y
+
+
+def test_lattice_reads_the_algebra_twist():
+    assert lattice.twist_matrices is algebra.twist_matrices
 
 
 def test_structure_rejects_n_zero():

@@ -274,6 +274,17 @@ def test_run_rejects_invalid_config(tmp_path, capsys, line):
     assert not out.exists()
 
 
+def test_run_refuses_a_bump_that_is_zero_on_every_grid_point(tmp_path, capsys):
+    # at m_x = 3 a bump of width 0.05 reaches no grid point: the run would
+    # be a constant field with energy 0 in every row
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text("width = 0.05\n")
+    code = run_cli(["run", "--config", str(cfg), "--mx", "3", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: flow aborted: ") and "zero on every point" in err
+
+
 @pytest.mark.parametrize("args", [["--t-end", "inf"], ["--t-end", "nan"], ["--alpha", "nan"],
                                   ["--alpha=-inf"], ["tau_width = inf"], ["tau_width = nan"],
                                   ["tau_width = 0"], ["tau_width = -0.05"]])
@@ -407,10 +418,12 @@ def test_flow_suite_report_bytes_are_pinned(m, steps):
 
 
 @pytest.mark.parametrize("args, named", [(["--suite", "lemma", "--alpha", "0.5"], "alpha"),
-                                         (["--suite", "geometry", "--mx", "1"], "m_x")])
+                                         (["--suite", "geometry", "--mx", "1"], "m_x"),
+                                         (["--suite", "calculus", "--mx", "6"], "m_x"),
+                                         (["--suite", "roots", "--alpha", "0.3"], "alpha")])
 def test_verify_refuses_bad_settings_with_an_error_line(tmp_path, capsys, args, named):
-    # a setting the suite refuses is reported as `qcflow run` reports one,
-    # not as a traceback
+    # a setting the suite refuses, or one a named suite does not take, is
+    # reported as `qcflow run` reports one, not as a traceback or in silence
     code = run_cli(["verify", *args, "--out", str(tmp_path / "v")])
     assert code == 2
     err = capsys.readouterr().err

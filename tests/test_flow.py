@@ -70,6 +70,13 @@ def test_config_validation():
             small_config(tau_profile="smooth", tau_width=value)
 
 
+def test_initial_field_refuses_a_bump_that_is_zero_on_every_grid_point():
+    # at m_x = 3 a bump of width 0.05 reaches no grid point, so it has no
+    # peak to normalize by
+    with pytest.raises(ValueError, match="zero on every point"):
+        initial_field(small_config(m_x=3, width=0.05))
+
+
 def test_heat_step_constant_fixed_point():
     grid = make_grid(1, 4)
     u = ScalarField(grid, np.full(grid.shape, 1.5))

@@ -826,6 +826,15 @@ def test_step_kernel_source_is_portable_c99(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_step_kernel_builds_without_warnings_at_the_shipped_flags(tmp_path):
+    # at -O3 the compiler's flow analysis sees more than at -O0: no value
+    # may be read unset, not even omega_row's for a column without a +-1
+    cmd = lattice._compiler() + list(lattice._CFLAGS) + [
+        "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "_steps.so"), lattice._STEPS_SOURCE]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_a_missing_compiler_stops_the_first_pass(tmp_path, monkeypatch):
     # one gather route: without a compiler the pass raises, naming the
     # command, and shows the compiler's stderr when it ran and failed; so
