@@ -5,14 +5,12 @@ verification suites for every identity the monotonicity statement rests on.
 """
 
 from .algebra import (
-    QuaternionicStructure,
     TorsionData,
     alpha_interval,
     casimir_decompose,
     four_part_decompose,
     h_polynomial,
     lichnerowicz_form,
-    make_quaternionic_structure,
     random_torsion,
     represtor_combination,
     ricci_from_torsion,
@@ -21,13 +19,18 @@ from .algebra import (
 from .energy import (
     EnergyReport,
     MonotonicityVerdict,
-    derf_coefficients,
     derf_rhs,
     lemma_residual,
     monotonicity_verdict,
 )
 from .flow import FlowConfig, FlowState, cfl_timestep, evolve, stream
-from .identities import IDENTITY_NAMES, IdentityReport, bochner_residual, identity_residual
+from .identities import (
+    IDENTITY_NAMES,
+    IdentityReport,
+    bochner_residual,
+    derf_coefficients,
+    identity_residual,
+)
 from .lattice import (
     GroupPoint,
     HorizontalField,

@@ -7,10 +7,9 @@ along the flow decomposes, after multiplying by alpha^2, into five
 integrals of F = u^alpha with fixed rational-in-(n, alpha) coefficients;
 for admissible alpha every one of the five terms is non-positive provided
 the measured positivity hypotheses hold.  The formula is written once, as
-identities.derf_terms, which the catalog's derf row reads too;
-derf_coefficients is re-exported from there.  derf_rhs evaluates one
-record's EnergyReport, the rows of energy.csv, and lemma_residual and
-monotonicity_verdict only read reports.
+identities.derf_terms, which the catalog's derf row reads too.  derf_rhs
+evaluates one record's EnergyReport, the rows of energy.csv, and
+lemma_residual and monotonicity_verdict only read reports.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .algebra import alpha_interval
 from .identities import (FlowQuantities, IdentityReport, NORM_FLOOR, check_alpha,
-                         derf_coefficients, derf_terms, require_positive)
+                         derf_terms, require_positive)
 from .lattice import LatticeGrid, ScalarField, grad_sq_pass
 
 

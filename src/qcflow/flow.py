@@ -47,10 +47,12 @@ class FlowConfig:
     out: str = "out"
 
     def __post_init__(self):
-        for name in ("alpha", "amplitude", "offset", "t_end"):
+        check_alpha(self.alpha)
+        for name in ("amplitude", "offset", "t_end"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
-        check_alpha(self.alpha)
+        if self.t_end < 0.0:
+            raise ValueError(f"t_end must be >= 0, not {self.t_end}")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
         if self.record_every < 1:

@@ -15,6 +15,7 @@ production formula, which energy.derf_rhs evaluates at every record.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -65,6 +66,8 @@ def require_positive(u: ScalarField):
 
 
 def check_alpha(alpha: float):
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, not {alpha}")
     if alpha in (0.0, 0.5):
         raise ValueError("alpha must avoid 0 and 1/2")
 

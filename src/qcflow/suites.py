@@ -24,10 +24,10 @@ from .algebra import (
     h_polynomial,
     lichnerowicz_form,
     lichnerowicz_form_via_ricci,
-    make_quaternionic_structure,
     random_torsion,
     represtor_combination,
     torsion_contraction,
+    twist_matrices,
 )
 from .energy import (
     derf_rhs,
@@ -42,7 +42,7 @@ from .flow import (
     initial_field,
     stream,
 )
-from .identities import identity_residual
+from .identities import check_alpha, identity_residual
 from .lattice import (
     HorizontalField,
     ScalarField,
@@ -100,8 +100,8 @@ class SuiteReport:
             "checks": [c.to_dict() for c in self.checks],
         }
 
-    def to_json(self, indent=1):
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
 
 
 def _verdict(name, measured, threshold, ok, detail=""):
@@ -115,10 +115,10 @@ def _verdict(name, measured, threshold, ok, detail=""):
 # criterion 1: pointwise algebra, 500 seeded instances per check
 # ---------------------------------------------------------------------------
 
-def algebra_suite(seed: int = 1, instances: int = 500) -> SuiteReport:
+def algebra_suite(seed: int = 1) -> SuiteReport:
     t0 = time.time()
     rng = np.random.default_rng(seed)
-    tol = 1e-12
+    instances, tol = 500, 1e-12
     worst = {
         "casimir_projections": 0.0,
         "four_part_reassembly": 0.0,
@@ -128,38 +128,37 @@ def algebra_suite(seed: int = 1, instances: int = 500) -> SuiteReport:
         "represtor": 0.0,
         "torsion_contraction_vs_reeb_oracle": 0.0,
     }
-    structures = {n: make_quaternionic_structure(n) for n in (1, 2, 3)}
     for k in range(instances):
         n = (1, 2, 3)[k % 3]
-        Q = structures[n]
-        d = Q.dim
+        B = twist_matrices(n)
+        d = 4 * n
         psi = rng.normal(size=(d, d))
         scale = max(1.0, float(np.max(np.abs(psi))))
 
-        p3, p1 = casimir_decompose(psi, Q)
+        p3, p1 = casimir_decompose(psi)
         err = max(
             np.max(np.abs(p3 + p1 - psi)),
-            np.max(np.abs(casimir_apply(p3, Q) - 3.0 * p3)),
-            np.max(np.abs(casimir_apply(p1, Q) + p1)),
-            np.max(np.abs(casimir_decompose(p3, Q)[1])),
-            np.max(np.abs(casimir_decompose(p1, Q)[0])),
+            np.max(np.abs(casimir_apply(p3) - 3.0 * p3)),
+            np.max(np.abs(casimir_apply(p1) + p1)),
+            np.max(np.abs(casimir_decompose(p3)[1])),
+            np.max(np.abs(casimir_decompose(p1)[0])),
         )
         worst["casimir_projections"] = max(worst["casimir_projections"], err / scale)
 
-        parts = four_part_decompose(psi, Q)
+        parts = four_part_decompose(psi)
         worst["four_part_reassembly"] = max(
             worst["four_part_reassembly"], np.max(np.abs(sum(parts) - psi)) / scale)
         signs = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
         serr = 0.0
         for part, sgn in zip(parts, signs):
-            for Is, eps in zip(Q.I, sgn):
+            for Is, eps in zip(B, sgn):
                 serr = max(serr, np.max(np.abs(Is @ part - eps * part @ Is)))
         worst["four_part_signs"] = max(worst["four_part_signs"], serr / scale)
 
-        td = random_torsion(Q, rng)
+        td = random_torsion(n, rng)
         tscale = max(1.0, float(np.max(np.abs(td.T0))), float(np.max(np.abs(td.U))))
-        four = td.T0 + sum(Is.T @ td.T0 @ Is for Is in Q.I)
-        uerr = max(np.max(np.abs(Is.T @ td.U @ Is - td.U)) for Is in Q.I)
+        four = td.T0 + sum(Is.T @ td.T0 @ Is for Is in B)
+        uerr = max(np.max(np.abs(Is.T @ td.U @ Is - td.U)) for Is in B)
         worst["torsion_propt"] = max(
             worst["torsion_propt"],
             max(np.max(np.abs(four)), uerr, abs(np.trace(td.T0)),
@@ -167,19 +166,19 @@ def algebra_suite(seed: int = 1, instances: int = 500) -> SuiteReport:
 
         X = rng.normal(size=d)
         if n in (2, 3):
-            a = lichnerowicz_form(td, Q, X)
-            b = lichnerowicz_form_via_ricci(td, Q, X)
+            a = lichnerowicz_form(td, X)
+            b = lichnerowicz_form_via_ricci(td, X)
             worst["lichnerowicz_two_forms"] = max(
                 worst["lichnerowicz_two_forms"],
                 abs(a - b) / max(abs(a), abs(b), 1.0))
-        lhs, rhs = represtor_combination(td, Q, X)
+        lhs, rhs = represtor_combination(td, X)
         worst["represtor"] = max(worst["represtor"],
                                  abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
 
         Y = rng.normal(size=d)
         s = int(rng.integers(0, 3))
-        got = torsion_contraction(td, Q, s, X, Y)
-        Is = Q.I[s]
+        got = torsion_contraction(td, s, X, Y)
+        Is = B[s]
         oracle = float(Y @ (td.T0_xi[s] @ (Is @ X)) + Y @ (Is @ td.U @ Is @ X))
         worst["torsion_contraction_vs_reeb_oracle"] = max(
             worst["torsion_contraction_vs_reeb_oracle"],
@@ -306,9 +305,10 @@ def _rich_field(grid):
     return _unit_peak_field(grid, periodized_bump(grid, width=0.22))
 
 
-def calculus_suite(seed: int = 1, m_pair=(4, 8), alpha: float = -0.05) -> SuiteReport:
+def calculus_suite(seed: int = 1, alpha: float = -0.05) -> SuiteReport:
+    check_alpha(alpha)
     t0 = time.time()
-    m_lo, m_hi = m_pair
+    m_lo, m_hi = 4, 8
     checks = []
 
     rel = {}
@@ -370,7 +370,7 @@ def calculus_suite(seed: int = 1, m_pair=(4, 8), alpha: float = -0.05) -> SuiteR
     checks.append(_verdict("min_pF_nonnegative_slack_shrinks", slacks[m_hi],
                            max(0.5 * slacks[m_lo], 1e-13), ok,
                            detail=f"relative slack {slacks[m_lo]:.3g} -> {slacks[m_hi]:.3g}"))
-    return SuiteReport("calculus", seed, {"m_pair": list(m_pair), "alpha": alpha},
+    return SuiteReport("calculus", seed, {"m_pair": [m_lo, m_hi], "alpha": alpha},
                        checks, time.time() - t0)
 
 

@@ -46,7 +46,7 @@ def report_line(criterion, report, ok=None):
 
 @pytest.fixture(scope="module")
 def calculus_report():
-    return calculus_suite(seed=1, m_pair=(4, 8))
+    return calculus_suite(seed=1)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ def _check(report, name):
 
 
 def test_criterion_1_algebra_suite():
-    report = algebra_suite(seed=1, instances=500)
+    report = algebra_suite(seed=1)
     report_line("1 (algebra, 500 seeded instances, <5s)", report)
     assert report.passed
     assert report.runtime_seconds < 5.0

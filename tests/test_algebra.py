@@ -14,7 +14,6 @@ from qcflow.algebra import (
     h_polynomial,
     lichnerowicz_form,
     lichnerowicz_form_via_ricci,
-    make_quaternionic_structure,
     random_torsion,
     represtor_combination,
     ricci_from_torsion,
@@ -38,13 +37,13 @@ def zero_torsion(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_triple_relations(n):
-    Q = make_quaternionic_structure(n)
-    I1, I2, I3 = Q.I
-    d = Q.dim
+    B = twist_matrices(n)
+    I1, I2, I3 = B
+    d = 4 * n
     assert maxabs(I1 @ I2 - I3) == 0.0
     assert maxabs(I1 @ I2 + I2 @ I1) == 0.0
     assert maxabs(I1 @ I2 @ I3 + np.eye(d)) == 0.0
-    for Is in Q.I:
+    for Is in B:
         assert maxabs(Is @ Is + np.eye(d)) == 0.0
         assert maxabs(Is.T @ Is - np.eye(d)) == 0.0
         assert maxabs(Is.T + Is) == 0.0
@@ -54,16 +53,13 @@ def test_triple_relations(n):
 def test_structure_is_the_models_twist(n):
     # one triple: criterion 1's I_s are the B_s of the group law's twist,
     # which the lattice, the Hessian's omega_s(H) and the catalog read
-    Q = make_quaternionic_structure(n)
     B = twist_matrices(n)
-    for s in range(3):
-        assert np.array_equal(Q.I[s], B[s])
     rng = np.random.default_rng(n)
     for _ in range(20):
         x, y = rng.normal(size=(2, 4 * n))
         got = imaginary_product(x, y)
         for s in range(3):
-            assert got[s] == x @ Q.I[s] @ y
+            assert got[s] == x @ B[s] @ y
 
 
 def test_lattice_reads_the_algebra_twist():
@@ -71,14 +67,18 @@ def test_lattice_reads_the_algebra_twist():
 
 
 def test_structure_rejects_n_zero():
+    # the triple is read from the size 4n of the matrix acted on, n >= 1
     with pytest.raises(ValueError):
-        make_quaternionic_structure(0)
+        random_torsion(0, np.random.default_rng(0))
+    for shape in ((0, 0), (3, 3), (4, 8)):
+        with pytest.raises(ValueError, match="not \\(4n, 4n\\)"):
+            casimir_apply(np.zeros(shape))
 
 
 def test_omega_pairings_brute_force():
     # sum_{a,b} omega_s(a,b) omega_t(a,b) = 4n delta_st, by explicit double sum
-    Q = make_quaternionic_structure(1)
-    om = [Q.I[s].T for s in range(3)]
+    B = twist_matrices(1)
+    om = [B[s].T for s in range(3)]
     for s in range(3):
         for t in range(3):
             total = 0.0
@@ -89,25 +89,24 @@ def test_omega_pairings_brute_force():
 
 
 def test_casimir_identity_and_omega_components():
-    Q = make_quaternionic_structure(1)
+    B = twist_matrices(1)
     eye = np.eye(4)
-    p3, p1 = casimir_decompose(eye, Q)
+    p3, p1 = casimir_decompose(eye)
     assert maxabs(p3 - eye) <= TOL
     assert maxabs(p1) <= TOL
-    p3, p1 = casimir_decompose(Q.I[0], Q)
+    p3, p1 = casimir_decompose(B[0])
     assert maxabs(p3) <= TOL
-    assert maxabs(p1 - Q.I[0]) <= TOL
+    assert maxabs(p1 - B[0]) <= TOL
 
 
 def test_casimir_symmetric_part3_proportional_to_identity():
     # n = 1: the [3]-part of any symmetric endomorphism is c * Id; assert
     # proportionality only and record the measured constant.
-    Q = make_quaternionic_structure(1)
     rng = np.random.default_rng(7)
     for _ in range(20):
         psi = rng.normal(size=(4, 4))
         psi = 0.5 * (psi + psi.T)
-        p3, _ = casimir_decompose(psi, Q)
+        p3, _ = casimir_decompose(psi)
         c = np.trace(p3) / 4.0
         assert maxabs(p3 - c * np.eye(4)) <= TOL
         # measured convention check: c tracks tr(psi)/4 (sign included)
@@ -116,98 +115,96 @@ def test_casimir_symmetric_part3_proportional_to_identity():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_casimir_projectors_idempotent_and_annihilating(n):
-    Q = make_quaternionic_structure(n)
     rng = np.random.default_rng(11)
     for _ in range(10):
-        psi = rng.normal(size=(Q.dim, Q.dim))
-        p3, p1 = casimir_decompose(psi, Q)
+        psi = rng.normal(size=(4 * n, 4 * n))
+        p3, p1 = casimir_decompose(psi)
         assert maxabs(p3 + p1 - psi) <= TOL
-        p33, p31 = casimir_decompose(p3, Q)
+        p33, p31 = casimir_decompose(p3)
         assert maxabs(p33 - p3) <= TOL
         assert maxabs(p31) <= TOL
-        p13, p11 = casimir_decompose(p1, Q)
+        p13, p11 = casimir_decompose(p1)
         assert maxabs(p13) <= TOL
         assert maxabs(p11 - p1) <= TOL
         # eigenvalue relations of the Casimir action
-        assert maxabs(casimir_apply(p3, Q) - 3.0 * p3) <= TOL
-        assert maxabs(casimir_apply(p1, Q) + p1) <= TOL
+        assert maxabs(casimir_apply(p3) - 3.0 * p3) <= TOL
+        assert maxabs(casimir_apply(p1) + p1) <= TOL
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_four_part_signs_and_reassembly(n):
-    Q = make_quaternionic_structure(n)
-    I1, I2, I3 = Q.I
+    I1, I2, I3 = twist_matrices(n)
     rng = np.random.default_rng(3)
-    psi = rng.normal(size=(Q.dim, Q.dim))
-    parts = four_part_decompose(psi, Q)
+    psi = rng.normal(size=(4 * n, 4 * n))
+    parts = four_part_decompose(psi)
     assert maxabs(sum(parts) - psi) <= TOL
     signs = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
     for part, sgn in zip(parts, signs):
         for Is, eps in zip((I1, I2, I3), sgn):
             assert maxabs(Is @ part - eps * part @ Is) <= TOL
     # Casimir split agrees: [3] part is the (+++) component
-    p3, p1 = casimir_decompose(psi, Q)
+    p3, p1 = casimir_decompose(psi)
     assert maxabs(parts[0] - p3) <= TOL
     assert maxabs(parts[1] + parts[2] + parts[3] - p1) <= TOL
 
 
 def test_four_part_of_identity_and_i2():
-    Q = make_quaternionic_structure(1)
-    parts = four_part_decompose(np.eye(4), Q)
+    B = twist_matrices(1)
+    parts = four_part_decompose(np.eye(4))
     assert maxabs(parts[0] - np.eye(4)) <= TOL
     for p in parts[1:]:
         assert maxabs(p) <= TOL
-    parts = four_part_decompose(Q.I[1], Q)
-    assert maxabs(parts[2] - Q.I[1]) <= TOL
+    parts = four_part_decompose(B[1])
+    assert maxabs(parts[2] - B[1]) <= TOL
     for k in (0, 1, 3):
         assert maxabs(parts[k]) <= TOL
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_torsion_invariants(n):
-    Q = make_quaternionic_structure(n)
+    B = twist_matrices(n)
     rng = np.random.default_rng(5)
     for _ in range(10):
-        td = random_torsion(Q, rng)
-        I1, I2, I3 = Q.I
+        td = random_torsion(n, rng)
+        I1, I2, I3 = B
         # symmetric and trace-free
         assert maxabs(td.T0 - td.T0.T) <= TOL
         assert abs(np.trace(td.T0)) <= TOL
         assert abs(np.trace(td.U)) <= TOL
         # four-fold sum of T0 vanishes; U is I_s-invariant
-        four = td.T0 + sum(Is.T @ td.T0 @ Is for Is in Q.I)
+        four = td.T0 + sum(Is.T @ td.T0 @ Is for Is in B)
         assert maxabs(four) <= TOL
-        for Is in Q.I:
+        for Is in B:
             assert maxabs(Is.T @ td.U @ Is - td.U) <= TOL
         if n == 1:
             assert maxabs(td.U) <= TOL
         # per-Reeb components: reassembly, anticommutation, complete trace-freeness
         t1, t2, t3 = td.T0_xi
         assert maxabs(t1 @ I1 + t2 @ I2 + t3 @ I3 - td.T0) <= TOL
-        for ts, Is in zip(td.T0_xi, Q.I):
+        for ts, Is in zip(td.T0_xi, B):
             assert maxabs(ts - ts.T) <= TOL
             assert maxabs(ts @ Is + Is @ ts) <= TOL
             assert abs(np.trace(ts)) <= TOL
-            for It in Q.I:
+            for It in B:
                 assert abs(np.trace(ts @ It)) <= TOL
 
 
 def test_torsion_contraction_zero_cases():
-    Q = make_quaternionic_structure(2)
+    B = twist_matrices(2)
     td = zero_torsion(2)
     rng = np.random.default_rng(1)
     X = rng.normal(size=8)
     Y = rng.normal(size=8)
     for s in range(3):
-        assert abs(torsion_contraction(td, Q, s, X, Y)) <= TOL
+        assert abs(torsion_contraction(td, s, X, Y)) <= TOL
     # T0 invariant under (X,Y) -> (I_s X, I_s Y) makes the bracket cancel
     s = 1
-    Is = Q.I[s]
+    Is = B[s]
     sym = rng.normal(size=(8, 8))
     sym = 0.5 * (sym + sym.T)
     t0 = 0.5 * (sym + Is.T @ sym @ Is)  # satisfies t0(I_s., I_s.) = t0
     td2 = TorsionData(n=2, T0=t0, U=np.zeros((8, 8)), S=0.0)
-    val = torsion_contraction(td2, Q, s, X, Y)
+    val = torsion_contraction(td2, s, X, Y)
     assert abs(val) <= TOL
 
 
@@ -215,80 +212,74 @@ def test_torsion_contraction_matches_per_reeb_oracle():
     # Straight-line oracle: T(xi_s, I_s X, Y) evaluated from the per-Reeb
     # endomorphisms, the relation 4 T0(xi_s, I_s X, Y) = T0(X,Y) - T0(I_sX, I_sY)
     # entering only through the generated components, plus the skew part I_s u.
-    Q = make_quaternionic_structure(2)
+    B = twist_matrices(2)
     rng = np.random.default_rng(17)
     for _ in range(20):
-        td = random_torsion(Q, rng)
+        td = random_torsion(2, rng)
         X = rng.normal(size=8)
         Y = rng.normal(size=8)
         for s in range(3):
-            Is = Q.I[s]
+            Is = B[s]
             t_sym = td.T0_xi[s]
             oracle = float(Y @ (t_sym @ (Is @ X)) + Y @ (Is @ td.U @ Is @ X))
-            val = torsion_contraction(td, Q, s, X, Y)
+            val = torsion_contraction(td, s, X, Y)
             assert abs(val - oracle) <= 1e-11
 
 
 def test_torsion_contraction_rejects_bad_reeb_index():
-    Q = make_quaternionic_structure(1)
     td = zero_torsion(1)
     with pytest.raises(ValueError):
-        torsion_contraction(td, Q, 3, np.ones(4), np.ones(4))
+        torsion_contraction(td, 3, np.ones(4), np.ones(4))
 
 
 def test_ricci_from_torsion():
     rng = np.random.default_rng(23)
     for n in (1, 2):
-        Q = make_quaternionic_structure(n)
-        d = Q.dim
+        d = 4 * n
         X = np.zeros(d)
         X[0] = 1.0
         td = TorsionData(n=n, T0=np.zeros((d, d)), U=np.zeros((d, d)), S=1.3)
-        assert abs(ricci_from_torsion(td, Q, X, X) - 2 * (n + 2) * 1.3) <= TOL
+        assert abs(ricci_from_torsion(td, X, X) - 2 * (n + 2) * 1.3) <= TOL
         tdz = zero_torsion(n)
-        assert abs(ricci_from_torsion(tdz, Q, X, X)) <= TOL
+        assert abs(ricci_from_torsion(tdz, X, X)) <= TOL
     # n = 2: coefficients 6, 18, 8 recomputed independently
-    Q = make_quaternionic_structure(2)
-    td = random_torsion(Q, rng)
+    td = random_torsion(2, rng)
     X = rng.normal(size=8)
     Y = rng.normal(size=8)
     expect = 6.0 * (X @ td.T0 @ Y) + 18.0 * (X @ td.U @ Y) + 8.0 * td.S * (X @ Y)
-    assert abs(ricci_from_torsion(td, Q, X, Y) - expect) <= 1e-11
+    assert abs(ricci_from_torsion(td, X, Y) - expect) <= 1e-11
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_lichnerowicz_two_expressions_agree(n):
-    Q = make_quaternionic_structure(n)
     rng = np.random.default_rng(29)
     for _ in range(50):
-        td = random_torsion(Q, rng)
-        X = rng.normal(size=Q.dim)
-        a = lichnerowicz_form(td, Q, X)
-        b = lichnerowicz_form_via_ricci(td, Q, X)
+        td = random_torsion(n, rng)
+        X = rng.normal(size=4 * n)
+        a = lichnerowicz_form(td, X)
+        b = lichnerowicz_form_via_ricci(td, X)
         scale = max(abs(a), abs(b), 1.0)
         assert abs(a - b) <= TOL * scale
 
 
 def test_lichnerowicz_special_values():
-    Q = make_quaternionic_structure(1)
     td = zero_torsion(1)
     X = np.array([1.0, 0.0, 0.0, 0.0])
-    assert abs(lichnerowicz_form(td, Q, X)) <= TOL
+    assert abs(lichnerowicz_form(td, X)) <= TOL
     td1 = TorsionData(n=1, T0=np.zeros((4, 4)), U=np.zeros((4, 4)), S=1.0)
-    assert abs(lichnerowicz_form(td1, Q, X) - 6.0) <= TOL
+    assert abs(lichnerowicz_form(td1, X) - 6.0) <= TOL
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_represtor_identity(n):
-    Q = make_quaternionic_structure(n)
     rng = np.random.default_rng(31)
     tdz = zero_torsion(n)
-    lhs, rhs = represtor_combination(tdz, Q, np.ones(Q.dim))
+    lhs, rhs = represtor_combination(tdz, np.ones(4 * n))
     assert abs(lhs) <= TOL and abs(rhs) <= TOL
     for _ in range(100):
-        td = random_torsion(Q, rng)
-        X = rng.normal(size=Q.dim)
-        lhs, rhs = represtor_combination(td, Q, X)
+        td = random_torsion(n, rng)
+        X = rng.normal(size=4 * n)
+        lhs, rhs = represtor_combination(td, X)
         scale = max(abs(lhs), abs(rhs), 1.0)
         assert abs(lhs - rhs) <= TOL * scale
 

@@ -274,6 +274,15 @@ def test_run_rejects_invalid_config(tmp_path, capsys, line):
     assert not out.exists()
 
 
+def test_run_refuses_a_negative_t_end(tmp_path, capsys):
+    # a negative horizon made 0 steps, wrote one record and exited 0
+    out = tmp_path / "o"
+    code = run_cli(["run", "--mx", "3", "--t-end", "-1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: t_end")
+    assert not out.exists()
+
+
 def test_run_refuses_a_bump_that_is_zero_on_every_grid_point(tmp_path, capsys):
     # at m_x = 3 a bump of width 0.05 reaches no grid point: the run would
     # be a constant field with energy 0 in every row
@@ -420,14 +429,17 @@ def test_flow_suite_report_bytes_are_pinned(m, steps):
 @pytest.mark.parametrize("args, named", [(["--suite", "lemma", "--alpha", "0.5"], "alpha"),
                                          (["--suite", "geometry", "--mx", "1"], "m_x"),
                                          (["--suite", "calculus", "--mx", "6"], "m_x"),
-                                         (["--suite", "roots", "--alpha", "0.3"], "alpha")])
+                                         (["--suite", "roots", "--alpha", "0.3"], "alpha"),
+                                         (["--suite", "calculus", "--alpha", "nan"], "alpha")])
 def test_verify_refuses_bad_settings_with_an_error_line(tmp_path, capsys, args, named):
     # a setting the suite refuses, or one a named suite does not take, is
-    # reported as `qcflow run` reports one, not as a traceback or in silence
+    # reported as `qcflow run` reports one, not as a traceback or in silence,
+    # and no report is written (a NaN alpha wrote NaN literals, not JSON)
     code = run_cli(["verify", *args, "--out", str(tmp_path / "v")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+    assert not list(tmp_path.glob("v/verify_*.json"))
 
 
 def test_verify_unknown_suite_rejected():

@@ -12,7 +12,6 @@ from qcflow import lattice
 from qcflow.algebra import alpha_interval, h_polynomial
 from qcflow.energy import (
     EnergyReport,
-    derf_coefficients,
     derf_rhs,
     energy,
     fill_numeric_rates,
@@ -20,7 +19,8 @@ from qcflow.energy import (
     monotonicity_verdict,
 )
 from qcflow.flow import FlowConfig, cfl_timestep, evolve, initial_field
-from qcflow.identities import IDENTITY_NAMES, FlowQuantities, identity_residual
+from qcflow.identities import (IDENTITY_NAMES, FlowQuantities, derf_coefficients,
+                               identity_residual)
 from qcflow.lattice import ScalarField, make_grid, periodized_bump, twist_matrices
 from qcflow.operators import DifferenceJet
 from qcflow.suites import _lemma_states, _rich_field, lemma_suite
@@ -95,6 +95,10 @@ def test_derf_coefficient_signs_and_values():
 def test_derf_coefficients_reject_bad_alpha():
     for bad in (0.0, 0.5):
         with pytest.raises(ValueError):
+            derf_coefficients(1, bad)
+    # a non-finite alpha made five NaN coefficients
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="alpha must be finite"):
             derf_coefficients(1, bad)
 
 

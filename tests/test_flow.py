@@ -68,6 +68,11 @@ def test_config_validation():
     for value in (float("inf"), -float("inf"), float("nan"), 0.0, -0.05):
         with pytest.raises(ValueError, match="tau_width must be finite and > 0"):
             small_config(tau_profile="smooth", tau_width=value)
+    # a negative horizon made 0 steps and one record; t_end = 0 stays valid
+    for value in (-1.0, -1e-300):
+        with pytest.raises(ValueError, match="t_end must be >= 0"):
+            small_config(t_end=value)
+    assert small_config(t_end=0.0).t_end == 0.0
 
 
 def test_initial_field_refuses_a_bump_that_is_zero_on_every_grid_point():

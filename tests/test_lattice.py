@@ -1003,6 +1003,28 @@ def test_every_public_function_has_a_caller_in_the_package():
     assert uncalled == []
 
 
+def test_every_parameter_is_read_in_its_body():
+    # a value the code never reads should not be passed: every parameter of
+    # a module-level function, and of a method of a module-level class, is
+    # read (loaded by name) somewhere in its body.  Nested functions are
+    # exempt, since a caller such as hessian_pass fixes their signature
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            defs = top.body if isinstance(top, ast.ClassDef) else [top]
+            for node in defs:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs + [
+                    arg for arg in (args.vararg, args.kwarg) if arg is not None]
+                read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+                unread += [f"{path.stem}.{node.name}({p.arg})" for p in params
+                           if p.arg not in read]
+    assert unread == []
+
+
 def _c_parameter_kinds(source):
     """The ctypes kind of each parameter of each non-static function of a C
     source, by name: a pointer is c_void_p, int64_t c_int64, double
