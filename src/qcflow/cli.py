@@ -19,6 +19,7 @@ from typing import get_args, get_type_hints
 
 from .energy import CSV_COLUMNS, derf_rhs, fill_numeric_rates, monotonicity_verdict
 from .flow import FlowConfig, stream
+from .identities import check_alpha
 from .lattice import make_grid, save_field
 from .suites import SUITE_BUILDERS, SUITE_NAMES, run_suite
 
@@ -223,6 +224,16 @@ def cmd_verify(args) -> int:
         if key not in takes[args.suite]:
             print(f"error: suite {args.suite} takes no {key} setting", file=sys.stderr)
             return 2
+    # each setting is refused before any suite runs, so a refused setting
+    # under --suite all leaves no partial report directory
+    try:
+        if args.alpha is not None:
+            check_alpha(args.alpha)
+        if args.mx is not None:
+            make_grid(1, args.mx)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out_dir = args.out or "out"
     os.makedirs(out_dir, exist_ok=True)
     all_ok = True

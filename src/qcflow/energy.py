@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import alpha_interval
 from .identities import (FlowQuantities, IdentityReport, NORM_FLOOR, check_alpha,
                          derf_terms, require_positive)
-from .lattice import LatticeGrid, ScalarField, grad_sq_pass
+from .lattice import LatticeGrid, ScalarField, _field_beside, grad_sq_pass
 
 
 def energy(u: ScalarField) -> float:
@@ -30,10 +30,11 @@ def energy(u: ScalarField) -> float:
     no Laplacian) forms |grad phi|^2 u and its sum per block, with the bits
     of integrating sum_a (D_a phi)^2, added in axis order, times u:
     negating ln u is exact through the difference, the division and the
-    square.
+    square.  ln u is made beside u (lattice._field_beside).
     """
     require_positive(u)
-    return grad_sq_pass(np.log(u.values), u.grid, u.values)
+    log_u = np.log(u.values, out=_field_beside(u.values, u.grid.shape))
+    return grad_sq_pass(log_u, u.grid, u.values)
 
 
 @dataclass

@@ -138,12 +138,17 @@ def initial_field(config: FlowConfig, grid: LatticeGrid | None = None) -> Scalar
         bump = periodized_bump(grid, width=config.width, amplitude=1.0, offset=0.0,
                                tau_width=config.tau_width, profile=config.profile,
                                tau_profile=config.tau_profile)
-    peak = float(np.max(np.abs(bump.values)))
+    v = bump.values
+    # the largest |v|, exactly, without a field of |v|
+    peak = max(float(v.max()), -float(v.min()))
     if peak == 0.0:
         raise ValueError(f"the bump of width {config.width} is zero on every point "
                          f"of the grid at n={grid.n}, m_x={grid.m_x}")
-    values = config.offset + config.amplitude * (bump.values / peak)
-    return ScalarField(grid, values)
+    # offset + amplitude * (v / peak), in the bump's own buffer
+    np.divide(v, peak, out=v)
+    np.multiply(config.amplitude, v, out=v)
+    np.add(config.offset, v, out=v)
+    return ScalarField(grid, v)
 
 
 def stream(config: FlowConfig, u0: ScalarField | None = None,

@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import h_polynomial
-from .lattice import LatticeGrid, ScalarField, _production_block, hessian_pass, twist_matrices
+from .lattice import (LatticeGrid, ScalarField, _field_beside, _production_block, hessian_pass,
+                      twist_matrices)
 from .operators import DifferenceJet, p_functional, reeb_derivative, sub_laplacian
 
 IDENTITY_NAMES = (
@@ -119,8 +120,9 @@ class FlowQuantities:
     gathers are made once, and its Hessian pass runs once, in
     production.  Only what two quantities share is kept: F's jet, the
     weight u^(1 - 2 alpha), |DF|^2 and the integrals.  The fields F and
-    f = u^(1/2) are formed where they are differentiated and do not
-    outlive their jets; the P-pairing is the only quantity of f.
+    f = u^(1/2) are formed beside u (lattice._field_beside) where they are
+    differentiated and do not outlive their jets; the P-pairing is the only
+    quantity of f.
     """
 
     def __init__(self, u: ScalarField, alpha: float):
@@ -134,7 +136,9 @@ class FlowQuantities:
     @property
     def F(self):
         # not kept: F's jet holds every difference of F but its Reeb ones
-        return ScalarField(self.grid, np.power(self.u.values, self.alpha))
+        u = self.u.values
+        return ScalarField(self.grid, np.power(u, self.alpha,
+                                               out=_field_beside(u, self.grid.shape)))
 
     @cached_property
     def jetF(self):
@@ -204,8 +208,11 @@ class FlowQuantities:
 
     @cached_property
     def P_pair_half(self):
-        # f = u^(1/2) is a temporary of its jet, which drops it once built
-        return p_functional(DifferenceJet(ScalarField(self.grid, np.sqrt(self.u.values))))
+        # f = u^(1/2) is a temporary of its jet, which drops it once built:
+        # no name holds it while the Hessian pass runs
+        u = self.u.values
+        return p_functional(DifferenceJet(ScalarField(
+            self.grid, np.sqrt(u, out=_field_beside(u, self.grid.shape)))))
 
     @cached_property
     def I_gradlap(self):

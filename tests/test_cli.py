@@ -430,11 +430,14 @@ def test_flow_suite_report_bytes_are_pinned(m, steps):
                                          (["--suite", "geometry", "--mx", "1"], "m_x"),
                                          (["--suite", "calculus", "--mx", "6"], "m_x"),
                                          (["--suite", "roots", "--alpha", "0.3"], "alpha"),
-                                         (["--suite", "calculus", "--alpha", "nan"], "alpha")])
+                                         (["--suite", "calculus", "--alpha", "nan"], "alpha"),
+                                         (["--suite", "all", "--alpha", "nan"], "alpha"),
+                                         (["--suite", "all", "--mx", "1"], "m_x")])
 def test_verify_refuses_bad_settings_with_an_error_line(tmp_path, capsys, args, named):
     # a setting the suite refuses, or one a named suite does not take, is
     # reported as `qcflow run` reports one, not as a traceback or in silence,
-    # and no report is written (a NaN alpha wrote NaN literals, not JSON)
+    # and no report is written (a NaN alpha wrote NaN literals, not JSON);
+    # under --suite all no suite runs, so none writes its report first
     code = run_cli(["verify", *args, "--out", str(tmp_path / "v")])
     assert code == 2
     err = capsys.readouterr().err

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qcflow.energy as energy_module
+import qcflow.operators as operators_module
 import qcflow.suites as suites_module
 from qcflow import lattice
 from qcflow.algebra import alpha_interval, h_polynomial
@@ -237,6 +238,42 @@ def test_derf_rhs_deficit_terms_are_bit_identical_to_the_whole_field_hessian(m):
     c_pdef = derf_coefficients(1, alpha)[4]
     w2 = np.power(u.values, 1.0 - 2 * alpha)
     assert rep.term_p == c_pdef * float(u.grid.cell_volume * np.sum(w2 * deficit))
+
+
+@pytest.mark.parametrize("m", [5, 8])
+def test_derf_rhs_places_each_transform_and_jet_2_kib_past_its_input(m, monkeypatch):
+    # ln u, F = u^alpha and f = u^(1/2) start 2 KiB past u modulo 4 KiB,
+    # and each jet's fields 2 KiB past the field it differentiates, so no
+    # store of a transform or a jet false-aliases the loads it runs ahead
+    # of (m_x = 8 fields sit 16 B apart modulo 1 MiB where numpy places them)
+    seen = {"grad_sq": [], "jet": []}
+
+    def grad_sq_pass(values, grid, weight):
+        seen["grad_sq"].append((values, weight))
+        return lattice.grad_sq_pass(values, grid, weight)
+
+    def jet_pass(values, grid):
+        first, lap = lattice.jet_pass(values, grid)
+        seen["jet"].append((values, first, lap))
+        return first, lap
+
+    monkeypatch.setattr(energy_module, "grad_sq_pass", grad_sq_pass)
+    monkeypatch.setattr(operators_module, "jet_pass", jet_pass)
+    u = initial_field(flow_config(m=m))
+    alpha = -0.05
+    derf_rhs(u, alpha)
+
+    def gap(out, src):
+        return (out.ctypes.data - src.ctypes.data) % 4096
+
+    ((log_u, weight),) = seen["grad_sq"]
+    assert weight is u.values and gap(log_u, u.values) == 2048
+    assert log_u.tobytes() == np.log(u.values).tobytes()
+    transforms = {values.tobytes(): values for values, _, _ in seen["jet"]}
+    assert set(transforms) == {np.sqrt(u.values).tobytes(),
+                               np.power(u.values, alpha).tobytes()}
+    for values, first, lap in seen["jet"]:
+        assert [gap(values, u.values), gap(first, values), gap(lap, values)] == [2048] * 3
 
 
 def test_derf_rhs_peaks_within_seven_whole_fields(monkeypatch):

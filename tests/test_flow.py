@@ -303,6 +303,36 @@ def test_stream_keeps_only_the_latest_field():
         del current
 
 
+@pytest.mark.parametrize("m", [5, 8])
+def test_a_yielded_state_keeps_its_bytes_after_later_steps(m):
+    # each step places its field in a longer array of its own: a state the
+    # stream yielded is not written by the steps after it
+    grid = make_grid(1, m)
+    cfg = small_config(m_x=m, t_end=4 * cfl_timestep(grid, 0.9))
+    states = stream(cfg)
+    next(states)
+    kept = next(states).u
+    before = kept.values.tobytes()
+    later = [next(states).u.values for _ in range(3)]
+    assert kept.values.tobytes() == before
+    for values in later:
+        assert not np.shares_memory(values, kept.values)
+
+
+@pytest.mark.parametrize("tau_profile", ["uniform", None])
+def test_initial_field_has_the_bits_of_the_normalised_bump(tau_profile):
+    # the in-place normalisation against offset + amplitude * (bump / peak)
+    # with the peak of |bump| taken over a field of |bump|
+    cfg = small_config(m_x=5, tau_profile=tau_profile, amplitude=0.35, offset=1.3)
+    grid = make_grid(1, 5)
+    if tau_profile == "uniform":
+        bump = lattice.vertically_uniform_bump(grid, width=cfg.width).values
+    else:
+        bump = lattice.periodized_bump(grid, width=cfg.width).values
+    want = cfg.offset + cfg.amplitude * (bump / np.max(np.abs(bump)))
+    assert initial_field(cfg, grid).values.tobytes() == want.tobytes()
+
+
 def test_blocked_step_matches_whole_field_pass():
     # the blocked update against u + w * acc from the whole-field stencil;
     # m_x = 5 spans several point blocks, the last one partial

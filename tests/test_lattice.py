@@ -334,6 +334,52 @@ def test_field_snapshot_round_trip(tmp_path):
     assert g.grid.m_x == 3 and g.grid.n == 1
 
 
+def place_gap(out: np.ndarray, src: np.ndarray) -> int:
+    """Bytes from src's first value to out's, modulo 4 KiB."""
+    return (out.ctypes.data - src.ctypes.data) % 4096
+
+
+@pytest.mark.parametrize("m", [5, 8])
+def test_the_euler_and_jet_passes_place_their_fields_2_kib_past_the_input(m):
+    # m_x = 8 fields are 16 MiB, which numpy's allocator places 16 B apart
+    # modulo 1 MiB, the placement whose stores stall the loads they run
+    # ahead of; m_x = 5 fields are an odd size, 625000 B
+    grid = make_grid(1, m)
+    u = flow.initial_field(flow.FlowConfig(m_x=m), grid)
+    new, *_ = lattice.euler_pass(u.values, grid, 0.01, True)
+    first, lap = lattice.jet_pass(u.values, grid)
+    assert [place_gap(out, u.values) for out in (new, first, lap)] == [2048] * 3
+    # the next step and the next jet place theirs past their own input
+    newer, *_ = lattice.euler_pass(new, grid, 0.01, False)
+    first2, lap2 = lattice.jet_pass(new, grid)
+    assert [place_gap(out, new) for out in (newer, first2, lap2)] == [2048] * 3
+
+
+@pytest.mark.parametrize("m", [5, 8])
+def test_a_placed_field_is_a_whole_field_to_every_reader(m, tmp_path):
+    # a placed field is a view into a longer array: it must read as a
+    # C-contiguous float64 field of the grid's shape, byte for byte through
+    # the buffer protocol (perfbench digests memoryview(values).cast("B")),
+    # a snapshot and a copy
+    grid = make_grid(1, m)
+    rng = np.random.default_rng(m)
+    src = rng.random(grid.shape) + 1.0
+    placed = lattice._field_beside(src, grid.shape)
+    np.log(src, out=placed)
+    assert place_gap(placed, src) == 2048
+    assert placed.shape == grid.shape and placed.dtype == np.float64
+    assert placed.flags.c_contiguous
+    assert placed.nbytes <= placed.base.nbytes <= placed.nbytes + 4096
+    want = np.log(src).tobytes()
+    assert memoryview(placed).cast("B").tobytes() == want
+    f = ScalarField(grid, placed)
+    assert f.values is placed
+    assert f.copy().values.tobytes() == want
+    save_field(f, str(tmp_path / "placed"))
+    assert (tmp_path / "placed.f64").read_bytes() == want
+    assert load_field(str(tmp_path / "placed")).values.tobytes() == want
+
+
 def test_vertical_shift_round_trip():
     grid = make_grid(1, 3)
     rng = np.random.default_rng(2)
@@ -418,7 +464,7 @@ def test_step_gathers_match_shift(m, monkeypatch):
     weight = rng.random(grid.size)
     starts = [start for start, _ in _tree_nodes(0, grid.size, BLOCK_POINTS)]
     assert len(starts) == (1 if m == 4 else 4)
-    assert lattice._block_bounds(grid.size)[:-1] == starts
+    assert lattice._block_bounds(grid.size)[:-1] == tuple(starts)
 
     def diff(values, a):
         return ((shift(values, grid, a, +1) - shift(values, grid, a, -1))
