@@ -28,12 +28,23 @@
  * into out[0:len], the block alone; the weight w is a flat field, read at
  * the same points.
  *
- * difference_jet writes, on the same points of a flat field f, D_a f into
- * first[p dim_h + a] of point p, for every a: first is point-major, a
- * C-contiguous (size, dim_h) array that holds each point's dim_h
- * differences as one run.  It writes the compact Laplacian -acc / h_sq,
- * acc = sum_a ((S_a^+ f - f * 2) + S_a^- f), into the flat array lap: acc
- * starts at 0 and each axis adds to it.
+ * The x_0 planes: x_0, the first horizontal index, is the outermost axis,
+ * so the points of one value of it, m^(dim_h + 2) of them, are one run of
+ * the flat field, and only the steps along axis 0 leave the plane.
+ * difference_jet and hessian_block read and write a field through a table
+ * of m plane bases: planes[x_0] is where plane x_0 starts, and the point
+ * of flat index p lies at planes[p / plane] + (p % plane) * width, width
+ * the values a point holds.  A whole field's table holds base +
+ * x_0 plane width; a window of planes holds the planes where it keeps
+ * them, and a plane that a call does not read may have any entry.
+ *
+ * difference_jet writes, on the points [start, start+len) of a field f,
+ * D_a f into the run of dim_h values of the point, in order of a, in the
+ * planes of first: first is point-major, each point's dim_h differences
+ * one run.  It writes the compact Laplacian -acc / h_sq,
+ * acc = sum_a ((S_a^+ f - f * 2) + S_a^- f), into the planes of lap: acc
+ * starts at 0 and each axis adds to it.  f, first and lap are each read
+ * or written through a table of plane bases.
  *
  * euler_update writes u + acc * w, acc = sum_a ((S_a^+ u + S_a^- u) - u * 2),
  * on the same points of a flat field into the flat array out: the first
@@ -42,10 +53,11 @@
  * them is kept, as np.min and np.max keep it.
  *
  * hessian_block accumulates, on the points [start, start+len) of the
- * point-major first differences D_b f that difference_jet writes, the
- * composed Hessian H_ab = D_a D_b f into tr = sum_a H_aa, the C-contiguous
- * (3, len) om, om[s] = sum_a sigma_s(a) H_a b_s(a), and, unless nsq is
- * NULL, nsq = sum_a sum_b H_ab^2, each from zero in (a, b) order.  Row a
+ * point-major first differences D_b f that difference_jet writes, read
+ * through their table of plane bases, the composed Hessian H_ab = D_a D_b f
+ * into tr[0:len] = sum_a H_aa, the rows om[s ld + i], om[s] =
+ * sum_a sigma_s(a) H_a b_s(a), ld >= len, and, unless nsq is NULL,
+ * nsq[0:len] = sum_a sum_b H_ab^2, each from zero in (a, b) order.  Row a
  * of omega_s = g(I_s ., .), I_s = B_s, is the twist column of (a, s), with
  * one entry +-1 (the caller refuses others): sigma_s(a), at b_s(a).  It
  * goes fibre by fibre and, within a fibre, axis by axis: at each point it
@@ -178,6 +190,39 @@ static inline double step_read(const double *src, const int64_t *rolls,
     return src[at[k] + rolls[roll[k] + q]];
 }
 
+/* the points of one x_0 plane, m^(dim_h + 2): m^(dim_h - 1) fibres */
+static int64_t plane_points(int64_t m, int64_t dim_h)
+{
+    int64_t plane = 1;
+    for (int64_t b = 0; b < dim_h + 2; b++)
+        plane *= m;
+    return plane;
+}
+
+/* the first value of the source fibre of each of the 2 steps steps along
+ * the axes from a0 that leave a fibre of plane x0, at width values a point,
+ * in the plane that the table planes holds it in: the steps along axis 0
+ * reach the planes x0 + 1 and x0 - 1, and every other step stays in x0 (a
+ * division of the source's index by the plane size, two a step, made the
+ * jet 5-13 % slower) */
+static void source_fibres(const double *const *planes, int64_t m, int64_t plane,
+                          int64_t width, int64_t x0, int64_t a0, int64_t steps,
+                          const int64_t *from, const double **fibres)
+{
+    for (int64_t k = 0; k < 2 * steps; k++) {
+        int64_t xs = a0 + k / 2 == 0 ? wrap(x0, k % 2 ? m - 1 : 1, m) : x0;
+        fibres[k] = planes[xs] + (from[k] - xs * plane) * width;
+    }
+}
+
+/* where each of the 2 steps steps reads its source plane of plane t0 */
+static void plane_reads(int64_t t0, int64_t m, int64_t width, int64_t steps,
+                        const double *const *fibres, const int64_t *c0, const double **reads)
+{
+    for (int64_t k = 0; k < 2 * steps; k++)
+        reads[k] = fibres[k] + wrap(t0, c0[k], m) * m * m * width;
+}
+
 /* the body of grad_sq_block */
 static inline void grad_sq_points(const double *src, const double *w, double *out,
                                   int64_t start, int64_t len, int64_t m, int64_t dim_h,
@@ -219,38 +264,42 @@ void grad_sq_block(const double *src, const double *w, double *out, int64_t star
 }
 
 /* the body of difference_jet */
-static inline void jet_points(const double *src, double *first, double *lap, int64_t start,
-                              int64_t len, int64_t m, int64_t dim_h, const int64_t *twist,
-                              const int64_t *rolls, double two_h, double h_sq)
+static inline void jet_points(const double *const *src, double *const *first,
+                              double *const *lap, int64_t start, int64_t len, int64_t m,
+                              int64_t dim_h, const int64_t *twist, const int64_t *rolls,
+                              double two_h, double h_sq)
 {
-    int64_t m2 = m * m, fibre = m2 * m, stop = start + len, q0, q1;
-    int64_t from[MAX_STEPS], c0[MAX_STEPS], roll[MAX_STEPS], at[MAX_STEPS];
+    int64_t m2 = m * m, fibre = m2 * m, plane = plane_points(m, dim_h), stop = start + len;
+    int64_t from[MAX_STEPS], c0[MAX_STEPS], roll[MAX_STEPS], q0, q1;
+    const double *fibres[MAX_STEPS], *reads[MAX_STEPS];
     for (int64_t fib = start / fibre; fib * fibre < stop; fib++) {
-        int64_t base = fib * fibre;
+        int64_t base = fib * fibre, x0 = base / plane, in = base - x0 * plane;
         int64_t lo = start > base ? start - base : 0;
         int64_t hi = stop < base + fibre ? stop - base : fibre;
         fibre_steps(fib, m, dim_h, 0, dim_h, twist, from, c0, roll);
+        source_fibres(src, m, plane, 1, x0, 0, dim_h, from, fibres);
         for (int64_t t0 = lo / m2; plane_run(t0, m2, lo, hi, &q0, &q1); t0++) {
-            int64_t p0 = base + t0 * m2;
-            const double *v = src + p0;
-            plane_sources(t0, m, dim_h, from, c0, at);
+            int64_t p0 = in + t0 * m2;
+            const double *v = src[x0] + p0;
+            double *d = first[x0] + p0 * dim_h, *l = lap[x0] + p0;
+            plane_reads(t0, m, 1, dim_h, fibres, c0, reads);
             for (int64_t q = q0; q < q1; q++) {
                 double two_f = v[q] * 2.0, acc = 0.0;
                 for (int64_t a = 0; a < dim_h; a++) {
-                    double up = step_read(src, rolls, at, roll, 2 * a, q);
-                    double um = step_read(src, rolls, at, roll, 2 * a + 1, q);
-                    first[(p0 + q) * dim_h + a] = (up - um) / two_h;
+                    double up = reads[2 * a][rolls[roll[2 * a] + q]];
+                    double um = reads[2 * a + 1][rolls[roll[2 * a + 1] + q]];
+                    d[q * dim_h + a] = (up - um) / two_h;
                     acc += (up - two_f) + um;
                 }
-                lap[p0 + q] = -acc / h_sq;
+                l[q] = -acc / h_sq;
             }
         }
     }
 }
 
-void difference_jet(const double *src, double *first, double *lap, int64_t start,
-                    int64_t len, int64_t m, int64_t dim_h, const int64_t *twist,
-                    const int64_t *rolls, double two_h, double h_sq)
+void difference_jet(const double *const *src, double *const *first, double *const *lap,
+                    int64_t start, int64_t len, int64_t m, int64_t dim_h,
+                    const int64_t *twist, const int64_t *rolls, double two_h, double h_sq)
 {
     if (dim_h == 4)
         jet_points(src, first, lap, start, len, m, 4, twist, rolls, two_h, h_sq);
@@ -323,15 +372,16 @@ static void omega_row(const int64_t *twist, int64_t dim_h, int64_t a, int64_t bs
 }
 
 /* the body of hessian_block */
-static inline void hessian_points(const double *first, double *restrict tr,
-                                  double *restrict om, double *restrict nsq, int64_t start,
-                                  int64_t len, int64_t m, int64_t dim_h, const int64_t *twist,
-                                  const int64_t *rolls, double two_h)
+static inline void hessian_points(const double *const *first, double *restrict tr,
+                                  double *restrict om, double *restrict nsq, int64_t ld,
+                                  int64_t start, int64_t len, int64_t m, int64_t dim_h,
+                                  const int64_t *twist, const int64_t *rolls, double two_h)
 {
-    int64_t m2 = m * m, fibre = m2 * m, stop = start + len, q0, q1;
-    double *om0 = om, *om1 = om + len, *om2 = om + 2 * len;
+    int64_t m2 = m * m, fibre = m2 * m, plane = plane_points(m, dim_h), stop = start + len;
+    int64_t q0, q1;
+    double *om0 = om, *om1 = om + ld, *om2 = om + 2 * ld;
     for (int64_t fib = start / fibre; fib * fibre < stop; fib++) {
-        int64_t base = fib * fibre;
+        int64_t base = fib * fibre, x0 = base / plane;
         int64_t lo = start > base ? start - base : 0;
         int64_t hi = stop < base + fibre ? stop - base : fibre;
         for (int64_t p = base + lo - start; p < base + hi - start; p++) {
@@ -342,17 +392,18 @@ static inline void hessian_points(const double *first, double *restrict tr,
         for (int64_t a = 0; a < dim_h; a++) {
             int64_t from[2], c0[2], roll[2], bs[3];
             double sg[3], h[MAX_STEPS];
+            const double *fibres[2], *reads[2];
             fibre_steps(fib, m, dim_h, a, a + 1, twist, from, c0, roll);
+            source_fibres(first, m, plane, dim_h, x0, a, 1, from, fibres);
             omega_row(twist, dim_h, a, bs, sg);
             const int64_t *rp = rolls + roll[0], *rm = rolls + roll[1];
             for (int64_t t0 = lo / m2; plane_run(t0, m2, lo, hi, &q0, &q1); t0++) {
                 /* the planes the two steps read, each point's run of dim_h
                  * differences at dim_h times its index */
-                const double *up = first + (from[0] + wrap(t0, c0[0], m) * m2) * dim_h;
-                const double *um = first + (from[1] + wrap(t0, c0[1], m) * m2) * dim_h;
+                plane_reads(t0, m, dim_h, 1, fibres, c0, reads);
                 int64_t p0 = base + t0 * m2 - start;
                 for (int64_t q = q0; q < q1; q++) {
-                    const double *u = up + rp[q] * dim_h, *v = um + rm[q] * dim_h;
+                    const double *u = reads[0] + rp[q] * dim_h, *v = reads[1] + rm[q] * dim_h;
                     int64_t p = p0 + q;
                     for (int64_t b = 0; b < dim_h; b++)
                         h[b] = (u[b] - v[b]) / two_h;
@@ -372,14 +423,14 @@ static inline void hessian_points(const double *first, double *restrict tr,
     }
 }
 
-void hessian_block(const double *first, double *tr, double *om, double *nsq, int64_t start,
-                   int64_t len, int64_t m, int64_t dim_h, const int64_t *twist,
+void hessian_block(const double *const *first, double *tr, double *om, double *nsq, int64_t ld,
+                   int64_t start, int64_t len, int64_t m, int64_t dim_h, const int64_t *twist,
                    const int64_t *rolls, double two_h)
 {
     if (dim_h == 4)
-        hessian_points(first, tr, om, nsq, start, len, m, 4, twist, rolls, two_h);
+        hessian_points(first, tr, om, nsq, ld, start, len, m, 4, twist, rolls, two_h);
     else
-        hessian_points(first, tr, om, nsq, start, len, m, dim_h, twist, rolls, two_h);
+        hessian_points(first, tr, om, nsq, ld, start, len, m, dim_h, twist, rolls, two_h);
 }
 
 void production_block(const double *tr, const double *om, const double *nsq,

@@ -20,7 +20,7 @@ from typing import get_args, get_type_hints
 from .energy import CSV_COLUMNS, derf_rhs, fill_numeric_rates, monotonicity_verdict
 from .flow import FlowConfig, stream
 from .identities import check_alpha
-from .lattice import make_grid, save_field
+from .lattice import make_grid, save_field, sweep_bytes
 from .suites import SUITE_BUILDERS, SUITE_NAMES, run_suite
 
 FORMAT_VERSION = "qcflow-cli-1"
@@ -98,22 +98,23 @@ def build_run_config(args) -> FlowConfig:
     return FlowConfig(**values)
 
 
-# whole float64 fields alive while one record's diagnostics run: the record,
-# the state the flow steps from and one derf_rhs working set, whose peak is
-# at most seven fields (tests/test_energy.py).  Under tracemalloc a whole
-# streamed `qcflow run --snapshots` peaks at 8.4 fields at m_x = 7 and at 9.6
-# at m_x = 6, where the block buffers weigh more.
-RECORD_FIELDS = 10
+# whole float64 fields of a streamed run besides one record's Hessian
+# sweep: the record, and the state the flow steps from while it steps.  The
+# sweep's arrays (lattice.sweep_bytes) are a window of x_0 planes at
+# m_x >= 8 and a whole jet below; under tracemalloc a whole streamed
+# `qcflow run --snapshots` peaks at 4.9 fields at m_x = 8 and 7.2 at
+# m_x = 7, against estimates of 5.97 and 8.95 (tests/test_cli.py).
+RECORD_FIELDS = 2
 
 
 def run_memory_bytes(cfg: FlowConfig) -> int:
     """Estimated peak bytes of `qcflow run` for cfg: RECORD_FIELDS whole
-    float64 fields for one record's diagnostics.  Records are streamed and
-    the step gathers keep no index table, so the estimate does not grow
-    with the number of records.  Computed from the grid's size alone,
-    without allocating a field."""
-    size = make_grid(cfg.n, cfg.m_x).size
-    return size * 8 * RECORD_FIELDS
+    float64 fields and the arrays of one record's largest Hessian sweep.
+    Records are streamed and the step gathers keep no index table, so the
+    estimate does not grow with the number of records.  Computed from the
+    grid's size alone, without allocating a field."""
+    grid = make_grid(cfg.n, cfg.m_x)
+    return grid.size * 8 * RECORD_FIELDS + sweep_bytes(grid)
 
 
 def available_memory() -> int | None:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import h_polynomial
 from .lattice import (LatticeGrid, ScalarField, _field_beside, _production_block, hessian_pass,
-                      twist_matrices)
+                      hessian_sweep, twist_matrices)
 from .operators import DifferenceJet, p_functional, reeb_derivative, sub_laplacian
 
 IDENTITY_NAMES = (
@@ -103,7 +103,7 @@ def _xi_sq(f: ScalarField) -> np.ndarray:
 
 
 class ProductionIntegrals(NamedTuple):
-    """FlowQuantities.production, from one contraction of F's Hessian pass."""
+    """FlowQuantities.production, from one contraction of F's Hessian sweep."""
     I_lap2: float
     I_quart: float
     I_hess2: float
@@ -116,13 +116,14 @@ class ProductionIntegrals(NamedTuple):
 class FlowQuantities:
     """Shared derived fields for the F = u^alpha identity chain (lazy).
 
-    F has one difference jet that every quantity of F reads, so its
-    gathers are made once, and its Hessian pass runs once, in
-    production.  Only what two quantities share is kept: F's jet, the
-    weight u^(1 - 2 alpha), |DF|^2 and the integrals.  The fields F and
-    f = u^(1/2) are formed beside u (lattice._field_beside) where they are
-    differentiated and do not outlive their jets; the P-pairing is the only
-    quantity of f.
+    F's Hessian is swept once, in production (lattice.hessian_sweep),
+    which makes F and its jet plane by plane, and the P-pairing, the only
+    quantity of f = u^(1/2), sweeps f the same way: so energy.derf_rhs,
+    which reads those two alone, never holds F, f or a jet whole.  The
+    catalog's other quantities of F read its whole jet, jetF, made once.
+    Only what two quantities share is kept: jetF, the weight
+    u^(1 - 2 alpha), |DF|^2 and the integrals.  A whole F is formed beside
+    u (lattice._field_beside) and does not outlive its jet.
     """
 
     def __init__(self, u: ScalarField, alpha: float):
@@ -158,7 +159,9 @@ class FlowQuantities:
     def production(self) -> ProductionIntegrals:
         """The integrals of F's Hessian, I_lap2, I_quart, I_hess2, I_omega2
         and I_deficit, the min of the p-deficit and the mean of |H|^2, from
-        one contraction of F's Hessian pass.
+        one contraction of F's Hessian sweep (lattice.hessian_sweep), which
+        makes F = u^alpha and its jet plane by plane and holds neither
+        whole.
 
         Per block it writes the weights u^(1-2 alpha) and u^(1-4 alpha)
         with np.power, and one call of lattice's production block forms,
@@ -167,28 +170,25 @@ class FlowQuantities:
         w2 sum_s omega_s^2 and w2 deficit, with the bits of the whole-field
         formulas, and returns the block's deficit minimum.  The contraction
         returns each integrand's np.add.reduce and that of |H|^2, so no
-        weight, square or integrand field is built.  The pass's totals give
+        weight, square or integrand field is built.  The sweep's totals give
         each integral the bits of one np.sum over the whole integrand, a
         min is exact in any order, and np.mean is that sum over the size.
         """
         grid = self.grid
-        jet = self.jetF
         u = self.u.values.reshape(-1)
-        first = jet.first.reshape(grid.size, grid.dim_h)
-        lap = jet.laplacian.reshape(-1)
-        e2, e4 = 1.0 - 2 * self.alpha, 1.0 - 4 * self.alpha
+        alpha, e2, e4 = self.alpha, 1.0 - 2 * self.alpha, 1.0 - 4 * self.alpha
         mins = []
 
-        def contract(blk, tr, om, nsq, work):
+        def contract(blk, tr, om, nsq, work, lap, first):
             (rows,) = work
             np.power(u[blk], e2, out=rows[0])
             np.power(u[blk], e4, out=rows[1])
-            mins.append(_production_block(tr, om, nsq, lap[blk], first[blk], rows))
+            mins.append(_production_block(tr, om, nsq, lap, first, rows))
             # lap2, quart, hess2, omega2 and the weighted deficit
             return (*(np.add.reduce(row) for row in rows), np.add.reduce(nsq))
 
-        *sums, norms = hessian_pass(jet.first, grid, contract, with_norm=True,
-                                    scratch=((5,),))
+        *sums, norms = hessian_sweep(u, grid, lambda src, out: np.power(src, alpha, out=out),
+                                     contract, with_norm=True, scratch=((5,),))
         vol = grid.cell_volume
         return ProductionIntegrals(*(float(vol * total) for total in sums),
                                    float(np.min(mins)), float(norms / grid.size))
@@ -208,11 +208,8 @@ class FlowQuantities:
 
     @cached_property
     def P_pair_half(self):
-        # f = u^(1/2) is a temporary of its jet, which drops it once built:
-        # no name holds it while the Hessian pass runs
-        u = self.u.values
-        return p_functional(DifferenceJet(ScalarField(
-            self.grid, np.sqrt(u, out=_field_beside(u, self.grid.shape)))))
+        # f = u^(1/2), made plane by plane in the window of its sweep
+        return p_functional(self.u, np.sqrt)
 
     @cached_property
     def I_gradlap(self):
@@ -361,11 +358,8 @@ def derf_terms(q, n, alpha) -> tuple:
     the model's torsion, which vanishes: c_lich * 0 is the signed zero that
     energy.csv has always written, and exact at Fraction input."""
     c_lap, c_quart, c_pfun, c_lich, c_pdef = derf_coefficients(n, alpha)
-    # f's jet lives only inside the P-pairing; evaluating it before F's jet
-    # exists keeps the two jets out of memory at the same time
-    p_pair = q.P_pair_half
     p = q.production
-    return (c_lap * p.I_lap2, c_quart * p.I_quart, c_pfun * p_pair, c_lich * 0,
+    return (c_lap * p.I_lap2, c_quart * p.I_quart, c_pfun * q.P_pair_half, c_lich * 0,
             c_pdef * p.I_deficit)
 
 

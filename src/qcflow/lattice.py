@@ -30,15 +30,24 @@ tr H, omega_s(H) and |H|^2, reading each neighbour's 4n differences as
 one run and omega_s from the twist columns; production's contraction
 forms its integrands with one more C call per block, production_block.
 The C function of each pass takes its inputs, its outputs, the points
-[start, start + len), the grid's constants and its scalars.  Every C
-function keeps its scratch on its own stack and does the + - x / of the
-whole-field numpy formula in its per-point order, under -ffp-contract=off
-(no FMA), so all have the bits of the numpy route on every machine.
-Every whole-field output of a run (the Euler pass's new field, the jet's
-first and lap, and the ln u, u^alpha and u^(1/2) that the energy and
-identities.FlowQuantities write with out=) is made by _field_beside, 2 KiB
-past its input modulo 4 KiB, so none of its stores false-aliases the loads
-the pass runs ahead of.
+[start, start + len), the grid's constants and its scalars; the jet and
+the Hessian read and write a field through a table of the bases of its m
+x_0 planes, which a whole field fills with its own planes (_plane_table).
+Every C function keeps its scratch on its own stack and does the + - x /
+of the whole-field numpy formula in its per-point order, under
+-ffp-contract=off (no FMA), so all have the bits of the numpy route on
+every machine.
+
+A record holds a window of planes, not a whole jet: hessian_sweep, the
+pass of the energy production and of the P-pairing, makes a transform of
+u (u^alpha or u^(1/2)), its jet and its Hessian plane by plane, since x_0
+is the outermost axis and only the steps along axis 0 leave a plane.  At
+m_x = 8 it holds five jet planes (3.125 fields), three transform planes
+and block arrays; below 2^18 points a plane, the whole field is its one
+slab.  Every output of a run (the Euler pass's new field, the jet's first
+and lap, ln u, each window plane and each block's arrays) is placed 2 KiB
+past its input modulo 4 KiB (_place, _field_beside), so none of its
+stores false-aliases the loads the pass runs ahead of.
 
 Left-invariant frame conventions (validated by the frame-contract tests):
 the twist bilinears are Im_s(conj(x) x') = x @ B_s @ x' with B_s minus the
@@ -48,6 +57,7 @@ its 2-forms omega_s = g(I_s ., .) are omega_s[a, b] = B_s[b, a].
 """
 from __future__ import annotations
 
+import bisect
 import ctypes
 import functools
 import itertools
@@ -259,6 +269,15 @@ def _tree_bounds(size: int, most: int) -> tuple[int, ...]:
     return tuple(bounds)
 
 
+@functools.cache
+def _largest_node(size: int, most: int) -> int:
+    # the largest block of _tree_bounds(size, most)
+    if size <= most:
+        return size
+    half = _tree_cut(size)
+    return max(_largest_node(half, most), _largest_node(size - half, most))
+
+
 def _tree_sum(block_sums: list, size: int):
     """The np.sum of a field from the np.sum of each block of a pass over
     its size points, in block order.
@@ -301,9 +320,10 @@ def _executor():
 
 def _share_blocks(run, count: int, buffers) -> None:
     """The pool helper of every pass: call run(first, last, bufs) on the
-    blocks [first, last) of a pass of count blocks, one contiguous run of
-    blocks per worker, the runs differing by at most one block, where bufs =
-    buffers() is the run's work space, made on the calling thread.
+    units [first, last) of a pass of count units (its blocks, or a sweep
+    round's fibres), one contiguous run of units per worker, the runs
+    differing by at most one unit, where bufs = buffers() is the run's work
+    space, made on the calling thread.
 
     The runs go to a module thread pool of WORKERS threads, made on first
     use, and the call returns when every run has ended.  The C functions
@@ -409,7 +429,7 @@ def _step_kernel():
             lib.grad_sq_block.argtypes = [ptr] * 3 + [i64] * 4 + [ptr, ptr, f64]
             lib.difference_jet.argtypes = [ptr] * 3 + [i64] * 4 + [ptr, ptr, f64, f64]
             lib.euler_update.argtypes = [ptr] * 3 + [i64] * 4 + [ptr, ptr, f64]
-            lib.hessian_block.argtypes = [ptr] * 4 + [i64] * 4 + [ptr, ptr, f64]
+            lib.hessian_block.argtypes = [ptr] * 4 + [i64] * 5 + [ptr, ptr, f64]
             lib.production_block.argtypes = [ptr] * 7 + [i64] * 2
             lib.plane_rolls.argtypes = [ptr, i64]
             for fn in (lib.grad_sq_block, lib.difference_jet, lib.euler_update,
@@ -432,6 +452,19 @@ def _one_field(values: np.ndarray, grid: LatticeGrid, what: str) -> np.ndarray:
 # where a whole-field output starts, past its input, modulo PLACE_SPAN bytes
 PLACE_GAP = 2048
 PLACE_SPAN = 4096
+# the float64 values by which an array is made longer, so that a view of it
+# can start anywhere modulo PLACE_SPAN
+PLACE_PAD = PLACE_SPAN // 8
+
+
+def _place(raw: np.ndarray, at: int, count: int) -> np.ndarray:
+    """The count values of raw, a flat float64 array at least PLACE_PAD
+    values longer, whose first value lies PLACE_GAP = 2 KiB past the address
+    at, modulo PLACE_SPAN = 4 KiB.  Every output of a pass or a transform
+    (a whole field, a window plane, a block's scratch) is placed by it
+    against the first value of the input it is written from."""
+    skip = (at + PLACE_GAP - raw.ctypes.data) % PLACE_SPAN // 8
+    return raw[skip:skip + count]
 
 
 def _field_beside(src: np.ndarray, shape: tuple) -> np.ndarray:
@@ -448,12 +481,24 @@ def _field_beside(src: np.ndarray, shape: tuple) -> np.ndarray:
     another, the Euler pass, the jet and np.log ran 1.4-3.5x slower on the
     2-core Xeon of the BENCH files."""
     count = math.prod(shape)
-    raw = np.empty(count + PLACE_SPAN // 8)
-    skip = (src.ctypes.data + PLACE_GAP - raw.ctypes.data) % PLACE_SPAN // 8
-    return raw[skip:skip + count].reshape(shape)
+    return _place(np.empty(count + PLACE_PAD), src.ctypes.data, count).reshape(shape)
 
 
-def _pass_blocks(block, grid: LatticeGrid, scratch) -> tuple:
+def _plane_table(arr: np.ndarray, grid: LatticeGrid) -> np.ndarray:
+    """The m base addresses of the x_0 planes of arr, a whole field or a
+    whole jet field, in order: the table through which difference_jet and
+    hessian_block read or write every plane of it."""
+    return arr.ctypes.data + arr.nbytes // grid.m_x * np.arange(grid.m_x, dtype=np.int64)
+
+
+def _block_arrays(raws, shapes, at: int, k: int) -> list:
+    """One block's arrays of shape lead + (k,) for each lead in shapes, each
+    placed in its raw array against the address at of the block's input."""
+    return [_place(raw, at, math.prod(shape) * k).reshape(tuple(shape) + (k,))
+            for raw, shape in zip(raws, shapes)]
+
+
+def _pass_blocks(block, grid: LatticeGrid, scratch, src: np.ndarray | None = None) -> tuple:
     """The block driver of grad_sq_pass and hessian_pass:
     call block(start, k, blocks) once per block [start, start + k), where
     blocks holds one contiguous float64 array of shape lead + (k,) per
@@ -469,21 +514,22 @@ def _pass_blocks(block, grid: LatticeGrid, scratch) -> tuple:
     block min or max is exact in any order.  The layout depends on
     grid.size alone; _share_blocks gives each worker one contiguous run of
     blocks and returns when every run has ended.  Each run's scratch is
-    made on the calling thread."""
+    made on the calling thread, and each block's arrays are placed 2 KiB
+    past the block's first point of src, the field or jet the block reads
+    (_place), or anywhere without src."""
     bounds = _block_bounds(grid.size)
     count = len(bounds) - 1
-    most = max(stop - start for start, stop in zip(bounds, bounds[1:]))
+    most = _largest_node(grid.size, BLOCK_POINTS)
     sums = [()] * count  # each block's sums, in the block's own slot
+    at, width = (0, 0) if src is None else (src.ctypes.data, src.nbytes // grid.size)
 
-    def run(first: int, last: int, space):
+    def run(first: int, last: int, raws):
         for i in range(first, last):
             start, k = bounds[i], bounds[i + 1] - bounds[i]
-            blocks = [s[:math.prod(shape) * k].reshape(tuple(shape) + (k,))
-                      for s, shape in zip(space, scratch)]
-            sums[i] = block(start, k, blocks) or ()
+            sums[i] = block(start, k, _block_arrays(raws, scratch, at + start * width, k)) or ()
 
     def buffers():
-        return [np.empty(math.prod(shape) * most) for shape in scratch]
+        return [np.empty(math.prod(shape) * most + PLACE_PAD) for shape in scratch]
 
     _share_blocks(run, count, buffers)
     return tuple(_tree_sum(entry, grid.size) for entry in zip(*sums))
@@ -520,7 +566,7 @@ def grad_sq_pass(values: np.ndarray, grid: LatticeGrid, weight: np.ndarray) -> f
         return (np.add.reduce(sq),)
 
     # the block's weighted |Df|^2
-    (total,) = _pass_blocks(block, grid, ((),))
+    (total,) = _pass_blocks(block, grid, ((),), src)
     return float(grid.cell_volume * total)
 
 
@@ -558,19 +604,276 @@ def hessian_pass(first: np.ndarray, grid: LatticeGrid, contract, with_norm: bool
     # as in grad_sq_pass, every address read by the C call lives until the
     # pass returns
     cols, rolls = grid._step_constants
-    src_at, cols_at, rolls_at = src.ctypes.data, cols.ctypes.data, rolls.ctypes.data
-    # tr, om, and with_norm nsq
-    own = ((), (3,), ()) if with_norm else ((), (3,))
+    table = _plane_table(src, grid)
+    table_at, cols_at, rolls_at = table.ctypes.data, cols.ctypes.data, rolls.ctypes.data
+    own = _hessian_own(with_norm)
 
     def block(start: int, k: int, blocks):
         tr, om = blocks[0], blocks[1]
         nsq = blocks[2] if with_norm else None
-        lib.hessian_block(src_at, tr.ctypes.data, om.ctypes.data,
-                          None if nsq is None else nsq.ctypes.data, start, k, m, dim_h,
+        lib.hessian_block(table_at, tr.ctypes.data, om.ctypes.data,
+                          None if nsq is None else nsq.ctypes.data, k, start, k, m, dim_h,
                           cols_at, rolls_at, two_h)
         return contract(slice(start, start + k), tr, om, nsq, blocks[len(own):])
 
-    return _pass_blocks(block, grid, own + tuple(scratch))
+    return _pass_blocks(block, grid, own + tuple(scratch), src)
+
+
+def _hessian_own(with_norm: bool) -> tuple:
+    # the block arrays of a Hessian pass: tr, om, and with_norm nsq
+    return ((), (3,), ()) if with_norm else ((), (3,))
+
+
+# the fewest points of an x_0 plane that a sweep holds a window of: a round
+# over a smaller plane (m_x <= 7 at n = 1) is too little work to share
+# between the workers, and such a field is swept as one slab of all its
+# planes
+WINDOW_PLANE_POINTS = 2 ** 18
+
+
+def _sweep_rounds(slabs: int, transform: bool) -> list:
+    """The rounds of a sweep over slabs slabs: (transforms, jet, hessians),
+    the sweep indices of its transforms, of its jet or None, and of its
+    Hessians.  Sweep index i is slab (i - 1) mod slabs, so the sweep starts
+    at the last slab and its Hessians run from slab 0 to the last, in the
+    order of the points.
+
+    Round k makes the jet of index k and the Hessian of index k - 1, which
+    reads the jets of k - 2 to k, and the transform of index k + 1, which
+    the jet of k reads with those of k - 1 and k.  The Hessians of indices
+    slabs - 1 and 0 wait for the jet of index slabs - 1, in a last round,
+    so the jets of indices 0 and 1 stay for the whole sweep."""
+    first = [([-1, 0], None, [])] if transform else []
+    rounds = [([k + 1] if transform else [], k, [k - 1] if 2 <= k < slabs else [])
+              for k in range(slabs)]
+    return first + rounds + [([], None, list(dict.fromkeys([slabs - 1, 0])))]
+
+
+def hessian_sweep(values: np.ndarray, grid: LatticeGrid, transform, contract,
+                  with_norm: bool, scratch=()) -> tuple:
+    """The Hessian pass of g = transform(values), or of the field values
+    itself when transform is None, swept over the x_0 planes, so that
+    neither g nor its jet is held whole.
+
+    The sweep moves by slabs: one x_0 plane when a plane holds at least
+    WINDOW_PLANE_POINTS points, else the whole field.  In the rounds of
+    _sweep_rounds it fills a window: the transform of a slab, the ufunc
+    transform(src, out=dst) written into one of three transform slots, its
+    jet (difference_jet, through tables of the planes the window holds),
+    then the Hessian of a slab (hessian_block) and the contraction of every
+    block it completes.  The window holds the jets of sweep indices 0 and 1,
+    which the last Hessians read again, and a ring of the three that a
+    Hessian reads, with one more for each slab that a block may reach back
+    past them: five jet planes when a block is at most a plane.  A slab
+    leaves the window when its last reader is done and its slot takes the
+    next one; a transform that left is made again where it is read again,
+    and a table entry of a plane the window does not hold is 0.  Every slot
+    is placed 2 KiB past the plane of its input (_place).  The transform
+    slots and the jet slots are one allocation each, which numpy backs with
+    huge pages where it can (a few thousand 4 KiB faults cost a third of a
+    sweep at m_x = 6), and the transform slots go once the last jet is made.
+
+    A round that makes a jet is split between the workers by fibres of the
+    slab: each worker makes its fibres' share of the round's transform, jet
+    and Hessian, and the steps that leave a plane (along axis 0) stay in
+    their fibre, so a worker reads what the round makes only at its own
+    fibres.  The last round is split by blocks.  The blocks are those of
+    _pass_blocks, and contract(blk, tr, om, nsq, work, lap, first) gets the
+    block's Hessian contractions as hessian_pass gives them, with its jet
+    rows lap (k,) and first (k, 4n): views of the window when the block lies
+    in one slab, copies when it straddles slabs.  A block within one
+    worker's share of a round is formed in the worker's block arrays; one
+    that spans shares or slabs is formed in arrays of its own, and
+    contracted by the worker that completes it.  So every block gets the
+    bits of hessian_pass, and adding the block sums up the tree gives the
+    whole-field sum of each entry.  contract runs on the pool's threads: it
+    may call no public qcflow function.
+    """
+    lib = _step_kernel()
+    src = _one_field(values, grid, "Hessian sweep")
+    m, dim_h = grid.m_x, grid.dim_h
+    plane, fibre = grid.size // m, m ** 3
+    own = _hessian_own(with_norm)
+    slabs, ring, slots, space = _window(grid, own + tuple(scratch))
+    span, per = grid.size // slabs, m // slabs  # a slab's points and planes
+    cols, rolls = grid._step_constants
+    steps = (m, dim_h, cols.ctypes.data, rolls.ctypes.data)
+    two_h, h_sq = 2.0 * grid.h_x, grid.h_x * grid.h_x
+    bounds = _block_bounds(grid.size)
+    most = _largest_node(grid.size, BLOCK_POINTS)
+    if set(range(0, grid.size, span)) <= set(bounds):
+        del space[-2:]  # no block straddles slabs
+    sums = [()] * (len(bounds) - 1)
+    t_raws = _raws([span] * (min(3, slabs) if transform else 0))
+    j_raws = _raws([span * dim_h, span] * slots)
+    spaces = []
+    g_tab = np.zeros(m, dtype=np.int64) if transform else _plane_table(src, grid)
+    first_tab, lap_tab = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
+    tabs = (g_tab.ctypes.data, first_tab.ctypes.data, lap_tab.ctypes.data)
+    g_slabs = {}  # transform slot -> (slab, its values of g)
+    jets = {}  # slab -> (first (span, 4n), lap (span,)) of g's jet
+    # the arrays of each open block that spans shares or slabs, the spare
+    # ones, and each block's points still to come
+    lock = threading.Lock()
+    opened, spare = {}, []
+    left = [stop - start for start, stop in zip(bounds, bounds[1:])]
+
+    def slab(i: int) -> int:
+        return (i - 1) % slabs
+
+    def tabulate(tab: np.ndarray, s: int, arr: np.ndarray):
+        # the planes of slab s, held in arr
+        tab[s * per:s * per + per] = arr.ctypes.data + arr.nbytes // per * np.arange(per)
+
+    def open_block(i: int, at: int, k: int) -> list:
+        with lock:
+            if i not in opened:
+                mine = spare.pop() if spare else [
+                    np.empty(math.prod(shape) * most + PLACE_PAD) for shape in own]
+                opened[i] = (mine, _block_arrays(mine, own, at, k))
+            return opened[i][1]
+
+    def jet_rows(start: int, stop: int, at: int, mine) -> tuple:
+        # the block's rows of lap and first: views of one slab, or copies
+        s, k = start // span, stop - start
+        if (stop - 1) // span == s:
+            first, lap = jets[s]
+            return lap[start - s * span:stop - s * span], first[start - s * span:stop - s * span]
+        lap_rows = _place(mine[-2], at, k)
+        first_rows = _place(mine[-1], at, k * dim_h).reshape(k, dim_h)
+        for s in range(s, (stop - 1) // span + 1):
+            a, b = max(start, s * span), min(stop, s * span + span)
+            first, lap = jets[s]
+            lap_rows[a - start:b - start] = lap[a - s * span:b - s * span]
+            first_rows[a - start:b - start] = first[a - s * span:b - s * span]
+        return lap_rows, first_rows
+
+    def hessian(lo: int, hi: int, mine):
+        # the Hessian of the points [lo, hi), block by block
+        i = bisect.bisect_right(bounds, lo) - 1
+        while bounds[i] < hi:
+            start, stop = bounds[i], bounds[i + 1]
+            k, a, b = stop - start, max(start, lo), min(stop, hi)
+            at = int(first_tab[a // plane]) + a % plane * dim_h * 8
+            # the block is complete once this piece is formed
+            done = (a, b) == (start, stop)
+            arrays = _block_arrays(mine, own, at, k) if done else open_block(i, at, k)
+            tr, om = arrays[0], arrays[1]
+            nsq = arrays[2] if with_norm else None
+            j = 8 * (a - start)
+            lib.hessian_block(tabs[1], tr.ctypes.data + j, om.ctypes.data + j,
+                              None if nsq is None else nsq.ctypes.data + j, k, a, b - a,
+                              *steps, two_h)
+            if not done:
+                with lock:
+                    left[i] -= b - a
+                    done = left[i] == 0
+            if done:
+                work = _block_arrays(mine[len(own):], scratch, at, k)
+                sums[i] = contract(slice(start, stop), tr, om, nsq, work,
+                                   *jet_rows(start, stop, at, mine)) or ()
+                if i in opened:
+                    with lock:
+                        spare.append(opened.pop(i)[0])
+            i += 1
+
+    def prepare(made, jet) -> list:
+        # place the slots of a round and write its tables; the slabs whose
+        # transform the round makes, with their slots
+        fresh = []
+        for j in made:
+            if all(s != slab(j) for s, _ in g_slabs.values()):
+                g = _place(t_raws[j % len(t_raws)], src[slab(j) * span:].ctypes.data, span)
+                g_slabs[j % len(t_raws)] = (slab(j), g)
+                fresh.append((slab(j), g))
+        if transform is not None and jet is not None:
+            # the slabs of indices jet - 1, jet and jet + 1 of g
+            held = {s: g for s, g in g_slabs.values()}
+            g_tab[:] = 0
+            for j in (jet - 1, jet, jet + 1):
+                tabulate(g_tab, slab(j), held[slab(j)])
+        if jet is not None:
+            at = int(g_tab[slab(jet) * per])
+            q = jet if jet < 2 else 2 + (jet - 2) % ring
+            jets[slab(jet)] = (_place(j_raws[2 * q], at, span * dim_h).reshape(span, dim_h),
+                               _place(j_raws[2 * q + 1], at, span))
+        # the jets of indices 0 and 1, and the ring's
+        newest = slabs if jet is None else jet
+        for s in list(jets):
+            if 2 <= (s + 1) % slabs <= newest - ring:
+                del jets[s]
+        first_tab[:] = lap_tab[:] = 0
+        for s, (first, lap) in jets.items():
+            tabulate(first_tab, s, first)
+            tabulate(lap_tab, s, lap)
+        return fresh
+
+    for made, jet, hessians in _sweep_rounds(slabs, transform is not None):
+        fresh = prepare(made, jet)
+        if hessians and not spaces:
+            spaces = [[np.empty(count + PLACE_PAD) for count in space] for _ in range(WORKERS)]
+        if jet is None and hessians:
+            # the last round, by blocks: its Hessians are one run of slabs
+            lo, hi = slab(hessians[0]) * span, slab(hessians[-1]) * span + span
+            b0, b1 = bisect.bisect_right(bounds, lo) - 1, bisect.bisect_left(bounds, hi)
+
+            def run(u0: int, u1: int, mine, lo=lo, hi=hi, b0=b0):
+                hessian(max(lo, bounds[b0 + u0]), min(hi, bounds[b0 + u1]), mine)
+
+            units = b1 - b0
+        else:
+            def run(u0: int, u1: int, mine, fresh=fresh, jet=jet, hessians=hessians):
+                lo, hi = u0 * fibre, u1 * fibre
+                for s, g in fresh:
+                    transform(src[s * span + lo:s * span + hi], out=g[lo:hi])
+                if jet is not None:
+                    lib.difference_jet(*tabs, slab(jet) * span + lo, hi - lo, *steps, two_h,
+                                       h_sq)
+                for i in hessians:
+                    hessian(slab(i) * span + lo, slab(i) * span + hi, mine)
+
+            units = span // fibre
+        _share_blocks(run, units, iter(spaces or [None] * WORKERS).__next__)
+        if jet == slabs - 1:
+            # the last jet is made: no transform is read again
+            g_slabs.clear()
+            t_raws = None
+    return tuple(_tree_sum(entry, grid.size) for entry in zip(*sums))
+
+
+def _window(grid: LatticeGrid, shapes: tuple) -> tuple:
+    """The layout of a Hessian sweep over grid whose block arrays have the
+    leads shapes: (slabs, ring, slots, space), the number of slabs, the
+    ring of sliding jets (the three a Hessian reads and one for each slab a
+    block may reach back past them), the jet slots, and the values of one
+    worker's block arrays and of the jet rows of a block that straddles
+    slabs.  It builds no block bounds, so a grid too large to run costs
+    nothing to lay out."""
+    slabs = grid.m_x if grid.size // grid.m_x >= WINDOW_PLANE_POINTS else 1
+    most = _largest_node(grid.size, BLOCK_POINTS)
+    ring = 2 + -(-most // (grid.size // slabs))
+    space = [math.prod(shape) * most for shape in shapes] + [most, most * grid.dim_h]
+    return slabs, ring, min(slabs, 2 + ring), space
+
+
+def sweep_bytes(grid: LatticeGrid) -> int:
+    """The bytes of the arrays of F's Hessian sweep (FlowQuantities.production),
+    the largest sweep of a record: three transform slots, the jet slots and
+    WORKERS sets of block arrays (tr, omega, |H|^2, five integrand rows and
+    a straddling block's jet rows), as hessian_sweep lays them out."""
+    slabs, _, slots, space = _window(grid, _hessian_own(True) + ((5,),))
+    span = grid.size // slabs
+    counts = [span] * min(3, slabs) + [span * grid.dim_h, span] * slots + space * WORKERS
+    return 8 * (sum(counts) + PLACE_PAD * len(counts))
+
+
+def _raws(counts: list) -> list:
+    """One flat float64 array for each count, each PLACE_PAD values longer
+    so that _place can start a view anywhere in it, all views of one
+    allocation."""
+    edges = np.cumsum([0] + [count + PLACE_PAD for count in counts])
+    arena = np.empty(edges[-1])
+    return [arena[lo:hi] for lo, hi in zip(edges, edges[1:])]
 
 
 def _production_block(tr: np.ndarray, om: np.ndarray, nsq: np.ndarray, lap: np.ndarray,
@@ -661,13 +964,14 @@ def jet_pass(values: np.ndarray, grid: LatticeGrid) -> tuple[np.ndarray, np.ndar
     cols, rolls = grid._step_constants
     first = _field_beside(src, grid.shape + (grid.dim_h,))
     lap = _field_beside(src, grid.shape)
+    tables = [_plane_table(arr, grid) for arr in (src, first, lap)]
     bounds = _block_bounds(grid.size)
 
     def run(i0: int, i1: int, _):
         start, stop = bounds[i0], bounds[i1]
-        lib.difference_jet(src.ctypes.data, first.ctypes.data, lap.ctypes.data,
-                           start, stop - start, grid.m_x, grid.dim_h, cols.ctypes.data,
-                           rolls.ctypes.data, 2.0 * grid.h_x, grid.h_x * grid.h_x)
+        lib.difference_jet(*(table.ctypes.data for table in tables), start, stop - start,
+                           grid.m_x, grid.dim_h, cols.ctypes.data, rolls.ctypes.data,
+                           2.0 * grid.h_x, grid.h_x * grid.h_x)
 
     _share_blocks(run, len(bounds) - 1, lambda: None)
     return first, lap

@@ -19,12 +19,15 @@ runs of a point's two neighbours along each axis a, forms the row
 H_a. = D_a of every D_b f and accumulates tr H and omega_s(H), and |H|^2
 when asked.  No Hessian field is kept: each consumer passes a contraction
 that reads a block's contractions and returns its block sums of the
-consumer's integrands (the production integrals of
-identities.FlowQuantities, the Bochner residual, the omega-contraction
-check of the calculus suite, p_functional, and divergence, the negated
-tr H of a 1-form's point-major components).  The energy's int |Df|^2 u
-is lattice.grad_sq_pass, one C call per block that reads the steps of
-ln u alone and builds no jet.
+consumer's integrands (the Bochner residual, the omega-contraction check
+of the calculus suite, p_functional of a jet, and divergence, the negated
+tr H of a 1-form's point-major components).  The two Hessians of a
+record, the P-pairing of a field (p_functional of a ScalarField, u^(1/2)
+for identities.FlowQuantities) and the production integrals of
+u^alpha, are lattice.hessian_sweep: it makes the field, its jet and its
+Hessian plane by plane, so a record holds a window of x_0 planes and no
+whole jet.  The energy's int |Df|^2 u is lattice.grad_sq_pass, one C call
+per block that reads the steps of ln u alone and builds no jet.
 sub_laplacian and p_functional read a jet, so a caller that needs both
 passes the jet instead of the field and pays for the gathers once; any
 other difference of a derived field (the identity catalog's commutators)
@@ -53,6 +56,7 @@ from .lattice import (
     HorizontalField,
     ScalarField,
     hessian_pass,
+    hessian_sweep,
     jet_pass,
     vertical_shift,
 )
@@ -112,28 +116,39 @@ def divergence(sigma: HorizontalField) -> ScalarField:
     return ScalarField(grid, out.reshape(grid.shape))
 
 
-def p_functional(f: ScalarField | DifferenceJet) -> float:
-    """Pairing integral of P_f against the gradient of f.
+def _p_integrand(lap: np.ndarray, tr: np.ndarray, om: np.ndarray, work) -> tuple:
+    # one block's Delta f tr H + sum_t G_t^2 and its sum
+    ib, sq = work
+    np.multiply(lap, tr, out=ib)
+    for t in range(3):
+        np.multiply(om[t], om[t], out=sq)
+        ib += sq
+    return (np.add.reduce(ib),)
 
-    Evaluated by summation by parts from the jet of f (module docstring):
-    vol * sum(Delta f tr H + sum_t G_t^2).  The integrand is formed and
+
+def p_functional(f: ScalarField | DifferenceJet, transform=None) -> float:
+    """Pairing integral of P_g against the gradient of g: g = f of a jet or
+    a field, or transform(f.values), a ufunc of the field, when transform is
+    given.
+
+    Evaluated by summation by parts from the jet of g (module docstring):
+    vol * sum(Delta g tr H + sum_t G_t^2).  The integrand is formed and
     summed block by block from tr H and omega_s(H) of the Hessian pass,
     so neither the full Hessian nor a whole-field integrand is built; the
-    pass's total has the bits of one np.sum over the whole integrand.  The
-    P-function of f counts as non-negative when this integral is
-    non-positive.
+    pass's total has the bits of one np.sum over the whole integrand.  Of a
+    field, the pass is lattice.hessian_sweep, which holds a window of the
+    x_0 planes of g and its jet, never a whole one.  The P-function of g
+    counts as non-negative when this integral is non-positive.
     """
-    jet = _jet(f)
-    grid = jet.grid
-    lap = jet.laplacian.reshape(-1)
-
-    def contract(blk, tr, om, nsq, work):
-        ib, sq = work
-        np.multiply(lap[blk], tr, out=ib)
-        for t in range(3):
-            np.multiply(om[t], om[t], out=sq)
-            ib += sq
-        return (np.add.reduce(ib),)
-
-    (total,) = hessian_pass(jet.first, grid, contract, with_norm=False, scratch=((), ()))
+    grid = f.grid
+    if isinstance(f, DifferenceJet):
+        lap = f.laplacian.reshape(-1)
+        (total,) = hessian_pass(
+            f.first, grid, lambda blk, tr, om, nsq, work: _p_integrand(lap[blk], tr, om, work),
+            with_norm=False, scratch=((), ()))
+    else:
+        (total,) = hessian_sweep(
+            f.values, grid, transform,
+            lambda blk, tr, om, nsq, work, lap, first: _p_integrand(lap, tr, om, work),
+            with_norm=False, scratch=((), ()))
     return float(grid.cell_volume * total)

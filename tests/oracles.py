@@ -2,15 +2,20 @@
 whole-field gather through a step table (every block kernel's reference),
 the gradient as a 1-form, the third-order P-form assembled from composed
 first differences (the lab pairs it with grad f by summation by parts,
-operators.p_functional), and the bump as its defining lattice sum at one
-group point (lattice.periodized_bump)."""
+operators.p_functional), the bump as its defining lattice sum at one
+group point (lattice.periodized_bump), the production integrals of F from
+its whole jet (the route that FlowQuantities.production sweeps), and a
+record of the calls of the C functions, with the plane tables they read."""
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 
 import numpy as np
 
+from qcflow import lattice
+from qcflow.identities import ProductionIntegrals
 from qcflow.lattice import (SUPPORT_FACTOR, GroupPoint, HorizontalField, LatticeGrid,
                             ScalarField, default_center, default_tau_width, group_inverse,
                             group_multiply, twist_matrices)
@@ -127,3 +132,50 @@ def bump_value(point: GroupPoint, grid: LatticeGrid, center: GroupPoint | None =
             tprod *= acc
         total += chi_x * tprod
     return offset + amplitude * total
+
+
+def whole_production(u: ScalarField, alpha: float) -> ProductionIntegrals:
+    """FlowQuantities.production from the whole jet of F = u^alpha and one
+    lattice.hessian_pass over it, whose contraction makes the weights with
+    np.power and the integrands with lattice's production block: the
+    all-planes route, with every plane of F and its jet held at once."""
+    grid = u.grid
+    values = u.values.reshape(-1)
+    jet = DifferenceJet(ScalarField(grid, np.power(u.values, alpha)))
+    first, lap = jet.first.reshape(grid.size, grid.dim_h), jet.laplacian.reshape(-1)
+    mins = []
+
+    def contract(blk, tr, om, nsq, work):
+        (rows,) = work
+        np.power(values[blk], 1.0 - 2 * alpha, out=rows[0])
+        np.power(values[blk], 1.0 - 4 * alpha, out=rows[1])
+        mins.append(lattice._production_block(tr, om, nsq, lap[blk], first[blk], rows))
+        return (*(np.add.reduce(row) for row in rows), np.add.reduce(nsq))
+
+    *sums, norms = lattice.hessian_pass(jet.first, grid, contract, with_norm=True,
+                                        scratch=((5,),))
+    return ProductionIntegrals(*(float(grid.cell_volume * total) for total in sums),
+                               float(np.min(mins)), float(norms / grid.size))
+
+
+def kernel_calls(monkeypatch) -> list:
+    """Record every call of a C function of _steps.c made through
+    lattice._step_kernel, as (name, arguments), in call order; the plane
+    tables that difference_jet and hessian_block read by address are
+    replaced by copies taken at the call, since a sweep rewrites them
+    between its rounds."""
+    lib, calls = lattice._step_kernel(), []
+    tables = {"difference_jet": (3, 5), "hessian_block": (1, 7)}  # (tables, index of m)
+
+    class Recorder:
+        def __getattr__(self, name):
+            def call(*args):
+                count, at_m = tables.get(name, (0, 0))
+                read = [np.ctypeslib.as_array((ctypes.c_int64 * args[at_m]).from_address(addr)).copy()
+                        for addr in args[:count]]
+                calls.append((name, (*read, *args[count:])))
+                return getattr(lib, name)(*args)
+            return call
+
+    monkeypatch.setattr(lattice, "_step_kernel", Recorder)
+    return calls

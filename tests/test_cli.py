@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from qcflow import cli, flow, suites
+from qcflow import cli, flow, lattice, suites
 from qcflow.cli import config_echo, main, parse_config_file
 from qcflow.energy import CSV_COLUMNS, derf_rhs, fill_numeric_rates, monotonicity_verdict
 from qcflow.flow import FlowConfig, cfl_timestep, evolve
@@ -178,8 +178,9 @@ def test_run_checks_the_invariants_at_every_step(tmp_path, monkeypatch, capsys):
 def test_run_refuses_a_grid_that_cannot_fit(tmp_path, monkeypatch, capsys):
     out = tmp_path / "o"
     need = cli.run_memory_bytes(FlowConfig(m_x=4))
-    # 10 whole fields per point
-    assert need == make_grid(1, 4).size * 8 * 10
+    # 2 whole fields and the arrays of F's Hessian sweep
+    grid = make_grid(1, 4)
+    assert need == grid.size * 8 * 2 + lattice.sweep_bytes(grid)
     monkeypatch.setattr(cli, "available_memory", lambda: need - 1)
     code = run_cli(["run", "--mx", "4", "--t-end", "0.001", "--out", str(out)])
     assert code == 2
@@ -206,6 +207,23 @@ def test_run_refuses_an_oversized_grid_before_allocating(tmp_path, capsys):
     assert not out.exists()
     assert elapsed < 0.5
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("m", [7, 8])
+def test_the_memory_estimate_covers_a_streamed_run(m, tmp_path):
+    # the estimate that check_memory refuses a grid by is at least what a
+    # streamed `qcflow run --snapshots` allocates at its peak: at m_x = 8,
+    # where a record's sweeps hold a window of planes, and at m_x = 7, where
+    # they hold the whole field as one slab
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        code = run_cli(["run", "--mx", str(m), "--snapshots", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= cli.run_memory_bytes(FlowConfig(m_x=m))
 
 
 def test_run_peak_memory_does_not_grow_with_the_records(tmp_path):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import qcflow.energy as energy_module
-import qcflow.operators as operators_module
 import qcflow.suites as suites_module
 from qcflow import lattice
 from qcflow.algebra import alpha_interval, h_polynomial
@@ -23,10 +22,10 @@ from qcflow.flow import FlowConfig, cfl_timestep, evolve, initial_field
 from qcflow.identities import (IDENTITY_NAMES, FlowQuantities, derf_coefficients,
                                identity_residual)
 from qcflow.lattice import ScalarField, make_grid, periodized_bump, twist_matrices
-from qcflow.operators import DifferenceJet
+from qcflow.operators import DifferenceJet, p_functional
 from qcflow.suites import _lemma_states, _rich_field, lemma_suite
 
-from oracles import grad_h
+from oracles import grad_h, kernel_calls, whole_production
 
 
 def flow_config(m=4, alpha=-0.05, **kw):
@@ -176,24 +175,33 @@ NO_HESSIAN_OF_F = ("ricci2", "ricci_mixed", "bochner", "gr4", "intform", "second
 @pytest.mark.parametrize("tag", IDENTITY_NAMES)
 def test_each_tag_streams_the_hessian_of_F_at_most_once(tag, monkeypatch):
     # every integral of F's Hessian comes from one contraction of its
-    # Hessian pass, so no tag runs the pass over F's first differences
-    # twice; the pass is counted in every qcflow namespace that binds it
+    # Hessian pass or sweep, so no tag runs a pass over F's first
+    # differences or a sweep of F twice; both are counted in every qcflow
+    # namespace that binds them
     alpha = -0.05
     u = _rich_field(make_grid(1, 4))
-    first_F = DifferenceJet(ScalarField(u.grid, np.power(u.values, alpha))).first
+    F = np.power(u.values, alpha)
+    first_F = DifferenceJet(ScalarField(u.grid, F)).first
     streamed = []
-    hessian_pass = lattice.hessian_pass
+    hessian_pass, hessian_sweep = lattice.hessian_pass, lattice.hessian_sweep
 
     def counting_pass(stack, *args, **kwargs):
         streamed.append(np.array_equal(stack, first_F))
         return hessian_pass(stack, *args, **kwargs)
 
-    bound = [mod for name, mod in sorted(sys.modules.items())
-             if name.split(".")[0] == "qcflow" and vars(mod).get("hessian_pass") is hessian_pass]
-    assert {mod.__name__ for mod in bound} >= {"qcflow.lattice", "qcflow.operators",
-                                               "qcflow.identities"}
-    for mod in bound:
-        monkeypatch.setattr(mod, "hessian_pass", counting_pass)
+    def counting_sweep(values, grid, transform, *args, **kwargs):
+        g = values if transform is None else transform(values, out=np.empty_like(values))
+        streamed.append(np.array_equal(np.reshape(g, F.shape), F))
+        return hessian_sweep(values, grid, transform, *args, **kwargs)
+
+    for name, counting in (("hessian_pass", counting_pass), ("hessian_sweep", counting_sweep)):
+        original = getattr(lattice, name)
+        bound = [mod for key, mod in sorted(sys.modules.items())
+                 if key.split(".")[0] == "qcflow" and vars(mod).get(name) is original]
+        assert {mod.__name__ for mod in bound} >= {"qcflow.lattice", "qcflow.operators",
+                                                   "qcflow.identities"}
+        for mod in bound:
+            monkeypatch.setattr(mod, name, counting)
     identity_residual(tag, u, alpha)
     assert sum(streamed) == (0 if tag in NO_HESSIAN_OF_F else 1)
 
@@ -241,39 +249,90 @@ def test_derf_rhs_deficit_terms_are_bit_identical_to_the_whole_field_hessian(m):
 
 
 @pytest.mark.parametrize("m", [5, 8])
-def test_derf_rhs_places_each_transform_and_jet_2_kib_past_its_input(m, monkeypatch):
-    # ln u, F = u^alpha and f = u^(1/2) start 2 KiB past u modulo 4 KiB,
-    # and each jet's fields 2 KiB past the field it differentiates, so no
-    # store of a transform or a jet false-aliases the loads it runs ahead
-    # of (m_x = 8 fields sit 16 B apart modulo 1 MiB where numpy places them)
-    seen = {"grad_sq": [], "jet": []}
+def test_derf_rhs_places_ln_u_and_its_windows_2_kib_past_their_inputs(m, monkeypatch):
+    # ln u starts 2 KiB past u modulo 4 KiB, each transform plane that the
+    # two sweeps (f = u^(1/2) and F = u^alpha) read 2 KiB past its plane of
+    # u, and each jet plane 2 KiB past the transform plane it differentiates,
+    # so no store of a transform or a jet false-aliases the loads it runs
+    # ahead of (m_x = 8 fields sit 16 B apart modulo 1 MiB where numpy
+    # places them); m_x = 5 is swept as one slab of all its planes
+    seen = []
 
     def grad_sq_pass(values, grid, weight):
-        seen["grad_sq"].append((values, weight))
+        seen.append((values, weight))
         return lattice.grad_sq_pass(values, grid, weight)
 
-    def jet_pass(values, grid):
-        first, lap = lattice.jet_pass(values, grid)
-        seen["jet"].append((values, first, lap))
-        return first, lap
-
     monkeypatch.setattr(energy_module, "grad_sq_pass", grad_sq_pass)
-    monkeypatch.setattr(operators_module, "jet_pass", jet_pass)
     u = initial_field(flow_config(m=m))
-    alpha = -0.05
-    derf_rhs(u, alpha)
+    calls = kernel_calls(monkeypatch)
+    derf_rhs(u, -0.05)
 
     def gap(out, src):
-        return (out.ctypes.data - src.ctypes.data) % 4096
+        return (out - src) % 4096
 
-    ((log_u, weight),) = seen["grad_sq"]
-    assert weight is u.values and gap(log_u, u.values) == 2048
+    ((log_u, weight),) = seen
+    assert weight is u.values and gap(log_u.ctypes.data, u.values.ctypes.data) == 2048
     assert log_u.tobytes() == np.log(u.values).tobytes()
-    transforms = {values.tobytes(): values for values, _, _ in seen["jet"]}
-    assert set(transforms) == {np.sqrt(u.values).tobytes(),
-                               np.power(u.values, alpha).tobytes()}
-    for values, first, lap in seen["jet"]:
-        assert [gap(values, u.values), gap(first, values), gap(lap, values)] == [2048] * 3
+    plane = u.values.size // m
+    jets = [args for name, args in calls if name == "difference_jet"]
+    assert jets and (m < 8 or {start // plane for _, _, _, start, *_ in jets} == set(range(m)))
+    for g_tab, first_tab, lap_tab, start, *_ in jets:
+        x = start // plane if m == 8 else 0
+        held = np.flatnonzero(g_tab)
+        assert {gap(int(g_tab[y]), u.values.ctypes.data + 8 * plane * y) for y in held} == {2048}
+        assert [gap(first_tab[x], g_tab[x]), gap(lap_tab[x], g_tab[x])] == [2048] * 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n, m", [(1, 5), (1, 6), (1, 7), (2, 3)])
+def test_the_swept_derf_rhs_has_the_bits_of_the_all_planes_route(n, m, workers, monkeypatch):
+    # a record swept plane by plane, with blocks of 4096 points that
+    # straddle the planes and the workers' shares, against the same record
+    # with every plane held (the whole field as one slab) and against the
+    # whole-jet routes of the P-pairing and the production integrals: every
+    # EnergyReport field, the production integrals and the P-pairing, with
+    # ==.  Each window slot is filled with NaN before it takes a plane, so
+    # a read of a plane that left the window, or of one not yet made, shows
+    monkeypatch.setattr(lattice, "WORKERS", workers)
+    monkeypatch.setattr(lattice, "BLOCK_POINTS", 4096)
+    alpha = -0.05
+    grid = make_grid(n, m)
+    u = ScalarField(grid, 1.0 + 0.3 * np.random.default_rng(m).random(grid.shape))
+    assert grid.size // m < lattice.WINDOW_PLANE_POINTS  # all planes held
+    reports = [derf_rhs(u, alpha, time=0.5)]
+    pairing = p_functional(DifferenceJet(ScalarField(grid, np.sqrt(u.values))))
+    production = whole_production(u, alpha)
+    place = lattice._place
+
+    def poisoned(raw, at, count):
+        raw.fill(np.nan)
+        return place(raw, at, count)
+
+    monkeypatch.setattr(lattice, "_place", poisoned)
+    monkeypatch.setattr(lattice, "WINDOW_PLANE_POINTS", 1)
+    reports.append(derf_rhs(u, alpha, time=0.5))
+    q = FlowQuantities(u, alpha)
+    assert q.P_pair_half == pairing == reports[0].p_functional
+    assert q.production == production
+    swept, held = (np.array(rep.csv_row()) for rep in reports)
+    assert np.array_equal(swept, held, equal_nan=True)
+    assert reports[0].min_pF == production.min_deficit
+
+
+def test_derf_rhs_holds_a_window_of_planes_at_m_x_8(monkeypatch):
+    # at m_x = 8 a record's sweeps hold five jet planes (3.125 fields),
+    # three transform planes and block arrays, never a whole jet: one
+    # derf_rhs peaks at 3.8 fields besides the record, 6.0 with whole jets
+    monkeypatch.setattr(lattice, "WORKERS", 2)
+    u = initial_field(flow_config(m=8))
+    derf_rhs(u, -0.05)  # builds the grid's step constants and the twist matrices
+    tracemalloc.start()
+    try:
+        derf_rhs(u, -0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * u.values.nbytes
 
 
 def test_derf_rhs_peaks_within_seven_whole_fields(monkeypatch):

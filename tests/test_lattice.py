@@ -33,7 +33,7 @@ from qcflow.lattice import (
     vertical_shift,
 )
 
-from oracles import bump_value, shift
+from oracles import bump_value, kernel_calls, shift
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qcflow"
 
@@ -380,6 +380,133 @@ def test_a_placed_field_is_a_whole_field_to_every_reader(m, tmp_path):
     assert load_field(str(tmp_path / "placed")).values.tobytes() == want
 
 
+@pytest.mark.parametrize("m", [5, 8])
+def test_block_arrays_sit_2_kib_past_the_block_of_their_input(m, monkeypatch):
+    # _pass_blocks places each block's arrays 2 KiB past the block's first
+    # point of the field or jet the block reads, modulo 4 KiB: the energy's
+    # weighted |Df|^2 past f, and tr, omega, |H|^2 and a contraction's rows
+    # past the point-major jet.  m_x = 5 blocks start at odd offsets
+    grid = make_grid(1, m)
+    f = np.random.default_rng(m).random(grid.size) + 1.0
+    first, _ = lattice.jet_pass(f, grid)
+    calls = kernel_calls(monkeypatch)
+    lattice.grad_sq_pass(f, grid, f)
+    gaps = [(out - src - 8 * start) % 4096
+            for name, (src, _, out, start, *_) in calls if name == "grad_sq_block"]
+    assert len(gaps) == len(lattice._block_bounds(grid.size)) - 1
+    assert set(gaps) == {2048}
+    gaps = []
+
+    def contract(blk, tr, om, nsq, work):
+        at = first.ctypes.data + 8 * grid.dim_h * blk.start
+        gaps.extend((arr.ctypes.data - at) % 4096 for arr in (tr, om, nsq, *work))
+
+    lattice.hessian_pass(first, grid, contract, with_norm=True, scratch=((5,), ()))
+    assert set(gaps) == {2048}
+
+
+@pytest.mark.parametrize("m, plane_points, block", [(5, 1, 4096), (8, None, None)])
+def test_the_sweep_places_its_window_2_kib_past_each_input(m, plane_points, block, monkeypatch):
+    # a sweep of one plane at a time (m_x = 8, and m_x = 5 with planes of
+    # any size held as a window) places each transform plane 2 KiB past the
+    # plane of u it transforms, each jet plane 2 KiB past the transform plane
+    # it differentiates, and the arrays of a block 2 KiB past the block's
+    # jet, each modulo 4 KiB; a plane the window does not hold has the
+    # table entry 0
+    monkeypatch.setattr(lattice, "WORKERS", 1)
+    if plane_points is not None:
+        monkeypatch.setattr(lattice, "WINDOW_PLANE_POINTS", plane_points)
+        monkeypatch.setattr(lattice, "BLOCK_POINTS", block)
+    grid = make_grid(1, m)
+    plane = grid.size // m
+    u = flow.initial_field(flow.FlowConfig(m_x=m, tau_profile=None), grid).values.reshape(-1)
+    calls = kernel_calls(monkeypatch)
+    gaps, blocks = [], 0
+
+    def contract(blk, tr, om, nsq, work, lap, first):
+        nonlocal blocks
+        if blk.start // plane == (blk.stop - 1) // plane:
+            blocks += 1
+            gaps.extend((arr.ctypes.data - first.ctypes.data) % 4096 for arr in (tr, om, nsq, *work))
+
+    lattice.hessian_sweep(u, grid, np.sqrt, contract, with_norm=True, scratch=((5,),))
+    jets = [args for name, args in calls if name == "difference_jet"]
+    assert len(jets) == m
+    for g_tab, first_tab, lap_tab, start, *_ in jets:
+        x = start // plane
+        held = np.flatnonzero(g_tab)
+        assert len(held) == 3 and x in held and len(np.flatnonzero(first_tab)) <= 5
+        assert {(int(g_tab[y]) - u.ctypes.data - 8 * plane * y) % 4096 for y in held} == {2048}
+        assert (first_tab[x] - g_tab[x]) % 4096 == (lap_tab[x] - g_tab[x]) % 4096 == 2048
+    assert blocks > 0 and set(gaps) == {2048}
+
+
+def test_the_sweep_keeps_its_bits_on_more_workers_than_cores(monkeypatch):
+    # four workers on a pool of four threads, with the interpreter switching
+    # threads every microsecond, sweep m_x = 5 plane by plane, where a block
+    # (19528 points and more) is longer than a plane (15625): the four
+    # shares of a round end in the same block at about the same time.  A
+    # lost update of a block's points still to come, or a block contracted
+    # before all its pieces are formed, changes the sums against one
+    # worker's
+    monkeypatch.setattr(lattice, "WINDOW_PLANE_POINTS", 1)
+    grid = make_grid(1, 5)
+    u = 1.0 + 0.3 * np.random.default_rng(5).random(grid.size)
+
+    def contract(blk, tr, om, nsq, work, lap, first):
+        return (np.add.reduce(lap * tr), np.add.reduce(nsq), np.add.reduce(first[:, 0] * om[1]))
+
+    def sweep():
+        return lattice.hessian_sweep(u, grid, np.sqrt, contract, with_norm=True)
+
+    monkeypatch.setattr(lattice, "WORKERS", 1)
+    expect = sweep()
+    monkeypatch.setattr(lattice, "WORKERS", 4)
+    pool = ThreadPoolExecutor(max_workers=4)
+    monkeypatch.setattr(lattice, "_executor", lambda: pool)
+    got = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        done = threading.Thread(target=lambda: got.extend(sweep() for _ in range(10)), daemon=True)
+        done.start()
+        done.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+        pool.shutdown()
+    assert not done.is_alive()
+    assert got == [expect] * 10
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
+def test_a_transform_in_a_window_slot_has_the_bits_of_the_whole_field(m):
+    # np.log, np.power(., alpha) and np.sqrt, the transforms of a record,
+    # give each x_0 plane, and the whole field as one slab, written in each
+    # worker's share of its fibres into a slot placed 2 KiB past it, the
+    # bits they give the whole field; so do slots at the other offsets
+    # modulo 64 B
+    grid = make_grid(1, m)
+    u = flow.initial_field(flow.FlowConfig(m_x=m, tau_profile=None), grid).values.reshape(-1)
+    plane, fibre = grid.size // m, m ** 3
+    raw = np.empty(grid.size + lattice.PLACE_PAD)
+
+    def power(values, out):
+        return np.power(values, -0.05, out=out)
+
+    for transform in (np.log, power, np.sqrt):
+        whole = transform(u, out=np.empty_like(u)).tobytes()
+        for span in (plane, grid.size):
+            for start in range(0, grid.size, span):
+                src = u[start:start + span]
+                for shift in range(0, 64, 8):
+                    slot = lattice._place(raw, src.ctypes.data + shift, span)
+                    for workers in (1, 2, 3):
+                        cuts = [span // fibre * i // workers * fibre for i in range(workers + 1)]
+                        for lo, hi in zip(cuts, cuts[1:]):
+                            transform(src[lo:hi], out=slot[lo:hi])
+                        assert slot.tobytes() == whole[8 * start:8 * (start + span)], (span, start)
+
+
 def test_vertical_shift_round_trip():
     grid = make_grid(1, 3)
     rng = np.random.default_rng(2)
@@ -641,9 +768,12 @@ def test_step_kernels_write_only_their_outputs(m):
         assert kept(out, slice(0, k))
         want = _weighted_grad_sq([da[0] for da in d], weight[start:start + k])
         assert out[:k].tobytes() == want.tobytes()
-        # the jet writes its points' runs of dim_h differences
+        # the jet writes its points' runs of dim_h differences, each field
+        # read or written through the table of its planes
         first, lap = canaries(dim_h * size), canaries(size)
-        lib.difference_jet(flat.ctypes.data, first.ctypes.data, lap.ctypes.data, *args,
+        planes = [lattice._plane_table(arr, grid)
+                  for arr in (flat, first[:dim_h * size], lap[:size])]
+        lib.difference_jet(*(t.ctypes.data for t in planes), *args,
                            cols.ctypes.data, table.ctypes.data, two_h, h_sq)
         assert kept(first, slice(dim_h * start, dim_h * (start + k)))
         assert kept(lap, slice(start, start + k))
@@ -659,8 +789,9 @@ def test_step_kernels_write_only_their_outputs(m):
         # those of the rows d[a], axis by axis from zero, with or without
         # nsq, omega_s's one entry +-1 of row a read from the twist
         tr, om, nsq = canaries(k), canaries(3 * k), canaries(k)
-        hess_args = (*args, cols.ctypes.data, table.ctypes.data, two_h)
-        lib.hessian_block(by_point.ctypes.data, tr.ctypes.data, om.ctypes.data,
+        hess_args = (k, *args, cols.ctypes.data, table.ctypes.data, two_h)
+        by_plane = lattice._plane_table(by_point, grid)
+        lib.hessian_block(by_plane.ctypes.data, tr.ctypes.data, om.ctypes.data,
                           nsq.ctypes.data, *hess_args)
         assert kept(tr, slice(0, k)) and kept(om, slice(0, 3 * k)) and kept(nsq, slice(0, k))
         want_tr, want_om, want_nsq = np.zeros(k), np.zeros((3, k)), np.zeros(k)
@@ -678,7 +809,7 @@ def test_step_kernels_write_only_their_outputs(m):
         assert om[:3 * k].tobytes() == want_om.tobytes()
         assert nsq[:k].tobytes() == want_nsq.tobytes()
         tr2, om2 = canaries(k), canaries(3 * k)
-        lib.hessian_block(by_point.ctypes.data, tr2.ctypes.data, om2.ctypes.data, None,
+        lib.hessian_block(by_plane.ctypes.data, tr2.ctypes.data, om2.ctypes.data, None,
                           *hess_args)
         assert tr2.tobytes() == tr.tobytes() and om2.tobytes() == om.tobytes()
         # the production block writes the five rows of work, in place of
