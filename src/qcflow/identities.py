@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import h_polynomial
 from .lattice import (LatticeGrid, ScalarField, _field_beside, _production_block, hessian_pass,
-                      hessian_sweep, twist_matrices)
+                      twist_matrices)
 from .operators import DifferenceJet, p_functional, reeb_derivative, sub_laplacian
 
 IDENTITY_NAMES = (
@@ -103,7 +103,7 @@ def _xi_sq(f: ScalarField) -> np.ndarray:
 
 
 class ProductionIntegrals(NamedTuple):
-    """FlowQuantities.production, from one contraction of F's Hessian sweep."""
+    """FlowQuantities.production, from one contraction of F's Hessian pass."""
     I_lap2: float
     I_quart: float
     I_hess2: float
@@ -116,11 +116,12 @@ class ProductionIntegrals(NamedTuple):
 class FlowQuantities:
     """Shared derived fields for the F = u^alpha identity chain (lazy).
 
-    F's Hessian is swept once, in production (lattice.hessian_sweep),
-    which makes F and its jet plane by plane, and the P-pairing, the only
-    quantity of f = u^(1/2), sweeps f the same way: so energy.derf_rhs,
-    which reads those two alone, never holds F, f or a jet whole.  The
-    catalog's other quantities of F read its whole jet, jetF, made once.
+    F's Hessian is swept once, in production: lattice.hessian_pass, given
+    u and the transform u^alpha, makes F and its jet plane by plane.  The
+    P-pairing, the only quantity of f = u^(1/2), sweeps f the same way: so
+    energy.derf_rhs, which reads those two alone, never holds F, f or a jet
+    whole.  The catalog's other quantities of F read its whole jet, jetF,
+    made once.
     Only what two quantities share is kept: jetF, the weight
     u^(1 - 2 alpha), |DF|^2 and the integrals.  A whole F is formed beside
     u (lattice._field_beside) and does not outlive its jet.
@@ -159,7 +160,7 @@ class FlowQuantities:
     def production(self) -> ProductionIntegrals:
         """The integrals of F's Hessian, I_lap2, I_quart, I_hess2, I_omega2
         and I_deficit, the min of the p-deficit and the mean of |H|^2, from
-        one contraction of F's Hessian sweep (lattice.hessian_sweep), which
+        one contraction of F's Hessian pass (lattice.hessian_pass), which
         makes F = u^alpha and its jet plane by plane and holds neither
         whole.
 
@@ -170,7 +171,7 @@ class FlowQuantities:
         w2 sum_s omega_s^2 and w2 deficit, with the bits of the whole-field
         formulas, and returns the block's deficit minimum.  The contraction
         returns each integrand's np.add.reduce and that of |H|^2, so no
-        weight, square or integrand field is built.  The sweep's totals give
+        weight, square or integrand field is built.  The pass's totals give
         each integral the bits of one np.sum over the whole integrand, a
         min is exact in any order, and np.mean is that sum over the size.
         """
@@ -187,8 +188,8 @@ class FlowQuantities:
             # lap2, quart, hess2, omega2 and the weighted deficit
             return (*(np.add.reduce(row) for row in rows), np.add.reduce(nsq))
 
-        *sums, norms = hessian_sweep(u, grid, lambda src, out: np.power(src, alpha, out=out),
-                                     contract, with_norm=True, scratch=((5,),))
+        *sums, norms = hessian_pass(u, grid, lambda src, out: np.power(src, alpha, out=out),
+                                    contract, with_norm=True, scratch=((5,),))
         vol = grid.cell_volume
         return ProductionIntegrals(*(float(vol * total) for total in sums),
                                    float(np.min(mins)), float(norms / grid.size))
@@ -289,7 +290,8 @@ def bochner_residual(f: ScalarField) -> IdentityReport:
     constant fields; statements written with the analyst's sign of the
     Laplacian carry the opposite left-hand side, and the Euclidean
     reduction pins the orientation used here.  The right side and the L2
-    norms are formed and summed block by block in f's Hessian pass.
+    norms are formed and summed block by block in the Hessian pass over
+    the first differences of f's jet, which the left side reads too.
     """
     grid = f.grid
     jet = DifferenceJet(f)
@@ -297,7 +299,7 @@ def bochner_residual(f: ScalarField) -> IdentityReport:
     dot = _grad_lap_dot(jet).reshape(-1)
     mixed = _reeb_mixed(grid, jet.first).reshape(-1)
 
-    def contract(blk, tr, om, nsq, work):
+    def contract(blk, tr, om, nsq, work, lap, first):
         # the right side -|H|^2 + dot - 4 mixed, grouped as written, and the
         # block sums of the squares of both sides and of their difference
         rhs, sq = work
@@ -314,7 +316,7 @@ def bochner_residual(f: ScalarField) -> IdentityReport:
         rhs *= rhs
         return lhs_sq, np.add.reduce(rhs), res_sq
 
-    sums = hessian_pass(jet.first, grid, contract, with_norm=True, scratch=((), ()))
+    sums = hessian_pass(jet.first, grid, None, contract, with_norm=True, scratch=((), ()))
     lhs, rhs, res = (float(np.sqrt(grid.cell_volume * total)) for total in sums)
     return _report("bochner", lhs, rhs, grid, residual=res)
 
@@ -450,7 +452,7 @@ def identity_residual(name: str, u: ScalarField, alpha: float | None = None) -> 
         if name == "intform":
             return _report(name, lhs, -4.0 * n * _integral(grid, _xi_sq(f)), grid)
         i_lap = _integral(grid, jet.laplacian ** 2)
-        rhs = -(1.0 / (4 * n)) * (p_functional(jet) + i_lap)
+        rhs = -(1.0 / (4 * n)) * (p_functional(f) + i_lap)
         scale = max(abs(lhs), abs(rhs), (1.0 / (4 * n)) * i_lap, NORM_FLOOR)
         return _report(name, lhs, rhs, grid, norm_scale=scale)
 

@@ -24,11 +24,12 @@ call per worker over its run of blocks, with the interpreter lock
 released; the jet's first differences are point-major, each point's 4n
 of them one run.  grad_sq_pass (the energy's int |Df|^2 weight) makes
 one call of grad_sq_block per block, which reads each point's 8n steps
-once and writes its weighted |Df|^2.  hessian_pass hands a contraction
-each block's composed differences of a jet, which hessian_block sums into
-tr H, omega_s(H) and |H|^2, reading each neighbour's 4n differences as
-one run and omega_s from the twist columns; production's contraction
-forms its integrands with one more C call per block, production_block.
+once and writes its weighted |Df|^2.  hessian_pass, the one Hessian
+pass, hands a contraction each block's composed differences of a field
+or of handed first differences, which hessian_block sums into tr H,
+omega_s(H) and |H|^2, reading each neighbour's 4n differences as one run
+and omega_s from the twist columns; production's contraction forms its
+integrands with one more C call per block, production_block.
 The C function of each pass takes its inputs, its outputs, the points
 [start, start + len), the grid's constants and its scalars; the jet and
 the Hessian read and write a field through a table of the bases of its m
@@ -38,13 +39,13 @@ of the whole-field numpy formula in its per-point order, under
 -ffp-contract=off (no FMA), so all have the bits of the numpy route on
 every machine.
 
-A record holds a window of planes, not a whole jet: hessian_sweep, the
-pass of the energy production and of the P-pairing, makes a transform of
-u (u^alpha or u^(1/2)), its jet and its Hessian plane by plane, since x_0
-is the outermost axis and only the steps along axis 0 leave a plane.  At
+A record holds a window of planes, not a whole jet: hessian_pass, given
+a field (the energy production's u^alpha, the P-pairing's u^(1/2)),
+makes the field, its jet and its Hessian plane by plane, since x_0 is
+the outermost axis and only the steps along axis 0 leave a plane.  At
 m_x = 8 it holds five jet planes (3.125 fields), three transform planes
 and block arrays; below 2^18 points a plane, the whole field is its one
-slab.  Every output of a run (the Euler pass's new field, the jet's first
+slab, as handed first differences always are.  Every output of a run (the Euler pass's new field, the jet's first
 and lap, ln u, each window plane and each block's arrays) is placed 2 KiB
 past its input modulo 4 KiB (_place, _field_beside), so none of its
 stores false-aliases the loads the pass runs ahead of.
@@ -498,13 +499,12 @@ def _block_arrays(raws, shapes, at: int, k: int) -> list:
             for raw, shape in zip(raws, shapes)]
 
 
-def _pass_blocks(block, grid: LatticeGrid, scratch, src: np.ndarray | None = None) -> tuple:
-    """The block driver of grad_sq_pass and hessian_pass:
-    call block(start, k, blocks) once per block [start, start + k), where
-    blocks holds one contiguous float64 array of shape lead + (k,) per
-    entry lead of scratch, and return the whole-field total of each entry
-    of the tuple of block sums that block returns (np.add.reduce, the
-    reduction of np.sum without its wrapper), or of none.
+def _pass_blocks(block, grid: LatticeGrid, scratch, src: np.ndarray) -> tuple:
+    """The block driver of grad_sq_pass: call block(start, k, blocks) once
+    per block [start, start + k), where blocks holds one contiguous float64
+    array of shape lead + (k,) per entry lead of scratch, and return the
+    whole-field total of each entry of the tuple of block sums that block
+    returns (np.add.reduce, the reduction of np.sum without its wrapper).
 
     The blocks are the nodes of numpy's pairwise-summation tree over the
     grid.size points that first have at most BLOCK_POINTS points
@@ -515,18 +515,17 @@ def _pass_blocks(block, grid: LatticeGrid, scratch, src: np.ndarray | None = Non
     grid.size alone; _share_blocks gives each worker one contiguous run of
     blocks and returns when every run has ended.  Each run's scratch is
     made on the calling thread, and each block's arrays are placed 2 KiB
-    past the block's first point of src, the field or jet the block reads
-    (_place), or anywhere without src."""
+    past the block's first point of src, the flat field the block reads
+    (_place)."""
     bounds = _block_bounds(grid.size)
     count = len(bounds) - 1
     most = _largest_node(grid.size, BLOCK_POINTS)
     sums = [()] * count  # each block's sums, in the block's own slot
-    at, width = (0, 0) if src is None else (src.ctypes.data, src.nbytes // grid.size)
 
     def run(first: int, last: int, raws):
         for i in range(first, last):
             start, k = bounds[i], bounds[i + 1] - bounds[i]
-            sums[i] = block(start, k, _block_arrays(raws, scratch, at + start * width, k)) or ()
+            sums[i] = block(start, k, _block_arrays(raws, scratch, src[start:].ctypes.data, k))
 
     def buffers():
         return [np.empty(math.prod(shape) * most + PLACE_PAD) for shape in scratch]
@@ -570,55 +569,6 @@ def grad_sq_pass(values: np.ndarray, grid: LatticeGrid, weight: np.ndarray) -> f
     return float(grid.cell_volume * total)
 
 
-def hessian_pass(first: np.ndarray, grid: LatticeGrid, contract, with_norm: bool,
-                 scratch=()) -> tuple:
-    """The one pass over a field's composed differences H_ab = D_a D_b f,
-    from the point-major first differences first[..., b] = D_b f of its
-    jet (jet_pass), of shape grid.shape + (4n,), or of a 1-form's
-    components (HorizontalField), whose tr H is minus its divergence.
-
-    Per block of _pass_blocks, one call of the C function hessian_block
-    goes through the block fibre by fibre and axis by axis: at each point
-    it reads the 4n differences of each of the two points a step along a
-    reaches as one run, forms the row H_a. from them and adds it, in (a, b)
-    order from zero as a whole-field pass does, into tr H = sum_a H_aa (of
-    first differences, the wide stencil: the compact sub-Laplacian is its
-    negative up to an O(h^2) stencil gap), omega_s(H) and, with_norm, |H|^2:
-    block arrays tr (k,), om (3, k) and nsq (k,); nsq is None without
-    with_norm.  It reads row a of omega_s as the twist column of (a, s),
-    one entry +-1, as the grid's constants hold it (they refuse columns
-    without that structure).  Then contract(blk, tr, om, nsq, work) writes
-    the block's share of the caller's outputs and returns its block's sums,
-    or nothing; work holds one block array per entry of scratch.  The pass
-    returns the whole-field sum of each entry, and builds no Hessian
-    field.  contract runs on the pool's threads: it may call no public
-    qcflow function.
-    """
-    lib = _step_kernel()
-    m, dim_h = grid.m_x, grid.dim_h
-    if np.shape(first) != grid.shape + (dim_h,):
-        raise ValueError(f"the Hessian pass takes a grid.shape + ({dim_h},) jet, "
-                         f"not values of shape {np.shape(first)}")
-    src = np.ascontiguousarray(first, dtype=np.float64)
-    two_h = 2.0 * grid.h_x
-    # as in grad_sq_pass, every address read by the C call lives until the
-    # pass returns
-    cols, rolls = grid._step_constants
-    table = _plane_table(src, grid)
-    table_at, cols_at, rolls_at = table.ctypes.data, cols.ctypes.data, rolls.ctypes.data
-    own = _hessian_own(with_norm)
-
-    def block(start: int, k: int, blocks):
-        tr, om = blocks[0], blocks[1]
-        nsq = blocks[2] if with_norm else None
-        lib.hessian_block(table_at, tr.ctypes.data, om.ctypes.data,
-                          None if nsq is None else nsq.ctypes.data, k, start, k, m, dim_h,
-                          cols_at, rolls_at, two_h)
-        return contract(slice(start, start + k), tr, om, nsq, blocks[len(own):])
-
-    return _pass_blocks(block, grid, own + tuple(scratch), src)
-
-
 def _hessian_own(with_norm: bool) -> tuple:
     # the block arrays of a Hessian pass: tr, om, and with_norm nsq
     return ((), (3,), ()) if with_norm else ((), (3,))
@@ -649,19 +599,45 @@ def _sweep_rounds(slabs: int, transform: bool) -> list:
     return first + rounds + [([], None, list(dict.fromkeys([slabs - 1, 0])))]
 
 
-def hessian_sweep(values: np.ndarray, grid: LatticeGrid, transform, contract,
-                  with_norm: bool, scratch=()) -> tuple:
-    """The Hessian pass of g = transform(values), or of the field values
-    itself when transform is None, swept over the x_0 planes, so that
-    neither g nor its jet is held whole.
+def hessian_pass(values: np.ndarray, grid: LatticeGrid, transform, contract,
+                 with_norm: bool, scratch=()) -> tuple:
+    """The one pass over the composed differences H_ab = D_a D_b g of a
+    field g, which builds no Hessian field: g = transform(values), or the
+    field values itself when transform is None, or the field whose
+    point-major first differences values[..., b] = D_b g are handed, of
+    shape grid.shape + (4n,) (a jet's first, or a 1-form's components,
+    HorizontalField, whose tr H is minus its divergence).  Values of
+    another shape, unless they are grid.size points, and a transform of
+    handed differences are refused before any C call.
 
-    The sweep moves by slabs: one x_0 plane when a plane holds at least
-    WINDOW_PLANE_POINTS points, else the whole field.  In the rounds of
-    _sweep_rounds it fills a window: the transform of a slab, the ufunc
-    transform(src, out=dst) written into one of three transform slots, its
-    jet (difference_jet, through tables of the planes the window holds),
-    then the Hessian of a slab (hessian_block) and the contraction of every
-    block it completes.  The window holds the jets of sweep indices 0 and 1,
+    Per block, one call of the C function hessian_block goes through the
+    block fibre by fibre and axis by axis: at each point it reads the 4n
+    differences of each of the two points a step along a reaches as one
+    run, forms the row H_a. from them and adds it, in (a, b) order from
+    zero as a whole-field pass does, into tr H = sum_a H_aa (of first
+    differences, the wide stencil: the compact sub-Laplacian is its
+    negative up to an O(h^2) stencil gap), omega_s(H) and, with_norm,
+    |H|^2: block arrays tr (k,), om (3, k) and nsq (k,); nsq is None
+    without with_norm.  It reads row a of omega_s as the twist column of
+    (a, s), one entry +-1, as the grid's constants hold it (they refuse
+    columns without that structure).  Then contract(blk, tr, om, nsq,
+    work, lap, first) writes the block's share of the caller's outputs and
+    returns its block's sums, or nothing; work holds one block array per
+    entry of scratch, and lap (k,) and first (k, 4n) are the block's rows
+    of g's jet, or None and the rows of the handed differences.  The pass
+    returns the whole-field sum of each entry.  The blocks are those of
+    _pass_blocks, nodes of numpy's pairwise-summation tree, so adding the
+    block sums up the tree gives the bits of one np.sum.  contract runs on
+    the pool's threads: it may call no public qcflow function.
+
+    A field is swept over the x_0 planes, so that neither g nor its jet is
+    held whole.  The sweep moves by slabs: one x_0 plane when a plane holds
+    at least WINDOW_PLANE_POINTS points, else the whole field.  In the
+    rounds of _sweep_rounds it fills a window: the transform of a slab, the
+    ufunc transform(src, out=dst) written into one of three transform
+    slots, its jet (difference_jet, through tables of the planes the window
+    holds), then the Hessian of a slab and the contraction of every block
+    it completes.  The window holds the jets of sweep indices 0 and 1,
     which the last Hessians read again, and a ring of the three that a
     Hessian reads, with one more for each slab that a block may reach back
     past them: five jet planes when a block is at most a plane.  A slab
@@ -672,29 +648,31 @@ def hessian_sweep(values: np.ndarray, grid: LatticeGrid, transform, contract,
     slots and the jet slots are one allocation each, which numpy backs with
     huge pages where it can (a few thousand 4 KiB faults cost a third of a
     sweep at m_x = 6), and the transform slots go once the last jet is made.
+    Handed differences are read whole, as one slab: the pass runs the last
+    round alone.
 
     A round that makes a jet is split between the workers by fibres of the
     slab: each worker makes its fibres' share of the round's transform, jet
     and Hessian, and the steps that leave a plane (along axis 0) stay in
     their fibre, so a worker reads what the round makes only at its own
-    fibres.  The last round is split by blocks.  The blocks are those of
-    _pass_blocks, and contract(blk, tr, om, nsq, work, lap, first) gets the
-    block's Hessian contractions as hessian_pass gives them, with its jet
-    rows lap (k,) and first (k, 4n): views of the window when the block lies
-    in one slab, copies when it straddles slabs.  A block within one
-    worker's share of a round is formed in the worker's block arrays; one
-    that spans shares or slabs is formed in arrays of its own, and
-    contracted by the worker that completes it.  So every block gets the
-    bits of hessian_pass, and adding the block sums up the tree gives the
-    whole-field sum of each entry.  contract runs on the pool's threads: it
-    may call no public qcflow function.
+    fibres.  The last round is split by blocks.  A block's jet rows are
+    views of the window when it lies in one slab, copies when it straddles
+    slabs.  A block within one worker's share of a round is formed in the
+    worker's block arrays, placed 2 KiB past the block's first point of
+    the jet; one that spans shares or slabs is formed in arrays of its own,
+    and contracted by the worker that completes it.  So every block gets
+    the bits of a pass over the whole jet.
     """
     lib = _step_kernel()
-    src = _one_field(values, grid, "Hessian sweep")
     m, dim_h = grid.m_x, grid.dim_h
+    handed = np.shape(values) == grid.shape + (dim_h,)
+    if handed and transform is not None:
+        raise ValueError("the Hessian pass transforms a field, not handed differences")
+    src = (np.ascontiguousarray(values, dtype=np.float64).reshape(grid.size, dim_h) if handed
+           else _one_field(values, grid, "Hessian pass"))
     plane, fibre = grid.size // m, m ** 3
     own = _hessian_own(with_norm)
-    slabs, ring, slots, space = _window(grid, own + tuple(scratch))
+    slabs, ring, slots, space = _window(grid, own + tuple(scratch), handed)
     span, per = grid.size // slabs, m // slabs  # a slab's points and planes
     cols, rolls = grid._step_constants
     steps = (m, dim_h, cols.ctypes.data, rolls.ctypes.data)
@@ -711,7 +689,8 @@ def hessian_sweep(values: np.ndarray, grid: LatticeGrid, transform, contract,
     first_tab, lap_tab = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
     tabs = (g_tab.ctypes.data, first_tab.ctypes.data, lap_tab.ctypes.data)
     g_slabs = {}  # transform slot -> (slab, its values of g)
-    jets = {}  # slab -> (first (span, 4n), lap (span,)) of g's jet
+    # slab -> (first (span, 4n), lap (span,)) of g's jet, or the handed rows
+    jets = {0: (src, None)} if handed else {}
     # the arrays of each open block that spans shares or slabs, the spare
     # ones, and each block's points still to come
     lock = threading.Lock()
@@ -738,7 +717,8 @@ def hessian_sweep(values: np.ndarray, grid: LatticeGrid, transform, contract,
         s, k = start // span, stop - start
         if (stop - 1) // span == s:
             first, lap = jets[s]
-            return lap[start - s * span:stop - s * span], first[start - s * span:stop - s * span]
+            rows = slice(start - s * span, stop - s * span)
+            return None if lap is None else lap[rows], first[rows]
         lap_rows = _place(mine[-2], at, k)
         first_rows = _place(mine[-1], at, k * dim_h).reshape(k, dim_h)
         for s in range(s, (stop - 1) // span + 1):
@@ -805,10 +785,12 @@ def hessian_sweep(values: np.ndarray, grid: LatticeGrid, transform, contract,
         first_tab[:] = lap_tab[:] = 0
         for s, (first, lap) in jets.items():
             tabulate(first_tab, s, first)
-            tabulate(lap_tab, s, lap)
+            if lap is not None:
+                tabulate(lap_tab, s, lap)
         return fresh
 
-    for made, jet, hessians in _sweep_rounds(slabs, transform is not None):
+    rounds = _sweep_rounds(slabs, transform is not None)
+    for made, jet, hessians in rounds[-1:] if handed else rounds:
         fresh = prepare(made, jet)
         if hessians and not spaces:
             spaces = [[np.empty(count + PLACE_PAD) for count in space] for _ in range(WORKERS)]
@@ -841,27 +823,28 @@ def hessian_sweep(values: np.ndarray, grid: LatticeGrid, transform, contract,
     return tuple(_tree_sum(entry, grid.size) for entry in zip(*sums))
 
 
-def _window(grid: LatticeGrid, shapes: tuple) -> tuple:
-    """The layout of a Hessian sweep over grid whose block arrays have the
+def _window(grid: LatticeGrid, shapes: tuple, handed: bool) -> tuple:
+    """The layout of a Hessian pass over grid whose block arrays have the
     leads shapes: (slabs, ring, slots, space), the number of slabs, the
     ring of sliding jets (the three a Hessian reads and one for each slab a
     block may reach back past them), the jet slots, and the values of one
     worker's block arrays and of the jet rows of a block that straddles
-    slabs.  It builds no block bounds, so a grid too large to run costs
+    slabs.  Handed differences are one slab, and the pass makes no jet to
+    hold.  It builds no block bounds, so a grid too large to run costs
     nothing to lay out."""
-    slabs = grid.m_x if grid.size // grid.m_x >= WINDOW_PLANE_POINTS else 1
+    slabs = grid.m_x if not handed and grid.size // grid.m_x >= WINDOW_PLANE_POINTS else 1
     most = _largest_node(grid.size, BLOCK_POINTS)
     ring = 2 + -(-most // (grid.size // slabs))
     space = [math.prod(shape) * most for shape in shapes] + [most, most * grid.dim_h]
-    return slabs, ring, min(slabs, 2 + ring), space
+    return slabs, ring, 0 if handed else min(slabs, 2 + ring), space
 
 
 def sweep_bytes(grid: LatticeGrid) -> int:
     """The bytes of the arrays of F's Hessian sweep (FlowQuantities.production),
     the largest sweep of a record: three transform slots, the jet slots and
     WORKERS sets of block arrays (tr, omega, |H|^2, five integrand rows and
-    a straddling block's jet rows), as hessian_sweep lays them out."""
-    slabs, _, slots, space = _window(grid, _hessian_own(True) + ((5,),))
+    a straddling block's jet rows), as hessian_pass lays them out."""
+    slabs, _, slots, space = _window(grid, _hessian_own(True) + ((5,),), False)
     span = grid.size // slabs
     counts = [span] * min(3, slabs) + [span * grid.dim_h, span] * slots + space * WORKERS
     return 8 * (sum(counts) + PLACE_PAD * len(counts))

@@ -12,26 +12,23 @@ shares the point blocks among the cores and reads the steps in C.  One
 field's derivatives come from its difference jet (DifferenceJet):
 lattice.jet_pass reads the 8n steps S_a^{+-} f once per point and writes
 both the first differences D_a f and the compact sub-Laplacian.  The
-composed second differences H_ab = D_a D_b f come from one Hessian pass,
-lattice.hessian_pass over the jet's point-major `first`, which holds each
-point's 4n differences D_b f as one run: per block, one C call reads the
+composed second differences H_ab = D_a D_b f come from the one Hessian
+pass, lattice.hessian_pass, over point-major first differences, each
+point's 4n differences D_b f one run: per block, one C call reads the
 runs of a point's two neighbours along each axis a, forms the row
 H_a. = D_a of every D_b f and accumulates tr H and omega_s(H), and |H|^2
 when asked.  No Hessian field is kept: each consumer passes a contraction
 that reads a block's contractions and returns its block sums of the
-consumer's integrands (the Bochner residual, the omega-contraction check
-of the calculus suite, p_functional of a jet, and divergence, the negated
-tr H of a 1-form's point-major components).  The two Hessians of a
-record, the P-pairing of a field (p_functional of a ScalarField, u^(1/2)
-for identities.FlowQuantities) and the production integrals of
-u^alpha, are lattice.hessian_sweep: it makes the field, its jet and its
-Hessian plane by plane, so a record holds a window of x_0 planes and no
-whole jet.  The energy's int |Df|^2 u is lattice.grad_sq_pass, one C call
-per block that reads the steps of ln u alone and builds no jet.
-sub_laplacian and p_functional read a jet, so a caller that needs both
-passes the jet instead of the field and pays for the gathers once; any
-other difference of a derived field (the identity catalog's commutators)
-reads that field's jet.
+consumer's integrands.  Given a field (the P-pairing of p_functional, the
+production integrals of u^alpha, the omega-contraction check of the
+calculus suite), the pass makes the field's jet and its Hessian plane by
+plane, so a record holds a window of x_0 planes and no whole jet.  Given
+first differences, it reads them whole: the Bochner residual hands the
+jet it holds anyway, and divergence the point-major components of a
+1-form, whose negated tr H it is.  The energy's int |Df|^2 u is
+lattice.grad_sq_pass, one C call per block that reads the steps of ln u
+alone and builds no jet.  Any other difference of a derived field (the
+identity catalog's commutators) reads that field's jet.
 
 Because D_a is exactly skew-adjoint, the P-pairing needs no third-order
 stencil: summing by parts,
@@ -56,7 +53,6 @@ from .lattice import (
     HorizontalField,
     ScalarField,
     hessian_pass,
-    hessian_sweep,
     jet_pass,
     vertical_shift,
 )
@@ -74,18 +70,15 @@ class DifferenceJet:
     Both come from lattice.jet_pass, one C call per worker that reads each
     point's 8n steps once and does the stencils' + - x / in their per-point
     order, so they have the bits of the whole-field stencils.  The Hessian
-    H_ab = D_a D_b f is lattice.hessian_pass over `first`, which reads a
-    neighbour's 4n differences as one run.  A composed difference D_a g of
-    a derived field g reads the jet of g: DifferenceJet(g).first[..., a].
+    H_ab = D_a D_b f is lattice.hessian_pass of f, or of `first` handed to
+    it, which reads a neighbour's 4n differences as one run.  A composed
+    difference D_a g of a derived field g reads the jet of g:
+    DifferenceJet(g).first[..., a].
     """
 
     def __init__(self, f: ScalarField):
         self.grid = f.grid
         self.first, self.laplacian = jet_pass(f.values, f.grid)
-
-
-def _jet(f: ScalarField | DifferenceJet) -> DifferenceJet:
-    return f if isinstance(f, DifferenceJet) else DifferenceJet(f)
 
 
 def reeb_derivative(f: ScalarField, s: int) -> ScalarField:
@@ -96,23 +89,23 @@ def reeb_derivative(f: ScalarField, s: int) -> ScalarField:
     return ScalarField(grid, XI_SCALE * diff)
 
 
-def sub_laplacian(f: ScalarField | DifferenceJet) -> ScalarField:
+def sub_laplacian(f: ScalarField) -> ScalarField:
     """Positive sub-Laplacian from compact per-axis second differences."""
-    jet = _jet(f)
-    return ScalarField(jet.grid, jet.laplacian)
+    return ScalarField(f.grid, DifferenceJet(f).laplacian)
 
 
 def divergence(sigma: HorizontalField) -> ScalarField:
     """Horizontal divergence nabla* sigma = -sum_a X_a sigma_a, of integral
     exactly zero: the negated tr H = sum_a D_a sigma_a of the Hessian pass
-    over sigma, the bits of -(zeros + D_0 sigma_0 + D_1 sigma_1 + ...)."""
+    over sigma's components, handed as first differences, the bits of
+    -(zeros + D_0 sigma_0 + D_1 sigma_1 + ...)."""
     grid = sigma.grid
     out = np.empty(grid.size)
 
-    def contract(blk, tr, om, nsq, work):
+    def contract(blk, tr, om, nsq, work, lap, first):
         np.negative(tr, out=out[blk])
 
-    hessian_pass(sigma.components, grid, contract, with_norm=False)
+    hessian_pass(sigma.components, grid, None, contract, with_norm=False)
     return ScalarField(grid, out.reshape(grid.shape))
 
 
@@ -126,29 +119,22 @@ def _p_integrand(lap: np.ndarray, tr: np.ndarray, om: np.ndarray, work) -> tuple
     return (np.add.reduce(ib),)
 
 
-def p_functional(f: ScalarField | DifferenceJet, transform=None) -> float:
-    """Pairing integral of P_g against the gradient of g: g = f of a jet or
-    a field, or transform(f.values), a ufunc of the field, when transform is
-    given.
+def p_functional(f: ScalarField, transform=None) -> float:
+    """Pairing integral of P_g against the gradient of g: g = f, or
+    transform(f.values), a ufunc of the field, when transform is given.
 
     Evaluated by summation by parts from the jet of g (module docstring):
     vol * sum(Delta g tr H + sum_t G_t^2).  The integrand is formed and
-    summed block by block from tr H and omega_s(H) of the Hessian pass,
-    so neither the full Hessian nor a whole-field integrand is built; the
-    pass's total has the bits of one np.sum over the whole integrand.  Of a
-    field, the pass is lattice.hessian_sweep, which holds a window of the
-    x_0 planes of g and its jet, never a whole one.  The P-function of g
-    counts as non-negative when this integral is non-positive.
+    summed block by block from tr H and omega_s(H) of the Hessian pass of
+    g, so neither the full Hessian nor a whole-field integrand is built;
+    the pass's total has the bits of one np.sum over the whole integrand,
+    and it holds a window of the x_0 planes of g and its jet, never a
+    whole one.  The P-function of g counts as non-negative when this
+    integral is non-positive.
     """
     grid = f.grid
-    if isinstance(f, DifferenceJet):
-        lap = f.laplacian.reshape(-1)
-        (total,) = hessian_pass(
-            f.first, grid, lambda blk, tr, om, nsq, work: _p_integrand(lap[blk], tr, om, work),
-            with_norm=False, scratch=((), ()))
-    else:
-        (total,) = hessian_sweep(
-            f.values, grid, transform,
-            lambda blk, tr, om, nsq, work, lap, first: _p_integrand(lap, tr, om, work),
-            with_norm=False, scratch=((), ()))
+    (total,) = hessian_pass(
+        f.values, grid, transform,
+        lambda blk, tr, om, nsq, work, lap, first: _p_integrand(lap, tr, om, work),
+        with_norm=False, scratch=((), ()))
     return float(grid.cell_volume * total)

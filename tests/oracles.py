@@ -3,8 +3,9 @@ whole-field gather through a step table (every block kernel's reference),
 the gradient as a 1-form, the third-order P-form assembled from composed
 first differences (the lab pairs it with grad f by summation by parts,
 operators.p_functional), the bump as its defining lattice sum at one
-group point (lattice.periodized_bump), the production integrals of F from
-its whole jet (the route that FlowQuantities.production sweeps), and a
+group point (lattice.periodized_bump), the production integrals of F and
+the P-pairing from a whole jet (the routes that FlowQuantities.production
+and operators.p_functional sweep), and a
 record of the calls of the C functions, with the plane tables they read."""
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from qcflow import lattice
+from qcflow import lattice, operators
 from qcflow.identities import ProductionIntegrals
 from qcflow.lattice import (SUPPORT_FACTOR, GroupPoint, HorizontalField, LatticeGrid,
                             ScalarField, default_center, default_tau_width, group_inverse,
@@ -135,27 +136,44 @@ def bump_value(point: GroupPoint, grid: LatticeGrid, center: GroupPoint | None =
 
 
 def whole_production(u: ScalarField, alpha: float) -> ProductionIntegrals:
-    """FlowQuantities.production from the whole jet of F = u^alpha and one
-    lattice.hessian_pass over it, whose contraction makes the weights with
-    np.power and the integrands with lattice's production block: the
-    all-planes route, with every plane of F and its jet held at once."""
+    """FlowQuantities.production from the whole jet of F = u^alpha, made by
+    lattice.jet_pass, and lattice.hessian_pass over its handed first
+    differences, whose contraction reads the block's rows of the jet's lap,
+    makes the weights with np.power and the integrands with lattice's
+    production block: the all-planes route, with every plane of F and its
+    jet held at once."""
     grid = u.grid
     values = u.values.reshape(-1)
-    jet = DifferenceJet(ScalarField(grid, np.power(u.values, alpha)))
-    first, lap = jet.first.reshape(grid.size, grid.dim_h), jet.laplacian.reshape(-1)
+    first, lap = lattice.jet_pass(np.power(u.values, alpha), grid)
+    lap = lap.reshape(-1)
     mins = []
 
-    def contract(blk, tr, om, nsq, work):
+    def contract(blk, tr, om, nsq, work, _lap, first_rows):
         (rows,) = work
         np.power(values[blk], 1.0 - 2 * alpha, out=rows[0])
         np.power(values[blk], 1.0 - 4 * alpha, out=rows[1])
-        mins.append(lattice._production_block(tr, om, nsq, lap[blk], first[blk], rows))
+        mins.append(lattice._production_block(tr, om, nsq, lap[blk], first_rows, rows))
         return (*(np.add.reduce(row) for row in rows), np.add.reduce(nsq))
 
-    *sums, norms = lattice.hessian_pass(jet.first, grid, contract, with_norm=True,
+    *sums, norms = lattice.hessian_pass(first, grid, None, contract, with_norm=True,
                                         scratch=((5,),))
     return ProductionIntegrals(*(float(grid.cell_volume * total) for total in sums),
                                float(np.min(mins)), float(norms / grid.size))
+
+
+def handed_p_functional(first: np.ndarray, lap: np.ndarray, grid: LatticeGrid) -> float:
+    """operators.p_functional from a whole jet (first, lap) of the field:
+    lattice.hessian_pass over the handed first differences, whose
+    contraction reads the block's rows of lap, the all-planes route of the
+    P-pairing."""
+    lap = lap.reshape(-1)
+
+    def contract(blk, tr, om, nsq, work, _lap, _first):
+        return operators._p_integrand(lap[blk], tr, om, work)
+
+    (total,) = lattice.hessian_pass(first, grid, None, contract, with_norm=False,
+                                    scratch=((), ()))
+    return float(grid.cell_volume * total)
 
 
 def kernel_calls(monkeypatch) -> list:

@@ -22,10 +22,10 @@ from qcflow.flow import FlowConfig, cfl_timestep, evolve, initial_field
 from qcflow.identities import (IDENTITY_NAMES, FlowQuantities, derf_coefficients,
                                identity_residual)
 from qcflow.lattice import ScalarField, make_grid, periodized_bump, twist_matrices
-from qcflow.operators import DifferenceJet, p_functional
+from qcflow.operators import DifferenceJet
 from qcflow.suites import _lemma_states, _rich_field, lemma_suite
 
-from oracles import grad_h, kernel_calls, whole_production
+from oracles import grad_h, handed_p_functional, kernel_calls, whole_production
 
 
 def flow_config(m=4, alpha=-0.05, **kw):
@@ -175,33 +175,30 @@ NO_HESSIAN_OF_F = ("ricci2", "ricci_mixed", "bochner", "gr4", "intform", "second
 @pytest.mark.parametrize("tag", IDENTITY_NAMES)
 def test_each_tag_streams_the_hessian_of_F_at_most_once(tag, monkeypatch):
     # every integral of F's Hessian comes from one contraction of its
-    # Hessian pass or sweep, so no tag runs a pass over F's first
-    # differences or a sweep of F twice; both are counted in every qcflow
-    # namespace that binds them
+    # Hessian pass, so no tag runs the pass over F, made from u or handed
+    # as F's first differences, twice; the pass is counted in every qcflow
+    # namespace that binds it
     alpha = -0.05
     u = _rich_field(make_grid(1, 4))
     F = np.power(u.values, alpha)
     first_F = DifferenceJet(ScalarField(u.grid, F)).first
     streamed = []
-    hessian_pass, hessian_sweep = lattice.hessian_pass, lattice.hessian_sweep
+    hessian_pass = lattice.hessian_pass
 
-    def counting_pass(stack, *args, **kwargs):
-        streamed.append(np.array_equal(stack, first_F))
-        return hessian_pass(stack, *args, **kwargs)
+    def counting(values, grid, transform, *args, **kwargs):
+        if np.shape(values) == first_F.shape:
+            streamed.append(np.array_equal(values, first_F))
+        else:
+            g = values if transform is None else transform(values, out=np.empty_like(values))
+            streamed.append(np.array_equal(np.reshape(g, F.shape), F))
+        return hessian_pass(values, grid, transform, *args, **kwargs)
 
-    def counting_sweep(values, grid, transform, *args, **kwargs):
-        g = values if transform is None else transform(values, out=np.empty_like(values))
-        streamed.append(np.array_equal(np.reshape(g, F.shape), F))
-        return hessian_sweep(values, grid, transform, *args, **kwargs)
-
-    for name, counting in (("hessian_pass", counting_pass), ("hessian_sweep", counting_sweep)):
-        original = getattr(lattice, name)
-        bound = [mod for key, mod in sorted(sys.modules.items())
-                 if key.split(".")[0] == "qcflow" and vars(mod).get(name) is original]
-        assert {mod.__name__ for mod in bound} >= {"qcflow.lattice", "qcflow.operators",
-                                                   "qcflow.identities"}
-        for mod in bound:
-            monkeypatch.setattr(mod, name, counting)
+    bound = [mod for key, mod in sorted(sys.modules.items())
+             if key.split(".")[0] == "qcflow" and vars(mod).get("hessian_pass") is hessian_pass]
+    assert {mod.__name__ for mod in bound} >= {"qcflow.lattice", "qcflow.operators",
+                                               "qcflow.identities"}
+    for mod in bound:
+        monkeypatch.setattr(mod, "hessian_pass", counting)
     identity_residual(tag, u, alpha)
     assert sum(streamed) == (0 if tag in NO_HESSIAN_OF_F else 1)
 
@@ -289,7 +286,8 @@ def test_the_swept_derf_rhs_has_the_bits_of_the_all_planes_route(n, m, workers, 
     # a record swept plane by plane, with blocks of 4096 points that
     # straddle the planes and the workers' shares, against the same record
     # with every plane held (the whole field as one slab) and against the
-    # whole-jet routes of the P-pairing and the production integrals: every
+    # whole-jet routes of the P-pairing and the production integrals (the
+    # Hessian pass over the handed first differences of a jet_pass): every
     # EnergyReport field, the production integrals and the P-pairing, with
     # ==.  Each window slot is filled with NaN before it takes a plane, so
     # a read of a plane that left the window, or of one not yet made, shows
@@ -300,7 +298,7 @@ def test_the_swept_derf_rhs_has_the_bits_of_the_all_planes_route(n, m, workers, 
     u = ScalarField(grid, 1.0 + 0.3 * np.random.default_rng(m).random(grid.shape))
     assert grid.size // m < lattice.WINDOW_PLANE_POINTS  # all planes held
     reports = [derf_rhs(u, alpha, time=0.5)]
-    pairing = p_functional(DifferenceJet(ScalarField(grid, np.sqrt(u.values))))
+    pairing = handed_p_functional(*lattice.jet_pass(np.sqrt(u.values), grid), grid)
     production = whole_production(u, alpha)
     place = lattice._place
 

@@ -382,10 +382,11 @@ def test_a_placed_field_is_a_whole_field_to_every_reader(m, tmp_path):
 
 @pytest.mark.parametrize("m", [5, 8])
 def test_block_arrays_sit_2_kib_past_the_block_of_their_input(m, monkeypatch):
-    # _pass_blocks places each block's arrays 2 KiB past the block's first
-    # point of the field or jet the block reads, modulo 4 KiB: the energy's
-    # weighted |Df|^2 past f, and tr, omega, |H|^2 and a contraction's rows
-    # past the point-major jet.  m_x = 5 blocks start at odd offsets
+    # each block's arrays sit 2 KiB past the block's first point of the
+    # field or jet the block reads, modulo 4 KiB: the energy's weighted
+    # |Df|^2 past f (_pass_blocks), and tr, omega, |H|^2 and a
+    # contraction's rows past the handed point-major jet (hessian_pass).
+    # m_x = 5 blocks start at odd offsets
     grid = make_grid(1, m)
     f = np.random.default_rng(m).random(grid.size) + 1.0
     first, _ = lattice.jet_pass(f, grid)
@@ -397,11 +398,12 @@ def test_block_arrays_sit_2_kib_past_the_block_of_their_input(m, monkeypatch):
     assert set(gaps) == {2048}
     gaps = []
 
-    def contract(blk, tr, om, nsq, work):
+    def contract(blk, tr, om, nsq, work, lap, rows):
         at = first.ctypes.data + 8 * grid.dim_h * blk.start
+        assert lap is None and rows.ctypes.data == at
         gaps.extend((arr.ctypes.data - at) % 4096 for arr in (tr, om, nsq, *work))
 
-    lattice.hessian_pass(first, grid, contract, with_norm=True, scratch=((5,), ()))
+    lattice.hessian_pass(first, grid, None, contract, with_norm=True, scratch=((5,), ()))
     assert set(gaps) == {2048}
 
 
@@ -429,7 +431,7 @@ def test_the_sweep_places_its_window_2_kib_past_each_input(m, plane_points, bloc
             blocks += 1
             gaps.extend((arr.ctypes.data - first.ctypes.data) % 4096 for arr in (tr, om, nsq, *work))
 
-    lattice.hessian_sweep(u, grid, np.sqrt, contract, with_norm=True, scratch=((5,),))
+    lattice.hessian_pass(u, grid, np.sqrt, contract, with_norm=True, scratch=((5,),))
     jets = [args for name, args in calls if name == "difference_jet"]
     assert len(jets) == m
     for g_tab, first_tab, lap_tab, start, *_ in jets:
@@ -457,7 +459,7 @@ def test_the_sweep_keeps_its_bits_on_more_workers_than_cores(monkeypatch):
         return (np.add.reduce(lap * tr), np.add.reduce(nsq), np.add.reduce(first[:, 0] * om[1]))
 
     def sweep():
-        return lattice.hessian_sweep(u, grid, np.sqrt, contract, with_norm=True)
+        return lattice.hessian_pass(u, grid, np.sqrt, contract, with_norm=True)
 
     monkeypatch.setattr(lattice, "WORKERS", 1)
     expect = sweep()
@@ -568,14 +570,14 @@ def _stack_hessian(first, grid, diff):
 
 def _collect_hessian(first, grid):
     """(|H|^2, tr H, omega_s(H)) of point-major first differences, flat,
-    from the blocks of lattice.hessian_pass."""
+    from the blocks of lattice.hessian_pass over them, handed."""
     norm_sq, trace = np.full(grid.size, np.nan), np.full(grid.size, np.nan)
     om = np.full((3, grid.size), np.nan)
 
-    def collect(blk, tr, o, nsq, work):
+    def collect(blk, tr, o, nsq, work, lap, rows):
         trace[blk], om[:, blk], norm_sq[blk] = tr, o, nsq
 
-    lattice.hessian_pass(first, grid, collect, with_norm=True)
+    lattice.hessian_pass(first, grid, None, collect, with_norm=True)
     return norm_sq, trace, om
 
 
@@ -607,14 +609,14 @@ def test_step_gathers_match_shift(m, monkeypatch):
     expect = _stack_hessian(stacked, grid, diff)
     seen = []
 
-    def contract(blk, tr, om, nsq, work):
+    def contract(blk, tr, om, nsq, work, lap, rows):
         seen.append(blk.start)
         assert tr.shape == nsq.shape == (blk.stop - blk.start,)
         assert om.shape == (3, blk.stop - blk.start)
         for got, want in zip((nsq, tr, om), expect):
             assert np.array_equal(got, want[..., blk])
 
-    lattice.hessian_pass(stacked, grid, contract, with_norm=True)
+    lattice.hessian_pass(stacked, grid, None, contract, with_norm=True)
     assert seen == starts
 
 
@@ -907,11 +909,11 @@ def test_frame_omega_is_the_twist_columns_and_the_grid_refuses_others():
         grid = make_grid(1, 3)
         grid.twist = broken
 
-        def contract(blk, tr, om, nsq, work):
+        def contract(blk, tr, om, nsq, work, lap, first):
             raise AssertionError("a block was contracted")
 
         with pytest.raises(ValueError, match="one entry"):
-            lattice.hessian_pass(np.ones(grid.shape + (grid.dim_h,)), grid, contract,
+            lattice.hessian_pass(np.ones(grid.shape + (grid.dim_h,)), grid, None, contract,
                                  with_norm=False)
 
 
@@ -935,13 +937,16 @@ def test_fused_jet_refuses_what_it_cannot_write():
     assert np.array_equal(stacked, np.ones((2, grid.size)))
 
 
-def test_block_passes_refuse_what_they_cannot_read():
-    # grad_sq_pass differentiates one field with a weight of one field, and
-    # hessian_pass and a HorizontalField both take a jet's grid.shape + (4n,)
-    # layout: a stack, a flat field, a stack of other rows and the
-    # component-major layout are refused before any block, and left as they
-    # were.  The energy's C function reads the weight by address, so a
-    # weight with a point too few or too many is refused too
+def test_block_passes_refuse_what_they_cannot_read(monkeypatch):
+    # grad_sq_pass differentiates one field with a weight of one field;
+    # hessian_pass takes one field, or handed differences in a jet's
+    # grid.shape + (4n,) layout, which a HorizontalField takes alone.  A
+    # stack, a flat field, a stack of other rows and the component-major
+    # layout are refused by the 1-form, and the stacks, a jet of the wrong
+    # width and a transform of handed differences by the pass, before any C
+    # call, all left as they were.  The energy's C function reads the
+    # weight by address, so a weight with a point too few or too many is
+    # refused too
     grid = make_grid(1, 3)
 
     def kernel(blk, *args):
@@ -954,16 +959,29 @@ def test_block_passes_refuse_what_they_cannot_read():
     for weight in (np.ones(grid.size - 1), np.ones(grid.size + 1), stacked):
         with pytest.raises(ValueError, match="gradient pass weight takes one field"):
             lattice.grad_sq_pass(np.ones(grid.size), grid, weight)
+    calls = kernel_calls(monkeypatch)
+    for values, transform, match in (
+            (np.ones((grid.dim_h - 1,) + grid.shape), None, "Hessian pass takes one field"),
+            (np.ones((grid.dim_h,) + grid.shape), None, "Hessian pass takes one field"),
+            (np.ones(grid.shape + (grid.dim_h - 1,)), None, "Hessian pass takes one field"),
+            (np.ones(grid.shape + (grid.dim_h,)), np.sqrt, "transforms a field")):
+        before = values.copy()
+        with pytest.raises(ValueError, match=match):
+            lattice.hessian_pass(values, grid, transform, kernel, with_norm=True)
+        assert np.array_equal(values, before)
+    assert calls == []
     for values in (np.ones(grid.size), np.ones(grid.shape),
                    np.ones((grid.dim_h - 1,) + grid.shape),
                    np.ones((grid.dim_h,) + grid.shape), np.ones(grid.shape + (grid.dim_h,))):
         before = values.copy()
         if values.shape != grid.shape + (grid.dim_h,):
-            with pytest.raises(ValueError, match="Hessian pass takes a"):
-                lattice.hessian_pass(values, grid, kernel, with_norm=True)
             with pytest.raises(ValueError, match="component shape does not match"):
                 HorizontalField(grid, values)
         assert np.array_equal(values, before)
+    # a flat field and one of grid.shape are the fields the pass sweeps
+    for values in (np.ones(grid.size), np.ones(grid.shape)):
+        with pytest.raises(AssertionError, match="a block was run"):
+            lattice.hessian_pass(values, grid, None, kernel, with_norm=True)
 
 
 def _library_name(flags):
@@ -1056,9 +1074,10 @@ def test_pass_blocks_gives_each_worker_one_run_of_tree_blocks(workers, monkeypat
             runs[ident] = []
             meet.wait()
         runs[ident].append((start, start + k))
+        return ()
 
     try:
-        lattice._pass_blocks(block, grid, ())
+        lattice._pass_blocks(block, grid, (), np.zeros(grid.size))
     finally:
         pool.shutdown()
     tree = _tree_nodes(0, grid.size, 5000)
@@ -1088,7 +1107,7 @@ def test_tree_sum_gives_the_bits_of_np_sum(cap, monkeypatch):
             return (np.add.reduce(values[start:start + k]),)
 
         whole = np.sum(values)
-        assert lattice._pass_blocks(block, grid, ()) == (whole,), m
+        assert lattice._pass_blocks(block, grid, (), values) == (whole,), m
         left_to_right = 0.0
         for start, stop in _tree_nodes(0, grid.size, lattice.BLOCK_POINTS):
             left_to_right += np.sum(values[start:stop])

@@ -31,7 +31,7 @@ from qcflow.operators import (
     sub_laplacian,
 )
 
-from oracles import c_operator, grad_h, p_form, shift, third_contractions
+from oracles import c_operator, grad_h, handed_p_functional, p_form, shift, third_contractions
 
 
 def make_bump_field(m, width=0.22, tau_width=None, amplitude=1.0, offset=0.0,
@@ -339,31 +339,32 @@ def test_p_form_constant_zero_and_duality():
 
 def _stream_hessian(f, with_norm=True):
     """(|H|^2, tr H, omega_s(H), p-deficit) as whole fields, in the order of
-    _ref_hessian, collected from the blocks of the Hessian pass over the
-    first differences of f (a field or its jet), the deficit formed per
-    block by F's production block, as its weighted deficit row with unit
-    weights (1.0 * d is d); |H|^2 and the deficit are None without
-    with_norm."""
-    jet = f if isinstance(f, DifferenceJet) else DifferenceJet(f)
-    grid = jet.grid
-    first = jet.first.reshape(grid.size, grid.dim_h)
-    lap = jet.laplacian.reshape(-1)
+    _ref_hessian, collected from the blocks of the Hessian pass of a field
+    f, or over the first differences of a jet f, handed, the deficit formed
+    per block by F's production block from the block's jet rows, as its
+    weighted deficit row with unit weights (1.0 * d is d); |H|^2 and the
+    deficit are None without with_norm."""
+    grid = f.grid
+    handed = isinstance(f, DifferenceJet)
+    jet_lap = f.laplacian.reshape(-1) if handed else None
     norm_sq, trace, deficit = (np.full(grid.size, np.nan) for _ in range(3))
     omega = np.full((3, grid.size), np.nan)
 
-    def collect(blk, tr, om, nsq, work):
+    def collect(blk, tr, om, nsq, work, lap, first):
         trace[blk] = tr
         omega[:, blk] = om
         if with_norm:
             norm_sq[blk] = nsq
             (rows,) = work
             rows[:2] = 1.0
-            lattice._production_block(tr, om, nsq, lap[blk], first[blk], rows)
+            lattice._production_block(tr, om, nsq, jet_lap[blk] if handed else lap, first,
+                                      rows)
             deficit[blk] = rows[4]
         else:
             assert nsq is None
 
-    lattice.hessian_pass(jet.first, grid, collect, with_norm=with_norm, scratch=((5,),))
+    lattice.hessian_pass(f.first if handed else f.values, grid, None, collect,
+                         with_norm=with_norm, scratch=((5,),))
     shape = grid.shape
     if not with_norm:
         return None, trace.reshape(shape), omega.reshape((3,) + shape), None
@@ -447,14 +448,16 @@ def test_jet_readers_are_bit_identical_to_the_stencils(m):
         ref = _ref_hessian(f.values, grid)
         for got, expect in zip(_stream_hessian(f), ref):
             assert np.array_equal(got, expect)
-        # without the norm the pass gives the same trace and omega_s, and
-        # a shared jet gives the same bits as a jet per call
+        # over a handed jet, the pass gives the same bits, and without the
+        # norm the same trace and omega_s; a shared jet gives the same bits
+        # as a jet per call
         jet = DifferenceJet(f)
+        for got, expect in zip(_stream_hessian(jet), ref):
+            assert np.array_equal(got, expect)
         _, trace, omega, _ = _stream_hessian(jet, with_norm=False)
         assert np.array_equal(trace, ref[1])
         assert np.array_equal(omega, ref[2])
         assert np.array_equal(grad_h(jet).components, first)
-        assert np.array_equal(sub_laplacian(jet).values, sub_laplacian(f).values)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -497,20 +500,47 @@ def test_p_functional_matches_the_third_order_pairing(m):
                        * np.sum(p_form(f).components * grad_h(f).components))
         got = p_functional(f)
         assert abs(got - oracle) <= 1e-13 * abs(oracle)
-        assert p_functional(DifferenceJet(f)) == got
+        jet = DifferenceJet(f)
+        assert handed_p_functional(jet.first, jet.laplacian, grid) == got
 
 
 @pytest.mark.parametrize("m", [4, 5])
 def test_p_functional_stream_is_bit_identical_to_the_hessian_route(m):
-    # the Hessian pass without |H|^2 gives the bits of the integrand built
-    # from the full Hessian, without building it
+    # the Hessian pass without |H|^2, of the field or over its handed jet,
+    # gives the bits of the integrand built from the full Hessian, without
+    # building it
     for f in _jet_fields(m):
         _, trace, omega, _ = _ref_hessian(f.values, f.grid)
         integrand = sub_laplacian(f).values * trace
         for t in range(3):
             integrand += omega[t] * omega[t]
         expect = float(f.grid.cell_volume * np.sum(integrand))
-        assert p_functional(DifferenceJet(f)) == expect
+        jet = DifferenceJet(f)
+        assert handed_p_functional(jet.first, jet.laplacian, f.grid) == expect
+        assert p_functional(f) == expect
+
+
+def test_the_handed_route_has_the_bits_of_the_swept_route_at_m8(monkeypatch):
+    # at m_x = 8 (2^18 points a plane) the Hessian pass sweeps a field plane
+    # by plane, and reads handed differences whole, as one slab: on 1, 2
+    # and 3 workers the P-pairing of the field equals the pass over its
+    # handed jet, whose contraction reads the jet's laplacian, and the
+    # divergence of its gradient, a 1-form handed to the pass, equals the
+    # numpy -(zeros + D_0 sigma_0 + D_1 sigma_1 + ...), with ==
+    f = periodized_bump(make_grid(1, 8), width=0.22, amplitude=1.0, offset=1.0)
+    grid = f.grid
+    assert grid.size // grid.m_x >= lattice.WINDOW_PLANE_POINTS
+    jet = DifferenceJet(f)
+    sigma = grad_h(jet)
+    acc = np.zeros(grid.shape)
+    for a in range(grid.dim_h):
+        acc = acc + _ref_first_difference(sigma.components[..., a], grid, a)
+    expect = (-acc).tobytes()
+    del acc
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(lattice, "WORKERS", workers)
+        assert p_functional(f) == handed_p_functional(jet.first, jet.laplacian, grid), workers
+        assert divergence(sigma).values.tobytes() == expect, workers
 
 
 # the block passes on the worker pool ----------------------------------------
@@ -837,16 +867,19 @@ def test_pass_blocks_runs_serially_inside_a_worker(monkeypatch):
     monkeypatch.setattr(lattice, "WORKERS", 2)
     monkeypatch.setattr(lattice, "BLOCK_POINTS", 5000)
     grid = make_grid(1, 5)
+    field = np.zeros(grid.size)
     inner = []
 
     def inner_block(start, k, blocks):
         inner.append(threading.get_ident())
+        return ()
 
     def block(start, k, blocks):
         if start == 0:
-            lattice._pass_blocks(inner_block, grid, ())
+            lattice._pass_blocks(inner_block, grid, (), field)
+        return ()
 
-    done = threading.Thread(target=lattice._pass_blocks, args=(block, grid, ()),
+    done = threading.Thread(target=lattice._pass_blocks, args=(block, grid, (), field),
                             daemon=True)
     done.start()
     done.join(timeout=120)
