@@ -25,7 +25,8 @@ import numpy as np
 from .algebra import h_polynomial
 from .lattice import (LatticeGrid, ScalarField, _field_beside, _production_block, hessian_pass,
                       twist_matrices)
-from .operators import DifferenceJet, p_functional, reeb_derivative, sub_laplacian
+from .operators import (DifferenceJet, _p_integrand, p_functional, reeb_derivative,
+                        sub_laplacian)
 
 IDENTITY_NAMES = (
     "ricci2", "ricci_mixed", "bochner", "gr4", "intform", "deriv2", "deriv3",
@@ -452,7 +453,14 @@ def identity_residual(name: str, u: ScalarField, alpha: float | None = None) -> 
         if name == "intform":
             return _report(name, lhs, -4.0 * n * _integral(grid, _xi_sq(f)), grid)
         i_lap = _integral(grid, jet.laplacian ** 2)
-        rhs = -(1.0 / (4 * n)) * (p_functional(f) + i_lap)
+        # the P-pairing of f from the jet held (operators.p_functional would
+        # make it again): the Hessian pass over its first differences
+        lap = jet.laplacian.reshape(-1)
+        (pairing,) = hessian_pass(
+            jet.first, grid, None,
+            lambda blk, tr, om, nsq, work, _lap, first: _p_integrand(lap[blk], tr, om, work),
+            with_norm=False, scratch=((), ()))
+        rhs = -(1.0 / (4 * n)) * (float(grid.cell_volume * pairing) + i_lap)
         scale = max(abs(lhs), abs(rhs), (1.0 / (4 * n)) * i_lap, NORM_FLOOR)
         return _report(name, lhs, rhs, grid, norm_scale=scale)
 

@@ -42,13 +42,16 @@ every machine.
 A record holds a window of planes, not a whole jet: hessian_pass, given
 a field (the energy production's u^alpha, the P-pairing's u^(1/2)),
 makes the field, its jet and its Hessian plane by plane, since x_0 is
-the outermost axis and only the steps along axis 0 leave a plane.  At
-m_x = 8 it holds five jet planes (3.125 fields), three transform planes
-and block arrays; below 2^18 points a plane, the whole field is its one
-slab, as handed first differences always are.  Every output of a run (the Euler pass's new field, the jet's first
-and lap, ln u, each window plane and each block's arrays) is placed 2 KiB
-past its input modulo 4 KiB (_place, _field_beside), so none of its
-stores false-aliases the loads the pass runs ahead of.
+the outermost axis and only the steps along axis 0 leave a plane.  Each
+round of the sweep is two phases: the transforms and the jet by fibres,
+then the Hessians by tree blocks, one worker a block.  At m_x = 8 it
+holds five jet planes (3.125 fields), three transform planes and block
+arrays; below 2^18 points a plane, the whole field is its one slab, as
+handed first differences always are.  Every output of a run (the Euler
+pass's new field, the jet's first and lap, ln u, each window plane and
+each block's arrays) is placed 2 KiB past its input modulo 4 KiB
+(_place, _field_beside), so none of its stores false-aliases the loads
+the pass runs ahead of.
 
 Left-invariant frame conventions (validated by the frame-contract tests):
 the twist bilinears are Im_s(conj(x) x') = x @ B_s @ x' with B_s minus the
@@ -649,19 +652,22 @@ def hessian_pass(values: np.ndarray, grid: LatticeGrid, transform, contract,
     huge pages where it can (a few thousand 4 KiB faults cost a third of a
     sweep at m_x = 6), and the transform slots go once the last jet is made.
     Handed differences are read whole, as one slab: the pass runs the last
-    round alone.
+    round alone, whose only phase is the Hessians.
 
-    A round that makes a jet is split between the workers by fibres of the
-    slab: each worker makes its fibres' share of the round's transform, jet
-    and Hessian, and the steps that leave a plane (along axis 0) stay in
-    their fibre, so a worker reads what the round makes only at its own
-    fibres.  The last round is split by blocks.  A block's jet rows are
-    views of the window when it lies in one slab, copies when it straddles
-    slabs.  A block within one worker's share of a round is formed in the
-    worker's block arrays, placed 2 KiB past the block's first point of
-    the jet; one that spans shares or slabs is formed in arrays of its own,
-    and contracted by the worker that completes it.  So every block gets
-    the bits of a pass over the whole jet.
+    Each round is two phases, each split between the workers.  The first
+    makes the round's transforms and its jet by fibres of the slab; the
+    second forms the round's Hessians, a run of slabs, by tree blocks:
+    one worker forms a block's points of the round in one hessian_block
+    call, and contracts the block in the round that forms its last point.
+    A block's jet rows are views of the window when it lies in one slab,
+    copies when it straddles slabs.  A block that the round completes is
+    formed in the worker's block arrays, placed 2 KiB past the block's
+    first point of the jet; one that runs on past the round's slabs
+    (blocks straddle x_0 planes at m_x >= 9 when n = 1) is formed in
+    arrays that the calling thread makes before the phase and drops after
+    the phase that completes it.  So every block gets the bits of a pass
+    over the whole jet, and no worker writes what another reads in the
+    same phase.
     """
     lib = _step_kernel()
     m, dim_h = grid.m_x, grid.dim_h
@@ -678,7 +684,6 @@ def hessian_pass(values: np.ndarray, grid: LatticeGrid, transform, contract,
     steps = (m, dim_h, cols.ctypes.data, rolls.ctypes.data)
     two_h, h_sq = 2.0 * grid.h_x, grid.h_x * grid.h_x
     bounds = _block_bounds(grid.size)
-    most = _largest_node(grid.size, BLOCK_POINTS)
     if set(range(0, grid.size, span)) <= set(bounds):
         del space[-2:]  # no block straddles slabs
     sums = [()] * (len(bounds) - 1)
@@ -691,11 +696,7 @@ def hessian_pass(values: np.ndarray, grid: LatticeGrid, transform, contract,
     g_slabs = {}  # transform slot -> (slab, its values of g)
     # slab -> (first (span, 4n), lap (span,)) of g's jet, or the handed rows
     jets = {0: (src, None)} if handed else {}
-    # the arrays of each open block that spans shares or slabs, the spare
-    # ones, and each block's points still to come
-    lock = threading.Lock()
-    opened, spare = {}, []
-    left = [stop - start for start, stop in zip(bounds, bounds[1:])]
+    opened = {}  # block -> its arrays, for a block that runs on past its round
 
     def slab(i: int) -> int:
         return (i - 1) % slabs
@@ -704,13 +705,9 @@ def hessian_pass(values: np.ndarray, grid: LatticeGrid, transform, contract,
         # the planes of slab s, held in arr
         tab[s * per:s * per + per] = arr.ctypes.data + arr.nbytes // per * np.arange(per)
 
-    def open_block(i: int, at: int, k: int) -> list:
-        with lock:
-            if i not in opened:
-                mine = spare.pop() if spare else [
-                    np.empty(math.prod(shape) * most + PLACE_PAD) for shape in own]
-                opened[i] = (mine, _block_arrays(mine, own, at, k))
-            return opened[i][1]
+    def row_at(a: int) -> int:
+        # the address of point a's first differences in the window
+        return int(first_tab[a // plane]) + a % plane * dim_h * 8
 
     def jet_rows(start: int, stop: int, at: int, mine) -> tuple:
         # the block's rows of lap and first: views of one slab, or copies
@@ -728,34 +725,32 @@ def hessian_pass(values: np.ndarray, grid: LatticeGrid, transform, contract,
             first_rows[a - start:b - start] = first[a - s * span:b - s * span]
         return lap_rows, first_rows
 
-    def hessian(lo: int, hi: int, mine):
-        # the Hessian of the points [lo, hi), block by block
-        i = bisect.bisect_right(bounds, lo) - 1
-        while bounds[i] < hi:
+    def make(fresh, jet, u0: int, u1: int, _):
+        # the round's transforms and jet at the fibres [u0, u1) of a slab
+        lo, hi = u0 * fibre, u1 * fibre
+        for s, g in fresh:
+            transform(src[s * span + lo:s * span + hi], out=g[lo:hi])
+        if jet is not None:
+            lib.difference_jet(*tabs, slab(jet) * span + lo, hi - lo, *steps, two_h, h_sq)
+
+    def hessians(lo: int, hi: int, b0: int, u0: int, u1: int, mine):
+        # the round's Hessians of the points [lo, hi) in the blocks
+        # b0 + [u0, u1): one call a block, and its contraction once formed
+        for i in range(b0 + u0, b0 + u1):
             start, stop = bounds[i], bounds[i + 1]
             k, a, b = stop - start, max(start, lo), min(stop, hi)
-            at = int(first_tab[a // plane]) + a % plane * dim_h * 8
-            # the block is complete once this piece is formed
-            done = (a, b) == (start, stop)
-            arrays = _block_arrays(mine, own, at, k) if done else open_block(i, at, k)
+            at = row_at(a)
+            arrays = opened.get(i) or _block_arrays(mine, own, at, k)
             tr, om = arrays[0], arrays[1]
             nsq = arrays[2] if with_norm else None
             j = 8 * (a - start)
             lib.hessian_block(tabs[1], tr.ctypes.data + j, om.ctypes.data + j,
                               None if nsq is None else nsq.ctypes.data + j, k, a, b - a,
                               *steps, two_h)
-            if not done:
-                with lock:
-                    left[i] -= b - a
-                    done = left[i] == 0
-            if done:
+            if stop <= hi:
                 work = _block_arrays(mine[len(own):], scratch, at, k)
                 sums[i] = contract(slice(start, stop), tr, om, nsq, work,
                                    *jet_rows(start, stop, at, mine)) or ()
-                if i in opened:
-                    with lock:
-                        spare.append(opened.pop(i)[0])
-            i += 1
 
     def prepare(made, jet) -> list:
         # place the slots of a round and write its tables; the slabs whose
@@ -790,32 +785,27 @@ def hessian_pass(values: np.ndarray, grid: LatticeGrid, transform, contract,
         return fresh
 
     rounds = _sweep_rounds(slabs, transform is not None)
-    for made, jet, hessians in rounds[-1:] if handed else rounds:
+    for made, jet, rows in rounds[-1:] if handed else rounds:
         fresh = prepare(made, jet)
-        if hessians and not spaces:
-            spaces = [[np.empty(count + PLACE_PAD) for count in space] for _ in range(WORKERS)]
-        if jet is None and hessians:
-            # the last round, by blocks: its Hessians are one run of slabs
-            lo, hi = slab(hessians[0]) * span, slab(hessians[-1]) * span + span
+        if fresh or jet is not None:
+            _share_blocks(functools.partial(make, fresh, jet), span // fibre, lambda: None)
+        if rows:
+            # the Hessians of a run of slabs, by the blocks that meet it
+            lo, hi = slab(rows[0]) * span, slab(rows[-1]) * span + span
             b0, b1 = bisect.bisect_right(bounds, lo) - 1, bisect.bisect_left(bounds, hi)
-
-            def run(u0: int, u1: int, mine, lo=lo, hi=hi, b0=b0):
-                hessian(max(lo, bounds[b0 + u0]), min(hi, bounds[b0 + u1]), mine)
-
-            units = b1 - b0
-        else:
-            def run(u0: int, u1: int, mine, fresh=fresh, jet=jet, hessians=hessians):
-                lo, hi = u0 * fibre, u1 * fibre
-                for s, g in fresh:
-                    transform(src[s * span + lo:s * span + hi], out=g[lo:hi])
-                if jet is not None:
-                    lib.difference_jet(*tabs, slab(jet) * span + lo, hi - lo, *steps, two_h,
-                                       h_sq)
-                for i in hessians:
-                    hessian(slab(i) * span + lo, slab(i) * span + hi, mine)
-
-            units = span // fibre
-        _share_blocks(run, units, iter(spaces or [None] * WORKERS).__next__)
+            if bounds[b1] > hi and b1 - 1 not in opened:
+                k = bounds[b1] - bounds[b1 - 1]
+                opened[b1 - 1] = _block_arrays(_raws([math.prod(shape) * k for shape in own]),
+                                               own, row_at(bounds[b1 - 1]), k)
+            if not spaces:
+                # made at the first Hessians, so that a one-slab sweep does
+                # not hold them beside its transform slot (at m_x = 6 that
+                # raised the peak RSS of a theorem run by 1.5 MB)
+                spaces = [[np.empty(count + PLACE_PAD) for count in space]
+                          for _ in range(WORKERS)]
+            _share_blocks(functools.partial(hessians, lo, hi, b0), b1 - b0,
+                          iter(spaces).__next__)
+            opened = {i: arrays for i, arrays in opened.items() if bounds[i + 1] > hi}
         if jet == slabs - 1:
             # the last jet is made: no transform is read again
             g_slabs.clear()
@@ -826,12 +816,13 @@ def hessian_pass(values: np.ndarray, grid: LatticeGrid, transform, contract,
 def _window(grid: LatticeGrid, shapes: tuple, handed: bool) -> tuple:
     """The layout of a Hessian pass over grid whose block arrays have the
     leads shapes: (slabs, ring, slots, space), the number of slabs, the
-    ring of sliding jets (the three a Hessian reads and one for each slab a
-    block may reach back past them), the jet slots, and the values of one
-    worker's block arrays and of the jet rows of a block that straddles
-    slabs.  Handed differences are one slab, and the pass makes no jet to
-    hold.  It builds no block bounds, so a grid too large to run costs
-    nothing to lay out."""
+    ring of sliding jets (the three a round's Hessians read and one for
+    each slab a block may reach back past them, since a block is
+    contracted in the round that forms its last point), the jet slots, and
+    the values of one worker's block arrays in a Hessian phase and of the
+    jet rows of a block that straddles slabs.  Handed differences are one
+    slab, and the pass makes no jet to hold.  It builds no block bounds,
+    so a grid too large to run costs nothing to lay out."""
     slabs = grid.m_x if not handed and grid.size // grid.m_x >= WINDOW_PLANE_POINTS else 1
     most = _largest_node(grid.size, BLOCK_POINTS)
     ring = 2 + -(-most // (grid.size // slabs))

@@ -23,11 +23,11 @@ consumer's integrands.  Given a field (the P-pairing of p_functional, the
 production integrals of u^alpha, the omega-contraction check of the
 calculus suite), the pass makes the field's jet and its Hessian plane by
 plane, so a record holds a window of x_0 planes and no whole jet.  Given
-first differences, it reads them whole: the Bochner residual hands the
-jet it holds anyway, and divergence the point-major components of a
-1-form, whose negated tr H it is.  The energy's int |Df|^2 u is
-lattice.grad_sq_pass, one C call per block that reads the steps of ln u
-alone and builds no jet.  Any other difference of a derived field (the
+first differences, it reads them whole: the Bochner residual and the
+catalog's gr4 hand the jet they hold anyway, and divergence the
+point-major components of a 1-form, whose negated tr H it is.  The
+energy's int |Df|^2 u is lattice.grad_sq_pass, one C call per block that
+reads the steps of ln u alone and builds no jet.  Any other difference of a derived field (the
 identity catalog's commutators) reads that field's jet.
 
 Because D_a is exactly skew-adjoint, the P-pairing needs no third-order

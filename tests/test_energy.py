@@ -333,6 +333,34 @@ def test_derf_rhs_holds_a_window_of_planes_at_m_x_8(monkeypatch):
     assert peak <= 4.25 * u.values.nbytes
 
 
+def test_derf_rhs_at_m_x_9_keeps_the_bits_of_the_all_planes_route(monkeypatch):
+    # m_x = 9 is the smallest n = 1 grid swept plane by plane whose tree
+    # blocks, at the shipped constants, straddle the x_0 planes, so a block
+    # is formed over two rounds: the swept P-pairing and production
+    # integrals have the bits of the whole-jet routes with ==, and one
+    # derf_rhs peaks within 3.3 fields above u
+    monkeypatch.setattr(lattice, "WORKERS", 2)
+    alpha = -0.05
+    u = initial_field(flow_config(m=9))
+    grid = u.grid
+    plane = grid.size // grid.m_x
+    assert plane >= lattice.WINDOW_PLANE_POINTS
+    assert not set(range(0, grid.size, plane)) <= set(lattice._block_bounds(grid.size))
+    derf_rhs(u, alpha)  # builds the grid's step constants and the twist matrices
+    tracemalloc.start()
+    try:
+        rep = derf_rhs(u, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.3 * u.values.nbytes
+    production = whole_production(u, alpha)
+    assert FlowQuantities(u, alpha).production == production
+    assert rep.min_pF == production.min_deficit
+    assert rep.p_functional == handed_p_functional(*lattice.jet_pass(np.sqrt(u.values), grid),
+                                                   grid)
+
+
 def test_derf_rhs_peaks_within_seven_whole_fields(monkeypatch):
     # every integral of derf_rhs (the energy, the P-pairing and the three
     # production integrals) is formed and summed block by block inside its

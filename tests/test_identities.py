@@ -22,7 +22,10 @@ from qcflow.lattice import (
     periodized_bump,
     vertically_uniform_bump,
 )
+from qcflow.operators import DifferenceJet, p_functional
 from qcflow.suites import _rich_field, _uniformish_field
+
+from oracles import kernel_calls
 
 ALPHA = -0.05
 
@@ -169,6 +172,23 @@ def test_bochner_reduces_to_euclidean_for_xonly():
     resid_e = lhs - (-hess_sq + dot)
     l2_e = np.sqrt(grid.cell_volume * grid.m_t ** 3 * np.sum(resid_e ** 2))
     assert abs(rep.residual - l2_e) <= 1e-10 * max(rep.residual, 1e-30)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_gr4_makes_the_jet_of_f_once(m, monkeypatch):
+    # gr4 pairs P_f with grad f, f = u^(1/2), from the jet of f it holds
+    # for its left side and int (Delta f)^2: difference_jet writes each
+    # point of f's jet once, and the right side keeps the bits of the
+    # P-pairing that sweeps f (operators.p_functional)
+    u = rich_u(m)
+    grid = u.grid
+    f = ScalarField(grid, np.sqrt(u.values))
+    i_lap = float(grid.cell_volume * np.sum(DifferenceJet(f).laplacian ** 2))
+    rhs = -(1.0 / (4 * grid.n)) * (p_functional(f) + i_lap)
+    calls = kernel_calls(monkeypatch)
+    rep = identity_residual("gr4", u)
+    assert sum(args[4] for name, args in calls if name == "difference_jet") == grid.size
+    assert rep.rhs == rhs
 
 
 @pytest.mark.parametrize("tag", ["bochner", "gr4"])

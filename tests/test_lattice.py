@@ -1,5 +1,6 @@
 """Tests for the group model, grid exactness, and periodized test data."""
 import ast
+import bisect
 import ctypes
 import hashlib
 import itertools
@@ -446,11 +447,9 @@ def test_the_sweep_places_its_window_2_kib_past_each_input(m, plane_points, bloc
 def test_the_sweep_keeps_its_bits_on_more_workers_than_cores(monkeypatch):
     # four workers on a pool of four threads, with the interpreter switching
     # threads every microsecond, sweep m_x = 5 plane by plane, where a block
-    # (19528 points and more) is longer than a plane (15625): the four
-    # shares of a round end in the same block at about the same time.  A
-    # lost update of a block's points still to come, or a block contracted
-    # before all its pieces are formed, changes the sums against one
-    # worker's
+    # (19528 points and more) is longer than a plane (15625), so a block is
+    # formed over two or three rounds.  A block contracted before the phase
+    # that forms its last point changes the sums against one worker's
     monkeypatch.setattr(lattice, "WINDOW_PLANE_POINTS", 1)
     grid = make_grid(1, 5)
     u = 1.0 + 0.3 * np.random.default_rng(5).random(grid.size)
@@ -478,6 +477,33 @@ def test_the_sweep_keeps_its_bits_on_more_workers_than_cores(monkeypatch):
         pool.shutdown()
     assert not done.is_alive()
     assert got == [expect] * 10
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_a_sweep_forms_a_block_once_for_each_plane_it_touches(workers, monkeypatch):
+    # a round's Hessians run by tree blocks, so one worker forms a block's
+    # points of that round in one hessian_block call: swept plane by plane
+    # at m_x = 5, with blocks of 4096 points that straddle planes and the
+    # workers' shares, every point is formed once and no block in more
+    # calls than the x_0 planes it touches
+    monkeypatch.setattr(lattice, "WORKERS", workers)
+    monkeypatch.setattr(lattice, "WINDOW_PLANE_POINTS", 1)
+    monkeypatch.setattr(lattice, "BLOCK_POINTS", 4096)
+    grid = make_grid(1, 5)
+    plane = grid.size // grid.m_x
+    bounds = lattice._block_bounds(grid.size)
+    u = 1.0 + 0.3 * np.random.default_rng(5).random(grid.size)
+    calls = kernel_calls(monkeypatch)
+    lattice.hessian_pass(u, grid, np.sqrt, lambda *block: None, with_norm=False)
+    pieces = [args[5:7] for name, args in calls if name == "hessian_block"]
+    assert sum(length for _, length in pieces) == grid.size
+    formed = [0] * (len(bounds) - 1)
+    for start, length in pieces:
+        i = bisect.bisect_right(bounds, start) - 1
+        assert start + length <= bounds[i + 1]
+        formed[i] += 1
+    touched = [(stop - 1) // plane - start // plane + 1 for start, stop in zip(bounds, bounds[1:])]
+    assert all(1 <= count <= planes for count, planes in zip(formed, touched))
 
 
 @pytest.mark.parametrize("m", [5, 6, 7, 8])
