@@ -90,7 +90,11 @@
  * per-point order, each one rounded on its own, so its output has that
  * formula's bits as long as the compiler contracts no multiply and add
  * into an FMA: the library is built with -ffp-contract=off, and never with
- * -ffast-math.
+ * -ffast-math.  Where two_h (and, for difference_jet, h_sq) is a power of
+ * two, as at m_x = 2, 4 and 8, grad_sq_block and difference_jet multiply by
+ * its reciprocal, which is then exact, so the product is the quotient;
+ * hessian_block divides at every m_x: a second body made it slower, even
+ * at m_x = 8.
  *
  * Each function keeps its scratch on its own stack, the per-step arrays at
  * a fixed size: a variable-length one costs the hot loops a register.
@@ -102,6 +106,15 @@
 /* the 2 dim_h steps of a point: a field of 2^(dim_h + 3) float64 values or
  * more fits in a 64-bit address space only for dim_h <= 57 */
 #define MAX_STEPS 128
+
+/* 1 when x is a power of two (m_x = 2, 4, 8 give two_h and h_sq of that
+ * form): then v * (1 / x) is exact division, the one correctly rounded
+ * value of v / x, so a body may multiply where it would divide */
+static int power_of_two(double x)
+{
+    int e;
+    return frexp(x, &e) == 0.5;
+}
 
 /* (t + c) mod m for t and c in [0, m), with no division */
 static int64_t wrap(int64_t t, int64_t c, int64_t m)
@@ -226,9 +239,11 @@ static void plane_reads(int64_t t0, int64_t m, int64_t width, int64_t steps,
 /* the body of grad_sq_block */
 static inline void grad_sq_points(const double *src, const double *w, double *out,
                                   int64_t start, int64_t len, int64_t m, int64_t dim_h,
-                                  const int64_t *twist, const int64_t *rolls, double two_h)
+                                  const int64_t *twist, const int64_t *rolls, double two_h,
+                                  int exact)
 {
     int64_t m2 = m * m, fibre = m2 * m, stop = start + len, q0, q1;
+    double inv = 1.0 / two_h;
     int64_t from[MAX_STEPS], c0[MAX_STEPS], roll[MAX_STEPS], at[MAX_STEPS];
     for (int64_t fib = start / fibre; fib * fibre < stop; fib++) {
         int64_t base = fib * fibre;
@@ -239,12 +254,14 @@ static inline void grad_sq_points(const double *src, const double *w, double *ou
             int64_t p0 = base + t0 * m2;
             plane_sources(t0, m, dim_h, from, c0, at);
             for (int64_t q = q0; q < q1; q++) {
-                double d = (step_read(src, rolls, at, roll, 0, q)
-                            - step_read(src, rolls, at, roll, 1, q)) / two_h;
+                double d = step_read(src, rolls, at, roll, 0, q)
+                           - step_read(src, rolls, at, roll, 1, q);
+                d = exact ? d * inv : d / two_h;
                 double g = d * d;
                 for (int64_t a = 1; a < dim_h; a++) {
-                    d = (step_read(src, rolls, at, roll, 2 * a, q)
-                         - step_read(src, rolls, at, roll, 2 * a + 1, q)) / two_h;
+                    d = step_read(src, rolls, at, roll, 2 * a, q)
+                        - step_read(src, rolls, at, roll, 2 * a + 1, q);
+                    d = exact ? d * inv : d / two_h;
                     g += d * d;
                 }
                 out[p0 + q - start] = g * w[p0 + q];
@@ -257,19 +274,22 @@ void grad_sq_block(const double *src, const double *w, double *out, int64_t star
                    int64_t len, int64_t m, int64_t dim_h, const int64_t *twist,
                    const int64_t *rolls, double two_h)
 {
-    if (dim_h == 4)
-        grad_sq_points(src, w, out, start, len, m, 4, twist, rolls, two_h);
+    if (dim_h == 4 && power_of_two(two_h))
+        grad_sq_points(src, w, out, start, len, m, 4, twist, rolls, two_h, 1);
+    else if (dim_h == 4)
+        grad_sq_points(src, w, out, start, len, m, 4, twist, rolls, two_h, 0);
     else
-        grad_sq_points(src, w, out, start, len, m, dim_h, twist, rolls, two_h);
+        grad_sq_points(src, w, out, start, len, m, dim_h, twist, rolls, two_h, 0);
 }
 
 /* the body of difference_jet */
 static inline void jet_points(const double *const *src, double *const *first,
                               double *const *lap, int64_t start, int64_t len, int64_t m,
                               int64_t dim_h, const int64_t *twist, const int64_t *rolls,
-                              double two_h, double h_sq)
+                              double two_h, double h_sq, int exact)
 {
     int64_t m2 = m * m, fibre = m2 * m, plane = plane_points(m, dim_h), stop = start + len;
+    double inv_2h = 1.0 / two_h, inv_h_sq = 1.0 / h_sq;
     int64_t from[MAX_STEPS], c0[MAX_STEPS], roll[MAX_STEPS], q0, q1;
     const double *fibres[MAX_STEPS], *reads[MAX_STEPS];
     for (int64_t fib = start / fibre; fib * fibre < stop; fib++) {
@@ -288,10 +308,10 @@ static inline void jet_points(const double *const *src, double *const *first,
                 for (int64_t a = 0; a < dim_h; a++) {
                     double up = reads[2 * a][rolls[roll[2 * a] + q]];
                     double um = reads[2 * a + 1][rolls[roll[2 * a + 1] + q]];
-                    d[q * dim_h + a] = (up - um) / two_h;
+                    d[q * dim_h + a] = exact ? (up - um) * inv_2h : (up - um) / two_h;
                     acc += (up - two_f) + um;
                 }
-                l[q] = -acc / h_sq;
+                l[q] = exact ? -acc * inv_h_sq : -acc / h_sq;
             }
         }
     }
@@ -301,10 +321,12 @@ void difference_jet(const double *const *src, double *const *first, double *cons
                     int64_t start, int64_t len, int64_t m, int64_t dim_h,
                     const int64_t *twist, const int64_t *rolls, double two_h, double h_sq)
 {
-    if (dim_h == 4)
-        jet_points(src, first, lap, start, len, m, 4, twist, rolls, two_h, h_sq);
+    if (dim_h == 4 && power_of_two(two_h) && power_of_two(h_sq))
+        jet_points(src, first, lap, start, len, m, 4, twist, rolls, two_h, h_sq, 1);
+    else if (dim_h == 4)
+        jet_points(src, first, lap, start, len, m, 4, twist, rolls, two_h, h_sq, 0);
     else
-        jet_points(src, first, lap, start, len, m, dim_h, twist, rolls, two_h, h_sq);
+        jet_points(src, first, lap, start, len, m, dim_h, twist, rolls, two_h, h_sq, 0);
 }
 
 /* the body of euler_update */

@@ -102,8 +102,9 @@ def build_run_config(args) -> FlowConfig:
 # sweep: the record, and the state the flow steps from while it steps.  The
 # sweep's arrays (lattice.sweep_bytes) are a window of x_0 planes at
 # m_x >= 8 and a whole jet below; under tracemalloc a whole streamed
-# `qcflow run --snapshots` peaks at 4.9 fields at m_x = 8 and 7.2 at
-# m_x = 7, against estimates of 5.97 and 8.95 (tests/test_cli.py).
+# `qcflow run --snapshots` peaks at 3.6 fields at m_x = 8 (4.8 while the
+# sweeps held five jet planes) and 7.2 at m_x = 7, against estimates of
+# 4.72 and 8.95 (tests/test_cli.py).
 RECORD_FIELDS = 2
 
 

@@ -45,8 +45,9 @@ makes the field, its jet and its Hessian plane by plane, since x_0 is
 the outermost axis and only the steps along axis 0 leave a plane.  Each
 round of the sweep is two phases: the transforms and the jet by fibres,
 then the Hessians by tree blocks, one worker a block.  At m_x = 8 it
-holds five jet planes (3.125 fields), three transform planes and block
-arrays; below 2^18 points a plane, the whole field is its one slab, as
+holds three jet planes (1.875 fields), three transform planes and block
+arrays, and makes the jets of the two planes where it started again at
+its end; below 2^18 points a plane, the whole field is its one slab, as
 handed first differences always are.  Every output of a run (the Euler
 pass's new field, the jet's first and lap, ln u, each window plane and
 each block's arrays) is placed 2 KiB past its input modulo 4 KiB
@@ -585,21 +586,24 @@ WINDOW_PLANE_POINTS = 2 ** 18
 
 
 def _sweep_rounds(slabs: int, transform: bool) -> list:
-    """The rounds of a sweep over slabs slabs: (transforms, jet, hessians),
+    """The rounds of a sweep over slabs slabs: (transforms, jet, hessian),
     the sweep indices of its transforms, of its jet or None, and of its
-    Hessians.  Sweep index i is slab (i - 1) mod slabs, so the sweep starts
-    at the last slab and its Hessians run from slab 0 to the last, in the
-    order of the points.
+    Hessian or None.  Sweep index i is slab (i - 1) mod slabs, so the sweep
+    starts at the last slab and its Hessians run from slab 0 to the last,
+    in the order of the points.
 
-    Round k makes the jet of index k and the Hessian of index k - 1, which
-    reads the jets of k - 2 to k, and the transform of index k + 1, which
-    the jet of k reads with those of k - 1 and k.  The Hessians of indices
-    slabs - 1 and 0 wait for the jet of index slabs - 1, in a last round,
-    so the jets of indices 0 and 1 stay for the whole sweep."""
-    first = [([-1, 0], None, [])] if transform else []
-    rounds = [([k + 1] if transform else [], k, [k - 1] if 2 <= k < slabs else [])
-              for k in range(slabs)]
-    return first + rounds + [([], None, list(dict.fromkeys([slabs - 1, 0])))]
+    Round k makes the transform of index k + 1, the jet of index k, which
+    reads the transforms of k - 1 to k + 1, and the Hessian of index k - 1,
+    which reads the jets of k - 2 to k.  x_0 is periodic, so the Hessians
+    of indices slabs - 1 and slabs read the jets of the last slab and of
+    slab 0 again: the jets of indices slabs and slabs + 1 make them again,
+    and no jet stays for the whole sweep.  One slab has one jet, and its Hessian
+    waits for it in a round of its own."""
+    first = [([-1, 0], None, None)] if transform else []
+    if slabs == 1:
+        return first + [([1] if transform else [], 0, None), ([], None, 1)]
+    return first + [([k + 1] if transform else [], k, k - 1 if k >= 2 else None)
+                    for k in range(slabs + 2)]
 
 
 def hessian_pass(values: np.ndarray, grid: LatticeGrid, transform, contract,
@@ -640,29 +644,32 @@ def hessian_pass(values: np.ndarray, grid: LatticeGrid, transform, contract,
     ufunc transform(src, out=dst) written into one of three transform
     slots, its jet (difference_jet, through tables of the planes the window
     holds), then the Hessian of a slab and the contraction of every block
-    it completes.  The window holds the jets of sweep indices 0 and 1,
-    which the last Hessians read again, and a ring of the three that a
-    Hessian reads, with one more for each slab that a block may reach back
-    past them: five jet planes when a block is at most a plane.  A slab
-    leaves the window when its last reader is done and its slot takes the
-    next one; a transform that left is made again where it is read again,
-    and a table entry of a plane the window does not hold is 0.  Every slot
-    is placed 2 KiB past the plane of its input (_place).  The transform
+    it completes.  The window holds a ring of jets, _window's slots: the
+    three that a Hessian reads, with one more for each slab that a block
+    may reach back past them, so three jet planes when a block is at most
+    a plane.  A slab leaves the window when its last reader is done and its
+    slot takes the next one.  x_0 is periodic, so the last two Hessians
+    read the jets of the two slabs where the sweep started: the sweep makes
+    them again (difference_jet gives the same bits), where holding them
+    from the start cost two more jet slots.  A transform that left is made
+    again where it is read again too, and a table entry of a plane the
+    window does not hold is 0.  Every slot is placed 2 KiB past the plane
+    of its input (_place).  The transform
     slots and the jet slots are one allocation each, which numpy backs with
     huge pages where it can (a few thousand 4 KiB faults cost a third of a
-    sweep at m_x = 6), and the transform slots go once the last jet is made.
-    Handed differences are read whole, as one slab: the pass runs the last
-    round alone, whose only phase is the Hessians.
+    sweep at m_x = 6); a one-slab sweep drops its transform slot once its
+    jet is made.  Handed differences are read whole, as one slab: the pass
+    runs the last round alone, whose only phase is the Hessians.
 
     Each round is two phases, each split between the workers.  The first
     makes the round's transforms and its jet by fibres of the slab; the
-    second forms the round's Hessians, a run of slabs, by tree blocks:
+    second forms the round's Hessian, of one slab, by tree blocks:
     one worker forms a block's points of the round in one hessian_block
     call, and contracts the block in the round that forms its last point.
     A block's jet rows are views of the window when it lies in one slab,
     copies when it straddles slabs.  A block that the round completes is
     formed in the worker's block arrays, placed 2 KiB past the block's
-    first point of the jet; one that runs on past the round's slabs
+    first point of the jet; one that runs on past the round's slab
     (blocks straddle x_0 planes at m_x >= 9 when n = 1) is formed in
     arrays that the calling thread makes before the phase and drops after
     the phase that completes it.  So every block gets the bits of a pass
@@ -678,7 +685,7 @@ def hessian_pass(values: np.ndarray, grid: LatticeGrid, transform, contract,
            else _one_field(values, grid, "Hessian pass"))
     plane, fibre = grid.size // m, m ** 3
     own = _hessian_own(with_norm)
-    slabs, ring, slots, space = _window(grid, own + tuple(scratch), handed)
+    slabs, slots, space = _window(grid, own + tuple(scratch), handed)
     span, per = grid.size // slabs, m // slabs  # a slab's points and planes
     cols, rolls = grid._step_constants
     steps = (m, dim_h, cols.ctypes.data, rolls.ctypes.data)
@@ -769,14 +776,10 @@ def hessian_pass(values: np.ndarray, grid: LatticeGrid, transform, contract,
                 tabulate(g_tab, slab(j), held[slab(j)])
         if jet is not None:
             at = int(g_tab[slab(jet) * per])
-            q = jet if jet < 2 else 2 + (jet - 2) % ring
+            q = jet % slots
+            jets.pop(slab(jet - slots), None)  # the jet that slot q held
             jets[slab(jet)] = (_place(j_raws[2 * q], at, span * dim_h).reshape(span, dim_h),
                                _place(j_raws[2 * q + 1], at, span))
-        # the jets of indices 0 and 1, and the ring's
-        newest = slabs if jet is None else jet
-        for s in list(jets):
-            if 2 <= (s + 1) % slabs <= newest - ring:
-                del jets[s]
         first_tab[:] = lap_tab[:] = 0
         for s, (first, lap) in jets.items():
             tabulate(first_tab, s, first)
@@ -785,13 +788,14 @@ def hessian_pass(values: np.ndarray, grid: LatticeGrid, transform, contract,
         return fresh
 
     rounds = _sweep_rounds(slabs, transform is not None)
-    for made, jet, rows in rounds[-1:] if handed else rounds:
+    for made, jet, hessian in rounds[-1:] if handed else rounds:
         fresh = prepare(made, jet)
         if fresh or jet is not None:
             _share_blocks(functools.partial(make, fresh, jet), span // fibre, lambda: None)
-        if rows:
-            # the Hessians of a run of slabs, by the blocks that meet it
-            lo, hi = slab(rows[0]) * span, slab(rows[-1]) * span + span
+        if hessian is not None:
+            # the Hessians of a slab, by the blocks that meet it
+            lo = slab(hessian) * span
+            hi = lo + span
             b0, b1 = bisect.bisect_right(bounds, lo) - 1, bisect.bisect_left(bounds, hi)
             if bounds[b1] > hi and b1 - 1 not in opened:
                 k = bounds[b1] - bounds[b1 - 1]
@@ -806,8 +810,8 @@ def hessian_pass(values: np.ndarray, grid: LatticeGrid, transform, contract,
             _share_blocks(functools.partial(hessians, lo, hi, b0), b1 - b0,
                           iter(spaces).__next__)
             opened = {i: arrays for i, arrays in opened.items() if bounds[i + 1] > hi}
-        if jet == slabs - 1:
-            # the last jet is made: no transform is read again
+        if slabs == 1 and jet == 0:
+            # the one jet is made: no transform is read again
             g_slabs.clear()
             t_raws = None
     return tuple(_tree_sum(entry, grid.size) for entry in zip(*sums))
@@ -815,27 +819,29 @@ def hessian_pass(values: np.ndarray, grid: LatticeGrid, transform, contract,
 
 def _window(grid: LatticeGrid, shapes: tuple, handed: bool) -> tuple:
     """The layout of a Hessian pass over grid whose block arrays have the
-    leads shapes: (slabs, ring, slots, space), the number of slabs, the
-    ring of sliding jets (the three a round's Hessians read and one for
-    each slab a block may reach back past them, since a block is
-    contracted in the round that forms its last point), the jet slots, and
-    the values of one worker's block arrays in a Hessian phase and of the
-    jet rows of a block that straddles slabs.  Handed differences are one
-    slab, and the pass makes no jet to hold.  It builds no block bounds,
-    so a grid too large to run costs nothing to lay out."""
+    leads shapes: (slabs, slots, space), the number of slabs, the jet slots,
+    and the values of one worker's block arrays in a Hessian phase and of
+    the jet rows of a block that straddles slabs.  The slots are a ring of
+    the three jets a round's Hessian reads and one for each slab a block
+    may reach back past them, since a block is contracted in the round that
+    forms its last point, and never more than the slabs: three at m_x = 8.
+    Handed differences are one slab, and the pass makes no jet to hold.  It
+    builds no block bounds, so a grid too large to run costs nothing to lay
+    out."""
     slabs = grid.m_x if not handed and grid.size // grid.m_x >= WINDOW_PLANE_POINTS else 1
     most = _largest_node(grid.size, BLOCK_POINTS)
     ring = 2 + -(-most // (grid.size // slabs))
     space = [math.prod(shape) * most for shape in shapes] + [most, most * grid.dim_h]
-    return slabs, ring, 0 if handed else min(slabs, 2 + ring), space
+    return slabs, 0 if handed else min(slabs, ring), space
 
 
 def sweep_bytes(grid: LatticeGrid) -> int:
     """The bytes of the arrays of F's Hessian sweep (FlowQuantities.production),
-    the largest sweep of a record: three transform slots, the jet slots and
-    WORKERS sets of block arrays (tr, omega, |H|^2, five integrand rows and
-    a straddling block's jet rows), as hessian_pass lays them out."""
-    slabs, _, slots, space = _window(grid, _hessian_own(True) + ((5,),), False)
+    the largest sweep of a record: three transform slots, the ring of jet
+    slots (three at m_x = 8: 2.72 fields with the block arrays) and WORKERS
+    sets of block arrays (tr, omega, |H|^2, five integrand rows and a
+    straddling block's jet rows), as hessian_pass lays them out."""
+    slabs, slots, space = _window(grid, _hessian_own(True) + ((5,),), False)
     span = grid.size // slabs
     counts = [span] * min(3, slabs) + [span * grid.dim_h, span] * slots + space * WORKERS
     return 8 * (sum(counts) + PLACE_PAD * len(counts))

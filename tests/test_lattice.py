@@ -434,14 +434,40 @@ def test_the_sweep_places_its_window_2_kib_past_each_input(m, plane_points, bloc
 
     lattice.hessian_pass(u, grid, np.sqrt, contract, with_norm=True, scratch=((5,),))
     jets = [args for name, args in calls if name == "difference_jet"]
-    assert len(jets) == m
+    assert len(jets) == m + 2
     for g_tab, first_tab, lap_tab, start, *_ in jets:
         x = start // plane
         held = np.flatnonzero(g_tab)
-        assert len(held) == 3 and x in held and len(np.flatnonzero(first_tab)) <= 5
+        assert len(held) == 3 and x in held and len(np.flatnonzero(first_tab)) <= 3
         assert {(int(g_tab[y]) - u.ctypes.data - 8 * plane * y) % 4096 for y in held} == {2048}
         assert (first_tab[x] - g_tab[x]) % 4096 == (lap_tab[x] - g_tab[x]) % 4096 == 2048
     assert blocks > 0 and set(gaps) == {2048}
+
+
+def test_a_sweep_makes_the_jets_where_it_started_again_at_its_end(monkeypatch):
+    # x_0 is periodic, so the last two Hessians of an m_x = 8 sweep read the
+    # jets of planes 7 and 0, where it started: it makes them again, m_x + 2
+    # jet planes from m_x + 4 transform planes, and allocates a ring of three
+    # jet slots, the planes one Hessian reads
+    monkeypatch.setattr(lattice, "WORKERS", 1)
+    grid = make_grid(1, 8)
+    plane = grid.size // grid.m_x
+    u = 1.0 + 0.3 * np.random.default_rng(8).random(grid.size)
+    calls = kernel_calls(monkeypatch)
+    made, raws, make_raws = [], [], lattice._raws
+
+    def transform(values, out):
+        made.append((values.ctypes.data - u.ctypes.data) // (8 * plane))
+        return np.sqrt(values, out=out)
+
+    monkeypatch.setattr(lattice, "_raws", lambda counts: raws.append(counts) or make_raws(counts))
+    lattice.hessian_pass(u, grid, transform, lambda *block: None, with_norm=False)
+    jets = [args[3] // plane for name, args in calls if name == "difference_jet"]
+    hessians = [args[5] // plane for name, args in calls if name == "hessian_block"]
+    assert jets == [7, *range(8), 0]
+    assert made == [6, 7, *range(8), 0, 1]
+    assert raws == [[plane] * 3, [plane * grid.dim_h, plane] * 3]
+    assert hessians == sorted(hessians) and set(hessians) == set(range(8))
 
 
 def test_the_sweep_keeps_its_bits_on_more_workers_than_cores(monkeypatch):
