@@ -5,13 +5,11 @@ supplied field with the model's torsion terms (identically zero) and
 returns an IdentityReport.  Both sides are computed through independent
 subexpressions so that a sign error in one route cannot silently cancel.
 
-Six tags have code of their own: ricci2, ricci_mixed, bochner, gr4,
-intform and hesrep_contraction.  The other ten are the linear links of the
-lemma's chain, one row each of linear_rows over the integrals that
-FlowQuantities keeps of F = u^alpha (and of f = u^(1/2), its P-pairing).
-A row's coefficients are rational in (n, alpha), so at Fraction input the
-chain's algebra is exact.  The derf row reads derf_terms, the five-term
-production formula, which energy.derf_rhs evaluates at every record.
+The tags are the five that the calculus suite evaluates: ricci2, bochner,
+gr4, intform and hesrep_contraction.  FlowQuantities keeps the two
+quantities of F = u^alpha and f = u^(1/2) that energy.derf_rhs reads at
+every record, the production integrals of F's Hessian and the P-pairing
+of f, and derf_terms is the five-term production formula over them.
 """
 from __future__ import annotations
 
@@ -23,16 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import h_polynomial
-from .lattice import (LatticeGrid, ScalarField, _field_beside, _production_block, hessian_pass,
-                      twist_matrices)
+from .lattice import LatticeGrid, ScalarField, _production_block, hessian_pass, twist_matrices
 from .operators import (DifferenceJet, _p_integrand, p_functional, reeb_derivative,
                         sub_laplacian)
 
-IDENTITY_NAMES = (
-    "ricci2", "ricci_mixed", "bochner", "gr4", "intform", "deriv2", "deriv3",
-    "firstt", "secondt", "deriv5", "intform1", "deriv6", "reprtor", "lastrep",
-    "derf", "hesrep_contraction",
-)
+IDENTITY_NAMES = ("ricci2", "bochner", "gr4", "intform", "hesrep_contraction")
 
 NORM_FLOOR = 1e-30
 
@@ -115,17 +108,13 @@ class ProductionIntegrals(NamedTuple):
 
 
 class FlowQuantities:
-    """Shared derived fields for the F = u^alpha identity chain (lazy).
+    """The production integrals of F = u^alpha and the P-pairing of
+    f = u^(1/2) (lazy, each made once).
 
     F's Hessian is swept once, in production: lattice.hessian_pass, given
     u and the transform u^alpha, makes F and its jet plane by plane.  The
-    P-pairing, the only quantity of f = u^(1/2), sweeps f the same way: so
-    energy.derf_rhs, which reads those two alone, never holds F, f or a jet
-    whole.  The catalog's other quantities of F read its whole jet, jetF,
-    made once.
-    Only what two quantities share is kept: jetF, the weight
-    u^(1 - 2 alpha), |DF|^2 and the integrals.  A whole F is formed beside
-    u (lattice._field_beside) and does not outlive its jet.
+    P-pairing sweeps f the same way: so energy.derf_rhs, which reads these
+    two, never holds F, f or a jet whole.
     """
 
     def __init__(self, u: ScalarField, alpha: float):
@@ -135,28 +124,6 @@ class FlowQuantities:
         self.alpha = alpha
         self.grid = u.grid
 
-    # base fields -----------------------------------------------------------
-    @property
-    def F(self):
-        # not kept: F's jet holds every difference of F but its Reeb ones
-        u = self.u.values
-        return ScalarField(self.grid, np.power(u, self.alpha,
-                                               out=_field_beside(u, self.grid.shape)))
-
-    @cached_property
-    def jetF(self):
-        return DifferenceJet(self.F)
-
-    # the weight u^(1 - 2 alpha) = F^(1/alpha - 2)
-    @cached_property
-    def w2(self):
-        return np.power(self.u.values, 1.0 - 2 * self.alpha)
-
-    @cached_property
-    def grad_sq(self):
-        return _grad_sq(self.jetF.first)
-
-    # integrals -------------------------------------------------------------
     @cached_property
     def production(self) -> ProductionIntegrals:
         """The integrals of F's Hessian, I_lap2, I_quart, I_hess2, I_omega2
@@ -196,42 +163,9 @@ class FlowQuantities:
                                    float(np.min(mins)), float(norms / grid.size))
 
     @cached_property
-    def I_mixed(self):
-        w3 = np.power(self.u.values, 1.0 - 3 * self.alpha)
-        return _integral(self.grid, w3 * self.jetF.laplacian * self.grad_sq)
-
-    @cached_property
-    def I_reeb_mixed(self):
-        return _integral(self.grid, self.w2 * _reeb_mixed(self.grid, self.jetF.first))
-
-    @cached_property
-    def I_xi2(self):
-        return _integral(self.grid, self.w2 * _xi_sq(self.F))
-
-    @cached_property
     def P_pair_half(self):
         # f = u^(1/2), made plane by plane in the window of its sweep
         return p_functional(self.u, np.sqrt)
-
-    @cached_property
-    def I_gradlap(self):
-        return _integral(self.grid, self.w2 * _grad_lap_dot(self.jetF))
-
-    @cached_property
-    def I_lap_gradsq(self):
-        lap = sub_laplacian(ScalarField(self.grid, self.grad_sq)).values
-        return _integral(self.grid, self.w2 * lap)
-
-    @cached_property
-    def deriv1_integral(self):
-        # d/dt of the energy expressed in the phi = -ln u variables:
-        # int u * (-2 (Delta phi)^2 - 3 Delta phi |grad phi|^2 - |grad phi|^4)
-        phi_jet = DifferenceJet(ScalarField(self.grid, -np.log(self.u.values)))
-        lap_phi = phi_jet.laplacian
-        gp2 = _grad_sq(phi_jet.first)
-        integrand = self.u.values * (-2.0 * lap_phi ** 2
-                                     - 3.0 * lap_phi * gp2 - gp2 ** 2)
-        return _integral(self.grid, integrand)
 
 
 def _ricci2_report(f: ScalarField) -> IdentityReport:
@@ -254,27 +188,6 @@ def _ricci2_report(f: ScalarField) -> IdentityReport:
             res_sq += (comm + twist) ** 2
     lhs, rhs, res = (float(np.sqrt(_integral(grid, v))) for v in (anti_sq, twist_sq, res_sq))
     return _report("ricci2", lhs, rhs, grid, residual=res)
-
-
-def _ricci_mixed_report(f: ScalarField) -> IdentityReport:
-    # mixed second derivatives commute exactly on the model: the torsion
-    # endomorphism vanishes, and vertical shifts commute with group steps
-    grid = f.grid
-    # the rows D_a f, each rolled whole, as one contiguous copy: a roll of
-    # the strided first[..., a] reads four times the bytes
-    rows = np.moveaxis(DifferenceJet(f).first, -1, 0).copy()
-    res_sq = 0.0
-    scale_sq = 0.0
-    for s in range(3):
-        d_xi_f = DifferenceJet(reeb_derivative(f, s)).first
-        for a in range(grid.dim_h):
-            mixed1 = d_xi_f[..., a]
-            mixed2 = reeb_derivative(ScalarField(grid, rows[a]), s).values
-            res_sq += np.sum((mixed1 - mixed2) ** 2)
-            scale_sq += np.sum(mixed1 ** 2)
-    lhs = float(np.sqrt(grid.cell_volume * res_sq))
-    scale = float(np.sqrt(grid.cell_volume * scale_sq))
-    return _report("ricci_mixed", lhs, 0.0, grid, norm_scale=max(scale, NORM_FLOOR))
 
 
 def bochner_residual(f: ScalarField) -> IdentityReport:
@@ -327,7 +240,8 @@ def _reeb_mixed(grid: LatticeGrid, grad: np.ndarray) -> np.ndarray:
     point-major gradient components grad[..., a] = D_a f, with I_s = B_s."""
     B = twist_matrices(grid.n)
     # the rows D_a f as one contiguous copy, since each is rolled and
-    # contracted whole (as in _ricci_mixed_report)
+    # contracted whole: a roll of the strided grad[..., a] reads four times
+    # the bytes
     rows = np.moveaxis(grad, -1, 0).copy()
     mixed = np.zeros(grid.shape)
     for s in range(3):
@@ -366,72 +280,12 @@ def derf_terms(q, n, alpha) -> tuple:
             c_pdef * p.I_deficit)
 
 
-def linear_rows(n, alpha) -> dict:
-    """Each linear tag as a row q -> (lhs, rhs, scale_terms) over the
-    integrals of a FlowQuantities q.  Coefficients are + - x / of n and
-    alpha with integer literals: at Fraction (n, alpha), on a record of
-    unit vectors, a row gives its exact coefficient vector."""
-    check_alpha(alpha)
-    a = alpha
-    half = 1 / (2 * a) - 1
-    c_div = (3 * n + 2) * (1 - 2 * a)
-
-    def deriv2(q):
-        p = q.production
-        return (a * a * q.deriv1_integral,
-                -2 * p.I_lap2 + (3 - 4 * a) / a * q.I_mixed
-                + (-1 + 3 * a - 2 * a * a) / (a * a) * p.I_quart, (2 * p.I_lap2,))
-    def deriv3(q):
-        return q.I_gradlap + (1 / a - 2) * q.I_mixed, q.production.I_lap2, ()
-    def firstt(q):
-        return ((1 / a - 2) * q.I_mixed,
-                (1 / a - 2) * (1 / a - 3) * q.production.I_quart + q.I_lap_gradsq,
-                (q.I_lap_gradsq,))
-    def secondt(q):
-        return q.I_reeb_mixed, -4 * n * q.I_xi2, ()
-    def deriv5(q):
-        p = q.production
-        return (3 * (1 / a - 2) / 2 * q.I_mixed,
-                (1 / a - 2) / 2 * (1 / a - 3) * p.I_quart
-                - (p.I_hess2 - 16 * n * q.I_xi2 - p.I_lap2), (p.I_hess2,))
-    def intform1(q):
-        p = q.production
-        return (-4 * n * q.I_xi2,
-                -(a * a / n) * q.P_pair_half - 1 / (4 * n) * p.I_lap2
-                + 1 / (2 * n) * half * q.I_mixed - 1 / (4 * n) * half * half * p.I_quart,
-                (1 / (4 * n) * p.I_lap2,))
-    def deriv6(q):
-        p = q.production
-        return (q.I_mixed,
-                8 * a ** 3 / c_div * q.P_pair_half
-                + (2 * n + 1 - 2 * (3 * n + 1) * a) / (2 * (3 * n + 2) * a) * p.I_quart
-                + (3 + 4 * n) * a / (2 * c_div) * p.I_lap2
-                - 2 * n * a / c_div * (1 / (4 * n) * p.I_omega2 + p.I_deficit), ())
-    def reprtor(q):
-        p = q.production
-        return (1 / (4 * n) * (p.I_lap2 + half * half * p.I_quart) + a * a / n * q.P_pair_half,
-                1 / (4 * n) * (2 * half * q.I_mixed + p.I_omega2), ())
-    def lastrep(q):
-        p = q.production
-        return (3 * (2 * n + 1) / 2 * q.I_mixed,
-                (8 * n + 3 - 6 * (4 * n + 1) * a) / (8 * a) * p.I_quart
-                + (2 * n + 1) * a / (1 - 2 * a) * p.I_lap2
-                + 6 * a ** 3 / (1 - 2 * a) * q.P_pair_half
-                - 2 * n * a / (1 - 2 * a) * p.I_deficit, ())
-    def derf(q):
-        # the five-term formula times alpha^2
-        terms = derf_terms(q, n, a)
-        return a * a * q.deriv1_integral, sum(terms), terms
-
-    return {row.__name__: row for row in (deriv2, deriv3, firstt, secondt, deriv5,
-                                          intform1, deriv6, reprtor, lastrep, derf)}
-
-
 def identity_residual(name: str, u: ScalarField, alpha: float | None = None) -> IdentityReport:
     """Evaluate both sides of the named identity on the model.
 
-    Fields playing the role of a solution must be strictly positive; tags
-    from the derivative chain additionally need alpha outside {0, 1/2}.
+    Fields playing the role of a solution must be strictly positive, and
+    hesrep_contraction, the one tag of F = u^alpha, needs alpha outside
+    {0, 1/2}.
     """
     if name not in IDENTITY_NAMES:
         raise ValueError(f"unknown identity tag {name!r}")
@@ -440,8 +294,6 @@ def identity_residual(name: str, u: ScalarField, alpha: float | None = None) -> 
 
     if name == "ricci2":
         return _ricci2_report(u)
-    if name == "ricci_mixed":
-        return _ricci_mixed_report(u)
     if name == "bochner":
         return bochner_residual(u)
 
@@ -466,13 +318,7 @@ def identity_residual(name: str, u: ScalarField, alpha: float | None = None) -> 
 
     if alpha is None:
         raise ValueError(f"identity {name!r} needs alpha")
-    q = FlowQuantities(u, alpha)
-    if name == "hesrep_contraction":
-        min_p = q.production.min_deficit
-        return IdentityReport(name=name, lhs=min_p, rhs=0.0, residual=max(0.0, -min_p),
-                              norm_scale=q.production.mean_hess2 + NORM_FLOOR,
-                              n=n, m_x=grid.m_x)
-
-    lhs, rhs, extra = linear_rows(n, alpha)[name](q)
-    scale = max(abs(lhs), abs(rhs), *(abs(t) for t in extra), NORM_FLOOR)
-    return _report(name, lhs, rhs, grid, norm_scale=scale)
+    production = FlowQuantities(u, alpha).production
+    min_p = production.min_deficit
+    return IdentityReport(name=name, lhs=min_p, rhs=0.0, residual=max(0.0, -min_p),
+                          norm_scale=production.mean_hess2 + NORM_FLOOR, n=n, m_x=grid.m_x)

@@ -1,26 +1,36 @@
 """Independent reference routes the tests compare the package against: the
-whole-field gather through a step table (every block kernel's reference),
+whole-field gather through a step table (every block kernel's reference)
+and the difference stencils, Hessian and Reeb mixed term built from it,
 the gradient as a 1-form, the third-order P-form assembled from composed
 first differences (the lab pairs it with grad f by summation by parts,
 operators.p_functional), the bump as its defining lattice sum at one
 group point (lattice.periodized_bump), the production integrals of F and
 the P-pairing from a whole jet (the routes that FlowQuantities.production
-and operators.p_functional sweep), and a
-record of the calls of the C functions, with the plane tables they read."""
+and operators.p_functional sweep), and a record of the calls of the C
+functions, with the plane tables they read.
+
+The lemma's chain of integral identities lives here too, since only the
+tests evaluate it: the ten linear rows deriv2 ... derf and ricci_mixed,
+eleven tags that chain_residual reports as identities.identity_residual
+reports the package's five.  A row reads the package's production and
+P_pair_half and six catalog integrals of whole-field reference formulas,
+made once per field and alpha."""
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import itertools
 import math
 
 import numpy as np
 
-from qcflow import lattice, operators
-from qcflow.identities import ProductionIntegrals
+from qcflow import identities, lattice, operators
+from qcflow.identities import (NORM_FLOOR, FlowQuantities, IdentityReport, ProductionIntegrals,
+                               check_alpha, derf_terms)
 from qcflow.lattice import (SUPPORT_FACTOR, GroupPoint, HorizontalField, LatticeGrid,
                             ScalarField, default_center, default_tau_width, group_inverse,
                             group_multiply, twist_matrices)
-from qcflow.operators import DifferenceJet, divergence
+from qcflow.operators import DifferenceJet, divergence, reeb_derivative
 
 
 def shift(values: np.ndarray, grid: LatticeGrid, a: int, direction: int) -> np.ndarray:
@@ -28,6 +38,61 @@ def shift(values: np.ndarray, grid: LatticeGrid, a: int, direction: int) -> np.n
     through the grid's step table."""
     perm = grid.step_permutation(a, direction)
     return np.take(values.reshape(-1), perm).reshape(grid.shape)
+
+
+# reference stencils: the per-operator loops the difference jet replaced
+
+def ref_first_difference(values, grid, a):
+    return (shift(values, grid, a, +1) - shift(values, grid, a, -1)) / (2.0 * grid.h_x)
+
+
+def ref_sub_laplacian(values, grid):
+    acc = np.zeros(grid.shape)
+    for a in range(grid.dim_h):
+        acc += (shift(values, grid, a, +1) - 2.0 * values
+                + shift(values, grid, a, -1))
+    return -acc / (grid.h_x * grid.h_x)
+
+
+def ref_hessian(values, grid):
+    """|H|^2, tr H, omega_s(H) and the p-deficit of the composed stencils."""
+    B = twist_matrices(grid.n)
+    dim = grid.dim_h
+    first = [ref_first_difference(values, grid, b) for b in range(dim)]
+    norm_sq = np.zeros(grid.shape)
+    trace = np.zeros(grid.shape)
+    om = np.zeros((3,) + grid.shape)
+    for a in range(dim):
+        for b in range(dim):
+            hab = ref_first_difference(first[b], grid, a)
+            norm_sq += hab * hab
+            if a == b:
+                trace += hab
+            for s in range(3):
+                w = B[s][b, a]
+                if w != 0.0:
+                    om[s] += w * hab
+    quarter = 1.0 / dim
+    deficit = norm_sq - quarter * trace * trace
+    for s in range(3):
+        deficit = deficit - quarter * om[s] * om[s]
+    return norm_sq, trace, om, deficit
+
+
+def ref_reeb_mixed(first, grid):
+    """The Reeb mixed term sum_s sum_a xi_s(D_a f) (I_s Df)_a of the
+    reference first differences, read entry by entry from per-s loops over
+    I_s: no contraction of identities."""
+    B = twist_matrices(grid.n)
+    mixed = np.zeros(grid.shape)
+    for s in range(3):
+        for a in range(grid.dim_h):
+            xi_da = reeb_derivative(ScalarField(grid, first[a]), s).values
+            for b in range(grid.dim_h):
+                entry = B[s][a, b]
+                if entry != 0.0:
+                    mixed += xi_da * (entry * first[b])
+    return mixed
 
 
 def grad_h(f: ScalarField | DifferenceJet) -> HorizontalField:
@@ -197,3 +262,156 @@ def kernel_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(lattice, "_step_kernel", Recorder)
     return calls
+
+
+# the lemma's chain -----------------------------------------------------------
+
+_INTEGRALS: dict = {}
+
+
+def reference_integrals(u: ScalarField, alpha: float) -> dict:
+    """The catalog integrals of F = u^alpha and phi = -ln u that the chain's
+    rows read beside production and P_pair_half, by name, each one np.sum
+    over its whole-field integrand of the reference stencils.  Made once per
+    field (its grid and the digest of its values) and alpha, since rows and
+    tests read one field's integrals many times."""
+    values, grid = u.values, u.grid
+    key = (grid.n, grid.m_x, alpha, hashlib.sha256(values).digest())
+    if key in _INTEGRALS:
+        return _INTEGRALS[key]
+    vol = grid.cell_volume
+
+    def grad(v):
+        return np.stack([ref_first_difference(v, grid, b) for b in range(grid.dim_h)])
+
+    F = np.power(values, alpha)
+    dF = grad(F)
+    lap_F = ref_sub_laplacian(F, grid)
+    grad_sq = np.sum(dF ** 2, axis=0)
+    w2 = np.power(values, 1 - 2 * alpha)
+    xi_sq = sum(reeb_derivative(ScalarField(grid, F), s).values ** 2 for s in range(3))
+    phi = -np.log(values)
+    lap_phi = ref_sub_laplacian(phi, grid)
+    gp2 = np.sum(grad(phi) ** 2, axis=0)
+    _INTEGRALS[key] = {
+        "I_mixed": float(vol * np.sum(np.power(values, 1 - 3 * alpha) * lap_F * grad_sq)),
+        "I_reeb_mixed": float(vol * np.sum(w2 * ref_reeb_mixed(dF, grid))),
+        "I_xi2": float(vol * np.sum(w2 * xi_sq)),
+        "I_gradlap": float(vol * np.sum(w2 * np.sum(grad(lap_F) * dF, axis=0))),
+        "I_lap_gradsq": float(vol * np.sum(w2 * ref_sub_laplacian(grad_sq, grid))),
+        # d/dt of the energy in the phi = -ln u variables:
+        # int u * (-2 (Delta phi)^2 - 3 Delta phi |grad phi|^2 - |grad phi|^4)
+        "deriv1_integral": float(vol * np.sum(
+            values * (-2.0 * lap_phi ** 2 - 3.0 * lap_phi * gp2 - gp2 ** 2))),
+    }
+    return _INTEGRALS[key]
+
+
+class ChainRecord(FlowQuantities):
+    """The record a row of linear_rows reads: the package's production and
+    P_pair_half of FlowQuantities, each made on its first read, and the six
+    reference integrals as attributes."""
+
+    def __init__(self, u: ScalarField, alpha: float):
+        super().__init__(u, alpha)
+        vars(self).update(reference_integrals(u, alpha))
+
+
+def linear_rows(n, alpha) -> dict:
+    """Each linear tag as a row q -> (lhs, rhs, scale_terms) over the
+    integrals of a record q.  Coefficients are + - x / of n and alpha with
+    integer literals: at Fraction (n, alpha), on a record of unit vectors, a
+    row gives its exact coefficient vector."""
+    check_alpha(alpha)
+    a = alpha
+    half = 1 / (2 * a) - 1
+    c_div = (3 * n + 2) * (1 - 2 * a)
+
+    def deriv2(q):
+        p = q.production
+        return (a * a * q.deriv1_integral,
+                -2 * p.I_lap2 + (3 - 4 * a) / a * q.I_mixed
+                + (-1 + 3 * a - 2 * a * a) / (a * a) * p.I_quart, (2 * p.I_lap2,))
+    def deriv3(q):
+        return q.I_gradlap + (1 / a - 2) * q.I_mixed, q.production.I_lap2, ()
+    def firstt(q):
+        return ((1 / a - 2) * q.I_mixed,
+                (1 / a - 2) * (1 / a - 3) * q.production.I_quart + q.I_lap_gradsq,
+                (q.I_lap_gradsq,))
+    def secondt(q):
+        return q.I_reeb_mixed, -4 * n * q.I_xi2, ()
+    def deriv5(q):
+        p = q.production
+        return (3 * (1 / a - 2) / 2 * q.I_mixed,
+                (1 / a - 2) / 2 * (1 / a - 3) * p.I_quart
+                - (p.I_hess2 - 16 * n * q.I_xi2 - p.I_lap2), (p.I_hess2,))
+    def intform1(q):
+        p = q.production
+        return (-4 * n * q.I_xi2,
+                -(a * a / n) * q.P_pair_half - 1 / (4 * n) * p.I_lap2
+                + 1 / (2 * n) * half * q.I_mixed - 1 / (4 * n) * half * half * p.I_quart,
+                (1 / (4 * n) * p.I_lap2,))
+    def deriv6(q):
+        p = q.production
+        return (q.I_mixed,
+                8 * a ** 3 / c_div * q.P_pair_half
+                + (2 * n + 1 - 2 * (3 * n + 1) * a) / (2 * (3 * n + 2) * a) * p.I_quart
+                + (3 + 4 * n) * a / (2 * c_div) * p.I_lap2
+                - 2 * n * a / c_div * (1 / (4 * n) * p.I_omega2 + p.I_deficit), ())
+    def reprtor(q):
+        p = q.production
+        return (1 / (4 * n) * (p.I_lap2 + half * half * p.I_quart) + a * a / n * q.P_pair_half,
+                1 / (4 * n) * (2 * half * q.I_mixed + p.I_omega2), ())
+    def lastrep(q):
+        p = q.production
+        return (3 * (2 * n + 1) / 2 * q.I_mixed,
+                (8 * n + 3 - 6 * (4 * n + 1) * a) / (8 * a) * p.I_quart
+                + (2 * n + 1) * a / (1 - 2 * a) * p.I_lap2
+                + 6 * a ** 3 / (1 - 2 * a) * q.P_pair_half
+                - 2 * n * a / (1 - 2 * a) * p.I_deficit, ())
+    def derf(q):
+        # the five-term formula times alpha^2
+        terms = derf_terms(q, n, a)
+        return a * a * q.deriv1_integral, sum(terms), terms
+
+    return {row.__name__: row for row in (deriv2, deriv3, firstt, secondt, deriv5,
+                                          intform1, deriv6, reprtor, lastrep, derf)}
+
+
+def ricci_mixed_report(f: ScalarField) -> IdentityReport:
+    # mixed second derivatives commute exactly on the model: the torsion
+    # endomorphism vanishes, and vertical shifts commute with group steps
+    grid = f.grid
+    # the rows D_a f, each rolled whole, as one contiguous copy: a roll of
+    # the strided first[..., a] reads four times the bytes
+    rows = np.moveaxis(DifferenceJet(f).first, -1, 0).copy()
+    res_sq = 0.0
+    scale_sq = 0.0
+    for s in range(3):
+        d_xi_f = DifferenceJet(reeb_derivative(f, s)).first
+        for a in range(grid.dim_h):
+            mixed1 = d_xi_f[..., a]
+            mixed2 = reeb_derivative(ScalarField(grid, rows[a]), s).values
+            res_sq += np.sum((mixed1 - mixed2) ** 2)
+            scale_sq += np.sum(mixed1 ** 2)
+    lhs = float(np.sqrt(grid.cell_volume * res_sq))
+    scale = float(np.sqrt(grid.cell_volume * scale_sq))
+    return identities._report("ricci_mixed", lhs, 0.0, grid, norm_scale=max(scale, NORM_FLOOR))
+
+
+CHAIN_NAMES = ("ricci_mixed", "deriv2", "deriv3", "firstt", "secondt", "deriv5", "intform1",
+               "deriv6", "reprtor", "lastrep", "derf")
+
+
+def chain_residual(name: str, u: ScalarField, alpha: float | None = None) -> IdentityReport:
+    """Both sides of a chain tag on the model, reported as
+    identities.identity_residual reports a tag of the package: a row's norm
+    scale is the largest of |lhs|, |rhs| and its scale terms.  A row needs
+    alpha outside {0, 1/2} and a strictly positive u."""
+    if name == "ricci_mixed":
+        return ricci_mixed_report(u)
+    if alpha is None:
+        raise ValueError(f"identity {name!r} needs alpha")
+    lhs, rhs, extra = linear_rows(u.grid.n, alpha)[name](ChainRecord(u, alpha))
+    scale = max(abs(lhs), abs(rhs), *(abs(t) for t in extra), NORM_FLOOR)
+    return identities._report(name, lhs, rhs, u.grid, norm_scale=scale)

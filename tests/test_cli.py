@@ -12,7 +12,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -175,6 +175,32 @@ def test_run_checks_the_invariants_at_every_step(tmp_path, monkeypatch, capsys):
     assert payload["violations"] == [message]
 
 
+@pytest.mark.parametrize("field, found", [
+    ("hi", ["range expansion"]), ("lo", ["range expansion", "positivity lost"])])
+def test_run_reports_a_state_that_leaves_the_range(field, found, tmp_path, monkeypatch,
+                                                   capsys):
+    # a real stream whose step-2 state reads a raised maximum, or a minimum
+    # of 0 (below the initial one, so the range grows too); the stream
+    # itself steps on from its own state
+    real_stream = cli.stream
+
+    def leaving(cfg, measure=False):
+        for st in real_stream(cfg, measure=measure):
+            if st.step == 2:
+                times.append(st.time)
+                st = replace(st, **{field: 2.0 * st.hi if field == "hi" else 0.0})
+            yield st
+
+    times = []
+    monkeypatch.setattr(cli, "stream", leaving)
+    out = tmp_path / "o"
+    assert run_cli(["run", "--mx", "4", "--t-end", "0.02", "--out", str(out)]) == 1
+    messages = [f"{what} at t={times[0]}" for what in found]
+    assert json.loads((out / "verdict.json").read_text())["violations"] == messages
+    err = capsys.readouterr().err
+    assert all(f"invariant violated: {message}" in err for message in messages)
+
+
 def test_run_refuses_a_grid_that_cannot_fit(tmp_path, monkeypatch, capsys):
     out = tmp_path / "o"
     need = cli.run_memory_bytes(FlowConfig(m_x=4))
@@ -280,7 +306,8 @@ def test_config_parser_errors(tmp_path):
                                   "profile = gauss", "tau_profile = gauss",
                                   "profile = cosine", "tau_width = 0.01",
                                   "width = 0.4", "width = 0", "alpha = nan",
-                                  "amplitude = inf", "offset = nan"])
+                                  "amplitude = inf", "offset = nan",
+                                  "snapshots = maybe", "record_every = eight"])
 def test_run_rejects_invalid_config(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
@@ -290,6 +317,13 @@ def test_run_rejects_invalid_config(tmp_path, capsys, line):
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_available_memory_reads_a_finite_address_space_limit(monkeypatch):
+    # a soft RLIMIT_AS of 1 MiB lies below any MemAvailable
+    monkeypatch.setattr(cli.resource, "getrlimit",
+                        lambda which: (2**20, cli.resource.RLIM_INFINITY))
+    assert cli.available_memory() == 2**20
 
 
 def test_run_refuses_a_negative_t_end(tmp_path, capsys):
@@ -425,6 +459,28 @@ def test_verify_theorem_not_applicable_alpha(tmp_path, monkeypatch):
     assert all(v == "not_applicable" for k, v in statuses.items()
                if k.startswith("run"))
     assert code == 1  # admissibility itself is reported as failed
+
+
+def test_theorem_suite_sets_aside_a_run_that_misses_the_hypothesis(monkeypatch):
+    # the second record of run0 measures a positive P-pairing: that run is
+    # not applicable, with the pairing as its measured value, and the other
+    # four still meet the hypotheses and pass
+    real_derf_rhs = suites.derf_rhs
+    reports = []
+
+    def positive_once(u, alpha, time=0.0):
+        reports.append(real_derf_rhs(u, alpha, time=time))
+        if len(reports) == 2:
+            reports[-1].p_functional = 1.0
+        return reports[-1]
+
+    monkeypatch.setattr(suites, "derf_rhs", positive_once)
+    checks = {c.name: c for c in suites.theorem_suite(seed=1, m_x=4).checks}
+    run0 = checks.pop("run0_uniform")
+    assert (run0.status, run0.measured) == ("not_applicable", 1.0)
+    assert run0.detail == "P-function hypothesis not met (measured)"
+    assert {c.status for c in checks.values()} == {"pass"}
+    assert checks["hypothesis_met_monotone_runs"].measured == 4
 
 
 # sha256 of flow_suite(seed=1, m_x=m, steps=s).to_json(), pinned when the

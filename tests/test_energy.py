@@ -21,11 +21,12 @@ from qcflow.energy import (
 from qcflow.flow import FlowConfig, cfl_timestep, evolve, initial_field
 from qcflow.identities import (IDENTITY_NAMES, FlowQuantities, derf_coefficients,
                                identity_residual)
-from qcflow.lattice import ScalarField, make_grid, periodized_bump, twist_matrices
+from qcflow.lattice import ScalarField, make_grid, periodized_bump
 from qcflow.operators import DifferenceJet
 from qcflow.suites import _lemma_states, _rich_field, lemma_suite
 
-from oracles import grad_h, handed_p_functional, kernel_calls, whole_production
+from oracles import (CHAIN_NAMES, chain_residual, grad_h, handed_p_functional, kernel_calls,
+                     ref_hessian, whole_production)
 
 
 def flow_config(m=4, alpha=-0.05, **kw):
@@ -172,7 +173,7 @@ def test_derf_rhs_bookkeeping_identity():
 NO_HESSIAN_OF_F = ("ricci2", "ricci_mixed", "bochner", "gr4", "intform", "secondt")
 
 
-@pytest.mark.parametrize("tag", IDENTITY_NAMES)
+@pytest.mark.parametrize("tag", IDENTITY_NAMES + CHAIN_NAMES)
 def test_each_tag_streams_the_hessian_of_F_at_most_once(tag, monkeypatch):
     # every integral of F's Hessian comes from one contraction of its
     # Hessian pass, so no tag runs the pass over F, made from u or handed
@@ -199,36 +200,8 @@ def test_each_tag_streams_the_hessian_of_F_at_most_once(tag, monkeypatch):
                                                "qcflow.identities"}
     for mod in bound:
         monkeypatch.setattr(mod, "hessian_pass", counting)
-    identity_residual(tag, u, alpha)
+    (identity_residual if tag in IDENTITY_NAMES else chain_residual)(tag, u, alpha)
     assert sum(streamed) == (0 if tag in NO_HESSIAN_OF_F else 1)
-
-
-def _whole_field_deficit(F):
-    """The p-deficit of F from its whole-field composed Hessian, summed in
-    the (a, b) order of the Hessian pass."""
-    grid = F.grid
-    B = twist_matrices(grid.n)
-    first = DifferenceJet(F).first
-    # second[b][..., a] = D_a D_b F = H_ab
-    second = [DifferenceJet(ScalarField(grid, first[..., b])).first
-              for b in range(grid.dim_h)]
-    norm_sq = np.zeros(grid.shape)
-    trace = np.zeros(grid.shape)
-    omega = np.zeros((3,) + grid.shape)
-    for a in range(grid.dim_h):
-        for b in range(grid.dim_h):
-            hab = second[b][..., a]
-            norm_sq += hab * hab
-            if a == b:
-                trace += hab
-            for s in range(3):
-                if B[s][b, a] != 0.0:
-                    omega[s] += B[s][b, a] * hab
-    quarter = 1.0 / grid.dim_h
-    deficit = norm_sq - quarter * trace * trace
-    for s in range(3):
-        deficit = deficit - quarter * omega[s] * omega[s]
-    return deficit
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -238,7 +211,7 @@ def test_derf_rhs_deficit_terms_are_bit_identical_to_the_whole_field_hessian(m):
     u = initial_field(flow_config(m=m, tau_profile=None))
     alpha = -0.05
     rep = derf_rhs(u, alpha)
-    deficit = _whole_field_deficit(ScalarField(u.grid, np.power(u.values, alpha)))
+    deficit = ref_hessian(np.power(u.values, alpha), u.grid)[3]
     assert rep.min_pF == float(deficit.min())
     c_pdef = derf_coefficients(1, alpha)[4]
     w2 = np.power(u.values, 1.0 - 2 * alpha)
@@ -538,6 +511,18 @@ def test_monotonicity_verdict_pipeline():
     assert set(data) == {"alpha", "alpha_admissible", "L_nonneg",
                          "p_function_nonneg", "energy_monotone",
                          "counterexample_time", "eps_mono", "eps_p"}
+
+
+def test_monotonicity_verdict_names_the_record_where_the_energy_rises():
+    # the energy rises from record 2 to record 3, so the centred rate at
+    # record 2 is positive: the verdict is not monotone, at record 2's time
+    terms = (-1.0, -0.5, -0.25, -0.0, -0.125)
+    reports = fill_numeric_rates([EnergyReport(0.1 * k, e, float("nan"), -4.0, *terms, -1.0, 0.0)
+                                  for k, e in enumerate((3.0, 2.0, 1.0, 2.5))])
+    verdict = monotonicity_verdict(reports, -0.05, 1)
+    assert verdict.p_function_nonneg
+    assert not verdict.energy_monotone
+    assert verdict.counterexample_time == reports[2].time == 0.2
 
 
 def test_monotonicity_verdict_inadmissible_alpha():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcflow import lattice
+from qcflow import flow, lattice
 from qcflow.flow import (
     FlowConfig,
     cfl_timestep,
@@ -287,6 +287,20 @@ def test_stream_yields_every_step_and_marks_the_records():
     for st in measured:
         assert (st.mass, st.lo, st.hi) == (integrate(st.u), float(st.u.values.min()),
                                            float(st.u.values.max()))
+
+
+def test_stream_aborts_at_the_step_that_loses_positivity(monkeypatch):
+    real_step = flow.euler_step
+
+    def losing_step(u, dt, u_min, measure=False):
+        v, mass, _, hi = real_step(u, dt, u_min, measure)
+        return v, mass, 0.0, hi
+
+    monkeypatch.setattr(flow, "euler_step", losing_step)
+    states = flow.stream(small_config())
+    assert next(states).step == 0
+    with pytest.raises(RuntimeError, match="positivity lost at step 1:"):
+        next(states)
 
 
 def test_stream_keeps_only_the_latest_field():

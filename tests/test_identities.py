@@ -12,9 +12,9 @@ from qcflow.flow import FlowConfig, stream
 from qcflow.identities import (
     IDENTITY_NAMES,
     FlowQuantities,
+    _grad_sq,
     bochner_residual,
     identity_residual,
-    linear_rows,
 )
 from qcflow.lattice import (
     ScalarField,
@@ -25,12 +25,9 @@ from qcflow.lattice import (
 from qcflow.operators import DifferenceJet, p_functional
 from qcflow.suites import _rich_field, _uniformish_field
 
-from oracles import kernel_calls
+from oracles import CHAIN_NAMES, ChainRecord, chain_residual, kernel_calls, linear_rows
 
 ALPHA = -0.05
-
-NEEDS_ALPHA = tuple(nm for nm in IDENTITY_NAMES
-                    if nm not in ("ricci2", "ricci_mixed", "bochner", "gr4", "intform"))
 
 
 def uniform_u(m, width=0.245, amplitude=0.3):
@@ -50,12 +47,12 @@ def rich_u(m, width=0.22, amplitude=0.3):
 @pytest.mark.parametrize("m", [4, 5])
 def test_grad_sq_is_bit_identical_to_the_squared_sum(m):
     for u in (uniform_u(m), rich_u(m)):
-        q = FlowQuantities(u, ALPHA)
+        first = DifferenceJet(ScalarField(u.grid, np.power(u.values, ALPHA))).first
         # the rows D_a F as one (4n,) + grid.shape stack, summed over its
         # first axis: one addition per axis, in axis order
-        rows = np.moveaxis(q.jetF.first, -1, 0).copy()
+        rows = np.moveaxis(first, -1, 0).copy()
         expect = np.sum(rows ** 2, axis=0)
-        assert q.grad_sq.tobytes() == expect.tobytes()
+        assert _grad_sq(first).tobytes() == expect.tobytes()
 
 
 def test_unknown_tag_rejected():
@@ -68,9 +65,11 @@ def test_alpha_validation():
     u = uniform_u(3)
     for bad in (0.0, 0.5):
         with pytest.raises(ValueError):
-            identity_residual("deriv2", u, bad)
+            chain_residual("deriv2", u, bad)
     with pytest.raises(ValueError):
-        identity_residual("deriv2", u, None)
+        chain_residual("deriv2", u, None)
+    with pytest.raises(ValueError, match="needs alpha"):
+        identity_residual("hesrep_contraction", u, None)
 
 
 def test_positive_field_required():
@@ -79,7 +78,7 @@ def test_positive_field_required():
     with pytest.raises(ValueError):
         identity_residual("gr4", u)
     with pytest.raises(ValueError):
-        identity_residual("deriv5", u, ALPHA)
+        chain_residual("deriv5", u, ALPHA)
 
 
 def test_a_nan_point_is_refused_like_a_non_positive_one():
@@ -92,7 +91,7 @@ def test_a_nan_point_is_refused_like_a_non_positive_one():
     values.flat[grid.size // 2] = np.nan
     u = ScalarField(grid, values)
     for refused in (lambda: energy_module.energy(u),
-                    lambda: identity_residual("deriv2", u, ALPHA),
+                    lambda: chain_residual("deriv2", u, ALPHA),
                     lambda: FlowQuantities(u, ALPHA)):
         with pytest.raises(ValueError, match="strictly positive"):
             refused()
@@ -119,8 +118,8 @@ def test_suite_fields_refuse_a_bump_that_is_zero_on_the_grid():
 def test_constant_field_all_tags_trivial():
     grid = make_grid(1, 3)
     u = ScalarField(grid, np.full(grid.shape, 2.0))
-    for tag in IDENTITY_NAMES:
-        rep = identity_residual(tag, u, ALPHA)
+    for tag in IDENTITY_NAMES + CHAIN_NAMES:
+        rep = (identity_residual if tag in IDENTITY_NAMES else chain_residual)(tag, u, ALPHA)
         assert rep.residual <= 1e-12, tag
         assert rep.lhs == pytest.approx(0.0, abs=1e-12)
         assert rep.rhs == pytest.approx(0.0, abs=1e-12)
@@ -130,7 +129,7 @@ def test_ricci_mixed_exact_zero():
     # vertical shifts commute with group steps exactly, and the model's
     # torsion endomorphism vanishes
     u = rich_u(4)
-    rep = identity_residual("ricci_mixed", u)
+    rep = chain_residual("ricci_mixed", u)
     assert rep.relative_residual <= 1e-13
 
 
@@ -206,24 +205,24 @@ def test_convergence_on_uniform_data(tag):
 @pytest.mark.parametrize("tag", ["deriv3", "reprtor", "lastrep", "deriv6",
                                  "intform1", "firstt", "deriv5"])
 def test_chain_tags_improve_under_refinement(tag):
-    r4 = identity_residual(tag, uniform_u(4), ALPHA).relative_residual
-    r8 = identity_residual(tag, uniform_u(8), ALPHA).relative_residual
+    r4 = chain_residual(tag, uniform_u(4), ALPHA).relative_residual
+    r8 = chain_residual(tag, uniform_u(8), ALPHA).relative_residual
     assert r8 < r4
 
 
 def test_secondt_needs_vertical_content():
     # vacuous (0 = 0) on vertically uniform data, nontrivial on the
     # vertically structured bump
-    rep0 = identity_residual("secondt", uniform_u(4), ALPHA)
+    rep0 = chain_residual("secondt", uniform_u(4), ALPHA)
     assert rep0.residual <= 1e-12
-    rep = identity_residual("secondt", rich_u(6), ALPHA)
+    rep = chain_residual("secondt", rich_u(6), ALPHA)
     assert abs(rep.lhs) > 0 and abs(rep.rhs) > 0
 
 
 def test_derf_static_identity_shrinks():
     # the static surrogate compares the phi-route integral with the
     # five-term side; its constants are large at desk scale but shrink
-    rels = [identity_residual("derf", uniform_u(m), ALPHA).relative_residual
+    rels = [chain_residual("derf", uniform_u(m), ALPHA).relative_residual
             for m in (4, 6, 8)]
     assert rels[2] < rels[1] < rels[0]
     assert rels[2] < 1.0
@@ -233,23 +232,28 @@ def test_sign_mutation_inflates_firstt():
     # flipping the sign of one side is loudly visible: the catalog computes
     # the two sides through independent expressions with comparable size
     u = uniform_u(6)
-    rep = identity_residual("firstt", u, ALPHA)
+    rep = chain_residual("firstt", u, ALPHA)
     assert abs(rep.lhs) > 0 and abs(rep.rhs) > 0
     flipped = abs(rep.lhs + rep.rhs)  # residual if the rhs sign were wrong
     assert flipped >= 10.0 * rep.residual
 
 
-NONLINEAR_TAGS = ("ricci2", "ricci_mixed", "bochner", "gr4", "intform", "hesrep_contraction")
+# every tag the catalog has had: the lemma's chain and ricci_mixed, which
+# only the tests evaluate, and the five of identity_residual
+ALL_TAGS = ("ricci2", "ricci_mixed", "bochner", "gr4", "intform", "deriv2", "deriv3", "firstt",
+            "secondt", "deriv5", "intform1", "deriv6", "reprtor", "lastrep", "derf",
+            "hesrep_contraction")
 
 
 def test_every_tag_has_exactly_one_route():
-    # a tag is either a row of linear_rows or one of the tags with code of
-    # their own, never both and never neither
-    routes = sorted(list(linear_rows(1, ALPHA)) + list(NONLINEAR_TAGS))
-    assert routes == sorted(IDENTITY_NAMES)
+    # a tag is the package's (identity_residual) or the oracles' (a row of
+    # linear_rows, or ricci_mixed), never both and never neither
+    assert not set(IDENTITY_NAMES) & set(CHAIN_NAMES)
+    assert sorted(CHAIN_NAMES) == sorted(["ricci_mixed", *linear_rows(1, ALPHA)])
+    assert sorted(IDENTITY_NAMES + CHAIN_NAMES) == sorted(ALL_TAGS)
 
 
-# every integral a linear row reads, FlowQuantities' and its production's
+# every integral a linear row reads, the chain record's and its production's
 INTEGRALS = ("deriv1_integral", "I_lap2", "I_quart", "I_mixed", "I_gradlap", "I_lap_gradsq",
              "I_xi2", "I_reeb_mixed", "P_pair_half", "I_hess2", "I_omega2", "I_deficit")
 
@@ -375,7 +379,7 @@ def test_the_chain_relations_hold_on_lattice_residuals(n, m, alpha, monkeypatch)
     # derf relation by far more; the Lichnerowicz coefficient multiplies
     # the model's vanishing torsion and is skipped, as in the lemma suite
     u = _rich_field(make_grid(n, m)) if n == 1 else _lognormal_u(n, m)
-    q = FlowQuantities(u, alpha)
+    q = ChainRecord(u, alpha)
     misses, scale = _relation_misses(q, n, alpha)
     assert max(misses) <= 1e-13 * scale
     coefficients = identities_module.derf_coefficients

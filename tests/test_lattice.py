@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcflow import flow, lattice
+from qcflow import flow, identities, lattice, suites
 from qcflow.lattice import (
     BLOCK_POINTS,
     XI_SCALE,
@@ -34,7 +34,7 @@ from qcflow.lattice import (
     vertical_shift,
 )
 
-from oracles import bump_value, kernel_calls, shift
+from oracles import bump_value, kernel_calls, ref_first_difference, shift
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qcflow"
 
@@ -203,10 +203,6 @@ def test_twist_matrices_are_the_quaternion_product():
         assert np.array_equal(B.transpose(0, 2, 1), cols.transpose(1, 0, 2))
 
 
-def _first_diff(vals, grid, a):
-    return (shift(vals, grid, a, +1) - shift(vals, grid, a, -1)) / (2.0 * grid.h_x)
-
-
 def _reeb(vals, grid, s):
     return XI_SCALE * (vertical_shift(vals, grid, s, +1)
                        - vertical_shift(vals, grid, s, -1)) / (2.0 * grid.h_t)
@@ -221,10 +217,11 @@ def test_commutator_exact_vertical_factorization():
     B = twist_matrices(grid.n)
     f = periodized_bump(grid, width=0.2, amplitude=1.0, offset=0.0)
     vals = f.values
-    first = [_first_diff(vals, grid, a) for a in range(grid.dim_h)]
+    first = [ref_first_difference(vals, grid, a) for a in range(grid.dim_h)]
     for a in range(grid.dim_h):
         for b in range(a + 1, grid.dim_h):
-            comm = _first_diff(first[b], grid, a) - _first_diff(first[a], grid, b)
+            comm = (ref_first_difference(first[b], grid, a)
+                    - ref_first_difference(first[a], grid, b))
             v = grid.twist[:, a, b]
             s = int(np.nonzero(v)[0][0])
             vs = int(v[s])
@@ -251,8 +248,8 @@ def test_commutator_vanishes_identically_for_x_only_fields():
     vals = np.broadcast_to(xv[..., None, None, None], grid.shape).copy()
     for a in range(4):
         for b in range(a + 1, 4):
-            fa = _first_diff(_first_diff(vals, grid, b), grid, a)
-            fb = _first_diff(_first_diff(vals, grid, a), grid, b)
+            fa = ref_first_difference(ref_first_difference(vals, grid, b), grid, a)
+            fb = ref_first_difference(ref_first_difference(vals, grid, a), grid, b)
             assert np.max(np.abs(fa - fb)) <= 1e-14
 
 
@@ -333,6 +330,15 @@ def test_field_snapshot_round_trip(tmp_path):
     g = load_field(base)
     assert np.array_equal(f.values, g.values)
     assert g.grid.m_x == 3 and g.grid.n == 1
+    # a file one value short, and a header of another format, are refused
+    with open(binpath, "r+b") as fh:
+        fh.truncate(8 * (grid.size - 1))
+    with pytest.raises(ValueError, match="does not match its header"):
+        load_field(base)
+    header = Path(headerpath).read_text()
+    Path(headerpath).write_text(header.replace('"qcflow-field-1"', '"qcflow-field-0"'))
+    with pytest.raises(ValueError, match="unsupported field snapshot version"):
+        load_field(base)
 
 
 def place_gap(out: np.ndarray, src: np.ndarray) -> int:
@@ -724,7 +730,10 @@ def test_step_kernel_gathers_what_the_step_tables_give(n, m, workers, monkeypatc
 def test_grad_sq_pass_has_the_bits_of_the_step_tables(n, m, workers, monkeypatch):
     # the energy's pass against vol * np.sum(np.sum(D ** 2, axis=0) * w),
     # D_a = (S^+ - S^-) / 2h through np.take of step_permutation, with ==,
-    # on the blocks of the gather test above, which cut fibres
+    # on the blocks of the gather test above, which cut fibres; and each
+    # block's integrand, copied from its buffer right after grad_sq_block,
+    # against (((D_0 f)^2 + (D_1 f)^2) + ...) * w point by point, which a
+    # sum can hide (a rounded 1 / 2h at m_x = 5 and 6 keeps the integral)
     monkeypatch.setattr(lattice, "WORKERS", workers)
     monkeypatch.setattr(lattice, "BLOCK_POINTS", max(128, 2 * m ** 3 + 1))
     grid = make_grid(n, m)
@@ -735,7 +744,20 @@ def test_grad_sq_pass_has_the_bits_of_the_step_tables(n, m, workers, monkeypatch
                    - np.take(f, grid.step_permutation(a, -1))) / (2.0 * grid.h_x)
                   for a in range(grid.dim_h)])
     expect = grid.cell_volume * np.sum(np.sum(D ** 2, axis=0) * w.reshape(-1))
+    lib, integrand = lattice._step_kernel(), np.full(grid.size, np.nan)
+
+    class Copying:
+        def __getattr__(self, name):
+            return getattr(lib, name)
+
+        def grad_sq_block(self, src, weight, out, start, k, *rest):
+            lib.grad_sq_block(src, weight, out, start, k, *rest)
+            integrand[start:start + k] = np.ctypeslib.as_array(
+                (ctypes.c_double * k).from_address(out))
+
+    monkeypatch.setattr(lattice, "_step_kernel", Copying)
     assert lattice.grad_sq_pass(f, grid, w) == expect
+    assert integrand.tobytes() == _weighted_grad_sq(D, w.reshape(-1)).tobytes()
 
 
 def test_runtime_dim_h_bodies_keep_the_numpy_order(monkeypatch):
@@ -1249,6 +1271,19 @@ def test_every_public_function_has_a_caller_in_the_package():
     uncalled = sorted(qual for qual, fn in public.items()
                       if fn not in referenced and qual not in KEPT_UNCALLED)
     assert uncalled == []
+
+
+def test_every_identity_tag_is_evaluated_by_a_suite():
+    # the package ships only the identity tags that a suite evaluates:
+    # every tag of IDENTITY_NAMES is a string literal of a suite builder
+    # that calls identity_residual (the lemma's chain is the tests' own)
+    builders = {fn.__name__ for fn in suites.SUITE_BUILDERS.values()}
+    passed = set()
+    for node in ast.parse((SRC / "suites.py").read_text()).body:
+        if getattr(node, "name", None) in builders and "identity_residual" in _names(node):
+            passed |= {sub.value for sub in ast.walk(node)
+                       if isinstance(sub, ast.Constant) and isinstance(sub.value, str)}
+    assert set(identities.IDENTITY_NAMES) <= passed
 
 
 def test_every_parameter_is_read_in_its_body():

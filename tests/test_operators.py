@@ -31,7 +31,8 @@ from qcflow.operators import (
     sub_laplacian,
 )
 
-from oracles import c_operator, grad_h, handed_p_functional, p_form, shift, third_contractions
+from oracles import (c_operator, grad_h, handed_p_functional, p_form, ref_first_difference,
+                     ref_hessian, ref_reeb_mixed, ref_sub_laplacian, shift, third_contractions)
 
 
 def make_bump_field(m, width=0.22, tau_width=None, amplitude=1.0, offset=0.0,
@@ -204,8 +205,8 @@ def test_hessian_antisymmetry_is_vertical():
     grid = make_grid(1, 4)
     f = periodized_bump(grid, width=0.2, amplitude=1.0, offset=0.0)
     for (a, b) in [(0, 1), (1, 3)]:
-        hab = _ref_first_difference(_ref_first_difference(f.values, grid, b), grid, a)
-        hba = _ref_first_difference(_ref_first_difference(f.values, grid, a), grid, b)
+        hab = ref_first_difference(ref_first_difference(f.values, grid, b), grid, a)
+        hba = ref_first_difference(ref_first_difference(f.values, grid, a), grid, b)
         v = grid.twist[:, a, b]
         s = int(np.nonzero(v)[0][0])
         # commutator is supported where the field has vertical variation
@@ -339,7 +340,7 @@ def test_p_form_constant_zero_and_duality():
 
 def _stream_hessian(f, with_norm=True):
     """(|H|^2, tr H, omega_s(H), p-deficit) as whole fields, in the order of
-    _ref_hessian, collected from the blocks of the Hessian pass of a field
+    ref_hessian, collected from the blocks of the Hessian pass of a field
     f, or over the first differences of a jet f, handed, the deficit formed
     per block by F's production block from the block's jet rows, as its
     weighted deficit row with unit weights (1.0 * d is d); |H|^2 and the
@@ -392,44 +393,6 @@ def test_omega_contraction_tracks_reeb():
         assert num / den < 1.2  # bounded; exactness is unattainable at this scale
 
 
-# reference stencils: the per-operator loops the difference jet replaced ----
-
-def _ref_first_difference(values, grid, a):
-    return (shift(values, grid, a, +1) - shift(values, grid, a, -1)) / (2.0 * grid.h_x)
-
-
-def _ref_sub_laplacian(values, grid):
-    acc = np.zeros(grid.shape)
-    for a in range(grid.dim_h):
-        acc += (shift(values, grid, a, +1) - 2.0 * values
-                + shift(values, grid, a, -1))
-    return -acc / (grid.h_x * grid.h_x)
-
-
-def _ref_hessian(values, grid):
-    B = twist_matrices(grid.n)
-    dim = grid.dim_h
-    first = [_ref_first_difference(values, grid, b) for b in range(dim)]
-    norm_sq = np.zeros(grid.shape)
-    trace = np.zeros(grid.shape)
-    om = np.zeros((3,) + grid.shape)
-    for a in range(dim):
-        for b in range(dim):
-            hab = _ref_first_difference(first[b], grid, a)
-            norm_sq += hab * hab
-            if a == b:
-                trace += hab
-            for s in range(3):
-                w = B[s][b, a]
-                if w != 0.0:
-                    om[s] += w * hab
-    quarter = 1.0 / dim
-    deficit = norm_sq - quarter * trace * trace
-    for s in range(3):
-        deficit = deficit - quarter * om[s] * om[s]
-    return norm_sq, trace, om, deficit
-
-
 def _jet_fields(m):
     grid = make_grid(1, m)
     return [periodized_bump(grid, width=0.22, amplitude=1.0, offset=1.0),
@@ -440,12 +403,12 @@ def _jet_fields(m):
 def test_jet_readers_are_bit_identical_to_the_stencils(m):
     for f in _jet_fields(m):
         grid = f.grid
-        first = np.stack([_ref_first_difference(f.values, grid, a)
+        first = np.stack([ref_first_difference(f.values, grid, a)
                           for a in range(grid.dim_h)], axis=-1)
         assert np.array_equal(grad_h(f).components, first)
         assert np.array_equal(sub_laplacian(f).values,
-                              _ref_sub_laplacian(f.values, grid))
-        ref = _ref_hessian(f.values, grid)
+                              ref_sub_laplacian(f.values, grid))
+        ref = ref_hessian(f.values, grid)
         for got, expect in zip(_stream_hessian(f), ref):
             assert np.array_equal(got, expect)
         # over a handed jet, the pass gives the same bits, and without the
@@ -510,7 +473,7 @@ def test_p_functional_stream_is_bit_identical_to_the_hessian_route(m):
     # gives the bits of the integrand built from the full Hessian, without
     # building it
     for f in _jet_fields(m):
-        _, trace, omega, _ = _ref_hessian(f.values, f.grid)
+        _, trace, omega, _ = ref_hessian(f.values, f.grid)
         integrand = sub_laplacian(f).values * trace
         for t in range(3):
             integrand += omega[t] * omega[t]
@@ -534,7 +497,7 @@ def test_the_handed_route_has_the_bits_of_the_swept_route_at_m8(monkeypatch):
     sigma = grad_h(jet)
     acc = np.zeros(grid.shape)
     for a in range(grid.dim_h):
-        acc = acc + _ref_first_difference(sigma.components[..., a], grid, a)
+        acc = acc + ref_first_difference(sigma.components[..., a], grid, a)
     expect = (-acc).tobytes()
     del acc
     for workers in (1, 2, 3):
@@ -581,10 +544,10 @@ def _reference_production(values, grid):
     their weights from whole-field np.power."""
     a = PRODUCTION_ALPHA
     F = np.power(values, a)
-    lap = _ref_sub_laplacian(F, grid)
-    grad_sq = np.sum(np.stack([_ref_first_difference(F, grid, b)
+    lap = ref_sub_laplacian(F, grid)
+    grad_sq = np.sum(np.stack([ref_first_difference(F, grid, b)
                                for b in range(grid.dim_h)]) ** 2, axis=0)
-    norm_sq, _, omega, deficit = _ref_hessian(F, grid)
+    norm_sq, _, omega, deficit = ref_hessian(F, grid)
     w2 = np.power(values, 1 - 2 * a)
     vol = grid.cell_volume
     return (float(vol * np.sum(w2 * lap ** 2)),
@@ -594,22 +557,6 @@ def _reference_production(values, grid):
             float(vol * np.sum(w2 * deficit)),
             float(deficit.min()),
             float(np.mean(norm_sq)))
-
-
-def _ref_reeb_mixed(first, grid):
-    """The Reeb mixed term sum_s sum_a xi_s(D_a f) (I_s Df)_a of the
-    reference first differences, read entry by entry from per-s loops over
-    I_s: no contraction of identities."""
-    B = twist_matrices(grid.n)
-    mixed = np.zeros(grid.shape)
-    for s in range(3):
-        for a in range(grid.dim_h):
-            xi_da = reeb_derivative(ScalarField(grid, first[a]), s).values
-            for b in range(grid.dim_h):
-                entry = B[s][a, b]
-                if entry != 0.0:
-                    mixed += xi_da * (entry * first[b])
-    return mixed
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -623,8 +570,8 @@ def test_reeb_mixed_term_matches_a_per_entry_reference(m, monkeypatch):
     grid = make_grid(1, m)
     rough = ScalarField(grid, np.random.default_rng(m).normal(size=grid.shape))
     for f in (_jet_fields(m)[0], rough):
-        first = np.stack([_ref_first_difference(f.values, grid, a) for a in range(grid.dim_h)])
-        ref = _ref_reeb_mixed(first, grid)
+        first = np.stack([ref_first_difference(f.values, grid, a) for a in range(grid.dim_h)])
+        ref = ref_reeb_mixed(first, grid)
         tol = 1e-13 * float(np.max(np.abs(ref)))
         assert tol > 0.0
         # _reeb_mixed reads a jet's point-major differences
@@ -641,76 +588,46 @@ def test_reeb_mixed_term_matches_a_per_entry_reference(m, monkeypatch):
 
 def _reference_bochner(values, grid):
     """The Bochner residual's three L2 norms from whole-field formulas."""
-    first = np.stack([_ref_first_difference(values, grid, a) for a in range(grid.dim_h)])
-    lhs = 0.5 * _ref_sub_laplacian(np.sum(first ** 2, axis=0), grid)
-    lap = _ref_sub_laplacian(values, grid)
-    grad_lap = np.stack([_ref_first_difference(lap, grid, a) for a in range(grid.dim_h)])
-    mixed = _ref_reeb_mixed(first, grid)
-    rhs = -_ref_hessian(values, grid)[0] + np.sum(grad_lap * first, axis=0) - 4.0 * mixed
+    first = np.stack([ref_first_difference(values, grid, a) for a in range(grid.dim_h)])
+    lhs = 0.5 * ref_sub_laplacian(np.sum(first ** 2, axis=0), grid)
+    lap = ref_sub_laplacian(values, grid)
+    grad_lap = np.stack([ref_first_difference(lap, grid, a) for a in range(grid.dim_h)])
+    mixed = ref_reeb_mixed(first, grid)
+    rhs = -ref_hessian(values, grid)[0] + np.sum(grad_lap * first, axis=0) - 4.0 * mixed
     return tuple(float(np.sqrt(grid.cell_volume * np.sum(v * v)))
                  for v in (lhs, rhs, lhs - rhs))
 
 
-def _reference_catalog(values, grid):
-    """The catalog's other integrals of F = u^alpha, phi = -ln u and
-    f = u^(1/2) from whole-field formulas, each one np.sum over its
-    integrand: the FlowQuantities integrals by name, and the (lhs, rhs) of
-    the gr4, intform and secondt reports."""
-    a = PRODUCTION_ALPHA
+def _reference_gr4_intform(values, grid):
+    """The (lhs, rhs) of the gr4 and intform reports from whole-field
+    formulas of f = u^(1/2), each integral one np.sum over its integrand."""
     n = grid.n
     vol = grid.cell_volume
-
-    def grad(v):
-        return np.stack([_ref_first_difference(v, grid, b) for b in range(grid.dim_h)])
-
-    def xi_sq(v):
-        return sum(reeb_derivative(ScalarField(grid, v), s).values ** 2 for s in range(3))
-
-    F = np.power(values, a)
-    dF = grad(F)
-    lap_F = _ref_sub_laplacian(F, grid)
-    grad_sq = np.sum(dF ** 2, axis=0)
-    w2 = np.power(values, 1 - 2 * a)
-    phi = -np.log(values)
-    lap_phi = _ref_sub_laplacian(phi, grid)
-    gp2 = np.sum(grad(phi) ** 2, axis=0)
     f = np.sqrt(values)
-    lap_f = _ref_sub_laplacian(f, grid)
-    _, trace, omega, _ = _ref_hessian(f, grid)
+    lap_f = ref_sub_laplacian(f, grid)
+    _, trace, omega, _ = ref_hessian(f, grid)
     pairing = lap_f * trace
     for t in range(3):
         pairing += omega[t] * omega[t]
-    i_xi2 = float(vol * np.sum(w2 * xi_sq(F)))
-    mixed_f = float(vol * np.sum(_ref_reeb_mixed(grad(f), grid)))
+    first = np.stack([ref_first_difference(f, grid, b) for b in range(grid.dim_h)])
+    mixed_f = float(vol * np.sum(ref_reeb_mixed(first, grid)))
+    xi_sq = sum(reeb_derivative(ScalarField(grid, f), s).values ** 2 for s in range(3))
     return {
-        "I_mixed": float(vol * np.sum(np.power(values, 1 - 3 * a) * lap_F * grad_sq)),
-        "I_xi2": i_xi2,
-        "I_gradlap": float(vol * np.sum(w2 * np.sum(grad(lap_F) * dF, axis=0))),
-        "I_lap_gradsq": float(vol * np.sum(w2 * _ref_sub_laplacian(grad_sq, grid))),
-        "deriv1_integral": float(vol * np.sum(
-            values * (-2.0 * lap_phi ** 2 - 3.0 * lap_phi * gp2 - gp2 ** 2))),
         "gr4": (mixed_f, -(1.0 / (4 * n)) * (float(vol * np.sum(pairing))
                                             + float(vol * np.sum(lap_f ** 2)))),
-        "intform": (mixed_f, -4.0 * n * float(vol * np.sum(xi_sq(f)))),
-        "secondt": (float(vol * np.sum(w2 * _ref_reeb_mixed(dF, grid))),
-                    -4.0 * n * i_xi2),
+        "intform": (mixed_f, -4.0 * n * float(vol * np.sum(xi_sq))),
     }
 
 
 @pytest.mark.parametrize("m", [4, 5])
 def test_catalog_integrals_are_bit_identical_to_the_whole_field_formulas(m):
-    # the shared contractions of the catalog (|Dg|^2, <D Delta g, Dg>,
+    # the shared contractions of the catalog (the Reeb mixed term,
     # sum_s (xi_s g)^2 and vol * sum) keep the bits of the whole-field
     # stencils; a reference computed in this process, so no sha256 is pinned
     for u in _jet_fields(m):
-        expect = _reference_catalog(u.values, u.grid)
-        q = FlowQuantities(u, PRODUCTION_ALPHA)
-        for name, value in expect.items():
-            if name in identities.IDENTITY_NAMES:
-                rep = identity_residual(name, u, PRODUCTION_ALPHA)
-                assert (rep.lhs, rep.rhs) == value, name
-            else:
-                assert getattr(q, name) == value, name
+        for name, value in _reference_gr4_intform(u.values, u.grid).items():
+            rep = identity_residual(name, u)
+            assert (rep.lhs, rep.rhs) == value, name
 
 
 def _reference_passes(f):
@@ -726,17 +643,17 @@ def _reference_passes(f):
         acc += up
     stepped = values + 0.01 * acc
     phi = -np.log(values)
-    grad_phi_sq = np.sum(np.stack([_ref_first_difference(phi, grid, a)
+    grad_phi_sq = np.sum(np.stack([ref_first_difference(phi, grid, a)
                                    for a in range(grid.dim_h)]) ** 2, axis=0)
-    first = np.stack([_ref_first_difference(values, grid, a) for a in range(grid.dim_h)])
-    lap = _ref_sub_laplacian(values, grid)
-    norm_sq, trace, omega, deficit = _ref_hessian(values, grid)
+    first = np.stack([ref_first_difference(values, grid, a) for a in range(grid.dim_h)])
+    lap = ref_sub_laplacian(values, grid)
+    norm_sq, trace, omega, deficit = ref_hessian(values, grid)
     integrand = lap * trace
     for t in range(3):
         integrand += omega[t] * omega[t]
     div = np.zeros(grid.shape)
     for a in range(grid.dim_h):
-        div += _ref_first_difference(first[a], grid, a)
+        div += ref_first_difference(first[a], grid, a)
     return {
         "euler": (stepped, integrate(ScalarField(grid, stepped)),
                   float(np.min(stepped)), float(np.max(stepped))),
