@@ -73,18 +73,40 @@
  * point-major first differences first of the same points, the p-deficit
  * d = ((((nsq - tr q tr) - om_0 q om_0) - om_1 q om_1) - om_2 q om_2),
  * q = 1 / dim_h, and |Df|^2 = sum_b first_b^2 in axis order.  The
- * C-contiguous (5, len) work holds the weights w2 and w4 in its rows 0
+ * C-contiguous (3, len) work holds the weights w2 and w4 in its rows 0
  * and 1; a point's weights are read before the point's integrands are
- * written over them: lap^2 w2, (|Df|^2)^2 w4, w2 nsq,
- * (om_0^2 + om_1^2 + om_2^2) w2 and w2 d, in rows 0 to 4.  It writes the
- * minimum of d into lo[0]; a NaN among the d is kept, as
- * np.minimum.reduce keeps it.
+ * written over them: lap^2 w2, (|Df|^2)^2 w4 and w2 d, in rows 0 to 2,
+ * the three that the production formula reads.  It writes the minimum of
+ * d into lo[0]; a NaN among the d is kept, as np.minimum.reduce keeps it.
  *
  * The per-point loops of grad_sq_block, difference_jet, euler_update and
  * hessian_block are written once, as static inline bodies that each
  * function calls with the literal dim_h 4 (n = 1, the dimension every
  * suite runs), so the compiler unrolls the reads of a point, and with the
  * runtime dim_h otherwise.
+ *
+ * The row bodies.  grad_sq_block, difference_jet and euler_update also
+ * have a body that works a whole t_1 row of a plane at a time: since a
+ * plane roll by (c_1, c_2) sends row t_1 to source row (t_1 + c_1) mod m,
+ * rotated by c_2, the m points of a row read one source row per step.  At
+ * dim_h = 4 and m <= 8 a row fits one 8-lane AVX-512 register, so per row
+ * the body makes one masked load of each of the 8 steps' source rows and
+ * one lane permute by (t_2 + c_2) mod m, picked from m index vectors made
+ * per call, and reads no rolls entry: at m_x = 8 an Euler step takes about
+ * half the time of the scalar body, whose two loads a step read are the
+ * cost.  A row that a block or run edge cuts is stored under a lane mask,
+ * so no body has a scalar tail; the Euler body's masked min and max keep a
+ * NaN lane, and its lanes are folded as the scalar body folds its points.
+ * difference_jet turns the 4 x m differences of a row point-major in
+ * registers before it stores them.  The function selects the row body
+ * itself, at run time: only on x86-64, when the CPU reports AVX-512F
+ * (__builtin_cpu_supports), with dim_h = 4 and m <= 8.  The bodies are
+ * compiled for AVX-512F alone (the target attribute), not the library, so
+ * the shipped flags name no CPU and a library built on one x86-64 CPU runs
+ * on any.  The scalar bodies are the only path on other CPUs, at n >= 2
+ * and at m >= 9.  Each lane does the + - x / of the scalar body in its
+ * order, each rounded on its own under the same -ffp-contract=off, so a
+ * row body writes the scalar body's bits.
  *
  * Each function does the + - x / of the whole-field numpy formula in its
  * per-point order, each one rounded on its own, so its output has that
@@ -236,6 +258,246 @@ static void plane_reads(int64_t t0, int64_t m, int64_t width, int64_t steps,
         reads[k] = fibres[k] + wrap(t0, c0[k], m) * m * m * width;
 }
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+
+/* The row bodies.  A plane roll by (c_1, c_2) sends row t_1 of a plane to
+ * row (t_1 + c_1) mod m of its source plane, rotated by c_2: the m points
+ * of a row read one source row, point t_2 its value (t_2 + c_2) mod m.  At
+ * m <= 8 a row fits the 8 lanes of one AVX-512 register, so a row body
+ * makes, per row, one masked load of each step's source row and one lane
+ * permute by the index vector of its c_2, and reads no rolls entry. */
+#define LANES 8
+
+/* 1 when the row bodies run: n = 1, rows of at most 8 points, and a CPU
+ * with AVX-512F */
+static int row_bodies(int64_t m, int64_t dim_h)
+{
+    return dim_h == 4 && m <= LANES && __builtin_cpu_supports("avx512f");
+}
+
+/* the lanes [lo, hi) of row t1 that lie in the plane's points [q0, q1) */
+static __mmask8 row_lanes(int64_t t1, int64_t m, int64_t q0, int64_t q1)
+{
+    int64_t lo = q0 > t1 * m ? q0 - t1 * m : 0, hi = q1 < t1 * m + m ? q1 - t1 * m : m;
+    return (__mmask8)(((1u << hi) - 1) & ~((1u << lo) - 1));
+}
+
+/* turn[c] takes lane t to lane (t + c) mod m, each lane past m to itself */
+__attribute__((target("avx512f")))
+static void row_turns(int64_t m, __m512i *turn)
+{
+    for (int64_t c = 0; c < m; c++) {
+        int64_t lane[LANES];
+        for (int64_t t = 0; t < LANES; t++)
+            lane[t] = t < m ? wrap(t, c, m) : t;
+        turn[c] = _mm512_loadu_si512(lane);
+    }
+}
+
+/* per step k of a fibre, the row roll c1[k] and the lane permute idx[k] of
+ * its plane roll, from the offset roll[k] of that roll in the table */
+__attribute__((target("avx512f")))
+static void fibre_turns(const int64_t *roll, int64_t m, const __m512i *turn, int64_t *c1,
+                        __m512i *idx)
+{
+    for (int k = 0; k < 8; k++) {
+        int64_t c = roll[k] / (m * m);
+        c1[k] = c / m;
+        idx[k] = turn[c % m];
+    }
+}
+
+/* the 8 step values s[k] of the points of row t1, step k reading the plane
+ * at rd[k]: its source row, loaded into the lanes [0, m) and permuted */
+__attribute__((target("avx512f")))
+static inline void row_steps(const double *const *rd, const int64_t *c1, const __m512i *idx,
+                             int64_t t1, int64_t m, __m512d *s)
+{
+    __mmask8 row = (__mmask8)((1u << m) - 1);
+    for (int k = 0; k < 8; k++)
+        s[k] = _mm512_permutexvar_pd(idx[k],
+                                     _mm512_maskz_loadu_pd(row, rd[k] + wrap(t1, c1[k], m) * m));
+}
+
+/* the NaN-keeping minimum and maximum of the lanes of lo and hi */
+__attribute__((target("avx512f")))
+static void lane_extremes(__m512d lo, __m512d hi, double *ext)
+{
+    double l[LANES], h[LANES], min_x = INFINITY, max_x = -INFINITY;
+    _mm512_storeu_pd(l, lo);
+    _mm512_storeu_pd(h, hi);
+    for (int t = 0; t < LANES; t++) {
+        min_x = l[t] < min_x || l[t] != l[t] ? l[t] : min_x;
+        max_x = h[t] > max_x || h[t] != h[t] ? h[t] : max_x;
+    }
+    ext[0] = min_x;
+    ext[1] = max_x;
+}
+
+/* the row body of euler_update */
+__attribute__((target("avx512f")))
+static void euler_rows(const double *src, double *out, double *ext, int64_t start, int64_t len,
+                       int64_t m, const int64_t *twist, double w)
+{
+    int64_t m2 = m * m, fibre = m2 * m, stop = start + len, q0, q1;
+    int64_t from[8], c0[8], roll[8], at[8], c1[8];
+    const double *rd[8];
+    __m512i turn[LANES], idx[8];
+    __m512d s[8], wv = _mm512_set1_pd(w), two = _mm512_set1_pd(2.0);
+    __m512d lo = _mm512_set1_pd(INFINITY), hi = _mm512_set1_pd(-INFINITY);
+    __mmask8 row = (__mmask8)((1u << m) - 1);
+    row_turns(m, turn);
+    for (int64_t fib = start / fibre; fib * fibre < stop; fib++) {
+        int64_t base = fib * fibre;
+        int64_t lo_q = start > base ? start - base : 0;
+        int64_t hi_q = stop < base + fibre ? stop - base : fibre;
+        fibre_steps(fib, m, 4, 0, 4, twist, from, c0, roll);
+        fibre_turns(roll, m, turn, c1, idx);
+        for (int64_t t0 = lo_q / m2; plane_run(t0, m2, lo_q, hi_q, &q0, &q1); t0++) {
+            const double *v = src + base + t0 * m2;
+            double *o = out + base + t0 * m2;
+            plane_sources(t0, m, 4, from, c0, at);
+            for (int k = 0; k < 8; k++)
+                rd[k] = src + at[k];
+            for (int64_t t1 = q0 / m; t1 * m < q1; t1++) {
+                __mmask8 keep = row_lanes(t1, m, q0, q1);
+                __m512d u = _mm512_maskz_loadu_pd(row, v + t1 * m);
+                __m512d two_u = _mm512_mul_pd(u, two);
+                row_steps(rd, c1, idx, t1, m, s);
+                /* the scalar body's sums, lane by lane, in its order */
+                __m512d acc = _mm512_sub_pd(_mm512_add_pd(s[0], s[1]), two_u);
+                for (int a = 1; a < 4; a++)
+                    acc = _mm512_add_pd(acc, _mm512_sub_pd(_mm512_add_pd(s[2 * a], s[2 * a + 1]),
+                                                           two_u));
+                __m512d x = _mm512_add_pd(u, _mm512_mul_pd(acc, wv));
+                _mm512_mask_storeu_pd(o + t1 * m, keep, x);
+                /* a NaN lane is kept, as the scalar body keeps it */
+                __mmask8 nan = _mm512_mask_cmp_pd_mask(keep, x, x, _CMP_UNORD_Q);
+                lo = _mm512_mask_mov_pd(lo, nan | _mm512_mask_cmp_pd_mask(keep, x, lo, _CMP_LT_OQ), x);
+                hi = _mm512_mask_mov_pd(hi, nan | _mm512_mask_cmp_pd_mask(keep, x, hi, _CMP_GT_OQ), x);
+            }
+        }
+    }
+    lane_extremes(lo, hi, ext);
+}
+
+/* the row body of grad_sq_block */
+__attribute__((target("avx512f")))
+static inline void grad_sq_rows(const double *src, const double *w, double *out, int64_t start,
+                                int64_t len, int64_t m, const int64_t *twist, double two_h,
+                                int exact)
+{
+    int64_t m2 = m * m, fibre = m2 * m, stop = start + len, q0, q1;
+    int64_t from[8], c0[8], roll[8], at[8], c1[8];
+    const double *rd[8];
+    __m512i turn[LANES], idx[8];
+    __m512d s[8], inv = _mm512_set1_pd(1.0 / two_h), h2 = _mm512_set1_pd(two_h);
+    row_turns(m, turn);
+    for (int64_t fib = start / fibre; fib * fibre < stop; fib++) {
+        int64_t base = fib * fibre;
+        int64_t lo = start > base ? start - base : 0;
+        int64_t hi = stop < base + fibre ? stop - base : fibre;
+        fibre_steps(fib, m, 4, 0, 4, twist, from, c0, roll);
+        fibre_turns(roll, m, turn, c1, idx);
+        for (int64_t t0 = lo / m2; plane_run(t0, m2, lo, hi, &q0, &q1); t0++) {
+            plane_sources(t0, m, 4, from, c0, at);
+            for (int k = 0; k < 8; k++)
+                rd[k] = src + at[k];
+            for (int64_t t1 = q0 / m; t1 * m < q1; t1++) {
+                __mmask8 keep = row_lanes(t1, m, q0, q1);
+                int64_t p = base + t0 * m2 + t1 * m;
+                row_steps(rd, c1, idx, t1, m, s);
+                __m512d d = _mm512_sub_pd(s[0], s[1]);
+                d = exact ? _mm512_mul_pd(d, inv) : _mm512_div_pd(d, h2);
+                __m512d g = _mm512_mul_pd(d, d);
+                for (int a = 1; a < 4; a++) {
+                    d = _mm512_sub_pd(s[2 * a], s[2 * a + 1]);
+                    d = exact ? _mm512_mul_pd(d, inv) : _mm512_div_pd(d, h2);
+                    g = _mm512_add_pd(g, _mm512_mul_pd(d, d));
+                }
+                g = _mm512_mul_pd(g, _mm512_maskz_loadu_pd(keep, w + p));
+                /* a row that starts before the block writes its lanes from
+                 * out[0], so no address before out is formed */
+                if (p < start)
+                    _mm512_mask_compressstoreu_pd(out, keep, g);
+                else
+                    _mm512_mask_storeu_pd(out + (p - start), keep, g);
+            }
+        }
+    }
+}
+
+/* the row body of difference_jet: the 4 differences of a row's points,
+ * one register per axis, are turned point-major in registers, each point's
+ * 4 one half of a register, and stored as 4 m values */
+__attribute__((target("avx512f")))
+static inline void jet_rows(const double *const *src, double *const *first,
+                            double *const *lap, int64_t start, int64_t len, int64_t m,
+                            const int64_t *twist, double two_h, double h_sq, int exact)
+{
+    int64_t m2 = m * m, fibre = m2 * m, plane = plane_points(m, 4), stop = start + len;
+    int64_t from[8], c0[8], roll[8], c1[8], q0, q1;
+    const double *fibres[8], *reads[8];
+    __m512i turn[LANES], idx[8];
+    __m512d s[8], d[4], two = _mm512_set1_pd(2.0), minus_zero = _mm512_set1_pd(-0.0);
+    __m512d inv_2h = _mm512_set1_pd(1.0 / two_h), inv_h_sq = _mm512_set1_pd(1.0 / h_sq);
+    __m512d h2 = _mm512_set1_pd(two_h), hh = _mm512_set1_pd(h_sq);
+    /* lanes of (D_0, D_1) and (D_2, D_3) paired per point, then the pairs
+     * of two points side by side */
+    __m512i pair_lo = _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0);
+    __m512i pair_hi = _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4);
+    __m512i quad_lo = _mm512_set_epi64(11, 10, 3, 2, 9, 8, 1, 0);
+    __m512i quad_hi = _mm512_set_epi64(15, 14, 7, 6, 13, 12, 5, 4);
+    __mmask8 row = (__mmask8)((1u << m) - 1);
+    row_turns(m, turn);
+    for (int64_t fib = start / fibre; fib * fibre < stop; fib++) {
+        int64_t base = fib * fibre, x0 = base / plane, in = base - x0 * plane;
+        int64_t lo = start > base ? start - base : 0;
+        int64_t hi = stop < base + fibre ? stop - base : fibre;
+        fibre_steps(fib, m, 4, 0, 4, twist, from, c0, roll);
+        fibre_turns(roll, m, turn, c1, idx);
+        source_fibres(src, m, plane, 1, x0, 0, 4, from, fibres);
+        for (int64_t t0 = lo / m2; plane_run(t0, m2, lo, hi, &q0, &q1); t0++) {
+            int64_t p0 = in + t0 * m2;
+            const double *v = src[x0] + p0;
+            double *f = first[x0] + p0 * 4, *l = lap[x0] + p0;
+            plane_reads(t0, m, 1, 4, fibres, c0, reads);
+            for (int64_t t1 = q0 / m; t1 * m < q1; t1++) {
+                __mmask8 keep = row_lanes(t1, m, q0, q1);
+                __m512d two_f = _mm512_mul_pd(_mm512_maskz_loadu_pd(row, v + t1 * m), two);
+                __m512d acc = _mm512_setzero_pd();
+                row_steps(reads, c1, idx, t1, m, s);
+                for (int a = 0; a < 4; a++) {
+                    __m512d diff = _mm512_sub_pd(s[2 * a], s[2 * a + 1]);
+                    d[a] = exact ? _mm512_mul_pd(diff, inv_2h) : _mm512_div_pd(diff, h2);
+                    acc = _mm512_add_pd(acc, _mm512_add_pd(_mm512_sub_pd(s[2 * a], two_f),
+                                                           s[2 * a + 1]));
+                }
+                /* -0.0 - acc is -acc, zeros too */
+                acc = _mm512_sub_pd(minus_zero, acc);
+                _mm512_mask_storeu_pd(l + t1 * m, keep, exact ? _mm512_mul_pd(acc, inv_h_sq)
+                                                              : _mm512_div_pd(acc, hh));
+                __m512d p01 = _mm512_permutex2var_pd(d[0], pair_lo, d[1]);
+                __m512d p01h = _mm512_permutex2var_pd(d[0], pair_hi, d[1]);
+                __m512d p23 = _mm512_permutex2var_pd(d[2], pair_lo, d[3]);
+                __m512d p23h = _mm512_permutex2var_pd(d[2], pair_hi, d[3]);
+                __m512d q[4] = {_mm512_permutex2var_pd(p01, quad_lo, p23),
+                                _mm512_permutex2var_pd(p01, quad_hi, p23),
+                                _mm512_permutex2var_pd(p01h, quad_lo, p23h),
+                                _mm512_permutex2var_pd(p01h, quad_hi, p23h)};
+                for (int j = 0; j < 4; j++) {
+                    /* register j holds the points 2j and 2j + 1 */
+                    __mmask8 two_points = (__mmask8)(((keep >> (2 * j)) & 1 ? 0x0F : 0)
+                                                     | ((keep >> (2 * j + 1)) & 1 ? 0xF0 : 0));
+                    _mm512_mask_storeu_pd(f + (t1 * m + 2 * j) * 4, two_points, q[j]);
+                }
+            }
+        }
+    }
+}
+#endif
+
 /* the body of grad_sq_block */
 static inline void grad_sq_points(const double *src, const double *w, double *out,
                                   int64_t start, int64_t len, int64_t m, int64_t dim_h,
@@ -274,6 +536,15 @@ void grad_sq_block(const double *src, const double *w, double *out, int64_t star
                    int64_t len, int64_t m, int64_t dim_h, const int64_t *twist,
                    const int64_t *rolls, double two_h)
 {
+#if defined(__x86_64__)
+    if (row_bodies(m, dim_h)) {
+        if (power_of_two(two_h))
+            grad_sq_rows(src, w, out, start, len, m, twist, two_h, 1);
+        else
+            grad_sq_rows(src, w, out, start, len, m, twist, two_h, 0);
+        return;
+    }
+#endif
     if (dim_h == 4 && power_of_two(two_h))
         grad_sq_points(src, w, out, start, len, m, 4, twist, rolls, two_h, 1);
     else if (dim_h == 4)
@@ -321,6 +592,15 @@ void difference_jet(const double *const *src, double *const *first, double *cons
                     int64_t start, int64_t len, int64_t m, int64_t dim_h,
                     const int64_t *twist, const int64_t *rolls, double two_h, double h_sq)
 {
+#if defined(__x86_64__)
+    if (row_bodies(m, dim_h)) {
+        if (power_of_two(two_h) && power_of_two(h_sq))
+            jet_rows(src, first, lap, start, len, m, twist, two_h, h_sq, 1);
+        else
+            jet_rows(src, first, lap, start, len, m, twist, two_h, h_sq, 0);
+        return;
+    }
+#endif
     if (dim_h == 4 && power_of_two(two_h) && power_of_two(h_sq))
         jet_points(src, first, lap, start, len, m, 4, twist, rolls, two_h, h_sq, 1);
     else if (dim_h == 4)
@@ -369,6 +649,12 @@ void euler_update(const double *src, double *out, double *ext, int64_t start, in
                   int64_t m, int64_t dim_h, const int64_t *twist, const int64_t *rolls,
                   double w)
 {
+#if defined(__x86_64__)
+    if (row_bodies(m, dim_h)) {
+        euler_rows(src, out, ext, start, len, m, twist, w);
+        return;
+    }
+#endif
     if (dim_h == 4)
         euler_points(src, out, ext, start, len, m, 4, twist, rolls, w);
     else
@@ -460,8 +746,7 @@ void production_block(const double *tr, const double *om, const double *nsq,
                       int64_t len, int64_t dim_h)
 {
     double quarter = 1.0 / (double)dim_h, min_d = INFINITY;
-    double *lap2 = work, *quart = work + len, *hess2 = work + 2 * len;
-    double *omega2 = work + 3 * len, *weighted = work + 4 * len;
+    double *lap2 = work, *quart = work + len, *weighted = work + 2 * len;
     for (int64_t i = 0; i < len; i++) {
         /* the weights are read before any integrand overwrites them */
         double w2 = work[i], w4 = work[len + i];
@@ -474,8 +759,6 @@ void production_block(const double *tr, const double *om, const double *nsq,
             g += f[b] * f[b];
         lap2[i] = lap[i] * lap[i] * w2;
         quart[i] = g * g * w4;
-        hess2[i] = w2 * n;
-        omega2[i] = (o0 * o0 + o1 * o1 + o2 * o2) * w2;
         weighted[i] = w2 * d;
         /* d != d keeps a NaN: no later comparison replaces it */
         min_d = d < min_d || d != d ? d : min_d;

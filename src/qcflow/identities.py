@@ -97,14 +97,17 @@ def _xi_sq(f: ScalarField) -> np.ndarray:
 
 
 class ProductionIntegrals(NamedTuple):
-    """FlowQuantities.production, from one contraction of F's Hessian pass."""
+    """FlowQuantities.production, from one contraction of F's Hessian pass:
+    the three integrals of the production formula and the deficit's min."""
     I_lap2: float
     I_quart: float
-    I_hess2: float
-    I_omega2: float
     I_deficit: float
     min_deficit: float
-    mean_hess2: float
+
+
+def _power(alpha: float):
+    # the transform F = u^alpha of a Hessian pass, written with out=
+    return lambda src, out: np.power(src, alpha, out=out)
 
 
 class FlowQuantities:
@@ -126,8 +129,8 @@ class FlowQuantities:
 
     @cached_property
     def production(self) -> ProductionIntegrals:
-        """The integrals of F's Hessian, I_lap2, I_quart, I_hess2, I_omega2
-        and I_deficit, the min of the p-deficit and the mean of |H|^2, from
+        """The integrals of F's Hessian that the production formula reads,
+        I_lap2, I_quart and I_deficit, and the min of the p-deficit, from
         one contraction of F's Hessian pass (lattice.hessian_pass), which
         makes F = u^alpha and its jet plane by plane and holds neither
         whole.
@@ -135,13 +138,12 @@ class FlowQuantities:
         Per block it writes the weights u^(1-2 alpha) and u^(1-4 alpha)
         with np.power, and one call of lattice's production block forms,
         per point, the p-deficit from |H|^2, tr H and omega_s(H), |DF|^2 in
-        axis order and the integrands w2 (Delta F)^2, w4 |DF|^4, w2 |H|^2,
-        w2 sum_s omega_s^2 and w2 deficit, with the bits of the whole-field
-        formulas, and returns the block's deficit minimum.  The contraction
-        returns each integrand's np.add.reduce and that of |H|^2, so no
-        weight, square or integrand field is built.  The pass's totals give
-        each integral the bits of one np.sum over the whole integrand, a
-        min is exact in any order, and np.mean is that sum over the size.
+        axis order and the integrands w2 (Delta F)^2, w4 |DF|^4 and
+        w2 deficit, with the bits of the whole-field formulas, and returns
+        the block's deficit minimum.  The contraction returns each
+        integrand's np.add.reduce, so no weight, square or integrand field
+        is built.  The pass's totals give each integral the bits of one
+        np.sum over the whole integrand, and a min is exact in any order.
         """
         grid = self.grid
         u = self.u.values.reshape(-1)
@@ -153,14 +155,12 @@ class FlowQuantities:
             np.power(u[blk], e2, out=rows[0])
             np.power(u[blk], e4, out=rows[1])
             mins.append(_production_block(tr, om, nsq, lap, first, rows))
-            # lap2, quart, hess2, omega2 and the weighted deficit
-            return (*(np.add.reduce(row) for row in rows), np.add.reduce(nsq))
+            # lap2, quart and the weighted deficit
+            return tuple(np.add.reduce(row) for row in rows)
 
-        *sums, norms = hessian_pass(u, grid, lambda src, out: np.power(src, alpha, out=out),
-                                    contract, with_norm=True, scratch=((5,),))
+        sums = hessian_pass(u, grid, _power(alpha), contract, with_norm=True, scratch=((3,),))
         vol = grid.cell_volume
-        return ProductionIntegrals(*(float(vol * total) for total in sums),
-                                   float(np.min(mins)), float(norms / grid.size))
+        return ProductionIntegrals(*(float(vol * total) for total in sums), float(np.min(mins)))
 
     @cached_property
     def P_pair_half(self):
@@ -318,7 +318,29 @@ def identity_residual(name: str, u: ScalarField, alpha: float | None = None) -> 
 
     if alpha is None:
         raise ValueError(f"identity {name!r} needs alpha")
-    production = FlowQuantities(u, alpha).production
-    min_p = production.min_deficit
-    return IdentityReport(name=name, lhs=min_p, rhs=0.0, residual=max(0.0, -min_p),
-                          norm_scale=production.mean_hess2 + NORM_FLOOR, n=n, m_x=grid.m_x)
+    return _hesrep_report(u, alpha)
+
+
+def _hesrep_report(u: ScalarField, alpha: float) -> IdentityReport:
+    """hesrep_contraction: the min of the p-deficit of F = u^alpha against
+    the mean of |H|^2, from a Hessian pass of its own.  Its contraction
+    hands the production block unit weights, since the deficit minimum
+    reads none, and sums |H|^2 per block, so the pass's total gives
+    np.mean's bits; a min is exact in any order."""
+    check_alpha(alpha)
+    require_positive(u)
+    grid = u.grid
+    mins = []
+
+    def contract(blk, tr, om, nsq, work, lap, first):
+        (rows,) = work
+        rows[:2] = 1.0
+        mins.append(_production_block(tr, om, nsq, lap, first, rows))
+        return (np.add.reduce(nsq),)
+
+    (norms,) = hessian_pass(u.values, grid, _power(alpha), contract, with_norm=True,
+                            scratch=((3,),))
+    min_p = float(np.min(mins))
+    return IdentityReport(name="hesrep_contraction", lhs=min_p, rhs=0.0, residual=max(0.0, -min_p),
+                          norm_scale=float(norms / grid.size) + NORM_FLOOR, n=grid.n,
+                          m_x=grid.m_x)

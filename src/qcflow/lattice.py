@@ -237,9 +237,8 @@ class HorizontalField:
 # passes hold none: the energy's pass holds one, its weighted |Df|^2, which
 # stays in a core's L2 cache (2 MiB a core on the 2-core Xeon of the BENCH
 # files).  The largest, F's Hessian pass with production's contraction,
-# holds per worker tr, three omega, |H|^2 and production's (5, k) work
-# array, 10 blocks: 2.5 MiB, a little over L2; hessian_block keeps no
-# buffer.
+# holds per worker tr, three omega, |H|^2 and production's (3, k) work
+# array, 8 blocks: 2 MiB, all of L2; hessian_block keeps no buffer.
 # It must be at least 128, the run numpy's pairwise sum adds without a cut.
 BLOCK_POINTS = 32768
 
@@ -415,6 +414,11 @@ def _step_kernel():
     under a name that holds the sha256 of the source followed by the
     compile flags, unless that library is there already, and loads it.  So
     a changed flag list builds a library of its own.
+    The flags name no CPU: on an x86-64 CPU that reports AVX-512F,
+    grad_sq_block, difference_jet and euler_update choose for themselves,
+    at n = 1 and m_x <= 8, a row body compiled for AVX-512F alone, which
+    reads a plane roll's rows with lane permutes and writes the scalar
+    body's bits; elsewhere the scalar bodies run.
     ctypes releases the interpreter lock during each call, so the workers
     gather at once."""
     global _steps_lib
@@ -839,9 +843,9 @@ def sweep_bytes(grid: LatticeGrid) -> int:
     """The bytes of the arrays of F's Hessian sweep (FlowQuantities.production),
     the largest sweep of a record: three transform slots, the ring of jet
     slots (three at m_x = 8: 2.72 fields with the block arrays) and WORKERS
-    sets of block arrays (tr, omega, |H|^2, five integrand rows and a
+    sets of block arrays (tr, omega, |H|^2, three integrand rows and a
     straddling block's jet rows), as hessian_pass lays them out."""
-    slabs, slots, space = _window(grid, _hessian_own(True) + ((5,),), False)
+    slabs, slots, space = _window(grid, _hessian_own(True) + ((3,),), False)
     span = grid.size // slabs
     counts = [span] * min(3, slabs) + [span * grid.dim_h, span] * slots + space * WORKERS
     return 8 * (sum(counts) + PLACE_PAD * len(counts))
@@ -863,21 +867,21 @@ def _production_block(tr: np.ndarray, om: np.ndarray, nsq: np.ndarray, lap: np.n
     and the block's minimum of the p-deficit.
 
     tr, om (3, k) and nsq are the block's contractions, lap its compact
-    Laplacian and first (k, 4n) its first differences; work (5, k) holds
+    Laplacian and first (k, 4n) its first differences; work (3, k) holds
     the weights u^(1 - 2 alpha) and u^(1 - 4 alpha) in rows 0 and 1.  Per
     point the call forms the p-deficit |H|^2 - (1/4n)(tr H)^2 -
     (1/4n) sum_s omega_s(H)^2, grouped as written and pointwise
     non-negative by the Bessel inequality for the orthogonal family
     {Id, omega_1, omega_2, omega_3}, and |DF|^2 in axis order, and writes
-    into the rows of work the integrands w2 (Delta F)^2, w4 |DF|^4,
-    w2 |H|^2, w2 sum_s omega_s^2 and w2 deficit, each with the bits of its
+    into the rows of work the three integrands of the production formula,
+    w2 (Delta F)^2, w4 |DF|^4 and w2 deficit, each with the bits of its
     whole-field numpy formula.  The minimum keeps a NaN, as
     np.minimum.reduce does.  Every array is C-contiguous float64, or the
     call is refused.
     """
     k = tr.shape[0]
     shapes = ((tr, (k,)), (om, (3, k)), (nsq, (k,)), (lap, (k,)),
-              (first, (k, first.shape[-1])), (work, (5, k)))
+              (first, (k, first.shape[-1])), (work, (3, k)))
     if any(arr.shape != shape or arr.dtype != np.float64 or not arr.flags.c_contiguous
            for arr, shape in shapes):
         raise ValueError("the production block takes C-contiguous float64 blocks of one size")

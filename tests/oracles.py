@@ -13,14 +13,16 @@ The lemma's chain of integral identities lives here too, since only the
 tests evaluate it: the ten linear rows deriv2 ... derf and ricci_mixed,
 eleven tags that chain_residual reports as identities.identity_residual
 reports the package's five.  A row reads the package's production and
-P_pair_half and six catalog integrals of whole-field reference formulas,
-made once per field and alpha."""
+P_pair_half, the integrals of w2 |H|^2 and w2 sum_s omega_s(H)^2 that only
+the chain reads, and six catalog integrals of whole-field reference
+formulas, made once per field and alpha."""
 from __future__ import annotations
 
 import ctypes
 import hashlib
 import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -218,12 +220,11 @@ def whole_production(u: ScalarField, alpha: float) -> ProductionIntegrals:
         np.power(values[blk], 1.0 - 2 * alpha, out=rows[0])
         np.power(values[blk], 1.0 - 4 * alpha, out=rows[1])
         mins.append(lattice._production_block(tr, om, nsq, lap[blk], first_rows, rows))
-        return (*(np.add.reduce(row) for row in rows), np.add.reduce(nsq))
+        return tuple(np.add.reduce(row) for row in rows)
 
-    *sums, norms = lattice.hessian_pass(first, grid, None, contract, with_norm=True,
-                                        scratch=((5,),))
+    sums = lattice.hessian_pass(first, grid, None, contract, with_norm=True, scratch=((3,),))
     return ProductionIntegrals(*(float(grid.cell_volume * total) for total in sums),
-                               float(np.min(mins)), float(norms / grid.size))
+                               float(np.min(mins)))
 
 
 def handed_p_functional(first: np.ndarray, lap: np.ndarray, grid: LatticeGrid) -> float:
@@ -239,6 +240,15 @@ def handed_p_functional(first: np.ndarray, lap: np.ndarray, grid: LatticeGrid) -
     (total,) = lattice.hessian_pass(first, grid, None, contract, with_norm=False,
                                     scratch=((), ()))
     return float(grid.cell_volume * total)
+
+
+def step_cases(workers) -> list:
+    """The (n, m, workers) cases of the tests that hold a step kernel to
+    the step tables: each small grid at each worker count in workers, with
+    m_x = 7, whose rows of 7 points the tests' blocks cut, and m_x = 8, whose
+    rows they leave whole, on one worker only (its tables are 16 MiB each)."""
+    grids = ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 2), (2, 3), (3, 2))
+    return [(n, m, w) for n, m in grids for w in workers] + [(1, 8, 1)]
 
 
 def kernel_calls(monkeypatch) -> list:
@@ -308,13 +318,54 @@ def reference_integrals(u: ScalarField, alpha: float) -> dict:
 
 
 class ChainRecord(FlowQuantities):
-    """The record a row of linear_rows reads: the package's production and
-    P_pair_half of FlowQuantities, each made on its first read, and the six
-    reference integrals as attributes."""
+    """The record a row of linear_rows reads: the six reference integrals
+    as attributes, the package's P_pair_half of FlowQuantities, made on its
+    first read, and F's Hessian integrals from one contraction of its own:
+    the package's production, with the bits of FlowQuantities.production,
+    and I_hess2 = int w2 |H|^2 and I_omega2 = int w2 sum_s omega_s(H)^2,
+    w2 = u^(1-2 alpha), which only the chain reads, in the order of their
+    whole-field formulas, as the production block formed them once."""
 
     def __init__(self, u: ScalarField, alpha: float):
         super().__init__(u, alpha)
         vars(self).update(reference_integrals(u, alpha))
+
+    @cached_property
+    def _hessian_integrals(self) -> tuple:
+        grid, alpha = self.grid, self.alpha
+        u, e2, e4 = self.u.values.reshape(-1), 1.0 - 2 * alpha, 1.0 - 4 * alpha
+        mins = []
+
+        def contract(blk, tr, om, nsq, work, lap, first):
+            rows, row = work
+            np.power(u[blk], e2, out=rows[0])
+            np.power(u[blk], e4, out=rows[1])
+            np.multiply(rows[0], nsq, out=row)
+            hess2 = np.add.reduce(row)
+            np.multiply(om[0], om[0], out=row)
+            row += om[1] * om[1]
+            row += om[2] * om[2]
+            row *= rows[0]
+            omega2 = np.add.reduce(row)
+            mins.append(lattice._production_block(tr, om, nsq, lap, first, rows))
+            return (*(np.add.reduce(r) for r in rows), hess2, omega2)
+
+        sums = lattice.hessian_pass(u, grid, identities._power(alpha), contract, with_norm=True,
+                                    scratch=((3,), ()))
+        *production, hess2, omega2 = (float(grid.cell_volume * total) for total in sums)
+        return ProductionIntegrals(*production, float(np.min(mins))), hess2, omega2
+
+    @property
+    def production(self) -> ProductionIntegrals:
+        return self._hessian_integrals[0]
+
+    @property
+    def I_hess2(self) -> float:
+        return self._hessian_integrals[1]
+
+    @property
+    def I_omega2(self) -> float:
+        return self._hessian_integrals[2]
 
 
 def linear_rows(n, alpha) -> dict:
@@ -344,7 +395,7 @@ def linear_rows(n, alpha) -> dict:
         p = q.production
         return (3 * (1 / a - 2) / 2 * q.I_mixed,
                 (1 / a - 2) / 2 * (1 / a - 3) * p.I_quart
-                - (p.I_hess2 - 16 * n * q.I_xi2 - p.I_lap2), (p.I_hess2,))
+                - (q.I_hess2 - 16 * n * q.I_xi2 - p.I_lap2), (q.I_hess2,))
     def intform1(q):
         p = q.production
         return (-4 * n * q.I_xi2,
@@ -357,11 +408,11 @@ def linear_rows(n, alpha) -> dict:
                 8 * a ** 3 / c_div * q.P_pair_half
                 + (2 * n + 1 - 2 * (3 * n + 1) * a) / (2 * (3 * n + 2) * a) * p.I_quart
                 + (3 + 4 * n) * a / (2 * c_div) * p.I_lap2
-                - 2 * n * a / c_div * (1 / (4 * n) * p.I_omega2 + p.I_deficit), ())
+                - 2 * n * a / c_div * (1 / (4 * n) * q.I_omega2 + p.I_deficit), ())
     def reprtor(q):
         p = q.production
         return (1 / (4 * n) * (p.I_lap2 + half * half * p.I_quart) + a * a / n * q.P_pair_half,
-                1 / (4 * n) * (2 * half * q.I_mixed + p.I_omega2), ())
+                1 / (4 * n) * (2 * half * q.I_mixed + q.I_omega2), ())
     def lastrep(q):
         p = q.production
         return (3 * (2 * n + 1) / 2 * q.I_mixed,

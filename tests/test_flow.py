@@ -19,7 +19,7 @@ from qcflow.flow import (
 from qcflow.lattice import ScalarField, integrate, make_grid
 from qcflow.operators import sub_laplacian
 
-from oracles import grad_h
+from oracles import grad_h, step_cases
 
 
 def small_config(**kw):
@@ -182,19 +182,18 @@ def test_euler_rounding_is_pinned():
     assert digest == EULER_20_STEPS_SHA256
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3),
-                                  (3, 2)])
+@pytest.mark.parametrize("n, m, workers", step_cases((1, 2)))
 def test_fused_euler_update_matches_the_step_tables(n, m, workers, monkeypatch):
     # the C update against the numpy one through np.take of the reference
     # step tables: the first axis gives acc = (u+ + u-) - 2u, each later one
     # adds its own, and the new field is u + acc * w.  Blocks of a little
-    # over two vertical fibres cut fibres at m = 3, 5 and 6, so both whole
-    # fibres and the runs of cut ones are read
+    # over two vertical fibres cut fibres at m = 3, 5, 6 and 7, so both
+    # whole fibres and the runs of cut ones are read; at m = 7 they cut the
+    # rows of the row body too, and at m = 8 they leave its rows whole
     monkeypatch.setattr(lattice, "WORKERS", workers)
     monkeypatch.setattr(lattice, "BLOCK_POINTS", max(128, 2 * m ** 3 + 1))
     grid = make_grid(n, m)
-    if m in (3, 5, 6):
+    if m in (3, 5, 6, 7):
         assert any(b % m ** 3 for b in lattice._block_bounds(grid.size))
     values = 1.0 + 0.3 * np.random.default_rng(m).random(grid.size)
     two_u = values * 2.0

@@ -273,7 +273,7 @@ class _UnitRecord:
 def _hesrep(q, n):
     # the integrated Hessian split |H|^2 = (tr H)^2/4n + sum_s omega_s^2/4n + deficit
     p = q.production
-    return p.I_hess2 - (p.I_lap2 + p.I_omega2) / (4 * n) - p.I_deficit
+    return q.I_hess2 - (p.I_lap2 + q.I_omega2) / (4 * n) - p.I_deficit
 
 
 def _exact_rank(rows):
@@ -360,9 +360,8 @@ def _relation_misses(q, n, a):
         lhs, rhs, extra = row(q)
         res[tag] = lhs - rhs
         scale.append(max(abs(lhs), abs(rhs), *(abs(t) for t in extra)))
-    p = q.production
     res["hesrep"] = _hesrep(q, n)
-    scale.append(p.I_hess2)
+    scale.append(q.I_hess2)
     misses = (
         res["derf"] - res["deriv2"] - 2 * (3 - 4 * a) / (3 * a * (2 * n + 1)) * res["lastrep"],
         res["lastrep"] - (3 * n + 2) * res["deriv6"] - 2 * n * a / (1 - 2 * a) * res["reprtor"],
@@ -380,6 +379,7 @@ def test_the_chain_relations_hold_on_lattice_residuals(n, m, alpha, monkeypatch)
     # the model's vanishing torsion and is skipped, as in the lemma suite
     u = _rich_field(make_grid(n, m)) if n == 1 else _lognormal_u(n, m)
     q = ChainRecord(u, alpha)
+    assert q.production == FlowQuantities(u, alpha).production
     misses, scale = _relation_misses(q, n, alpha)
     assert max(misses) <= 1e-13 * scale
     coefficients = identities_module.derf_coefficients

@@ -34,7 +34,7 @@ from qcflow.lattice import (
     vertical_shift,
 )
 
-from oracles import bump_value, kernel_calls, ref_first_difference, shift
+from oracles import bump_value, kernel_calls, ref_first_difference, shift, step_cases
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qcflow"
 
@@ -678,9 +678,7 @@ def test_step_gathers_match_shift(m, monkeypatch):
     assert seen == starts
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3),
-                                  (3, 2)])
+@pytest.mark.parametrize("n, m, workers", step_cases((1, 2)))
 def test_step_kernel_gathers_what_the_step_tables_give(n, m, workers, monkeypatch):
     # grad_sq_block against the weighted sum of squares of (S^+ - S^-) / 2h
     # through np.take of step_permutation, called by hand over the blocks;
@@ -689,14 +687,16 @@ def test_step_kernel_gathers_what_the_step_tables_give(n, m, workers, monkeypatc
     # the Hessian pass over it against the composed np.take references D_b f
     # and D_a D_b f.
     # Blocks of a little over two vertical fibres cut fibres at every odd m
-    # and at m = 6, so both whole fibres and the runs of cut ones are read.
+    # and at m = 6, so both whole fibres and the runs of cut ones are read;
+    # at m = 7 they cut the rows of the row bodies too, and at m = 8 they
+    # leave them whole.
     # (3, 2) on 2 workers runs hessian_block, with its dim_h = 12 runs, on
     # the pool's threads
     monkeypatch.setattr(lattice, "WORKERS", workers)
     monkeypatch.setattr(lattice, "BLOCK_POINTS", max(128, 2 * m ** 3 + 1))
     grid = make_grid(n, m)
     bounds = lattice._block_bounds(grid.size)
-    if m in (3, 5, 6):
+    if m in (3, 5, 6, 7):
         assert any(b % m ** 3 for b in bounds)
     rng = np.random.default_rng(m)
 
@@ -724,9 +724,7 @@ def test_step_kernel_gathers_what_the_step_tables_give(n, m, workers, monkeypatc
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3),
-                                  (3, 2)])
+@pytest.mark.parametrize("n, m, workers", step_cases((1, 2, 3)))
 def test_grad_sq_pass_has_the_bits_of_the_step_tables(n, m, workers, monkeypatch):
     # the energy's pass against vol * np.sum(np.sum(D ** 2, axis=0) * w),
     # D_a = (S^+ - S^-) / 2h through np.take of step_permutation, with ==,
@@ -786,14 +784,15 @@ def test_runtime_dim_h_bodies_keep_the_numpy_order(monkeypatch):
     assert new.tobytes() == (f + acc * w).tobytes()
 
 
-@pytest.mark.parametrize("m", [3, 8])
+@pytest.mark.parametrize("m", [3, 6, 8])
 def test_step_kernels_write_only_their_outputs(m):
     # each C function, called by hand on the roll table that the passes
     # size (m^4 int64) and on canary-filled outputs, each with a canary
     # tail: the table tail, the output tails and every output point outside
     # the block keep their canaries.
     # The blocks cut fibres at both ends, or run to the field's end, or
-    # span sixteen whole fibres
+    # span sixteen whole fibres; at m = 6 their edges cut rows, so the row
+    # bodies' masked stores of part of a row sit next to canaries
     lib = lattice._step_kernel()
     grid = make_grid(1, m)
     dim_h, size, fibre, tail = grid.dim_h, grid.size, m ** 3, 64
@@ -888,14 +887,52 @@ def test_step_kernels_write_only_their_outputs(m):
         lib.hessian_block(by_plane.ctypes.data, tr2.ctypes.data, om2.ctypes.data, None,
                           *hess_args)
         assert tr2.tobytes() == tr.tobytes() and om2.tobytes() == om.tobytes()
-        # the production block writes the five rows of work, in place of
+        # the production block writes the three rows of work, in place of
         # the weights in its first two, and the deficit minimum into lo
-        work, lo = canaries(5 * k), canaries(1)
+        work, lo = canaries(3 * k), canaries(1)
         work[:2 * k] = 1.0 + np.arange(2 * k) / k
         lib.production_block(tr.ctypes.data, om.ctypes.data, nsq.ctypes.data,
                              flat[start:].ctypes.data, by_point[start:].ctypes.data,
                              work.ctypes.data, lo.ctypes.data, k, dim_h)
-        assert kept(work, slice(0, 5 * k)) and kept(lo, slice(0, 1))
+        assert kept(work, slice(0, 3 * k)) and kept(lo, slice(0, 1))
+
+
+def test_scalar_bodies_keep_the_bits_at_m9():
+    # a row of 9 points is one more than the row bodies' 8 lanes, so at
+    # m_x = 9 euler_update and grad_sq_block run their scalar dim_h = 4
+    # bodies on every CPU.  Each is called by hand on two blocks of the
+    # passes, whose edges cut rows and fibres, against references made from
+    # one step table at a time, sliced to the blocks' points (a whole table
+    # is 38 MB here); m_x = 9 divides by 2h
+    lib = lattice._step_kernel()
+    grid = make_grid(1, 9)
+    cols, rolls = grid._step_constants
+    bounds = lattice._block_bounds(grid.size)
+    i = len(bounds) // 2
+    start, mid, stop = bounds[i - 1], bounds[i], bounds[i + 1]
+    assert start % 9 and stop % 9 and mid % 9 ** 3
+    rng = np.random.default_rng(9)
+    values = 1.0 + 0.3 * rng.random(grid.size)
+    weight = rng.random(grid.size)
+    two_h, w = 2.0 * grid.h_x, 0.01
+    two_u, acc, diffs = values[start:stop] * 2.0, None, []
+    for a in range(grid.dim_h):
+        up = values[grid.step_permutation(a, 1)[start:stop]]
+        um = values[grid.step_permutation(a, -1)[start:stop]]
+        term = (up + um) - two_u
+        acc = term if acc is None else acc + term
+        diffs.append((up - um) / two_h)
+    new = values[start:stop] + acc * w
+    out, ext = np.full(grid.size, np.nan), np.empty(2)
+    lib.euler_update(values.ctypes.data, out.ctypes.data, ext.ctypes.data, start, stop - start,
+                     grid.m_x, grid.dim_h, cols.ctypes.data, rolls.ctypes.data, w)
+    assert out[start:stop].tobytes() == new.tobytes()
+    assert (ext[0], ext[1]) == (new.min(), new.max())
+    assert np.isnan(out[:start]).all() and np.isnan(out[stop:]).all()
+    want = _weighted_grad_sq(diffs, weight[start:stop])
+    for lo, hi in ((start, mid), (mid, stop)):
+        got = _grad_sq_block(values, weight, grid, lo, hi - lo)
+        assert got.tobytes() == want[lo - start:hi - start].tobytes()
 
 
 @pytest.mark.parametrize("dim_h", [4, 8])
@@ -903,9 +940,10 @@ def test_production_block_has_the_bits_of_the_numpy_formulas(dim_h):
     # the one C call of production's contraction against the per-point
     # numpy formulas it replaces, with ==, on signed contractions of wide
     # magnitude: the p-deficit grouped as written, |DF|^2 in axis order and
-    # the five weighted integrands.  Its minimum is the deficit's, and keeps
+    # the three weighted integrands.  Its minimum is the deficit's, and keeps
     # a NaN as np.minimum.reduce does, at the first point, the last or
-    # between them; misshapen or strided blocks are refused
+    # between them; misshapen or strided blocks, and the five rows of work
+    # that the block once wrote, are refused
     rng = np.random.default_rng(dim_h)
     k = 1000
 
@@ -919,23 +957,22 @@ def test_production_block_has_the_bits_of_the_numpy_formulas(dim_h):
         nsq = np.abs(wide(k))
         if nan_at is not None:
             nsq[nan_at] = np.nan
-        work = np.zeros((5, k))
+        work = np.zeros((3, k))
         work[0], work[1] = w2, w4
         lo = lattice._production_block(tr, om, nsq, lap, first, work)
         deficit = nsq - quarter * tr * tr
         for s in range(3):
             deficit = deficit - quarter * om[s] * om[s]
         grad_sq = np.sum(np.ascontiguousarray(first.T) ** 2, axis=0)
-        expect = (w2 * lap ** 2, w4 * grad_sq ** 2, w2 * nsq,
-                  w2 * sum(om[s] ** 2 for s in range(3)), w2 * deficit)
+        expect = (w2 * lap ** 2, w4 * grad_sq ** 2, w2 * deficit)
         for row, want in zip(work, expect):
             assert row.tobytes() == want.tobytes()
         want_lo = np.minimum.reduce(deficit)
         assert lo == want_lo or (np.isnan(lo) and np.isnan(want_lo))
         assert np.isnan(lo) == (nan_at is not None)
-    for bad in (first[:, ::-1], first[:-1]):
+    for bad, rows in ((first[:, ::-1], 3), (first[:-1], 3), (first, 5)):
         with pytest.raises(ValueError, match="production block takes"):
-            lattice._production_block(tr, om, nsq, lap, bad, np.zeros((5, k)))
+            lattice._production_block(tr, om, nsq, lap, bad, np.zeros((rows, k)))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -1102,6 +1139,14 @@ def test_step_kernel_builds_without_warnings_at_the_shipped_flags(tmp_path):
         "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "_steps.so"), lattice._STEPS_SOURCE]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_shipped_flags_name_no_cpu():
+    # a library built on one x86-64 CPU loads and runs on any: the row
+    # bodies ask for AVX-512F function by function and are chosen at run
+    # time, so no flag may name an architecture, a tuning or an instruction
+    # set (-march, -mtune, -mavx2, -mfma, ...)
+    assert [flag for flag in lattice._CFLAGS if flag.startswith("-m")] == []
 
 
 def test_a_missing_compiler_stops_the_first_pass(tmp_path, monkeypatch):
