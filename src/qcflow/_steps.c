@@ -106,7 +106,11 @@
  * on any.  The scalar bodies are the only path on other CPUs, at n >= 2
  * and at m >= 9.  Each lane does the + - x / of the scalar body in its
  * order, each rounded on its own under the same -ffp-contract=off, so a
- * row body writes the scalar body's bits.
+ * row body writes the scalar body's bits, and a negation flips the sign
+ * bit, as the scalar body's does, NaN too.  Where NaNs of both signs meet
+ * in one sum (inf - inf makes one), the NaN takes the sign of whichever
+ * operand the compiler put first in a +, in either body, so the two may
+ * differ in that sign bit there.
  *
  * Each function does the + - x / of the whole-field numpy formula in its
  * per-point order, each one rounded on its own, so its output has that
@@ -440,7 +444,8 @@ static inline void jet_rows(const double *const *src, double *const *first,
     int64_t from[8], c0[8], roll[8], c1[8], q0, q1;
     const double *fibres[8], *reads[8];
     __m512i turn[LANES], idx[8];
-    __m512d s[8], d[4], two = _mm512_set1_pd(2.0), minus_zero = _mm512_set1_pd(-0.0);
+    __m512d s[8], d[4], two = _mm512_set1_pd(2.0);
+    __m512i sign = _mm512_set1_epi64(INT64_MIN);
     __m512d inv_2h = _mm512_set1_pd(1.0 / two_h), inv_h_sq = _mm512_set1_pd(1.0 / h_sq);
     __m512d h2 = _mm512_set1_pd(two_h), hh = _mm512_set1_pd(h_sq);
     /* lanes of (D_0, D_1) and (D_2, D_3) paired per point, then the pairs
@@ -474,8 +479,9 @@ static inline void jet_rows(const double *const *src, double *const *first,
                     acc = _mm512_add_pd(acc, _mm512_add_pd(_mm512_sub_pd(s[2 * a], two_f),
                                                            s[2 * a + 1]));
                 }
-                /* -0.0 - acc is -acc, zeros too */
-                acc = _mm512_sub_pd(minus_zero, acc);
+                /* -acc flips the sign bit, as the scalar body's negation
+                 * does, zeros and NaN too */
+                acc = _mm512_castsi512_pd(_mm512_xor_epi64(_mm512_castpd_si512(acc), sign));
                 _mm512_mask_storeu_pd(l + t1 * m, keep, exact ? _mm512_mul_pd(acc, inv_h_sq)
                                                               : _mm512_div_pd(acc, hh));
                 __m512d p01 = _mm512_permutex2var_pd(d[0], pair_lo, d[1]);

@@ -13,16 +13,14 @@ The lemma's chain of integral identities lives here too, since only the
 tests evaluate it: the ten linear rows deriv2 ... derf and ricci_mixed,
 eleven tags that chain_residual reports as identities.identity_residual
 reports the package's five.  A row reads the package's production and
-P_pair_half, the integrals of w2 |H|^2 and w2 sum_s omega_s(H)^2 that only
-the chain reads, and six catalog integrals of whole-field reference
-formulas, made once per field and alpha."""
+P_pair_half and eight catalog integrals of whole-field reference formulas,
+made once per field and alpha."""
 from __future__ import annotations
 
 import ctypes
 import hashlib
 import itertools
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -300,6 +298,7 @@ def reference_integrals(u: ScalarField, alpha: float) -> dict:
     grad_sq = np.sum(dF ** 2, axis=0)
     w2 = np.power(values, 1 - 2 * alpha)
     xi_sq = sum(reeb_derivative(ScalarField(grid, F), s).values ** 2 for s in range(3))
+    norm_sq, _, omega, _ = ref_hessian(F, grid)
     phi = -np.log(values)
     lap_phi = ref_sub_laplacian(phi, grid)
     gp2 = np.sum(grad(phi) ** 2, axis=0)
@@ -307,6 +306,8 @@ def reference_integrals(u: ScalarField, alpha: float) -> dict:
         "I_mixed": float(vol * np.sum(np.power(values, 1 - 3 * alpha) * lap_F * grad_sq)),
         "I_reeb_mixed": float(vol * np.sum(w2 * ref_reeb_mixed(dF, grid))),
         "I_xi2": float(vol * np.sum(w2 * xi_sq)),
+        "I_hess2": float(vol * np.sum(w2 * norm_sq)),
+        "I_omega2": float(vol * np.sum(w2 * sum(omega[s] ** 2 for s in range(3)))),
         "I_gradlap": float(vol * np.sum(w2 * np.sum(grad(lap_F) * dF, axis=0))),
         "I_lap_gradsq": float(vol * np.sum(w2 * ref_sub_laplacian(grad_sq, grid))),
         # d/dt of the energy in the phi = -ln u variables:
@@ -318,54 +319,13 @@ def reference_integrals(u: ScalarField, alpha: float) -> dict:
 
 
 class ChainRecord(FlowQuantities):
-    """The record a row of linear_rows reads: the six reference integrals
-    as attributes, the package's P_pair_half of FlowQuantities, made on its
-    first read, and F's Hessian integrals from one contraction of its own:
-    the package's production, with the bits of FlowQuantities.production,
-    and I_hess2 = int w2 |H|^2 and I_omega2 = int w2 sum_s omega_s(H)^2,
-    w2 = u^(1-2 alpha), which only the chain reads, in the order of their
-    whole-field formulas, as the production block formed them once."""
+    """The record a row of linear_rows reads: the package's production and
+    P_pair_half of FlowQuantities, each made on its first read, and the
+    eight reference integrals as attributes."""
 
     def __init__(self, u: ScalarField, alpha: float):
         super().__init__(u, alpha)
         vars(self).update(reference_integrals(u, alpha))
-
-    @cached_property
-    def _hessian_integrals(self) -> tuple:
-        grid, alpha = self.grid, self.alpha
-        u, e2, e4 = self.u.values.reshape(-1), 1.0 - 2 * alpha, 1.0 - 4 * alpha
-        mins = []
-
-        def contract(blk, tr, om, nsq, work, lap, first):
-            rows, row = work
-            np.power(u[blk], e2, out=rows[0])
-            np.power(u[blk], e4, out=rows[1])
-            np.multiply(rows[0], nsq, out=row)
-            hess2 = np.add.reduce(row)
-            np.multiply(om[0], om[0], out=row)
-            row += om[1] * om[1]
-            row += om[2] * om[2]
-            row *= rows[0]
-            omega2 = np.add.reduce(row)
-            mins.append(lattice._production_block(tr, om, nsq, lap, first, rows))
-            return (*(np.add.reduce(r) for r in rows), hess2, omega2)
-
-        sums = lattice.hessian_pass(u, grid, identities._power(alpha), contract, with_norm=True,
-                                    scratch=((3,), ()))
-        *production, hess2, omega2 = (float(grid.cell_volume * total) for total in sums)
-        return ProductionIntegrals(*production, float(np.min(mins))), hess2, omega2
-
-    @property
-    def production(self) -> ProductionIntegrals:
-        return self._hessian_integrals[0]
-
-    @property
-    def I_hess2(self) -> float:
-        return self._hessian_integrals[1]
-
-    @property
-    def I_omega2(self) -> float:
-        return self._hessian_integrals[2]
 
 
 def linear_rows(n, alpha) -> dict:

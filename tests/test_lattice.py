@@ -899,11 +899,13 @@ def test_step_kernels_write_only_their_outputs(m):
 
 def test_scalar_bodies_keep_the_bits_at_m9():
     # a row of 9 points is one more than the row bodies' 8 lanes, so at
-    # m_x = 9 euler_update and grad_sq_block run their scalar dim_h = 4
-    # bodies on every CPU.  Each is called by hand on two blocks of the
-    # passes, whose edges cut rows and fibres, against references made from
-    # one step table at a time, sliced to the blocks' points (a whole table
-    # is 38 MB here); m_x = 9 divides by 2h
+    # m_x = 9 euler_update, grad_sq_block and difference_jet run their
+    # scalar dim_h = 4 bodies on every CPU.  Each is called by hand on two
+    # blocks of the passes, whose edges cut rows and fibres, against
+    # references made from one step table at a time, sliced to the blocks'
+    # points (a whole table is 38 MB here); m_x = 9 divides by 2h and h^2.
+    # The jet writes through plane tables into buffers of the blocks' points
+    # alone, with a point of NaN canaries on either side
     lib = lattice._step_kernel()
     grid = make_grid(1, 9)
     cols, rolls = grid._step_constants
@@ -914,13 +916,14 @@ def test_scalar_bodies_keep_the_bits_at_m9():
     rng = np.random.default_rng(9)
     values = 1.0 + 0.3 * rng.random(grid.size)
     weight = rng.random(grid.size)
-    two_h, w = 2.0 * grid.h_x, 0.01
-    two_u, acc, diffs = values[start:stop] * 2.0, None, []
+    two_h, h_sq, w = 2.0 * grid.h_x, grid.h_x * grid.h_x, 0.01
+    two_u, acc, jet_acc, diffs = values[start:stop] * 2.0, None, 0.0, []
     for a in range(grid.dim_h):
         up = values[grid.step_permutation(a, 1)[start:stop]]
         um = values[grid.step_permutation(a, -1)[start:stop]]
         term = (up + um) - two_u
         acc = term if acc is None else acc + term
+        jet_acc = jet_acc + ((up - two_u) + um)
         diffs.append((up - um) / two_h)
     new = values[start:stop] + acc * w
     out, ext = np.full(grid.size, np.nan), np.empty(2)
@@ -933,6 +936,19 @@ def test_scalar_bodies_keep_the_bits_at_m9():
     for lo, hi in ((start, mid), (mid, stop)):
         got = _grad_sq_block(values, weight, grid, lo, hi - lo)
         assert got.tobytes() == want[lo - start:hi - start].tobytes()
+    plane = grid.size // grid.m_x
+    first = np.full((stop - start + 2, grid.dim_h), np.nan)
+    lap = np.full(stop - start + 2, np.nan)
+    # the table entry of plane y addresses its point start + p at row 1 + p
+    tables = [lattice._plane_table(values, grid)] + [
+        arr.ctypes.data + arr.itemsize * arr[0].size * (1 - start + plane * np.arange(grid.m_x))
+        for arr in (first, lap)]
+    for lo, hi in ((start, mid), (mid, stop)):
+        lib.difference_jet(*(table.ctypes.data for table in tables), lo, hi - lo, grid.m_x,
+                           grid.dim_h, cols.ctypes.data, rolls.ctypes.data, two_h, h_sq)
+    assert first[1:-1].tobytes() == np.stack(diffs, axis=-1).tobytes()
+    assert lap[1:-1].tobytes() == (-jet_acc / h_sq).tobytes()
+    assert np.isnan(first[[0, -1]]).all() and np.isnan(lap[[0, -1]]).all()
 
 
 @pytest.mark.parametrize("dim_h", [4, 8])

@@ -12,7 +12,7 @@ import pytest
 import qcflow.energy as energy_module
 from qcflow import algebra, flow, identities, lattice, operators
 from qcflow.energy import energy
-from qcflow.identities import FlowQuantities, bochner_residual, identity_residual
+from qcflow.identities import NORM_FLOOR, FlowQuantities, bochner_residual, identity_residual
 from qcflow.lattice import (
     ScalarField,
     default_center,
@@ -520,13 +520,19 @@ def _bochner(f):
     return report.lhs, report.rhs, report.residual
 
 
+def _hesrep(u):
+    report = identity_residual("hesrep_contraction", u, PRODUCTION_ALPHA)
+    return report.lhs, report.norm_scale
+
+
 def _run_passes(f):
     """Every block kernel of the package on f: the Euler update with the
     mass, min and max of the new field, the jet, the energy (|D phi|^2 u
     summed per block), the divergence of the jet's gradient and
     the Hessian pass under its contractions: one that collects it, the
     production integrals of FlowQuantities (with f as u), the Bochner
-    residual's L2 norms and the P-pairing."""
+    residual's L2 norms, the hesrep_contraction report's deficit minimum
+    and mean |H|^2 (again with f as u) and the P-pairing."""
     return {
         "euler": lambda: lattice.euler_pass(f.values, f.grid, 0.01, True),
         "jet": lambda: DifferenceJet(f),
@@ -535,6 +541,7 @@ def _run_passes(f):
         "hessian": lambda: _stream_hessian(f),
         "production": lambda: _production(f),
         "bochner": lambda: _bochner(f),
+        "hesrep": lambda: _hesrep(f),
         "p_functional": lambda: p_functional(f),
     }
 
@@ -542,19 +549,21 @@ def _run_passes(f):
 def _reference_production(values, grid):
     """The production integrals from the whole-field formulas of F = u^alpha,
     their weights from whole-field np.power: I_lap2, I_quart, I_deficit and
-    the deficit's min."""
+    the deficit's min; and the hesrep_contraction report's deficit min and
+    norm scale, the mean of |H|^2 over the floor."""
     a = PRODUCTION_ALPHA
     F = np.power(values, a)
     lap = ref_sub_laplacian(F, grid)
     grad_sq = np.sum(np.stack([ref_first_difference(F, grid, b)
                                for b in range(grid.dim_h)]) ** 2, axis=0)
-    deficit = ref_hessian(F, grid)[3]
+    norm_sq, _, _, deficit = ref_hessian(F, grid)
     w2 = np.power(values, 1 - 2 * a)
     vol = grid.cell_volume
-    return (float(vol * np.sum(w2 * lap ** 2)),
-            float(vol * np.sum(np.power(values, 1 - 4 * a) * grad_sq ** 2)),
-            float(vol * np.sum(w2 * deficit)),
-            float(deficit.min()))
+    return ((float(vol * np.sum(w2 * lap ** 2)),
+             float(vol * np.sum(np.power(values, 1 - 4 * a) * grad_sq ** 2)),
+             float(vol * np.sum(w2 * deficit)),
+             float(deficit.min())),
+            (float(deficit.min()), float(np.mean(norm_sq)) + NORM_FLOOR))
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -652,6 +661,7 @@ def _reference_passes(f):
     div = np.zeros(grid.shape)
     for a in range(grid.dim_h):
         div += ref_first_difference(first[a], grid, a)
+    production, hesrep = _reference_production(values, grid)
     return {
         "euler": (stepped, integrate(ScalarField(grid, stepped)),
                   float(np.min(stepped)), float(np.max(stepped))),
@@ -659,8 +669,9 @@ def _reference_passes(f):
         "energy": float(grid.cell_volume * np.sum(grad_phi_sq * values)),
         "divergence": -div,
         "hessian": (norm_sq, trace, omega, deficit),
-        "production": _reference_production(values, grid),
+        "production": production,
         "bochner": _reference_bochner(values, grid),
+        "hesrep": hesrep,
         "p_functional": float(grid.cell_volume * np.sum(integrand)),
     }
 
